@@ -23,7 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .features import FrameConfig, GccConfig, frame_stack, n_frames
+from .features import (
+    FrameConfig,
+    GccConfig,
+    compute_spectral_gccs,
+    frame_stack,
+    n_frames,
+    temporal_gcc,
+)
 from .geometry import MicArray, tdoa
 from .io_utils import (
     export_map_csv,
@@ -35,23 +42,18 @@ from .io_utils import (
 )
 from .pipeline import (
     ConfigError,
-    PipelineConfig,
     _build_map,
+    _check_keys,
     _extract_features,
     build_grid,
     config_from_dict,
     validate_config,
+    x_srp,
 )
 from .search import complexity_estimate
 from .srp_core import counter, srp_freq_scores, srp_time_scores
 from .synth import SceneSpec, Source, pink_noise, synthesize_free_field, white_noise
 from .tracking import LangevinParams, track
-
-
-def _check_keys(d: dict, allowed, section: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
 
 
 def _load_json(path) -> dict:
@@ -79,6 +81,8 @@ def _parse_frame(d: dict) -> FrameConfig:
     if d is None:
         raise ConfigError("config needs a 'frame' section")
     _check_keys(d, ("frame_len", "hop", "window"), "frame")
+    if "frame_len" not in d:
+        raise ConfigError("frame needs 'frame_len'")
     return FrameConfig(
         frame_len=int(d["frame_len"]),
         hop=int(d.get("hop", d["frame_len"])),
@@ -143,6 +147,8 @@ def cmd_simulate(args) -> int:
     sources = []
     for k, sd in enumerate(sim.get("sources", [])):
         _check_keys(sd, ("position", "signal", "seed"), "source")
+        if "position" not in sd:
+            raise ConfigError("each simulate source needs a 'position'")
         sig = _source_signal(
             sd.get("signal", "white"), n, array.sample_rate, base_dir, int(sd.get("seed", seed + k))
         )
@@ -211,8 +217,6 @@ def cmd_localize(args) -> int:
     total = n_frames(signals.shape[1], frame_cfg)
     if total == 0:
         raise OSError(f"{args.input}: shorter than one frame ({frame_cfg.frame_len})")
-    from .pipeline import x_srp  # local import keeps module load light
-
     records = []
     last_frames = None
     for i in range(total):
@@ -315,14 +319,10 @@ def cmd_bench(args) -> int:
             src = rng.uniform(0.5, room - 0.5)
             sig = white_noise(L + int(array.aperture() / array.speed_of_sound * fs) + 128,
                               seed=seed)
-            from .synth import SceneSpec as _Scene
-
-            scene = _Scene(room, [Source(src, sig)], snr_db=20.0, seed=seed)
+            scene = SceneSpec(room, [Source(src, sig)], snr_db=20.0, seed=seed)
             rendered = synthesize_free_field(scene, array)[:, :L]
-            from .features import compute_spectral_gccs, temporal_gcc as _tg
-
             gccs = compute_spectral_gccs(rendered, array, GccConfig(band=(0.0, fs / 2)))
-            lags = {p: _tg(g) for p, g in gccs.items()}
+            lags = {p: temporal_gcc(g) for p, g in gccs.items()}
             n_bins = int(next(iter(gccs.values())).in_band.sum())
             for domain in domains:
                 for g_size in grid_sizes:

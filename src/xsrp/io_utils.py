@@ -75,21 +75,6 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def export_grid_csv(grid: CandidateGrid, path, scores=None) -> None:
-    """One candidate per row: x,y,z[,score]."""
-    pts = grid.points
-    with open(path, "w") as f:
-        if scores is None:
-            f.write("x,y,z\n")
-            for p in pts:
-                f.write(f"{p[0]:.9g},{p[1]:.9g},{p[2]:.9g}\n")
-        else:
-            scores = np.asarray(scores, dtype=float)
-            f.write("x,y,z,score\n")
-            for p, s in zip(pts, scores):
-                f.write(f"{p[0]:.9g},{p[1]:.9g},{p[2]:.9g},{s:.9g}\n")
-
-
 def export_map_csv(srp_map, path) -> None:
     """Map rows: candidate coordinates plus score."""
     pts = srp_map.points

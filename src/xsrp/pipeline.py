@@ -17,13 +17,13 @@ results match standalone compositions bit for bit.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .features import (
-    FrameConfig,
     GccConfig,
     analysis_band,
     compute_cc_lag_vectors,
@@ -32,9 +32,7 @@ from .features import (
 )
 from .geometry import MicArray, MicPair
 from .grids import (
-    CandidateGrid,
     Volume,
-    VolumeGrid,
     cartesian_grid,
     doa_grid,
     grid_in_volume,
@@ -75,7 +73,7 @@ class GridSpec:
     """
 
     kind: str = "cartesian3d"
-    resolution: float | tuple | None = 0.1
+    resolution: float | tuple[float, ...] | None = 0.1
     azimuth_res: float | None = None
     elevation_res: float | None = None
     counts: tuple[int, int, int] | None = None
@@ -305,175 +303,86 @@ def _update_grid(cfg: PipelineConfig, best, region, resolution, planar):
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
     """JSON-ready dict (inverse of config_from_dict)."""
-
-    def wsrp(w: WsrpConfig | None):
-        if w is None:
-            return None
-        return {
-            "freq_combinator": w.freq_combinator,
-            "pair_combinator": w.pair_combinator,
-            "freq_weights": None if w.freq_weights is None else list(map(float, w.freq_weights)),
-            "pair_weights": None
-            if w.pair_weights is None
-            else {f"{p.l}-{p.m}": float(v) for p, v in w.pair_weights.items()},
-        }
-
-    return {
-        "grid": {
-            "kind": cfg.grid.kind,
-            "resolution": _tolist(cfg.grid.resolution),
-            "azimuth_res": cfg.grid.azimuth_res,
-            "elevation_res": cfg.grid.elevation_res,
-            "counts": _tolist(cfg.grid.counts),
-        },
-        "features": {
-            "kind": cfg.features.kind,
-            "beta": cfg.features.beta,
-            "gamma": cfg.features.gamma,
-            "band": _tolist(cfg.features.band),
-        },
-        "map": {
-            "domain": cfg.map.domain,
-            "pooling": cfg.map.pooling,
-            "guard": cfg.map.guard,
-            "wsrp": wsrp(cfg.map.wsrp),
-        },
-        "search": asdict(cfg.search),
-        "multi": None
-        if cfg.multi is None
-        else {
-            "n_sources": cfg.multi.n_sources,
-            "notch_sigma": cfg.multi.notch_sigma,
-            "min_source_distance": cfg.multi.min_source_distance,
-            "score_floor": cfg.multi.score_floor,
-        },
-        "grid_update": cfg.grid_update,
-        "max_loop_iters": cfg.max_loop_iters,
-    }
+    return _dump(cfg)
 
 
-def _tolist(v):
-    if v is None:
-        return None
+def _dump(v):
+    if is_dataclass(v):
+        return {f.name: _dump(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, dict):  # pair weights
+        return {f"{p.l}-{p.m}": _dump(w) for p, w in v.items()}
     if isinstance(v, (tuple, list, np.ndarray)):
-        return [float(x) for x in v]
+        return [_dump(x) for x in v]
+    if isinstance(v, np.generic):
+        return v.item()
     return v
 
 
-def _check_keys(d: dict, allowed, section: str) -> None:
+def _check_keys(d, allowed, section: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section!r} must be a JSON object")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
 
 
-def _tuple_or_none(v, n=None):
-    if v is None:
-        return None
-    if isinstance(v, (int, float)):
-        return float(v)
-    t = tuple(float(x) for x in v)
-    if n is not None and len(t) != n:
-        raise ConfigError(f"expected {n} entries, got {len(t)}")
-    return t
-
-
-def _float_maybe_inf(v):
-    if isinstance(v, str):
-        if v.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ConfigError(f"not a number: {v!r}")
-    return float(v)
-
-
 def config_from_dict(d: dict) -> PipelineConfig:
     """Parse a config dict, rejecting unknown keys fail-fast."""
-    if not isinstance(d, dict):
-        raise ConfigError("pipeline config must be a JSON object")
-    _check_keys(
-        d,
-        ("grid", "features", "map", "search", "multi", "grid_update", "max_loop_iters"),
-        "pipeline",
-    )
-    gd = d.get("grid", {}) or {}
-    _check_keys(gd, ("kind", "resolution", "azimuth_res", "elevation_res", "counts"), "grid")
-    grid = GridSpec(
-        kind=gd.get("kind", "cartesian3d"),
-        resolution=_tuple_or_none(gd.get("resolution", 0.1)),
-        azimuth_res=gd.get("azimuth_res"),
-        elevation_res=gd.get("elevation_res"),
-        counts=None if gd.get("counts") is None else tuple(int(x) for x in gd["counts"]),
-    )
-    fd = d.get("features", {}) or {}
-    _check_keys(fd, ("kind", "beta", "gamma", "band"), "features")
-    features = FeatureSpec(
-        kind=fd.get("kind", "gcc_phat"),
-        beta=float(fd.get("beta", 1.0)),
-        gamma=None if fd.get("gamma") is None else float(fd["gamma"]),
-        band=_tuple_or_none(fd.get("band"), 2),
-    )
-    md = d.get("map", {}) or {}
-    _check_keys(md, ("domain", "pooling", "guard", "wsrp"), "map")
-    wd = md.get("wsrp")
-    wsrp = None
-    if wd is not None:
-        _check_keys(
-            wd, ("freq_combinator", "pair_combinator", "freq_weights", "pair_weights"), "wsrp"
-        )
-        pw = None
-        if wd.get("pair_weights") is not None:
-            pw = {}
-            for key, val in wd["pair_weights"].items():
-                try:
-                    l, m = (int(x) for x in key.split("-"))
-                except Exception as e:
-                    raise ConfigError(f"bad pair key {key!r} (want 'l-m')") from e
-                pw[MicPair(l, m)] = _float_maybe_inf(val)
-        wsrp = WsrpConfig(
-            freq_combinator=wd.get("freq_combinator", "sum"),
-            pair_combinator=wd.get("pair_combinator", "sum"),
-            freq_weights=None
-            if wd.get("freq_weights") is None
-            else np.asarray(wd["freq_weights"], dtype=float),
-            pair_weights=pw,
-        )
-    mapspec = MapSpec(
-        domain=md.get("domain", "frequency"),
-        pooling=md.get("pooling", "sum"),
-        guard=float(md.get("guard", 1.0)),
-        wsrp=wsrp,
-    )
-    sd = d.get("search", {}) or {}
-    _check_keys(
-        sd,
-        ("mode", "max_iters", "points_per_iter", "top_k", "min_region_edge", "seed"),
-        "search",
-    )
-    search = SearchConfig(
-        mode=sd.get("mode", "exhaustive"),
-        max_iters=int(sd.get("max_iters", 10)),
-        points_per_iter=int(sd.get("points_per_iter", 100)),
-        top_k=int(sd.get("top_k", 10)),
-        min_region_edge=float(sd.get("min_region_edge", 0.05)),
-        seed=int(sd.get("seed", 0)),
-    )
-    mud = d.get("multi")
-    multi = None
-    if mud is not None:
-        _check_keys(
-            mud, ("n_sources", "notch_sigma", "min_source_distance", "score_floor"), "multi"
-        )
-        multi = MultiConfig(
-            n_sources=None if mud.get("n_sources") is None else int(mud["n_sources"]),
-            notch_sigma=None if mud.get("notch_sigma") is None else float(mud["notch_sigma"]),
-            min_source_distance=float(mud.get("min_source_distance", 0.0)),
-            score_floor=float(mud.get("score_floor", 0.4)),
-        )
-    return PipelineConfig(
-        grid=grid,
-        features=features,
-        map=mapspec,
-        search=search,
-        multi=multi,
-        grid_update=d.get("grid_update", "none"),
-        max_loop_iters=int(d.get("max_loop_iters", 50)),
-    )
+    return _section(PipelineConfig, d, "pipeline")
+
+
+def _section(cls, d, name: str):
+    """Build dataclass cls from a JSON object; omitted keys keep their defaults.
+
+    Allowed keys are the dataclass fields, and each value is coerced
+    by the field's annotation.
+    """
+    _check_keys(d, [f.name for f in fields(cls)], name)
+    hints = get_type_hints(cls)
+    return cls(**{k: _value(hints[k], v, name, k) for k, v in d.items()})
+
+
+def _value(tp, v, section: str, key: str):
+    """Coerce the JSON value of section[key] to its annotation tp."""
+    if v is None:
+        if type(None) in get_args(tp):
+            return None
+        raise ConfigError(f"null is not allowed for {key!r} in {section!r}")
+    if get_origin(tp) in (Union, UnionType):
+        options = [a for a in get_args(tp) if a is not type(None)]
+        if len(options) > 1:  # a number or a per-axis list: the JSON type picks
+            seq = isinstance(v, (list, tuple))
+            options = [a for a in options if (get_origin(a) is tuple) == seq]
+        return _value(options[0], v, section, key)
+    if is_dataclass(tp):
+        return _section(tp, v, key)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple:
+        if not isinstance(v, (list, tuple)):
+            raise ConfigError(f"{key!r} in {section!r} must be a list, got {v!r}")
+        types = args[:1] * len(v) if args[-1] is Ellipsis else args
+        if len(v) != len(types):
+            raise ConfigError(
+                f"{key!r} in {section!r}: expected {len(types)} entries, got {len(v)}"
+            )
+        return tuple(_value(t, x, section, key) for t, x in zip(types, v))
+    if origin is dict:
+        if not isinstance(v, dict):
+            raise ConfigError(f"{key!r} in {section!r} must be a JSON object")
+        return {_pair(k): _value(args[1], w, section, key) for k, w in v.items()}
+    if tp is str:
+        if not isinstance(v, str):
+            raise ConfigError(f"{key!r} in {section!r} must be a string, got {v!r}")
+        return v
+    try:
+        return np.asarray(v, dtype=float) if tp is np.ndarray else tp(v)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{key!r} in {section!r}: not a number: {v!r}") from e
+
+
+def _pair(key: str) -> MicPair:
+    try:
+        l, m = (int(x) for x in key.split("-"))
+        return MicPair(l, m)
+    except ValueError as e:
+        raise ConfigError(f"bad pair key {key!r} (want 'l-m')") from e

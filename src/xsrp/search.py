@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Volume, bounding_region, intersect_volumes, sample_boundary, subdivide
+from .grids import Volume, sample_boundary, subdivide
 from .srp_core import SrpMap
 
 _MODES = ("exhaustive", "refine", "src")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .geometry import (
     MicPair,
     far_field_tdoa_matrix,
     max_tdoa,
-    max_tdoa_vector,
     tdoa_matrix,
     tof_matrix,
 )

@@ -321,15 +321,21 @@ def project_scripts(pyproject):
     return tomllib.loads(text)["project"]["scripts"]
 
 
+def subprocess_env():
+    """Environment in which a subprocess imports the package under test,
+    whatever PYTHONPATH the caller has."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(xsrp.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_script(tmp_path):
     # the installed script must call the very function tested here
     target = project_scripts(Path(__file__).resolve().parents[1] / "pyproject.toml")["xsrp"]
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is main
-    # the subprocess imports the package under test, whatever PYTHONPATH the caller has
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(xsrp.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = subprocess_env()
     commands = [[sys.executable, "-m", "xsrp"]]
     exe = shutil.which("xsrp")
     if exe is not None:
@@ -347,3 +353,38 @@ def test_console_script(tmp_path):
         )
         assert res.returncode == 1
         assert "config error" in res.stderr
+
+
+def _frame_without_frame_len():
+    cfg = localize_config()
+    cfg["frame"] = {"hop": 512}
+    return "localize", cfg
+
+
+def _source_without_position():
+    cfg = simulate_config()
+    cfg["simulate"]["sources"] = [{"signal": "white"}]
+    return "simulate", cfg
+
+
+def _null_max_iters():
+    cfg = localize_config()
+    cfg["pipeline"]["search"] = {"max_iters": None}
+    return "localize", cfg
+
+
+@pytest.mark.parametrize(
+    "make", [_frame_without_frame_len, _source_without_position, _null_max_iters],
+    ids=["frame_without_frame_len", "source_without_position", "null_max_iters"],
+)
+def test_malformed_config_is_a_config_error(tmp_path, make):
+    command, cfg = make()
+    argv = [command, "-c", write_config(tmp_path / "c.json", cfg), "-o", str(tmp_path / "o")]
+    if command == "localize":
+        argv += ["-i", str(tmp_path / "scene.wav")]  # the config fails before the input is read
+    res = subprocess.run(
+        [sys.executable, "-m", "xsrp", *argv], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert res.returncode == 1
+    assert "config error:" in res.stderr
+    assert "Traceback" not in res.stderr

@@ -5,6 +5,7 @@ functions it composes, so most tests here assert exact equality
 rather than tolerances.
 """
 
+import dataclasses
 import json
 import math
 
@@ -371,13 +372,48 @@ def full_config() -> PipelineConfig:
 
 
 def test_config_round_trips_through_json():
+    # the default config leaves multi, wsrp, band and counts at None
+    for cfg in (full_config(), PipelineConfig()):
+        d = config_to_dict(cfg)
+        wire = json.loads(json.dumps(d))
+        back = config_from_dict(wire)
+        assert config_to_dict(back) == d
+        # and a second round trip is stable
+        assert config_to_dict(config_from_dict(json.loads(json.dumps(config_to_dict(back))))) == d
+
+
+# every section dataclass and the keys that lead to its object
+SECTIONS = {
+    PipelineConfig: (),
+    GridSpec: ("grid",),
+    FeatureSpec: ("features",),
+    MapSpec: ("map",),
+    WsrpConfig: ("map", "wsrp"),
+    SearchConfig: ("search",),
+    MultiConfig: ("multi",),
+}
+
+
+def test_config_schema_covers_every_dataclass_field():
     cfg = full_config()
-    d = config_to_dict(cfg)
-    wire = json.loads(json.dumps(d))
-    back = config_from_dict(wire)
-    assert config_to_dict(back) == d
-    # and a second round trip is stable
-    assert config_to_dict(config_from_dict(json.loads(json.dumps(config_to_dict(back))))) == d
+    cfg.grid = dataclasses.replace(cfg.grid, azimuth_res=0.1, elevation_res=0.2, counts=(2, 3, 1))
+    cfg.search = dataclasses.replace(cfg.search, max_iters=4, points_per_iter=50, top_k=3)
+    full = config_to_dict(cfg)
+
+    def at(d, path):
+        for k in path:
+            d = d[k]
+        return d
+
+    for cls, path in SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            value = at(full, path)[f.name]
+            # the key alone, at its place in an otherwise empty config
+            one = {f.name: value}
+            for k in reversed(path):
+                one = {k: one}
+            back = config_to_dict(config_from_dict(json.loads(json.dumps(one))))
+            assert at(back, path)[f.name] == value, (cls.__name__, f.name)
 
 
 def test_config_defaults_from_empty_dict():
@@ -409,6 +445,12 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"map": {"wsrp": {"pair_weights": {"ab": 1.0}}}})
     with pytest.raises(ConfigError, match="not a number"):
         config_from_dict({"map": {"wsrp": {"pair_weights": {"0-1": "huge"}}}})
+    with pytest.raises(ConfigError, match="'grid' must be a JSON object"):
+        config_from_dict({"grid": [1, 2]})
+    with pytest.raises(ConfigError, match="'band' in 'features': expected 2 entries, got 3"):
+        config_from_dict({"features": {"band": [100.0, 200.0, 300.0]}})
+    with pytest.raises(ConfigError, match="null is not allowed for 'max_iters' in 'search'"):
+        config_from_dict({"search": {"max_iters": None}})
 
 
 def test_config_accepts_inf_strings():
