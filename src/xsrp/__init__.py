@@ -51,8 +51,10 @@ from .pipeline import (
     GridSpec,
     MapSpec,
     PipelineConfig,
+    Plan,
     config_from_dict,
     config_to_dict,
+    prepare,
     validate_config,
     x_srp,
 )

@@ -40,16 +40,7 @@ from .io_utils import (
     write_jsonl,
     write_wav,
 )
-from .pipeline import (
-    ConfigError,
-    _build_map,
-    _check_keys,
-    _extract_features,
-    build_grid,
-    config_from_dict,
-    validate_config,
-    x_srp,
-)
+from .pipeline import ConfigError, _check_keys, _value, config_from_dict, prepare
 from .search import complexity_estimate
 from .srp_core import counter, srp_freq_scores, srp_time_scores
 from .synth import SceneSpec, Source, pink_noise, synthesize_free_field, white_noise
@@ -64,30 +55,28 @@ def _load_json(path) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {e}") from e
 
 
+def _typed(d, types: dict, section: str) -> dict:
+    """The keys of a hand-parsed section, each coerced to its type in ``types``."""
+    _check_keys(d, types, section)
+    return {k: _value(types[k], v, section, k) for k, v in d.items()}
+
+
 def _parse_array(d: dict) -> MicArray:
     if d is None:
         raise ConfigError("config needs an 'array' section")
-    _check_keys(d, ("positions", "sample_rate", "speed_of_sound"), "array")
+    d = _typed(d, {"positions": np.ndarray, "sample_rate": float, "speed_of_sound": float}, "array")
     if "positions" not in d or "sample_rate" not in d:
         raise ConfigError("array needs 'positions' and 'sample_rate'")
-    return MicArray(
-        np.asarray(d["positions"], dtype=float),
-        float(d["sample_rate"]),
-        float(d.get("speed_of_sound", 343.0)),
-    )
+    return MicArray(d["positions"], d["sample_rate"], d.get("speed_of_sound", 343.0))
 
 
 def _parse_frame(d: dict) -> FrameConfig:
     if d is None:
         raise ConfigError("config needs a 'frame' section")
-    _check_keys(d, ("frame_len", "hop", "window"), "frame")
+    d = _typed(d, {"frame_len": int, "hop": int, "window": str}, "frame")
     if "frame_len" not in d:
         raise ConfigError("frame needs 'frame_len'")
-    return FrameConfig(
-        frame_len=int(d["frame_len"]),
-        hop=int(d.get("hop", d["frame_len"])),
-        window=d.get("window", "rectangular"),
-    )
+    return FrameConfig(d["frame_len"], d.get("hop", d["frame_len"]), d.get("window", "rectangular"))
 
 
 def _utc_now() -> str:
@@ -193,9 +182,6 @@ def _load_localize_config(path):
     frame_cfg = _parse_frame(cfg.get("frame"))
     room = np.asarray(cfg["room"], dtype=float) if "room" in cfg else None
     pipe = config_from_dict(cfg.get("pipeline", {}) or {})
-    diags = validate_config(pipe, room)
-    if diags:
-        raise ConfigError("; ".join(diags))
     return cfg, array, room, frame_cfg, pipe
 
 
@@ -213,6 +199,7 @@ def _read_scene(path, array: MicArray):
 def cmd_localize(args) -> int:
     t0 = time.perf_counter()
     cfg, array, room, frame_cfg, pipe = _load_localize_config(args.config)
+    plan = prepare(array, room, pipe)
     signals = _read_scene(args.input, array)
     total = n_frames(signals.shape[1], frame_cfg)
     if total == 0:
@@ -221,7 +208,7 @@ def cmd_localize(args) -> int:
     last_frames = None
     for i in range(total):
         frames = frame_stack(signals, frame_cfg, i)
-        est = x_srp(frames, array, room, pipe)
+        est = plan.run(frames)
         records.append(
             {
                 "frame": i,
@@ -235,9 +222,7 @@ def cmd_localize(args) -> int:
     write_jsonl(records, args.out)
     outputs = [args.out]
     if args.export_map:
-        lags, gccs = _extract_features(last_frames, array, pipe)
-        grid = build_grid(pipe.grid, room)
-        srp = _build_map(pipe, grid, lags, gccs, array)
+        srp = plan.map(last_frames)
         if str(args.export_map).endswith(".pgm"):
             export_map_pgm(srp, args.export_map)
         else:
@@ -251,6 +236,13 @@ def cmd_localize(args) -> int:
     return 0
 
 
+_TRACKER_KEYS = {
+    "q": int, "alpha": float, "beta": float, "kappa": float, "seed": int,
+    "resample_fraction": float, "band": tuple[float, float] | None, "gcc_beta": float,
+    "gamma": float | None,
+}
+
+
 def cmd_track(args) -> int:
     t0 = time.perf_counter()
     cfg = _load_json(args.config)
@@ -260,29 +252,20 @@ def cmd_track(args) -> int:
         raise ConfigError("track needs 'room' dimensions")
     room = np.asarray(cfg["room"], dtype=float)
     frame_cfg = _parse_frame(cfg.get("frame"))
-    td = cfg.get("tracker", {}) or {}
-    _check_keys(
-        td,
-        ("q", "alpha", "beta", "kappa", "seed", "resample_fraction", "band", "gcc_beta", "gamma"),
-        "tracker",
-    )
-    seed = int(td.get("seed", 0))
+    td = _typed(cfg.get("tracker", {}) or {}, _TRACKER_KEYS, "tracker")
+    seed = td.get("seed", 0)
     params = LangevinParams(
-        alpha=float(td.get("alpha", 2.0)),
-        beta=float(td.get("beta", 0.5)),
+        alpha=td.get("alpha", 2.0),
+        beta=td.get("beta", 0.5),
         dt=frame_cfg.hop / array.sample_rate,
     )
-    gcc_cfg = GccConfig(
-        beta=float(td.get("gcc_beta", 1.0)),
-        gamma=None if td.get("gamma") is None else float(td["gamma"]),
-        band=None if td.get("band") is None else tuple(float(v) for v in td["band"]),
-    )
+    gcc_cfg = GccConfig(beta=td.get("gcc_beta", 1.0), gamma=td.get("gamma"), band=td.get("band"))
     signals = _read_scene(args.input, array)
     points = track(
         signals, array, room, frame_cfg,
-        params=params, q=int(td.get("q", 500)), seed=seed, gcc_cfg=gcc_cfg,
-        kappa=float(td.get("kappa", 1.0)),
-        resample_fraction=float(td.get("resample_fraction", 0.5)),
+        params=params, q=td.get("q", 500), seed=seed, gcc_cfg=gcc_cfg,
+        kappa=td.get("kappa", 1.0),
+        resample_fraction=td.get("resample_fraction", 0.5),
     )
     write_jsonl([p.as_record() for p in points], args.out)
     _write_manifest(
@@ -293,22 +276,25 @@ def cmd_track(args) -> int:
     return 0
 
 
+_BENCH_KEYS = {
+    "domains": tuple[str, ...], "n_mics": tuple[int, ...], "frame_lens": tuple[int, ...],
+    "grid_sizes": tuple[int, ...], "room": tuple[float, float, float], "sample_rate": float,
+    "seed": int, "repeats": int,
+}
+
+
 def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     cfg = _load_json(args.config)
-    _check_keys(
-        cfg,
-        ("domains", "n_mics", "frame_lens", "grid_sizes", "room", "sample_rate", "seed", "repeats"),
-        "bench",
-    )
-    domains = cfg.get("domains", ["frequency"])
-    mics_list = [int(v) for v in cfg.get("n_mics", [8])]
-    frame_lens = [int(v) for v in cfg.get("frame_lens", [1024])]
-    grid_sizes = [int(v) for v in cfg.get("grid_sizes", [1000, 2000])]
-    room = np.asarray(cfg.get("room", [6.0, 5.0, 3.0]), dtype=float)
-    fs = float(cfg.get("sample_rate", 16000.0))
-    seed = int(cfg.get("seed", 0))
-    repeats = int(cfg.get("repeats", 1))
+    b = _typed(cfg, _BENCH_KEYS, "bench")
+    domains = b.get("domains", ("frequency",))
+    mics_list = b.get("n_mics", (8,))
+    frame_lens = b.get("frame_lens", (1024,))
+    grid_sizes = b.get("grid_sizes", (1000, 2000))
+    room = np.asarray(b.get("room", (6.0, 5.0, 3.0)))
+    fs = b.get("sample_rate", 16000.0)
+    seed = b.get("seed", 0)
+    repeats = b.get("repeats", 1)
     rng = np.random.default_rng(seed)
     rows = ["domain,n_mics,n_pairs,frame_len,n_bins,grid_size,points_scored,kernel_ops,"
             "predicted_ops,wall_seconds"]

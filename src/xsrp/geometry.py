@@ -205,9 +205,15 @@ def max_tdoa(pair: MicPair, array: MicArray) -> float:
 
 
 def tof_matrix(points: np.ndarray, array: MicArray) -> np.ndarray:
-    """Times of flight from each of N points to each mic, shape (N, M)."""
+    """Times of flight from each of N points to each mic, shape (N, M).
+
+    Built one mic at a time, so the only temporary is one (N, 3)
+    difference rather than an (N, M, 3) broadcast.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = np.linalg.norm(pts[:, None, :] - array.positions[None, :, :], axis=-1)
+    d = np.empty((len(pts), array.n_mics))
+    for i, v in enumerate(array.positions):
+        d[:, i] = np.linalg.norm(pts - v, axis=1)
     return d / array.speed_of_sound
 
 

@@ -122,18 +122,19 @@ class VolumeGrid:
     def __post_init__(self):
         if not self.volumes:
             raise ValueError("volume grid must be non-empty")
-        for i, a in enumerate(self.volumes):
-            for b in self.volumes[i + 1:]:
-                overlap = np.minimum(a.hi, b.hi) - np.maximum(a.lo, b.lo)
-                if np.all(overlap > _EPS):
-                    raise ValueError("volumes must have pairwise disjoint interiors")
+        lo = np.array([v.lo for v in self.volumes])
+        hi = np.array([v.hi for v in self.volumes])
+        # row i against every later box at once: O(V) memory per row
+        for i in range(len(lo) - 1):
+            overlap = np.minimum(hi[i], hi[i + 1:]) - np.maximum(lo[i], lo[i + 1:])
+            if np.any(np.all(overlap > _EPS, axis=1)):
+                raise ValueError("volumes must have pairwise disjoint interiors")
         if self.region is not None:
             total = sum(v.measure() for v in self.volumes)
             if abs(total - self.region.measure()) > 1e-9 * max(self.region.measure(), 1.0):
                 raise ValueError("volumes do not tile the declared region")
-            for v in self.volumes:
-                if np.any(v.lo < self.region.lo - _EPS) or np.any(v.hi > self.region.hi + _EPS):
-                    raise ValueError("volume extends outside the declared region")
+            if np.any(lo < self.region.lo - _EPS) or np.any(hi > self.region.hi + _EPS):
+                raise ValueError("volume extends outside the declared region")
 
     @property
     def points(self) -> np.ndarray:

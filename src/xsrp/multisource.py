@@ -23,7 +23,7 @@ from .features import LagVector, SpectralGcc, spectral_from_lags, temporal_gcc
 from .geometry import MicArray, tdoa, tdoa_far_field
 from .grids import CandidateGrid
 from .search import SearchConfig, argmax_search
-from .srp_core import srp_freq_map, srp_time_map
+from .srp_core import lag_table, srp_freq_map, srp_time_map
 
 _AUTO_CAP = 10  # hard cap on de-emphasis rounds in auto mode
 
@@ -143,6 +143,7 @@ def localize_multi(
     array: MicArray,
     cfg: MultiConfig | None = None,
     search: SearchConfig | None = None,
+    table: np.ndarray | None = None,
 ) -> EstimateSet:
     """Iterative multi-source localization over a grid.
 
@@ -150,7 +151,9 @@ def localize_multi(
     SpectralGcc (frequency-domain maps). Each round builds the map,
     takes the argmax, appends the estimate, and notches its
     theoretical TDOA from every pair. With n_sources = 1 the first
-    round is exactly the single-source pipeline.
+    round is exactly the single-source pipeline. Time-domain rounds
+    share one lag table: ``table`` when the caller prepared it for
+    this grid, else one built here.
 
     Only exhaustive search is meaningful here (the de-emphasis loop
     is defined on the full-grid argmax); other modes are rejected.
@@ -159,6 +162,8 @@ def localize_multi(
     if search is not None and search.mode != "exhaustive":
         raise ValueError("localize_multi supports only exhaustive search")
     domain = _features_domain(features)
+    if domain == "time" and table is None:
+        table = lag_table(grid.points, array, far_field=grid.is_doa)
     work = {p: f.copy() for p, f in features.items()}
     sigma = cfg.notch_sigma if cfg.notch_sigma is not None else default_notch_sigma(array)
     cap = cfg.n_sources if cfg.n_sources is not None else _AUTO_CAP
@@ -167,7 +172,7 @@ def localize_multi(
     first_score = None
     while len(estimates) < cap:
         if domain == "time":
-            srp = srp_time_map(work, grid, array)
+            srp = srp_time_map(work, grid, array, table=table)
         else:
             srp = srp_freq_map(work, grid, array)
         res = argmax_search(srp)

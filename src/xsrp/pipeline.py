@@ -2,7 +2,9 @@
 
 A PipelineConfig picks one option per stage: grid builder, feature
 extractor, map builder, searcher, optional feature updater
-(de-emphasis) and grid updater. x_srp then runs the generic loop:
+(de-emphasis) and grid updater. prepare() does the frame-invariant
+work once (grid, steering tables) and Plan.run then runs the
+generic loop on each frame block:
 
     estimates <- {}; grid <- build; features <- extract
     while grid: map <- build_map; estimates <- search;
@@ -42,7 +44,10 @@ from .grids import (
 from .multisource import EstimateSet, MultiConfig, localize_multi
 from .search import SearchConfig, argmax_search, refine_search, src_search
 from .srp_core import (
+    SrpMap,
     WsrpConfig,
+    lag_table,
+    lag_windows,
     make_freq_scorer,
     make_time_scorer,
     pairwise_freq_scores,
@@ -206,26 +211,102 @@ def _gcc_config(f: FeatureSpec, array: MicArray) -> GccConfig:
     return GccConfig(beta=f.beta, gamma=f.gamma, band=band)
 
 
-def _extract_features(frames, array: MicArray, cfg: PipelineConfig):
-    """Returns (lag_vectors or None, spectral gccs or None) per the config."""
-    need_lags = cfg.map.domain in ("time", "volumetric")
-    if cfg.features.kind == "cc":
-        return compute_cc_lag_vectors(frames, array), None
-    gccs = compute_spectral_gccs(frames, array, _gcc_config(cfg.features, array))
-    lags = {p: temporal_gcc(g) for p, g in gccs.items()} if need_lags else None
-    return lags, gccs
+class Plan:
+    """Frame-invariant work of one validated (array, room, config), done once.
+
+    Holds the candidate grid and its steering: the int32 lag table of
+    a time map, or the lag windows of a volumetric map. Frequency and
+    weighted maps steer per frame, so only their grid is held.
+    Iterative searches (refine/src) place their own points and need
+    neither. run() then does only the per-frame work, and map()
+    builds one more map over the prepared grid (the CLI's export).
+    """
+
+    def __init__(self, array: MicArray, room, cfg: PipelineConfig):
+        diags = validate_config(cfg, room)
+        if diags:
+            raise ConfigError("; ".join(diags))
+        self.array, self.room, self.cfg = array, room, cfg
+        self.grid = self.steering = None
+        if cfg.search.mode != "exhaustive":
+            return
+        self.grid = build_grid(cfg.grid, room)
+        if cfg.map.domain == "time":
+            self.steering = lag_table(self.grid.points, array, far_field=self.grid.is_doa)
+        elif cfg.map.domain == "volumetric":
+            self.steering = lag_windows(self.grid, array, cfg.map.guard)
+
+    def _features(self, frames):
+        """Returns (lag_vectors or None, spectral gccs or None) per the config."""
+        frames = np.atleast_2d(np.asarray(frames, dtype=float))
+        f, array = self.cfg.features, self.array
+        if f.kind == "cc":
+            return compute_cc_lag_vectors(frames, array), None
+        gccs = compute_spectral_gccs(frames, array, _gcc_config(f, array))
+        need_lags = self.cfg.map.domain in ("time", "volumetric")
+        lags = {p: temporal_gcc(g) for p, g in gccs.items()} if need_lags else None
+        return lags, gccs
+
+    def map(self, frames) -> SrpMap:
+        """One map of the configured domain over the prepared grid."""
+        grid = build_grid(self.cfg.grid, self.room) if self.grid is None else self.grid
+        return self._build_map(grid, self.steering, *self._features(frames))
+
+    def _build_map(self, grid, steering, lags, gccs) -> SrpMap:
+        m, array = self.cfg.map, self.array
+        if m.domain == "time":
+            return srp_time_map(lags, grid, array, table=steering)
+        if m.domain == "frequency":
+            return srp_freq_map(gccs, grid, array)
+        if m.domain == "volumetric":
+            return vsrp_map(lags, grid, array, pooling=m.pooling, guard=m.guard, windows=steering)
+        return wsrp_map(pairwise_freq_scores(gccs, grid, array), m.wsrp)
+
+    def run(self, frames: np.ndarray) -> EstimateSet:
+        """Localize in one (M, L) frame block; see x_srp."""
+        cfg, array = self.cfg, self.array
+        lags, gccs = self._features(frames)
+        planar = cfg.grid.kind == "cartesian2d"
+
+        if cfg.multi is not None:
+            feats = lags if cfg.map.domain == "time" else gccs
+            return localize_multi(feats, self.grid, array, cfg.multi, cfg.search, table=self.steering)
+
+        if cfg.search.mode in ("refine", "src"):
+            region = _room_volume(self.room, planar)
+            if cfg.map.domain == "time":
+                scorer = make_time_scorer(lags, array)
+            else:
+                scorer = make_freq_scorer(gccs, array)
+            runner = src_search if cfg.search.mode == "src" else refine_search
+            res = runner(scorer, region, cfg.search)
+            return EstimateSet(res.estimate[None, :], [res.score])
+
+        estimates: list[tuple[np.ndarray, float]] = []
+        grid, steering = self.grid, self.steering
+        region = _room_volume(self.room, planar) if self.room is not None else None
+        resolution = None
+        if cfg.grid.kind.startswith("cartesian"):
+            n_axes = 2 if planar else 3
+            resolution = np.broadcast_to(
+                np.asarray(cfg.grid.resolution, dtype=float), (n_axes,)
+            ).astype(float)
+        it = 0
+        while grid is not None and it < cfg.max_loop_iters:
+            res = argmax_search(self._build_map(grid, steering, lags, gccs))
+            estimates.append((res.estimate, res.score))
+            # later passes grid a new region, so their steering is built per map
+            grid, region, resolution = _update_grid(
+                cfg, res.estimate, region, resolution, planar
+            )
+            steering = None
+            it += 1
+        return EstimateSet.from_pairs(estimates)
 
 
-def _build_map(cfg: PipelineConfig, grid, lags, gccs, array: MicArray):
-    m = cfg.map
-    if m.domain == "time":
-        return srp_time_map(lags, grid, array)
-    if m.domain == "frequency":
-        return srp_freq_map(gccs, grid, array)
-    if m.domain == "volumetric":
-        return vsrp_map(lags, grid, array, pooling=m.pooling, guard=m.guard)
-    tensor = pairwise_freq_scores(gccs, grid, array)
-    return wsrp_map(tensor, m.wsrp)
+def prepare(array: MicArray, room=None, cfg: PipelineConfig | None = None) -> Plan:
+    """Validate the config and do its frame-invariant work; raises ConfigError."""
+    return Plan(array, room, cfg or PipelineConfig())
 
 
 def x_srp(frames: np.ndarray, array: MicArray, room=None, cfg: PipelineConfig | None = None) -> EstimateSet:
@@ -234,50 +315,11 @@ def x_srp(frames: np.ndarray, array: MicArray, room=None, cfg: PipelineConfig | 
     Returns the estimate set ordered by score. Iterative searchers
     (refine/src), the de-emphasis loop, and grid updaters all run
     within the generic loop's passes; a hard cap of max_loop_iters
-    passes guarantees termination.
+    passes guarantees termination. Shorthand for
+    prepare(array, room, cfg).run(frames); prepare once and run the
+    plan per frame to localize a stream.
     """
-    cfg = cfg or PipelineConfig()
-    diags = validate_config(cfg, room)
-    if diags:
-        raise ConfigError("; ".join(diags))
-    frames = np.atleast_2d(np.asarray(frames, dtype=float))
-    lags, gccs = _extract_features(frames, array, cfg)
-    planar = cfg.grid.kind == "cartesian2d"
-
-    if cfg.multi is not None:
-        grid = build_grid(cfg.grid, room)
-        feats = lags if cfg.map.domain == "time" else gccs
-        return localize_multi(feats, grid, array, cfg.multi, cfg.search)
-
-    if cfg.search.mode in ("refine", "src"):
-        region = _room_volume(room, planar)
-        if cfg.map.domain == "time":
-            scorer = make_time_scorer(lags, array)
-        else:
-            scorer = make_freq_scorer(gccs, array)
-        runner = src_search if cfg.search.mode == "src" else refine_search
-        res = runner(scorer, region, cfg.search)
-        return EstimateSet(res.estimate[None, :], [res.score])
-
-    estimates: list[tuple[np.ndarray, float]] = []
-    grid = build_grid(cfg.grid, room)
-    region = _room_volume(room, planar) if room is not None else None
-    resolution = None
-    if cfg.grid.kind.startswith("cartesian"):
-        n_axes = 2 if planar else 3
-        resolution = np.broadcast_to(
-            np.asarray(cfg.grid.resolution, dtype=float), (n_axes,)
-        ).astype(float)
-    it = 0
-    while grid is not None and it < cfg.max_loop_iters:
-        srp = _build_map(cfg, grid, lags, gccs, array)
-        res = argmax_search(srp)
-        estimates.append((res.estimate, res.score))
-        grid, region, resolution = _update_grid(
-            cfg, res.estimate, region, resolution, planar
-        )
-        it += 1
-    return EstimateSet.from_pairs(estimates)
+    return prepare(array, room, cfg).run(frames)
 
 
 def _update_grid(cfg: PipelineConfig, best, region, resolution, planar):

@@ -117,11 +117,36 @@ def _check_lag_coverage(array: MicArray, lags: list[LagVector]) -> None:
             )
 
 
-def candidate_tdoas(points: np.ndarray, array: MicArray, far_field: bool = False) -> np.ndarray:
-    """TDOA of every candidate for every pair, shape (G, P)."""
-    if far_field:
-        return far_field_tdoa_matrix(points, array)
-    return tdoa_matrix(points, array)
+#: points per TDOA block while building a lag table; bounds the float
+#: temporaries to a few hundred kB whatever the grid size
+_TABLE_CHUNK = 4096
+
+
+def lag_table(points: np.ndarray, array: MicArray, far_field: bool = False) -> np.ndarray:
+    """Nearest-lag steering rint(tau_lm(u) * fs) of every pair and point, int32 (P, G).
+
+    Depends only on the points and the array, so a grid's table is
+    built once and reused for every frame and de-emphasis round.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    tdoas = far_field_tdoa_matrix if far_field else tdoa_matrix
+    table = np.empty((array.n_pairs, len(pts)), dtype=np.int32)
+    for i in range(0, len(pts), _TABLE_CHUNK):
+        taus = tdoas(pts[i: i + _TABLE_CHUNK], array)
+        table[:, i: i + _TABLE_CHUNK] = np.rint(taus * array.sample_rate).T
+    return table
+
+
+def _time_scores(table: np.ndarray, lag_vectors: dict[MicPair, LagVector], array: MicArray):
+    """Gather-and-sum of each pair's lag vector over a lag table."""
+    pairs, lags = _pairs_and_lags(lag_vectors, array)
+    _check_lag_coverage(array, lags)
+    scores = np.zeros(table.shape[1])
+    for row, lv in zip(table, lags):
+        scores += lv.values[row + lv.max_lag]
+    counter.points += table.shape[1]
+    counter.kernel_ops += table.shape[1] * len(pairs)
+    return scores
 
 
 def srp_time_scores(
@@ -131,18 +156,7 @@ def srp_time_scores(
     far_field: bool = False,
 ) -> np.ndarray:
     """Time-domain SRP at arbitrary points: nearest-lag projection."""
-    pairs, lags = _pairs_and_lags(lag_vectors, array)
-    _check_lag_coverage(array, lags)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    taus = candidate_tdoas(pts, array, far_field)
-    fs = array.sample_rate
-    scores = np.zeros(len(pts))
-    for j, lv in enumerate(lags):
-        idx = np.rint(taus[:, j] * fs).astype(int) + lv.max_lag
-        scores += lv.values[idx]
-    counter.points += len(pts)
-    counter.kernel_ops += len(pts) * len(pairs)
-    return scores
+    return _time_scores(lag_table(points, array, far_field), lag_vectors, array)
 
 
 def srp_time_map(
@@ -150,9 +164,16 @@ def srp_time_map(
     grid: CandidateGrid,
     array: MicArray,
     frame_index: int | None = None,
+    table: np.ndarray | None = None,
 ) -> SrpMap:
-    """Time-domain SRP map over a grid (far-field for DOA grids)."""
-    scores = srp_time_scores(grid.points, lag_vectors, array, far_field=grid.is_doa)
+    """Time-domain SRP map over a grid (far-field for DOA grids).
+
+    ``table`` is the grid's lag_table when the caller has prepared it;
+    otherwise it is built here.
+    """
+    if table is None:
+        table = lag_table(grid.points, array, far_field=grid.is_doa)
+    scores = _time_scores(table, lag_vectors, array)
     return SrpMap(grid, scores, "time", frame_index=frame_index)
 
 
@@ -290,25 +311,49 @@ class TdoaBounds:
             raise ValueError("tau_min must be <= tau_max")
 
 
-def tdoa_bounds(
-    volume: Volume, pair: MicPair, array: MicArray, guard: float = 1.0
-) -> TdoaBounds:
-    """TDOA bounds over a box from its 8 vertices, widened by a guard.
+def volume_tdoa_bounds(volumes, array: MicArray, guard: float = 1.0):
+    """TDOA bounds of every volume for every pair, (tau_min, tau_max), each (P, V).
 
-    The guard is in samples (default 1) and absorbs the curvature the
-    vertex evaluation misses for mics well outside the volume. Bounds
-    are clamped to the pair's physical limit +/- max_tdoa.
+    Each box's bounds come from its 8 vertices, widened by a guard in
+    samples (default 1) that absorbs the curvature the vertex
+    evaluation misses for mics well outside the volume, and clamped to
+    the pair's physical limit +/- max_tdoa. One time-of-flight pass
+    covers all vertices; rows follow array.pairs().
     """
     if guard < 0:
         raise ValueError(f"guard must be >= 0, got {guard}")
-    verts = volume.vertices()
-    t = tof_matrix(verts, array)
-    taus = t[:, pair.l] - t[:, pair.m]
+    pairs = array.pairs()
+    verts = np.concatenate([v.vertices() for v in volumes])
+    t = tof_matrix(verts, array).reshape(len(volumes), 8, array.n_mics)
     pad = guard / array.sample_rate
-    lim = max_tdoa(pair, array)
-    lo = max(float(taus.min()) - pad, -lim)
-    hi = min(float(taus.max()) + pad, lim)
-    return TdoaBounds(lo, hi)
+    tau_min = np.empty((len(pairs), len(volumes)))
+    tau_max = np.empty_like(tau_min)
+    for j, pair in enumerate(pairs):
+        taus = t[:, :, pair.l] - t[:, :, pair.m]
+        lim = max_tdoa(pair, array)
+        tau_min[j] = np.maximum(taus.min(axis=1) - pad, -lim)
+        tau_max[j] = np.minimum(taus.max(axis=1) + pad, lim)
+    return tau_min, tau_max
+
+
+def tdoa_bounds(
+    volume: Volume, pair: MicPair, array: MicArray, guard: float = 1.0
+) -> TdoaBounds:
+    """TDOA bounds of one pair over one box; see volume_tdoa_bounds."""
+    tau_min, tau_max = volume_tdoa_bounds([volume], array, guard)
+    j = array.pairs().index(pair)
+    return TdoaBounds(float(tau_min[j, 0]), float(tau_max[j, 0]))
+
+
+def lag_windows(volume_grid: VolumeGrid, array: MicArray, guard: float = 1.0):
+    """Nearest-lag windows [k0, k1] of every pair over every volume, int32 (P, V) each.
+
+    Like lag_table for points, these depend only on the volumes, the
+    array and the guard, so they are built once per grid.
+    """
+    tau_min, tau_max = volume_tdoa_bounds(volume_grid.volumes, array, guard)
+    fs = array.sample_rate
+    return np.rint(tau_min * fs).astype(np.int32), np.rint(tau_max * fs).astype(np.int32)
 
 
 _POOLS = ("sum", "mean", "max")
@@ -321,35 +366,37 @@ def vsrp_map(
     pooling: str = "sum",
     guard: float = 1.0,
     frame_index: int | None = None,
+    windows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SrpMap:
     """Volumetric SRP: pool each pair's lags over the volume's TDOA bounds.
 
     A degenerate (zero-extent) volume with guard 0 reproduces the
     point SRP score at its center. Pooling is sum, mean or max per
-    pair; pairs always combine by summation.
+    pair; pairs always combine by summation. ``windows`` is the
+    grid's lag_windows when the caller has prepared them. Sum and
+    mean pool by prefix sums, so they can differ from a direct window
+    sum in the last place; max is exact.
     """
     if pooling not in _POOLS:
         raise ValueError(f"pooling must be one of {_POOLS}, got {pooling!r}")
     pairs, lags = _pairs_and_lags(lag_vectors, array)
     _check_lag_coverage(array, lags)
-    fs = array.sample_rate
+    if windows is None:
+        windows = lag_windows(volume_grid, array, guard)
     scores = np.zeros(len(volume_grid))
-    for vi, vol in enumerate(volume_grid.volumes):
-        total = 0.0
-        for pair, lv in zip(pairs, lags):
-            b = tdoa_bounds(vol, pair, array, guard)
-            k0 = int(np.rint(b.tau_min * fs)) + lv.max_lag
-            k1 = int(np.rint(b.tau_max * fs)) + lv.max_lag
-            k0 = max(k0, 0)
-            k1 = min(k1, len(lv.values) - 1)
-            window = lv.values[k0: k1 + 1]
-            if pooling == "sum":
-                total += float(window.sum())
-            elif pooling == "mean":
-                total += float(window.mean())
-            else:
-                total += float(window.max())
-        scores[vi] = total
+    for lv, k0, k1 in zip(lags, *windows):
+        n = len(lv.values)
+        k0 = np.maximum(k0 + lv.max_lag, 0)
+        k1 = np.minimum(k1 + lv.max_lag, n - 1)
+        if pooling == "max":
+            # segment [k0, k1] is reduced at even slots; the -inf pad
+            # keeps the end index k1 + 1 <= n in range
+            padded = np.append(lv.values, -np.inf)
+            scores += np.maximum.reduceat(padded, np.stack([k0, k1 + 1], axis=1).ravel())[::2]
+            continue
+        csum = np.concatenate([[0.0], np.cumsum(lv.values)])
+        pooled = csum[k1 + 1] - csum[k0]
+        scores += pooled / (k1 - k0 + 1) if pooling == "mean" else pooled
     counter.points += len(volume_grid)
     counter.kernel_ops += len(volume_grid) * len(pairs)
     return SrpMap(volume_grid, scores, "volumetric", frame_index=frame_index)

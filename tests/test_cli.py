@@ -24,6 +24,7 @@ from xsrp.cli import main
 from xsrp.geometry import MicArray, MicPair, tdoa
 from xsrp.io_utils import read_jsonl, read_wav, write_wav
 from xsrp.search import complexity_estimate
+from xsrp.srp_core import counter
 
 FS = 16000.0
 ROOM = [4.0, 3.0, 2.0]
@@ -193,6 +194,20 @@ def test_localize_csv_export(tmp_path, scene_dir):
     top = read_jsonl(out)[-1]["estimates"][0]
     assert float(best["x"]) == pytest.approx(top["x"])
     assert float(best["y"]) == pytest.approx(top["y"])
+
+
+def test_localize_export_is_one_more_map_build(tmp_path, scene_dir):
+    cfg = localize_config()
+    cfg["pipeline"]["grid"] = {"kind": "volumes", "counts": [4, 3, 2]}
+    cfg["pipeline"]["map"] = {"domain": "volumetric"}
+    path = write_config(tmp_path / "vol.json", cfg)
+    out = tmp_path / "est.jsonl"
+    ops0 = counter.kernel_ops
+    argv = ["localize", "-c", path, "-i", str(scene_dir / "scene.wav"), "-o", str(out)]
+    assert main(argv + ["--export-map", str(tmp_path / "map.csv")]) == 0
+    frames = len(read_jsonl(out))
+    assert frames == 2
+    assert counter.kernel_ops - ops0 == (frames + 1) * (4 * 3 * 2) * (4 * 3 // 2)
 
 
 def test_track_jsonl(tmp_path):
@@ -373,14 +388,36 @@ def _null_max_iters():
     return "localize", cfg
 
 
+def _null_frame_len():
+    cfg = localize_config()
+    cfg["frame"] = {"frame_len": None}
+    return "localize", cfg
+
+
+def _number_tracker_band():
+    return "track", {
+        "array": {"positions": MICS, "sample_rate": FS},
+        "room": ROOM,
+        "frame": {"frame_len": 1024, "hop": 512},
+        "tracker": {"band": 5},
+    }
+
+
+def _number_bench_domains():
+    return "bench", {"domains": 5}
+
+
 @pytest.mark.parametrize(
-    "make", [_frame_without_frame_len, _source_without_position, _null_max_iters],
-    ids=["frame_without_frame_len", "source_without_position", "null_max_iters"],
+    "make",
+    [_frame_without_frame_len, _source_without_position, _null_max_iters, _null_frame_len,
+     _number_tracker_band, _number_bench_domains],
+    ids=["frame_without_frame_len", "source_without_position", "null_max_iters",
+         "null_frame_len", "number_tracker_band", "number_bench_domains"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, make):
     command, cfg = make()
     argv = [command, "-c", write_config(tmp_path / "c.json", cfg), "-o", str(tmp_path / "o")]
-    if command == "localize":
+    if command in ("localize", "track"):
         argv += ["-i", str(tmp_path / "scene.wav")]  # the config fails before the input is read
     res = subprocess.run(
         [sys.executable, "-m", "xsrp", *argv], capture_output=True, text=True, env=subprocess_env()

@@ -156,6 +156,19 @@ def test_volume_grid_rejects_overlap_and_bad_tiling():
         VolumeGrid([a], region=region)
 
 
+def test_volume_grid_disjointness_check_on_large_tilings():
+    room = Volume.from_bounds((0.0, 0.0, 0.0), (6.0, 5.0, 3.0))
+    cells = subdivide(room, (6, 5, 3))
+    # face-touching cells are disjoint, as a user list and as a tiling
+    VolumeGrid(cells)
+    VolumeGrid(cells, region=room)
+    assert len(partition_room((6.0, 5.0, 3.0), (14, 14, 14))) == 2744
+    # one box straddling four cells, hidden in the middle of the list
+    intruder = Volume((3.0, 2.0, 1.5), (0.25, 0.25, 0.25))
+    with pytest.raises(ValueError, match="disjoint"):
+        VolumeGrid(cells[:40] + [intruder] + cells[40:])
+
+
 def test_partition_room_counts_and_points():
     vg = partition_room((4.0, 2.0, 2.0), (2, 2, 1))
     assert len(vg) == 4

@@ -32,12 +32,14 @@ from xsrp.pipeline import (
     build_grid,
     config_from_dict,
     config_to_dict,
+    prepare,
     validate_config,
     x_srp,
 )
 from xsrp.search import SearchConfig, argmax_search, refine_search, src_search
 from xsrp.srp_core import (
     WsrpConfig,
+    counter,
     make_freq_scorer,
     make_time_scorer,
     pairwise_freq_scores,
@@ -285,6 +287,49 @@ def test_weighted_pipeline_matches_standalone(scene):
     ref = argmax_search(wsrp_map(tensor, wsrp))
     assert np.array_equal(est.positions[0], ref.estimate)
     assert est.scores[0] == ref.score
+
+
+# ---------------------------------------------------------- prepared plan
+
+
+_PLAN_CONFIGS = {
+    "time_multi": PipelineConfig(
+        grid=GridSpec(resolution=0.5), features=FeatureSpec(band=BAND),
+        map=MapSpec(domain="time"), multi=MultiConfig(n_sources=2),
+    ),
+    "volumetric": PipelineConfig(
+        grid=GridSpec(kind="volumes", counts=(3, 3, 2)), features=FeatureSpec(band=BAND),
+        map=MapSpec(domain="volumetric", pooling="sum", guard=1.0),
+    ),
+    "frequency": PipelineConfig(grid=GridSpec(resolution=0.5), features=FeatureSpec(band=BAND)),
+    "refine": PipelineConfig(
+        features=FeatureSpec(band=BAND), map=MapSpec(domain="time"),
+        search=SearchConfig(mode="refine", max_iters=5, top_k=4, min_region_edge=0.2),
+    ),
+    "contract": PipelineConfig(
+        grid=GridSpec(resolution=0.5), features=FeatureSpec(band=BAND),
+        map=MapSpec(domain="time"), grid_update="contract", max_loop_iters=4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PLAN_CONFIGS))
+def test_prepared_plan_reused_across_frames_matches_x_srp(scene, name):
+    array, _ = scene
+    cfg = _PLAN_CONFIGS[name]
+    sig = white_noise(3 * 2048, seed=33)
+    signals = add_noise(synthesize_free_field(SceneSpec(ROOM, [Source(SRC, sig)]), array), 20.0, seed=34)
+    plan = prepare(array, ROOM, cfg)
+    for i in range(3):
+        frames = frame_stack(signals, FrameConfig(2048, 2048), i)
+        counter.reset()
+        got = plan.run(frames)
+        got_counts = counter.snapshot()
+        counter.reset()
+        want = x_srp(frames, array, room=ROOM, cfg=cfg)
+        assert counter.snapshot() == got_counts
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.scores, want.scores)
 
 
 # ------------------------------------------------------------ grid updates

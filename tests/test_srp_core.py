@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xsrp.features import (
     FrameConfig,
@@ -22,7 +24,14 @@ from xsrp.features import (
     frame_stack,
 )
 from xsrp.geometry import MicArray, MicPair, Point3, tdoa, tdoa_matrix
-from xsrp.grids import CandidateGrid, Volume, VolumeGrid, cartesian_grid, partition_room
+from xsrp.grids import (
+    CandidateGrid,
+    Volume,
+    VolumeGrid,
+    cartesian_grid,
+    partition_room,
+    subdivide,
+)
 from xsrp.srp_core import (
     PairwiseFreqScores,
     SrpMap,
@@ -279,6 +288,52 @@ def test_vsrp_pooling_arithmetic():
     assert m_max.scores[0] == 8.0
     with pytest.raises(ValueError, match="pooling"):
         vsrp_map(lags, vg, array, pooling="median")
+
+
+def _vsrp_by_loop(lags, vg, array, pooling, guard):
+    """Reference: each volume's window of each pair, read off tdoa_bounds and pooled directly."""
+    fs = array.sample_rate
+    scores = []
+    for vol in vg.volumes:
+        total = 0.0
+        for pair in array.pairs():
+            lv = lags[pair]
+            b = tdoa_bounds(vol, pair, array, guard)
+            k0 = max(int(np.rint(b.tau_min * fs)) + lv.max_lag, 0)
+            k1 = min(int(np.rint(b.tau_max * fs)) + lv.max_lag, len(lv.values) - 1)
+            window = lv.values[k0: k1 + 1]
+            total += float({"sum": np.sum, "mean": np.mean, "max": np.max}[pooling](window))
+        scores.append(total)
+    return np.array(scores)
+
+
+_coord = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _room_tilings(draw):
+    """A box in ROOM (any axis may have zero extent) cut into up to 4 x 4 x 4 cells."""
+    lo = np.array([draw(_coord) for _ in range(3)]) * ROOM
+    frac = np.array([draw(st.sampled_from([0.0, 1.0]) | _coord) for _ in range(3)])
+    region = Volume.from_bounds(lo, lo + frac * (ROOM - lo))
+    counts = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    return VolumeGrid(subdivide(region, counts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vg=_room_tilings(),
+    guard=st.floats(0.0, 3.0, allow_nan=False),
+    pooling=st.sampled_from(["sum", "mean", "max"]),
+)
+def test_vsrp_map_matches_per_window_loop(scene, vg, guard, pooling):
+    array, lags, _ = scene
+    got = vsrp_map(lags, vg, array, pooling=pooling, guard=guard).scores
+    ref = _vsrp_by_loop(lags, vg, array, pooling, guard)
+    if pooling == "max":
+        np.testing.assert_array_equal(got, ref)
+    else:  # prefix sums reorder the additions: last-place differences only
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_vsrp_source_volume_wins(scene):
