@@ -37,14 +37,13 @@ from .grids import (
     CandidateGrid,
     Volume,
     VolumeGrid,
-    bounding_region,
     cartesian_grid,
     doa_grid,
     partition_room,
     sample_boundary,
     subdivide,
 )
-from .multisource import EstimateSet, MultiConfig, deemphasize, localize_multi, pick_peaks
+from .multisource import EstimateSet, MultiConfig, deemphasize, localize_multi
 from .pipeline import (
     ConfigError,
     FeatureSpec,
@@ -78,11 +77,9 @@ from .srp_core import (
     wsrp_map,
 )
 from .synth import (
-    RirSet,
     SceneSpec,
     Source,
     add_noise,
-    convolve_rir,
     pink_noise,
     synthesize_free_field,
     white_noise,

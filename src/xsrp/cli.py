@@ -115,6 +115,12 @@ def _source_signal(spec, n_samples: int, fs: float, base_dir: Path, seed: int):
     raise ConfigError(f"source signal must be 'white', 'pink' or {{'wav': path}}, got {spec!r}")
 
 
+_SIMULATE_KEYS = {
+    "duration_s": float, "snr_db": float | None, "seed": int, "sources": tuple[object, ...],
+}
+_SOURCE_KEYS = {"position": np.ndarray, "signal": object, "seed": int}
+
+
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     cfg = _load_json(args.config)
@@ -123,25 +129,23 @@ def cmd_simulate(args) -> int:
     if "room" not in cfg:
         raise ConfigError("simulate needs 'room' dimensions")
     room = np.asarray(cfg["room"], dtype=float)
-    sim = cfg.get("simulate")
-    if sim is None:
+    if cfg.get("simulate") is None:
         raise ConfigError("config needs a 'simulate' section")
-    _check_keys(sim, ("duration_s", "snr_db", "seed", "sources"), "simulate")
-    duration = float(sim.get("duration_s", 1.0))
+    sim = _typed(cfg["simulate"], _SIMULATE_KEYS, "simulate")
     snr = sim.get("snr_db")
-    snr = math.inf if snr is None else float(snr)
-    seed = int(sim.get("seed", 0))
-    n = int(round(duration * array.sample_rate))
+    snr = math.inf if snr is None else snr
+    seed = sim.get("seed", 0)
+    n = int(round(sim.get("duration_s", 1.0) * array.sample_rate))
     base_dir = Path(args.config).resolve().parent
     sources = []
-    for k, sd in enumerate(sim.get("sources", [])):
-        _check_keys(sd, ("position", "signal", "seed"), "source")
+    for k, sd in enumerate(sim.get("sources", ())):
+        sd = _typed(sd, _SOURCE_KEYS, "source")
         if "position" not in sd:
             raise ConfigError("each simulate source needs a 'position'")
         sig = _source_signal(
-            sd.get("signal", "white"), n, array.sample_rate, base_dir, int(sd.get("seed", seed + k))
+            sd.get("signal", "white"), n, array.sample_rate, base_dir, sd.get("seed", seed + k)
         )
-        sources.append(Source(np.asarray(sd["position"], dtype=float), sig))
+        sources.append(Source(sd["position"], sig))
     if not sources:
         raise ConfigError("simulate needs at least one source")
     scene = SceneSpec(room, sources, snr_db=snr, seed=seed)
@@ -213,9 +217,7 @@ def cmd_localize(args) -> int:
             {
                 "frame": i,
                 "t_seconds": (i * frame_cfg.hop + frame_cfg.frame_len) / array.sample_rate,
-                "estimates": [
-                    {"x": p[0], "y": p[1], "z": p[2], "score": s} for p, s in est
-                ],
+                "estimates": est.records(),
             }
         )
         last_frames = frames

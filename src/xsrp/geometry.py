@@ -234,8 +234,3 @@ def far_field_tdoa_matrix(directions: np.ndarray, array: MicArray) -> np.ndarray
         [array.positions[p.m] - array.positions[p.l] for p in array.pairs()]
     )  # (P, 3)
     return dirs @ baselines.T / array.speed_of_sound
-
-
-def max_tdoa_vector(array: MicArray) -> np.ndarray:
-    """max_tdoa for every pair, shape (P,)."""
-    return np.array([max_tdoa(p, array) for p in array.pairs()])

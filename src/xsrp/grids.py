@@ -263,22 +263,6 @@ def sample_boundary(region: Volume, n: int, seed=0) -> CandidateGrid:
     return CandidateGrid("cartesian3d", pts, None)
 
 
-def bounding_region(points, margin: float = 0.0) -> Volume:
-    """The minimal axis-aligned box around a point set, plus a margin.
-
-    A sensible margin is one grid resolution. A single point with
-    margin 0 yields a degenerate box at the point.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 0:
-        raise ValueError("cannot bound an empty point set")
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-    lo = pts.min(axis=0) - margin
-    hi = pts.max(axis=0) + margin
-    return Volume.from_bounds(lo, hi)
-
-
 def intersect_volumes(a: Volume, b: Volume) -> Volume:
     """The box intersection; raises if the boxes are disjoint."""
     lo = np.maximum(a.lo, b.lo)

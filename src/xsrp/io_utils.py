@@ -11,10 +11,6 @@ from scipy.io import wavfile
 from .grids import CandidateGrid
 
 
-class WavFormatError(OSError):
-    """Unsupported or inconsistent WAV content."""
-
-
 def read_wav(path) -> tuple[float, np.ndarray]:
     """Read a WAV file to (sample_rate, (M, T) float array).
 
@@ -26,13 +22,13 @@ def read_wav(path) -> tuple[float, np.ndarray]:
     except FileNotFoundError:
         raise
     except ValueError as e:
-        raise WavFormatError(f"cannot read {path}: {e}") from e
+        raise OSError(f"cannot read {path}: {e}") from e
     if data.dtype == np.int16:
         x = data.astype(float) / 32768.0
     elif data.dtype in (np.float32, np.float64):
         x = data.astype(float)
     else:
-        raise WavFormatError(f"unsupported WAV dtype {data.dtype} in {path}")
+        raise OSError(f"unsupported WAV dtype {data.dtype} in {path}")
     if x.ndim == 1:
         x = x[None, :]
     else:

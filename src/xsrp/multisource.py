@@ -13,7 +13,6 @@ first peak) is possible.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -35,8 +34,8 @@ class MultiConfig:
     ``n_sources = None`` means auto: keep extracting while the peak
     score stays above score_floor times the first peak's score.
     ``notch_sigma`` is in seconds; None selects two samples at the
-    array rate. ``min_source_distance`` (meters) is enforced by
-    pick_peaks-style selection of the running estimates.
+    array rate. ``min_source_distance`` (meters): extraction stops, with
+    a warning, at the first peak closer than this to an accepted source.
     """
 
     n_sources: int | None = 1
@@ -80,12 +79,12 @@ class EstimateSet:
         order = np.argsort(-sc, kind="stable")
         return cls(pts[order], sc[order])
 
-    def to_json(self) -> str:
-        records = [
+    def records(self) -> list[dict]:
+        """One {"x", "y", "z", "score"} dict per estimate, in order."""
+        return [
             {"x": float(p[0]), "y": float(p[1]), "z": float(p[2]), "score": float(s)}
             for p, s in zip(self.positions, self.scores)
         ]
-        return json.dumps(records)
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -210,30 +209,3 @@ def localize_multi(
             else:
                 work[pair] = deemphasize_spectral(work[pair], tau_hat, sigma)
     return EstimateSet.from_pairs(estimates)
-
-
-def pick_peaks(srp_map, n: int, min_distance: float = 0.0) -> EstimateSet:
-    """Greedy peak picking on a single map.
-
-    Candidates are visited in descending score order (ties: lowest
-    index) and accepted if at least min_distance from every already
-    accepted peak. Returns fewer than n peaks (with a warning) when
-    the grid is exhausted.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1 peaks, got {n}")
-    scores = srp_map.scores
-    points = srp_map.points
-    order = np.argsort(-scores, kind="stable")
-    chosen: list[int] = []
-    for idx in order:
-        if len(chosen) == n:
-            break
-        if chosen and min_distance > 0:
-            d = np.linalg.norm(points[chosen] - points[idx], axis=1)
-            if d.min() < min_distance:
-                continue
-        chosen.append(int(idx))
-    if len(chosen) < n:
-        warnings.warn(f"only {len(chosen)} of {n} peaks satisfy the spacing constraint")
-    return EstimateSet(points[chosen], scores[chosen])

@@ -398,6 +398,8 @@ def _value(tp, v, section: str, key: str):
         return _value(options[0], v, section, key)
     if is_dataclass(tp):
         return _section(tp, v, key)
+    if tp is object:  # any JSON value; the caller checks it
+        return v
     origin, args = get_origin(tp), get_args(tp)
     if origin is tuple:
         if not isinstance(v, (list, tuple)):

@@ -18,8 +18,6 @@ G * P * |F| with |F| the number of in-band bins.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,18 +51,8 @@ class EvalCounter:
 
 
 #: global counter; reset() it around a measurement. Updated once per
-#: map build, so it stays consistent under XSRP_THREADS > 1.
+#: map build.
 counter = EvalCounter()
-
-
-def worker_count() -> int:
-    """Worker cap from the XSRP_THREADS environment variable (default 1)."""
-    raw = os.environ.get("XSRP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 @dataclass
@@ -201,14 +189,19 @@ def _mic_delays(pts, array: MicArray, far_field: bool) -> np.ndarray:
     return tof_matrix(pts, array)
 
 
-def _freq_scores_chunk(pts, array, far_field, pairs, freqs, gvals):
+def _pair_steering(pts, array, far_field, pairs, freqs):
+    """Yield each pair's steering e^{+j 2 pi f tau_lm(u)}, (g, F), in pair order."""
     delays = _mic_delays(pts, array, far_field)
-    # steering e^{+j 2 pi f tau_lm(u)} factored per mic: tau_lm = tau_l - tau_m
+    # factored per mic: tau_lm = tau_l - tau_m
     phases = np.exp((2j * math.pi) * delays[:, :, None] * freqs[None, None, :])  # (g, M, F)
+    for pair in pairs:
+        yield phases[:, pair.l, :] * np.conj(phases[:, pair.m, :])
+
+
+def _freq_scores_chunk(pts, array, far_field, pairs, freqs, gvals):
     out = np.zeros(len(pts))
-    for j, pair in enumerate(pairs):
-        steer = phases[:, pair.l, :] * np.conj(phases[:, pair.m, :])
-        out += (steer @ gvals[j]).real
+    for steer, g in zip(_pair_steering(pts, array, far_field, pairs, freqs), gvals):
+        out += (steer @ g).real
     return out
 
 
@@ -250,18 +243,10 @@ def srp_freq_scores(
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     # bound the per-chunk steering tensor to a few tens of MB
     chunk = max(32, int(2e6 / max(1, array.n_mics * len(freqs))))
-    chunks = [pts[i: i + chunk] for i in range(0, len(pts), chunk)]
-    workers = worker_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda c: _freq_scores_chunk(c, array, far_field, pairs, freqs, gvals),
-                    chunks,
-                )
-            )
-    else:
-        parts = [_freq_scores_chunk(c, array, far_field, pairs, freqs, gvals) for c in chunks]
+    parts = [
+        _freq_scores_chunk(pts[i: i + chunk], array, far_field, pairs, freqs, gvals)
+        for i in range(0, len(pts), chunk)
+    ]
     scores = np.concatenate(parts) if parts else np.zeros(0)
     counter.points += len(pts)
     counter.kernel_ops += len(pts) * len(pairs) * len(freqs_all)
@@ -462,11 +447,9 @@ def pairwise_freq_scores(
     """The (P, G, F) steered-response tensor for weighted combination."""
     pairs, freqs, mask = _active_freqs(gccs, array)
     pts = grid.points
-    delays = _mic_delays(pts, array, grid.is_doa)
-    phases = np.exp((2j * math.pi) * delays[:, :, None] * freqs[None, None, :])
     tensor = np.empty((len(pairs), len(pts), len(freqs)))
-    for j, pair in enumerate(pairs):
-        steer = phases[:, pair.l, :] * np.conj(phases[:, pair.m, :])
+    steering = _pair_steering(pts, array, grid.is_doa, pairs, freqs)
+    for j, (pair, steer) in enumerate(zip(pairs, steering)):
         tensor[j] = (steer * gccs[pair].values[mask][None, :]).real
     counter.points += len(pts)
     counter.kernel_ops += len(pts) * len(pairs) * len(freqs)

@@ -1,9 +1,9 @@
 """Ground-truth scene synthesis.
 
 Free-field propagation with per-microphone gain 1/r and fractional
-sample delay, RIR convolution, and noise injection at a calibrated
-per-channel SNR. Fractional delays use a 64-tap Hann-windowed sinc
-interpolator; to keep it causal, every channel carries a uniform
+sample delay, and noise injection at a calibrated per-channel SNR.
+Fractional delays use a 64-tap Hann-windowed sinc interpolator; to
+keep it causal, every channel carries a uniform
 extra lead of FILTER_LEAD samples on top of its acoustic delay, so
 inter-channel TDOAs and relative gains are unaffected.
 """
@@ -68,26 +68,6 @@ class SceneSpec:
                 raise ValueError(
                     f"source at {s.position} is not strictly inside room {self.room_dims}"
                 )
-
-
-@dataclass
-class RirSet:
-    """Room impulse responses for one source: (M, K) taps at a sample rate."""
-
-    impulse_responses: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        h = np.atleast_2d(np.asarray(self.impulse_responses, dtype=float))
-        if h.size == 0 or h.shape[1] == 0:
-            raise ValueError("impulse responses must be non-empty")
-        if not np.all(np.isfinite(h)):
-            raise ValueError("impulse responses must be finite")
-        self.impulse_responses = h
-
-    @property
-    def n_mics(self) -> int:
-        return self.impulse_responses.shape[0]
 
 
 def fractional_delay_kernel(frac: float) -> np.ndarray:
@@ -158,15 +138,6 @@ def synthesize_free_field(scene: SceneSpec, array: MicArray) -> np.ndarray:
     if math.isfinite(scene.snr_db):
         out = add_noise(out, scene.snr_db, scene.seed)
     return out
-
-
-def convolve_rir(source_signal: np.ndarray, rirs: RirSet) -> np.ndarray:
-    """Full linear convolution of a dry signal with each RIR, (M, T + K - 1)."""
-    s = np.asarray(source_signal, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("source signal must be a non-empty 1D array")
-    h = rirs.impulse_responses
-    return np.stack([np.convolve(s, h[m]) for m in range(rirs.n_mics)])
 
 
 def add_noise(signals: np.ndarray, snr_db: float, seed: int = 0) -> np.ndarray:

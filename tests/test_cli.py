@@ -407,12 +407,32 @@ def _number_bench_domains():
     return "bench", {"domains": 5}
 
 
+def _null_duration():
+    cfg = simulate_config()
+    cfg["simulate"]["duration_s"] = None
+    return "simulate", cfg
+
+
+def _sources_not_a_list():
+    cfg = simulate_config()
+    cfg["simulate"]["sources"] = 5
+    return "simulate", cfg
+
+
+def _null_source_seed():
+    cfg = simulate_config()
+    cfg["simulate"]["sources"][0]["seed"] = None
+    return "simulate", cfg
+
+
 @pytest.mark.parametrize(
     "make",
     [_frame_without_frame_len, _source_without_position, _null_max_iters, _null_frame_len,
-     _number_tracker_band, _number_bench_domains],
+     _number_tracker_band, _number_bench_domains, _null_duration, _sources_not_a_list,
+     _null_source_seed],
     ids=["frame_without_frame_len", "source_without_position", "null_max_iters",
-         "null_frame_len", "number_tracker_band", "number_bench_domains"],
+         "null_frame_len", "number_tracker_band", "number_bench_domains", "null_duration",
+         "sources_not_a_list", "null_source_seed"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, make):
     command, cfg = make()

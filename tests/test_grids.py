@@ -14,7 +14,6 @@ from xsrp.grids import (
     CandidateGrid,
     Volume,
     VolumeGrid,
-    bounding_region,
     cartesian_grid,
     doa_grid,
     grid_in_volume,
@@ -213,19 +212,6 @@ def test_sample_boundary_validation():
     degenerate = Volume((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="surface"):
         sample_boundary(degenerate, 4)
-
-
-def test_bounding_region():
-    pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, -1.0], [0.5, 1.0, 3.0]])
-    v = bounding_region(pts)
-    np.testing.assert_allclose(v.lo, [0.0, 0.0, -1.0])
-    np.testing.assert_allclose(v.hi, [1.0, 2.0, 3.0])
-    vm = bounding_region(pts, margin=0.5)
-    np.testing.assert_allclose(vm.lo, [-0.5, -0.5, -1.5])
-    single = bounding_region(np.array([[1.0, 1.0, 1.0]]))
-    assert single.measure() == 0.0
-    with pytest.raises(ValueError, match="margin"):
-        bounding_region(pts, margin=-1.0)
 
 
 def test_intersect_volumes():

@@ -1,6 +1,5 @@
-"""Tests for iterative de-emphasis and peak picking."""
+"""Tests for iterative de-emphasis and the estimate set."""
 
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,7 @@ from xsrp.features import (
     spectral_from_lags,
 )
 from xsrp.geometry import MicArray, tdoa
-from xsrp.grids import CandidateGrid, cartesian_grid
+from xsrp.grids import cartesian_grid
 from xsrp.multisource import (
     EstimateSet,
     MultiConfig,
@@ -24,10 +23,9 @@ from xsrp.multisource import (
     deemphasize_spectral,
     default_notch_sigma,
     localize_multi,
-    pick_peaks,
 )
 from xsrp.search import SearchConfig, argmax_search
-from xsrp.srp_core import SrpMap, srp_time_map
+from xsrp.srp_core import srp_time_map
 from xsrp.synth import SceneSpec, Source, add_noise, synthesize_free_field, white_noise
 
 FS = 16000.0
@@ -220,7 +218,7 @@ def test_estimate_set_ordering_and_json():
     est = EstimateSet.from_pairs(pairs)
     np.testing.assert_allclose(est.positions[0], [4.0, 5.0, 6.0])
     assert list(est.scores) == [2.0, 0.5]
-    records = json.loads(est.to_json())
+    records = est.records()
     assert records == [
         {"x": 4.0, "y": 5.0, "z": 6.0, "score": 2.0},
         {"x": 1.0, "y": 2.0, "z": 3.0, "score": 0.5},
@@ -232,34 +230,3 @@ def test_estimate_set_ordering_and_json():
         EstimateSet(np.zeros((2, 3)), [1.0])
     seen = [(p.copy(), s) for p, s in est]
     assert len(seen) == 2 and seen[0][1] == 2.0
-
-
-def test_pick_peaks_enforces_spacing():
-    pts = np.zeros((10, 3))
-    pts[:, 0] = np.arange(10.0)
-    grid = CandidateGrid("cartesian3d", pts)
-    srp = SrpMap(grid, np.arange(10.0, 0.0, -1.0), "time")
-    est = pick_peaks(srp, 3, min_distance=2.5)
-    np.testing.assert_allclose(est.positions[:, 0], [0.0, 3.0, 6.0])
-    np.testing.assert_allclose(est.scores, [10.0, 7.0, 4.0])
-
-
-def test_pick_peaks_tie_breaks_to_lowest_index():
-    pts = np.zeros((4, 3))
-    pts[:, 0] = np.arange(4.0)
-    grid = CandidateGrid("cartesian3d", pts)
-    srp = SrpMap(grid, np.array([1.0, 5.0, 5.0, 2.0]), "time")
-    est = pick_peaks(srp, 1)
-    assert est.positions[0, 0] == 1.0
-
-
-def test_pick_peaks_warns_when_grid_exhausted():
-    pts = np.zeros((5, 3))
-    pts[:, 0] = np.arange(5.0)
-    grid = CandidateGrid("cartesian3d", pts)
-    srp = SrpMap(grid, np.arange(5.0), "time")
-    with pytest.warns(UserWarning, match="1 of 4"):
-        est = pick_peaks(srp, 4, min_distance=50.0)
-    assert len(est) == 1
-    with pytest.raises(ValueError, match="n >= 1"):
-        pick_peaks(srp, 0)

@@ -29,6 +29,7 @@ from xsrp.grids import (
     Volume,
     VolumeGrid,
     cartesian_grid,
+    doa_grid,
     partition_room,
     subdivide,
 )
@@ -46,7 +47,6 @@ from xsrp.srp_core import (
     srp_time_scores,
     tdoa_bounds,
     vsrp_map,
-    worker_count,
     wsrp_map,
 )
 from xsrp.synth import SceneSpec, Source, synthesize_free_field, white_noise
@@ -347,11 +347,12 @@ def test_vsrp_source_volume_wins(scene):
 
 def test_wsrp_sum_sum_equals_plain_freq_map(scene):
     array, _, gccs = scene
-    grid = cartesian_grid(ROOM, 1.0)
-    pfs = pairwise_freq_scores(gccs, grid, array)
-    w = wsrp_map(pfs)
-    plain = srp_freq_map(gccs, grid, array)
-    np.testing.assert_allclose(w.scores, plain.scores, rtol=1e-9, atol=1e-9)
+    # a Cartesian grid (exact TDOAs) and a DOA grid (far-field steering)
+    for grid in (cartesian_grid(ROOM, 1.0), doa_grid(math.pi / 8, math.pi / 8)):
+        pfs = pairwise_freq_scores(gccs, grid, array)
+        w = wsrp_map(pfs)
+        plain = srp_freq_map(gccs, grid, array)
+        np.testing.assert_allclose(w.scores, plain.scores, rtol=1e-9, atol=1e-9)
 
 
 def test_wsrp_pair_weight_inf_excludes_pair(scene):
@@ -472,24 +473,3 @@ def test_scorers_match_maps(scene):
     np.testing.assert_array_equal(
         make_freq_scorer(gccs, array)(pts), srp_freq_scores(pts, gccs, array)
     )
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("XSRP_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("XSRP_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("XSRP_THREADS", "abc")
-    assert worker_count() == 1
-    monkeypatch.setenv("XSRP_THREADS", "-3")
-    assert worker_count() == 1
-
-
-def test_threaded_map_matches_serial(scene, monkeypatch):
-    array, _, gccs = scene
-    grid = cartesian_grid(ROOM, 0.4)
-    monkeypatch.setenv("XSRP_THREADS", "1")
-    serial = srp_freq_map(gccs, grid, array).scores
-    monkeypatch.setenv("XSRP_THREADS", "4")
-    threaded = srp_freq_map(gccs, grid, array).scores
-    np.testing.assert_array_equal(serial, threaded)

@@ -16,11 +16,9 @@ from xsrp.geometry import MicArray, Point3
 from xsrp.synth import (
     FILTER_LEAD,
     SINC_TAPS,
-    RirSet,
     SceneSpec,
     Source,
     add_noise,
-    convolve_rir,
     delay_signal,
     fractional_delay_kernel,
     pink_noise,
@@ -233,18 +231,3 @@ def test_pink_noise_equal_octave_energy():
             energies[i] += spec[(f >= lo) & (f < hi)].sum()
     energies /= energies.mean()
     assert np.all(np.abs(energies - 1.0) < 0.25)
-
-
-def test_convolve_rir_shifts_and_lengths():
-    sig = np.arange(1.0, 11.0)
-    h = np.zeros((2, 6))
-    h[0, 0] = 1.0
-    h[1, 3] = 0.5
-    out = convolve_rir(sig, RirSet(h, 16000.0))
-    assert out.shape == (2, 15)
-    np.testing.assert_allclose(out[0, :10], sig)
-    np.testing.assert_allclose(out[1, 3:13], 0.5 * sig)
-    with pytest.raises(ValueError, match="non-empty"):
-        convolve_rir(np.array([]), RirSet(h, 16000.0))
-    with pytest.raises(ValueError, match="non-empty"):
-        RirSet(np.zeros((2, 0)), 16000.0)
