@@ -8,13 +8,7 @@ and its peak-to-average ratio.
 
 import numpy as np
 
-from xsrp.features import (
-    FrameConfig,
-    compute_cc_lag_vectors,
-    compute_spectral_gccs,
-    frame_stack,
-    temporal_gcc,
-)
+from xsrp.features import FrameConfig, GccConfig, compute_lag_vectors, frame_stack
 from xsrp.geometry import MicArray, MicPair, tdoa
 from xsrp.synth import SceneSpec, Source, add_noise, synthesize_free_field, white_noise
 
@@ -37,8 +31,9 @@ def main():
     frames = frame_stack(signals, FrameConfig(4096, 4096), 0)
 
     pair = MicPair(0, 1)
-    phat = temporal_gcc(compute_spectral_gccs(frames, array)[pair])
-    cc = compute_cc_lag_vectors(frames, array)[pair]
+    phat = compute_lag_vectors(frames, array)[pair]
+    # the plain cross-correlation is the unweighted setting of the same GCC
+    cc = compute_lag_vectors(frames, array, GccConfig(beta=0.0, gamma=0.0))[pair]
 
     for name, vec in [("gcc-phat", phat), ("cross-correlation", cc)]:
         peak = int(vec.lags[np.argmax(vec.values)])

@@ -8,7 +8,13 @@ and srp_map.pgm (viewable with any image tool).
 
 import numpy as np
 
-from xsrp.features import FrameConfig, GccConfig, compute_spectral_gccs, frame_stack, temporal_gcc
+from xsrp.features import (
+    FrameConfig,
+    GccConfig,
+    compute_lag_vectors,
+    compute_spectral_gccs,
+    frame_stack,
+)
 from xsrp.geometry import MicArray
 from xsrp.grids import cartesian_grid
 from xsrp.io_utils import export_map_csv, export_map_pgm
@@ -31,7 +37,7 @@ def main():
     frames = frame_stack(signals, FrameConfig(8192, 8192), 0)
     cfg = GccConfig(band=(100.0, 2000.0))
     gccs = compute_spectral_gccs(frames, array, cfg)
-    lags = {p: temporal_gcc(g) for p, g in gccs.items()}
+    lags = compute_lag_vectors(frames, array, cfg)
 
     grid = cartesian_grid(room, 0.1)
     print(f"grid: {len(grid.points)} points at 0.1 m")

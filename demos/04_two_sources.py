@@ -7,7 +7,7 @@ time differences out of every pair's correlation and searches again.
 
 import numpy as np
 
-from xsrp.features import FrameConfig, GccConfig, compute_spectral_gccs, frame_stack, temporal_gcc
+from xsrp.features import FrameConfig, GccConfig, compute_lag_vectors, frame_stack
 from xsrp.geometry import MicArray
 from xsrp.grids import cartesian_grid
 from xsrp.multisource import MultiConfig, localize_multi
@@ -31,10 +31,7 @@ def main():
     signals = synthesize_free_field(SceneSpec(room, sources), array)
     signals = add_noise(signals, 20.0, seed=34)
     frames = frame_stack(signals, FrameConfig(8192, 8192), 0)
-    lags = {
-        p: temporal_gcc(g)
-        for p, g in compute_spectral_gccs(frames, array, GccConfig(band=(100.0, 2000.0))).items()
-    }
+    lags = compute_lag_vectors(frames, array, GccConfig(band=(100.0, 2000.0)))
 
     grid = cartesian_grid(room, 0.1)
     est = localize_multi(lags, grid, array, MultiConfig(n_sources=2))

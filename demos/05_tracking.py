@@ -9,7 +9,7 @@ for contrast.
 
 import numpy as np
 
-from xsrp.features import FrameConfig, GccConfig, compute_spectral_gccs, frame_stack, temporal_gcc
+from xsrp.features import FrameConfig, GccConfig, compute_lag_vectors, frame_stack
 from xsrp.geometry import MicArray
 from xsrp.grids import cartesian_grid
 from xsrp.search import argmax_search
@@ -53,7 +53,7 @@ def main():
     print(" frame    t/s   track err   argmax err   ess")
     for k, p in enumerate(points):
         frames = frame_stack(signals, frame_cfg, p.frame)
-        lags = {q_: temporal_gcc(g) for q_, g in compute_spectral_gccs(frames, array, gcc_cfg).items()}
+        lags = compute_lag_vectors(frames, array, gcc_cfg)
         ax = argmax_search(srp_time_map(lags, grid, array)).estimate
         e_t = np.linalg.norm(p.position - truth[k])
         e_a = np.linalg.norm(ax - truth[k])

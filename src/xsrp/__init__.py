@@ -13,20 +13,15 @@ from .features import (
     LagVector,
     SpectralGcc,
     analysis_band,
-    compute_cc_lag_vectors,
     compute_lag_vectors,
     compute_spectral_gccs,
-    cross_correlation,
     frame_signal,
     frame_stack,
-    gcc_phat,
-    spectrum,
     temporal_gcc,
 )
 from .geometry import (
     MicArray,
     MicPair,
-    Point3,
     SphericalDirection,
     max_tdoa,
     tdoa,
@@ -61,7 +56,6 @@ from .search import (
     SearchConfig,
     SearchResult,
     argmax_search,
-    complexity_estimate,
     refine_search,
     src_search,
 )

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: simulate (synthesize a scene + ground truth), localize
-(per-frame estimates from a WAV), track (particle-filter trajectory),
-bench (complexity sweep report). All take a JSON config; unknown keys
-anywhere are rejected. Every run writes a manifest (config snapshot,
+(per-frame estimates from a WAV) and track (particle-filter
+trajectory). All take a JSON config; unknown keys anywhere are
+rejected. Every run writes a manifest (config snapshot,
 input hashes, package version, timing) sufficient to reproduce it.
 
 Exit codes: 0 success, 1 usage or config error, 2 I/O error,
@@ -23,14 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .features import (
-    FrameConfig,
-    GccConfig,
-    compute_spectral_gccs,
-    frame_stack,
-    n_frames,
-    temporal_gcc,
-)
+from .features import FrameConfig, GccConfig, frame_stack, n_frames
 from .geometry import MicArray, tdoa
 from .io_utils import (
     export_map_csv,
@@ -41,8 +34,6 @@ from .io_utils import (
     write_wav,
 )
 from .pipeline import ConfigError, _check_keys, _value, config_from_dict, prepare
-from .search import complexity_estimate
-from .srp_core import counter, srp_freq_scores, srp_time_scores
 from .synth import SceneSpec, Source, pink_noise, synthesize_free_field, white_noise
 from .tracking import LangevinParams, track
 
@@ -278,69 +269,6 @@ def cmd_track(args) -> int:
     return 0
 
 
-_BENCH_KEYS = {
-    "domains": tuple[str, ...], "n_mics": tuple[int, ...], "frame_lens": tuple[int, ...],
-    "grid_sizes": tuple[int, ...], "room": tuple[float, float, float], "sample_rate": float,
-    "seed": int, "repeats": int,
-}
-
-
-def cmd_bench(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load_json(args.config)
-    b = _typed(cfg, _BENCH_KEYS, "bench")
-    domains = b.get("domains", ("frequency",))
-    mics_list = b.get("n_mics", (8,))
-    frame_lens = b.get("frame_lens", (1024,))
-    grid_sizes = b.get("grid_sizes", (1000, 2000))
-    room = np.asarray(b.get("room", (6.0, 5.0, 3.0)))
-    fs = b.get("sample_rate", 16000.0)
-    seed = b.get("seed", 0)
-    repeats = b.get("repeats", 1)
-    rng = np.random.default_rng(seed)
-    rows = ["domain,n_mics,n_pairs,frame_len,n_bins,grid_size,points_scored,kernel_ops,"
-            "predicted_ops,wall_seconds"]
-    for m in mics_list:
-        for L in frame_lens:
-            positions = rng.uniform(0.2, room - 0.2, size=(m, 3))
-            array = MicArray(positions, fs)
-            src = rng.uniform(0.5, room - 0.5)
-            sig = white_noise(L + int(array.aperture() / array.speed_of_sound * fs) + 128,
-                              seed=seed)
-            scene = SceneSpec(room, [Source(src, sig)], snr_db=20.0, seed=seed)
-            rendered = synthesize_free_field(scene, array)[:, :L]
-            gccs = compute_spectral_gccs(rendered, array, GccConfig(band=(0.0, fs / 2)))
-            lags = {p: temporal_gcc(g) for p, g in gccs.items()}
-            n_bins = int(next(iter(gccs.values())).in_band.sum())
-            for domain in domains:
-                for g_size in grid_sizes:
-                    pts = rng.uniform(0.3, room - 0.3, size=(g_size, 3))
-                    best = -math.inf
-                    for _ in range(repeats):
-                        counter.reset()
-                        t1 = time.perf_counter()
-                        if domain == "frequency":
-                            scores = srp_freq_scores(pts, gccs, array)
-                        else:
-                            scores = srp_time_scores(pts, lags, array)
-                        wall = time.perf_counter() - t1
-                        best = max(best, float(scores.max()))
-                    pts_scored, kern = counter.snapshot()
-                    pred = complexity_estimate(m, 2 * L, g_size, domain)
-                    rows.append(
-                        f"{domain},{m},{array.n_pairs},{L},{n_bins},{g_size},"
-                        f"{pts_scored},{kern},{pred:.0f},{wall:.6f}"
-                    )
-    with open(args.out, "w") as f:
-        f.write("\n".join(rows) + "\n")
-    _write_manifest(
-        str(args.out) + ".manifest.json", "bench", cfg, [args.config], [args.out],
-        seed, time.perf_counter() - t0,
-    )
-    print(f"wrote {args.out} ({len(rows) - 1} rows)")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xsrp", description="Steered-response-power sound source localization"
@@ -365,11 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="M-channel scene WAV")
     p.add_argument("-o", "--out", required=True, help="output JSON-lines trajectory")
     p.set_defaults(func=cmd_track)
-
-    p = sub.add_parser("bench", help="complexity sweep to CSV")
-    p.add_argument("-c", "--config", required=True, help="JSON sweep config")
-    p.add_argument("-o", "--out", required=True, help="output CSV report")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

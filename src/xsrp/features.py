@@ -1,15 +1,23 @@
-"""Framing and correlation features.
+"""Framing and the pair-feature block.
 
-Implements the classical cross-correlation and the generalized
-cross-correlation with beta-weighted phase transform:
+Every feature is a generalized cross-correlation (GCC, Knapp & Carter
+1976) with beta-weighted phase transform,
 
-    gcc[f] = X_l[f] X_m*[f] / (|X_l[f] X_m*[f]|^beta + gamma)
+    gcc[f] = X_l[f] X_m*[f] / (|X_l[f] X_m*[f]|^beta + gamma),
 
-beta = 1, gamma = 0 is GCC-PHAT; beta = 0, gamma = 0 leaves the raw
-cross-spectrum, whose inverse transform is the plain cross-correlation
-CC(tau) = sum_n x_l[n] x_m[n - tau]. Correlation spectra are computed
-on frames zero-padded to 2L so lags cover -(L-1)..(L-1) without
-circular wrap.
+and all pairs come from one block. One rfft of the (M, L) frame block,
+zero-padded to 2L so lags cover -(L-1)..(L-1) without circular wrap,
+gives a (P, L+1) block of weighted cross-spectra over the f >= 0 bins,
+one row per pair in array.pairs() order; one irfft of that block gives
+every pair's lag vector. beta = 1, gamma = 0 is GCC-PHAT; beta = 0,
+gamma = 0 over the full band leaves the raw cross-spectrum, whose
+inverse transform is the classical cross-correlation
+CC(tau) = sum_n x_l[n] x_m[n - tau], so CC is the
+GccConfig(beta=0, gamma=0) setting of the same block.
+
+compute_lag_vectors (lags straight from the block) and
+compute_spectral_gccs (the two-sided spectra that frequency-domain
+maps steer) are the two public edges.
 """
 
 from __future__ import annotations
@@ -81,41 +89,6 @@ def frame_stack(signals: np.ndarray, cfg: FrameConfig, frame_index: int) -> np.n
     return np.stack([frame_signal(ch, cfg, frame_index) for ch in signals])
 
 
-@dataclass
-class SpectralFrame:
-    """DFT of one frame: complex bins plus their frequencies in Hz.
-
-    Bin order follows numpy's fft (two-sided: 0, positive, negative).
-    """
-
-    bins: np.ndarray
-    freqs: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=complex)
-        self.freqs = np.asarray(self.freqs, dtype=float)
-        if self.bins.shape != self.freqs.shape:
-            raise ValueError("bins and freqs must have matching shapes")
-
-    @property
-    def n_fft(self) -> int:
-        return len(self.bins)
-
-
-def spectrum(frame: np.ndarray, sample_rate: float, n_fft: int | None = None) -> SpectralFrame:
-    """Two-sided DFT of a frame, optionally zero-padded to n_fft."""
-    frame = np.asarray(frame, dtype=float)
-    if frame.ndim != 1:
-        raise ValueError(f"expected a 1D frame, got shape {frame.shape}")
-    n = n_fft if n_fft is not None else len(frame)
-    if n < len(frame):
-        raise ValueError("n_fft must be >= frame length")
-    bins = np.fft.fft(frame, n)
-    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    return SpectralFrame(bins, freqs, float(sample_rate))
-
-
 @dataclass(frozen=True)
 class GccConfig:
     """Weighting for the generalized cross-correlation.
@@ -170,17 +143,10 @@ class LagVector:
         k = self.max_lag
         return np.arange(-k, k + 1)
 
-    @property
-    def lag_times(self) -> np.ndarray:
-        return self.lags / self.sample_rate
-
     def at_lag(self, k: int) -> float:
         if abs(k) > self.max_lag:
             raise ValueError(f"lag {k} outside [-{self.max_lag}, {self.max_lag}]")
         return float(self.values[k + self.max_lag])
-
-    def copy(self) -> "LagVector":
-        return LagVector(self.values.copy(), self.sample_rate)
 
 
 @dataclass
@@ -207,110 +173,8 @@ class SpectralGcc:
     def n_fft(self) -> int:
         return len(self.values)
 
-    def copy(self) -> "SpectralGcc":
-        return SpectralGcc(
-            self.values.copy(), self.freqs.copy(), self.sample_rate, self.in_band.copy()
-        )
 
-
-def cross_correlation(xl: np.ndarray, xm: np.ndarray, sample_rate: float = 1.0) -> LagVector:
-    """Classical cross-correlation CC(tau) = sum_n xl[n] xm[n - tau].
-
-    Computed by FFT on a 2L zero-padded grid; identical to the direct
-    double sum up to rounding. Positive lags mean xl is the delayed
-    copy (a source closer to mic m than to mic l gives a positive
-    peak lag for the pair (l, m)).
-    """
-    xl = np.asarray(xl, dtype=float)
-    xm = np.asarray(xm, dtype=float)
-    if xl.shape != xm.shape or xl.ndim != 1:
-        raise ValueError("inputs must be 1D and of equal length")
-    L = len(xl)
-    n = 2 * L
-    spec = np.fft.rfft(xl, n) * np.conj(np.fft.rfft(xm, n))
-    c = np.fft.irfft(spec, n)
-    k = L - 1
-    values = np.concatenate([c[n - k:], c[: k + 1]])
-    return LagVector(values, sample_rate)
-
-
-def _band_mask(freqs: np.ndarray, band: tuple[float, float] | None, sample_rate: float):
-    if band is None:
-        band = (0.0, sample_rate / 2.0)
-    lo, hi = band
-    absf = np.abs(freqs)
-    return (absf >= lo) & (absf <= hi), (float(lo), float(hi))
-
-
-def gcc_phat(
-    xl_spec: SpectralFrame, xm_spec: SpectralFrame, cfg: GccConfig | None = None
-) -> SpectralGcc:
-    """Weighted cross-spectrum of two frames (GCC-PHAT family).
-
-    Out-of-band bins are zeroed exactly. A bin whose denominator is 0
-    (zero cross-power with beta > 0 and gamma = 0) is set to 0.
-    """
-    cfg = cfg or GccConfig()
-    if xl_spec.n_fft != xm_spec.n_fft or xl_spec.sample_rate != xm_spec.sample_rate:
-        raise ValueError("spectra must share the DFT grid and sample rate")
-    cross = xl_spec.bins * np.conj(xm_spec.bins)
-    mask, _ = _band_mask(xl_spec.freqs, cfg.band, xl_spec.sample_rate)
-    mag = np.abs(cross)
-    if cfg.gamma is not None:
-        gamma = cfg.gamma
-    else:
-        inband_mag = mag[mask]
-        gamma = GAMMA_RELATIVE_FLOOR * float(inband_mag.mean()) if inband_mag.size else 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = mag**cfg.beta + gamma
-        weighted = np.where(denom > 0, cross / np.where(denom > 0, denom, 1.0), 0.0)
-    weighted = np.where(mask, weighted, 0.0)
-    return SpectralGcc(weighted, xl_spec.freqs.copy(), xl_spec.sample_rate, mask)
-
-
-def temporal_gcc(g: SpectralGcc) -> LagVector:
-    """Inverse-transform a spectral GCC to lags -(n/2 - 1)..(n/2 - 1).
-
-    Takes the real part (the spectrum of a real correlation is
-    conjugate-symmetric; any residual imaginary part is rounding).
-    The result is centered on lag 0; the single wrap slot at lag
-    +/- n/2 is dropped. For a raw cross-spectrum of 2L-padded frames
-    that slot is identically zero and nothing is lost; for reweighted
-    spectra (PHAT, band-limited) it is generally small but nonzero,
-    so temporal_gcc followed by spectral_from_lags projects the
-    spectrum onto correlations supported on the kept lags.
-    """
-    n = g.n_fft
-    if n % 2 != 0:
-        raise ValueError("temporal_gcc expects an even DFT length")
-    gt = np.fft.ifft(g.values).real
-    k = n // 2 - 1
-    values = np.concatenate([gt[n - k:], gt[: k + 1]])
-    return LagVector(values, g.sample_rate)
-
-
-def spectral_from_lags(lag: LagVector, in_band: np.ndarray | None = None) -> SpectralGcc:
-    """Rebuild a SpectralGcc from a lag vector.
-
-    Left inverse of temporal_gcc: rebuilding and transforming back
-    returns the lag values unchanged. The wrap slot at lag n/2 is
-    restored as zero. If ``in_band`` is given, out-of-band bins of
-    the rebuilt spectrum are zeroed again.
-    """
-    k = lag.max_lag
-    n = 2 * (k + 1)
-    circ = np.zeros(n)
-    circ[: k + 1] = lag.values[k:]
-    circ[n - k:] = lag.values[:k]
-    values = np.fft.fft(circ)
-    freqs = np.fft.fftfreq(n, d=1.0 / lag.sample_rate)
-    if in_band is None:
-        in_band = np.ones(n, dtype=bool)
-    values = np.where(in_band, values, 0.0)
-    return SpectralGcc(values, freqs, lag.sample_rate, in_band)
-
-
-def analysis_band(array: MicArray, cfg: FrameConfig | None = None) -> tuple[float, float]:
+def analysis_band(array: MicArray) -> tuple[float, float]:
     """Default analysis band [0, f_hi] for an array.
 
     f_hi = min(f_s / 2, c / (2 d_min)) caps the band at the spatial
@@ -321,42 +185,119 @@ def analysis_band(array: MicArray, cfg: FrameConfig | None = None) -> tuple[floa
     return (0.0, f_hi)
 
 
-def pair_spectra(frames: np.ndarray, sample_rate: float, pad_factor: int = 2):
-    """FFT every channel of an (M, L) frame block, zero-padded."""
+def _band_mask(freqs: np.ndarray, band: tuple[float, float] | None, sample_rate: float):
+    lo, hi = band if band is not None else (0.0, sample_rate / 2.0)
+    absf = np.abs(freqs)
+    return (absf >= lo) & (absf <= hi)
+
+
+def _gcc_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None):
+    """Weighted cross-spectra of every pair over the f >= 0 bins, (P, L+1).
+
+    Also returns the two-sided in-band mask. Per pair, gamma = None
+    floors the denominator at GAMMA_RELATIVE_FLOOR times the mean
+    |cross-power| over the two-sided in-band bins; a bin whose
+    denominator is not > 0 is 0, and out-of-band bins are exactly 0.
+    """
+    cfg = cfg or GccConfig()
     frames = np.atleast_2d(np.asarray(frames, dtype=float))
-    n = pad_factor * frames.shape[1]
-    return [spectrum(ch, sample_rate, n_fft=n) for ch in frames]
+    M, L = frames.shape
+    if M != array.n_mics:
+        raise ValueError(f"frame block has {M} channels for {array.n_mics} microphones")
+    n = 2 * L
+    in_band = _band_mask(np.fft.fftfreq(n, d=1.0 / array.sample_rate), cfg.band, array.sample_rate)
+    spec = np.fft.rfft(frames, n)
+    conj = np.conj(spec)
+    block = np.empty((array.n_pairs, L + 1), dtype=complex)
+    row = 0
+    for l in range(M - 1):  # pairs (l, l+1..M-1) are consecutive rows
+        np.multiply(spec[l], conj[l + 1:], out=block[row: row + M - 1 - l])
+        row += M - 1 - l
+    # |f| grows along the half spectrum, so the band is one slice
+    idx = np.flatnonzero(in_band[: L + 1])
+    band = slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+    g = block[:, band]
+    denom = np.abs(g)
+    if cfg.gamma is not None:
+        gamma = cfg.gamma
+    elif idx.size:
+        # bins 0 < k < L stand for two two-sided bins, DC and Nyquist for one
+        w = np.where((idx > 0) & (idx < L), 2.0, 1.0)
+        gamma = (GAMMA_RELATIVE_FLOOR * (denom @ w) / w.sum())[:, None]
+    else:
+        gamma = 0.0
+    np.power(denom, cfg.beta, out=denom)
+    denom += gamma
+    ok = denom > 0  # also False where a NaN sample made the cross-power NaN
+    # part by part: numpy's complex division overflows on a subnormal divisor
+    for part in (g.real, g.imag):
+        np.divide(part, denom, out=part, where=ok)
+    g[~ok] = 0.0
+    block[:, : band.start] = 0.0
+    block[:, band.stop:] = 0.0
+    return block, in_band
+
+
+def lags_from_half(half: np.ndarray) -> np.ndarray:
+    """Correlations at lags -(n/2 - 1)..(n/2 - 1) of (P, n/2 + 1) half spectra, (P, n - 1).
+
+    One irfft for all rows. Negating the odd bins (in place, in
+    ``half``) delays every correlation by n/2 samples, so lag k lands in
+    column k + n/2 and column 0 holds the wrap slot at lag +/- n/2,
+    which is dropped. For a raw cross-spectrum of 2L-padded frames
+    that slot is identically zero; for reweighted spectra (PHAT,
+    band-limited) it is generally small but nonzero.
+    """
+    half[:, 1::2] *= -1.0
+    return np.fft.irfft(half)[:, 1:]
+
+
+def half_from_lags(lags: np.ndarray) -> np.ndarray:
+    """Inverse of lags_from_half, with the wrap slot restored as zero: one rfft."""
+    circ = np.zeros((len(lags), lags.shape[1] + 1))
+    circ[:, 1:] = lags
+    half = np.fft.rfft(circ)
+    half[:, 1::2] *= -1.0
+    return half
+
+
+def gccs_from_half(
+    half: np.ndarray, in_band: np.ndarray, sample_rate: float, pairs: list[MicPair]
+) -> dict[MicPair, SpectralGcc]:
+    """Two-sided SpectralGccs of (P, n/2 + 1) half spectra, sharing one freqs and in_band."""
+    n = len(in_band)
+    values = np.empty((len(half), n), dtype=complex)
+    values[:, : n // 2 + 1] = half
+    np.conjugate(half[:, n // 2 - 1: 0: -1], out=values[:, n // 2 + 1:])
+    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
+    return {p: SpectralGcc(v, freqs, sample_rate, in_band) for p, v in zip(pairs, values)}
+
+
+def temporal_gcc(g: SpectralGcc) -> LagVector:
+    """Inverse-transform a spectral GCC to lags -(n/2 - 1)..(n/2 - 1).
+
+    Reads the f >= 0 half, which determines the conjugate-symmetric
+    spectrum of a real correlation; the wrap slot is dropped as in
+    lags_from_half.
+    """
+    n = g.n_fft
+    if n % 2 != 0:
+        raise ValueError("temporal_gcc expects an even DFT length")
+    return LagVector(lags_from_half(g.values[None, : n // 2 + 1].copy())[0], g.sample_rate)
 
 
 def compute_spectral_gccs(
     frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None
 ) -> dict[MicPair, SpectralGcc]:
-    """Weighted cross-spectra for every microphone pair of a frame block."""
-    frames = np.atleast_2d(np.asarray(frames, dtype=float))
-    if frames.shape[0] != array.n_mics:
-        raise ValueError(
-            f"frame block has {frames.shape[0]} channels for {array.n_mics} microphones"
-        )
-    specs = pair_spectra(frames, array.sample_rate)
-    return {p: gcc_phat(specs[p.l], specs[p.m], cfg) for p in array.pairs()}
+    """Two-sided weighted cross-spectra of every microphone pair of a frame block."""
+    block, in_band = _gcc_block(frames, array, cfg)
+    return gccs_from_half(block, in_band, array.sample_rate, array.pairs())
 
 
 def compute_lag_vectors(
     frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None
 ) -> dict[MicPair, LagVector]:
-    """Temporal GCCs for every pair (inverse transforms of the spectra)."""
-    gccs = compute_spectral_gccs(frames, array, cfg)
-    return {p: temporal_gcc(g) for p, g in gccs.items()}
-
-
-def compute_cc_lag_vectors(frames: np.ndarray, array: MicArray) -> dict[MicPair, LagVector]:
-    """Classical cross-correlations for every pair."""
-    frames = np.atleast_2d(np.asarray(frames, dtype=float))
-    if frames.shape[0] != array.n_mics:
-        raise ValueError(
-            f"frame block has {frames.shape[0]} channels for {array.n_mics} microphones"
-        )
-    return {
-        p: cross_correlation(frames[p.l], frames[p.m], array.sample_rate)
-        for p in array.pairs()
-    }
+    """Temporal GCCs of every pair, straight from the block by one irfft."""
+    block, _ = _gcc_block(frames, array, cfg)
+    fs = array.sample_rate
+    return {p: LagVector(v, fs) for p, v in zip(array.pairs(), lags_from_half(block))}

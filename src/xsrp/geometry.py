@@ -1,10 +1,9 @@
 """Microphone-array geometry: propagation delays and TDOAs.
 
 All positions are Cartesian, in meters, with the room corner at the
-origin. Times are seconds. The functions here are pure and accept
-either :class:`Point3` instances or any array-like of shape (3,);
-the batch helpers take (N, 3) arrays and are what the map builders
-use internally.
+origin. Times are seconds. The functions here are pure and take a
+point as any array-like of shape (3,); the batch helpers take (N, 3)
+arrays and are what the map builders use internally.
 """
 
 from __future__ import annotations
@@ -20,37 +19,13 @@ _UNIT_TOL = 1e-9
 
 
 def as_xyz(u) -> np.ndarray:
-    """Coerce a Point3 or array-like to a float (3,) vector."""
-    if isinstance(u, Point3):
-        return u.as_array()
+    """Coerce an array-like to a float (3,) vector."""
     a = np.asarray(u, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"coordinates must be finite, got {a}")
     return a
-
-
-@dataclass(frozen=True)
-class Point3:
-    """A point in 3D space (meters)."""
-
-    x: float
-    y: float
-    z: float = 0.0
-
-    def __post_init__(self):
-        for v in (self.x, self.y, self.z):
-            if not math.isfinite(v):
-                raise ValueError(f"coordinates must be finite, got {(self.x, self.y, self.z)}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @classmethod
-    def from_array(cls, a) -> "Point3":
-        a = np.asarray(a, dtype=float).reshape(3)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
 @dataclass(frozen=True)

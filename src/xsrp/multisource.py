@@ -6,6 +6,9 @@ every pair's correlation with an inverted Gaussian,
     lag(tau) *= 1 - exp(-(tau - tau_hat)^2 / (2 sigma^2)),
 
 and the map is rebuilt, letting the next-strongest source surface.
+All pairs are notched at once: one (P,) TDOA vector and one notch
+over the (P, 2K+1) lag block; frequency-domain features reach that
+block by one irfft and return by one rfft, band mask re-applied.
 No renormalization is applied, so successive peak scores are
 comparable and an auto stopping rule (score floor relative to the
 first peak) is possible.
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LagVector, SpectralGcc, spectral_from_lags, temporal_gcc
-from .geometry import MicArray, tdoa, tdoa_far_field
+from .features import LagVector, SpectralGcc, gccs_from_half, half_from_lags, lags_from_half
+from .geometry import MicArray, far_field_tdoa_matrix, tdoa_matrix
 from .grids import CandidateGrid
 from .search import SearchConfig, argmax_search
 from .srp_core import lag_table, srp_freq_map, srp_time_map
@@ -98,35 +101,6 @@ def default_notch_sigma(array: MicArray) -> float:
     return 2.0 / array.sample_rate
 
 
-def deemphasize(lag: LagVector, tdoa_hat: float, sigma: float) -> LagVector:
-    """Notch a lag vector around an estimated TDOA (seconds).
-
-    Exact zero at the notch center; beyond 6 sigma the relative
-    change is below 1e-6, so remote peaks are untouched.
-    """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    max_tau = lag.max_lag / lag.sample_rate
-    if abs(tdoa_hat) > max_tau:
-        raise ValueError(
-            f"tdoa {tdoa_hat:.3e} s outside the lag range +/-{max_tau:.3e} s"
-        )
-    taus = lag.lag_times
-    factor = 1.0 - np.exp(-((taus - tdoa_hat) ** 2) / (2.0 * sigma**2))
-    return LagVector(lag.values * factor, lag.sample_rate)
-
-
-def deemphasize_spectral(g: SpectralGcc, tdoa_hat: float, sigma: float) -> SpectralGcc:
-    """Notch a spectral GCC by round-tripping through the lag domain.
-
-    The band mask is re-applied afterwards, so the notched spectrum
-    stays confined to the original analysis band.
-    """
-    lag = temporal_gcc(g)
-    notched = deemphasize(lag, tdoa_hat, sigma)
-    return spectral_from_lags(notched, in_band=g.in_band)
-
-
 def _features_domain(features: dict) -> str:
     first = next(iter(features.values()))
     if isinstance(first, LagVector):
@@ -134,6 +108,44 @@ def _features_domain(features: dict) -> str:
     if isinstance(first, SpectralGcc):
         return "frequency"
     raise TypeError(f"unsupported feature type {type(first).__name__}")
+
+
+def deemphasize(features: dict, tdoa_hat, sigma: float) -> dict:
+    """Notch every pair's feature around its estimated TDOA, all pairs at once.
+
+    ``features`` maps pairs to LagVectors or to SpectralGccs, and
+    ``tdoa_hat`` holds one TDOA in seconds per entry, in its order.
+    The lag vectors form one (P, 2K+1) block that one notch covers;
+    spectral GCCs reach that block by one irfft and return by one
+    rfft with their band mask re-applied, so they stay in band. Exact
+    zero at a notch center; beyond 6 sigma the relative change is
+    below 1e-6, so remote peaks are untouched.
+    """
+    if not sigma > 0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    pairs = list(features)
+    tdoa_hat = np.asarray(tdoa_hat, dtype=float)
+    if tdoa_hat.shape != (len(pairs),):
+        raise ValueError(f"{tdoa_hat.size} tdoas for {len(pairs)} pairs")
+    first = features[pairs[0]]
+    fs = first.sample_rate
+    spectral = _features_domain(features) == "frequency"
+    if spectral:
+        keep = first.in_band[: first.n_fft // 2 + 1]
+        lags = lags_from_half(np.stack([features[p].values[: len(keep)] for p in pairs]))
+    else:
+        lags = np.stack([features[p].values for p in pairs])
+    k = (lags.shape[1] - 1) // 2
+    worst = float(np.abs(tdoa_hat).max())
+    if worst > k / fs:
+        raise ValueError(f"tdoa {worst:.3e} s outside the lag range +/-{k / fs:.3e} s")
+    taus = np.arange(-k, k + 1) / fs
+    lags = lags * (1.0 - np.exp(-((taus - tdoa_hat[:, None]) ** 2) / (2.0 * sigma**2)))
+    if not spectral:
+        return {p: LagVector(v, fs) for p, v in zip(pairs, lags)}
+    half = half_from_lags(lags)
+    half[:, ~keep] = 0.0
+    return gccs_from_half(half, first.in_band, fs, pairs)
 
 
 def localize_multi(
@@ -163,7 +175,8 @@ def localize_multi(
     domain = _features_domain(features)
     if domain == "time" and table is None:
         table = lag_table(grid.points, array, far_field=grid.is_doa)
-    work = {p: f.copy() for p, f in features.items()}
+    work = dict(sorted(features.items()))  # array.pairs() order, as the TDOAs
+    tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
     sigma = cfg.notch_sigma if cfg.notch_sigma is not None else default_notch_sigma(array)
     cap = cfg.n_sources if cfg.n_sources is not None else _AUTO_CAP
     auto = cfg.n_sources is None
@@ -199,13 +212,5 @@ def localize_multi(
                 "extracting a third or later source: residual correlation noise "
                 "grows with each cancellation"
             )
-        for pair in array.pairs():
-            if grid.is_doa:
-                tau_hat = tdoa_far_field(res.estimate, pair, array)
-            else:
-                tau_hat = tdoa(res.estimate, pair, array)
-            if domain == "time":
-                work[pair] = deemphasize(work[pair], tau_hat, sigma)
-            else:
-                work[pair] = deemphasize_spectral(work[pair], tau_hat, sigma)
+        work = deemphasize(work, tdoas(res.estimate[None, :], array)[0], sigma)
     return EstimateSet.from_pairs(estimates)

@@ -25,13 +25,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .features import (
-    GccConfig,
-    analysis_band,
-    compute_cc_lag_vectors,
-    compute_spectral_gccs,
-    temporal_gcc,
-)
+from .features import GccConfig, analysis_band, compute_lag_vectors, compute_spectral_gccs
 from .geometry import MicArray, MicPair
 from .grids import (
     Volume,
@@ -207,6 +201,8 @@ def build_grid(spec: GridSpec, room=None):
 
 
 def _gcc_config(f: FeatureSpec, array: MicArray) -> GccConfig:
+    if f.kind == "cc":  # the raw cross-spectrum over the full band
+        return GccConfig(beta=0.0, gamma=0.0)
     band = f.band if f.band is not None else analysis_band(array)
     return GccConfig(beta=f.beta, gamma=f.gamma, band=band)
 
@@ -237,15 +233,11 @@ class Plan:
             self.steering = lag_windows(self.grid, array, cfg.map.guard)
 
     def _features(self, frames):
-        """Returns (lag_vectors or None, spectral gccs or None) per the config."""
-        frames = np.atleast_2d(np.asarray(frames, dtype=float))
-        f, array = self.cfg.features, self.array
-        if f.kind == "cc":
-            return compute_cc_lag_vectors(frames, array), None
-        gccs = compute_spectral_gccs(frames, array, _gcc_config(f, array))
-        need_lags = self.cfg.map.domain in ("time", "volumetric")
-        lags = {p: temporal_gcc(g) for p, g in gccs.items()} if need_lags else None
-        return lags, gccs
+        """(lag_vectors, None) for time/volumetric maps, else (None, spectral gccs)."""
+        gcc = _gcc_config(self.cfg.features, self.array)
+        if self.cfg.map.domain in ("time", "volumetric"):
+            return compute_lag_vectors(frames, self.array, gcc), None
+        return None, compute_spectral_gccs(frames, self.array, gcc)
 
     def map(self, frames) -> SrpMap:
         """One map of the configured domain over the prepared grid."""

@@ -195,19 +195,3 @@ def src_search(scorer, region: Volume, cfg: SearchConfig) -> SearchResult:
             break
     return SearchResult(best_point, best_score, evals, it, trace)
 
-
-def complexity_estimate(
-    n_mics: int, frame_len: int, grid_size: int, domain: str = "frequency"
-) -> float:
-    """Operation-count model for one SRP map build.
-
-    Covers the FFTs (M L log2 L), the pairwise spectra (P L), and the
-    steering stage: G P L in the frequency domain versus G P lag
-    lookups in the time domain.
-    """
-    if domain not in ("time", "frequency"):
-        raise ValueError(f"domain must be time|frequency, got {domain!r}")
-    p = n_mics * (n_mics - 1) / 2
-    base = n_mics * frame_len * math.log2(frame_len) + p * frame_len
-    steering = grid_size * p * (frame_len if domain == "frequency" else 1)
-    return base + steering

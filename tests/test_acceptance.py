@@ -15,10 +15,9 @@ from scipy.signal import lfilter
 from xsrp.features import (
     FrameConfig,
     GccConfig,
-    compute_cc_lag_vectors,
+    compute_lag_vectors,
     compute_spectral_gccs,
     frame_stack,
-    temporal_gcc,
 )
 from xsrp.geometry import MicArray, MicPair, SphericalDirection, tdoa, tdoa_matrix
 from xsrp.grids import CandidateGrid, Volume, VolumeGrid, cartesian_grid, doa_grid
@@ -77,10 +76,9 @@ def test_c1_tdoa_recovery():
     array, signals = _render(room, positions, [Source(src, sig)], 20.0, noise_seed=102)
     frames = frame_stack(signals, FrameConfig(4096, 4096), 0)
 
-    phat = compute_spectral_gccs(frames, array)[MicPair(0, 1)]
-    lag = temporal_gcc(phat)
+    lag = compute_lag_vectors(frames, array)[MicPair(0, 1)]
     peak_lag = int(lag.lags[np.argmax(lag.values)])
-    cc = compute_cc_lag_vectors(frames, array)[MicPair(0, 1)]
+    cc = compute_lag_vectors(frames, array, GccConfig(beta=0.0, gamma=0.0))[MicPair(0, 1)]
 
     def par(v):
         return float(v.values.max() / np.abs(v.values).mean())
@@ -151,7 +149,7 @@ def test_c3_free_field_localization():
         sig = noise(16000, seed=4000 + trial)
         array, signals = _render(room, positions, [Source(src, sig)], 20.0, 5000 + trial)
         frames = frame_stack(signals, FrameConfig(8192, 8192), 0)
-        lags = {p: temporal_gcc(g) for p, g in compute_spectral_gccs(frames, array, cfg).items()}
+        lags = compute_lag_vectors(frames, array, cfg)
         est = argmax_search(srp_time_map(lags, grid, array)).estimate
         errors.append(float(np.linalg.norm(est - src)))
     med = float(np.median(errors))
@@ -196,7 +194,7 @@ def test_c4_time_frequency_consistency():
         array, signals = _render([14.0, 2.0, 2.0], positions, [Source(src, sig)], 20.0, 8000 + trial)
         frames = frame_stack(signals, FrameConfig(2048, 2048), 0)
         gccs = compute_spectral_gccs(frames, array)
-        lags = {p: temporal_gcc(g) for p, g in gccs.items()}
+        lags = compute_lag_vectors(frames, array)
         i_time = int(np.argmax(srp_time_map(lags, grid, array).scores))
         i_freq = int(np.argmax(srp_freq_map(gccs, grid, array).scores))
         if i_time == i_freq:
@@ -239,7 +237,7 @@ def test_c5_volumetric_bounds():
     sig = white_noise(4096 + 512, seed=44)
     array, signals = _render([6.0, 5.0, 3.0], positions, [Source(src, sig)], 20.0, 45)
     frames = frame_stack(signals, FrameConfig(4096, 4096), 0)
-    lags = {p: temporal_gcc(g) for p, g in compute_spectral_gccs(frames, array).items()}
+    lags = compute_lag_vectors(frames, array)
     centers = rng2.uniform(0.5, [5.5, 4.5, 2.5], size=(24, 3))
     vgrid = VolumeGrid([Volume(c, np.zeros(3)) for c in centers])
     pooled = vsrp_map(lags, vgrid, array, pooling="sum", guard=0.0).scores
@@ -272,7 +270,7 @@ def test_c6_src_efficiency():
         sig = white_noise(4096 + 512, seed=9100 + trial)
         array, signals = _render(room, positions, [Source(src, sig)], 20.0, 9200 + trial)
         frames = frame_stack(signals, FrameConfig(4096, 4096), 0)
-        lags = {p: temporal_gcc(g) for p, g in compute_spectral_gccs(frames, array, cfg).items()}
+        lags = compute_lag_vectors(frames, array, cfg)
 
         counter.reset()
         exhaustive = argmax_search(srp_time_map(lags, grid, array)).estimate
@@ -315,7 +313,7 @@ def test_c7_complexity_law():
         array, signals = _render(room, positions, [Source(src, sig)], 20.0, 53)
         frames = frame_stack(signals, FrameConfig(1024, 1024), 0)
         gccs = compute_spectral_gccs(frames, array, GccConfig(band=band))
-        lags = {p: temporal_gcc(g) for p, g in gccs.items()}
+        lags = compute_lag_vectors(frames, array, GccConfig(band=band))
         n_bins = int(next(iter(gccs.values())).in_band.sum())
         return array, gccs, lags, n_bins
 
@@ -450,7 +448,7 @@ def test_c9_multi_source():
         ]
         array, signals = _render(room, positions, sources, 20.0, 13_000 + trial)
         frames = frame_stack(signals, FrameConfig(8192, 8192), 0)
-        lags = {p: temporal_gcc(g) for p, g in compute_spectral_gccs(frames, array, cfg).items()}
+        lags = compute_lag_vectors(frames, array, cfg)
         est = localize_multi(lags, grid, array, MultiConfig(n_sources=2))
         if len(est) == 2:
             d_direct = max(
@@ -470,7 +468,7 @@ def test_c9_multi_source():
         room, positions, [Source(src, white_noise(8192 + 512, seed=14_001))], 20.0, 14_002
     )
     frames = frame_stack(signals, FrameConfig(8192, 8192), 0)
-    lags = {p: temporal_gcc(g) for p, g in compute_spectral_gccs(frames, array, cfg).items()}
+    lags = compute_lag_vectors(frames, array, cfg)
     single = argmax_search(srp_time_map(lags, grid, array))
     multi = localize_multi(lags, grid, array, MultiConfig(n_sources=1))
     bitwise = np.array_equal(multi.positions[0], single.estimate) and multi.scores[0] == single.score
@@ -528,7 +526,7 @@ def test_c10_tracking():
     argmax_errs = []
     for i, p in enumerate(points):
         frames = frame_stack(signals, frame_cfg, p.frame)
-        lags = {q_: temporal_gcc(g) for q_, g in compute_spectral_gccs(frames, array, gcc_cfg).items()}
+        lags = compute_lag_vectors(frames, array, gcc_cfg)
         est = argmax_search(srp_time_map(lags, grid, array)).estimate
         argmax_errs.append(float(np.sum((est - truth[i]) ** 2)))
     rmse_argmax = float(np.sqrt(np.mean(argmax_errs)))

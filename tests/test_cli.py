@@ -23,7 +23,6 @@ from xsrp import __version__
 from xsrp.cli import main
 from xsrp.geometry import MicArray, MicPair, tdoa
 from xsrp.io_utils import read_jsonl, read_wav, write_wav
-from xsrp.search import complexity_estimate
 from xsrp.srp_core import counter
 
 FS = 16000.0
@@ -235,42 +234,6 @@ def test_track_jsonl(tmp_path):
         assert 1.0 <= rec["ess"] <= 150.0
 
 
-def test_bench_csv(tmp_path):
-    cfg = write_config(
-        tmp_path / "bench.json",
-        {
-            "domains": ["time", "frequency"],
-            "n_mics": [4],
-            "frame_lens": [512],
-            "grid_sizes": [200, 400],
-            "room": [5.0, 4.0, 3.0],
-            "sample_rate": FS,
-            "seed": 1,
-        },
-    )
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "-c", cfg, "-o", str(out)]) == 0
-    with open(out) as f:
-        rows = list(csv.DictReader(f))
-    assert len(rows) == 4
-    pairs = 4 * 3 // 2
-    for row in rows:
-        g = int(row["grid_size"])
-        assert int(row["points_scored"]) == g
-        assert int(row["n_pairs"]) == pairs
-        if row["domain"] == "time":
-            assert int(row["kernel_ops"]) == g * pairs
-        else:
-            assert int(row["kernel_ops"]) == g * pairs * int(row["n_bins"])
-        want = complexity_estimate(4, 1024, g, row["domain"])
-        assert float(row["predicted_ops"]) == pytest.approx(want, rel=1e-6)
-        assert float(row["wall_seconds"]) > 0
-    # counters scale exactly linearly in the grid size
-    for domain in ("time", "frequency"):
-        ops = [int(r["kernel_ops"]) for r in rows if r["domain"] == domain]
-        assert ops[1] == 2 * ops[0]
-
-
 def test_exit_codes(tmp_path):
     # missing config file -> i/o error
     assert main(["localize", "-c", str(tmp_path / "nope.json"), "-i", "x", "-o", "y"]) == 2
@@ -403,10 +366,6 @@ def _number_tracker_band():
     }
 
 
-def _number_bench_domains():
-    return "bench", {"domains": 5}
-
-
 def _null_duration():
     cfg = simulate_config()
     cfg["simulate"]["duration_s"] = None
@@ -428,11 +387,10 @@ def _null_source_seed():
 @pytest.mark.parametrize(
     "make",
     [_frame_without_frame_len, _source_without_position, _null_max_iters, _null_frame_len,
-     _number_tracker_band, _number_bench_domains, _null_duration, _sources_not_a_list,
-     _null_source_seed],
+     _number_tracker_band, _null_duration, _sources_not_a_list, _null_source_seed],
     ids=["frame_without_frame_len", "source_without_position", "null_max_iters",
-         "null_frame_len", "number_tracker_band", "number_bench_domains", "null_duration",
-         "sources_not_a_list", "null_source_seed"],
+         "null_frame_len", "number_tracker_band", "null_duration", "sources_not_a_list",
+         "null_source_seed"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, make):
     command, cfg = make()

@@ -1,33 +1,52 @@
 """Correlation feature tests.
 
 The main oracle is the O(L^2) direct double sum for the classical
-cross-correlation; everything spectral is checked against it, against
-closed-form properties (unit PHAT magnitude, conjugate symmetry,
-band support), or against exact round trips.
+cross-correlation, the GccConfig(beta=0, gamma=0) setting of the pair
+block; everything spectral is checked against it, against closed-form
+properties (unit PHAT magnitude, conjugate symmetry, band support),
+against a per-pair two-sided reference of the GCC formula, or against
+exact round trips. Pair features are read through the two public
+edges, compute_spectral_gccs and compute_lag_vectors, on a 2-mic array
+unless a test needs more microphones.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from xsrp.features import (
+    GAMMA_RELATIVE_FLOOR,
     FrameConfig,
     GccConfig,
     LagVector,
+    SpectralGcc,
     analysis_band,
-    compute_cc_lag_vectors,
     compute_lag_vectors,
     compute_spectral_gccs,
-    cross_correlation,
     frame_signal,
     frame_stack,
-    gcc_phat,
+    half_from_lags,
+    lags_from_half,
     n_frames,
-    pair_spectra,
-    spectral_from_lags,
-    spectrum,
     temporal_gcc,
 )
-from xsrp.geometry import MicArray
+from xsrp.geometry import MicArray, MicPair
+
+CC = GccConfig(beta=0.0, gamma=0.0)  # classical cross-correlation
+PAIR = MicPair(0, 1)
+
+
+def pair_array(fs=1.0) -> MicArray:
+    return MicArray([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], sample_rate=fs)
+
+
+def pair_gcc(xl, xm, fs, cfg=None) -> SpectralGcc:
+    return compute_spectral_gccs(np.stack([xl, xm]), pair_array(fs), cfg)[PAIR]
+
+
+def pair_lags(xl, xm, fs=1.0, cfg=None) -> LagVector:
+    return compute_lag_vectors(np.stack([xl, xm]), pair_array(fs), cfg)[PAIR]
 
 
 def direct_cc(xl, xm):
@@ -50,7 +69,7 @@ def test_cross_correlation_matches_direct_sum():
         for _ in range(5):
             xl = rng.normal(size=L)
             xm = rng.normal(size=L)
-            cc = cross_correlation(xl, xm)
+            cc = pair_lags(xl, xm, cfg=CC)
             np.testing.assert_allclose(cc.values, direct_cc(xl, xm), atol=1e-9)
             assert cc.max_lag == L - 1
 
@@ -61,9 +80,9 @@ def test_cross_correlation_peak_at_integer_delay():
     for s in (1, 5, 20):
         # xl delayed by s relative to xm puts the peak at +s
         xl = np.concatenate([np.zeros(s), x[:-s]])
-        cc = cross_correlation(xl, x)
+        cc = pair_lags(xl, x, cfg=CC)
         assert cc.lags[np.argmax(cc.values)] == s
-        cc_rev = cross_correlation(x, xl)
+        cc_rev = pair_lags(x, xl, cfg=CC)
         assert cc_rev.lags[np.argmax(cc_rev.values)] == -s
 
 
@@ -71,36 +90,37 @@ def test_cross_correlation_swap_reverses_lags():
     rng = np.random.default_rng(2)
     xl = rng.normal(size=64)
     xm = rng.normal(size=64)
-    fwd = cross_correlation(xl, xm)
-    rev = cross_correlation(xm, xl)
+    fwd = pair_lags(xl, xm, cfg=CC)
+    rev = pair_lags(xm, xl, cfg=CC)
     np.testing.assert_allclose(fwd.values, rev.values[::-1], atol=1e-10)
 
 
 def test_cross_correlation_validates_inputs():
-    with pytest.raises(ValueError, match="equal length"):
-        cross_correlation(np.zeros(8), np.zeros(9))
+    for frames in (np.zeros((1, 8)), np.zeros((3, 8))):
+        with pytest.raises(ValueError, match="channels"):
+            compute_lag_vectors(frames, pair_array(), CC)
 
 
 def test_spectrum_roundtrip_and_padding():
+    # frames are zero-padded to 2L: the spectra live on the 2L-point
+    # DFT grid, and the raw cross-spectrum's inverse transform is the
+    # linear correlation, so its wrap slot at lag L is zero
     rng = np.random.default_rng(3)
-    frame = rng.normal(size=32)
-    sp = spectrum(frame, 8000.0)
-    assert sp.n_fft == 32
-    np.testing.assert_allclose(np.fft.ifft(sp.bins).real, frame, atol=1e-12)
-    padded = spectrum(frame, 8000.0, n_fft=64)
-    assert padded.n_fft == 64
-    np.testing.assert_allclose(np.fft.ifft(padded.bins).real[:32], frame, atol=1e-12)
-    np.testing.assert_allclose(padded.freqs, np.fft.fftfreq(64, d=1.0 / 8000.0))
-    with pytest.raises(ValueError, match="n_fft"):
-        spectrum(frame, 8000.0, n_fft=16)
+    frames = rng.normal(size=(2, 32))
+    g = pair_gcc(frames[0], frames[1], 8000.0, CC)
+    assert g.n_fft == 64
+    np.testing.assert_array_equal(g.freqs, np.fft.fftfreq(64, d=1.0 / 8000.0))
+    circ = np.fft.ifft(g.values)
+    assert abs(circ[32]) < 1e-12
+    np.testing.assert_allclose(circ.imag, 0.0, atol=1e-12)
+    np.testing.assert_allclose(
+        np.concatenate([circ.real[33:], circ.real[:32]]), direct_cc(*frames), atol=1e-12
+    )
 
 
 def test_phat_unit_magnitude_in_band():
     rng = np.random.default_rng(4)
-    fs = 16000.0
-    a = spectrum(rng.normal(size=128), fs, n_fft=256)
-    b = spectrum(rng.normal(size=128), fs, n_fft=256)
-    g = gcc_phat(a, b, GccConfig(beta=1.0, gamma=0.0))
+    g = pair_gcc(rng.normal(size=128), rng.normal(size=128), 16000.0, GccConfig(beta=1.0, gamma=0.0))
     mags = np.abs(g.values[g.in_band])
     np.testing.assert_allclose(mags, 1.0, atol=1e-12)
     assert np.all(g.values[~g.in_band] == 0)
@@ -111,21 +131,16 @@ def test_phat_scale_invariance():
     fs = 16000.0
     xl = rng.normal(size=128)
     xm = rng.normal(size=128)
-    a, b = pair_spectra(np.stack([xl, xm]), fs)
-    a2, b2 = pair_spectra(np.stack([7.5 * xl, 0.01 * xm]), fs)
     # the default gamma floor is relative, so scaling both channels
     # leaves the weighted spectrum unchanged
-    g = gcc_phat(a, b)
-    g2 = gcc_phat(a2, b2)
+    g = pair_gcc(xl, xm, fs)
+    g2 = pair_gcc(7.5 * xl, 0.01 * xm, fs)
     np.testing.assert_allclose(g2.values, g.values, atol=1e-12)
 
 
 def test_band_limits_apply_to_absolute_frequency():
     rng = np.random.default_rng(6)
-    fs = 2000.0
-    a = spectrum(rng.normal(size=64), fs, n_fft=128)
-    b = spectrum(rng.normal(size=64), fs, n_fft=128)
-    g = gcc_phat(a, b, GccConfig(band=(300.0, 800.0)))
+    g = pair_gcc(rng.normal(size=64), rng.normal(size=64), 2000.0, GccConfig(band=(300.0, 800.0)))
     absf = np.abs(g.freqs)
     outside = (absf < 300.0) | (absf > 800.0)
     assert np.all(g.values[outside] == 0)
@@ -141,13 +156,14 @@ def test_beta_zero_gamma_zero_is_raw_cross_spectrum():
     fs = 8000.0
     xl = rng.normal(size=64)
     xm = rng.normal(size=64)
-    a, b = pair_spectra(np.stack([xl, xm]), fs)
-    g = gcc_phat(a, b, GccConfig(beta=0.0, gamma=0.0))
-    np.testing.assert_allclose(g.values, a.bins * np.conj(b.bins), atol=1e-12)
+    g = pair_gcc(xl, xm, fs, CC)
+    np.testing.assert_allclose(
+        g.values, np.fft.fft(xl, 128) * np.conj(np.fft.fft(xm, 128)), atol=1e-12
+    )
     # and its inverse transform is the classical cross-correlation
     lag = temporal_gcc(g)
-    cc = cross_correlation(xl, xm, fs)
-    np.testing.assert_allclose(lag.values, cc.values, atol=1e-8)
+    np.testing.assert_allclose(lag.values, direct_cc(xl, xm), atol=1e-8)
+    np.testing.assert_allclose(pair_lags(xl, xm, fs, CC).values, lag.values, atol=1e-12)
 
 
 def test_phat_peak_at_integer_delay():
@@ -156,31 +172,26 @@ def test_phat_peak_at_integer_delay():
     x = rng.normal(size=512)
     for s in (2, 9, 41):
         xl = np.concatenate([np.zeros(s), x[:-s]])
-        a, b = pair_spectra(np.stack([xl, x]), fs)
-        lag = temporal_gcc(gcc_phat(a, b))
+        lag = pair_lags(xl, x, fs)
         assert lag.lags[np.argmax(lag.values)] == s
 
 
-def test_spectral_from_lags_left_inverse():
+def test_half_from_lags_left_inverse():
     # lag -> spectrum -> lag is exact
     rng = np.random.default_rng(9)
-    lag = LagVector(rng.normal(size=63), 16000.0)
-    back = temporal_gcc(spectral_from_lags(lag))
-    np.testing.assert_allclose(back.values, lag.values, atol=1e-12)
-    assert back.sample_rate == lag.sample_rate
+    lags = rng.normal(size=(3, 63))
+    back = lags_from_half(half_from_lags(lags))
+    np.testing.assert_allclose(back, lags, atol=1e-12)
 
 
 def test_spectral_roundtrip_exact_for_raw_cross_spectrum():
     # a 2L-padded raw cross-spectrum has a zero wrap slot, so the
     # spectrum -> lag -> spectrum round trip loses nothing
     rng = np.random.default_rng(19)
-    fs = 16000.0
-    a, b = pair_spectra(rng.normal(size=(2, 128)), fs)
-    g = gcc_phat(a, b, GccConfig(beta=0.0, gamma=0.0))
-    back = spectral_from_lags(temporal_gcc(g), g.in_band)
-    np.testing.assert_allclose(back.values, g.values, atol=1e-9)
-    np.testing.assert_array_equal(back.in_band, g.in_band)
-    np.testing.assert_allclose(back.freqs, g.freqs)
+    g = pair_gcc(*rng.normal(size=(2, 128)), 16000.0, CC)
+    half = g.values[None, :129]
+    back = half_from_lags(lags_from_half(half.copy()))
+    np.testing.assert_allclose(back, half, atol=1e-9)
 
 
 def test_spectral_roundtrip_contracts_for_banded_spectra():
@@ -188,13 +199,14 @@ def test_spectral_roundtrip_contracts_for_banded_spectra():
     # alternates projections onto the kept-lag and in-band subspaces,
     # so repeated passes converge geometrically
     rng = np.random.default_rng(29)
-    fs = 16000.0
-    a, b = pair_spectra(rng.normal(size=(2, 128)), fs)
-    prev = gcc_phat(a, b, GccConfig(band=(500.0, 6000.0)))
+    g = pair_gcc(*rng.normal(size=(2, 128)), 16000.0, GccConfig(band=(500.0, 6000.0)))
+    keep = g.in_band[:129]
+    prev = g.values[None, :129]
     last_diff = None
     for _ in range(5):
-        nxt = spectral_from_lags(temporal_gcc(prev), prev.in_band)
-        diff = float(np.max(np.abs(nxt.values - prev.values)))
+        nxt = half_from_lags(lags_from_half(prev.copy()))
+        nxt[:, ~keep] = 0.0
+        diff = float(np.max(np.abs(nxt - prev)))
         if last_diff is not None:
             assert diff < 0.5 * last_diff
         last_diff = diff
@@ -203,11 +215,10 @@ def test_spectral_roundtrip_contracts_for_banded_spectra():
 
 
 def test_temporal_gcc_requires_even_fft():
-    g = spectral_from_lags(LagVector(np.ones(7), 100.0))
+    g = pair_gcc(np.ones(4), np.ones(4), 100.0)
     assert g.n_fft == 8
+    assert temporal_gcc(g).max_lag == 3
     # odd-length spectra are rejected
-    from xsrp.features import SpectralGcc
-
     odd = SpectralGcc(np.ones(7), np.zeros(7), 100.0, np.ones(7, dtype=bool))
     with pytest.raises(ValueError, match="even"):
         temporal_gcc(odd)
@@ -264,7 +275,6 @@ def test_lag_vector_accessors():
     lv = LagVector(np.arange(7, dtype=float), 1000.0)
     assert lv.max_lag == 3
     np.testing.assert_array_equal(lv.lags, [-3, -2, -1, 0, 1, 2, 3])
-    np.testing.assert_allclose(lv.lag_times, lv.lags / 1000.0)
     assert lv.at_lag(-3) == 0.0
     assert lv.at_lag(3) == 6.0
     with pytest.raises(ValueError, match="lag"):
@@ -288,7 +298,7 @@ def test_pairwise_helpers_cover_all_pairs():
     frames = rng.normal(size=(4, 64))
     gccs = compute_spectral_gccs(frames, arr)
     lags = compute_lag_vectors(frames, arr)
-    ccs = compute_cc_lag_vectors(frames, arr)
+    ccs = compute_lag_vectors(frames, arr, CC)
     assert set(gccs) == set(lags) == set(ccs) == set(arr.pairs())
     for p, g in gccs.items():
         np.testing.assert_allclose(
@@ -297,4 +307,83 @@ def test_pairwise_helpers_cover_all_pairs():
     with pytest.raises(ValueError, match="channels"):
         compute_spectral_gccs(frames[:3], arr)
     with pytest.raises(ValueError, match="channels"):
-        compute_cc_lag_vectors(frames[:3], arr)
+        compute_lag_vectors(frames[:3], arr, CC)
+
+
+def reference_gccs(frames, fs, cfg):
+    """Per pair, on the two-sided DFT grid: the formula of the features docstring.
+
+    The channel spectra are np.fft.rfft's, mirrored to the negative
+    frequencies: PHAT with gamma = 0 magnifies an FFT's rounding in
+    near-zero bins to unit size, so the reference shares the channel
+    transform and checks everything after it.
+    """
+    M, L = frames.shape
+    n = 2 * L
+    half = np.fft.rfft(frames, n)
+    spec = np.concatenate([half, np.conj(half[:, L - 1: 0: -1])], axis=1)
+    freqs = np.fft.fftfreq(n, d=1.0 / fs)
+    lo, hi = cfg.band if cfg.band is not None else (0.0, fs / 2)
+    mask = (np.abs(freqs) >= lo) & (np.abs(freqs) <= hi)
+    out = {}
+    for l in range(M):
+        for m in range(l + 1, M):
+            cross = spec[l] * np.conj(spec[m])
+            mag = np.abs(cross)
+            if cfg.gamma is not None:
+                gamma = cfg.gamma
+            else:
+                gamma = GAMMA_RELATIVE_FLOOR * mag[mask].mean() if mask.any() else 0.0
+            denom = mag**cfg.beta + gamma
+            g = np.zeros(n, dtype=complex)
+            ok = mask & (denom > 0)
+            g.real[ok] = cross.real[ok] / denom[ok]
+            g.imag[ok] = cross.imag[ok] / denom[ok]
+            out[MicPair(l, m)] = g
+    return out, freqs, mask
+
+
+_EDGE = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_mics=st.integers(2, 6),
+    log_len=st.integers(3, 9),
+    beta=st.floats(0.0, 1.0),
+    gamma=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 100.0)),
+    band=st.one_of(st.none(), st.tuples(_EDGE, _EDGE)),
+    dead=st.one_of(st.none(), st.integers(0, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a subnormal denominator: a complex division by it overflows to NaN
+@example(n_mics=2, log_len=3, beta=1.0, gamma=2.2e-309, band=None, dead=0, seed=0)
+def test_block_matches_per_pair_reference(n_mics, log_len, beta, gamma, band, dead, seed):
+    fs = 16000.0
+    if band is not None:  # fractions of Nyquist; 0 and 1 touch DC and Nyquist
+        assume(band[0] < band[1])
+        band = (band[0] * fs / 2, band[1] * fs / 2)
+    cfg = GccConfig(beta=beta, gamma=gamma, band=band)
+    rng = np.random.default_rng(seed)
+    frames = rng.normal(size=(n_mics, 2**log_len))
+    dead = None if dead is None else dead % n_mics
+    if dead is not None:
+        frames[dead] = 0.0
+    arr = MicArray(rng.uniform(0, 1, size=(n_mics, 3)), sample_rate=fs)
+    want, freqs, mask = reference_gccs(frames, fs, cfg)
+    gccs = compute_spectral_gccs(frames, arr, cfg)
+    lags = compute_lag_vectors(frames, arr, cfg)
+    assert list(gccs) == list(lags) == arr.pairs()
+    n = 2 * frames.shape[1]
+    for p, g in gccs.items():
+        ref = want[p]
+        np.testing.assert_array_equal(g.freqs, freqs)
+        np.testing.assert_array_equal(g.in_band, mask)
+        assert np.all(g.values[~mask] == 0)
+        assert np.max(np.abs(g.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+        circ = np.fft.ifft(ref).real
+        ref_lags = np.concatenate([circ[n // 2 + 1:], circ[: n // 2]])
+        got = lags[p].values
+        assert np.max(np.abs(got - ref_lags)) <= 1e-12 * np.max(np.abs(ref_lags))
+        if dead in (p.l, p.m):
+            assert np.all(g.values == 0) and np.all(got == 0)

@@ -13,7 +13,6 @@ import pytest
 from xsrp.geometry import (
     MicArray,
     MicPair,
-    Point3,
     SphericalDirection,
     far_field_tdoa_matrix,
     max_tdoa,
@@ -27,22 +26,6 @@ from xsrp.geometry import (
 
 def pair_array(spacing=1.0, fs=16000.0):
     return MicArray([[0.0, 0.0, 0.0], [spacing, 0.0, 0.0]], sample_rate=fs)
-
-
-class TestPoint3:
-    def test_roundtrip(self):
-        p = Point3(1.5, -2.0, 0.25)
-        np.testing.assert_array_equal(p.as_array(), [1.5, -2.0, 0.25])
-        assert Point3.from_array(p.as_array()) == p
-
-    def test_default_z(self):
-        assert Point3(1.0, 2.0).z == 0.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            Point3(np.nan, 0.0, 0.0)
-        with pytest.raises(ValueError, match="finite"):
-            Point3(0.0, np.inf, 0.0)
 
 
 class TestSphericalDirection:
@@ -125,18 +108,25 @@ def test_tof_custom_speed():
     assert tof((0, 0, 0), (0, 2, 0), speed_of_sound=1000.0) == 0.002
 
 
+def test_points_reject_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        tof(np.array([np.nan, 0.0, 0.0]), (1, 0, 0))
+    with pytest.raises(ValueError, match="finite"):
+        tdoa(np.array([0.0, np.inf, 0.0]), MicPair(0, 1), pair_array())
+
+
 def test_tdoa_two_tof_difference():
     # mics 0.686 m apart, source 1 m beyond the first mic on the axis:
     # paths are 1.0 m and 1.686 m, so the pair delay is -0.686/343 = -2 ms
     arr = pair_array(spacing=0.686)
-    val = tdoa(Point3(-1.0, 0.0, 0.0), MicPair(0, 1), arr)
+    val = tdoa(np.array([-1.0, 0.0, 0.0]), MicPair(0, 1), arr)
     assert abs(val - (-0.002)) < 1e-15
 
 
 def test_tdoa_sign_flips_with_side():
     arr = pair_array(spacing=0.686)
-    left = tdoa(Point3(-1.0, 0.0, 0.0), MicPair(0, 1), arr)
-    right = tdoa(Point3(1.686, 0.0, 0.0), MicPair(0, 1), arr)
+    left = tdoa(np.array([-1.0, 0.0, 0.0]), MicPair(0, 1), arr)
+    right = tdoa(np.array([1.686, 0.0, 0.0]), MicPair(0, 1), arr)
     assert abs(left + right) < 1e-15  # mirror positions, opposite delays
 
 
@@ -167,7 +157,7 @@ def test_max_tdoa_on_axis():
     arr = pair_array(spacing=0.686)
     assert abs(max_tdoa(MicPair(0, 1), arr) - 0.002) < 1e-18
     # collinear exterior points attain the bound
-    val = tdoa(Point3(5.0, 0.0, 0.0), MicPair(0, 1), arr)
+    val = tdoa(np.array([5.0, 0.0, 0.0]), MicPair(0, 1), arr)
     assert abs(val - 0.002) < 1e-15
 
 

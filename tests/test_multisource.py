@@ -9,18 +9,17 @@ from xsrp.features import (
     FrameConfig,
     GccConfig,
     LagVector,
+    SpectralGcc,
     compute_lag_vectors,
     compute_spectral_gccs,
     frame_stack,
-    spectral_from_lags,
 )
-from xsrp.geometry import MicArray, tdoa
+from xsrp.geometry import MicArray, MicPair, tdoa
 from xsrp.grids import cartesian_grid
 from xsrp.multisource import (
     EstimateSet,
     MultiConfig,
     deemphasize,
-    deemphasize_spectral,
     default_notch_sigma,
     localize_multi,
 )
@@ -45,6 +44,7 @@ MIC_POSITIONS = np.array(
 
 SRC_A = np.array([2.0, 2.0, 1.5])
 SRC_B = np.array([4.5, 3.5, 1.5])
+PAIR = MicPair(0, 1)
 
 
 def wide_array() -> MicArray:
@@ -69,18 +69,38 @@ def bump_features(array, sources, max_lag=340, width_samples=0.8):
     return feats
 
 
+def spectral_of(lag: LagVector) -> SpectralGcc:
+    """The two-sided spectrum of a lag vector, its wrap slot at lag n/2 zero."""
+    k = lag.max_lag
+    n = 2 * (k + 1)
+    circ = np.zeros(n)
+    circ[: k + 1] = lag.values[k:]
+    circ[n - k:] = lag.values[:k]
+    return SpectralGcc(
+        np.fft.fft(circ), np.fft.fftfreq(n, d=1.0 / lag.sample_rate), lag.sample_rate,
+        np.ones(n, dtype=bool),
+    )
+
+
 def test_notch_is_exactly_zero_at_center():
     lag = LagVector(np.ones(129), FS)
     t0 = 17 / FS  # on a lag sample, so the exponent is exactly zero
-    out = deemphasize(lag, t0, default_notch_sigma(wide_array()))
+    out = deemphasize({PAIR: lag}, [t0], default_notch_sigma(wide_array()))[PAIR]
     assert out.at_lag(17) == 0.0
     assert out.sample_rate == FS
+    # every pair at once, each zero at its own center
+    feats = {p: LagVector(np.ones(129), FS) for p in wide_array().pairs()}
+    centers = np.arange(len(feats)) - 4
+    out = deemphasize(feats, centers / FS, 2.0 / FS)
+    assert list(out) == list(feats)
+    for p, c in zip(feats, centers):
+        assert out[p].at_lag(int(c)) == 0.0
 
 
 def test_notch_locality_and_symmetry():
     lag = LagVector(np.ones(257), FS)
     sigma = 2.0 / FS
-    out = deemphasize(lag, 0.0, sigma)
+    out = deemphasize({PAIR: lag}, [0.0], sigma)[PAIR]
     vals = out.values
     k = out.max_lag
     # symmetric around the notch center
@@ -96,11 +116,13 @@ def test_notch_locality_and_symmetry():
 
 
 def test_notch_validation():
-    lag = LagVector(np.ones(65), FS)
+    feats = {PAIR: LagVector(np.ones(65), FS)}
     with pytest.raises(ValueError, match="sigma"):
-        deemphasize(lag, 0.0, 0.0)
+        deemphasize(feats, [0.0], 0.0)
     with pytest.raises(ValueError, match="lag range"):
-        deemphasize(lag, 1.0, 1e-4)  # 1 s is far outside +/-32 samples
+        deemphasize(feats, [1.0], 1e-4)  # 1 s is far outside +/-32 samples
+    with pytest.raises(ValueError, match="2 tdoas for 1 pairs"):
+        deemphasize(feats, [0.0, 0.0], 1e-4)
 
 
 def test_default_notch_sigma_is_two_samples():
@@ -110,11 +132,10 @@ def test_default_notch_sigma_is_two_samples():
 def test_spectral_notch_matches_lag_notch():
     rng = np.random.default_rng(3)
     lag = LagVector(rng.normal(size=255), FS)
-    g = spectral_from_lags(lag)
     t0 = -9 / FS
     sigma = 2.0 / FS
-    notched = deemphasize_spectral(g, t0, sigma)
-    expect = spectral_from_lags(deemphasize(lag, t0, sigma))
+    notched = deemphasize({PAIR: spectral_of(lag)}, [t0], sigma)[PAIR]
+    expect = spectral_of(deemphasize({PAIR: lag}, [t0], sigma)[PAIR])
     np.testing.assert_allclose(notched.values, expect.values, atol=1e-12)
     assert notched.sample_rate == FS
 
@@ -124,9 +145,10 @@ def test_spectral_notch_stays_in_band():
     rng = np.random.default_rng(4)
     frames = rng.normal(size=(2, 512))
     gccs = compute_spectral_gccs(frames, array, GccConfig(band=(300.0, 3000.0)))
-    g = gccs[next(iter(gccs))]
-    notched = deemphasize_spectral(g, 2 / FS, 2 / FS)
+    g = gccs[PAIR]
+    notched = deemphasize(gccs, [2 / FS], 2 / FS)[PAIR]
     assert np.all(notched.values[~g.in_band] == 0.0)
+    assert np.any(notched.values[g.in_band] != g.values[g.in_band])
     np.testing.assert_array_equal(notched.in_band, g.in_band)
 
 
@@ -156,6 +178,18 @@ def test_two_bump_sources_recovered_in_score_order():
     np.testing.assert_allclose(est.positions[0], SRC_A, atol=1e-9)
     np.testing.assert_allclose(est.positions[1], SRC_B, atol=1e-9)
     assert est.scores[0] >= est.scores[1]
+
+
+def test_two_bump_sources_recovered_in_frequency_rounds():
+    array = wide_array()
+    lags = bump_features(array, [(SRC_A, 1.0), (SRC_B, 0.8)])
+    # reversed insertion order: the rounds notch pairs by key, not by position
+    feats = {p: spectral_of(lags[p]) for p in reversed(array.pairs())}
+    grid = cartesian_grid(ROOM, 0.5)
+    est = localize_multi(feats, grid, array, MultiConfig(n_sources=2))
+    assert len(est) == 2
+    np.testing.assert_allclose(est.positions[0], SRC_A, atol=1e-9)
+    np.testing.assert_allclose(est.positions[1], SRC_B, atol=1e-9)
 
 
 def test_auto_mode_stops_after_single_source():

@@ -15,10 +15,9 @@ import pytest
 from xsrp.features import (
     FrameConfig,
     GccConfig,
-    compute_cc_lag_vectors,
+    compute_lag_vectors,
     compute_spectral_gccs,
     frame_stack,
-    temporal_gcc,
 )
 from xsrp.geometry import MicArray, MicPair
 from xsrp.grids import Volume, cartesian_grid, partition_room
@@ -80,6 +79,11 @@ def scene():
 def gccs_of(scene, beta=1.0, gamma=None):
     array, frames = scene
     return compute_spectral_gccs(frames, array, GccConfig(beta=beta, gamma=gamma, band=BAND))
+
+
+def lags_of(scene):
+    array, frames = scene
+    return compute_lag_vectors(frames, array, GccConfig(band=BAND))
 
 
 # ---------------------------------------------------------------- validation
@@ -195,7 +199,7 @@ def test_time_pipeline_matches_standalone(scene):
     )
     est = x_srp(frames, array, room=ROOM, cfg=cfg)
 
-    lags = {p: temporal_gcc(g) for p, g in gccs_of(scene).items()}
+    lags = lags_of(scene)
     ref = argmax_search(srp_time_map(lags, cartesian_grid(ROOM, 0.5), array))
     assert np.array_equal(est.positions[0], ref.estimate)
     assert est.scores[0] == ref.score
@@ -210,7 +214,7 @@ def test_cc_time_pipeline_matches_standalone(scene):
     )
     est = x_srp(frames, array, room=ROOM, cfg=cfg)
 
-    lags = compute_cc_lag_vectors(frames, array)
+    lags = compute_lag_vectors(frames, array, GccConfig(beta=0.0, gamma=0.0))
     ref = argmax_search(srp_time_map(lags, cartesian_grid(ROOM, 0.5), array))
     assert np.array_equal(est.positions[0], ref.estimate)
     assert est.scores[0] == ref.score
@@ -236,7 +240,7 @@ def test_refine_pipeline_matches_standalone(scene):
     )
     est = x_srp(frames, array, room=ROOM, cfg=cfg)
 
-    lags = {p: temporal_gcc(g) for p, g in gccs_of(scene).items()}
+    lags = lags_of(scene)
     scorer = make_time_scorer(lags, array)
     ref = refine_search(scorer, Volume.from_bounds(np.zeros(3), ROOM), search)
     assert np.array_equal(est.positions[0], ref.estimate)
@@ -266,7 +270,7 @@ def test_volumetric_pipeline_matches_standalone(scene):
     )
     est = x_srp(frames, array, room=ROOM, cfg=cfg)
 
-    lags = {p: temporal_gcc(g) for p, g in gccs_of(scene).items()}
+    lags = lags_of(scene)
     vgrid = partition_room(ROOM, (3, 3, 2))
     ref = argmax_search(vsrp_map(lags, vgrid, array, pooling="max", guard=1.0))
     assert np.array_equal(est.positions[0], ref.estimate)
@@ -355,10 +359,7 @@ def test_subdivide_update_refines_estimate(scene):
     # pass 1 is exactly the coarse exhaustive map, and refinement
     # can only add rows, so the coarse winner appears verbatim and
     # the overall best scores at least as high
-    gccs = compute_spectral_gccs(
-        frames, array, GccConfig(band=low_band)
-    )
-    lags = {p: temporal_gcc(g) for p, g in gccs.items()}
+    lags = compute_lag_vectors(frames, array, GccConfig(band=low_band))
     coarse = argmax_search(srp_time_map(lags, cartesian_grid(ROOM, 0.4), array))
     assert any(
         np.array_equal(p, coarse.estimate) and s == coarse.score for p, s in est

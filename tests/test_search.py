@@ -1,8 +1,8 @@
 """Search strategy tests.
 
 A smooth radial bump gives an analytic optimum the iterative modes
-must approach; determinism by seed, region monotonicity, and the
-operation-count model are checked directly.
+must approach; determinism by seed and region monotonicity are
+checked directly.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from xsrp.search import (
     SearchConfig,
     SearchResult,
     argmax_search,
-    complexity_estimate,
     refine_search,
     src_search,
 )
@@ -150,21 +149,3 @@ def test_search_config_validation():
 def test_search_result_reshapes_estimate():
     r = SearchResult(np.array([[1.0, 2.0, 3.0]]), 1.0, 10, 1)
     assert r.estimate.shape == (3,)
-
-
-def test_complexity_estimate_frozen_values():
-    # M = 8, L = 1024, G = 10000:
-    #   base = 8 * 1024 * 10 + 28 * 1024 = 81920 + 28672 = 110592
-    #   freq steering = 10000 * 28 * 1024 = 286720000
-    #   time steering = 10000 * 28 = 280000
-    assert complexity_estimate(8, 1024, 10000, "frequency") == 286830592.0
-    assert complexity_estimate(8, 1024, 10000, "time") == 390592.0
-    with pytest.raises(ValueError, match="domain"):
-        complexity_estimate(8, 1024, 10000, "cepstral")
-
-
-def test_complexity_estimate_linear_in_grid():
-    base = complexity_estimate(6, 512, 0, "frequency")
-    g1 = complexity_estimate(6, 512, 1000, "frequency")
-    g2 = complexity_estimate(6, 512, 2000, "frequency")
-    assert g2 - g1 == g1 - base

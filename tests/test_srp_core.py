@@ -18,12 +18,11 @@ from xsrp.features import (
     GccConfig,
     LagVector,
     SpectralGcc,
-    compute_cc_lag_vectors,
     compute_lag_vectors,
     compute_spectral_gccs,
     frame_stack,
 )
-from xsrp.geometry import MicArray, MicPair, Point3, tdoa, tdoa_matrix
+from xsrp.geometry import MicArray, MicPair, tdoa, tdoa_matrix
 from xsrp.grids import (
     CandidateGrid,
     Volume,
@@ -53,7 +52,8 @@ from xsrp.synth import SceneSpec, Source, synthesize_free_field, white_noise
 
 FS = 16000.0
 ROOM = np.array([5.0, 4.0, 3.0])
-SRC = Point3(2.3, 2.1, 1.4)
+SRC = np.array([2.3, 2.1, 1.4])
+CC = GccConfig(beta=0.0, gamma=0.0)  # classical cross-correlation
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ def test_time_map_peaks_on_source_grid_point(scene):
     m = srp_time_map(lags, grid, array)
     assert m.domain == "time"
     best = grid.points[np.argmax(m.scores)]
-    np.testing.assert_allclose(best, SRC.as_array(), atol=1e-9)
+    np.testing.assert_allclose(best, SRC, atol=1e-9)
 
 
 def test_freq_map_matches_brute_force(scene):
@@ -159,8 +159,8 @@ def test_translation_invariance(scene):
     np.testing.assert_allclose(
         srp_freq_scores(pts, g1, a1), srp_freq_scores(pts + shift, g2, a2), rtol=1e-9
     )
-    l1 = compute_cc_lag_vectors(frames, a1)
-    l2 = compute_cc_lag_vectors(frames, a2)
+    l1 = compute_lag_vectors(frames, a1, CC)
+    l2 = compute_lag_vectors(frames, a2, CC)
     np.testing.assert_allclose(
         srp_time_scores(pts, l1, a1), srp_time_scores(pts + shift, l2, a2), rtol=1e-9
     )
@@ -176,8 +176,8 @@ def test_channel_permutation_invariance():
     a1 = MicArray(positions, sample_rate=fs)
     a2 = MicArray(positions[perm], sample_rate=fs)
     pts = rng.uniform(0, 3, size=(10, 3))
-    s1 = srp_time_scores(pts, compute_cc_lag_vectors(frames, a1), a1)
-    s2 = srp_time_scores(pts, compute_cc_lag_vectors(frames[perm], a2), a2)
+    s1 = srp_time_scores(pts, compute_lag_vectors(frames, a1, CC), a1)
+    s2 = srp_time_scores(pts, compute_lag_vectors(frames[perm], a2, CC), a2)
     np.testing.assert_allclose(s1, s2, rtol=1e-9)
     f1 = srp_freq_scores(pts, compute_spectral_gccs(frames, a1), a1)
     f2 = srp_freq_scores(pts, compute_spectral_gccs(frames[perm], a2), a2)
@@ -190,7 +190,7 @@ def test_lag_coverage_precondition():
     rng = np.random.default_rng(5)
     # 3 m baseline needs ~140 lags; 64-sample frames cover only 63
     frames = rng.normal(size=(2, 64))
-    lags = compute_cc_lag_vectors(frames, array)
+    lags = compute_lag_vectors(frames, array, CC)
     with pytest.raises(ValueError, match="longer frames"):
         srp_time_scores(np.array([[1.0, 1.0, 1.0]]), lags, array)
 
@@ -342,7 +342,7 @@ def test_vsrp_source_volume_wins(scene):
     m = vsrp_map(lags, vg, array, pooling="max")
     assert m.domain == "volumetric"
     winner = vg.volumes[int(np.argmax(m.scores))]
-    assert winner.contains(SRC.as_array()[None, :])[0]
+    assert winner.contains(SRC[None, :])[0]
 
 
 def test_wsrp_sum_sum_equals_plain_freq_map(scene):
@@ -433,7 +433,7 @@ def test_low_band_widens_peak(scene):
     signals = synthesize_free_field(spec, array)
     frames = frame_stack(signals, FrameConfig(frame_len=4096, hop=4096), 0)
     offsets = np.linspace(-0.3, 0.3, 31)
-    pts = SRC.as_array()[None, :] + np.column_stack(
+    pts = SRC[None, :] + np.column_stack(
         [offsets, np.zeros(31), np.zeros(31)]
     )
     rel = {}
