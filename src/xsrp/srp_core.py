@@ -9,10 +9,13 @@ steered at it, accumulated over microphone pairs:
   weighted          configurable per-frequency / per-pair combination
 
 Cartesian grids use exact TDOAs, DOA grids the far-field form; the
-two are never mixed within one map. A module-level counter tracks
-candidate scorings and steering-kernel evaluations so complexity
-claims can be checked; frequency-domain kernel counts are exactly
-G * P * |F| with |F| the number of in-band bins.
+two are never mixed within one map. The frequency map is evaluated
+exactly by Horner's rule over the uniform DFT bins: one complex
+multiply-add per bin, pair and point, and no phase tensor. A
+module-level counter tracks candidate scorings and steering-kernel
+evaluations so complexity claims can be checked; frequency-domain
+kernel counts are exactly G * P * |F| with |F| the number of in-band
+bins, the complexity model's unit rather than a count of multiplies.
 """
 
 from __future__ import annotations
@@ -173,10 +176,14 @@ def _active_freqs(gccs: dict[MicPair, SpectralGcc], array: MicArray):
     first = gccs[pairs[0]]
     for p in pairs[1:]:
         g = gccs[p]
-        if g.n_fft != first.n_fft or not np.array_equal(g.in_band, first.in_band):
+        same_grid = g.freqs is first.freqs or np.array_equal(g.freqs, first.freqs)
+        if not same_grid or not np.array_equal(g.in_band, first.in_band):
             raise ValueError("all pairs must share one DFT grid and band")
         if g.sample_rate != first.sample_rate:
             raise ValueError("all pairs must share one sample rate")
+    grid = np.fft.fftfreq(first.n_fft, d=1.0 / first.sample_rate)
+    if np.max(np.abs(first.freqs - grid), initial=0.0) > 1e-9 * first.sample_rate / first.n_fft:
+        raise ValueError("spectral gcc frequencies must lie on the DFT grid fftfreq(n, 1 / fs)")
     mask = first.in_band
     return pairs, first.freqs[mask], mask
 
@@ -189,39 +196,22 @@ def _mic_delays(pts, array: MicArray, far_field: bool) -> np.ndarray:
     return tof_matrix(pts, array)
 
 
-def _pair_steering(pts, array, far_field, pairs, freqs):
-    """Yield each pair's steering e^{+j 2 pi f tau_lm(u)}, (g, F), in pair order."""
-    delays = _mic_delays(pts, array, far_field)
-    # factored per mic: tau_lm = tau_l - tau_m
-    phases = np.exp((2j * math.pi) * delays[:, :, None] * freqs[None, None, :])  # (g, M, F)
-    for pair in pairs:
-        yield phases[:, pair.l, :] * np.conj(phases[:, pair.m, :])
-
-
-def _freq_scores_chunk(pts, array, far_field, pairs, freqs, gvals):
-    out = np.zeros(len(pts))
-    for steer, g in zip(_pair_steering(pts, array, far_field, pairs, freqs), gvals):
-        out += (steer @ g).real
-    return out
-
-
-def _half_spectrum(freqs: np.ndarray, mask: np.ndarray):
-    """Reduce the two-sided in-band set to f >= 0 with symmetry weights.
+def _half_spectrum(mask: np.ndarray) -> np.ndarray:
+    """Weights of the DFT bins k = 0..n/2 that fold a two-sided in-band mask.
 
     A negative-frequency bin of a conjugate-symmetric GCC contributes
-    the same real part as its positive twin, so summing the positive
-    half with weight 2 (weight 1 at f = 0 and at the unpaired Nyquist
-    bin) is exact, at half the kernel cost.
+    the same real part as its positive twin, so summing bins 0..n/2
+    with weight 2 (1 at f = 0 and at the unpaired Nyquist bin, 0 out
+    of band) is exact, at half the kernel cost.
     """
-    n = len(freqs)
-    pos = mask & (freqs > 0)
-    zero = mask & (freqs == 0)
-    nyq = np.zeros(n, dtype=bool)
-    if n % 2 == 0:
-        nyq[n // 2] = mask[n // 2]
-    keep = pos | zero | nyq
-    weights = np.where(pos & ~nyq, 2.0, 1.0)[keep]
-    return keep, weights
+    n = len(mask)
+    k = np.arange(n // 2 + 1)
+    return np.where((k == 0) | (2 * k == n), 1.0, 2.0) * mask[: n // 2 + 1]
+
+
+#: accumulator elements (pairs x points) per Horner block, 512 kB of
+#: complex128, so the per-step sweeps stay in cache
+_HORNER_BLOCK = 32768
 
 
 def srp_freq_scores(
@@ -232,22 +222,39 @@ def srp_freq_scores(
 ) -> np.ndarray:
     """Frequency-domain SRP at arbitrary points.
 
-    The sum runs over the two-sided in-band set; the implementation
-    folds conjugate-symmetric bins, which is exact for the real
-    correlations this consumes.
+    The sum runs over the two-sided in-band set. Conjugate-symmetric
+    bins are folded onto k = 0..n/2 (the Nyquist bin at +fs/2, where a
+    real correlation's term has the same real part), and those bins
+    are uniform, f_k = k fs/n, so each pair's sum is a polynomial in
+    z = e^{j 2 pi (fs/n) tau}: e^{j 2 pi f_lo tau} sum_k c_k z^(k - k_lo).
+    Horner's rule evaluates it exactly with one complex multiply-add
+    per bin, pair and point, and no phase tensor. The counter still
+    adds G * P * |F| per call, |F| the two-sided in-band count; that
+    is the complexity model's unit, not a count of multiplies.
     """
     pairs, freqs_all, mask = _active_freqs(gccs, array)
-    keep, half_w = _half_spectrum(next(iter(gccs.values())).freqs, mask)
-    freqs = next(iter(gccs.values())).freqs[keep]
-    gvals = [gccs[p].values[keep] * half_w for p in pairs]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    # bound the per-chunk steering tensor to a few tens of MB
-    chunk = max(32, int(2e6 / max(1, array.n_mics * len(freqs))))
-    parts = [
-        _freq_scores_chunk(pts[i: i + chunk], array, far_field, pairs, freqs, gvals)
-        for i in range(0, len(pts), chunk)
-    ]
-    scores = np.concatenate(parts) if parts else np.zeros(0)
+    scores = np.zeros(len(pts))
+    weights = _half_spectrum(mask)
+    bins = np.flatnonzero(weights)
+    if len(bins):
+        k_lo, k_hi = bins[0], bins[-1] + 1
+        coef = np.stack([gccs[p].values[k_lo:k_hi] for p in pairs], axis=1)
+        coef *= weights[k_lo:k_hi, None]  # (K, P): row k - k_lo is bin k
+        first = gccs[pairs[0]]
+        df = first.sample_rate / first.n_fft
+        ls, ms = np.array([(p.l, p.m) for p in pairs]).T
+        chunk = max(1, _HORNER_BLOCK // len(pairs))
+        for i in range(0, len(pts), chunk):
+            delays = _mic_delays(pts[i: i + chunk], array, far_field).T
+            tau = delays[ls] - delays[ms]  # (P, g)
+            z = np.exp((2j * math.pi * df) * tau)
+            acc = np.repeat(coef[-1][:, None], tau.shape[1], axis=1)
+            for c in coef[-2::-1]:
+                acc *= z
+                acc += c[:, None]
+            acc *= np.exp((2j * math.pi * df * k_lo) * tau)
+            scores[i: i + chunk] = acc.real.sum(axis=0)
     counter.points += len(pts)
     counter.kernel_ops += len(pts) * len(pairs) * len(freqs_all)
     return scores
@@ -447,9 +454,12 @@ def pairwise_freq_scores(
     """The (P, G, F) steered-response tensor for weighted combination."""
     pairs, freqs, mask = _active_freqs(gccs, array)
     pts = grid.points
+    # factored per mic, tau_lm = tau_l - tau_m: e^{+j 2 pi f tau_lm} per pair
+    delays = _mic_delays(pts, array, grid.is_doa)
+    phases = np.exp((2j * math.pi) * delays[:, :, None] * freqs[None, None, :])  # (G, M, F)
     tensor = np.empty((len(pairs), len(pts), len(freqs)))
-    steering = _pair_steering(pts, array, grid.is_doa, pairs, freqs)
-    for j, (pair, steer) in enumerate(zip(pairs, steering)):
+    for j, pair in enumerate(pairs):
+        steer = phases[:, pair.l, :] * np.conj(phases[:, pair.m, :])
         tensor[j] = (steer * gccs[pair].values[mask][None, :]).real
     counter.points += len(pts)
     counter.kernel_ops += len(pts) * len(pairs) * len(freqs)

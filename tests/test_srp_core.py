@@ -7,6 +7,7 @@ degenerate volumes must reproduce point scores exactly.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from xsrp.features import (
     compute_spectral_gccs,
     frame_stack,
 )
-from xsrp.geometry import MicArray, MicPair, tdoa, tdoa_matrix
+from xsrp import srp_core
+from xsrp.geometry import MicArray, MicPair, far_field_tdoa_matrix, tdoa, tdoa_matrix
 from xsrp.grids import (
     CandidateGrid,
     Volume,
@@ -128,6 +130,65 @@ def test_freq_single_bin_closed_form():
     scores = srp_freq_scores(pts, {MicPair(0, 1): g}, array)
     taus = (2.0 * xs - 0.5) / array.speed_of_sound
     np.testing.assert_allclose(scores, 2.0 * np.cos(2.0 * math.pi * f0 * (taus - t0)), atol=1e-9)
+
+
+@st.composite
+def _freq_cases(draw):
+    """PHAT-like conjugate-symmetric spectra on an even DFT grid, a band and candidates.
+
+    The band is drawn with and without the DC and Nyquist bins, or
+    falls between two bins so that it holds none.
+    """
+    n = 2 * draw(st.integers(2, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    array = MicArray(rng.uniform(0.0, 3.0, size=(draw(st.integers(2, 6)), 3)), sample_rate=FS)
+    df, half = FS / n, n // 2
+    k_lo = 0 if draw(st.booleans()) else draw(st.integers(1, half - 1))
+    k_hi = half if draw(st.booleans()) else draw(st.integers(k_lo, half - 1))
+    band = (max(k_lo - 0.5, 0.0) * df, (k_hi + 0.5) * df)
+    if draw(st.booleans()):
+        band = ((k_lo + 0.25) * df, (k_lo + 0.75) * df)
+    freqs = np.fft.fftfreq(n, d=1.0 / FS)
+    in_band = (np.abs(freqs) >= band[0]) & (np.abs(freqs) <= band[1])
+    spectra = np.fft.fft(rng.normal(size=(array.n_pairs, n)))
+    spectra = np.where(in_band, spectra / np.maximum(np.abs(spectra), 1e-12), 0.0)
+    gccs = {p: SpectralGcc(v, freqs, FS, in_band) for p, v in zip(array.pairs(), spectra)}
+    far_field = draw(st.booleans())
+    pts = rng.normal(size=(draw(st.integers(20, 60)), 3))
+    if far_field:
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    else:
+        pts = rng.uniform(-1.0, 4.0, size=pts.shape)
+    return array, gccs, pts, far_field
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_freq_cases(), block=st.integers(1, 200) | st.just(srp_core._HORNER_BLOCK))
+def test_freq_scores_match_direct_two_sided_sum(case, block):
+    # Horner over the folded DFT bins, in blocks of any size, against
+    # the definition: every two-sided in-band bin steered directly
+    array, gccs, pts, far_field = case
+    with mock.patch.object(srp_core, "_HORNER_BLOCK", block):
+        got = srp_freq_scores(pts, gccs, array, far_field=far_field)
+    taus = (far_field_tdoa_matrix if far_field else tdoa_matrix)(pts, array)
+    ref = np.zeros(len(pts))
+    for j, g in enumerate(gccs.values()):
+        f = g.freqs[g.in_band]
+        ref += (np.exp(2j * math.pi * taus[:, j, None] * f) @ g.values[g.in_band]).real
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_freq_scores_reject_spectra_off_the_dft_grid():
+    n = 64
+    array = MicArray([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], sample_rate=FS)
+    on_grid = np.fft.fftfreq(n, d=1.0 / FS)
+    pts = np.array([[0.2, 0.1, 0.0]])
+    for freqs in (on_grid + 0.3 * FS / n, np.linspace(-FS / 2, FS / 2, n)):
+        g = SpectralGcc(np.ones(n), freqs, FS, np.ones(n, dtype=bool))
+        with pytest.raises(ValueError, match="DFT grid"):
+            srp_freq_scores(pts, {MicPair(0, 1): g}, array)
+        with pytest.raises(ValueError, match="DFT grid"):
+            pairwise_freq_scores({MicPair(0, 1): g}, CandidateGrid("cartesian3d", pts), array)
 
 
 def test_freq_far_field_matches_distant_exact(scene):
