@@ -182,13 +182,15 @@ def max_tdoa(pair: MicPair, array: MicArray) -> float:
 def tof_matrix(points: np.ndarray, array: MicArray) -> np.ndarray:
     """Times of flight from each of N points to each mic, shape (N, M).
 
-    Built one mic at a time, so the only temporary is one (N, 3)
-    difference rather than an (N, M, 3) broadcast.
+    Built one mic at a time from (N,) coordinate columns. The sum
+    dx*dx + dy*dy + dz*dz runs in ``np.linalg.norm(..., axis=1)``'s
+    order, so the distances equal that formula's bit for bit.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = np.empty((len(pts), array.n_mics))
-    for i, v in enumerate(array.positions):
-        d[:, i] = np.linalg.norm(pts - v, axis=1)
+    x, y, z = np.atleast_2d(np.asarray(points, dtype=float)).T.copy()
+    d = np.empty((len(x), array.n_mics))
+    for i, (vx, vy, vz) in enumerate(array.positions):
+        dx, dy, dz = x - vx, y - vy, z - vz
+        d[:, i] = np.sqrt(dx * dx + dy * dy + dz * dz)
     return d / array.speed_of_sound
 
 

@@ -4,51 +4,83 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 
 import numpy as np
-from scipy.io import wavfile
 
 from .grids import CandidateGrid
 
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# SubFormat GUID {000000XX-0000-0010-8000-00AA00389B71} after its 2-byte tag
+_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+_DTYPES = {(_PCM, 16): "<i2", (_FLOAT, 32): "<f4", (_FLOAT, 64): "<f8"}
+
 
 def read_wav(path) -> tuple[float, np.ndarray]:
-    """Read a WAV file to (sample_rate, (M, T) float array).
+    """Read a WAV file to (sample_rate, (M, T) float64 array).
 
-    PCM16 is scaled to [-1, 1); float32/float64 pass through. Other
-    encodings are rejected.
+    Accepted: a little-endian RIFF/WAVE file whose ``fmt `` chunk (a
+    plain format tag or WAVE_FORMAT_EXTENSIBLE) says 16-bit PCM, scaled
+    by 1/32768 to [-1, 1), or 32/64-bit IEEE float, passed through.
+    Other chunks (``fact``, ``LIST``, ...) are skipped. Everything else
+    raises OSError: bytes that are not RIFF/WAVE (RIFX and RF64
+    included), no ``fmt `` chunk before ``data``, no ``data`` chunk, a
+    data chunk longer than the file, and any other encoding (8/24/32-bit
+    PCM, ...). FileNotFoundError propagates.
     """
-    try:
-        fs, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except ValueError as e:
-        raise OSError(f"cannot read {path}: {e}") from e
-    if data.dtype == np.int16:
-        x = data.astype(float) / 32768.0
-    elif data.dtype in (np.float32, np.float64):
-        x = data.astype(float)
-    else:
-        raise OSError(f"unsupported WAV dtype {data.dtype} in {path}")
-    if x.ndim == 1:
-        x = x[None, :]
-    else:
-        x = x.T  # wavfile uses (T, M)
-    return float(fs), x
+    with open(path, "rb") as f:
+        head = f.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
+            raise OSError(f"{path}: not a RIFF/WAVE file")
+        fmt = None
+        while True:
+            chunk = f.read(8)
+            if len(chunk) < 8:
+                raise OSError(f"{path}: no data chunk")
+            cid, size = struct.unpack("<4sI", chunk)
+            if cid == b"data":
+                break
+            skip = size + (size & 1)  # chunks are padded to even sizes
+            if cid == b"fmt ":
+                fmt, skip = f.read(size), size & 1
+            f.seek(skip, 1)
+        if fmt is None or len(fmt) < 16:
+            raise OSError(f"{path}: no fmt chunk before the data chunk")
+        tag, channels, rate, _, align, bits = struct.unpack_from("<HHIIHH", fmt)
+        if tag == _EXTENSIBLE and len(fmt) >= 40 and fmt[26:40] == _GUID_TAIL:
+            tag = struct.unpack_from("<H", fmt, 24)[0]
+        dtype = _DTYPES.get((tag, bits))
+        if dtype is None or channels == 0 or align != channels * bits // 8:
+            raise OSError(f"{path}: unsupported WAV encoding (format tag {tag:#x}, {bits}-bit, "
+                          f"{channels} channels); expected 16-bit PCM or 32/64-bit float")
+        count = size // align * channels
+        data = np.fromfile(f, dtype=dtype, count=count)
+    if data.size < count:
+        raise OSError(f"{path}: data chunk of {size} bytes runs past the end of the file")
+    x = data.reshape(-1, channels)
+    return float(rate), (x / 32768.0 if tag == _PCM else x.astype(float)).T
 
 
 def write_wav(path, sample_rate: float, signals: np.ndarray, encoding: str = "float32"):
-    """Write (M, T) signals as a WAV file (float32 or pcm16)."""
+    """Write (M, T) signals as a WAV file (float32, or pcm16 scaled to peak 1)."""
     signals = np.atleast_2d(np.asarray(signals, dtype=float))
-    data = signals.T if signals.shape[0] > 1 else signals[0]
     if encoding == "float32":
-        wavfile.write(path, int(sample_rate), data.astype(np.float32))
+        tag, data = _FLOAT, signals.T.astype("<f4")
     elif encoding == "pcm16":
-        peak = np.max(np.abs(data))
+        peak = np.max(np.abs(signals))
         if peak > 1.0:
-            data = data / peak
-        wavfile.write(path, int(sample_rate), (data * 32767.0).astype(np.int16))
+            signals = signals / peak
+        tag, data = _PCM, (signals.T * 32767.0).astype("<i2")
     else:
         raise ValueError(f"encoding must be float32|pcm16, got {encoding!r}")
+    rate, align = int(sample_rate), data.shape[1] * data.itemsize
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + data.nbytes, b"WAVE", b"fmt ", 16, tag,
+        data.shape[1], rate, rate * align, align, 8 * data.itemsize, b"data", data.nbytes,
+    )
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(data.tobytes())
 
 
 def write_jsonl(records, path) -> None:

@@ -11,12 +11,14 @@ import importlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 import xsrp
 from xsrp import __version__
@@ -248,6 +250,12 @@ def test_exit_codes(tmp_path):
     # missing input wav -> i/o error
     loc = write_config(tmp_path / "loc.json", localize_config())
     assert main(["localize", "-c", loc, "-i", str(tmp_path / "missing.wav"), "-o", str(tmp_path / "e.jsonl")]) == 2
+    with pytest.raises(FileNotFoundError):
+        read_wav(tmp_path / "missing.wav")
+    # bytes that are not a WAV file -> i/o error
+    garbage = tmp_path / "garbage.wav"
+    garbage.write_bytes(b"\x00" * 64)
+    assert main(["localize", "-c", loc, "-i", str(garbage), "-o", str(tmp_path / "e.jsonl")]) == 2
     # wrong sample rate -> i/o error
     wav = tmp_path / "wrong.wav"
     write_wav(wav, 8000.0, np.zeros((4, 4000)))
@@ -279,6 +287,112 @@ def test_simulate_wav_source(tmp_path):
     # stereo sources are rejected
     write_wav(mono, FS, rng.normal(size=(2, 4800)) * 0.1)
     assert main(["simulate", "-c", write_config(tmp_path / "c.json", cfg), "-o", str(out)]) == 1
+
+
+def riff(*chunks):
+    """A RIFF/WAVE file of (id, body) chunks, odd bodies padded by one byte."""
+    body = b"WAVE"
+    for cid, data in chunks:
+        body += cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt_chunk(tag, channels, bits, rate=16000):
+    align = channels * bits // 8
+    return b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_wav_round_trip(tmp_path, channels):
+    rng = np.random.default_rng(channels)
+    sig = rng.normal(size=(channels, 1001)) * 0.3
+    write_wav(tmp_path / "f.wav", FS, sig)
+    fs, x = read_wav(tmp_path / "f.wav")
+    assert fs == FS
+    np.testing.assert_array_equal(x, sig.astype(np.float32))
+    # pcm16 scales to peak 1 only when the peak is above 1
+    for scale in (1.0, 4.0):
+        write_wav(tmp_path / "p.wav", FS, sig * scale, encoding="pcm16")
+        peak = max(1.0, np.max(np.abs(sig * scale)))
+        expect = (sig * scale / peak * 32767.0).astype(np.int16) / 32768.0
+        np.testing.assert_array_equal(read_wav(tmp_path / "p.wav")[1], expect)
+    with pytest.raises(ValueError, match="encoding"):
+        write_wav(tmp_path / "x.wav", FS, sig, encoding="pcm24")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+@pytest.mark.parametrize("channels", [1, 4])
+def test_read_wav_of_scipy_files(tmp_path, dtype, channels):
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=(777, channels)) * 0.3
+    if dtype is np.int16:
+        data = data * 30000
+    data = data.astype(dtype)
+    wavfile.write(tmp_path / "s.wav", 8000, data[:, 0] if channels == 1 else data)
+    fs, x = read_wav(tmp_path / "s.wav")
+    assert fs == 8000.0 and x.dtype == np.float64 and x.shape == (channels, 777)
+    expect = data.T.astype(float) / (32768.0 if dtype is np.int16 else 1.0)
+    np.testing.assert_array_equal(x, expect)
+
+
+def test_write_wav_is_read_by_scipy(tmp_path):
+    sig = np.random.default_rng(8).normal(size=(2, 500)) * 0.3
+    write_wav(tmp_path / "f.wav", FS, sig)
+    fs, data = wavfile.read(tmp_path / "f.wav")
+    assert fs == 16000 and data.dtype == np.float32
+    np.testing.assert_array_equal(data, sig.T.astype(np.float32))
+    write_wav(tmp_path / "p.wav", FS, sig[:1], encoding="pcm16")
+    fs, data = wavfile.read(tmp_path / "p.wav")
+    assert data.dtype == np.int16 and data.shape == (500,)
+    np.testing.assert_array_equal(data, (sig[0] * 32767.0).astype(np.int16))
+
+
+def test_read_wav_extensible_and_extra_chunks(tmp_path):
+    samples = np.array([[0, 1], [-32768, 32767], [5, -5]], dtype="<i2")
+    guid = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    _, fmt = fmt_chunk(0xFFFE, 2, 16)
+    ext = fmt + struct.pack("<HHI", 22, 16, 0x3) + struct.pack("<H", 1) + guid
+    path = tmp_path / "ext.wav"
+    # an odd-sized chunk (padded to even) between fmt and data is skipped
+    path.write_bytes(riff((b"fmt ", ext), (b"LIST", b"odd"), (b"data", samples.tobytes())))
+    fs, x = read_wav(path)
+    assert fs == 16000.0
+    np.testing.assert_array_equal(x, samples.T / 32768.0)
+    floats = np.array([0.5, -0.25, 1.5], dtype="<f4")
+    _, fmt = fmt_chunk(0xFFFE, 1, 32)
+    ext = fmt + struct.pack("<HHI", 22, 32, 0x4) + struct.pack("<H", 3) + guid
+    path.write_bytes(riff((b"fmt ", ext), (b"fact", b"\x03\0\0\0"), (b"data", floats.tobytes())))
+    np.testing.assert_array_equal(read_wav(path)[1], floats[None, :].astype(float))
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"this is not a wave file", "not a RIFF/WAVE"),
+        (b"RIFX" + riff((b"data", b""))[4:], "not a RIFF/WAVE"),
+        (riff(fmt_chunk(1, 2, 24), (b"data", bytes(12))), "unsupported WAV encoding"),
+        (riff(fmt_chunk(1, 1, 8), (b"data", bytes(4))), "unsupported WAV encoding"),
+        (riff(fmt_chunk(1, 1, 32), (b"data", bytes(8))), "unsupported WAV encoding"),
+        (riff((b"data", bytes(8))), "no fmt chunk"),
+        (riff(fmt_chunk(1, 1, 16)), "no data chunk"),
+        (riff(fmt_chunk(1, 1, 16), (b"data", bytes(8)))[:-4], "past the end"),
+    ],
+    ids=["garbage", "rifx", "pcm24", "pcm8", "pcm32", "missing_fmt", "missing_data", "truncated"],
+)
+def test_read_wav_rejects(tmp_path, raw, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(raw)
+    with pytest.raises(OSError, match=message):
+        read_wav(path)
+
+
+def test_cli_import_loads_no_scipy():
+    # start-up time is mostly imports; scipy alone roughly doubles it
+    code = "import sys, xsrp.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=subprocess_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def project_scripts(pyproject):

@@ -247,3 +247,16 @@ def test_tof_matrix_shape():
     arr = MicArray(np.eye(3), sample_rate=8000.0)
     assert tof_matrix(np.zeros((7, 3)), arr).shape == (7, 3)
     assert tdoa_matrix(np.zeros((7, 3)), arr).shape == (7, 3)
+
+
+def test_tof_matrix_equals_norm_formula_bitwise():
+    # the column form sums dx*dx + dy*dy + dz*dz in np.linalg.norm's
+    # order, so the two agree exactly, not just to rounding
+    rng = np.random.default_rng(9)
+    arr = MicArray(rng.uniform(0, 5, size=(8, 3)), sample_rate=16000.0)
+    scale = rng.choice([1e-6, 1e-2, 1.0, 1e3], size=(20000, 1))
+    pts = rng.uniform(-3, 8, size=(20000, 3)) * scale
+    expect = np.stack([np.linalg.norm(pts - v, axis=1) for v in arr.positions], axis=1)
+    np.testing.assert_array_equal(tof_matrix(pts, arr), expect / arr.speed_of_sound)
+    one = tof_matrix(pts[0], arr)
+    np.testing.assert_array_equal(one, expect[:1] / arr.speed_of_sound)

@@ -13,6 +13,9 @@ from xsrp.features import (
     compute_lag_vectors,
     compute_spectral_gccs,
     frame_stack,
+    gccs_from_half,
+    half_from_lags,
+    lags_from_half,
 )
 from xsrp.geometry import MicArray, MicPair, tdoa
 from xsrp.grids import cartesian_grid
@@ -121,8 +124,49 @@ def test_notch_validation():
         deemphasize(feats, [0.0], 0.0)
     with pytest.raises(ValueError, match="lag range"):
         deemphasize(feats, [1.0], 1e-4)  # 1 s is far outside +/-32 samples
+    with pytest.raises(ValueError, match="lag range"):
+        deemphasize(feats, [float("nan")], 1e-4)
     with pytest.raises(ValueError, match="2 tdoas for 1 pairs"):
         deemphasize(feats, [0.0, 0.0], 1e-4)
+
+
+def full_block_notch(lags, tdoa_hat, sigma, fs):
+    """The notch evaluated on every lag of every row, no window."""
+    k = (lags.shape[1] - 1) // 2
+    taus = np.arange(-k, k + 1) / fs
+    return lags * (1.0 - np.exp(-((taus - tdoa_hat[:, None]) ** 2) / (2.0 * sigma**2)))
+
+
+@pytest.mark.parametrize("sigma_samples", [0.3, 2.0, 7.5, 40.0, 1e6])
+def test_windowed_notch_equals_full_block_formula(sigma_samples):
+    # deemphasize notches only +-ceil(9 sigma fs) lags around each center;
+    # beyond them the factor is exactly 1.0, so the results are identical.
+    # 40 samples covers the whole +-255-lag block, 1e6 saturates the window
+    array = MicArray(np.random.default_rng(5).uniform(0, 4, size=(8, 3)), sample_rate=FS)
+    pairs = array.pairs()
+    rng = np.random.default_rng(6)
+    k = 255
+    sigma = sigma_samples / FS
+    # centers on and off lag samples, at and near both ends of the block
+    edges = np.array([k, -k, k - 0.4, -k + 0.4, k - 3, -k + 2.5])
+    centers = np.concatenate([edges, rng.uniform(-k, k, size=len(pairs) - len(edges))]) / FS
+    lags = rng.normal(size=(len(pairs), 2 * k + 1))
+    feats = {p: LagVector(v, FS) for p, v in zip(pairs, lags)}
+    out = deemphasize(feats, centers, sigma)
+    expect = full_block_notch(lags, centers, sigma, FS)
+    np.testing.assert_array_equal(np.stack([out[p].values for p in pairs]), expect)
+
+    gccs = compute_spectral_gccs(rng.normal(size=(8, 256)), array, GccConfig(band=(300.0, 5000.0)))
+    first = gccs[pairs[0]]
+    keep = first.in_band[: first.n_fft // 2 + 1]
+    block = lags_from_half(np.stack([gccs[p].values[: len(keep)] for p in pairs]))
+    assert block.shape == lags.shape  # 256-sample frames give the same +-255 lags
+    half = half_from_lags(full_block_notch(block, centers, sigma, FS))
+    half[:, ~keep] = 0.0
+    expect = gccs_from_half(half, first.in_band, FS, pairs)
+    out = deemphasize(gccs, centers, sigma)
+    for p in pairs:
+        np.testing.assert_array_equal(out[p].values, expect[p].values)
 
 
 def test_default_notch_sigma_is_two_samples():
