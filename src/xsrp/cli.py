@@ -58,6 +58,8 @@ def _parse_array(d: dict) -> MicArray:
     d = _typed(d, {"positions": np.ndarray, "sample_rate": float, "speed_of_sound": float}, "array")
     if "positions" not in d or "sample_rate" not in d:
         raise ConfigError("array needs 'positions' and 'sample_rate'")
+    if not d["sample_rate"].is_integer():  # a WAV header holds whole hertz
+        raise ConfigError(f"sample_rate must be a whole number of Hz, got {d['sample_rate']}")
     return MicArray(d["positions"], d["sample_rate"], d.get("speed_of_sound", 343.0))
 
 

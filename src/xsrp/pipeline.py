@@ -210,7 +210,7 @@ def _gcc_config(f: FeatureSpec, array: MicArray) -> GccConfig:
 class Plan:
     """Frame-invariant work of one validated (array, room, config), done once.
 
-    Holds the candidate grid and its steering: the int32 lag table of
+    Holds the candidate grid and its steering: the compact lag table of
     a time map, or the lag windows of a volumetric map. Frequency and
     weighted maps steer per frame, so only their grid is held.
     Iterative searches (refine/src) place their own points and need

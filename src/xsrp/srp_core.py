@@ -8,14 +8,15 @@ steered at it, accumulated over microphone pairs:
   volumetric        score(V) = sum_pairs pool(lag[k], k in TDOA bounds of V)
   weighted          configurable per-frequency / per-pair combination
 
-Cartesian grids use exact TDOAs, DOA grids the far-field form; the
-two are never mixed within one map. The frequency map is evaluated
-exactly by Horner's rule over the uniform DFT bins: one complex
-multiply-add per bin, pair and point, and no phase tensor. A
-module-level counter tracks candidate scorings and steering-kernel
-evaluations so complexity claims can be checked; frequency-domain
-kernel counts are exactly G * P * |F| with |F| the number of in-band
-bins, the complexity model's unit rather than a count of multiplies.
+Cartesian grids use exact TDOAs, DOA grids the far-field form; the two
+are never mixed within one map. The time map reads each pair's lag
+window -D..D, D = round(max_tdoa * fs) + 1, through a table of offsets
+rint(tau * fs) + D. The frequency map is Horner's rule over the uniform
+DFT bins: exact, one complex multiply-add per bin, pair and point, no
+phase tensor. A module-level counter tracks candidate scorings and
+steering-kernel evaluations so complexity claims can be checked;
+frequency-domain kernel counts are exactly G * P * |F|, |F| the in-band
+bin count: the complexity model's unit, not a count of multiplies.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .geometry import (
     MicPair,
     far_field_tdoa_matrix,
     max_tdoa,
-    tdoa_matrix,
     tof_matrix,
 )
 from .grids import CandidateGrid, Volume, VolumeGrid
@@ -95,17 +95,21 @@ def _pairs_and_lags(lag_vectors: dict[MicPair, LagVector], array: MicArray):
     return pairs, [lag_vectors[p] for p in pairs]
 
 
-def _check_lag_coverage(array: MicArray, lags: list[LagVector]) -> None:
-    # every in-room candidate TDOA satisfies |tau| <= max_tdoa, so it
-    # is enough that the lag vectors cover the pair baselines
-    fs = array.sample_rate
-    for pair, lv in zip(array.pairs(), lags):
-        need = int(round(max_tdoa(pair, array) * fs)) + 1
+def _lag_bounds(array: MicArray) -> list[int]:
+    """Each pair's D = round(max_tdoa * fs) + 1 >= |rint(tau * fs)|, in pairs() order."""
+    return [int(round(max_tdoa(p, array) * array.sample_rate)) + 1 for p in array.pairs()]
+
+
+def _check_lag_coverage(array: MicArray, lags: list[LagVector]) -> list[int]:
+    """Raise unless every lag vector covers its pair's lag bound; return the bounds."""
+    bounds = _lag_bounds(array)
+    for pair, lv, need in zip(array.pairs(), lags, bounds):
         if lv.max_lag < need:
             raise ValueError(
                 f"lag vector for pair ({pair.l}, {pair.m}) covers +/-{lv.max_lag} "
                 f"samples but the baseline needs {need}; use longer frames"
             )
+    return bounds
 
 
 #: points per TDOA block while building a lag table; bounds the float
@@ -114,27 +118,41 @@ _TABLE_CHUNK = 4096
 
 
 def lag_table(points: np.ndarray, array: MicArray, far_field: bool = False) -> np.ndarray:
-    """Nearest-lag steering rint(tau_lm(u) * fs) of every pair and point, int32 (P, G).
+    """Nearest-lag steering of every pair and point, offset into [0, 2 D], (P, G).
 
-    Depends only on the points and the array, so a grid's table is
-    built once and reused for every frame and de-emphasis round.
+    Entry [j, g] is rint(tau_j(u_g) * fs) + D_j (see _lag_bounds), so
+    row j indexes the lag window -D_j..D_j directly; the dtype is the
+    smallest unsigned one holding 2 max D, uint16 for any room-sized
+    array. Near-field rows repeat tdoa_matrix's float operations, one
+    pair row at a time. Built once per grid and reused for every frame
+    and de-emphasis round.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    tdoas = far_field_tdoa_matrix if far_field else tdoa_matrix
-    table = np.empty((array.n_pairs, len(pts)), dtype=np.int32)
+    fs = array.sample_rate
+    bounds = np.array(_lag_bounds(array))
+    pairs = array.pairs()
+    table = np.empty((len(pairs), len(pts)), dtype=np.min_scalar_type(2 * bounds.max()))
     for i in range(0, len(pts), _TABLE_CHUNK):
-        taus = tdoas(pts[i: i + _TABLE_CHUNK], array)
-        table[:, i: i + _TABLE_CHUNK] = np.rint(taus * array.sample_rate).T
+        chunk, block = pts[i: i + _TABLE_CHUNK], table[:, i: i + _TABLE_CHUNK]
+        if far_field:
+            block[:] = np.rint(far_field_tdoa_matrix(chunk, array) * fs).T + bounds[:, None]
+            continue
+        t = np.ascontiguousarray(tof_matrix(chunk, array).T)  # (M, chunk)
+        for row, pair, d in zip(block, pairs, bounds):
+            tau = t[pair.l] - t[pair.m]
+            tau *= fs
+            np.add(np.rint(tau, out=tau), d, out=row, casting="unsafe")
     return table
 
 
 def _time_scores(table: np.ndarray, lag_vectors: dict[MicPair, LagVector], array: MicArray):
-    """Gather-and-sum of each pair's lag vector over a lag table."""
+    """Gather-and-sum of each pair's lag window over a lag table."""
     pairs, lags = _pairs_and_lags(lag_vectors, array)
-    _check_lag_coverage(array, lags)
+    bounds = _check_lag_coverage(array, lags)
     scores = np.zeros(table.shape[1])
-    for row, lv in zip(table, lags):
-        scores += lv.values[row + lv.max_lag]
+    for row, lv, d in zip(table, lags, bounds):
+        k = lv.max_lag
+        scores += lv.values[k - d: k + d + 1].take(row)
     counter.points += table.shape[1]
     counter.kernel_ops += table.shape[1] * len(pairs)
     return scores

@@ -498,13 +498,23 @@ def _null_source_seed():
     return "simulate", cfg
 
 
+def _non_integer_rate(make_config, command):
+    def make():
+        cfg = make_config()
+        cfg["array"]["sample_rate"] = 16000.5
+        return command, cfg
+    return make
+
+
 @pytest.mark.parametrize(
     "make",
     [_frame_without_frame_len, _source_without_position, _null_max_iters, _null_frame_len,
-     _number_tracker_band, _null_duration, _sources_not_a_list, _null_source_seed],
+     _number_tracker_band, _null_duration, _sources_not_a_list, _null_source_seed,
+     _non_integer_rate(simulate_config, "simulate"),
+     _non_integer_rate(localize_config, "localize")],
     ids=["frame_without_frame_len", "source_without_position", "null_max_iters",
          "null_frame_len", "number_tracker_band", "null_duration", "sources_not_a_list",
-         "null_source_seed"],
+         "null_source_seed", "non_integer_rate_simulate", "non_integer_rate_localize"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, make):
     command, cfg = make()

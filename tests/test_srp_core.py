@@ -24,7 +24,14 @@ from xsrp.features import (
     frame_stack,
 )
 from xsrp import srp_core
-from xsrp.geometry import MicArray, MicPair, far_field_tdoa_matrix, tdoa, tdoa_matrix
+from xsrp.geometry import (
+    MicArray,
+    MicPair,
+    far_field_tdoa_matrix,
+    max_tdoa,
+    tdoa,
+    tdoa_matrix,
+)
 from xsrp.grids import (
     CandidateGrid,
     Volume,
@@ -254,6 +261,83 @@ def test_lag_coverage_precondition():
     lags = compute_lag_vectors(frames, array, CC)
     with pytest.raises(ValueError, match="longer frames"):
         srp_time_scores(np.array([[1.0, 1.0, 1.0]]), lags, array)
+
+
+def _offset_reference(pts, array, far_field=False):
+    """rint(tau * fs) of every pair and point, (P, G), and each pair's lag bound D."""
+    taus = (far_field_tdoa_matrix if far_field else tdoa_matrix)(pts, array)
+    fs = array.sample_rate
+    bounds = np.array([round(max_tdoa(p, array) * fs) + 1 for p in array.pairs()])
+    return np.rint(taus * fs).T.astype(np.int64), bounds
+
+
+@st.composite
+def _time_cases(draw):
+    """Lag vectors from each pair's shortest covering length up, and candidates.
+
+    Cartesian candidates lie in and out of a 3 m box and include the
+    mics themselves (|tau| = max_tdoa); bearings include the baselines.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fs = draw(st.floats(1000.0, 96000.0))
+    array = MicArray(rng.uniform(0.0, 3.0, size=(draw(st.integers(2, 8)), 3)), sample_rate=fs)
+    lags = {}
+    for p in array.pairs():
+        k = round(max_tdoa(p, array) * fs) + 1 + draw(st.integers(0, 40))
+        lags[p] = LagVector(rng.normal(size=2 * k + 1), fs)
+    far_field = draw(st.booleans())
+    n = draw(st.integers(1, 60))
+    if far_field:
+        pos = array.positions
+        pts = np.concatenate([rng.normal(size=(n, 3)), pos[1:] - pos[0]])
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    else:
+        pts = np.concatenate([rng.uniform(-2.0, 5.0, size=(n, 3)), array.positions])
+    return array, lags, pts, far_field
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_time_cases())
+def test_time_scores_match_signed_lag_gather(case):
+    # the offset table read through each pair's lag window against
+    # the definition: lag vector at rint(tau * fs) + K, summed over pairs
+    array, lags, pts, far_field = case
+    got = srp_time_scores(pts, lags, array, far_field=far_field)
+    rint_lags, _ = _offset_reference(pts, array, far_field)
+    ref = np.zeros(len(pts))
+    for row, lv in zip(rint_lags, lags.values()):
+        ref += lv.values[row + lv.max_lag]
+    np.testing.assert_array_equal(got, ref)
+
+
+def test_lag_table_is_offset_rint_of_tdoas(scene):
+    array, _, _ = scene
+    for pts, far_field in ((cartesian_grid(ROOM, 0.1).points, False),
+                           (doa_grid(5.0).points, True)):
+        table = srp_core.lag_table(pts, array, far_field=far_field)
+        rint_lags, bounds = _offset_reference(pts, array, far_field)
+        np.testing.assert_array_equal(table, rint_lags + bounds[:, None])
+        assert table.min() >= 0
+        assert np.all(table.max(axis=1) <= 2 * bounds)
+
+
+def test_lag_table_width_follows_the_largest_baseline():
+    # room-sized arrays get 2 bytes per entry; a 100 m baseline at
+    # 192 kHz (2 D = 111,956) needs a wider type and keeps its values
+    rng = np.random.default_rng(0)
+    room = np.array([6.0, 5.0, 3.0])
+    array = MicArray(rng.uniform(0.3, room - 0.3, size=(8, 3)), sample_rate=16000.0)
+    grid = cartesian_grid(room, 0.1)
+    table = srp_core.lag_table(grid.points, array)
+    assert table.dtype == np.uint16
+    assert table.nbytes == 2 * array.n_pairs * len(grid)
+    wide = MicArray([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]], sample_rate=192000.0)
+    pts = np.concatenate([wide.positions, rng.uniform(-20.0, 120.0, size=(500, 3))])
+    table = srp_core.lag_table(pts, wide)
+    assert table.dtype.itemsize > 2
+    rint_lags, bounds = _offset_reference(pts, wide)
+    np.testing.assert_array_equal(table, rint_lags + bounds[:, None])
+    assert table[0, 0] == 1 and table[0, 1] == 2 * bounds[0] - 1  # a mic: tau = -+max_tdoa
 
 
 def test_counter_accounting(scene):
