@@ -4,7 +4,8 @@ Cartesian position grids place points at integer multiples of the
 resolution, g * R for g = 1..floor(D / R) per axis, so a 4 m x 3 m
 planar room at R = 1 m yields 12 points. DOA grids hold unit
 vectors. Volumes are axis-aligned boxes used by the volumetric map
-and by region-contraction searches.
+and by region-contraction searches; a VolumeGrid stores its boxes as
+(V, 3) arrays, so a room partition needs no per-cell objects.
 
 Note the Cartesian rule leaves no point within R of the low walls;
 the half-diagonal coverage bound holds for sources in the covered
@@ -13,7 +14,6 @@ core of the room, which is where the localization suites place them.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,6 +23,9 @@ import numpy as np
 _EPS = 1e-9
 
 _GRID_KINDS = ("cartesian2d", "cartesian3d", "doa_azimuth", "doa_az_el")
+
+# which of (lo, hi) each of a box's 8 vertices takes per axis, x slowest
+_CORNERS = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)], dtype=bool)
 
 
 @dataclass
@@ -90,8 +93,7 @@ class Volume:
 
     def vertices(self) -> np.ndarray:
         """The 8 corners, shape (8, 3)."""
-        corners = list(itertools.product(*zip(self.lo, self.hi)))
-        return np.array(corners, dtype=float)
+        return np.where(_CORNERS, self.hi, self.lo)
 
     def contains(self, points, atol: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -112,37 +114,78 @@ class Volume:
         return cls((lo + hi) / 2.0, (hi - lo) / 2.0)
 
 
-@dataclass
 class VolumeGrid:
-    """A set of non-overlapping volumes, optionally tiling a region."""
+    """Boxes with pairwise disjoint interiors, optionally tiling a region.
 
-    volumes: list[Volume]
-    region: Volume | None = None
+    Stored as (V, 3) arrays ``centers`` and ``half_extents`` (``lo``/``hi``
+    derived as a Volume derives them); ``volumes`` is built on demand.
+    from_arrays skips the per-box objects and runs the same checks.
+    """
 
-    def __post_init__(self):
-        if not self.volumes:
-            raise ValueError("volume grid must be non-empty")
-        lo = np.array([v.lo for v in self.volumes])
-        hi = np.array([v.hi for v in self.volumes])
-        # row i against every later box at once: O(V) memory per row
-        for i in range(len(lo) - 1):
-            overlap = np.minimum(hi[i], hi[i + 1:]) - np.maximum(lo[i], lo[i + 1:])
-            if np.any(np.all(overlap > _EPS, axis=1)):
-                raise ValueError("volumes must have pairwise disjoint interiors")
-        if self.region is not None:
-            total = sum(v.measure() for v in self.volumes)
-            if abs(total - self.region.measure()) > 1e-9 * max(self.region.measure(), 1.0):
+    def __init__(self, volumes: list[Volume], region: Volume | None = None):
+        self._set([v.center for v in volumes], [v.half_extents for v in volumes], region)
+
+    @classmethod
+    def from_arrays(cls, centers, half_extents, region: Volume | None = None) -> "VolumeGrid":
+        grid = cls.__new__(cls)
+        grid._set(centers, half_extents, region)
+        return grid
+
+    def _set(self, centers, half_extents, region) -> None:
+        c, h = np.array(centers, dtype=float), np.array(half_extents, dtype=float)
+        if c.size == 0 or c.ndim != 2 or c.shape[1] != 3 or h.shape != c.shape:
+            raise ValueError(f"volume grid must be non-empty (V, 3) arrays, got {c.shape}, {h.shape}")
+        if np.any(h < 0) or not np.all(np.isfinite(h)) or not np.all(np.isfinite(c)):
+            raise ValueError("volume needs finite center and non-negative half-extents")
+        lo, hi = c - h, c + h
+        if _interiors_overlap(lo, hi):
+            raise ValueError("volumes must have pairwise disjoint interiors")
+        if region is not None:
+            total = float(np.prod(2.0 * h, axis=1).sum())
+            if abs(total - region.measure()) > 1e-9 * max(region.measure(), 1.0):
                 raise ValueError("volumes do not tile the declared region")
-            if np.any(lo < self.region.lo - _EPS) or np.any(hi > self.region.hi + _EPS):
+            if np.any(lo < region.lo - _EPS) or np.any(hi > region.hi + _EPS):
                 raise ValueError("volume extends outside the declared region")
+        for a in (c, h, lo, hi):
+            a.flags.writeable = False
+        self.centers, self.half_extents, self.lo, self.hi, self.region = c, h, lo, hi, region
 
     @property
     def points(self) -> np.ndarray:
-        """Volume centers, shape (n, 3); lets searches treat this like a grid."""
-        return np.array([v.center for v in self.volumes])
+        """Volume centers, shape (V, 3); lets searches treat this like a grid."""
+        return self.centers
+
+    @property
+    def volumes(self) -> list[Volume]:
+        return [Volume(c, h) for c, h in zip(self.centers, self.half_extents)]
 
     def __len__(self) -> int:
-        return len(self.volumes)
+        return len(self.centers)
+
+
+def _interiors_overlap(lo: np.ndarray, hi: np.ndarray, chunk: int = 4096) -> bool:
+    """True if two boxes overlap by more than _EPS on every axis.
+
+    Sort and sweep along x: once sorted by lo_x, box j > i can overlap
+    box i only if lo_j < hi_i (a superset: no _EPS), a run searchsorted
+    finds. The candidates take the per-axis min(hi) - max(lo) > _EPS
+    test ``chunk`` pairs at a time, so memory stays bounded.
+    """
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo, hi = lo[order].T.copy(), hi[order].T.copy()  # (3, V): one contiguous row per axis
+    ends = np.searchsorted(lo[0], hi[0], side="left")
+    counts = np.maximum(ends - np.arange(1, lo.shape[1] + 1), 0)
+    starts, total = np.cumsum(counts) - counts, int(counts.sum())
+    for k0 in range(0, total, chunk):
+        k = np.arange(k0, min(k0 + chunk, total))
+        i = np.searchsorted(starts, k, side="right") - 1
+        j = i + 1 + k - starts[i]
+        hit = np.ones(len(k), dtype=bool)
+        for h, l in zip(hi, lo):
+            hit &= np.minimum(h.take(i), h.take(j)) - np.maximum(l.take(i), l.take(j)) > _EPS
+        if hit.any():
+            return True
+    return False
 
 
 def _resolution3(resolution, n_axes: int) -> np.ndarray:
@@ -167,26 +210,11 @@ def cartesian_grid(room_dims, resolution, planar: bool = False) -> CandidateGrid
     n_axes = 2 if planar else 3
     if len(dims) < n_axes:
         raise ValueError(f"room_dims needs {n_axes} entries, got {len(dims)}")
-    dims = dims[:n_axes]
-    if np.any(dims <= 0):
-        raise ValueError(f"room dimensions must be positive, got {dims}")
-    res = _resolution3(resolution, n_axes)
-    axes = []
-    for d, r in zip(dims, res):
-        count = int(math.floor(d / r + _EPS))
-        if count < 1:
-            warnings.warn(
-                f"grid resolution {r} coarser than room extent {d}; using a single point"
-            )
-            axes.append(np.array([d / 2.0]))
-        else:
-            axes.append(np.arange(1, count + 1) * r)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    if planar:
-        pts = np.column_stack([pts, np.zeros(len(pts))])
-    kind = "cartesian2d" if planar else "cartesian3d"
-    return CandidateGrid(kind, pts, tuple(float(r) for r in res))
+    box = np.zeros(3)
+    box[:n_axes] = dims[:n_axes]
+    if np.any(box[:n_axes] <= 0):
+        raise ValueError(f"room dimensions must be positive, got {box[:n_axes]}")
+    return grid_in_volume(Volume.from_bounds(np.zeros(3), box), resolution, planar, warn=True)
 
 
 def doa_grid(azimuth_res: float, elevation_res: float | None = None) -> CandidateGrid:
@@ -221,17 +249,20 @@ def doa_grid(azimuth_res: float, elevation_res: float | None = None) -> Candidat
     return CandidateGrid("doa_az_el", pts, (float(azimuth_res), float(elevation_res)))
 
 
+def _cells(region: Volume, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Centers (V, 3, C order) and half-extents (3,) of region cut into counts cells."""
+    f = np.asarray(counts, dtype=int)
+    if f.shape != (3,) or np.any(f < 1):
+        raise ValueError(f"factors must be three integers >= 1, got {counts}")
+    child_half = region.half_extents / f
+    idx = np.indices(f).reshape(3, -1).T
+    return region.lo + (2 * idx + 1) * child_half, child_half
+
+
 def subdivide(volume: Volume, factors=(2, 2, 2)) -> list[Volume]:
     """Split a box into prod(factors) children that tile it exactly."""
-    f = np.asarray(factors, dtype=int)
-    if f.shape != (3,) or np.any(f < 1):
-        raise ValueError(f"factors must be three integers >= 1, got {factors}")
-    child_half = volume.half_extents / f
-    out = []
-    for idx in itertools.product(*(range(k) for k in f)):
-        offset = volume.lo + (2 * np.asarray(idx) + 1) * child_half
-        out.append(Volume(offset, child_half))
-    return out
+    centers, child_half = _cells(volume, factors)
+    return [Volume(c, child_half) for c in centers]
 
 
 def sample_boundary(region: Volume, n: int, seed=0) -> CandidateGrid:
@@ -278,24 +309,26 @@ def partition_room(room_dims, counts=(2, 2, 2)) -> VolumeGrid:
     if np.any(dims <= 0):
         raise ValueError(f"room dimensions must be positive, got {dims}")
     region = Volume.from_bounds(np.zeros(3), dims)
-    return VolumeGrid(subdivide(region, counts), region=region)
+    centers, child_half = _cells(region, counts)
+    return VolumeGrid.from_arrays(centers, np.broadcast_to(child_half, centers.shape), region)
 
 
-def grid_in_volume(volume: Volume, resolution, planar: bool = False) -> CandidateGrid:
-    """Cartesian grid inside an arbitrary box (corner-anchored, like cartesian_grid)."""
+def grid_in_volume(
+    volume: Volume, resolution, planar: bool = False, warn: bool = False
+) -> CandidateGrid:
+    """Cartesian grid inside a box: lo + g * R per axis, g = 1..floor(D / R).
+
+    A short axis (and z when planar) gets the box's center; ``warn`` flags short axes.
+    """
     n_axes = 2 if planar else 3
     res = _resolution3(resolution, n_axes)
     axes = []
-    for i in range(n_axes):
-        d = volume.edges[i]
-        r = res[i]
+    for d, r, lo, c in zip(volume.edges, res, volume.lo, volume.center):
         count = int(math.floor(d / r + _EPS))
-        if count < 1:
-            axes.append(np.array([volume.center[i]]))
-        else:
-            axes.append(volume.lo[i] + np.arange(1, count + 1) * r)
-    for i in range(n_axes, 3):
-        axes.append(np.array([volume.center[i]]))
+        if count < 1 and warn:
+            warnings.warn(f"grid resolution {r} coarser than room extent {d}; using a single point")
+        axes.append(lo + np.arange(1, count + 1) * r if count >= 1 else np.array([c]))
+    axes += [np.array([c]) for c in volume.center[n_axes:]]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     kind = "cartesian2d" if planar else "cartesian3d"

@@ -152,6 +152,8 @@ def validate_config(cfg: PipelineConfig, room=None) -> list[str]:
         diags.append("a volume partition only feeds volumetric maps")
     if g.kind in ("cartesian2d", "cartesian3d", "volumes") and room is None:
         diags.append(f"grid kind {g.kind!r} needs room dimensions")
+    if g.kind == "volumes" and g.counts is not None and (len(g.counts) != 3 or min(g.counts) < 1):
+        diags.append("volume counts must be three integers >= 1")
     if g.kind.startswith("cartesian") and g.resolution is None:
         diags.append("cartesian grids need a resolution")
     if doa and g.azimuth_res is None:
@@ -410,6 +412,10 @@ def _value(tp, v, section: str, key: str):
         if not isinstance(v, str):
             raise ConfigError(f"{key!r} in {section!r} must be a string, got {v!r}")
         return v
+    if tp is int and not (type(v) is int or isinstance(v, float) and v.is_integer()):
+        raise ConfigError(f"{key!r} in {section!r} must be a whole number, got {v!r}")
+    if tp is float and isinstance(v, bool):
+        raise ConfigError(f"{key!r} in {section!r} must be a number, got {v!r}")
     try:
         return np.asarray(v, dtype=float) if tp is np.ndarray else tp(v)
     except (TypeError, ValueError) as e:

@@ -34,8 +34,7 @@ from .geometry import (
     max_tdoa,
     tof_matrix,
 )
-from .grids import CandidateGrid, Volume, VolumeGrid
-
+from .grids import _CORNERS, CandidateGrid, Volume, VolumeGrid
 
 
 @dataclass
@@ -321,28 +320,29 @@ class TdoaBounds:
             raise ValueError("tau_min must be <= tau_max")
 
 
-def volume_tdoa_bounds(volumes, array: MicArray, guard: float = 1.0):
-    """TDOA bounds of every volume for every pair, (tau_min, tau_max), each (P, V).
+def volume_tdoa_bounds(lo, hi, array: MicArray, guard: float = 1.0):
+    """TDOA bounds of V boxes [lo, hi], each (V, 3), for every pair: (tau_min, tau_max), (P, V).
 
     Each box's bounds come from its 8 vertices, widened by a guard in
     samples (default 1) that absorbs the curvature the vertex
     evaluation misses for mics well outside the volume, and clamped to
-    the pair's physical limit +/- max_tdoa. One time-of-flight pass
-    covers all vertices; rows follow array.pairs().
+    the pair's physical limit +/- max_tdoa. The 8 V vertices take one
+    time-of-flight pass, laid out (M, 8, V) so each pair (rows follow
+    array.pairs()) reduces over the corner axis of contiguous rows.
     """
     if guard < 0:
         raise ValueError(f"guard must be >= 0, got {guard}")
     pairs = array.pairs()
-    verts = np.concatenate([v.vertices() for v in volumes])
-    t = tof_matrix(verts, array).reshape(len(volumes), 8, array.n_mics)
+    verts = np.where(_CORNERS[:, None, :], hi, lo).reshape(-1, 3)
+    t = np.ascontiguousarray(tof_matrix(verts, array).T).reshape(array.n_mics, 8, len(lo))
     pad = guard / array.sample_rate
-    tau_min = np.empty((len(pairs), len(volumes)))
+    tau_min = np.empty((len(pairs), len(lo)))
     tau_max = np.empty_like(tau_min)
     for j, pair in enumerate(pairs):
-        taus = t[:, :, pair.l] - t[:, :, pair.m]
+        taus = t[pair.l] - t[pair.m]
         lim = max_tdoa(pair, array)
-        tau_min[j] = np.maximum(taus.min(axis=1) - pad, -lim)
-        tau_max[j] = np.minimum(taus.max(axis=1) + pad, lim)
+        tau_min[j] = np.maximum(taus.min(axis=0) - pad, -lim)
+        tau_max[j] = np.minimum(taus.max(axis=0) + pad, lim)
     return tau_min, tau_max
 
 
@@ -350,7 +350,7 @@ def tdoa_bounds(
     volume: Volume, pair: MicPair, array: MicArray, guard: float = 1.0
 ) -> TdoaBounds:
     """TDOA bounds of one pair over one box; see volume_tdoa_bounds."""
-    tau_min, tau_max = volume_tdoa_bounds([volume], array, guard)
+    tau_min, tau_max = volume_tdoa_bounds(volume.lo[None], volume.hi[None], array, guard)
     j = array.pairs().index(pair)
     return TdoaBounds(float(tau_min[j, 0]), float(tau_max[j, 0]))
 
@@ -361,7 +361,7 @@ def lag_windows(volume_grid: VolumeGrid, array: MicArray, guard: float = 1.0):
     Like lag_table for points, these depend only on the volumes, the
     array and the guard, so they are built once per grid.
     """
-    tau_min, tau_max = volume_tdoa_bounds(volume_grid.volumes, array, guard)
+    tau_min, tau_max = volume_tdoa_bounds(volume_grid.lo, volume_grid.hi, array, guard)
     fs = array.sample_rate
     return np.rint(tau_min * fs).astype(np.int32), np.rint(tau_max * fs).astype(np.int32)
 

@@ -506,15 +506,41 @@ def _non_integer_rate(make_config, command):
     return make
 
 
+def _localize_with(path, value, **pipeline):
+    """A localize config with its pipeline sections replaced, then cfg[path] = value."""
+    def make():
+        cfg = localize_config()
+        cfg["pipeline"].update(pipeline)
+        *outer, key = path
+        section = cfg
+        for name in outer:
+            section = section[name]
+        section[key] = value
+        return "localize", cfg
+    return make
+
+
+def _volumes(counts):
+    return _localize_with(("pipeline", "grid", "counts"), counts,
+                          grid={"kind": "volumes"}, map={"domain": "volumetric"})
+
+
 @pytest.mark.parametrize(
     "make",
     [_frame_without_frame_len, _source_without_position, _null_max_iters, _null_frame_len,
      _number_tracker_band, _null_duration, _sources_not_a_list, _null_source_seed,
      _non_integer_rate(simulate_config, "simulate"),
-     _non_integer_rate(localize_config, "localize")],
+     _non_integer_rate(localize_config, "localize"),
+     _volumes([2.5, 2, 2]), _volumes([2, 2, True]), _volumes([0, 2, 2]),
+     _localize_with(("pipeline", "max_loop_iters"), 3.9),
+     _localize_with(("frame", "frame_len"), 2048.5), _localize_with(("frame", "hop"), 1024.5),
+     _localize_with(("array", "sample_rate"), True)],
     ids=["frame_without_frame_len", "source_without_position", "null_max_iters",
          "null_frame_len", "number_tracker_band", "null_duration", "sources_not_a_list",
-         "null_source_seed", "non_integer_rate_simulate", "non_integer_rate_localize"],
+         "null_source_seed", "non_integer_rate_simulate", "non_integer_rate_localize",
+         "fractional_volume_count", "boolean_volume_count", "zero_volume_count",
+         "fractional_max_loop_iters", "fractional_frame_len", "fractional_hop",
+         "boolean_sample_rate"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, make):
     command, cfg = make()

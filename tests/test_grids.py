@@ -5,15 +5,21 @@ Counting oracles are worked by hand (a 4 x 3 room at 1 m spacing has
 containment) are checked exactly or by seeded Monte Carlo.
 """
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xsrp.grids import (
+    _EPS,
     CandidateGrid,
     Volume,
     VolumeGrid,
+    _interiors_overlap,
     cartesian_grid,
     doa_grid,
     grid_in_volume,
@@ -242,3 +248,138 @@ def test_grid_in_volume_degenerate_axis():
     vol = Volume((1.0, 1.0, 0.5), (1.0, 1.0, 0.0))
     g = grid_in_volume(vol, 0.5)
     assert np.all(g.points[:, 2] == 0.5)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_dim = st.floats(0.01, 20.0, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.tuples(_dim, _dim, _dim), counts=st.tuples(*[st.integers(1, 7)] * 3))
+def test_partition_room_matches_subdivide_bit_for_bit(dims, counts):
+    """The array-built partition equals one Volume per subdivide child, bit for bit."""
+    vg = partition_room(dims, counts)
+    region = Volume.from_bounds(np.zeros(3), dims)
+    kids = subdivide(region, counts)
+    assert len(vg) == len(kids) == math.prod(counts)
+    # the child expression, one index tuple at a time in C order
+    half = region.half_extents / np.array(counts)
+    centers = [region.lo + (2 * np.array(idx) + 1) * half
+               for idx in itertools.product(*(range(k) for k in counts))]
+    assert _same_bits(vg.centers, centers)
+    assert _same_bits(vg.centers, [k.center for k in kids])
+    assert _same_bits(vg.half_extents, [k.half_extents for k in kids])
+    assert _same_bits(vg.lo, [k.lo for k in kids])
+    assert _same_bits(vg.hi, [k.hi for k in kids])
+    assert _same_bits(vg.points, vg.centers)
+    # the Volume list built on demand, and its vertices in itertools.product order
+    for vol, kid in zip(vg.volumes, kids):
+        assert _same_bits(vol.center, kid.center) and _same_bits(vol.half_extents, kid.half_extents)
+        corners = np.array(list(itertools.product(*zip(kid.lo, kid.hi))))
+        assert _same_bits(vol.vertices(), corners) and _same_bits(kid.vertices(), corners)
+    ref = VolumeGrid(kids, region=region)
+    for name in ("centers", "half_extents", "lo", "hi"):
+        assert _same_bits(getattr(vg, name), getattr(ref, name))
+
+
+def test_volume_grid_arrays_are_read_only():
+    vg = partition_room((4.0, 2.0, 2.0), (2, 2, 1))
+    for a in (vg.points, vg.centers, vg.half_extents, vg.lo, vg.hi):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 9.0
+    # a caller's arrays are copied, not frozen
+    centers, half = np.array([[1.0, 1.0, 1.0]]), np.array([[0.5, 0.5, 0.5]])
+    VolumeGrid.from_arrays(centers, half)
+    centers[0, 0] = 2.0
+
+
+def test_volume_grid_from_arrays_runs_the_same_checks():
+    with pytest.raises(ValueError, match="non-empty"):
+        VolumeGrid([])
+    with pytest.raises(ValueError, match="non-empty"):
+        VolumeGrid.from_arrays(np.zeros((2, 3)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="non-negative"):
+        VolumeGrid.from_arrays([[0.0, 0.0, 0.0]], [[-1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        VolumeGrid.from_arrays([[np.nan, 0.0, 0.0]], [[1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="disjoint"):
+        VolumeGrid.from_arrays([[0.5, 0.5, 0.5], [0.9, 0.5, 0.5]], [[0.5, 0.5, 0.5]] * 2)
+    region = Volume.from_bounds((0.0, 0.0, 0.0), (2.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="tile"):
+        VolumeGrid.from_arrays([[0.5, 0.5, 0.5]], [[0.5, 0.5, 0.5]], region)
+    with pytest.raises(ValueError, match="outside"):
+        VolumeGrid.from_arrays([[0.5, 0.5, 0.5], [2.5, 0.5, 0.5]], [[0.5, 0.5, 0.5]] * 2, region)
+
+
+def _overlap_brute(lo, hi) -> bool:
+    """Every pair of distinct boxes, with the grid's own per-axis test."""
+    overlap = np.minimum(hi[:, None], hi[None]) - np.maximum(lo[:, None], lo[None])
+    hit = np.all(overlap > _EPS, axis=2)
+    np.fill_diagonal(hit, False)
+    return bool(hit.any())
+
+
+_nudge = st.sampled_from([0.0, 0.5 * _EPS, -0.5 * _EPS, 2.0 * _EPS, -2.0 * _EPS])
+
+
+@st.composite
+def _box_sets(draw):
+    """Boxes on a coarse lattice, so faces touch, boxes repeat and extents vanish;
+    each face is nudged by 0, +/-_EPS/2 or +/-2 _EPS, so overlaps fall just
+    under and just over _EPS."""
+    n = draw(st.integers(1, 12))
+    cell = st.lists(st.integers(0, 3), min_size=3, max_size=3)
+    lo = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
+    ext = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
+    scale = draw(st.sampled_from([1.0, 0.1, 3.7]))
+    nudges = np.array(draw(st.lists(_nudge, min_size=6 * n, max_size=6 * n))).reshape(2, n, 3)
+    hi = (lo + ext) * scale + nudges[1]
+    lo = lo * scale + nudges[0]
+    return lo, np.maximum(hi, lo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes=_box_sets(), chunk=st.sampled_from([1, 2, 3, 4096]))
+def test_overlap_sweep_matches_brute_force(boxes, chunk):
+    lo, hi = boxes
+    expect = _overlap_brute(lo, hi)
+    assert _interiors_overlap(lo, hi, chunk) == expect
+    # and the grid built from these boxes is refused exactly then
+    c, h = (lo + hi) / 2.0, (hi - lo) / 2.0
+    try:
+        VolumeGrid.from_arrays(c, h)
+        refused = False
+    except ValueError:
+        refused = True
+    assert refused == _overlap_brute(c - h, c + h)
+
+
+def test_overlap_sweep_edge_cases():
+    one = np.ones((1, 3))
+    box = np.zeros((1, 3)), one
+    assert not _interiors_overlap(*box)  # a single box
+    assert _interiors_overlap(np.zeros((2, 3)), np.ones((2, 3)))  # duplicates
+    assert not _interiors_overlap(np.zeros((2, 3)), np.zeros((2, 3)))  # duplicate points
+    touching = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert not _interiors_overlap(touching, touching + 1.0)
+    for depth, expect in ((0.5 * _EPS, False), (2.0 * _EPS, True)):
+        lo = touching - [[0.0, 0.0, 0.0], [depth, 0.0, 0.0]]
+        assert _interiors_overlap(lo, touching + 1.0) == expect
+
+
+def test_overlap_sweep_memory_is_bounded_when_boxes_share_an_x_range():
+    # 2000 boxes stacked along y over one x-range: about 2 M candidate
+    # pairs, tested a chunk at a time
+    n = 2000
+    lo = np.column_stack([np.zeros(n), np.arange(n, dtype=float), np.zeros(n)])
+    tracemalloc.start()
+    try:
+        assert not _interiors_overlap(lo, lo + 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

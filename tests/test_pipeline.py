@@ -107,6 +107,16 @@ def test_validate_volumetric_grid_pairing():
     assert any("volumetric" in d for d in validate_config(cfg, room=ROOM))
 
 
+def test_validate_volume_counts_at_least_one(scene):
+    array, _ = scene
+    cfg = config_from_dict(
+        {"grid": {"kind": "volumes", "counts": [0, 2, 2]}, "map": {"domain": "volumetric"}}
+    )
+    assert validate_config(cfg, room=ROOM) == ["volume counts must be three integers >= 1"]
+    with pytest.raises(ConfigError, match="volume counts must be three integers >= 1"):
+        prepare(array, ROOM, cfg)
+
+
 def test_validate_room_and_resolution_requirements():
     assert any("room" in d for d in validate_config(PipelineConfig()))
     cfg = PipelineConfig(grid=GridSpec(resolution=None))
@@ -497,6 +507,18 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"features": {"band": [100.0, 200.0, 300.0]}})
     with pytest.raises(ConfigError, match="null is not allowed for 'max_iters' in 'search'"):
         config_from_dict({"search": {"max_iters": None}})
+    # integer keys take whole numbers only, and no numeric key takes a boolean
+    with pytest.raises(ConfigError, match="'counts' in 'grid' must be a whole number, got 2.5"):
+        config_from_dict({"grid": {"counts": [2.5, 2, 2]}})
+    with pytest.raises(ConfigError, match="'counts' in 'grid' must be a whole number, got True"):
+        config_from_dict({"grid": {"counts": [2, 2, True]}})
+    with pytest.raises(ConfigError, match="'max_loop_iters' in 'pipeline' must be a whole number"):
+        config_from_dict({"max_loop_iters": 3.9})
+    with pytest.raises(ConfigError, match="'max_iters' in 'search' must be a whole number"):
+        config_from_dict({"search": {"max_iters": float("inf")}})
+    with pytest.raises(ConfigError, match="'guard' in 'map' must be a number, got True"):
+        config_from_dict({"map": {"guard": True}})
+    assert config_from_dict({"max_loop_iters": 3.0}).max_loop_iters == 3
 
 
 def test_config_accepts_inf_strings():

@@ -6,6 +6,7 @@ checks the production scorer including its folded-spectrum shortcut;
 degenerate volumes must reproduce point scores exactly.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -31,6 +32,7 @@ from xsrp.geometry import (
     max_tdoa,
     tdoa,
     tdoa_matrix,
+    tof_matrix,
 )
 from xsrp.grids import (
     CandidateGrid,
@@ -46,6 +48,7 @@ from xsrp.srp_core import (
     SrpMap,
     WsrpConfig,
     counter,
+    lag_windows,
     make_freq_scorer,
     make_time_scorer,
     pairwise_freq_scores,
@@ -479,6 +482,42 @@ def test_vsrp_map_matches_per_window_loop(scene, vg, guard, pooling):
         np.testing.assert_array_equal(got, ref)
     else:  # prefix sums reorder the additions: last-place differences only
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _windows_by_volume(vg, array, guard):
+    """Reference: each Volume's 8 corners (itertools order) through its own
+    tof_matrix call, reduced pair by pair."""
+    fs = array.sample_rate
+    k0 = np.empty((array.n_pairs, len(vg)), dtype=np.int32)
+    k1 = np.empty_like(k0)
+    for v, vol in enumerate(vg.volumes):
+        t = tof_matrix(np.array(list(itertools.product(*zip(vol.lo, vol.hi)))), array)
+        for j, p in enumerate(array.pairs()):
+            taus = t[:, p.l] - t[:, p.m]
+            lim = max_tdoa(p, array)
+            k0[j, v] = np.rint(max(taus.min() - guard / fs, -lim) * fs)
+            k1[j, v] = np.rint(min(taus.max() + guard / fs, lim) * fs)
+    return k0, k1
+
+
+# a 0.1 m lattice keeps distinct mics apart
+_mic = st.tuples(*[st.integers(-10, 70).map(lambda k: k / 10.0)] * 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vg=_room_tilings(),
+    mics=st.lists(_mic, min_size=2, max_size=6, unique=True),
+    fs=st.sampled_from([8000.0, 16000.0, 44100.0]),
+    guard=st.floats(0.0, 3.0, allow_nan=False),
+)
+def test_lag_windows_match_per_volume_vertices(vg, mics, fs, guard):
+    """The grid's one (M, 8, V) pass equals per-box vertex bounds, bit for bit."""
+    array = MicArray(np.array(mics), sample_rate=fs)
+    got, ref = lag_windows(vg, array, guard), _windows_by_volume(vg, array, guard)
+    for g, r in zip(got, ref):
+        assert g.dtype == np.int32
+        np.testing.assert_array_equal(g, r)
 
 
 def test_vsrp_source_volume_wins(scene):
