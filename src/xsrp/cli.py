@@ -121,7 +121,7 @@ def cmd_simulate(args) -> int:
     array = _parse_array(cfg.get("array"))
     if "room" not in cfg:
         raise ConfigError("simulate needs 'room' dimensions")
-    room = np.asarray(cfg["room"], dtype=float)
+    room = _value(np.ndarray, cfg["room"], "config", "room")
     if cfg.get("simulate") is None:
         raise ConfigError("config needs a 'simulate' section")
     sim = _typed(cfg["simulate"], _SIMULATE_KEYS, "simulate")
@@ -177,7 +177,7 @@ def _load_localize_config(path):
     _check_keys(cfg, ("array", "room", "frame", "pipeline"), "config")
     array = _parse_array(cfg.get("array"))
     frame_cfg = _parse_frame(cfg.get("frame"))
-    room = np.asarray(cfg["room"], dtype=float) if "room" in cfg else None
+    room = _value(np.ndarray, cfg["room"], "config", "room") if "room" in cfg else None
     pipe = config_from_dict(cfg.get("pipeline", {}) or {})
     return cfg, array, room, frame_cfg, pipe
 
@@ -245,7 +245,7 @@ def cmd_track(args) -> int:
     array = _parse_array(cfg.get("array"))
     if "room" not in cfg:
         raise ConfigError("track needs 'room' dimensions")
-    room = np.asarray(cfg["room"], dtype=float)
+    room = _value(np.ndarray, cfg["room"], "config", "room")
     frame_cfg = _parse_frame(cfg.get("frame"))
     td = _typed(cfg.get("tracker", {}) or {}, _TRACKER_KEYS, "tracker")
     seed = td.get("seed", 0)

@@ -28,6 +28,7 @@ import numpy as np
 from .features import GccConfig, analysis_band, compute_lag_vectors, compute_spectral_gccs
 from .geometry import MicArray, MicPair
 from .grids import (
+    _EPS,
     Volume,
     cartesian_grid,
     doa_grid,
@@ -134,6 +135,22 @@ class PipelineConfig:
             raise ConfigError("max_loop_iters must lie in 1..50")
 
 
+#: most points an exhaustive map may steer (a Cartesian grid's points, or
+#: 8 vertices per volume): at most 24 MB of points, 240 MB of 16-mic lag table
+MAX_STEERED_POINTS = 1_000_000
+
+
+def _steered_points(g: GridSpec, room) -> float:
+    """Points a map over g would steer, from the spec alone (0 if malformed)."""
+    if g.kind == "volumes":
+        return 8.0 * np.prod(g.counts or (2, 2, 2))
+    dims = np.asarray(room, dtype=float).reshape(-1)[: 2 if g.kind == "cartesian2d" else 3]
+    res = np.asarray(g.resolution, dtype=float)
+    if res.size not in (1, len(dims)) or np.any(res <= 0):
+        return 0.0  # build_grid diagnoses it
+    return float(np.prod(np.maximum(np.floor(dims / res + _EPS), 1.0)))  # as grid_in_volume
+
+
 def validate_config(cfg: PipelineConfig, room=None) -> list[str]:
     """All reasons the config cannot run (empty list = valid)."""
     diags: list[str] = []
@@ -179,6 +196,9 @@ def validate_config(cfg: PipelineConfig, room=None) -> list[str]:
             diags.append("grid updaters contract cartesian grids only")
         if s.mode != "exhaustive":
             diags.append("grid updaters pair with exhaustive search; refine/src update internally")
+    n = 0.0 if diags or doa or s.mode != "exhaustive" else _steered_points(g, room)
+    if n > MAX_STEERED_POINTS:
+        diags.append(f"grid {g.kind!r} would steer {n:.4g} points, over the cap of {MAX_STEERED_POINTS:,}")
     return diags
 
 
@@ -414,12 +434,16 @@ def _value(tp, v, section: str, key: str):
         return v
     if tp is int and not (type(v) is int or isinstance(v, float) and v.is_integer()):
         raise ConfigError(f"{key!r} in {section!r} must be a whole number, got {v!r}")
-    if tp is float and isinstance(v, bool):
+    if tp in (float, np.ndarray) and _has_bool(v):
         raise ConfigError(f"{key!r} in {section!r} must be a number, got {v!r}")
     try:
         return np.asarray(v, dtype=float) if tp is np.ndarray else tp(v)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{key!r} in {section!r}: not a number: {v!r}") from e
+
+
+def _has_bool(v) -> bool:  # at any nesting depth of a JSON value
+    return isinstance(v, bool) or isinstance(v, list) and any(map(_has_bool, v))
 
 
 def _pair(key: str) -> MicPair:

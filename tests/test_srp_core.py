@@ -188,6 +188,34 @@ def test_freq_scores_match_direct_two_sided_sum(case, block):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("far_field", [False, True], ids=["near", "far"])
+@pytest.mark.parametrize("k_lo, k_hi", [(1000, 4096), (1000, 1400), (3000, 4096), (3000, 3300)])
+def test_freq_scores_exact_at_large_band_starts(k_lo, k_hi, far_field):
+    # per-mic phasors steer the band start e^{j 2 pi f_lo tau} from
+    # absolute delays, whose phase grows with k_lo; the hypothesis
+    # cases above never pass bin 255. Bands end at Nyquist (4096) or
+    # short of it. Measured worst error: 1.0e-13 of the peak
+    n, df = 8192, FS / 8192
+    rng = np.random.default_rng(k_lo + k_hi)
+    array = MicArray(rng.uniform(0.0, 1.0, size=(8, 3)) * [6.0, 5.0, 3.0], sample_rate=FS)
+    freqs = np.fft.fftfreq(n, d=1.0 / FS)
+    in_band = (np.abs(freqs) >= (k_lo - 0.5) * df) & (np.abs(freqs) <= (k_hi + 0.5) * df)
+    spectra = np.fft.fft(rng.normal(size=(array.n_pairs, n)))
+    spectra = np.where(in_band, spectra / np.abs(spectra), 0.0)
+    gccs = {p: SpectralGcc(v, freqs, FS, in_band) for p, v in zip(array.pairs(), spectra)}
+    if far_field:
+        pts = rng.normal(size=(40, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    else:
+        pts = rng.uniform(0.0, 1.0, size=(40, 3)) * [6.0, 5.0, 3.0]
+    got = srp_freq_scores(pts, gccs, array, far_field=far_field)
+    taus = (far_field_tdoa_matrix if far_field else tdoa_matrix)(pts, array)
+    ref = np.zeros(len(pts))
+    for j, g in enumerate(gccs.values()):
+        ref += (np.exp(2j * math.pi * taus[:, j, None] * freqs[in_band]) @ g.values[in_band]).real
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_freq_scores_reject_spectra_off_the_dft_grid():
     n = 64
     array = MicArray([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], sample_rate=FS)
