@@ -195,10 +195,8 @@ def _active_freqs(gccs: dict[MicPair, SpectralGcc], array: MicArray):
         g = gccs[p]
         same_grid = g.freqs is first.freqs or np.array_equal(g.freqs, first.freqs)
         same_band = g.in_band is first.in_band or np.array_equal(g.in_band, first.in_band)
-        if not (same_grid and same_band):
-            raise ValueError("all pairs must share one DFT grid and band")
-        if g.sample_rate != first.sample_rate:
-            raise ValueError("all pairs must share one sample rate")
+        if not (same_grid and same_band and g.sample_rate == first.sample_rate):
+            raise ValueError("all pairs must share one DFT grid, band and sample rate")
     grid = np.fft.fftfreq(first.n_fft, d=1.0 / first.sample_rate)
     if np.max(np.abs(first.freqs - grid), initial=0.0) > 1e-9 * first.sample_rate / first.n_fft:
         raise ValueError("spectral gcc frequencies must lie on the DFT grid fftfreq(n, 1 / fs)")
@@ -257,7 +255,8 @@ def srp_freq_scores(
     pairs, freqs_all, mask = _active_freqs(gccs, array)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     scores = np.zeros(len(pts))
-    bins = np.flatnonzero(weights := _half_spectrum(mask))
+    weights = _half_spectrum(mask)
+    bins = np.flatnonzero(weights)
     if len(bins):
         k_lo, k_hi = bins[0], bins[-1] + 1
         coef = np.stack([gccs[p].values[k_lo:k_hi] for p in pairs], axis=1)
@@ -270,9 +269,11 @@ def srp_freq_scores(
             w = np.exp((2j * math.pi * df) * t)
             z = w[ls] * w.conj()[ms]  # e^{j 2 pi df tau_lm}, (P, g)
             acc = np.repeat(coef[-1][:, None], z.shape[1], axis=1)
-            for c in coef[-2::-1]:
-                acc *= z
-                acc += c[:, None]
+            with np.errstate():  # restores the ufunc buffer size on exit
+                np.setbufsize(16)  # short rows: buffering doubles the broadcast add's cost
+                for c in coef[-2::-1]:
+                    acc *= z
+                    acc += c[:, None]
             w = np.exp((2j * math.pi * df * k_lo) * t)
             acc *= w[ls]  # one (P, g) temporary at a time
             acc *= w.conj()[ms]

@@ -208,7 +208,9 @@ def test_freq_scores_exact_at_large_band_starts(k_lo, k_hi, far_field):
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     else:
         pts = rng.uniform(0.0, 1.0, size=(40, 3)) * [6.0, 5.0, 3.0]
+    bufsize = np.getbufsize()
     got = srp_freq_scores(pts, gccs, array, far_field=far_field)
+    assert np.getbufsize() == bufsize  # the kernel's unbuffered Horner loop restores it
     taus = (far_field_tdoa_matrix if far_field else tdoa_matrix)(pts, array)
     ref = np.zeros(len(pts))
     for j, g in enumerate(gccs.values()):
