@@ -143,7 +143,7 @@ MAX_STEERED_POINTS = 1_000_000
 def _steered_points(g: GridSpec, room) -> float:
     """Points a map over g would steer, from the spec alone (0 if malformed)."""
     if g.kind == "volumes":
-        return 8.0 * np.prod(g.counts or (2, 2, 2))
+        return 8.0 * np.prod(g.counts or (2, 2, 2), dtype=float)  # no int64 wrap-around
     dims = np.asarray(room, dtype=float).reshape(-1)[: 2 if g.kind == "cartesian2d" else 3]
     res = np.asarray(g.resolution, dtype=float)
     if res.size not in (1, len(dims)) or np.any(res <= 0):

@@ -137,6 +137,9 @@ def test_validate_bounds_the_grid_before_building_it():
     assert validate_config(over, room=ROOM) == [
         "grid 'volumes' would steer 1.02e+06 points, over the cap of 1,000,000"
     ]
+    counts = (2**21, 2**21, 2**22)  # 2^64 cells: an int64 product wraps to 0
+    huge = PipelineConfig(grid=GridSpec(kind="volumes", counts=counts), map=volumetric)
+    assert validate_config(huge, room=ROOM)
     assert validate_config(PipelineConfig(grid=GridSpec(resolution=0.05)), room=ROOM) == []
     (diag,) = validate_config(PipelineConfig(grid=GridSpec(resolution=0.03)), room=ROOM)
     assert "2.208e+06 points" in diag  # 166 x 133 x 100, as cartesian_grid counts them
