@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 from .features import (
     FrameConfig,
     GccConfig,
+    LagBlock,
     LagVector,
     SpectralGcc,
     analysis_band,
@@ -17,6 +18,7 @@ from .features import (
     compute_spectral_gccs,
     frame_signal,
     frame_stack,
+    lag_block,
     temporal_gcc,
 )
 from .geometry import (

@@ -202,10 +202,8 @@ def cmd_localize(args) -> int:
     if total == 0:
         raise OSError(f"{args.input}: shorter than one frame ({frame_cfg.frame_len})")
     records = []
-    last_frames = None
     for i in range(total):
-        frames = frame_stack(signals, frame_cfg, i)
-        est = plan.run(frames)
+        est = plan.run(frame_stack(signals, frame_cfg, i))
         records.append(
             {
                 "frame": i,
@@ -213,11 +211,10 @@ def cmd_localize(args) -> int:
                 "estimates": est.records(),
             }
         )
-        last_frames = frames
     write_jsonl(records, args.out)
     outputs = [args.out]
     if args.export_map:
-        srp = plan.map(last_frames)
+        srp = plan.map()  # the last frame's, from the features its run() kept
         if str(args.export_map).endswith(".pgm"):
             export_map_pgm(srp, args.export_map)
         else:

@@ -9,15 +9,17 @@ and all pairs come from one block. One rfft of the (M, L) frame block,
 zero-padded to 2L so lags cover -(L-1)..(L-1) without circular wrap,
 gives a (P, L+1) block of weighted cross-spectra over the f >= 0 bins,
 one row per pair in array.pairs() order; one irfft of that block gives
-every pair's lag vector. beta = 1, gamma = 0 is GCC-PHAT; beta = 0,
-gamma = 0 over the full band leaves the raw cross-spectrum, whose
-inverse transform is the classical cross-correlation
-CC(tau) = sum_n x_l[n] x_m[n - tau], so CC is the
+every pair's lags, held as one LagBlock. beta = 1, gamma = 0 is
+GCC-PHAT; beta = 0, gamma = 0 over the full band leaves the raw
+cross-spectrum, whose inverse transform is the classical
+cross-correlation CC(tau) = sum_n x_l[n] x_m[n - tau], so CC is the
 GccConfig(beta=0, gamma=0) setting of the same block.
 
-compute_lag_vectors (lags straight from the block) and
+lag_block (the lags straight from the block, optionally cropped to the
+window -reach..reach that time and volumetric maps read) and
 compute_spectral_gccs (the two-sided spectra that frequency-domain
-maps steer) are the two public edges.
+maps steer) are the two edges the maps read; compute_lag_vectors is a
+per-pair dict view of the uncropped lag block.
 """
 
 from __future__ import annotations
@@ -147,6 +149,53 @@ class LagVector:
         if abs(k) > self.max_lag:
             raise ValueError(f"lag {k} outside [-{self.max_lag}, {self.max_lag}]")
         return float(self.values[k + self.max_lag])
+
+
+@dataclass
+class LagBlock:
+    """Every pair's correlation at lags -k..k: one (P, 2k+1) block.
+
+    Row j is pair j of array.pairs(); ``values[j, i]`` is lag i - k.
+    ``head`` holds each row's running sum of the lags cropped off the
+    left (0 if none), so cumsum([head, row]) continues the uncropped
+    row's np.cumsum bit for bit.
+    """
+
+    values: np.ndarray
+    sample_rate: float
+    head: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.values.ndim != 2 or self.values.shape[1] % 2 != 1:
+            raise ValueError("lag block must be 2D with an odd row length (lags -k..k)")
+        if self.head is None:
+            self.head = np.zeros(len(self.values))
+
+    @property
+    def max_lag(self) -> int:
+        return (self.values.shape[1] - 1) // 2
+
+    @classmethod
+    def crop(cls, lags: np.ndarray, sample_rate: float, reach: int | None = None) -> "LagBlock":
+        """The (P, 2K+1) ``lags`` over -reach..reach (all if reach is None or >= K).
+
+        A crop is a copy, so ``lags`` can be freed; the lags cropped off
+        the left go into head by np.cumsum, in place in ``lags``.
+        """
+        k = (lags.shape[1] - 1) // 2
+        s = 0 if reach is None else max(k - reach, 0)
+        if not s:
+            return cls(lags, sample_rate)
+        left = lags[:, :s]
+        np.cumsum(left, axis=1, out=left)
+        return cls(lags[:, s:-s].copy(), sample_rate, left[:, -1].copy())
+
+    def copy(self) -> "LagBlock":
+        return LagBlock(self.values.copy(), self.sample_rate, self.head.copy())
+
+    def lag_vectors(self, pairs: list[MicPair]) -> dict[MicPair, LagVector]:
+        """The rows as LagVectors keyed by ``pairs``, in row order."""
+        return {p: LagVector(v, self.sample_rate) for p, v in zip(pairs, self.values)}
 
 
 @dataclass
@@ -294,10 +343,22 @@ def compute_spectral_gccs(
     return gccs_from_half(block, in_band, array.sample_rate, array.pairs())
 
 
+def lag_block(
+    frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None, reach: int | None = None
+) -> LagBlock:
+    """Temporal GCCs of every pair, straight from the block by one irfft, as one LagBlock.
+
+    The block covers lags -reach..reach (all of -(L-1)..(L-1) when
+    reach is None); see LagBlock.crop.
+    """
+    lags = lags_from_half(_gcc_block(frames, array, cfg)[0])
+    if not np.all(np.isfinite(lags)):
+        raise ValueError("lag values must be finite")
+    return LagBlock.crop(lags, array.sample_rate, reach)
+
+
 def compute_lag_vectors(
     frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None
 ) -> dict[MicPair, LagVector]:
-    """Temporal GCCs of every pair, straight from the block by one irfft."""
-    block, _ = _gcc_block(frames, array, cfg)
-    fs = array.sample_rate
-    return {p: LagVector(v, fs) for p, v in zip(array.pairs(), lags_from_half(block))}
+    """Temporal GCCs of every pair by pair: a dict view of the uncropped lag_block."""
+    return lag_block(frames, array, cfg).lag_vectors(array.pairs())

@@ -7,8 +7,9 @@ every pair's correlation with an inverted Gaussian,
 
 and the map is rebuilt, letting the next-strongest source surface.
 All pairs are notched at once: one (P,) TDOA vector and one notch
-over the (P, 2K+1) lag block; frequency-domain features reach that
-block by one irfft and return by one rfft, band mask re-applied.
+over the (P, 2K+1) lag block, in place on a LagBlock; frequency-domain
+features reach that block by one irfft and return by one rfft, band
+mask re-applied.
 No renormalization is applied, so successive peak scores are
 comparable and an auto stopping rule (score floor relative to the
 first peak) is possible.
@@ -22,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LagVector, SpectralGcc, gccs_from_half, half_from_lags, lags_from_half
+from .features import LagBlock, LagVector, SpectralGcc, gccs_from_half, half_from_lags, lags_from_half
 from .geometry import MicArray, far_field_tdoa_matrix, tdoa_matrix
 from .grids import CandidateGrid
 from .search import SearchConfig, argmax_search
-from .srp_core import lag_table, srp_freq_map, srp_time_map
+from .srp_core import _lag_block, lag_table, srp_freq_map, srp_time_map
 
 _AUTO_CAP = 10  # hard cap on de-emphasis rounds in auto mode
 
@@ -102,41 +103,48 @@ def default_notch_sigma(array: MicArray) -> float:
     return 2.0 / array.sample_rate
 
 
-def _features_domain(features: dict) -> str:
-    first = next(iter(features.values()))
-    if isinstance(first, LagVector):
+def _features_domain(features) -> str:
+    first = features if isinstance(features, LagBlock) else next(iter(features.values()))
+    if isinstance(first, (LagBlock, LagVector)):
         return "time"
     if isinstance(first, SpectralGcc):
         return "frequency"
     raise TypeError(f"unsupported feature type {type(first).__name__}")
 
 
-def deemphasize(features: dict, tdoa_hat, sigma: float) -> dict:
+def deemphasize(features, tdoa_hat, sigma: float):
     """Notch every pair's feature around its estimated TDOA, all pairs at once.
 
-    ``features`` maps pairs to LagVectors or to SpectralGccs, and
-    ``tdoa_hat`` holds one TDOA in seconds per entry, in its order.
-    The lag vectors form one (P, 2K+1) block that one notch covers;
-    spectral GCCs reach that block by one irfft and return by one
-    rfft with their band mask re-applied, so they stay in band. Exact
-    zero at a notch center; beyond 6 sigma the relative change is
-    below 1e-6, so remote peaks are untouched.
+    ``features`` is a LagBlock, notched in place and returned, or a
+    dict mapping pairs to LagVectors or to SpectralGccs, returned as a
+    new dict. ``tdoa_hat`` holds one TDOA in seconds per row or entry,
+    in its order. Lag vectors are stacked into one (P, 2K+1) block
+    that one notch covers; spectral GCCs reach that block by one irfft
+    and return by one rfft with their band mask re-applied, so they
+    stay in band. Exact zero at a notch center; beyond 6 sigma the
+    relative change is below 1e-6, so remote peaks are untouched. A
+    block's head is left as it is: it sums lags beyond the block,
+    which the notch does not reach, and time maps never read it.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    pairs = list(features)
+    domain = _features_domain(features)
+    block = features
+    if not isinstance(block, LagBlock):
+        pairs = list(features)
+        first = features[pairs[0]]
+        fs = first.sample_rate
+        if domain == "frequency":
+            keep = first.in_band[: first.n_fft // 2 + 1]
+            lags = lags_from_half(np.stack([features[p].values[: len(keep)] for p in pairs]))
+        else:
+            lags = np.stack([features[p].values for p in pairs])
+        block = LagBlock(lags, fs)
+    lags, fs = block.values, block.sample_rate
     tdoa_hat = np.asarray(tdoa_hat, dtype=float)
-    if tdoa_hat.shape != (len(pairs),):
-        raise ValueError(f"{tdoa_hat.size} tdoas for {len(pairs)} pairs")
-    first = features[pairs[0]]
-    fs = first.sample_rate
-    spectral = _features_domain(features) == "frequency"
-    if spectral:
-        keep = first.in_band[: first.n_fft // 2 + 1]
-        lags = lags_from_half(np.stack([features[p].values[: len(keep)] for p in pairs]))
-    else:
-        lags = np.stack([features[p].values for p in pairs])
-    k = (lags.shape[1] - 1) // 2
+    if tdoa_hat.shape != (len(lags),):
+        raise ValueError(f"{tdoa_hat.size} tdoas for {len(lags)} pairs")
+    k = block.max_lag
     worst = float(np.abs(tdoa_hat).max())
     if not worst <= k / fs:  # NaN fails too
         raise ValueError(f"tdoa {worst:.3e} s outside the lag range +/-{k / fs:.3e} s")
@@ -148,30 +156,34 @@ def deemphasize(features: dict, tdoa_hat, sigma: float) -> dict:
         c = round(t * fs) + k
         w = slice(max(c - half_width, 0), c + half_width + 1)
         row[w] *= 1.0 - np.exp(-((taus[w] - t) ** 2) / (2.0 * sigma**2))
-    if not spectral:
-        return {p: LagVector(v, fs) for p, v in zip(pairs, lags)}
+    if features is block:
+        return block
+    if domain == "time":
+        return block.lag_vectors(pairs)
     half = half_from_lags(lags)
     half[:, ~keep] = 0.0
     return gccs_from_half(half, first.in_band, fs, pairs)
 
 
 def localize_multi(
-    features: dict,
+    features: LagBlock | dict,
     grid: CandidateGrid,
     array: MicArray,
     cfg: MultiConfig | None = None,
     search: SearchConfig | None = None,
     table: np.ndarray | None = None,
+    bounds: np.ndarray | None = None,
 ) -> EstimateSet:
     """Iterative multi-source localization over a grid.
 
-    features maps each pair to a LagVector (time-domain maps) or a
-    SpectralGcc (frequency-domain maps). Each round builds the map,
-    takes the argmax, appends the estimate, and notches its
-    theoretical TDOA from every pair. With n_sources = 1 the first
-    round is exactly the single-source pipeline. Time-domain rounds
-    share one lag table: ``table`` when the caller prepared it for
-    this grid, else one built here.
+    features is a LagBlock or maps each pair to a LagVector
+    (time-domain maps), or maps each pair to a SpectralGcc
+    (frequency-domain maps). Each round builds the map, takes the
+    argmax, appends the estimate, and notches its theoretical TDOA
+    from every pair. With n_sources = 1 the first round is exactly the
+    single-source pipeline. Time-domain rounds notch one lag block (a
+    copy of a caller's) and share the grid's lag table and the array's
+    lag bounds: ``table`` and ``bounds`` if prepared, else built here.
 
     Only exhaustive search is meaningful here (the de-emphasis loop
     is defined on the full-grid argmax); other modes are rejected.
@@ -180,9 +192,12 @@ def localize_multi(
     if search is not None and search.mode != "exhaustive":
         raise ValueError("localize_multi supports only exhaustive search")
     domain = _features_domain(features)
-    if domain == "time" and table is None:
-        table = lag_table(grid.points, array, far_field=grid.is_doa)
-    work = dict(sorted(features.items()))  # array.pairs() order, as the TDOAs
+    if domain == "time":
+        work, bounds = _lag_block(features, array, bounds)  # array.pairs() order, as the TDOAs
+        if table is None:
+            table = lag_table(grid.points, array, far_field=grid.is_doa)
+    else:
+        work = dict(sorted(features.items()))  # array.pairs() order, as the TDOAs
     tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
     sigma = cfg.notch_sigma if cfg.notch_sigma is not None else default_notch_sigma(array)
     cap = cfg.n_sources if cfg.n_sources is not None else _AUTO_CAP
@@ -191,7 +206,7 @@ def localize_multi(
     first_score = None
     while len(estimates) < cap:
         if domain == "time":
-            srp = srp_time_map(work, grid, array, table=table)
+            srp = srp_time_map(work, grid, array, table=table, bounds=bounds)
         else:
             srp = srp_freq_map(work, grid, array)
         res = argmax_search(srp)
@@ -219,5 +234,6 @@ def localize_multi(
                 "extracting a third or later source: residual correlation noise "
                 "grows with each cancellation"
             )
+        work = work.copy() if work is features else work  # the caller's block stays
         work = deemphasize(work, tdoas(res.estimate[None, :], array)[0], sigma)
     return EstimateSet.from_pairs(estimates)

@@ -3,8 +3,9 @@
 A PipelineConfig picks one option per stage: grid builder, feature
 extractor, map builder, searcher, optional feature updater
 (de-emphasis) and grid updater. prepare() does the frame-invariant
-work once (grid, steering tables) and Plan.run then runs the
-generic loop on each frame block:
+work once (grid, steering tables, lag bounds) and Plan.run then runs
+the generic loop on each frame block, keeping its features for
+Plan.map:
 
     estimates <- {}; grid <- build; features <- extract
     while grid: map <- build_map; estimates <- search;
@@ -25,7 +26,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .features import GccConfig, analysis_band, compute_lag_vectors, compute_spectral_gccs
+from .features import GccConfig, analysis_band, compute_spectral_gccs, lag_block
 from .geometry import MicArray, MicPair
 from .grids import (
     _EPS,
@@ -41,6 +42,7 @@ from .search import SearchConfig, argmax_search, refine_search, src_search
 from .srp_core import (
     SrpMap,
     WsrpConfig,
+    lag_bounds,
     lag_table,
     lag_windows,
     make_freq_scorer,
@@ -135,8 +137,8 @@ class PipelineConfig:
             raise ConfigError("max_loop_iters must lie in 1..50")
 
 
-#: most points an exhaustive map may steer (a Cartesian grid's points, or
-#: 8 vertices per volume): at most 24 MB of points, 240 MB of 16-mic lag table
+#: most points an exhaustive map may steer (a Cartesian or DOA grid's points,
+#: or 8 vertices per volume): at most 24 MB of points, 240 MB of 16-mic lag table
 MAX_STEERED_POINTS = 1_000_000
 
 
@@ -144,6 +146,13 @@ def _steered_points(g: GridSpec, room) -> float:
     """Points a map over g would steer, from the spec alone (0 if malformed)."""
     if g.kind == "volumes":
         return 8.0 * np.prod(g.counts or (2, 2, 2), dtype=float)  # no int64 wrap-around
+    if g.kind.startswith("doa"):  # as doa_grid: n_az azimuths on each of n_el + 1 rings
+        res = np.array([g.azimuth_res, g.elevation_res if g.kind == "doa_az_el" else np.inf])
+        if not np.all(res > 0):
+            return 0.0  # build_grid diagnoses it
+        with np.errstate(over="ignore"):  # a subnormal resolution counts inf points
+            n_az, n_el = np.floor(np.array([2 * np.pi, np.pi]) / res + _EPS)
+        return float(n_az * (n_el + 1.0))
     dims = np.asarray(room, dtype=float).reshape(-1)[: 2 if g.kind == "cartesian2d" else 3]
     res = np.asarray(g.resolution, dtype=float)
     if res.size not in (1, len(dims)) or np.any(res <= 0):
@@ -196,7 +205,7 @@ def validate_config(cfg: PipelineConfig, room=None) -> list[str]:
             diags.append("grid updaters contract cartesian grids only")
         if s.mode != "exhaustive":
             diags.append("grid updaters pair with exhaustive search; refine/src update internally")
-    n = 0.0 if diags or doa or s.mode != "exhaustive" else _steered_points(g, room)
+    n = 0.0 if diags or s.mode != "exhaustive" else _steered_points(g, room)
     if n > MAX_STEERED_POINTS:
         diags.append(f"grid {g.kind!r} would steer {n:.4g} points, over the cap of {MAX_STEERED_POINTS:,}")
     return diags
@@ -233,11 +242,14 @@ class Plan:
     """Frame-invariant work of one validated (array, room, config), done once.
 
     Holds the candidate grid and its steering: the compact lag table of
-    a time map, or the lag windows of a volumetric map. Frequency and
-    weighted maps steer per frame, so only their grid is held.
-    Iterative searches (refine/src) place their own points and need
-    neither. run() then does only the per-frame work, and map()
-    builds one more map over the prepared grid (the CLI's export).
+    a time map, or the lag windows of a volumetric map, plus the lag
+    bounds D of time scores and volumetric maps, whose frames' lags
+    are then one LagBlock cropped to +/-max D. Frequency and weighted
+    maps steer per frame, so only their grid is held. Iterative
+    searches (refine/src) place their own points and need no grid.
+    run() then does only the per-frame work and keeps the frame's
+    features until the next run(); map() maps them once more over the
+    prepared grid (the CLI's export).
     """
 
     def __init__(self, array: MicArray, room, cfg: PipelineConfig):
@@ -245,7 +257,8 @@ class Plan:
         if diags:
             raise ConfigError("; ".join(diags))
         self.array, self.room, self.cfg = array, room, cfg
-        self.grid = self.steering = None
+        self.grid = self.steering = self.features = None
+        self.bounds = lag_bounds(array) if cfg.map.domain in ("time", "volumetric") else None
         if cfg.search.mode != "exhaustive":
             return
         self.grid = build_grid(cfg.grid, room)
@@ -255,43 +268,49 @@ class Plan:
             self.steering = lag_windows(self.grid, array, cfg.map.guard)
 
     def _features(self, frames):
-        """(lag_vectors, None) for time/volumetric maps, else (None, spectral gccs)."""
+        """A LagBlock over +/-max D for time/volumetric maps, else spectral gccs."""
         gcc = _gcc_config(self.cfg.features, self.array)
-        if self.cfg.map.domain in ("time", "volumetric"):
-            return compute_lag_vectors(frames, self.array, gcc), None
-        return None, compute_spectral_gccs(frames, self.array, gcc)
+        if self.bounds is not None:
+            return lag_block(frames, self.array, gcc, reach=int(self.bounds.max()))
+        return compute_spectral_gccs(frames, self.array, gcc)
 
-    def map(self, frames) -> SrpMap:
-        """One map of the configured domain over the prepared grid."""
+    def map(self) -> SrpMap:
+        """One map of the configured domain, over the prepared grid, of the last run's features."""
+        if self.features is None:
+            raise ValueError("Plan.map() maps the features of the last run(); run a frame block first")
         grid = build_grid(self.cfg.grid, self.room) if self.grid is None else self.grid
-        return self._build_map(grid, self.steering, *self._features(frames))
+        return self._build_map(grid, self.steering, self.features)
 
-    def _build_map(self, grid, steering, lags, gccs) -> SrpMap:
-        m, array = self.cfg.map, self.array
+    def _build_map(self, grid, steering, feats) -> SrpMap:
+        m, array, bounds = self.cfg.map, self.array, self.bounds
         if m.domain == "time":
-            return srp_time_map(lags, grid, array, table=steering)
+            return srp_time_map(feats, grid, array, table=steering, bounds=bounds)
         if m.domain == "frequency":
-            return srp_freq_map(gccs, grid, array)
+            return srp_freq_map(feats, grid, array)
         if m.domain == "volumetric":
-            return vsrp_map(lags, grid, array, pooling=m.pooling, guard=m.guard, windows=steering)
-        return wsrp_map(pairwise_freq_scores(gccs, grid, array), m.wsrp)
+            return vsrp_map(
+                feats, grid, array, pooling=m.pooling, guard=m.guard, windows=steering, bounds=bounds
+            )
+        return wsrp_map(pairwise_freq_scores(feats, grid, array), m.wsrp)
 
     def run(self, frames: np.ndarray) -> EstimateSet:
         """Localize in one (M, L) frame block; see x_srp."""
         cfg, array = self.cfg, self.array
-        lags, gccs = self._features(frames)
+        self.features = None  # the last frame's features go before these are built
+        self.features = feats = self._features(frames)
         planar = cfg.grid.kind == "cartesian2d"
 
         if cfg.multi is not None:
-            feats = lags if cfg.map.domain == "time" else gccs
-            return localize_multi(feats, self.grid, array, cfg.multi, cfg.search, table=self.steering)
+            return localize_multi(
+                feats, self.grid, array, cfg.multi, cfg.search, table=self.steering, bounds=self.bounds
+            )
 
         if cfg.search.mode in ("refine", "src"):
             region = _room_volume(self.room, planar)
             if cfg.map.domain == "time":
-                scorer = make_time_scorer(lags, array)
+                scorer = make_time_scorer(feats, array)
             else:
-                scorer = make_freq_scorer(gccs, array)
+                scorer = make_freq_scorer(feats, array)
             runner = src_search if cfg.search.mode == "src" else refine_search
             res = runner(scorer, region, cfg.search)
             return EstimateSet(res.estimate[None, :], [res.score])
@@ -307,7 +326,7 @@ class Plan:
             ).astype(float)
         it = 0
         while grid is not None and it < cfg.max_loop_iters:
-            res = argmax_search(self._build_map(grid, steering, lags, gccs))
+            res = argmax_search(self._build_map(grid, steering, feats))
             estimates.append((res.estimate, res.score))
             # later passes grid a new region, so their steering is built per map
             grid, region, resolution = _update_grid(

@@ -9,14 +9,18 @@ steered at it, accumulated over microphone pairs:
   weighted          configurable per-frequency / per-pair combination
 
 Cartesian grids use exact TDOAs, DOA grids the far-field form; the two
-are never mixed within one map. The time map reads each pair's lag
-window -D..D, D = round(max_tdoa * fs) + 1, through a table of offsets
-rint(tau * fs) + D. The frequency map is Horner's rule over the uniform
-DFT bins, exact, steered by per-mic phasors (2 M complex exponentials
-per point). A module-level counter tracks candidate scorings and
-steering-kernel evaluations so complexity claims can be checked;
-frequency-domain kernel counts are exactly G * P * |F|, |F| the in-band
-bin count: the complexity model's unit, not a count of multiplies.
+are never mixed within one map. Time and volumetric maps read one
+LagBlock per frame, rows in array.pairs() order (a dict of LagVectors
+is stacked into one on entry). The time map reads each pair's lag
+window -D..D, D = round(max_tdoa * fs) + 1 (lag_bounds), through a
+table of offsets rint(tau * fs) + D, so a block cropped to +/-max D
+serves every map of the array. The frequency map is Horner's rule
+over the uniform DFT bins, exact, steered by per-mic phasors (2 M
+complex exponentials per point). A module-level counter tracks
+candidate scorings and steering-kernel evaluations so complexity
+claims can be checked; frequency-domain kernel counts are exactly
+G * P * |F|, |F| the in-band bin count: the complexity model's unit,
+not a count of multiplies.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LagVector, SpectralGcc
+from .features import LagBlock, LagVector, SpectralGcc
 from .geometry import (
     MicArray,
     MicPair,
@@ -86,29 +90,44 @@ class SrpMap:
         return len(self.grid)
 
 
-def _pairs_and_lags(lag_vectors: dict[MicPair, LagVector], array: MicArray):
+def lag_bounds(array: MicArray) -> np.ndarray:
+    """Each pair's D = round(max_tdoa * fs) + 1 >= |rint(tau * fs)|, (P,) in pairs() order."""
+    return np.array([round(max_tdoa(p, array) * array.sample_rate) + 1 for p in array.pairs()])
+
+
+def _lag_block(lags, array: MicArray, bounds: np.ndarray | None = None):
+    """(block, bounds): ``lags`` as one LagBlock that covers every pair's bound D.
+
+    A dict of LagVectors is stacked into one block, shorter rows
+    zero-padded (no map reads past its pair's D, and leading zeros
+    leave running sums as they are), and cropped to +/-max D.
+    """
+    if bounds is None:
+        bounds = lag_bounds(array)
     pairs = array.pairs()
-    missing = [p for p in pairs if p not in lag_vectors]
-    if missing:
-        raise ValueError(f"lag vectors missing for pairs {missing}")
-    return pairs, [lag_vectors[p] for p in pairs]
-
-
-def _lag_bounds(array: MicArray) -> list[int]:
-    """Each pair's D = round(max_tdoa * fs) + 1 >= |rint(tau * fs)|, in pairs() order."""
-    return [int(round(max_tdoa(p, array) * array.sample_rate)) + 1 for p in array.pairs()]
-
-
-def _check_lag_coverage(array: MicArray, lags: list[LagVector]) -> list[int]:
-    """Raise unless every lag vector covers its pair's lag bound; return the bounds."""
-    bounds = _lag_bounds(array)
-    for pair, lv, need in zip(array.pairs(), lags, bounds):
-        if lv.max_lag < need:
-            raise ValueError(
-                f"lag vector for pair ({pair.l}, {pair.m}) covers +/-{lv.max_lag} "
-                f"samples but the baseline needs {need}; use longer frames"
-            )
-    return bounds
+    if isinstance(lags, LagBlock):
+        if len(lags.values) != len(pairs):
+            raise ValueError(f"lag block has {len(lags.values)} rows for {len(pairs)} pairs")
+        reach = np.full(len(pairs), lags.max_lag)
+    else:
+        missing = [p for p in pairs if p not in lags]
+        if missing:
+            raise ValueError(f"lag vectors missing for pairs {missing}")
+        reach = np.array([lags[p].max_lag for p in pairs])
+    short = np.flatnonzero(reach < bounds)
+    if short.size:
+        j = short[0]
+        raise ValueError(
+            f"lag vector for pair ({pairs[j].l}, {pairs[j].m}) covers +/-{reach[j]} "
+            f"samples but the baseline needs {bounds[j]}; use longer frames"
+        )
+    if isinstance(lags, LagBlock):
+        return lags, bounds
+    k = int(reach.max())
+    full = np.zeros((len(pairs), 2 * k + 1))
+    for row, p, kp in zip(full, pairs, reach):
+        row[k - kp: k + kp + 1] = lags[p].values
+    return LagBlock.crop(full, lags[pairs[0]].sample_rate, int(bounds.max())), bounds
 
 
 #: points per TDOA block while building a lag table; bounds the float
@@ -119,7 +138,7 @@ _TABLE_CHUNK = 4096
 def lag_table(points: np.ndarray, array: MicArray, far_field: bool = False) -> np.ndarray:
     """Nearest-lag steering of every pair and point, offset into [0, 2 D], (P, G).
 
-    Entry [j, g] is rint(tau_j(u_g) * fs) + D_j (see _lag_bounds), so
+    Entry [j, g] is rint(tau_j(u_g) * fs) + D_j (see lag_bounds), so
     row j indexes the lag window -D_j..D_j directly; the dtype is the
     smallest unsigned one holding 2 max D, uint16 for any room-sized
     array. Near-field rows repeat tdoa_matrix's float operations, one
@@ -128,7 +147,7 @@ def lag_table(points: np.ndarray, array: MicArray, far_field: bool = False) -> n
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     fs = array.sample_rate
-    bounds = np.array(_lag_bounds(array))
+    bounds = lag_bounds(array)
     pairs = array.pairs()
     table = np.empty((len(pairs), len(pts)), dtype=np.min_scalar_type(2 * bounds.max()))
     for i in range(0, len(pts), _TABLE_CHUNK):
@@ -144,44 +163,46 @@ def lag_table(points: np.ndarray, array: MicArray, far_field: bool = False) -> n
     return table
 
 
-def _time_scores(table: np.ndarray, lag_vectors: dict[MicPair, LagVector], array: MicArray):
-    """Gather-and-sum of each pair's lag window over a lag table."""
-    pairs, lags = _pairs_and_lags(lag_vectors, array)
-    bounds = _check_lag_coverage(array, lags)
+def _time_scores(table: np.ndarray, lags, array: MicArray, bounds=None):
+    """Gather-and-sum of each pair's lag window -D..D over a lag table."""
+    block, bounds = _lag_block(lags, array, bounds)
+    k = block.max_lag
     scores = np.zeros(table.shape[1])
-    for row, lv, d in zip(table, lags, bounds):
-        k = lv.max_lag
-        scores += lv.values[k - d: k + d + 1].take(row)
+    for row, values, d in zip(table, block.values, bounds):
+        scores += values[k - d: k + d + 1].take(row)
     counter.points += table.shape[1]
-    counter.kernel_ops += table.shape[1] * len(pairs)
+    counter.kernel_ops += table.shape[1] * len(bounds)
     return scores
 
 
 def srp_time_scores(
     points: np.ndarray,
-    lag_vectors: dict[MicPair, LagVector],
+    lags: LagBlock | dict[MicPair, LagVector],
     array: MicArray,
     far_field: bool = False,
 ) -> np.ndarray:
     """Time-domain SRP at arbitrary points: nearest-lag projection."""
-    return _time_scores(lag_table(points, array, far_field), lag_vectors, array)
+    return _time_scores(lag_table(points, array, far_field), lags, array)
 
 
 def srp_time_map(
-    lag_vectors: dict[MicPair, LagVector],
+    lags: LagBlock | dict[MicPair, LagVector],
     grid: CandidateGrid,
     array: MicArray,
     frame_index: int | None = None,
     table: np.ndarray | None = None,
+    bounds: np.ndarray | None = None,
 ) -> SrpMap:
     """Time-domain SRP map over a grid (far-field for DOA grids).
 
-    ``table`` is the grid's lag_table when the caller has prepared it;
-    otherwise it is built here.
+    ``lags`` is a LagBlock or a dict of LagVectors (stacked into one
+    block on entry). ``table`` is the grid's lag_table and ``bounds``
+    the array's lag_bounds when the caller has prepared them;
+    otherwise they are built here.
     """
     if table is None:
         table = lag_table(grid.points, array, far_field=grid.is_doa)
-    scores = _time_scores(table, lag_vectors, array)
+    scores = _time_scores(table, lags, array, bounds)
     return SrpMap(grid, scores, "time", frame_index=frame_index)
 
 
@@ -296,11 +317,12 @@ def srp_freq_map(
     return SrpMap(grid, scores, "frequency", band=band, frame_index=frame_index)
 
 
-def make_time_scorer(lag_vectors, array: MicArray, far_field: bool = False):
+def make_time_scorer(lags, array: MicArray, far_field: bool = False):
     """points (N, 3) -> time-domain SRP scores (N,); feeds searches and tracking."""
+    block, bounds = _lag_block(lags, array)
 
     def scorer(points: np.ndarray) -> np.ndarray:
-        return srp_time_scores(points, lag_vectors, array, far_field=far_field)
+        return _time_scores(lag_table(points, array, far_field), block, array, bounds)
 
     return scorer
 
@@ -376,45 +398,58 @@ _POOLS = ("sum", "mean", "max")
 
 
 def vsrp_map(
-    lag_vectors: dict[MicPair, LagVector],
+    lags: LagBlock | dict[MicPair, LagVector],
     volume_grid: VolumeGrid,
     array: MicArray,
     pooling: str = "sum",
     guard: float = 1.0,
     frame_index: int | None = None,
     windows: tuple[np.ndarray, np.ndarray] | None = None,
+    bounds: np.ndarray | None = None,
 ) -> SrpMap:
     """Volumetric SRP: pool each pair's lags over the volume's TDOA bounds.
 
     A degenerate (zero-extent) volume with guard 0 reproduces the
     point SRP score at its center. Pooling is sum, mean or max per
-    pair; pairs always combine by summation. ``windows`` is the
-    grid's lag_windows when the caller has prepared them. Sum and
-    mean pool by prefix sums, so they can differ from a direct window
-    sum in the last place; max is exact.
+    pair; pairs always combine by summation. ``lags`` is a LagBlock
+    or a dict of LagVectors (stacked into one block on entry);
+    ``windows`` is the grid's lag_windows and ``bounds`` the array's
+    lag_bounds when the caller has prepared them. Sum and mean pool
+    by prefix sums cumsum([head, row]), which equal the uncropped
+    row's np.cumsum, so they can differ from a direct window sum in
+    the last place; max is exact.
     """
     if pooling not in _POOLS:
         raise ValueError(f"pooling must be one of {_POOLS}, got {pooling!r}")
-    pairs, lags = _pairs_and_lags(lag_vectors, array)
-    _check_lag_coverage(array, lags)
+    block, _ = _lag_block(lags, array, bounds)
     if windows is None:
         windows = lag_windows(volume_grid, array, guard)
+    k = block.max_lag
+    P, n = block.values.shape
+    # prefix sums of [head, row] (sum, mean), or the row and a -inf pad
+    # that keeps a segment [lo, hi]'s end index hi + 1 in the row (max)
+    ext = np.empty((P, n + 1))
+    if pooling == "max":
+        ext[:, :n], ext[:, n] = block.values, -np.inf
+    else:
+        ext[:, 0], ext[:, 1:] = block.head, block.values
+        np.cumsum(ext, axis=1, out=ext)
+    flat = ext.ravel()
+    row0 = np.arange(P)[:, None] * (n + 1)  # flat index of each row's start
+    lo = row0 + np.maximum(windows[0] + k, 0)
+    hi = row0 + np.minimum(windows[1] + k, n - 1)
+    if pooling == "max":  # segment [lo, hi] is reduced at even slots
+        pooled = np.maximum.reduceat(flat, np.stack([lo, hi + 1], axis=2).ravel())[::2]
+        pooled = pooled.reshape(P, -1)
+    else:
+        pooled = flat[hi + 1] - flat[lo]
+        if pooling == "mean":
+            pooled /= hi - lo + 1
     scores = np.zeros(len(volume_grid))
-    for lv, k0, k1 in zip(lags, *windows):
-        n = len(lv.values)
-        k0 = np.maximum(k0 + lv.max_lag, 0)
-        k1 = np.minimum(k1 + lv.max_lag, n - 1)
-        if pooling == "max":
-            # segment [k0, k1] is reduced at even slots; the -inf pad
-            # keeps the end index k1 + 1 <= n in range
-            padded = np.append(lv.values, -np.inf)
-            scores += np.maximum.reduceat(padded, np.stack([k0, k1 + 1], axis=1).ravel())[::2]
-            continue
-        csum = np.concatenate([[0.0], np.cumsum(lv.values)])
-        pooled = csum[k1 + 1] - csum[k0]
-        scores += pooled / (k1 - k0 + 1) if pooling == "mean" else pooled
+    for row in pooled:  # pairs combine in pairs() order
+        scores += row
     counter.points += len(volume_grid)
-    counter.kernel_ops += len(volume_grid) * len(pairs)
+    counter.kernel_ops += len(volume_grid) * P
     return SrpMap(volume_grid, scores, "volumetric", frame_index=frame_index)
 
 

@@ -537,14 +537,15 @@ def _volumes(counts):
      _localize_with(("array", "sample_rate"), True),
      _volumes([10000, 10000, 10000]),
      _localize_with(("pipeline", "grid", "resolution"), 1e-4, grid={"kind": "cartesian3d"}),
-     _localize_with(("array", "positions"), [[True, 0.0, 1.0], [0.0, 1.0, 1.0]])],
+     _localize_with(("array", "positions"), [[True, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+     _localize_with(("pipeline", "grid", "azimuth_res"), 1e-9, grid={"kind": "doa_azimuth"})],
     ids=["frame_without_frame_len", "source_without_position", "null_max_iters",
          "null_frame_len", "number_tracker_band", "null_duration", "sources_not_a_list",
          "null_source_seed", "non_integer_rate_simulate", "non_integer_rate_localize",
          "fractional_volume_count", "boolean_volume_count", "zero_volume_count",
          "fractional_max_loop_iters", "fractional_frame_len", "fractional_hop",
          "boolean_sample_rate", "volume_partition_too_large", "cartesian_grid_too_large",
-         "boolean_in_positions"],
+         "boolean_in_positions", "doa_grid_too_large"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, make):
     command, cfg = make()

@@ -12,9 +12,11 @@ import math
 import numpy as np
 import pytest
 
+from xsrp import features
 from xsrp.features import (
     FrameConfig,
     GccConfig,
+    LagBlock,
     compute_lag_vectors,
     compute_spectral_gccs,
     frame_stack,
@@ -40,6 +42,7 @@ from xsrp.search import SearchConfig, argmax_search, refine_search, src_search
 from xsrp.srp_core import (
     WsrpConfig,
     counter,
+    lag_bounds,
     make_freq_scorer,
     make_time_scorer,
     pairwise_freq_scores,
@@ -147,6 +150,23 @@ def test_validate_bounds_the_grid_before_building_it():
     # refine/src searches place their own points and never build the grid
     refine = PipelineConfig(grid=GridSpec(resolution=0.03), search=SearchConfig(mode="refine"))
     assert validate_config(refine, room=ROOM) == []
+
+
+def test_validate_bounds_doa_grids_before_building_them():
+    # n_az azimuths on each of n_el + 1 elevation rings, counted from the spec
+    huge = PipelineConfig(grid=GridSpec(kind="doa_azimuth", azimuth_res=1e-9))
+    assert validate_config(huge) == [
+        "grid 'doa_azimuth' would steer 6.283e+09 points, over the cap of 1,000,000"
+    ]
+    with pytest.raises(ConfigError, match="would steer"):
+        prepare(MicArray([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], sample_rate=FS), cfg=huge)
+    ring = GridSpec(kind="doa_az_el", azimuth_res=2 * math.pi / 1000, elevation_res=math.pi / 999)
+    assert validate_config(PipelineConfig(grid=ring)) == []  # 1000 x 1000, at the cap
+    over = dataclasses.replace(ring, elevation_res=math.pi / 1000)
+    (diag,) = validate_config(PipelineConfig(grid=over))
+    assert "1.001e+06 points" in diag
+    tiny = GridSpec(kind="doa_az_el", azimuth_res=1e-5, elevation_res=5e-324)
+    assert "inf points" in validate_config(PipelineConfig(grid=tiny))[0]
 
 
 def test_validate_iterative_search_restrictions():
@@ -366,6 +386,52 @@ def test_prepared_plan_reused_across_frames_matches_x_srp(scene, name):
         assert counter.snapshot() == got_counts
         assert np.array_equal(got.positions, want.positions)
         assert np.array_equal(got.scores, want.scores)
+
+
+_EXPORT_CONFIGS = {
+    "time": PipelineConfig(
+        grid=GridSpec(resolution=0.5), features=FeatureSpec(band=BAND), map=MapSpec(domain="time"),
+    ),
+    "time_multi": _PLAN_CONFIGS["time_multi"],
+    "volumetric": _PLAN_CONFIGS["volumetric"],
+}
+
+
+@pytest.mark.parametrize("name", list(_EXPORT_CONFIGS))
+def test_plan_map_reuses_the_last_run_block(scene, name, monkeypatch):
+    array, frames = scene
+    cfg = _EXPORT_CONFIGS[name]
+    plan = prepare(array, ROOM, cfg)
+    with pytest.raises(ValueError, match="run a frame block first"):
+        plan.map()
+    plan.run(frames)
+    calls = []
+    gcc_block = features._gcc_block
+    monkeypatch.setattr(features, "_gcc_block", lambda *a: calls.append(1) or gcc_block(*a))
+    counter.reset()
+    got = plan.map()
+    assert calls == []  # no GCCs recomputed
+    grid = plan.grid
+    assert counter.snapshot() == (len(grid), len(grid) * array.n_pairs)  # one build
+    # the first-round map of the frame: de-emphasis notched a copy of the block
+    if cfg.map.domain == "time":
+        want = srp_time_map(lags_of(scene), grid, array)
+    else:
+        want = vsrp_map(lags_of(scene), grid, array, pooling="sum", guard=1.0)
+    assert np.array_equal(got.scores, want.scores)
+
+
+@pytest.mark.parametrize("name", ["time_multi", "volumetric", "refine"])
+def test_plan_holds_only_the_cropped_lag_block(scene, name):
+    array, frames = scene
+    plan = prepare(array, ROOM, _PLAN_CONFIGS[name])
+    plan.run(frames)
+    block = plan.features
+    d = int(lag_bounds(array).max())
+    assert isinstance(block, LagBlock)
+    assert block.values.shape == (array.n_pairs, 2 * d + 1)
+    assert block.values.base is None  # a copy: the irfft output is not kept alive
+    assert block.head.shape == (array.n_pairs,)
 
 
 # ------------------------------------------------------------ grid updates

@@ -23,6 +23,7 @@ from xsrp.features import (
     compute_lag_vectors,
     compute_spectral_gccs,
     frame_stack,
+    lag_block,
 )
 from xsrp import srp_core
 from xsrp.geometry import (
@@ -43,11 +44,14 @@ from xsrp.grids import (
     partition_room,
     subdivide,
 )
+from xsrp.multisource import MultiConfig, deemphasize, localize_multi
+from xsrp.search import argmax_search
 from xsrp.srp_core import (
     PairwiseFreqScores,
     SrpMap,
     WsrpConfig,
     counter,
+    lag_bounds,
     lag_windows,
     make_freq_scorer,
     make_time_scorer,
@@ -548,6 +552,81 @@ def test_lag_windows_match_per_volume_vertices(vg, mics, fs, guard):
     for g, r in zip(got, ref):
         assert g.dtype == np.int32
         np.testing.assert_array_equal(g, r)
+
+
+def _per_pair_vsrp(lags, vg, array, pooling, guard):
+    """Volumetric scores pair by pair from whole lag vectors: whole-row
+    np.cumsum prefix sums, or a max over each window slice."""
+    scores = np.zeros(len(vg))
+    for p, k0, k1 in zip(array.pairs(), *lag_windows(vg, array, guard)):
+        v, k = lags[p].values, lags[p].max_lag
+        a, b = np.maximum(k0 + k, 0), np.minimum(k1 + k, len(v) - 1)
+        if pooling == "max":
+            scores += np.array([v[i: j + 1].max() for i, j in zip(a, b)])
+            continue
+        csum = np.concatenate([[0.0], np.cumsum(v)])
+        pooled = csum[b + 1] - csum[a]
+        scores += pooled / (b - a + 1) if pooling == "mean" else pooled
+    return scores
+
+
+_BOX = np.array([1.5, 1.5, 1.5])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mics=st.lists(st.tuples(*[st.integers(0, 15).map(lambda k: k / 10.0)] * 3),
+                  min_size=2, max_size=8, unique=True),
+    fs=st.sampled_from([8000.0, 16000.0]),
+    frame_len=st.sampled_from([256, 512, 1024]),
+    gcc=st.sampled_from([GccConfig(), CC, GccConfig(band=(200.0, 3000.0))]),
+    guard=st.floats(0.0, 3.0, allow_nan=False),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cropped_block_path_equals_per_pair_path(mics, fs, frame_len, gcc, guard, seed):
+    """Maps over the cropped LagBlock equal the per-pair lag-vector maps, bitwise."""
+    array = MicArray(np.array(mics), sample_rate=fs)
+    frames = np.random.default_rng(seed).normal(size=(array.n_mics, frame_len))
+    bounds = lag_bounds(array)
+    d = int(bounds.max())
+    block = lag_block(frames, array, gcc, reach=d)
+    lags = compute_lag_vectors(frames, array, gcc)
+    assert block.values.shape == (array.n_pairs, 2 * d + 1)
+
+    # cumsum([head, row]) continues the whole row's np.cumsum at the crop columns
+    k = frame_len - 1
+    for p, row, head in zip(array.pairs(), block.values, block.head):
+        whole = np.cumsum(lags[p].values)[k - d: k + d + 1]
+        assert np.array_equal(np.cumsum(np.concatenate([[head], row]))[1:], whole)
+
+    for grid in (cartesian_grid(_BOX, 0.5), doa_grid(math.pi / 4, math.pi / 4)):
+        got = srp_time_map(block, grid, array, bounds=bounds).scores
+        assert np.array_equal(got, srp_time_map(lags, grid, array).scores)
+        rint_lags, _ = _offset_reference(grid.points, array, grid.is_doa)
+        ref = np.zeros(len(grid))
+        for row, p in zip(rint_lags, array.pairs()):
+            ref += lags[p].values[row + k]
+        assert np.array_equal(got, ref)
+
+    vg = partition_room(_BOX, (2, 2, 2))
+    for pooling in ("sum", "mean", "max"):
+        got = vsrp_map(block, vg, array, pooling=pooling, guard=guard).scores
+        assert np.array_equal(got, vsrp_map(lags, vg, array, pooling=pooling, guard=guard).scores)
+        assert np.array_equal(got, _per_pair_vsrp(lags, vg, array, pooling, guard))
+
+    grid = cartesian_grid(_BOX, 0.5)
+    two = MultiConfig(n_sources=2)
+    est = localize_multi(block, grid, array, two)
+    ref = localize_multi(lags, grid, array, two)
+    assert np.array_equal(est.positions, ref.positions)
+    assert np.array_equal(est.scores, ref.scores)
+    # and round by round over whole lag vectors, notched as a dict
+    first = argmax_search(srp_time_map(lags, grid, array))
+    notched = deemphasize(lags, tdoa_matrix(first.estimate[None, :], array)[0], 2.0 / fs)
+    second = argmax_search(srp_time_map(notched, grid, array))
+    want = sorted([first.score, second.score], reverse=True)
+    assert np.array_equal(est.scores, want)
+    assert np.array_equal(block.values, lag_block(frames, array, gcc, reach=d).values)  # not notched
 
 
 def test_vsrp_source_volume_wins(scene):
