@@ -15,7 +15,7 @@ from xsrp.grids import cartesian_grid
 from xsrp.search import argmax_search
 from xsrp.srp_core import srp_time_map
 from xsrp.synth import SceneSpec, Source, add_noise, synthesize_free_field, white_noise
-from xsrp.tracking import LangevinParams, track
+from xsrp.tracking import TrackerConfig, track
 
 FS = 16000.0
 HOP = 4096  # 256 ms
@@ -45,8 +45,7 @@ def main():
     gcc_cfg = GccConfig(band=(300.0, 1200.0))
     points = track(
         signals, array, room, frame_cfg,
-        params=LangevinParams(alpha=1.0, beta=0.5, dt=HOP / FS),
-        q=2000, seed=44, gcc_cfg=gcc_cfg, kappa=16.0,
+        TrackerConfig(q=2000, seed=44, alpha=1.0, beta=0.5, band=(300.0, 1200.0), kappa=16.0),
     )
 
     grid = cartesian_grid(room, 0.1)

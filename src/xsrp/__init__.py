@@ -80,4 +80,13 @@ from .synth import (
     synthesize_free_field,
     white_noise,
 )
-from .tracking import LangevinParams, TrackerState, init_state, predict, resample, track, update_weights
+from .tracking import (
+    LangevinParams,
+    TrackerConfig,
+    TrackerState,
+    init_state,
+    predict,
+    resample,
+    track,
+    update_weights,
+)

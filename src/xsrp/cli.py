@@ -2,9 +2,14 @@
 
 Subcommands: simulate (synthesize a scene + ground truth), localize
 (per-frame estimates from a WAV) and track (particle-filter
-trajectory). All take a JSON config; unknown keys anywhere are
-rejected. Every run writes a manifest (config snapshot,
-input hashes, package version, timing) sufficient to reproduce it.
+trajectory). pipeline.config_from_dict parses each one's JSON config
+into its dataclass (SimulateConfig, LocalizeConfig, TrackConfig),
+whose sections are dataclasses too: ArraySpec, FrameConfig,
+SimulateSpec with SourceSpec, PipelineConfig and TrackerConfig. Each
+key is a field, typed by its annotation and defaulted there; unknown
+keys and omitted required ones are rejected. Every run writes a
+manifest (the resolved config, input hashes, package version, timing)
+sufficient to reproduce it.
 
 Exit codes: 0 success, 1 usage or config error, 2 I/O error,
 3 numerical failure.
@@ -18,13 +23,14 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .features import FrameConfig, GccConfig, frame_stack, n_frames
-from .geometry import MicArray, tdoa
+from .features import FrameConfig, frame_stack, n_frames
+from .geometry import SPEED_OF_SOUND, MicArray, tdoa
 from .io_utils import (
     export_map_csv,
     export_map_pgm,
@@ -33,61 +39,94 @@ from .io_utils import (
     write_jsonl,
     write_wav,
 )
-from .pipeline import ConfigError, _check_keys, _value, config_from_dict, prepare
+from .pipeline import ConfigError, PipelineConfig, config_from_dict, config_to_dict, prepare
 from .synth import SceneSpec, Source, pink_noise, synthesize_free_field, white_noise
-from .tracking import LangevinParams, track
+from .tracking import TrackerConfig, track
 
 
-def _load_json(path) -> dict:
+@dataclass
+class ArraySpec:
+    """Microphone positions (M, 3) in meters, sample rate in whole Hz, sound speed in m/s."""
+
+    positions: np.ndarray
+    sample_rate: float
+    speed_of_sound: float = SPEED_OF_SOUND
+
+    def __post_init__(self):
+        if not float(self.sample_rate).is_integer():  # a WAV header holds whole hertz
+            raise ConfigError(f"sample_rate must be a whole number of Hz, got {self.sample_rate}")
+
+    def mic_array(self) -> MicArray:
+        return MicArray(self.positions, self.sample_rate, self.speed_of_sound)
+
+
+@dataclass
+class SourceSpec:
+    """One simulated source: position, signal ("white", "pink" or {"wav": path}), noise seed."""
+
+    position: np.ndarray
+    signal: object = "white"
+    seed: int = None  # None: the scene seed plus the source's index; typed int to refuse null
+
+
+@dataclass
+class SimulateSpec:
+    """The simulated scene: sources, duration, SNR (None: no noise), seed."""
+
+    sources: tuple[SourceSpec, ...]
+    duration_s: float = 1.0
+    snr_db: float | None = None
+    seed: int = 0
+
+    def __post_init__(self):  # an empty list is refused by SceneSpec
+        self.sources = tuple(s if s.seed is not None else replace(s, seed=self.seed + k)
+                             for k, s in enumerate(self.sources))
+
+
+@dataclass
+class SimulateConfig:
+    array: ArraySpec
+    room: np.ndarray
+    simulate: SimulateSpec
+
+
+@dataclass
+class LocalizeConfig:
+    array: ArraySpec
+    frame: FrameConfig
+    room: np.ndarray | None = None  # DOA grids need no room
+    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
+
+
+@dataclass
+class TrackConfig:
+    array: ArraySpec
+    room: np.ndarray
+    frame: FrameConfig
+    tracker: TrackerConfig = field(default_factory=TrackerConfig)
+
+
+def _load_config(path, cls):
+    """The JSON config file at path, parsed into the command dataclass cls."""
     try:
         with open(path) as f:
-            return json.load(f)
+            d = json.load(f)
     except json.JSONDecodeError as e:
         raise ConfigError(f"invalid JSON in {path}: {e}") from e
+    return config_from_dict(d, cls, "config")
 
 
-def _typed(d, types: dict, section: str) -> dict:
-    """The keys of a hand-parsed section, each coerced to its type in ``types``."""
-    _check_keys(d, types, section)
-    return {k: _value(types[k], v, section, k) for k, v in d.items()}
-
-
-def _parse_array(d: dict) -> MicArray:
-    if d is None:
-        raise ConfigError("config needs an 'array' section")
-    d = _typed(d, {"positions": np.ndarray, "sample_rate": float, "speed_of_sound": float}, "array")
-    if "positions" not in d or "sample_rate" not in d:
-        raise ConfigError("array needs 'positions' and 'sample_rate'")
-    if not d["sample_rate"].is_integer():  # a WAV header holds whole hertz
-        raise ConfigError(f"sample_rate must be a whole number of Hz, got {d['sample_rate']}")
-    return MicArray(d["positions"], d["sample_rate"], d.get("speed_of_sound", 343.0))
-
-
-def _parse_frame(d: dict) -> FrameConfig:
-    if d is None:
-        raise ConfigError("config needs a 'frame' section")
-    d = _typed(d, {"frame_len": int, "hop": int, "window": str}, "frame")
-    if "frame_len" not in d:
-        raise ConfigError("frame needs 'frame_len'")
-    return FrameConfig(d["frame_len"], d.get("hop", d["frame_len"]), d.get("window", "rectangular"))
-
-
-def _utc_now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-
-
-def _write_manifest(path, command: str, config: dict, inputs: list, outputs: list,
-                    seed, wall_seconds: float) -> None:
+def _write_manifest(path, command: str, config, inputs: list, outputs: list,
+                    wall_seconds: float) -> None:
     manifest = {
         "tool": "xsrp",
         "version": __version__,
         "command": command,
-        "config": config,
+        "config": config_to_dict(config),
         "inputs": {str(p): sha256_file(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
-        "seed": seed,
         "wall_seconds": wall_seconds,
-        "created_utc": _utc_now(),
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
     }
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2)
@@ -108,40 +147,18 @@ def _source_signal(spec, n_samples: int, fs: float, base_dir: Path, seed: int):
     raise ConfigError(f"source signal must be 'white', 'pink' or {{'wav': path}}, got {spec!r}")
 
 
-_SIMULATE_KEYS = {
-    "duration_s": float, "snr_db": float | None, "seed": int, "sources": tuple[object, ...],
-}
-_SOURCE_KEYS = {"position": np.ndarray, "signal": object, "seed": int}
-
-
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
-    cfg = _load_json(args.config)
-    _check_keys(cfg, ("array", "room", "simulate"), "config")
-    array = _parse_array(cfg.get("array"))
-    if "room" not in cfg:
-        raise ConfigError("simulate needs 'room' dimensions")
-    room = _value(np.ndarray, cfg["room"], "config", "room")
-    if cfg.get("simulate") is None:
-        raise ConfigError("config needs a 'simulate' section")
-    sim = _typed(cfg["simulate"], _SIMULATE_KEYS, "simulate")
-    snr = sim.get("snr_db")
-    snr = math.inf if snr is None else snr
-    seed = sim.get("seed", 0)
-    n = int(round(sim.get("duration_s", 1.0) * array.sample_rate))
+    cfg = _load_config(args.config, SimulateConfig)
+    array, sim, room = cfg.array.mic_array(), cfg.simulate, cfg.room
+    n = int(round(sim.duration_s * array.sample_rate))
     base_dir = Path(args.config).resolve().parent
-    sources = []
-    for k, sd in enumerate(sim.get("sources", ())):
-        sd = _typed(sd, _SOURCE_KEYS, "source")
-        if "position" not in sd:
-            raise ConfigError("each simulate source needs a 'position'")
-        sig = _source_signal(
-            sd.get("signal", "white"), n, array.sample_rate, base_dir, sd.get("seed", seed + k)
-        )
-        sources.append(Source(sd["position"], sig))
-    if not sources:
-        raise ConfigError("simulate needs at least one source")
-    scene = SceneSpec(room, sources, snr_db=snr, seed=seed)
+    sources = [
+        Source(s.position, _source_signal(s.signal, n, array.sample_rate, base_dir, s.seed))
+        for s in sim.sources
+    ]
+    snr = math.inf if sim.snr_db is None else sim.snr_db
+    scene = SceneSpec(room, sources, snr_db=snr, seed=sim.seed)
     signals = synthesize_free_field(scene, array)
 
     out_dir = Path(args.out)
@@ -166,20 +183,10 @@ def cmd_simulate(args) -> int:
         json.dump(truth, f, indent=2)
     _write_manifest(
         out_dir / "manifest.json", "simulate", cfg, [args.config],
-        [wav_path, truth_path], seed, time.perf_counter() - t0,
+        [wav_path, truth_path], time.perf_counter() - t0,
     )
     print(f"wrote {wav_path} ({signals.shape[0]} ch, {signals.shape[1]} samples)")
     return 0
-
-
-def _load_localize_config(path):
-    cfg = _load_json(path)
-    _check_keys(cfg, ("array", "room", "frame", "pipeline"), "config")
-    array = _parse_array(cfg.get("array"))
-    frame_cfg = _parse_frame(cfg.get("frame"))
-    room = _value(np.ndarray, cfg["room"], "config", "room") if "room" in cfg else None
-    pipe = config_from_dict(cfg.get("pipeline", {}) or {})
-    return cfg, array, room, frame_cfg, pipe
 
 
 def _read_scene(path, array: MicArray):
@@ -195,8 +202,13 @@ def _read_scene(path, array: MicArray):
 
 def cmd_localize(args) -> int:
     t0 = time.perf_counter()
-    cfg, array, room, frame_cfg, pipe = _load_localize_config(args.config)
-    plan = prepare(array, room, pipe)
+    cfg = _load_config(args.config, LocalizeConfig)
+    pipe, frame_cfg = cfg.pipeline, cfg.frame
+    pgm = str(args.export_map).endswith(".pgm")  # False without --export-map
+    if pgm and pipe.grid.kind != "cartesian2d":
+        raise ConfigError("PGM export needs a planar cartesian2d grid")
+    array = cfg.array.mic_array()
+    plan = prepare(array, cfg.room, pipe)
     signals = _read_scene(args.input, array)
     total = n_frames(signals.shape[1], frame_cfg)
     if total == 0:
@@ -215,54 +227,29 @@ def cmd_localize(args) -> int:
     outputs = [args.out]
     if args.export_map:
         srp = plan.map()  # the last frame's, from the features its run() kept
-        if str(args.export_map).endswith(".pgm"):
+        if pgm:
             export_map_pgm(srp, args.export_map)
         else:
             export_map_csv(srp, args.export_map)
         outputs.append(args.export_map)
     _write_manifest(
         str(args.out) + ".manifest.json", "localize", cfg, [args.config, args.input],
-        outputs, pipe.search.seed, time.perf_counter() - t0,
+        outputs, time.perf_counter() - t0,
     )
     print(f"wrote {args.out} ({total} frames)")
     return 0
 
 
-_TRACKER_KEYS = {
-    "q": int, "alpha": float, "beta": float, "kappa": float, "seed": int,
-    "resample_fraction": float, "band": tuple[float, float] | None, "gcc_beta": float,
-    "gamma": float | None,
-}
-
-
 def cmd_track(args) -> int:
     t0 = time.perf_counter()
-    cfg = _load_json(args.config)
-    _check_keys(cfg, ("array", "room", "frame", "tracker"), "config")
-    array = _parse_array(cfg.get("array"))
-    if "room" not in cfg:
-        raise ConfigError("track needs 'room' dimensions")
-    room = _value(np.ndarray, cfg["room"], "config", "room")
-    frame_cfg = _parse_frame(cfg.get("frame"))
-    td = _typed(cfg.get("tracker", {}) or {}, _TRACKER_KEYS, "tracker")
-    seed = td.get("seed", 0)
-    params = LangevinParams(
-        alpha=td.get("alpha", 2.0),
-        beta=td.get("beta", 0.5),
-        dt=frame_cfg.hop / array.sample_rate,
-    )
-    gcc_cfg = GccConfig(beta=td.get("gcc_beta", 1.0), gamma=td.get("gamma"), band=td.get("band"))
+    cfg = _load_config(args.config, TrackConfig)
+    array = cfg.array.mic_array()
     signals = _read_scene(args.input, array)
-    points = track(
-        signals, array, room, frame_cfg,
-        params=params, q=td.get("q", 500), seed=seed, gcc_cfg=gcc_cfg,
-        kappa=td.get("kappa", 1.0),
-        resample_fraction=td.get("resample_fraction", 0.5),
-    )
+    points = track(signals, array, cfg.room, cfg.frame, cfg.tracker)
     write_jsonl([p.as_record() for p in points], args.out)
     _write_manifest(
         str(args.out) + ".manifest.json", "track", cfg, [args.config, args.input],
-        [args.out], seed, time.perf_counter() - t0,
+        [args.out], time.perf_counter() - t0,
     )
     print(f"wrote {args.out} ({len(points)} frames)")
     return 0

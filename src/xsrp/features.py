@@ -39,14 +39,16 @@ _WINDOWS = ("rectangular", "hann")
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """Analysis framing: length L (a power of two), hop, window."""
+    """Analysis framing: length L (a power of two), hop (None: L), window."""
 
     frame_len: int
-    hop: int
+    hop: int | None = None
     window: str = "rectangular"
 
     def __post_init__(self):
         L = self.frame_len
+        if self.hop is None:
+            object.__setattr__(self, "hop", L)  # frozen: set once, here
         if L < 2 or (L & (L - 1)) != 0:
             raise ValueError(f"frame_len must be a power of two >= 2, got {L}")
         if not (0 < self.hop <= L):

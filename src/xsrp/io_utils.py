@@ -105,11 +105,10 @@ def sha256_file(path) -> str:
 
 def export_map_csv(srp_map, path) -> None:
     """Map rows: candidate coordinates plus score."""
-    pts = srp_map.points
+    rows = np.column_stack([srp_map.points, srp_map.scores]).tolist()
     with open(path, "w") as f:
         f.write("x,y,z,score\n")
-        for p, s in zip(pts, srp_map.scores):
-            f.write(f"{p[0]:.9g},{p[1]:.9g},{p[2]:.9g},{s:.9g}\n")
+        f.writelines("%.9g,%.9g,%.9g,%.9g\n" % tuple(row) for row in rows)
 
 
 def export_map_pgm(srp_map, path) -> None:

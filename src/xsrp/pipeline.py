@@ -20,7 +20,8 @@ results match standalone compositions bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -63,6 +64,7 @@ _GRID_KINDS = ("cartesian2d", "cartesian3d", "doa_azimuth", "doa_az_el", "volume
 _FEATURE_KINDS = ("gcc_phat", "cc")
 _MAP_DOMAINS = ("time", "frequency", "volumetric", "weighted")
 _GRID_UPDATES = ("none", "contract", "subdivide")
+_type_hints = cache(get_type_hints)  # a config dataclass's annotations, evaluated once
 
 
 @dataclass
@@ -376,44 +378,36 @@ def _update_grid(cfg: PipelineConfig, best, region, resolution, planar):
     return grid, new_region, new_res
 
 
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    """JSON-ready dict (inverse of config_from_dict)."""
-    return _dump(cfg)
-
-
-def _dump(v):
+def config_to_dict(v):
+    """JSON-ready form of a config dataclass, every field filled (inverse of config_from_dict)."""
     if is_dataclass(v):
-        return {f.name: _dump(getattr(v, f.name)) for f in fields(v)}
-    if isinstance(v, dict):  # pair weights
-        return {f"{p.l}-{p.m}": _dump(w) for p, w in v.items()}
+        return {f.name: config_to_dict(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, dict):  # pair weights, or a JSON object passed through
+        return {f"{k.l}-{k.m}" if isinstance(k, MicPair) else k: config_to_dict(w) for k, w in v.items()}
     if isinstance(v, (tuple, list, np.ndarray)):
-        return [_dump(x) for x in v]
+        return [config_to_dict(x) for x in v]
     if isinstance(v, np.generic):
         return v.item()
     return v
 
 
-def _check_keys(d, allowed, section: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{section!r} must be a JSON object")
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+def config_from_dict(d: dict, cls=PipelineConfig, name: str = "pipeline"):
+    """Build dataclass cls from the JSON object d, the section called name.
 
-
-def config_from_dict(d: dict) -> PipelineConfig:
-    """Parse a config dict, rejecting unknown keys fail-fast."""
-    return _section(PipelineConfig, d, "pipeline")
-
-
-def _section(cls, d, name: str):
-    """Build dataclass cls from a JSON object; omitted keys keep their defaults.
-
-    Allowed keys are the dataclass fields, and each value is coerced
-    by the field's annotation.
+    Allowed keys are the dataclass fields, each value coerced by the
+    field's annotation (a dataclass annotation recurses). An omitted key
+    keeps its default; a field without one is required.
     """
-    _check_keys(d, [f.name for f in fields(cls)], name)
-    hints = get_type_hints(cls)
+    if not isinstance(d, dict):
+        raise ConfigError(f"{name!r} must be a JSON object")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls)
+               if f.name not in d and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing keys in {name!r}: {missing}")
+    hints = _type_hints(cls)
     return cls(**{k: _value(hints[k], v, name, k) for k, v in d.items()})
 
 
@@ -430,7 +424,7 @@ def _value(tp, v, section: str, key: str):
             options = [a for a in options if (get_origin(a) is tuple) == seq]
         return _value(options[0], v, section, key)
     if is_dataclass(tp):
-        return _section(tp, v, key)
+        return config_from_dict(v, tp, key)
     if tp is object:  # any JSON value; the caller checks it
         return v
     origin, args = get_origin(tp), get_args(tp)

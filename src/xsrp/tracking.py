@@ -58,6 +58,24 @@ class LangevinParams:
         return self.b**2 / (1.0 - self.a**2)
 
 
+@dataclass(frozen=True)
+class TrackerConfig:
+    """Settings of track(): q particles drawn with seed, the Langevin alpha and beta
+    (the frame hop sets dt), reweighting by score^kappa, resampling when
+    ESS < resample_fraction * q, and the features' GccConfig beta (gcc_beta), gamma and band.
+    """
+
+    q: int = 500
+    alpha: float = LangevinParams.alpha
+    beta: float = LangevinParams.beta
+    kappa: float = 1.0
+    seed: int = 0
+    resample_fraction: float = 0.5
+    band: tuple[float, float] | None = None
+    gcc_beta: float = GccConfig.beta
+    gamma: float | None = None
+
+
 @dataclass
 class TrackerState:
     """Particle cloud: positions, velocities, normalized weights, RNG."""
@@ -182,18 +200,8 @@ class TrackPoint:
         }
 
 
-def track(
-    signals: np.ndarray,
-    array: MicArray,
-    room_dims,
-    frame_cfg: FrameConfig,
-    params: LangevinParams | None = None,
-    q: int = 500,
-    seed: int = 0,
-    gcc_cfg: GccConfig | None = None,
-    kappa: float = 1.0,
-    resample_fraction: float = 0.5,
-) -> list[TrackPoint]:
+def track(signals: np.ndarray, array: MicArray, room_dims, frame_cfg: FrameConfig,
+          cfg: TrackerConfig = TrackerConfig()) -> list[TrackPoint]:
     """Track one source through an (M, T) recording.
 
     Per frame: GCC-PHAT features, Langevin prediction, reweighting by
@@ -206,9 +214,9 @@ def track(
         raise ValueError(
             f"signal has {signals.shape[0]} channels for {array.n_mics} microphones"
         )
-    if params is None:
-        params = LangevinParams(dt=frame_cfg.hop / array.sample_rate)
-    state = init_state(room_dims, q, seed)
+    params = LangevinParams(cfg.alpha, cfg.beta, dt=frame_cfg.hop / array.sample_rate)
+    gcc_cfg = GccConfig(beta=cfg.gcc_beta, gamma=cfg.gamma, band=cfg.band)
+    state = init_state(room_dims, cfg.q, cfg.seed)
     points: list[TrackPoint] = []
     total = n_frames(signals.shape[1], frame_cfg)
     for i in range(total):
@@ -216,8 +224,8 @@ def track(
         gccs = compute_spectral_gccs(frames, array, gcc_cfg)
         scorer = make_freq_scorer(gccs, array)
         predict(state, params, room_dims)
-        update_weights(state, scorer, kappa)
-        if state.ess() < resample_fraction * q:
+        update_weights(state, scorer, cfg.kappa)
+        if state.ess() < cfg.resample_fraction * cfg.q:
             resample(state)
         state.frame_index = i
         t_end = (i * frame_cfg.hop + frame_cfg.frame_len) / array.sample_rate

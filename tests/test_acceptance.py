@@ -38,7 +38,7 @@ from xsrp.srp_core import (
     wsrp_map,
 )
 from xsrp.synth import SceneSpec, Source, add_noise, pink_noise, synthesize_free_field, white_noise
-from xsrp.tracking import LangevinParams, track
+from xsrp.tracking import LangevinParams, TrackerConfig, track
 
 FS = 16000.0
 C = 343.0
@@ -510,8 +510,7 @@ def test_c10_tracking():
     gcc_cfg = GccConfig(band=(300.0, 1200.0))
     points = track(
         signals, array, room, frame_cfg,
-        params=LangevinParams(alpha=1.0, beta=0.5, dt=hop / FS),
-        q=4000, seed=73, gcc_cfg=gcc_cfg, kappa=16.0,
+        TrackerConfig(q=4000, seed=73, alpha=1.0, beta=0.5, band=(300.0, 1200.0), kappa=16.0),
     )
     truth = np.array(
         [start + vel * ((p.frame * hop + 2048) / FS) for p in points]

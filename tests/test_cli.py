@@ -24,8 +24,9 @@ import xsrp
 from xsrp import __version__
 from xsrp.cli import main
 from xsrp.geometry import MicArray, MicPair, tdoa
-from xsrp.io_utils import read_jsonl, read_wav, write_wav
-from xsrp.srp_core import counter
+from xsrp.grids import CandidateGrid
+from xsrp.io_utils import export_map_csv, read_jsonl, read_wav, write_wav
+from xsrp.srp_core import SrpMap, counter
 
 FS = 16000.0
 ROOM = [4.0, 3.0, 2.0]
@@ -211,19 +212,20 @@ def test_localize_export_is_one_more_map_build(tmp_path, scene_dir):
     assert counter.kernel_ops - ops0 == (frames + 1) * (4 * 3 * 2) * (4 * 3 // 2)
 
 
+def track_config():
+    return {
+        "array": {"positions": MICS, "sample_rate": FS},
+        "room": ROOM,
+        "frame": {"frame_len": 1024, "hop": 512},
+        "tracker": {"q": 150, "seed": 2, "band": [300.0, 3000.0]},
+    }
+
+
 def test_track_jsonl(tmp_path):
     cfg = write_config(tmp_path / "scene.json", simulate_config(duration=0.5))
     scene = tmp_path / "scene"
     assert main(["simulate", "-c", cfg, "-o", str(scene)]) == 0
-    tcfg = write_config(
-        tmp_path / "track.json",
-        {
-            "array": {"positions": MICS, "sample_rate": FS},
-            "room": ROOM,
-            "frame": {"frame_len": 1024, "hop": 512},
-            "tracker": {"q": 150, "seed": 2, "band": [300.0, 3000.0]},
-        },
-    )
+    tcfg = write_config(tmp_path / "track.json", track_config())
     out = tmp_path / "traj.jsonl"
     assert main(["track", "-c", tcfg, "-i", str(scene / "scene.wav"), "-o", str(out)]) == 0
     records = read_jsonl(out)
@@ -234,6 +236,84 @@ def test_track_jsonl(tmp_path):
         assert 0.0 <= rec["y"] <= ROOM[1]
         assert 0.0 <= rec["z"] <= ROOM[2]
         assert 1.0 <= rec["ess"] <= 150.0
+
+
+def test_pgm_export_of_a_non_planar_grid_fails_before_any_output(tmp_path, scene_dir, capsys):
+    cfg = localize_config()
+    cfg["pipeline"]["grid"] = {"kind": "cartesian3d", "resolution": 0.5}
+    path = write_config(tmp_path / "loc.json", cfg)
+    out = tmp_path / "est.jsonl"
+    argv = ["localize", "-c", path, "-i", str(scene_dir / "scene.wav"), "-o", str(out)]
+    assert main(argv + ["--export-map", str(tmp_path / "map.pgm")]) == 1
+    assert "PGM export needs a planar cartesian2d grid" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loc.json", "scene", "scene.json"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "localize", "track"])
+def test_manifest_config_reproduces_the_run(tmp_path, scene_dir, command):
+    # the manifest holds the resolved config: every default filled in,
+    # every source seed set, and fed back it writes the same bytes
+    cfg = {"simulate": simulate_config, "localize": localize_config, "track": track_config}[command]()
+    if command == "simulate":
+        del cfg["simulate"]["seed"]
+        cfg["simulate"]["sources"].append({"position": [1.0, 1.0, 1.0], "signal": "pink"})
+
+    def run(config, name):
+        argv = [command, "-c", write_config(tmp_path / f"{name}.json", config), "-o", str(tmp_path / name)]
+        if command != "simulate":
+            argv += ["-i", str(scene_dir / "scene.wav")]
+        assert main(argv) == 0
+        if command == "simulate":
+            manifest = tmp_path / name / "manifest.json"
+            return (tmp_path / name / "scene.wav").read_bytes(), json.loads(manifest.read_text())
+        return (tmp_path / name).read_bytes(), json.loads(Path(f"{tmp_path / name}.manifest.json").read_text())
+
+    first, manifest = run(cfg, "a")
+    resolved = manifest["config"]
+    assert set(resolved) == {"simulate": {"array", "room", "simulate"},
+                             "localize": {"array", "room", "frame", "pipeline"},
+                             "track": {"array", "room", "frame", "tracker"}}[command]
+    assert resolved["array"]["speed_of_sound"] == 343.0
+    if command == "simulate":
+        assert [s["seed"] for s in resolved["simulate"]["sources"]] == [0, 1]
+        assert resolved["simulate"]["snr_db"] == 20.0
+    else:
+        assert resolved["frame"]["window"] == "rectangular"
+    if command == "localize":
+        assert resolved["pipeline"]["search"]["mode"] == "exhaustive"
+    if command == "track":
+        assert resolved["tracker"]["kappa"] == 1.0
+    second, again = run(resolved, "b")
+    assert second == first
+    assert again["config"] == resolved
+
+
+@pytest.mark.parametrize("command, make_config, required", [
+    ("simulate", simulate_config, "simulate"),
+    ("localize", localize_config, "frame"),
+    ("track", track_config, "room"),
+])
+def test_top_level_keys_come_from_the_command_config(tmp_path, capsys, command, make_config, required):
+    for bad, key in ((make_config() | {"bogus": 1}, "bogus"),
+                     ({k: v for k, v in make_config().items() if k != required}, required)):
+        argv = [command, "-c", write_config(tmp_path / "c.json", bad), "-o", str(tmp_path / "o")]
+        if command != "simulate":
+            argv += ["-i", str(tmp_path / "missing.wav")]  # the config fails before the input is read
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{key}'" in err and "'config'" in err
+
+
+def test_csv_export_bytes(tmp_path):
+    points = [[0.1, -0.0, 1e-20], [1.0 / 3.0, 2.5, 1e300], [7.0, -8.25, 123456789.0]]
+    grid = CandidateGrid("cartesian3d", points)
+    export_map_csv(SrpMap(grid, [1e-20, -1.5e-7, -0.0], "time"), tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_text() == (
+        "x,y,z,score\n"
+        "0.1,-0,1e-20,1e-20\n"
+        "0.333333333,2.5,1e+300,-1.5e-07\n"
+        "7,-8.25,123456789,-0\n"
+    )
 
 
 def test_exit_codes(tmp_path):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from xsrp import features
+from xsrp.cli import ArraySpec, LocalizeConfig, SimulateConfig, SimulateSpec, SourceSpec, TrackConfig
 from xsrp.features import (
     FrameConfig,
     GccConfig,
@@ -52,6 +53,7 @@ from xsrp.srp_core import (
     wsrp_map,
 )
 from xsrp.synth import SceneSpec, Source, add_noise, synthesize_free_field, white_noise
+from xsrp.tracking import TrackerConfig
 
 FS = 16000.0
 ROOM = np.array([5.0, 4.0, 3.0])
@@ -526,37 +528,78 @@ def test_config_round_trips_through_json():
         assert config_to_dict(config_from_dict(json.loads(json.dumps(config_to_dict(back))))) == d
 
 
-# every section dataclass and the keys that lead to its object
+MINIMAL_ARRAY = {"positions": [[0.5, 0.5, 0.5], [3.5, 0.5, 0.5], [0.5, 2.5, 1.5]], "sample_rate": 16000.0}
+
+
+def full_configs() -> dict:
+    """Each config that holds sections, with every field set."""
+    pipeline = full_config()
+    pipeline.grid = dataclasses.replace(pipeline.grid, azimuth_res=0.1, elevation_res=0.2, counts=(2, 3, 1))
+    pipeline.search = dataclasses.replace(pipeline.search, max_iters=4, points_per_iter=50, top_k=3)
+    array = ArraySpec(np.array(MINIMAL_ARRAY["positions"]), 16000.0, 340.0)
+    room = np.array([4.0, 3.0, 2.0])
+    tracker = TrackerConfig(q=7, alpha=1.5, beta=0.25, kappa=4.0, seed=9, resample_fraction=0.25,
+                            band=(300.0, 1200.0), gcc_beta=0.5, gamma=1e-6)
+    source = SourceSpec(np.array([1.0, 1.0, 1.0]), "pink", 9)
+    return {
+        PipelineConfig: pipeline,
+        LocalizeConfig: LocalizeConfig(array, FrameConfig(1024, 512, "hann"), room),
+        TrackConfig: TrackConfig(array, room, FrameConfig(1024, 256), tracker),
+        SimulateConfig: SimulateConfig(array, room, SimulateSpec((source,), 0.5, 10.0, 4)),
+    }
+
+
+# each config's required keys alone
+MINIMAL = {
+    PipelineConfig: {},
+    LocalizeConfig: {"array": MINIMAL_ARRAY, "frame": {"frame_len": 1024}},
+    TrackConfig: {"array": MINIMAL_ARRAY, "room": [4.0, 3.0, 2.0], "frame": {"frame_len": 1024}},
+    SimulateConfig: {"array": MINIMAL_ARRAY, "room": [4.0, 3.0, 2.0],
+                     "simulate": {"sources": [{"position": [1.0, 1.0, 1.0]}]}},
+}
+
+# every section dataclass, the config it sits in, and the keys that lead to its object
 SECTIONS = {
-    PipelineConfig: (),
-    GridSpec: ("grid",),
-    FeatureSpec: ("features",),
-    MapSpec: ("map",),
-    WsrpConfig: ("map", "wsrp"),
-    SearchConfig: ("search",),
-    MultiConfig: ("multi",),
+    PipelineConfig: (PipelineConfig, ()),
+    GridSpec: (PipelineConfig, ("grid",)),
+    FeatureSpec: (PipelineConfig, ("features",)),
+    MapSpec: (PipelineConfig, ("map",)),
+    WsrpConfig: (PipelineConfig, ("map", "wsrp")),
+    SearchConfig: (PipelineConfig, ("search",)),
+    MultiConfig: (PipelineConfig, ("multi",)),
+    ArraySpec: (LocalizeConfig, ("array",)),
+    FrameConfig: (LocalizeConfig, ("frame",)),
+    TrackerConfig: (TrackConfig, ("tracker",)),
+    SimulateSpec: (SimulateConfig, ("simulate",)),
+    SourceSpec: (SimulateConfig, ("simulate", "sources", 0)),
 }
 
 
 def test_config_schema_covers_every_dataclass_field():
-    cfg = full_config()
-    cfg.grid = dataclasses.replace(cfg.grid, azimuth_res=0.1, elevation_res=0.2, counts=(2, 3, 1))
-    cfg.search = dataclasses.replace(cfg.search, max_iters=4, points_per_iter=50, top_k=3)
-    full = config_to_dict(cfg)
+    fulls = {root: config_to_dict(full) for root, full in full_configs().items()}
 
     def at(d, path):
         for k in path:
             d = d[k]
         return d
 
-    for cls, path in SECTIONS.items():
+    for cls, (root, path) in SECTIONS.items():
+        section = at(fulls[root], path)
+        required = {f.name: section[f.name] for f in dataclasses.fields(cls)
+                    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
         for f in dataclasses.fields(cls):
-            value = at(full, path)[f.name]
-            # the key alone, at its place in an otherwise empty config
-            one = {f.name: value}
-            for k in reversed(path):
-                one = {k: one}
-            back = config_to_dict(config_from_dict(json.loads(json.dumps(one))))
+            value = section[f.name]
+            # the key alone, with the required keys, at its place in an otherwise minimal config
+            one = json.loads(json.dumps(MINIMAL[root]))
+            if path:
+                *outer, last = path
+                parent = one
+                for k in outer:
+                    parent = parent[k] if isinstance(parent, list) else parent.setdefault(k, {})
+                parent[last] = required | {f.name: value}
+            else:
+                one = required | {f.name: value}
+            back = config_to_dict(config_from_dict(json.loads(json.dumps(one)), root))
             assert at(back, path)[f.name] == value, (cls.__name__, f.name)
 
 
