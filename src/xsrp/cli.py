@@ -189,7 +189,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_scene(path, array: MicArray):
+def _read_scene(path, array: MicArray, frame_cfg: FrameConfig):
+    """The (M, T) signals of the scene WAV at path, and their number of whole frames."""
     fs, signals = read_wav(path)
     if fs != array.sample_rate:
         raise OSError(f"{path}: sample rate {fs} != configured {array.sample_rate}")
@@ -197,7 +198,10 @@ def _read_scene(path, array: MicArray):
         raise OSError(
             f"{path}: {signals.shape[0]} channels for {array.n_mics} microphones"
         )
-    return signals
+    total = n_frames(signals.shape[1], frame_cfg)
+    if total == 0:
+        raise OSError(f"{path}: shorter than one frame ({frame_cfg.frame_len})")
+    return signals, total
 
 
 def cmd_localize(args) -> int:
@@ -209,13 +213,10 @@ def cmd_localize(args) -> int:
         raise ConfigError("PGM export needs a planar cartesian2d grid")
     array = cfg.array.mic_array()
     plan = prepare(array, cfg.room, pipe)
-    signals = _read_scene(args.input, array)
-    total = n_frames(signals.shape[1], frame_cfg)
-    if total == 0:
-        raise OSError(f"{args.input}: shorter than one frame ({frame_cfg.frame_len})")
+    signals, total = _read_scene(args.input, array, frame_cfg)
+    blocks = (frame_stack(signals, frame_cfg, i) for i in range(total))
     records = []
-    for i in range(total):
-        est = plan.run(frame_stack(signals, frame_cfg, i))
+    for i, est in enumerate(plan.stream(blocks)):  # frames taken lazily, in batches
         records.append(
             {
                 "frame": i,
@@ -244,7 +245,7 @@ def cmd_track(args) -> int:
     t0 = time.perf_counter()
     cfg = _load_config(args.config, TrackConfig)
     array = cfg.array.mic_array()
-    signals = _read_scene(args.input, array)
+    signals, _ = _read_scene(args.input, array, cfg.frame)
     points = track(signals, array, cfg.room, cfg.frame, cfg.tracker)
     write_jsonl([p.as_record() for p in points], args.out)
     _write_manifest(

@@ -8,8 +8,8 @@ Every feature is a generalized cross-correlation (GCC, Knapp & Carter
 and all pairs come from one block. One rfft of the (M, L) frame block,
 zero-padded to 2L so lags cover -(L-1)..(L-1) without circular wrap,
 gives a (P, L+1) block of weighted cross-spectra over the f >= 0 bins,
-one row per pair in array.pairs() order; one irfft of that block gives
-every pair's lags, held as one LagBlock. beta = 1, gamma = 0 is
+one row per pair in array.pairs() order; its irfft, run over groups of
+rows, gives every pair's lags, held as one LagBlock. beta = 1, gamma = 0 is
 GCC-PHAT; beta = 0, gamma = 0 over the full band leaves the raw
 cross-spectrum, whose inverse transform is the classical
 cross-correlation CC(tau) = sum_n x_l[n] x_m[n - tau], so CC is the
@@ -160,7 +160,9 @@ class LagBlock:
     Row j is pair j of array.pairs(); ``values[j, i]`` is lag i - k.
     ``head`` holds each row's running sum of the lags cropped off the
     left (0 if none), so cumsum([head, row]) continues the uncropped
-    row's np.cumsum bit for bit.
+    row's np.cumsum bit for bit. Only volumetric sum and mean pooling
+    read it; a block cropped with head=False holds NaN there, which
+    that pooling refuses.
     """
 
     values: np.ndarray
@@ -178,16 +180,21 @@ class LagBlock:
         return (self.values.shape[1] - 1) // 2
 
     @classmethod
-    def crop(cls, lags: np.ndarray, sample_rate: float, reach: int | None = None) -> "LagBlock":
+    def crop(
+        cls, lags: np.ndarray, sample_rate: float, reach: int | None = None, head: bool = True
+    ) -> "LagBlock":
         """The (P, 2K+1) ``lags`` over -reach..reach (all if reach is None or >= K).
 
         A crop is a copy, so ``lags`` can be freed; the lags cropped off
-        the left go into head by np.cumsum, in place in ``lags``.
+        the left go into head by np.cumsum, in place in ``lags``, unless
+        head is False (head is then NaN).
         """
         k = (lags.shape[1] - 1) // 2
         s = 0 if reach is None else max(k - reach, 0)
         if not s:
             return cls(lags, sample_rate)
+        if not head:
+            return cls(lags[:, s:-s].copy(), sample_rate, np.full(len(lags), np.nan))
         left = lags[:, :s]
         np.cumsum(left, axis=1, out=left)
         return cls(lags[:, s:-s].copy(), sample_rate, left[:, -1].copy())
@@ -345,18 +352,38 @@ def compute_spectral_gccs(
     return gccs_from_half(block, in_band, array.sample_rate, array.pairs())
 
 
+#: pair rows per irfft in lag_block. Each group is cropped as soon as it
+#: is transformed, so only this many rows of the (P, 2L - 1) lags exist
+#: at once. At 8 mics and L = 4096, cropped to +/-267 lags, one call's
+#: tracemalloc peak was 3.13 MiB for groups of 1 to 8 rows (the GCC
+#: weighting's own peak) and 3.72 MiB for one whole-block irfft; 8 rows
+#: was also the fastest group size measured
+_IRFFT_ROWS = 8
+
+
 def lag_block(
-    frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None, reach: int | None = None
+    frames: np.ndarray,
+    array: MicArray,
+    cfg: GccConfig | None = None,
+    reach: int | None = None,
+    head: bool = True,
 ) -> LagBlock:
-    """Temporal GCCs of every pair, straight from the block by one irfft, as one LagBlock.
+    """Temporal GCCs of every pair, straight from the block by irfft, as one LagBlock.
 
     The block covers lags -reach..reach (all of -(L-1)..(L-1) when
-    reach is None); see LagBlock.crop.
+    reach is None); see LagBlock.crop, which also says what head=False
+    leaves out. The irfft runs over groups of _IRFFT_ROWS rows, each
+    cropped as it goes; every row is its own transform, so the block
+    equals one whole-block irfft and crop bit for bit.
     """
-    lags = lags_from_half(_gcc_block(frames, array, cfg)[0])
-    if not np.all(np.isfinite(lags)):
-        raise ValueError("lag values must be finite")
-    return LagBlock.crop(lags, array.sample_rate, reach)
+    half, fs = _gcc_block(frames, array, cfg)[0], array.sample_rate
+    parts = []
+    for r in range(0, len(half), _IRFFT_ROWS):
+        lags = lags_from_half(half[r: r + _IRFFT_ROWS])
+        if not np.all(np.isfinite(lags)):
+            raise ValueError("lag values must be finite")
+        parts.append(LagBlock.crop(lags, fs, reach, head))
+    return LagBlock(np.concatenate([b.values for b in parts]), fs, np.concatenate([b.head for b in parts]))
 
 
 def compute_lag_vectors(

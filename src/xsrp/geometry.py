@@ -182,16 +182,19 @@ def max_tdoa(pair: MicPair, array: MicArray) -> float:
 def tof_matrix(points: np.ndarray, array: MicArray) -> np.ndarray:
     """Times of flight from each of N points to each mic, shape (N, M).
 
-    Built one mic at a time from (N,) coordinate columns. The sum
-    dx*dx + dy*dy + dz*dz runs in ``np.linalg.norm(..., axis=1)``'s
-    order, so the distances equal that formula's bit for bit.
+    The transpose of a mic-major (M, N) array, so ``tof_matrix(...).T``
+    is C-contiguous, built one mic row at a time from (N,) coordinate
+    columns. The sum dx*dx + dy*dy + dz*dz runs in
+    ``np.linalg.norm(..., axis=1)``'s order, so the distances equal that
+    formula's bit for bit.
     """
     x, y, z = np.atleast_2d(np.asarray(points, dtype=float)).T.copy()
-    d = np.empty((len(x), array.n_mics))
-    for i, (vx, vy, vz) in enumerate(array.positions):
+    t = np.empty((array.n_mics, len(x)))
+    for row, (vx, vy, vz) in zip(t, array.positions):
         dx, dy, dz = x - vx, y - vy, z - vz
-        d[:, i] = np.sqrt(dx * dx + dy * dy + dz * dz)
-    return d / array.speed_of_sound
+        np.sqrt(dx * dx + dy * dy + dz * dz, out=row)
+    t /= array.speed_of_sound
+    return t.T
 
 
 def tdoa_matrix(points: np.ndarray, array: MicArray) -> np.ndarray:

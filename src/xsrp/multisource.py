@@ -12,7 +12,9 @@ features reach that block by one irfft and return by one rfft, band
 mask re-applied.
 No renormalization is applied, so successive peak scores are
 comparable and an auto stopping rule (score floor relative to the
-first peak) is possible.
+first peak) is possible. A batch of frames runs its rounds together
+(localize_multi_batch): each time-domain round scores every frame
+still extracting in one pass over the grid's lag table.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .features import LagBlock, LagVector, SpectralGcc, gccs_from_half, half_fro
 from .geometry import MicArray, far_field_tdoa_matrix, tdoa_matrix
 from .grids import CandidateGrid
 from .search import SearchConfig, argmax_search
-from .srp_core import _lag_block, lag_table, srp_freq_map, srp_time_map
+from .srp_core import _lag_block, lag_table, srp_freq_map, time_argmax
 
 _AUTO_CAP = 10  # hard cap on de-emphasis rounds in auto mode
 
@@ -174,15 +176,36 @@ def localize_multi(
     table: np.ndarray | None = None,
     bounds: np.ndarray | None = None,
 ) -> EstimateSet:
-    """Iterative multi-source localization over a grid.
+    """Iterative multi-source localization over a grid, in one frame.
 
     features is a LagBlock or maps each pair to a LagVector
     (time-domain maps), or maps each pair to a SpectralGcc
-    (frequency-domain maps). Each round builds the map, takes the
-    argmax, appends the estimate, and notches its theoretical TDOA
-    from every pair. With n_sources = 1 the first round is exactly the
-    single-source pipeline. Time-domain rounds notch one lag block (a
-    copy of a caller's) and share the grid's lag table and the array's
+    (frequency-domain maps). The batch of one of localize_multi_batch,
+    which says what each round does.
+    """
+    return localize_multi_batch([features], grid, array, cfg, search, table, bounds)[0]
+
+
+def localize_multi_batch(
+    batch: list,
+    grid: CandidateGrid,
+    array: MicArray,
+    cfg: MultiConfig | None = None,
+    search: SearchConfig | None = None,
+    table: np.ndarray | None = None,
+    bounds: np.ndarray | None = None,
+) -> list[EstimateSet]:
+    """Iterative multi-source localization of each frame of a batch over a grid.
+
+    ``batch`` holds each frame's features, all of one domain (see
+    localize_multi). Each round maps every still-active frame, takes
+    its argmax, appends the estimate, and notches its theoretical TDOA
+    from every pair; each frame keeps its own notch, stop rules and
+    warnings, so its estimates equal those of a batch of one. With
+    n_sources = 1 the first round is exactly the single-source
+    pipeline. Time-domain rounds score all active frames in one pass
+    over the grid's lag table (time_argmax), notch one lag block per
+    frame (a copy of a caller's), and share the table and the array's
     lag bounds: ``table`` and ``bounds`` if prepared, else built here.
 
     Only exhaustive search is meaningful here (the de-emphasis loop
@@ -191,49 +214,58 @@ def localize_multi(
     cfg = cfg or MultiConfig()
     if search is not None and search.mode != "exhaustive":
         raise ValueError("localize_multi supports only exhaustive search")
-    domain = _features_domain(features)
-    if domain == "time":
-        work, bounds = _lag_block(features, array, bounds)  # array.pairs() order, as the TDOAs
+    domains = {_features_domain(f) for f in batch}
+    if len(domains) > 1:
+        raise ValueError("a batch mixes time and frequency features")
+    time_domain = domains == {"time"}
+    if time_domain:  # blocks in array.pairs() order, as the TDOAs
+        work = []
+        for f in batch:
+            block, bounds = _lag_block(f, array, bounds)
+            work.append(block)
         if table is None:
             table = lag_table(grid.points, array, far_field=grid.is_doa)
     else:
-        work = dict(sorted(features.items()))  # array.pairs() order, as the TDOAs
+        work = [dict(sorted(f.items())) for f in batch]  # array.pairs() order, as the TDOAs
     tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
     sigma = cfg.notch_sigma if cfg.notch_sigma is not None else default_notch_sigma(array)
     cap = cfg.n_sources if cfg.n_sources is not None else _AUTO_CAP
     auto = cfg.n_sources is None
-    estimates: list[tuple[np.ndarray, float]] = []
-    first_score = None
-    while len(estimates) < cap:
-        if domain == "time":
-            srp = srp_time_map(work, grid, array, table=table, bounds=bounds)
+    found: list[list[tuple[np.ndarray, float]]] = [[] for _ in batch]
+    active = list(range(len(batch)))
+    while active:
+        if time_domain:
+            idx, scores = time_argmax(table, [work[i] for i in active], bounds)
+            peaks = [(grid.points[j].copy(), float(s)) for j, s in zip(idx, scores)]
         else:
-            srp = srp_freq_map(work, grid, array)
-        res = argmax_search(srp)
-        if first_score is None:
-            first_score = res.score
-            if auto and first_score <= 0:
-                warnings.warn("auto mode: first peak is non-positive; no sources found")
-                break
-        elif auto and res.score < cfg.score_floor * first_score:
-            break
-        if cfg.min_source_distance > 0 and estimates:
-            dists = np.linalg.norm(
-                np.array([p for p, _ in estimates]) - res.estimate, axis=1
-            )
-            if dists.min() < cfg.min_source_distance:
+            results = [argmax_search(srp_freq_map(work[i], grid, array)) for i in active]
+            peaks = [(r.estimate, r.score) for r in results]
+        still = []
+        for i, (point, score) in zip(active, peaks):
+            estimates = found[i]
+            if not estimates:
+                if auto and score <= 0:
+                    warnings.warn("auto mode: first peak is non-positive; no sources found")
+                    continue
+            elif auto and score < cfg.score_floor * estimates[0][1]:
+                continue
+            if cfg.min_source_distance > 0 and estimates:
+                dists = np.linalg.norm(np.array([p for p, _ in estimates]) - point, axis=1)
+                if dists.min() < cfg.min_source_distance:
+                    warnings.warn(
+                        "new peak closer than min_source_distance to an accepted source; stopping"
+                    )
+                    continue
+            estimates.append((point, score))
+            if len(estimates) >= cap:
+                continue
+            if len(estimates) == 2:
                 warnings.warn(
-                    "new peak closer than min_source_distance to an accepted source; stopping"
+                    "extracting a third or later source: residual correlation noise "
+                    "grows with each cancellation"
                 )
-                break
-        estimates.append((res.estimate, res.score))
-        if len(estimates) >= cap:
-            break
-        if len(estimates) == 2:
-            warnings.warn(
-                "extracting a third or later source: residual correlation noise "
-                "grows with each cancellation"
-            )
-        work = work.copy() if work is features else work  # the caller's block stays
-        work = deemphasize(work, tdoas(res.estimate[None, :], array)[0], sigma)
-    return EstimateSet.from_pairs(estimates)
+            w = work[i].copy() if work[i] is batch[i] else work[i]  # the caller's block stays
+            work[i] = deemphasize(w, tdoas(point[None, :], array)[0], sigma)
+            still.append(i)
+        active = still
+    return [EstimateSet.from_pairs(estimates) for estimates in found]

@@ -14,13 +14,17 @@ LagBlock per frame, rows in array.pairs() order (a dict of LagVectors
 is stacked into one on entry). The time map reads each pair's lag
 window -D..D, D = round(max_tdoa * fs) + 1 (lag_bounds), through a
 table of offsets rint(tau * fs) + D, so a block cropped to +/-max D
-serves every map of the array. The frequency map is Horner's rule
-over the uniform DFT bins, exact, steered by per-mic phasors (2 M
-complex exponentials per point). A module-level counter tracks
-candidate scorings and steering-kernel evaluations so complexity
-claims can be checked; frequency-domain kernel counts are exactly
-G * P * |F|, |F| the in-band bin count: the complexity model's unit,
-not a count of multiplies.
+serves every map of the array. One blocked gather scores a batch of
+frames per pass over the table: time_argmax reduces each block of
+points to every frame's running argmax, and srp_time_map is its
+one-frame full map. The frequency map is Horner's rule over the
+uniform DFT bins, exact, steered by per-mic phasors (2 M complex
+exponentials per point). A module-level counter tracks candidate
+scorings and steering-kernel evaluations so complexity claims can be
+checked: each frame's map adds G points and G * P kernel ops (time,
+volumetric) or G * P * |F| (frequency), whether it is built alone or
+scored in a batch; |F| is the in-band bin count, the complexity
+model's unit, not a count of multiplies.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ class EvalCounter:
 
 
 #: global counter; reset() it around a measurement. Updated once per
-#: map build.
+#: map build, or once per pass of a batch of frames by the frames' maps.
 counter = EvalCounter()
 
 
@@ -130,8 +134,10 @@ def _lag_block(lags, array: MicArray, bounds: np.ndarray | None = None):
     return LagBlock.crop(full, lags[pairs[0]].sample_rate, int(bounds.max())), bounds
 
 
-#: points per TDOA block while building a lag table; bounds the float
-#: temporaries to a few hundred kB whatever the grid size
+#: points per block of a lag table build. The block's (M, chunk) times
+#: of flight and (P, chunk) TDOAs came to a 1.66 MiB tracemalloc
+#: transient at 8 mics, below the 3.13 MiB of one frame's lag_block, so
+#: the build does not raise a run's peak
 _TABLE_CHUNK = 4096
 
 
@@ -141,38 +147,98 @@ def lag_table(points: np.ndarray, array: MicArray, far_field: bool = False) -> n
     Entry [j, g] is rint(tau_j(u_g) * fs) + D_j (see lag_bounds), so
     row j indexes the lag window -D_j..D_j directly; the dtype is the
     smallest unsigned one holding 2 max D, uint16 for any room-sized
-    array. Near-field rows repeat tdoa_matrix's float operations, one
-    pair row at a time. Built once per grid and reused for every frame
-    and de-emphasis round.
+    array. Near-field blocks take one mic-major tof_matrix pass and
+    the pair rows by consecutive-row subtraction, t[l] - t[l+1:] (pairs
+    (l, l+1..M-1) are consecutive rows), then one scale/rint/offset
+    pass: tdoa_matrix's float operations, bit for bit. Built once per
+    grid and reused for every frame and de-emphasis round.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    fs = array.sample_rate
+    fs, M = array.sample_rate, array.n_mics
     bounds = lag_bounds(array)
-    pairs = array.pairs()
-    table = np.empty((len(pairs), len(pts)), dtype=np.min_scalar_type(2 * bounds.max()))
+    table = np.empty((len(bounds), len(pts)), dtype=np.min_scalar_type(2 * bounds.max()))
+    buf = np.empty((len(bounds), min(_TABLE_CHUNK, len(pts))))
     for i in range(0, len(pts), _TABLE_CHUNK):
-        chunk, block = pts[i: i + _TABLE_CHUNK], table[:, i: i + _TABLE_CHUNK]
+        chunk = pts[i: i + _TABLE_CHUNK]
+        tau = buf[:, : len(chunk)]
         if far_field:
-            block[:] = np.rint(far_field_tdoa_matrix(chunk, array) * fs).T + bounds[:, None]
-            continue
-        t = np.ascontiguousarray(tof_matrix(chunk, array).T)  # (M, chunk)
-        for row, pair, d in zip(block, pairs, bounds):
-            tau = t[pair.l] - t[pair.m]
-            tau *= fs
-            np.add(np.rint(tau, out=tau), d, out=row, casting="unsafe")
+            tau[:] = far_field_tdoa_matrix(chunk, array).T
+        else:
+            t = tof_matrix(chunk, array).T  # (M, chunk), C-contiguous
+            row = 0
+            for l in range(M - 1):
+                np.subtract(t[l], t[l + 1:], out=tau[row: row + M - 1 - l])
+                row += M - 1 - l
+        tau *= fs
+        np.add(np.rint(tau, out=tau), bounds[:, None], out=table[:, i: i + _TABLE_CHUNK],
+               casting="unsafe")
     return table
 
 
+#: gathered elements (points x frames) per block of a time-map pass: a
+#: 512 KiB float64 running sum. On a 90k-point, 28-pair table, a 4-frame
+#: pass took 4.12, 3.17, 3.14, 3.01, 4.00 and 6.41 ms per frame at blocks
+#: of 8,192 to 262,144 elements (doubling), and a one-frame map 6.50 ms
+#: at 65,536; smaller blocks pay per-call overhead, larger ones miss cache
+_GATHER_BLOCK = 65536
+
+
+def _gather(table: np.ndarray, blocks: list[LagBlock], bounds: np.ndarray):
+    """Yield (start, scores): time-map scores of points start.. of every frame, (B, F) per block.
+
+    Every score is the sum from 0.0 over pairs, in table row order, of
+    the frame's lag at the table offset. Pair j gathers rows of one
+    (2 D_j + 1, F) window of all F frames: take costs about the same
+    per index whether an index fetches one float or a row of F, so a
+    batch of frames shares each pass over the table. The counter adds
+    G points and G * P kernel ops per frame.
+    """
+    G, F = table.shape[1], len(blocks)
+    wins = [
+        np.stack([b.values[j, b.max_lag - d: b.max_lag + d + 1] for b in blocks], axis=1)
+        for j, d in enumerate(bounds)
+    ]
+    counter.points += G * F
+    counter.kernel_ops += G * len(bounds) * F
+    step = max(1, _GATHER_BLOCK // F)
+    for i in range(0, G, step):
+        scores = np.zeros((min(step, G - i), F))
+        for win, row in zip(wins, table[:, i: i + step]):
+            scores += win.take(row, axis=0)
+        yield i, scores
+
+
 def _time_scores(table: np.ndarray, lags, array: MicArray, bounds=None):
-    """Gather-and-sum of each pair's lag window -D..D over a lag table."""
+    """Gather-and-sum of each pair's lag window -D..D over a lag table: one frame's scores."""
     block, bounds = _lag_block(lags, array, bounds)
-    k = block.max_lag
-    scores = np.zeros(table.shape[1])
-    for row, values, d in zip(table, block.values, bounds):
-        scores += values[k - d: k + d + 1].take(row)
-    counter.points += table.shape[1]
-    counter.kernel_ops += table.shape[1] * len(bounds)
+    scores = np.empty(table.shape[1])
+    for i, part in _gather(table, [block], bounds):
+        scores[i: i + len(part)] = part[:, 0]
     return scores
+
+
+def time_argmax(table: np.ndarray, blocks: list[LagBlock], bounds: np.ndarray):
+    """Argmax and peak score of each frame's time map over a lag table, (F,) each.
+
+    ``blocks`` are the frames' LagBlocks (rows in array.pairs() order,
+    each covering the pairs' lag bounds); ``bounds`` the array's
+    lag_bounds. Equal to argmax_search(srp_time_map(...)) per frame,
+    bit for bit, with the full map never built: each block of points
+    is checked for finite scores, as SrpMap does, and a block's peak
+    replaces a frame's best only if strictly greater, so ties keep the
+    lowest index. The counter adds what srp_time_map would.
+    """
+    best = np.full(len(blocks), -np.inf)
+    idx = np.zeros(len(blocks), dtype=np.intp)
+    cols = np.arange(len(blocks))
+    for i, part in _gather(table, blocks, bounds):
+        if not np.isfinite(part).all():
+            raise ValueError("map scores must be finite")
+        j = part.argmax(axis=0)
+        peak = part[j, cols]
+        better = peak > best
+        best[better], idx[better] = peak[better], i + j[better]
+    return idx, best
 
 
 def srp_time_scores(
@@ -198,7 +264,8 @@ def srp_time_map(
     ``lags`` is a LagBlock or a dict of LagVectors (stacked into one
     block on entry). ``table`` is the grid's lag_table and ``bounds``
     the array's lag_bounds when the caller has prepared them;
-    otherwise they are built here.
+    otherwise they are built here. The full map of one frame: the
+    one-frame case of time_argmax's blocked gather.
     """
     if table is None:
         table = lag_table(grid.points, array, far_field=grid.is_doa)
@@ -362,7 +429,7 @@ def volume_tdoa_bounds(lo, hi, array: MicArray, guard: float = 1.0):
         raise ValueError(f"guard must be >= 0, got {guard}")
     pairs = array.pairs()
     verts = np.where(_CORNERS[:, None, :], hi, lo).reshape(-1, 3)
-    t = np.ascontiguousarray(tof_matrix(verts, array).T).reshape(array.n_mics, 8, len(lo))
+    t = tof_matrix(verts, array).T.reshape(array.n_mics, 8, len(lo))
     pad = guard / array.sample_rate
     tau_min = np.empty((len(pairs), len(lo)))
     tau_max = np.empty_like(tau_min)
@@ -422,6 +489,8 @@ def vsrp_map(
     if pooling not in _POOLS:
         raise ValueError(f"pooling must be one of {_POOLS}, got {pooling!r}")
     block, _ = _lag_block(lags, array, bounds)
+    if pooling != "max" and np.isnan(block.head).any():
+        raise ValueError(f"{pooling} pooling reads the lag block's head; build the block with head=True")
     if windows is None:
         windows = lag_windows(volume_grid, array, guard)
     k = block.max_lag

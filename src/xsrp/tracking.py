@@ -75,6 +75,14 @@ class TrackerConfig:
     gcc_beta: float = GccConfig.beta
     gamma: float | None = None
 
+    def __post_init__(self):
+        if self.q < 1:
+            raise ValueError(f"need q >= 1 particles, got {self.q}")
+        if not self.kappa > 0:
+            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        if not 0 < self.resample_fraction <= 1:
+            raise ValueError(f"resample_fraction must lie in (0, 1], got {self.resample_fraction}")
+
 
 @dataclass
 class TrackerState:

@@ -22,10 +22,13 @@ from scipy.io import wavfile
 
 import xsrp
 from xsrp import __version__
-from xsrp.cli import main
+from xsrp import multisource
+from xsrp.cli import LocalizeConfig, main
+from xsrp.features import frame_stack
 from xsrp.geometry import MicArray, MicPair, tdoa
 from xsrp.grids import CandidateGrid
-from xsrp.io_utils import export_map_csv, read_jsonl, read_wav, write_wav
+from xsrp.io_utils import export_map_csv, read_jsonl, read_wav, write_jsonl, write_wav
+from xsrp.pipeline import config_from_dict, prepare
 from xsrp.srp_core import SrpMap, counter
 
 FS = 16000.0
@@ -212,6 +215,39 @@ def test_localize_export_is_one_more_map_build(tmp_path, scene_dir):
     assert counter.kernel_ops - ops0 == (frames + 1) * (4 * 3 * 2) * (4 * 3 // 2)
 
 
+def test_localize_in_batches_writes_what_one_frame_runs_write(tmp_path, monkeypatch):
+    # 11 frames go to the plan as batches of 8 and 3, two rounds each;
+    # the records and the export equal those of one-frame Plan.run calls
+    sim = write_config(tmp_path / "scene.json", simulate_config(duration=(1024 + 10 * 512) / FS))
+    assert main(["simulate", "-c", sim, "-o", str(tmp_path / "scene")]) == 0
+    wav = tmp_path / "scene" / "scene.wav"
+    cfg = localize_config(resolution=0.5)
+    cfg["frame"] = {"frame_len": 1024, "hop": 512}
+    cfg["pipeline"]["grid"]["kind"] = "cartesian3d"
+    cfg["pipeline"]["multi"] = {"n_sources": 2}
+    path = write_config(tmp_path / "loc.json", cfg)
+    batches = []
+    time_argmax = multisource.time_argmax
+    monkeypatch.setattr(multisource, "time_argmax",
+                        lambda table, blocks, bounds: batches.append(len(blocks)) or time_argmax(table, blocks, bounds))
+    argv = ["localize", "-c", path, "-i", str(wav), "-o", str(tmp_path / "est.jsonl")]
+    assert main(argv + ["--export-map", str(tmp_path / "map.csv")]) == 0
+    assert batches == [8, 8, 3, 3]
+
+    parsed = config_from_dict(cfg, LocalizeConfig, "config")
+    array = parsed.array.mic_array()
+    signals = read_wav(wav)[1]
+    records = []
+    for i in range(11):
+        plan = prepare(array, parsed.room, parsed.pipeline)
+        est = plan.run(frame_stack(signals, parsed.frame, i))
+        records.append({"frame": i, "t_seconds": (i * 512 + 1024) / FS, "estimates": est.records()})
+    write_jsonl(records, tmp_path / "want.jsonl")
+    export_map_csv(plan.map(), tmp_path / "want.csv")
+    assert (tmp_path / "est.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    assert (tmp_path / "map.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def track_config():
     return {
         "array": {"positions": MICS, "sample_rate": FS},
@@ -236,6 +272,16 @@ def test_track_jsonl(tmp_path):
         assert 0.0 <= rec["y"] <= ROOM[1]
         assert 0.0 <= rec["z"] <= ROOM[2]
         assert 1.0 <= rec["ess"] <= 150.0
+
+
+def test_a_wav_shorter_than_one_frame_is_an_io_error(tmp_path, capsys):
+    wav = tmp_path / "short.wav"
+    write_wav(wav, FS, np.zeros((len(MICS), 800)))
+    for command, cfg in (("localize", localize_config()), ("track", track_config())):
+        path = write_config(tmp_path / f"{command}.json", cfg)
+        assert main([command, "-c", path, "-i", str(wav), "-o", str(tmp_path / "o.jsonl")]) == 2
+        assert "i/o error: " in (err := capsys.readouterr().err) and "shorter than one frame" in err
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 def test_pgm_export_of_a_non_planar_grid_fails_before_any_output(tmp_path, scene_dir, capsys):
@@ -586,6 +632,14 @@ def _non_integer_rate(make_config, command):
     return make
 
 
+def _tracker_with(key, value):
+    def make():
+        cfg = track_config()
+        cfg["tracker"][key] = value
+        return "track", cfg
+    return make
+
+
 def _localize_with(path, value, **pipeline):
     """A localize config with its pipeline sections replaced, then cfg[path] = value."""
     def make():
@@ -618,14 +672,17 @@ def _volumes(counts):
      _volumes([10000, 10000, 10000]),
      _localize_with(("pipeline", "grid", "resolution"), 1e-4, grid={"kind": "cartesian3d"}),
      _localize_with(("array", "positions"), [[True, 0.0, 1.0], [0.0, 1.0, 1.0]]),
-     _localize_with(("pipeline", "grid", "azimuth_res"), 1e-9, grid={"kind": "doa_azimuth"})],
+     _localize_with(("pipeline", "grid", "azimuth_res"), 1e-9, grid={"kind": "doa_azimuth"}),
+     _tracker_with("q", 0), _tracker_with("kappa", 0.0), _tracker_with("resample_fraction", -3.0),
+     _tracker_with("resample_fraction", 1.5)],
     ids=["frame_without_frame_len", "source_without_position", "null_max_iters",
          "null_frame_len", "number_tracker_band", "null_duration", "sources_not_a_list",
          "null_source_seed", "non_integer_rate_simulate", "non_integer_rate_localize",
          "fractional_volume_count", "boolean_volume_count", "zero_volume_count",
          "fractional_max_loop_iters", "fractional_frame_len", "fractional_hop",
          "boolean_sample_rate", "volume_partition_too_large", "cartesian_grid_too_large",
-         "boolean_in_positions", "doa_grid_too_large"],
+         "boolean_in_positions", "doa_grid_too_large", "zero_particles", "zero_kappa",
+         "negative_resample_fraction", "resample_fraction_above_one"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, make):
     command, cfg = make()

@@ -10,15 +10,19 @@ edges, compute_spectral_gccs and compute_lag_vectors, on a 2-mic array
 unless a test needs more microphones.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from xsrp import features
 from xsrp.features import (
     GAMMA_RELATIVE_FLOOR,
     FrameConfig,
     GccConfig,
+    LagBlock,
     LagVector,
     SpectralGcc,
     analysis_band,
@@ -27,6 +31,7 @@ from xsrp.features import (
     frame_signal,
     frame_stack,
     half_from_lags,
+    lag_block,
     lags_from_half,
     n_frames,
     temporal_gcc,
@@ -387,3 +392,29 @@ def test_block_matches_per_pair_reference(n_mics, log_len, beta, gamma, band, de
         assert np.max(np.abs(got - ref_lags)) <= 1e-12 * np.max(np.abs(ref_lags))
         if dead in (p.l, p.m):
             assert np.all(g.values == 0) and np.all(got == 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_mics=st.integers(2, 8),
+    log_len=st.integers(1, 10),
+    reach=st.none() | st.integers(0, 1100),
+    head=st.booleans(),
+    rows=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_grouped_lag_block_equals_one_whole_block_irfft(n_mics, log_len, reach, head, rows, seed):
+    """Row groups of any size give the whole-block irfft plus LagBlock.crop, head included."""
+    rng = np.random.default_rng(seed)
+    array = MicArray(rng.uniform(0.0, 3.0, size=(n_mics, 3)), sample_rate=16000.0)
+    frames = rng.normal(size=(n_mics, 2**log_len))
+    cfg = GccConfig(band=(100.0, 5000.0))
+    want = LagBlock.crop(lags_from_half(features._gcc_block(frames, array, cfg)[0]), 16000.0, reach)
+    with mock.patch.object(features, "_IRFFT_ROWS", rows):
+        got = lag_block(frames, array, cfg, reach=reach, head=head)
+    assert np.array_equal(got.values, want.values)
+    cropped = reach is not None and reach < 2**log_len - 1
+    if head or not cropped:
+        assert np.array_equal(got.head, want.head)
+    else:  # not computed
+        assert np.all(np.isnan(got.head))

@@ -1,13 +1,20 @@
 """Tests for iterative de-emphasis and the estimate set."""
 
+import collections
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xsrp import srp_core
 from xsrp.features import (
     FrameConfig,
     GccConfig,
+    LagBlock,
     LagVector,
     SpectralGcc,
     compute_lag_vectors,
@@ -17,17 +24,18 @@ from xsrp.features import (
     half_from_lags,
     lags_from_half,
 )
-from xsrp.geometry import MicArray, MicPair, tdoa
-from xsrp.grids import cartesian_grid
+from xsrp.geometry import MicArray, MicPair, far_field_tdoa_matrix, tdoa, tdoa_matrix
+from xsrp.grids import CandidateGrid, cartesian_grid
 from xsrp.multisource import (
     EstimateSet,
     MultiConfig,
     deemphasize,
     default_notch_sigma,
     localize_multi,
+    localize_multi_batch,
 )
 from xsrp.search import SearchConfig, argmax_search
-from xsrp.srp_core import srp_time_map
+from xsrp.srp_core import counter, lag_bounds, lag_table, srp_time_map, time_argmax
 from xsrp.synth import SceneSpec, Source, add_noise, synthesize_free_field, white_noise
 
 FS = 16000.0
@@ -308,3 +316,123 @@ def test_estimate_set_ordering_and_json():
         EstimateSet(np.zeros((2, 3)), [1.0])
     seen = [(p.copy(), s) for p, s in est]
     assert len(seen) == 2 and seen[0][1] == 2.0
+
+
+# ------------------------------------------------------- batched time rounds
+
+
+@st.composite
+def _batch_cases(draw):
+    """An array, a Cartesian or DOA grid, and 1-9 frames' lag blocks.
+
+    Lags are normal floats, small integers (plateaus of tied scores, as
+    in C4 where candidates share a lag tuple) or all zeros; the grid
+    repeats some points, which ties their scores exactly.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fs = draw(st.sampled_from([8000.0, 16000.0]))
+    array = MicArray(rng.uniform(0.0, 2.0, size=(draw(st.integers(2, 8)), 3)), sample_rate=fs)
+    k = int(lag_bounds(array).max()) + draw(st.integers(0, 20))
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(["normal", "integer", "zero"]), min_size=1, max_size=9)):
+        shape = (array.n_pairs, 2 * k + 1)
+        values = {"normal": lambda: rng.normal(size=shape),
+                  "integer": lambda: rng.integers(0, 3, size=shape).astype(float),
+                  "zero": lambda: np.zeros(shape)}[kind]()
+        blocks.append(LagBlock(values, fs))
+    n = draw(st.integers(1, 80))
+    if draw(st.booleans()):
+        pts = rng.normal(size=(n, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        grid = CandidateGrid("doa_az_el", np.concatenate([pts, pts[: n // 3]]))
+    else:
+        pts = rng.uniform(-1.0, 3.0, size=(n, 3))
+        grid = CandidateGrid("cartesian3d", np.concatenate([pts, pts[: n // 3]]))
+    return array, grid, blocks
+
+
+def _per_frame_chain(block, grid, array, cfg):
+    """The standalone rounds of one frame: srp_time_map -> argmax_search -> deemphasize."""
+    tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
+    sigma = cfg.notch_sigma or default_notch_sigma(array)
+    cap, auto = cfg.n_sources or 10, cfg.n_sources is None
+    work, found = block.copy(), []
+    while True:
+        res = argmax_search(srp_time_map(work, grid, array))
+        if auto and not found and res.score <= 0:
+            warnings.warn("auto mode: first peak is non-positive; no sources found")
+            break
+        if auto and found and res.score < cfg.score_floor * found[0][1]:
+            break
+        found.append((res.estimate, res.score))
+        if len(found) == cap:
+            break
+        if len(found) == 2:
+            warnings.warn("extracting a third or later source")
+        work = deemphasize(work, tdoas(res.estimate[None, :], array)[0], sigma)
+    return EstimateSet.from_pairs(found)
+
+
+def _warning_counts(caught):
+    return collections.Counter(str(w.message).split(":")[0] for w in caught)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_batch_cases(),
+    n_sources=st.sampled_from([1, 2, 3, None]),
+    step=st.integers(1, 40) | st.just(srp_core._GATHER_BLOCK),
+)
+def test_batched_rounds_equal_the_per_frame_chain(case, n_sources, step):
+    """Every frame of a batch gets the per-frame chain's estimates, scores,
+    warnings and kernel counts, bit for bit, over blocks of any size."""
+    array, grid, blocks = case
+    cfg = MultiConfig(n_sources=n_sources, score_floor=0.5)
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        counter.reset()
+        want = [_per_frame_chain(b, grid, array, cfg) for b in blocks]
+        want_counts = counter.snapshot()
+    originals = [b.copy() for b in blocks]
+    with warnings.catch_warnings(record=True) as got_warnings, \
+            mock.patch.object(srp_core, "_GATHER_BLOCK", step):
+        warnings.simplefilter("always")
+        counter.reset()
+        got = localize_multi_batch(blocks, grid, array, cfg)
+        assert counter.snapshot() == want_counts
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.positions, w.positions)
+        assert np.array_equal(g.scores, w.scores)
+    assert _warning_counts(got_warnings) == _warning_counts(want_warnings)
+    for b, o in zip(blocks, originals):  # the caller's blocks are not notched
+        assert np.array_equal(b.values, o.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_batch_cases(), step=st.integers(1, 40))
+def test_time_argmax_is_the_first_index_of_each_frames_map_maximum(case, step):
+    array, grid, blocks = case
+    table = lag_table(grid.points, array, far_field=grid.is_doa)
+    bounds = lag_bounds(array)
+    with mock.patch.object(srp_core, "_GATHER_BLOCK", step):
+        idx, scores = time_argmax(table, blocks, bounds)
+        maps = [srp_time_map(b, grid, array, table=table, bounds=bounds).scores for b in blocks]
+    assert np.array_equal(idx, [int(np.argmax(m)) for m in maps])
+    assert np.array_equal(scores, [m.max() for m in maps])
+
+
+def test_time_argmax_refuses_non_finite_scores():
+    # like SrpMap: three pairs of 1e308 sum past the largest float
+    array = MicArray([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], sample_rate=8000.0)
+    grid = cartesian_grid(np.array([1.0, 1.0, 1.0]), 0.5)
+    table, bounds = lag_table(grid.points, array), lag_bounds(array)
+    lags = np.zeros((3, 2 * int(bounds.max()) + 1))
+    lags[0] = 1e308
+    idx, scores = time_argmax(table, [LagBlock(lags, 8000.0)], bounds)
+    assert idx[0] == 0 and scores[0] == 1e308
+    overflow = LagBlock(np.full_like(lags, 1e308), 8000.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            time_argmax(table, [overflow], bounds)
+        with pytest.raises(ValueError, match="finite"):
+            srp_time_map(overflow, grid, array)

@@ -629,6 +629,22 @@ def test_cropped_block_path_equals_per_pair_path(mics, fs, frame_len, gcc, guard
     assert np.array_equal(block.values, lag_block(frames, array, gcc, reach=d).values)  # not notched
 
 
+def test_a_block_without_head_serves_max_pooling_only():
+    rng = np.random.default_rng(3)
+    array = MicArray(rng.uniform(0.0, 1.5, size=(4, 3)), sample_rate=16000.0)
+    frames = rng.normal(size=(4, 512))
+    d = int(lag_bounds(array).max())
+    bare = lag_block(frames, array, reach=d, head=False)
+    full = lag_block(frames, array, reach=d)
+    assert np.array_equal(bare.values, full.values)
+    vg = partition_room(_BOX, (2, 2, 2))
+    assert np.array_equal(vsrp_map(bare, vg, array, pooling="max").scores,
+                          vsrp_map(full, vg, array, pooling="max").scores)
+    for pooling in ("sum", "mean"):
+        with pytest.raises(ValueError, match="head=True"):
+            vsrp_map(bare, vg, array, pooling=pooling)
+
+
 def test_vsrp_source_volume_wins(scene):
     array, lags, _ = scene
     vg = partition_room(ROOM, (4, 4, 2))
