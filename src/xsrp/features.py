@@ -7,9 +7,10 @@ Every feature is a generalized cross-correlation (GCC, Knapp & Carter
 
 and all pairs come from one block. One rfft of the (M, L) frame block,
 zero-padded to 2L so lags cover -(L-1)..(L-1) without circular wrap,
-gives a (P, L+1) block of weighted cross-spectra over the f >= 0 bins,
-one row per pair in array.pairs() order; its irfft, run over groups of
-rows, gives every pair's lags, held as one LagBlock. beta = 1, gamma = 0 is
+gives a (P, nb) block of weighted cross-spectra over the nb in-band
+f >= 0 bins (out of L+1), one row per pair in array.pairs() order; its
+irfft, zero-padded back to L+1 bins and run over groups of rows, gives
+every pair's lags, held as one LagBlock. beta = 1, gamma = 0 is
 GCC-PHAT; beta = 0, gamma = 0 over the full band leaves the raw
 cross-spectrum, whose inverse transform is the classical
 cross-correlation CC(tau) = sum_n x_l[n] x_m[n - tau], so CC is the
@@ -250,12 +251,14 @@ def _band_mask(freqs: np.ndarray, band: tuple[float, float] | None, sample_rate:
 
 
 def _gcc_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None):
-    """Weighted cross-spectra of every pair over the f >= 0 bins, (P, L+1).
+    """Weighted cross-spectra of every pair over the in-band f >= 0 bins.
 
-    Also returns the two-sided in-band mask. Per pair, gamma = None
-    floors the denominator at GAMMA_RELATIVE_FLOOR times the mean
-    |cross-power| over the two-sided in-band bins; a bin whose
-    denominator is not > 0 is 0, and out-of-band bins are exactly 0.
+    Returns the (P, nb) band block, the slice of half-spectrum bins
+    k = 0..L it holds, and the two-sided in-band mask (length 2L); the
+    bins outside the slice are exactly 0 and are never formed. Per pair,
+    gamma = None floors the denominator at GAMMA_RELATIVE_FLOOR times
+    the mean |cross-power| over the two-sided in-band bins; a bin whose
+    denominator is not > 0 is 0.
     """
     cfg = cfg or GccConfig()
     frames = np.atleast_2d(np.asarray(frames, dtype=float))
@@ -264,17 +267,16 @@ def _gcc_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None):
         raise ValueError(f"frame block has {M} channels for {array.n_mics} microphones")
     n = 2 * L
     in_band = _band_mask(np.fft.fftfreq(n, d=1.0 / array.sample_rate), cfg.band, array.sample_rate)
-    spec = np.fft.rfft(frames, n)
-    conj = np.conj(spec)
-    block = np.empty((array.n_pairs, L + 1), dtype=complex)
-    row = 0
-    for l in range(M - 1):  # pairs (l, l+1..M-1) are consecutive rows
-        np.multiply(spec[l], conj[l + 1:], out=block[row: row + M - 1 - l])
-        row += M - 1 - l
     # |f| grows along the half spectrum, so the band is one slice
     idx = np.flatnonzero(in_band[: L + 1])
     band = slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
-    g = block[:, band]
+    spec = np.fft.rfft(frames, n)[:, band].copy()  # the full spectra are freed here
+    conj = np.conj(spec)
+    g = np.empty((array.n_pairs, len(idx)), dtype=complex)
+    for l, rows in array.pair_rows():
+        # a 2-D row: numpy rounds a 1-D row times a one-element block differently
+        np.multiply(spec[l: l + 1], conj[l + 1:], out=g[rows])
+    del spec, conj
     denom = np.abs(g)
     if cfg.gamma is not None:
         gamma = cfg.gamma
@@ -291,23 +293,22 @@ def _gcc_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None):
     for part in (g.real, g.imag):
         np.divide(part, denom, out=part, where=ok)
     g[~ok] = 0.0
-    block[:, : band.start] = 0.0
-    block[:, band.stop:] = 0.0
-    return block, in_band
+    return g, band, in_band
 
 
-def lags_from_half(half: np.ndarray) -> np.ndarray:
+def lags_from_half(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Correlations at lags -(n/2 - 1)..(n/2 - 1) of (P, n/2 + 1) half spectra, (P, n - 1).
 
-    One irfft for all rows. Negating the odd bins (in place, in
-    ``half``) delays every correlation by n/2 samples, so lag k lands in
-    column k + n/2 and column 0 holds the wrap slot at lag +/- n/2,
-    which is dropped. For a raw cross-spectrum of 2L-padded frames
-    that slot is identically zero; for reweighted spectra (PHAT,
-    band-limited) it is generally small but nonzero.
+    One irfft for all rows, into ``out`` (P, n) when given; the result
+    is a view of it. Negating the odd bins (in place, in ``half``)
+    delays every correlation by n/2 samples, so lag k lands in column
+    k + n/2 and column 0 holds the wrap slot at lag +/- n/2, which is
+    dropped. For a raw cross-spectrum of 2L-padded frames that slot is
+    identically zero; for reweighted spectra (PHAT, band-limited) it is
+    generally small but nonzero.
     """
-    half[:, 1::2] *= -1.0
-    return np.fft.irfft(half)[:, 1:]
+    _negate_odd_bins(half)
+    return np.fft.irfft(half, out=out)[:, 1:]
 
 
 def half_from_lags(lags: np.ndarray) -> np.ndarray:
@@ -315,18 +316,36 @@ def half_from_lags(lags: np.ndarray) -> np.ndarray:
     circ = np.zeros((len(lags), lags.shape[1] + 1))
     circ[:, 1:] = lags
     half = np.fft.rfft(circ)
-    half[:, 1::2] *= -1.0
+    _negate_odd_bins(half)
     return half
 
 
+def _negate_odd_bins(half: np.ndarray) -> None:
+    """half[:, 1::2] *= -1.0 in place, a row at a time.
+
+    numpy buffers the 2-D strided product through two 8192-element
+    copies (256 KiB of complex); a 1-D strided row needs none.
+    """
+    for row in half:
+        row[1::2] *= -1.0
+
+
 def gccs_from_half(
-    half: np.ndarray, in_band: np.ndarray, sample_rate: float, pairs: list[MicPair]
+    half: np.ndarray,
+    in_band: np.ndarray,
+    sample_rate: float,
+    pairs: list[MicPair],
+    band: slice = slice(None),
 ) -> dict[MicPair, SpectralGcc]:
-    """Two-sided SpectralGccs of (P, n/2 + 1) half spectra, sharing one freqs and in_band."""
+    """Two-sided SpectralGccs of half spectra, sharing one freqs and in_band.
+
+    ``half`` holds bins ``band`` of the f >= 0 bins k = 0..n/2 (all
+    n/2 + 1 of them by default); the bins outside it are 0.
+    """
     n = len(in_band)
-    values = np.empty((len(half), n), dtype=complex)
-    values[:, : n // 2 + 1] = half
-    np.conjugate(half[:, n // 2 - 1: 0: -1], out=values[:, n // 2 + 1:])
+    values = np.zeros((len(half), n), dtype=complex)
+    values[:, : n // 2 + 1][:, band] = half
+    np.conjugate(values[:, n // 2 - 1: 0: -1], out=values[:, n // 2 + 1:])
     freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
     return {p: SpectralGcc(v, freqs, sample_rate, in_band) for p, v in zip(pairs, values)}
 
@@ -347,17 +366,22 @@ def temporal_gcc(g: SpectralGcc) -> LagVector:
 def compute_spectral_gccs(
     frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None
 ) -> dict[MicPair, SpectralGcc]:
-    """Two-sided weighted cross-spectra of every microphone pair of a frame block."""
-    block, in_band = _gcc_block(frames, array, cfg)
-    return gccs_from_half(block, in_band, array.sample_rate, array.pairs())
+    """Two-sided weighted cross-spectra of every microphone pair of a frame block.
+
+    The values are written straight from _gcc_block's band block; the
+    bins outside the band are 0.
+    """
+    g, band, in_band = _gcc_block(frames, array, cfg)
+    return gccs_from_half(g, in_band, array.sample_rate, array.pairs(), band)
 
 
-#: pair rows per irfft in lag_block. Each group is cropped as soon as it
-#: is transformed, so only this many rows of the (P, 2L - 1) lags exist
-#: at once. At 8 mics and L = 4096, cropped to +/-267 lags, one call's
-#: tracemalloc peak was 3.13 MiB for groups of 1 to 8 rows (the GCC
-#: weighting's own peak) and 3.72 MiB for one whole-block irfft; 8 rows
-#: was also the fastest group size measured
+#: pair rows per irfft in lag_block, and the rows of its two buffers.
+#: Each group is cropped as soon as it is transformed, so only this many
+#: rows of the (P, 2L - 1) lags exist at once. At 8 mics, L = 4096 and
+#: 100-2000 Hz, cropped to +/-267 lags, one call's tracemalloc peak was
+#: 0.78, 1.31, 1.82 and 4.29 MiB for groups of 1, 4, 8 and all 28 rows
+#: (3.13 MiB for 8 rows when the weighting formed all L + 1 bins); 4
+#: and 8 rows were the fastest, 1 row 25 % slower
 _IRFFT_ROWS = 8
 
 
@@ -368,22 +392,33 @@ def lag_block(
     reach: int | None = None,
     head: bool = True,
 ) -> LagBlock:
-    """Temporal GCCs of every pair, straight from the block by irfft, as one LagBlock.
+    """Temporal GCCs of every pair, straight from the band block by irfft, as one LagBlock.
 
     The block covers lags -reach..reach (all of -(L-1)..(L-1) when
     reach is None); see LagBlock.crop, which also says what head=False
-    leaves out. The irfft runs over groups of _IRFFT_ROWS rows, each
-    cropped as it goes; every row is its own transform, so the block
-    equals one whole-block irfft and crop bit for bit.
+    leaves out. Each group of _IRFFT_ROWS rows of _gcc_block's band
+    block is zero-padded into one (rows, L + 1) half-spectrum buffer,
+    transformed into one (rows, 2L) irfft buffer and cropped; both
+    buffers are allocated once per call. Every row is its own
+    transform, so the block equals one whole-block irfft and crop of
+    the zero-padded band block bit for bit.
     """
-    half, fs = _gcc_block(frames, array, cfg)[0], array.sample_rate
-    parts = []
-    for r in range(0, len(half), _IRFFT_ROWS):
-        lags = lags_from_half(half[r: r + _IRFFT_ROWS])
+    g, band, in_band = _gcc_block(frames, array, cfg)
+    fs, L, rows = array.sample_rate, len(in_band) // 2, min(_IRFFT_ROWS, len(g))
+    k = L - 1 if reach is None else min(reach, L - 1)
+    values, heads = np.empty((len(g), 2 * k + 1)), np.empty(len(g))
+    half, out = np.empty((rows, L + 1), dtype=complex), np.empty((rows, 2 * L))
+    for r in range(0, len(g), rows):
+        part = g[r: r + rows]
+        h = half[: len(part)]
+        h[:] = 0.0
+        h[:, band] = part
+        lags = lags_from_half(h, out[: len(part)])
         if not np.all(np.isfinite(lags)):
             raise ValueError("lag values must be finite")
-        parts.append(LagBlock.crop(lags, fs, reach, head))
-    return LagBlock(np.concatenate([b.values for b in parts]), fs, np.concatenate([b.head for b in parts]))
+        crop = LagBlock.crop(lags, fs, reach, head)
+        values[r: r + len(part)], heads[r: r + len(part)] = crop.values, crop.head
+    return LagBlock(values, fs, heads)
 
 
 def compute_lag_vectors(

@@ -132,6 +132,18 @@ class MicArray:
         m = self.n_mics
         return m * (m - 1) // 2
 
+    def pair_rows(self) -> list[tuple[int, slice]]:
+        """(l, rows) for each mic l < M - 1: pairs (l, l+1..M-1) are rows ``rows`` of pairs().
+
+        A pair block is built a mic at a time from it, as
+        ``op(x[l: l + 1], x[l + 1:], out=block[rows])``.
+        """
+        m, spans, row = self.n_mics, [], 0
+        for l in range(m - 1):
+            spans.append((l, slice(row, row + m - 1 - l)))
+            row += m - 1 - l
+        return spans
+
     def min_spacing(self) -> float:
         masked = np.where(np.isinf(self._pair_dist), np.nan, self._pair_dist)
         return float(np.nanmin(masked))

@@ -96,9 +96,10 @@ def read_jsonl(path) -> list[dict]:
 
 
 def sha256_file(path) -> str:
+    """Hex SHA-256 of a file, read 64 KiB at a time so hashing holds little memory."""
     h = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
+        for chunk in iter(lambda: f.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 

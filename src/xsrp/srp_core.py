@@ -136,8 +136,9 @@ def _lag_block(lags, array: MicArray, bounds: np.ndarray | None = None):
 
 #: points per block of a lag table build. The block's (M, chunk) times
 #: of flight and (P, chunk) TDOAs came to a 1.66 MiB tracemalloc
-#: transient at 8 mics, below the 3.13 MiB of one frame's lag_block, so
-#: the build does not raise a run's peak
+#: transient at 8 mics, below the 1.82 MiB of one frame's lag_block
+#: (L = 4096, 100-2000 Hz, +/-267 lags), so the build does not raise a
+#: run's peak
 _TABLE_CHUNK = 4096
 
 
@@ -148,13 +149,13 @@ def lag_table(points: np.ndarray, array: MicArray, far_field: bool = False) -> n
     row j indexes the lag window -D_j..D_j directly; the dtype is the
     smallest unsigned one holding 2 max D, uint16 for any room-sized
     array. Near-field blocks take one mic-major tof_matrix pass and
-    the pair rows by consecutive-row subtraction, t[l] - t[l+1:] (pairs
-    (l, l+1..M-1) are consecutive rows), then one scale/rint/offset
-    pass: tdoa_matrix's float operations, bit for bit. Built once per
-    grid and reused for every frame and de-emphasis round.
+    the pair rows by consecutive-row subtraction, t[l] - t[l+1:] (see
+    MicArray.pair_rows), then one scale/rint/offset pass: tdoa_matrix's
+    float operations, bit for bit. Built once per grid and reused for
+    every frame and de-emphasis round.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    fs, M = array.sample_rate, array.n_mics
+    fs = array.sample_rate
     bounds = lag_bounds(array)
     table = np.empty((len(bounds), len(pts)), dtype=np.min_scalar_type(2 * bounds.max()))
     buf = np.empty((len(bounds), min(_TABLE_CHUNK, len(pts))))
@@ -165,10 +166,8 @@ def lag_table(points: np.ndarray, array: MicArray, far_field: bool = False) -> n
             tau[:] = far_field_tdoa_matrix(chunk, array).T
         else:
             t = tof_matrix(chunk, array).T  # (M, chunk), C-contiguous
-            row = 0
-            for l in range(M - 1):
-                np.subtract(t[l], t[l + 1:], out=tau[row: row + M - 1 - l])
-                row += M - 1 - l
+            for l, rows in array.pair_rows():
+                np.subtract(t[l], t[l + 1:], out=tau[rows])
         tau *= fs
         np.add(np.rint(tau, out=tau), bounds[:, None], out=table[:, i: i + _TABLE_CHUNK],
                casting="unsafe")
@@ -334,8 +333,10 @@ def srp_freq_scores(
     Horner's rule evaluates it exactly with one complex multiply-add
     per bin, pair and point, and no phase tensor. As tau_lm = t_l - t_m,
     z and the band start's e^{j 2 pi f_lo tau} are products w_l conj(w_m)
-    of per-mic phasors: 2 M complex exponentials per point, not 2 P.
-    Scores match the direct two-sided sum to 2e-13 of the map's peak
+    of per-mic phasors: 2 M complex exponentials per point, not 2 P,
+    laid out a mic's consecutive pair rows at a time (MicArray.pair_rows)
+    in z's (P, g) buffer, with no gathered (P, g) temporaries. Scores
+    match the direct two-sided sum to 2e-13 of the map's peak
     (measured at n = 8192, band starts up to bin 4000). The counter still
     adds G * P * |F| per call, |F| the two-sided in-band count; that
     is the complexity model's unit, not a count of multiplies.
@@ -350,21 +351,32 @@ def srp_freq_scores(
         coef = np.stack([gccs[p].values[k_lo:k_hi] for p in pairs], axis=1)
         coef *= weights[k_lo:k_hi, None]  # (K, P): row k - k_lo is bin k
         df = gccs[pairs[0]].sample_rate / len(mask)
-        ls, ms = np.array([(p.l, p.m) for p in pairs]).T
+        spans = array.pair_rows()
         chunk = max(1, _HORNER_BLOCK // len(pairs))
         for i in range(0, len(pts), chunk):
             t = _mic_delays(pts[i: i + chunk], array, far_field).T  # (M, g)
             w = np.exp((2j * math.pi * df) * t)
-            z = w[ls] * w.conj()[ms]  # e^{j 2 pi df tau_lm}, (P, g)
+            wc = w.conj()
+            z = np.empty((len(pairs), t.shape[1]), dtype=complex)  # e^{j 2 pi df tau_lm}
+            for l, rows in spans:
+                np.multiply(w[l: l + 1], wc[l + 1:], out=z[rows])
             acc = np.repeat(coef[-1][:, None], z.shape[1], axis=1)
             with np.errstate():  # restores the ufunc buffer size on exit
                 np.setbufsize(16)  # short rows: buffering doubles the broadcast add's cost
                 for c in coef[-2::-1]:
                     acc *= z
                     acc += c[:, None]
+            # acc *= w_l, then acc *= conj(w_m): each factor laid out in z
+            # and applied as one (P, g) product, as numpy's rounding of a
+            # one-element product depends on its shape
             w = np.exp((2j * math.pi * df * k_lo) * t)
-            acc *= w[ls]  # one (P, g) temporary at a time
-            acc *= w.conj()[ms]
+            np.conjugate(w, out=wc)
+            for l, rows in spans:
+                z[rows] = w[l]
+            acc *= z
+            for l, rows in spans:
+                z[rows] = wc[l + 1:]
+            acc *= z
             scores[i: i + chunk] = acc.real.sum(axis=0)
     counter.points += len(pts)
     counter.kernel_ops += len(pts) * len(pairs) * len(freqs_all)

@@ -233,6 +233,7 @@ def track(signals: np.ndarray, array: MicArray, room_dims, frame_cfg: FrameConfi
         scorer = make_freq_scorer(gccs, array)
         predict(state, params, room_dims)
         update_weights(state, scorer, cfg.kappa)
+        del gccs, scorer  # one frame's features at a time: free them before the next
         if state.ess() < cfg.resample_fraction * cfg.q:
             resample(state)
         state.frame_index = i

@@ -7,6 +7,7 @@ entry in pyproject.toml names ``xsrp.cli.main``, and also runs the installed
 """
 
 import csv
+import hashlib
 import importlib
 import json
 import os
@@ -14,6 +15,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from xsrp.cli import LocalizeConfig, main
 from xsrp.features import frame_stack
 from xsrp.geometry import MicArray, MicPair, tdoa
 from xsrp.grids import CandidateGrid
-from xsrp.io_utils import export_map_csv, read_jsonl, read_wav, write_jsonl, write_wav
+from xsrp.io_utils import export_map_csv, read_jsonl, read_wav, sha256_file, write_jsonl, write_wav
 from xsrp.pipeline import config_from_dict, prepare
 from xsrp.srp_core import SrpMap, counter
 
@@ -360,6 +362,21 @@ def test_csv_export_bytes(tmp_path):
         "0.333333333,2.5,1e+300,-1.5e-07\n"
         "7,-8.25,123456789,-0\n"
     )
+
+
+def test_sha256_file_hashes_in_small_chunks(tmp_path):
+    """A 2 MiB file: hashlib's digest of the whole file, under 256 KiB of allocations."""
+    data = np.random.default_rng(3).bytes(2 << 20)
+    path = tmp_path / "blob.bin"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        digest = sha256_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert peak < 256 << 10
 
 
 def test_exit_codes(tmp_path):

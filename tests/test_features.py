@@ -10,6 +10,7 @@ edges, compute_spectral_gccs and compute_lag_vectors, on a 2-mic array
 unless a test needs more microphones.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -409,7 +410,10 @@ def test_row_grouped_lag_block_equals_one_whole_block_irfft(n_mics, log_len, rea
     array = MicArray(rng.uniform(0.0, 3.0, size=(n_mics, 3)), sample_rate=16000.0)
     frames = rng.normal(size=(n_mics, 2**log_len))
     cfg = GccConfig(band=(100.0, 5000.0))
-    want = LagBlock.crop(lags_from_half(features._gcc_block(frames, array, cfg)[0]), 16000.0, reach)
+    g, band, _ = features._gcc_block(frames, array, cfg)
+    half = np.zeros((len(g), 2**log_len + 1), dtype=complex)  # the band block, zero-padded
+    half[:, band] = g
+    want = LagBlock.crop(lags_from_half(half), 16000.0, reach)
     with mock.patch.object(features, "_IRFFT_ROWS", rows):
         got = lag_block(frames, array, cfg, reach=reach, head=head)
     assert np.array_equal(got.values, want.values)
@@ -418,3 +422,127 @@ def test_row_grouped_lag_block_equals_one_whole_block_irfft(n_mics, log_len, rea
         assert np.array_equal(got.head, want.head)
     else:  # not computed
         assert np.all(np.isnan(got.head))
+
+
+def full_block_reference(frames, array, cfg):
+    """The GCC block as first built: all L + 1 bins formed and weighted, then the out-of-band ones zeroed.
+
+    Returns the (P, L + 1) half spectra and the two-sided in-band mask.
+    """
+    M, L = frames.shape
+    fs = array.sample_rate
+    freqs = np.fft.fftfreq(2 * L, d=1.0 / fs)
+    lo, hi = cfg.band if cfg.band is not None else (0.0, fs / 2.0)
+    in_band = (np.abs(freqs) >= lo) & (np.abs(freqs) <= hi)
+    spec = np.fft.rfft(frames, 2 * L)
+    conj = np.conj(spec)
+    block = np.empty((array.n_pairs, L + 1), dtype=complex)
+    row = 0
+    for l in range(M - 1):
+        np.multiply(spec[l], conj[l + 1:], out=block[row: row + M - 1 - l])
+        row += M - 1 - l
+    idx = np.flatnonzero(in_band[: L + 1])
+    band = slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+    g = block[:, band]
+    denom = np.abs(g)
+    if cfg.gamma is not None:
+        gamma = cfg.gamma
+    elif idx.size:
+        w = np.where((idx > 0) & (idx < L), 2.0, 1.0)
+        gamma = (GAMMA_RELATIVE_FLOOR * (denom @ w) / w.sum())[:, None]
+    else:
+        gamma = 0.0
+    np.power(denom, cfg.beta, out=denom)
+    denom += gamma
+    ok = denom > 0
+    for part in (g.real, g.imag):
+        np.divide(part, denom, out=part, where=ok)
+    g[~ok] = 0.0
+    block[:, : band.start] = 0.0
+    block[:, band.stop:] = 0.0
+    return block, in_band
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: NaN payloads and signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("band_kind", ["random", "empty", "dc", "nyquist", "full"])
+@settings(max_examples=25, deadline=None)
+@given(
+    n_mics=st.integers(2, 8),
+    log_len=st.integers(1, 10),
+    beta=st.sampled_from([0.5, 1.0]),
+    gamma=st.none() | st.floats(0.0, 10.0),
+    edges=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    defect=st.sampled_from([None, "nan", "dead"]),
+    reach=st.none() | st.integers(0, 1100),
+    head=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_block_features_equal_the_full_block_bitwise(
+    band_kind, n_mics, log_len, beta, gamma, edges, defect, reach, head, seed
+):
+    """lag_block and compute_spectral_gccs from the band block equal the full-block formula bit for bit."""
+    fs, L = 16000.0, 2**log_len
+    df, u, v = fs / (2 * L), *sorted(edges)
+    if band_kind == "random":
+        assume(u < v)
+        band = (u * fs / 2, v * fs / 2)
+    elif band_kind == "empty":  # strictly between two bins
+        k = int(u * (L - 1))
+        band = ((k + 0.25) * df, (k + 0.75) * df)
+    elif band_kind == "dc":
+        band = (0.0, max(v, 1e-3) * fs / 2)
+    elif band_kind == "nyquist":
+        band = (min(u, 0.999) * fs / 2, fs / 2)
+    else:
+        band = None
+    cfg = GccConfig(beta=beta, gamma=gamma, band=band)
+    rng = np.random.default_rng(seed)
+    array = MicArray(rng.uniform(0.0, 3.0, size=(n_mics, 3)), sample_rate=fs)
+    frames = rng.normal(size=(n_mics, L))
+    if defect == "nan":
+        frames[rng.integers(n_mics), rng.integers(L)] = np.nan
+    elif defect == "dead":
+        frames[rng.integers(n_mics)] = 0.0
+    block, in_band = full_block_reference(frames, array, cfg)
+    if band_kind == "empty":
+        assert not in_band.any()
+    # two-sided values as gccs_from_half laid them out from the full block
+    values = np.empty((len(block), 2 * L), dtype=complex)
+    values[:, : L + 1] = block
+    np.conjugate(block[:, L - 1: 0: -1], out=values[:, L + 1:])
+    gccs = compute_spectral_gccs(frames, array, cfg)
+    assert list(gccs) == array.pairs()
+    for g, want in zip(gccs.values(), values):
+        assert same_bits(g.values, want)
+        assert same_bits(g.in_band, in_band)
+    # lags by one whole-block irfft, odd bins negated as lags_from_half did
+    half = block.copy()
+    half[:, 1::2] *= -1.0
+    want = LagBlock.crop(np.fft.irfft(half)[:, 1:], fs, reach, head)
+    got = lag_block(frames, array, cfg, reach=reach, head=head)
+    assert same_bits(got.values, want.values)
+    assert same_bits(got.head, want.head)
+
+
+def test_lag_block_transient_is_below_the_full_spectrum_block():
+    """8 mics, L = 4096, 100-2000 Hz, +/-267 lags: one call's tracemalloc peak stays under 2.25 MiB.
+
+    Weighting all L + 1 bins and zeroing the out-of-band ones took 3.13 MiB.
+    """
+    rng = np.random.default_rng(12)
+    array = MicArray(rng.uniform(0.0, 3.0, size=(8, 3)), sample_rate=16000.0)
+    frames = rng.normal(size=(8, 4096))
+    cfg = GccConfig(band=(100.0, 2000.0))
+    lag_block(frames, array, cfg, reach=267)  # warm-up: numpy's lazy set-up is not the call's
+    tracemalloc.start()
+    try:
+        lag_block(frames, array, cfg, reach=267)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * 2**20

@@ -192,6 +192,50 @@ def test_freq_scores_match_direct_two_sided_sum(case, block):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def gathered_phasor_scores(pts, gccs, array, far_field):
+    """srp_freq_scores as first written with per-mic phasors: every pair's phasors gathered into (P, g) copies."""
+    pairs = array.pairs()
+    mask = gccs[pairs[0]].in_band
+    weights = srp_core._half_spectrum(mask)
+    bins = np.flatnonzero(weights)
+    scores = np.zeros(len(pts))
+    if not len(bins):
+        return scores
+    k_lo, k_hi = bins[0], bins[-1] + 1
+    coef = np.stack([gccs[p].values[k_lo:k_hi] for p in pairs], axis=1)
+    coef *= weights[k_lo:k_hi, None]
+    df = gccs[pairs[0]].sample_rate / len(mask)
+    ls, ms = np.array([(p.l, p.m) for p in pairs]).T
+    chunk = max(1, srp_core._HORNER_BLOCK // len(pairs))
+    for i in range(0, len(pts), chunk):
+        t = srp_core._mic_delays(pts[i: i + chunk], array, far_field).T
+        w = np.exp((2j * math.pi * df) * t)
+        z = w[ls] * w.conj()[ms]
+        acc = np.repeat(coef[-1][:, None], z.shape[1], axis=1)
+        with np.errstate():
+            np.setbufsize(16)
+            for c in coef[-2::-1]:
+                acc *= z
+                acc += c[:, None]
+        w = np.exp((2j * math.pi * df * k_lo) * t)
+        acc *= w[ls]
+        acc *= w.conj()[ms]
+        scores[i: i + chunk] = acc.real.sum(axis=0)
+    return scores
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_freq_cases(), block=st.integers(1, 200) | st.just(srp_core._HORNER_BLOCK))
+def test_freq_scores_equal_the_gathered_phasor_kernel_bitwise(case, block):
+    # phasor products a mic's pair rows at a time, against (P, g)
+    # gathered copies; blocks this small leave one-point chunks
+    array, gccs, pts, far_field = case
+    with mock.patch.object(srp_core, "_HORNER_BLOCK", block):
+        got = srp_freq_scores(pts, gccs, array, far_field=far_field)
+        want = gathered_phasor_scores(pts, gccs, array, far_field)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("far_field", [False, True], ids=["near", "far"])
 @pytest.mark.parametrize("k_lo, k_hi", [(1000, 4096), (1000, 1400), (3000, 4096), (3000, 3300)])
 def test_freq_scores_exact_at_large_band_starts(k_lo, k_hi, far_field):
