@@ -30,45 +30,25 @@ def as_xyz(u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SphericalDirection:
-    """A direction of arrival: azimuth in [0, 2pi), elevation in [-pi/2, pi/2].
+    """A far-field direction of arrival: azimuth in [0, 2pi), elevation in [-pi/2, pi/2].
 
-    ``range_m`` is optional; when present it places the point at a finite
-    distance, otherwise the direction is understood as far-field.
     Elevation is measured from the horizontal plane (positive up).
     """
 
     azimuth: float
     elevation: float
-    range_m: float | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.azimuth < 2.0 * math.pi):
             raise ValueError(f"azimuth must lie in [0, 2pi), got {self.azimuth}")
         if not (-math.pi / 2 <= self.elevation <= math.pi / 2):
             raise ValueError(f"elevation must lie in [-pi/2, pi/2], got {self.elevation}")
-        if self.range_m is not None and not self.range_m > 0:
-            raise ValueError(f"range must be positive, got {self.range_m}")
 
     def to_unit(self) -> np.ndarray:
         ce = math.cos(self.elevation)
         return np.array(
             [ce * math.cos(self.azimuth), ce * math.sin(self.azimuth), math.sin(self.elevation)]
         )
-
-    def to_point(self) -> np.ndarray:
-        if self.range_m is None:
-            raise ValueError("direction has no range; cannot produce a point")
-        return self.range_m * self.to_unit()
-
-    @classmethod
-    def from_unit(cls, d, range_m: float | None = None) -> "SphericalDirection":
-        d = as_xyz(d)
-        n = np.linalg.norm(d)
-        if abs(n - 1.0) > _UNIT_TOL:
-            raise ValueError(f"direction must be unit-norm within {_UNIT_TOL}, |d| = {n}")
-        el = math.asin(np.clip(d[2], -1.0, 1.0))
-        az = math.atan2(d[1], d[0]) % (2.0 * math.pi)
-        return cls(az, el, range_m)
 
 
 @dataclass(frozen=True, order=True)
@@ -147,13 +127,6 @@ class MicArray:
     def min_spacing(self) -> float:
         masked = np.where(np.isinf(self._pair_dist), np.nan, self._pair_dist)
         return float(np.nanmin(masked))
-
-    def aperture(self) -> float:
-        masked = np.where(np.isinf(self._pair_dist), np.nan, self._pair_dist)
-        return float(np.nanmax(masked))
-
-    def centroid(self) -> np.ndarray:
-        return self.positions.mean(axis=0)
 
 
 def tof(u, v, speed_of_sound: float = SPEED_OF_SOUND) -> float:

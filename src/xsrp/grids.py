@@ -33,14 +33,11 @@ class CandidateGrid:
     """A finite set of candidate locations (or unit directions).
 
     ``kind`` is one of cartesian2d, cartesian3d, doa_azimuth,
-    doa_az_el; DOA grids hold unit-norm rows. ``resolution`` keeps
-    the per-axis spacing used to build the grid (None for sampled
-    point sets).
+    doa_az_el; DOA grids hold unit-norm rows.
     """
 
     kind: str
     points: np.ndarray
-    resolution: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in _GRID_KINDS:
@@ -102,9 +99,6 @@ class Volume:
     def measure(self) -> float:
         return float(np.prod(self.edges))
 
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.edges))
-
     @classmethod
     def from_bounds(cls, lo, hi) -> "Volume":
         lo = np.asarray(lo, dtype=float).reshape(3)
@@ -120,6 +114,7 @@ class VolumeGrid:
     Stored as (V, 3) arrays ``centers`` and ``half_extents`` (``lo``/``hi``
     derived as a Volume derives them); ``volumes`` is built on demand.
     from_arrays skips the per-box objects and runs the same checks.
+    A ``region``, when given, is only checked: the boxes must tile it.
     """
 
     def __init__(self, volumes: list[Volume], region: Volume | None = None):
@@ -148,7 +143,7 @@ class VolumeGrid:
                 raise ValueError("volume extends outside the declared region")
         for a in (c, h, lo, hi):
             a.flags.writeable = False
-        self.centers, self.half_extents, self.lo, self.hi, self.region = c, h, lo, hi, region
+        self.centers, self.half_extents, self.lo, self.hi = c, h, lo, hi
 
     @property
     def points(self) -> np.ndarray:
@@ -230,7 +225,7 @@ def doa_grid(azimuth_res: float, elevation_res: float | None = None) -> Candidat
     phis = np.arange(1, n_az + 1) * azimuth_res
     if elevation_res is None:
         pts = np.column_stack([np.cos(phis), np.sin(phis), np.zeros(n_az)])
-        return CandidateGrid("doa_azimuth", pts, (float(azimuth_res),))
+        return CandidateGrid("doa_azimuth", pts)
     if not (0 < elevation_res <= math.pi):
         raise ValueError(f"elevation_res must lie in (0, pi], got {elevation_res}")
     n_el = int(math.floor(math.pi / elevation_res + _EPS))
@@ -246,7 +241,7 @@ def doa_grid(azimuth_res: float, elevation_res: float | None = None) -> Candidat
     pts = np.vstack(rows)
     norms = np.linalg.norm(pts, axis=1, keepdims=True)
     pts = pts / norms
-    return CandidateGrid("doa_az_el", pts, (float(azimuth_res), float(elevation_res)))
+    return CandidateGrid("doa_az_el", pts)
 
 
 def _cells(region: Volume, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +286,7 @@ def sample_boundary(region: Volume, n: int, seed=0) -> CandidateGrid:
             pts[sel, axis] = coord
             pts[sel, others[0]] = lo[others[0]] + uv[sel, 0] * spans[others[0]]
             pts[sel, others[1]] = lo[others[1]] + uv[sel, 1] * spans[others[1]]
-    return CandidateGrid("cartesian3d", pts, None)
+    return CandidateGrid("cartesian3d", pts)
 
 
 def intersect_volumes(a: Volume, b: Volume) -> Volume:
@@ -332,4 +327,4 @@ def grid_in_volume(
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     kind = "cartesian2d" if planar else "cartesian3d"
-    return CandidateGrid(kind, pts, tuple(float(r) for r in res))
+    return CandidateGrid(kind, pts)

@@ -61,21 +61,12 @@ def read_wav(path) -> tuple[float, np.ndarray]:
     return float(rate), (x / 32768.0 if tag == _PCM else x.astype(float)).T
 
 
-def write_wav(path, sample_rate: float, signals: np.ndarray, encoding: str = "float32"):
-    """Write (M, T) signals as a WAV file (float32, or pcm16 scaled to peak 1)."""
-    signals = np.atleast_2d(np.asarray(signals, dtype=float))
-    if encoding == "float32":
-        tag, data = _FLOAT, signals.T.astype("<f4")
-    elif encoding == "pcm16":
-        peak = np.max(np.abs(signals))
-        if peak > 1.0:
-            signals = signals / peak
-        tag, data = _PCM, (signals.T * 32767.0).astype("<i2")
-    else:
-        raise ValueError(f"encoding must be float32|pcm16, got {encoding!r}")
+def write_wav(path, sample_rate: float, signals: np.ndarray):
+    """Write (M, T) signals as a 32-bit float WAV file."""
+    data = np.atleast_2d(np.asarray(signals, dtype=float)).T.astype("<f4")
     rate, align = int(sample_rate), data.shape[1] * data.itemsize
     header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + data.nbytes, b"WAVE", b"fmt ", 16, tag,
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + data.nbytes, b"WAVE", b"fmt ", 16, _FLOAT,
         data.shape[1], rate, rate * align, align, 8 * data.itemsize, b"data", data.nbytes,
     )
     with open(path, "wb") as f:

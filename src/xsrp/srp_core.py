@@ -67,13 +67,11 @@ counter = EvalCounter()
 
 @dataclass
 class SrpMap:
-    """Scores over a candidate grid plus the metadata that produced them."""
+    """Scores over a candidate grid and the domain that produced them."""
 
     grid: CandidateGrid | VolumeGrid
     scores: np.ndarray
     domain: str
-    band: tuple[float, float] | None = None
-    frame_index: int | None = None
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=float)
@@ -254,7 +252,6 @@ def srp_time_map(
     lags: LagBlock | dict[MicPair, LagVector],
     grid: CandidateGrid,
     array: MicArray,
-    frame_index: int | None = None,
     table: np.ndarray | None = None,
     bounds: np.ndarray | None = None,
 ) -> SrpMap:
@@ -269,7 +266,7 @@ def srp_time_map(
     if table is None:
         table = lag_table(grid.points, array, far_field=grid.is_doa)
     scores = _time_scores(table, lags, array, bounds)
-    return SrpMap(grid, scores, "time", frame_index=frame_index)
+    return SrpMap(grid, scores, "time")
 
 
 def _active_freqs(gccs: dict[MicPair, SpectralGcc], array: MicArray):
@@ -383,17 +380,9 @@ def srp_freq_scores(
     return scores
 
 
-def srp_freq_map(
-    gccs: dict[MicPair, SpectralGcc],
-    grid: CandidateGrid,
-    array: MicArray,
-    frame_index: int | None = None,
-) -> SrpMap:
+def srp_freq_map(gccs: dict[MicPair, SpectralGcc], grid: CandidateGrid, array: MicArray) -> SrpMap:
     """Frequency-domain SRP map over a grid (far-field for DOA grids)."""
-    pairs, freqs, _ = _active_freqs(gccs, array)
-    scores = srp_freq_scores(grid.points, gccs, array, far_field=grid.is_doa)
-    band = (float(np.min(np.abs(freqs))), float(np.max(np.abs(freqs)))) if len(freqs) else None
-    return SrpMap(grid, scores, "frequency", band=band, frame_index=frame_index)
+    return SrpMap(grid, srp_freq_scores(grid.points, gccs, array, far_field=grid.is_doa), "frequency")
 
 
 def make_time_scorer(lags, array: MicArray, far_field: bool = False):
@@ -482,7 +471,6 @@ def vsrp_map(
     array: MicArray,
     pooling: str = "sum",
     guard: float = 1.0,
-    frame_index: int | None = None,
     windows: tuple[np.ndarray, np.ndarray] | None = None,
     bounds: np.ndarray | None = None,
 ) -> SrpMap:
@@ -531,7 +519,7 @@ def vsrp_map(
         scores += row
     counter.points += len(volume_grid)
     counter.kernel_ops += len(volume_grid) * P
-    return SrpMap(volume_grid, scores, "volumetric", frame_index=frame_index)
+    return SrpMap(volume_grid, scores, "volumetric")
 
 
 @dataclass
@@ -624,9 +612,7 @@ def _hamacher(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def wsrp_map(
-    pfs: PairwiseFreqScores, cfg: WsrpConfig | None = None, frame_index: int | None = None
-) -> SrpMap:
+def wsrp_map(pfs: PairwiseFreqScores, cfg: WsrpConfig | None = None) -> SrpMap:
     """Weighted SRP map from a steered-response tensor.
 
     With sum/sum combination and unit weights this reduces to the
@@ -661,4 +647,4 @@ def wsrp_map(
             scores = norm[0]
             for r in norm[1:]:
                 scores = _hamacher(scores, r)
-    return SrpMap(pfs.grid, scores, "frequency", frame_index=frame_index)
+    return SrpMap(pfs.grid, scores, "frequency")

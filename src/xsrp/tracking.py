@@ -91,7 +91,6 @@ class TrackerState:
     positions: np.ndarray
     velocities: np.ndarray
     weights: np.ndarray
-    frame_index: int
     rng: np.random.Generator
 
     def __post_init__(self):
@@ -126,7 +125,7 @@ def init_state(room_dims, q: int = 500, seed: int = 0) -> TrackerState:
         raise ValueError(f"room dimensions must be positive, got {dims}")
     rng = np.random.default_rng(seed)
     positions = rng.uniform(0.0, dims, size=(q, 3))
-    return TrackerState(positions, np.zeros((q, 3)), np.full(q, 1.0 / q), 0, rng)
+    return TrackerState(positions, np.zeros((q, 3)), np.full(q, 1.0 / q), rng)
 
 
 def predict(state: TrackerState, params: LangevinParams, room_dims) -> TrackerState:
@@ -236,7 +235,6 @@ def track(signals: np.ndarray, array: MicArray, room_dims, frame_cfg: FrameConfi
         del gccs, scorer  # one frame's features at a time: free them before the next
         if state.ess() < cfg.resample_fraction * cfg.q:
             resample(state)
-        state.frame_index = i
         t_end = (i * frame_cfg.hop + frame_cfg.frame_len) / array.sample_rate
         points.append(TrackPoint(i, t_end, estimate(state), state.ess()))
     return points

@@ -66,7 +66,7 @@ class TestPredict:
         p = LangevinParams(alpha=1.3, beta=0.0, dt=0.2)
         v0 = np.array([[0.3, -0.2, 0.1], [0.0, 0.4, -0.3]])
         p0 = np.array([[2.0, 2.0, 1.5], [1.0, 3.0, 1.0]])
-        state = TrackerState(p0.copy(), v0.copy(), np.full(2, 0.5), 0, np.random.default_rng(0))
+        state = TrackerState(p0.copy(), v0.copy(), np.full(2, 0.5), np.random.default_rng(0))
         for k in range(1, 4):
             predict(state, p, ROOM)
             np.testing.assert_allclose(state.velocities, v0 * p.a**k, rtol=1e-14)
@@ -79,7 +79,6 @@ class TestPredict:
             np.array([[4.9, 0.05, 1.0]]),
             np.array([[5.0, -5.0, 0.0]]),
             np.ones(1),
-            0,
             np.random.default_rng(0),
         )
         predict(state, p, ROOM)
@@ -99,7 +98,7 @@ class TestPredict:
 class TestWeights:
     def make_state(self, q=4):
         return TrackerState(
-            np.zeros((q, 3)), np.zeros((q, 3)), np.full(q, 1.0 / q), 0,
+            np.zeros((q, 3)), np.zeros((q, 3)), np.full(q, 1.0 / q),
             np.random.default_rng(1),
         )
 
@@ -143,7 +142,7 @@ class TestResample:
         w /= w.sum()
         positions = np.zeros((q, 3))
         positions[:, 0] = np.arange(q)  # tag each particle by x
-        state = TrackerState(positions, np.zeros((q, 3)), w, 0, np.random.default_rng(8))
+        state = TrackerState(positions, np.zeros((q, 3)), w, np.random.default_rng(8))
         resample(state)
         np.testing.assert_allclose(state.weights, np.full(q, 1.0 / q))
         tags = state.positions[:, 0].astype(int)
@@ -160,7 +159,7 @@ class TestResample:
         velocities[:, 1] = np.arange(q) * 10.0
         w = np.zeros(q)
         w[3] = 1.0
-        state = TrackerState(positions, velocities, w, 0, np.random.default_rng(2))
+        state = TrackerState(positions, velocities, w, np.random.default_rng(2))
         resample(state)
         assert np.all(state.positions[:, 0] == 3.0)
         assert np.all(state.velocities[:, 1] == 30.0)
@@ -172,7 +171,7 @@ class TestResample:
             pos[:, 0] = np.arange(q)
             w = np.linspace(1.0, 5.0, q)
             w /= w.sum()
-            return TrackerState(pos, np.zeros((q, 3)), w, 0, np.random.default_rng(11))
+            return TrackerState(pos, np.zeros((q, 3)), w, np.random.default_rng(11))
 
         a = resample(fresh(), seed=42).positions
         b = resample(fresh(), seed=42).positions
@@ -194,7 +193,7 @@ def test_init_state_properties():
 def test_estimate_is_weighted_mean():
     positions = np.array([[0.0, 0.0, 0.0], [2.0, 4.0, 6.0]])
     state = TrackerState(
-        positions, np.zeros((2, 3)), np.array([0.25, 0.75]), 0, np.random.default_rng(0)
+        positions, np.zeros((2, 3)), np.array([0.25, 0.75]), np.random.default_rng(0)
     )
     np.testing.assert_allclose(estimate(state), [1.5, 3.0, 4.5])
 
@@ -202,9 +201,9 @@ def test_estimate_is_weighted_mean():
 def test_tracker_state_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=r"\(Q, 3\)"):
-        TrackerState(np.zeros((3, 2)), np.zeros((3, 3)), np.ones(3), 0, rng)
+        TrackerState(np.zeros((3, 2)), np.zeros((3, 3)), np.ones(3), rng)
     with pytest.raises(ValueError, match="weights"):
-        TrackerState(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2), 0, rng)
+        TrackerState(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2), rng)
 
 
 def static_scene_signals(src, seconds=1.0, snr_db=20.0):
