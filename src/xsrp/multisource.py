@@ -13,8 +13,8 @@ mask re-applied.
 No renormalization is applied, so successive peak scores are
 comparable and an auto stopping rule (score floor relative to the
 first peak) is possible. A batch of frames runs its rounds together
-(localize_multi_batch): each time-domain round scores every frame
-still extracting in one pass over the grid's lag table.
+(localize_multi_batch): each time-domain round searches every frame
+still extracting in one pruned pass over the grid's cells.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .features import LagBlock, LagVector, SpectralGcc, gccs_from_half, half_fro
 from .geometry import MicArray, far_field_tdoa_matrix, tdoa_matrix
 from .grids import CandidateGrid
 from .search import SearchConfig, argmax_search
-from .srp_core import _lag_block, lag_table, srp_freq_map, time_argmax
+from .srp_core import TimeCells, _lag_block, srp_freq_map, time_argmax, time_cells
 
 _AUTO_CAP = 10  # hard cap on de-emphasis rounds in auto mode
 
@@ -173,8 +173,6 @@ def localize_multi(
     array: MicArray,
     cfg: MultiConfig | None = None,
     search: SearchConfig | None = None,
-    table: np.ndarray | None = None,
-    bounds: np.ndarray | None = None,
 ) -> EstimateSet:
     """Iterative multi-source localization over a grid, in one frame.
 
@@ -183,7 +181,7 @@ def localize_multi(
     (frequency-domain maps). The batch of one of localize_multi_batch,
     which says what each round does.
     """
-    return localize_multi_batch([features], grid, array, cfg, search, table, bounds)[0]
+    return localize_multi_batch([features], grid, array, cfg, search)[0]
 
 
 def localize_multi_batch(
@@ -192,7 +190,7 @@ def localize_multi_batch(
     array: MicArray,
     cfg: MultiConfig | None = None,
     search: SearchConfig | None = None,
-    table: np.ndarray | None = None,
+    cells: TimeCells | None = None,
     bounds: np.ndarray | None = None,
 ) -> list[EstimateSet]:
     """Iterative multi-source localization of each frame of a batch over a grid.
@@ -203,10 +201,11 @@ def localize_multi_batch(
     from every pair; each frame keeps its own notch, stop rules and
     warnings, so its estimates equal those of a batch of one. With
     n_sources = 1 the first round is exactly the single-source
-    pipeline. Time-domain rounds score all active frames in one pass
-    over the grid's lag table (time_argmax), notch one lag block per
-    frame (a copy of a caller's), and share the table and the array's
-    lag bounds: ``table`` and ``bounds`` if prepared, else built here.
+    pipeline. Time-domain rounds search all active frames in one pass
+    over the grid's cells (time_argmax), notch one lag block per frame
+    (a copy of a caller's), and share the cells and the array's lag
+    bounds: ``cells`` (time_cells) and ``bounds`` if prepared, else
+    built here.
 
     Only exhaustive search is meaningful here (the de-emphasis loop
     is defined on the full-grid argmax); other modes are rejected.
@@ -223,8 +222,8 @@ def localize_multi_batch(
         for f in batch:
             block, bounds = _lag_block(f, array, bounds)
             work.append(block)
-        if table is None:
-            table = lag_table(grid.points, array, far_field=grid.is_doa)
+        if cells is None:
+            cells = time_cells(grid.points, array, grid.is_doa, bounds)
     else:
         work = [dict(sorted(f.items())) for f in batch]  # array.pairs() order, as the TDOAs
     tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
@@ -235,7 +234,7 @@ def localize_multi_batch(
     active = list(range(len(batch)))
     while active:
         if time_domain:
-            idx, scores = time_argmax(table, [work[i] for i in active], bounds)
+            idx, scores = time_argmax(cells, [work[i] for i in active], bounds)
             peaks = [(grid.points[j].copy(), float(s)) for j, s in zip(idx, scores)]
         else:
             results = [argmax_search(srp_freq_map(work[i], grid, array)) for i in active]

@@ -3,7 +3,7 @@
 A PipelineConfig picks one option per stage: grid builder, feature
 extractor, map builder, searcher, optional feature updater
 (de-emphasis) and grid updater. prepare() does the frame-invariant
-work once (grid, steering tables, lag bounds) and Plan.run then runs
+work once (grid, its cells or lag windows, lag bounds) and Plan.run runs
 the generic loop on a frame block, or Plan.stream on a sequence of
 them, keeping the last frame's features for Plan.map:
 
@@ -16,10 +16,10 @@ Single-source configs terminate after one pass (the grid updater
 de-emphasis loop run their full procedure inside one pass, calling
 the same functions as their standalone counterparts, so pipeline
 results match standalone compositions bit for bit. Exhaustive
-time-domain passes over the prepared lag table (every de-emphasis
-round, and the one pass of a single-source config with the grid
-updater "none") score a batch of frames together; a one-frame run is
-a batch of one.
+time-domain passes over the prepared grid (every de-emphasis round,
+and the one pass of a single-source config with the grid updater
+"none") search a batch of frames together over the grid's cells; a
+one-frame run is a batch of one.
 """
 
 from __future__ import annotations
@@ -48,15 +48,17 @@ from .multisource import EstimateSet, MultiConfig, localize_multi, localize_mult
 from .search import SearchConfig, argmax_search, refine_search, src_search
 from .srp_core import (
     SrpMap,
+    TimeCells,
     WsrpConfig,
     lag_bounds,
-    lag_table,
     lag_windows,
     make_freq_scorer,
     make_time_scorer,
     pairwise_freq_scores,
     srp_freq_map,
     srp_time_map,
+    time_argmax,
+    time_cells,
     vsrp_map,
     wsrp_map,
 )
@@ -246,30 +248,33 @@ def _gcc_config(f: FeatureSpec, array: MicArray) -> GccConfig:
     return GccConfig(beta=f.beta, gamma=f.gamma, band=band)
 
 
-#: frames per batch of Plan.stream. One time round (srp_core.time_argmax)
-#: over a 90k-point, 28-pair lag table took 6.50, 4.73, 3.01, 3.20 and
-#: 2.93 ms per frame at batches of 1, 2, 4, 8 and 16 frames, while a
-#: batch holds its frames' cropped lag blocks (120 kB each there)
+#: frames per batch of Plan.stream. Streaming 16 frames of time3d_multi
+#: (90k points, 28 pairs, 2 pruned rounds a frame) took 12.7, 9.3, 7.7,
+#: 7.0 and 6.5 ms per frame at batches of 1, 2, 4, 8 and 16 frames, at
+#: tracemalloc peaks of 2.10, 2.34, 2.83, 3.92 and 6.92 MiB: a batch
+#: holds its frames' lag blocks and (P, 2 max D + 1, F) lag windows
 BATCH_FRAMES = 8
 
 
 class Plan:
     """Frame-invariant work of one validated (array, room, config), done once.
 
-    Holds the candidate grid and its steering: the compact lag table of
-    a time map, or the lag windows of a volumetric map, plus the lag
-    bounds D of time scores and volumetric maps, whose frames' lags
-    are then one LagBlock cropped to +/-max D (with its head only for
-    volumetric sum and mean pooling, which read it). Frequency and
+    Holds the candidate grid and its steering: the cells of a time map
+    (srp_core.time_cells), or the lag windows of a volumetric map, plus
+    the lag bounds D of time scores and volumetric maps, whose frames'
+    lags are then one LagBlock cropped to +/-max D (with its head only
+    for volumetric sum and mean pooling, which read it). Frequency and
     weighted maps steer per frame, so only their grid is held.
     Iterative searches (refine/src) place their own points and need no
     grid. run() then does only the per-frame work of one frame block,
     and stream() that of a sequence of blocks, taken lazily in batches
     of BATCH_FRAMES: when every pass is exhaustive over the prepared
-    lag table, a batch's features are built one frame at a time, then
-    its frames are scored together (localize_multi_batch). The last
-    frame's features stay until the next run; map() maps them once
-    more over the prepared grid (the CLI's export).
+    grid, a batch's features are built one frame at a time, then its
+    frames are searched together over the cells (localize_multi_batch).
+    The last frame's features stay until the next run; map() maps them
+    once more over the prepared grid (the CLI's export), building the
+    time map's lag table for that map alone, as the grid updaters'
+    passes over new regions do.
     """
 
     def __init__(self, array: MicArray, room, cfg: PipelineConfig):
@@ -283,7 +288,7 @@ class Plan:
             return
         self.grid = build_grid(cfg.grid, room)
         if cfg.map.domain == "time":
-            self.steering = lag_table(self.grid.points, array, far_field=self.grid.is_doa)
+            self.steering = time_cells(self.grid.points, array, self.grid.is_doa, self.bounds)
         elif cfg.map.domain == "volumetric":
             self.steering = lag_windows(self.grid, array, cfg.map.guard)
 
@@ -306,7 +311,7 @@ class Plan:
     def _build_map(self, grid, steering, feats) -> SrpMap:
         m, array, bounds = self.cfg.map, self.array, self.bounds
         if m.domain == "time":
-            return srp_time_map(feats, grid, array, table=steering, bounds=bounds)
+            return srp_time_map(feats, grid, array, bounds=bounds)
         if m.domain == "frequency":
             return srp_freq_map(feats, grid, array)
         if m.domain == "volumetric":
@@ -331,14 +336,14 @@ class Plan:
         cfg = self.cfg
         if cfg.map.domain != "time" or cfg.search.mode != "exhaustive" or cfg.grid_update != "none":
             return [self._run_one(frames) for frames in blocks]
-        # every pass is exhaustive over the prepared lag table: score the batch together
+        # every pass is exhaustive over the prepared grid: search the batch together
         feats = []
         for frames in blocks:
             self.features = None  # the last batch's features go before these are built
             self.features = f = self._features(frames)
             feats.append(f)
         return localize_multi_batch(
-            feats, self.grid, self.array, cfg.multi or MultiConfig(), table=self.steering, bounds=self.bounds
+            feats, self.grid, self.array, cfg.multi or MultiConfig(), cells=self.steering, bounds=self.bounds
         )
 
     def _run_one(self, frames: np.ndarray) -> EstimateSet:
@@ -371,12 +376,15 @@ class Plan:
             ).astype(float)
         it = 0
         while grid is not None and it < cfg.max_loop_iters:
-            res = argmax_search(self._build_map(grid, steering, feats))
-            estimates.append((res.estimate, res.score))
+            if isinstance(steering, TimeCells):  # the prepared grid: search its cells
+                (j,), (score,) = time_argmax(steering, [feats], self.bounds)
+                best, score = grid.points[j].copy(), float(score)
+            else:
+                res = argmax_search(self._build_map(grid, steering, feats))
+                best, score = res.estimate, res.score
+            estimates.append((best, score))
             # later passes grid a new region, so their steering is built per map
-            grid, region, resolution = _update_grid(
-                cfg, res.estimate, region, resolution, planar
-            )
+            grid, region, resolution = _update_grid(cfg, best, region, resolution, planar)
             steering = None
             it += 1
         return EstimateSet.from_pairs(estimates)

@@ -14,17 +14,21 @@ LagBlock per frame, rows in array.pairs() order (a dict of LagVectors
 is stacked into one on entry). The time map reads each pair's lag
 window -D..D, D = round(max_tdoa * fs) + 1 (lag_bounds), through a
 table of offsets rint(tau * fs) + D, so a block cropped to +/-max D
-serves every map of the array. One blocked gather scores a batch of
-frames per pass over the table: time_argmax reduces each block of
-points to every frame's running argmax, and srp_time_map is its
-one-frame full map. The frequency map is Horner's rule over the
-uniform DFT bins, exact, steered by per-mic phasors (2 M complex
-exponentials per point). A module-level counter tracks candidate
-scorings and steering-kernel evaluations so complexity claims can be
-checked: each frame's map adds G points and G * P kernel ops (time,
-volumetric) or G * P * |F| (frequency), whether it is built alone or
-scored in a batch; |F| is the in-band bin count, the complexity
-model's unit, not a count of multiplies.
+serves every map of the array. srp_time_map gathers a grid's full
+table. time_argmax finds a batch of frames' argmaxes without one: a
+grid's TimeCells group its points into boxes and hold each pair's lag
+range over each box, so a box's range maxima bound its members'
+scores, and only boxes whose bound can reach the best score found are
+scored, through their members' table columns. The frequency map is
+Horner's rule over the uniform DFT bins, exact, steered by per-mic
+phasors (2 M complex exponentials per point). A module-level counter
+tracks candidate scorings and steering-kernel evaluations so
+complexity claims can be checked: each frame's map adds G points and
+G * P kernel ops (time, volumetric) or G * P * |F| (frequency),
+whether it is built alone or scored in a batch; |F| is the in-band
+bin count, the complexity model's unit, not a count of multiplies.
+time_argmax adds the count of the exhaustive map it certifies, not of
+the points it scored.
 """
 
 from __future__ import annotations
@@ -140,21 +144,24 @@ def _lag_block(lags, array: MicArray, bounds: np.ndarray | None = None):
 _TABLE_CHUNK = 4096
 
 
-def lag_table(points: np.ndarray, array: MicArray, far_field: bool = False) -> np.ndarray:
+def lag_table(
+    points: np.ndarray, array: MicArray, far_field: bool = False, bounds: np.ndarray | None = None
+) -> np.ndarray:
     """Nearest-lag steering of every pair and point, offset into [0, 2 D], (P, G).
 
-    Entry [j, g] is rint(tau_j(u_g) * fs) + D_j (see lag_bounds), so
-    row j indexes the lag window -D_j..D_j directly; the dtype is the
-    smallest unsigned one holding 2 max D, uint16 for any room-sized
-    array. Near-field blocks take one mic-major tof_matrix pass and
-    the pair rows by consecutive-row subtraction, t[l] - t[l+1:] (see
-    MicArray.pair_rows), then one scale/rint/offset pass: tdoa_matrix's
-    float operations, bit for bit. Built once per grid and reused for
-    every frame and de-emphasis round.
+    Entry [j, g] is rint(tau_j(u_g) * fs) + D_j (see lag_bounds;
+    ``bounds`` if the caller has them), so row j indexes the lag window
+    -D_j..D_j directly; the dtype is the smallest unsigned one holding
+    2 max D, uint16 for any room-sized array. Near-field blocks take
+    one mic-major tof_matrix pass and the pair rows by consecutive-row
+    subtraction, t[l] - t[l+1:] (see MicArray.pair_rows), then one
+    scale/rint/offset pass: tdoa_matrix's float operations, bit for
+    bit, so a point's column does not depend on the other points.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     fs = array.sample_rate
-    bounds = lag_bounds(array)
+    if bounds is None:
+        bounds = lag_bounds(array)
     table = np.empty((len(bounds), len(pts)), dtype=np.min_scalar_type(2 * bounds.max()))
     buf = np.empty((len(bounds), min(_TABLE_CHUNK, len(pts))))
     for i in range(0, len(pts), _TABLE_CHUNK):
@@ -180,61 +187,240 @@ def lag_table(points: np.ndarray, array: MicArray, far_field: bool = False) -> n
 _GATHER_BLOCK = 65536
 
 
-def _gather(table: np.ndarray, blocks: list[LagBlock], bounds: np.ndarray):
-    """Yield (start, scores): time-map scores of points start.. of every frame, (B, F) per block.
+def _windows(blocks: list[LagBlock], bounds: np.ndarray) -> list[np.ndarray]:
+    """Each pair's lag window -D_j..D_j of every frame, (2 D_j + 1, F) per pair.
 
-    Every score is the sum from 0.0 over pairs, in table row order, of
-    the frame's lag at the table offset. Pair j gathers rows of one
-    (2 D_j + 1, F) window of all F frames: take costs about the same
-    per index whether an index fetches one float or a row of F, so a
-    batch of frames shares each pass over the table. The counter adds
-    G points and G * P kernel ops per frame.
+    Contiguous views of one (P, 2 max D + 1, F) stack: take costs about
+    the same per index whether it fetches one float or a row of F, so a
+    batch of frames shares each pass over a lag table.
     """
-    G, F = table.shape[1], len(blocks)
-    wins = [
-        np.stack([b.values[j, b.max_lag - d: b.max_lag + d + 1] for b in blocks], axis=1)
-        for j, d in enumerate(bounds)
-    ]
-    counter.points += G * F
-    counter.kernel_ops += G * len(bounds) * F
-    step = max(1, _GATHER_BLOCK // F)
-    for i in range(0, G, step):
-        scores = np.zeros((min(step, G - i), F))
-        for win, row in zip(wins, table[:, i: i + step]):
-            scores += win.take(row, axis=0)
-        yield i, scores
+    k = int(bounds.max())
+    lags = np.stack([b.values[:, b.max_lag - k: b.max_lag + k + 1] for b in blocks], axis=2)
+    return [row[k - d: k + d + 1] for row, d in zip(lags, bounds)]
 
 
-def _time_scores(table: np.ndarray, lags, array: MicArray, bounds=None):
-    """Gather-and-sum of each pair's lag window -D..D over a lag table: one frame's scores."""
-    block, bounds = _lag_block(lags, array, bounds)
-    scores = np.empty(table.shape[1])
-    for i, part in _gather(table, [block], bounds):
-        scores[i: i + len(part)] = part[:, 0]
+def _gather(table: np.ndarray, wins: list[np.ndarray]) -> np.ndarray:
+    """Scores (G, F) of a lag table's points: from 0.0, each pair's lag at its offset, in row order."""
+    scores = np.zeros((table.shape[1], wins[0].shape[1]))
+    for win, row in zip(wins, table):
+        scores += win.take(row, axis=0)
     return scores
 
 
-def time_argmax(table: np.ndarray, blocks: list[LagBlock], bounds: np.ndarray):
-    """Argmax and peak score of each frame's time map over a lag table, (F,) each.
+def _time_scores(table: np.ndarray, lags, array: MicArray, bounds=None):
+    """One frame's scores over a lag table, gathered in blocks of points."""
+    block, bounds = _lag_block(lags, array, bounds)
+    wins = _windows([block], bounds)
+    G = table.shape[1]
+    scores = np.empty(G)
+    for i in range(0, G, _GATHER_BLOCK):
+        scores[i: i + _GATHER_BLOCK] = _gather(table[:, i: i + _GATHER_BLOCK], wins)[:, 0]
+    counter.points += G
+    counter.kernel_ops += G * len(bounds)
+    return scores
+
+
+def _range_query(lo: np.ndarray, hi: np.ndarray, width: int) -> tuple:
+    """Where _range_maxima reads the maximum over each range [lo, hi] of (P, C).
+
+    A range of n entries is the union of the runs of 2^k entries, k =
+    floor(log2 n), that start at lo and end at hi: entries lo and
+    hi - 2^k + 1 of level k of a range-max table, flattened over levels
+    ``width`` entries long. Returns (first, second, each row's top level, width).
+    """
+    level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2 n), exact
+    first = level * width + lo
+    return first, first + (hi - lo + 1 - np.left_shift(1, level)), level.max(axis=1), width
+
+
+def _range_maxima(rows, query: tuple):
+    """Yield the maxima of each row (n_j <= width entries, ...) over its ranges, (C, ...) per row.
+
+    One range-max table serves each row in turn: level k holds the
+    maxima of 2^k consecutive entries. Max is exact, so a result equals
+    np.max over its range.
+    """
+    first, second, tops, width = query
+    tail = rows[0].shape[1:]
+    table = np.empty((int(tops.max()) + 1, width) + tail)
+    flat = table.reshape((-1,) + tail)
+    for row, a, b, top in zip(rows, first, second, tops):
+        table[0, : len(row)] = row
+        for k in range(1, top + 1):
+            h, n = 1 << (k - 1), len(row) - (1 << k) + 1
+            np.maximum(table[k - 1, :n], table[k - 1, h: h + n], out=table[k, :n])
+        yield np.maximum(flat.take(a, axis=0), flat.take(b, axis=0))
+
+
+#: grid points per cell of time_cells. On time3d_multi (90k points, 28
+#: pairs, 4 frames, 2 rounds, seeds 0-3), cells of 16, 32, 64, 128 and
+#: 256 points took 10.2, 6.5, 6.5, 5.4 and 5.0 ms to build and 7.1, 7.7,
+#: 8.4, 12.4 and 16.1 ms to search per command (32 seed cells): smaller
+#: cells cost setup and bounds, larger ones more survivors
+_CELL_POINTS = 64
+
+#: cells per frame whose members time_argmax scores first. On 16 rounds
+#: of time3d_multi (seeds 0-7, 64-point cells), 8, 16, 32 and 64 seed
+#: cells scored 120,076, 61,000, 63,956 and 82,872 points, at most
+#: 28,528, 10,752, 10,752 and 10,752 in a round: 8 seeds too low a bar
+_SEED_CELLS = 32
+
+
+@dataclass(frozen=True)
+class TimeCells:
+    """A grid's points in boxes (time_cells): each point's box, (G,), and
+    the _range_query of each pair's range of lag_table offsets over each box."""
+
+    points: np.ndarray
+    array: MicArray
+    far_field: bool
+    cell: np.ndarray
+    query: tuple
+
+
+def _cell_boxes(pts: np.ndarray):
+    """Each point's cell, (G,), and each cell's box: its members' lo and hi, (3, C) each.
+
+    Points are keyed by floor((p - p_min) / s), cubes of edge s that
+    tile the longest axes they do not outgrow, and grouped by a stable
+    argsort (numpy sorts uint16 keys by radix). The keys only make the
+    cells compact; the boxes hold whatever the grouping.
+    """
+    cols = [pts[:, a] for a in range(3)]  # views: a (3, G) copy would raise a run's peak
+    p_min = np.array([c.min() for c in cols])
+    extents = np.array([c.max() for c in cols]) - p_min
+    longest, want, s = np.sort(extents)[::-1], max(len(pts) / _CELL_POINTS, 1.0), 1.0
+    for k in (3, 2, 1):  # 1.0 if every point is the same
+        if 0 < (edge := (longest[:k].prod() / want) ** (1 / k)) <= longest[k - 1]:
+            s = edge
+            break
+    n = [int(x / s) + 1 for x in extents]  # cells per axis: (p - p_min) / s <= extent / s
+    key = np.zeros(len(pts), dtype=np.min_scalar_type(math.prod(n) - 1))
+    q = np.empty(len(pts))
+    for c, c0, n_a in zip(cols, p_min, n):
+        key *= n_a
+        np.subtract(c, c0, out=q)
+        q /= s
+        key += q.astype(key.dtype)  # truncation floors a quotient >= 0
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.r_[True, key[1:] != key[:-1]]
+    starts = np.flatnonzero(new)
+    cell = np.empty(len(pts), dtype=np.min_scalar_type(len(starts) - 1))
+    cell[order] = np.cumsum(new, dtype=cell.dtype) - 1
+    lo, hi = np.empty((3, len(starts))), np.empty((3, len(starts)))
+    for c, c_lo, c_hi in zip(cols, lo, hi):  # "clip" writes q unbuffered; order is in range
+        np.minimum.reduceat(c.take(order, out=q, mode="clip"), starts, out=c_lo)
+        np.maximum.reduceat(q, starts, out=c_hi)
+    return cell, lo, hi
+
+
+def time_cells(
+    points: np.ndarray, array: MicArray, far_field: bool = False, bounds: np.ndarray | None = None
+) -> TimeCells:
+    """The cells of time_argmax: boxes of about _CELL_POINTS grid points (_cell_boxes).
+
+    Near field: a mic's distance over a box runs from its clamped
+    position to the farthest corner, so a pair's TDOA lies in
+    [(near_l - far_m) / c, (far_l - near_m) / c]. Far field: u . (v_m -
+    v_l) / c is linear in u, so its extremes lie at corners, axis by
+    axis. The lags are [floor(tau_min fs) - 1, ceil(tau_max fs) + 1],
+    clipped to +/-D: the extra lag on each side absorbs the float
+    rounding of this bound and of lag_table.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if bounds is None:
+        bounds = lag_bounds(array)
+    cell, lo, hi = _cell_boxes(pts)
+    tau_lo = np.zeros((len(bounds), lo.shape[1]))
+    tau_hi = np.zeros_like(tau_lo)
+    if far_field:
+        base = np.stack([array.positions[p.m] - array.positions[p.l] for p in array.pairs()])
+        for b, a_lo, a_hi in zip(base.T[:, :, None] / array.speed_of_sound, lo, hi):
+            tau_lo += np.minimum(b * a_lo, b * a_hi)
+            tau_hi += np.maximum(b * a_lo, b * a_hi)
+    else:
+        near = np.zeros((array.n_mics, lo.shape[1]))
+        far = np.zeros_like(near)
+        for v, a_lo, a_hi in zip(array.positions.T[:, :, None], lo, hi):
+            below, above = a_lo - v, v - a_hi  # > 0 where the mic lies outside the box
+            near += np.maximum(np.maximum(below, above), 0.0) ** 2
+            far += np.maximum(np.abs(below), np.abs(above)) ** 2
+        near, far = np.sqrt(near) / array.speed_of_sound, np.sqrt(far) / array.speed_of_sound
+        for l, rows in array.pair_rows():
+            tau_lo[rows] = near[l] - far[l + 1:]
+            tau_hi[rows] = far[l] - near[l + 1:]
+    fs, d = array.sample_rate, bounds[:, None]
+    k_lo = np.clip(np.floor(tau_lo * fs) - 1, -d, d).astype(np.intp) + d
+    k_hi = np.clip(np.ceil(tau_hi * fs) + 1, -d, d).astype(np.intp) + d
+    return TimeCells(pts, array, far_field, cell, _range_query(k_lo, k_hi, 2 * int(bounds.max()) + 1))
+
+
+def _cell_bounds(cells: TimeCells, blocks: list[LagBlock], wins: list[np.ndarray]) -> np.ndarray:
+    """Each cell's upper bound on its members' scores in every frame, (C, F).
+
+    The sum from 0.0, in pairs() order, of each pair's largest lag over
+    the cell's range: rounded addition is monotone, so it is at least
+    each member's float score. A frame that could sum to a non-finite
+    score (a non-finite lag, or P max|lag| near the float maximum) gets
+    +inf, so all its cells are scored.
+    """
+    upper = np.zeros((cells.query[0].shape[1], len(blocks)))
+    for m in _range_maxima(wins, cells.query):
+        upper += m
+    amax = np.array([np.abs(b.values).max() for b in blocks])  # P * amax < max: finite sums
+    upper[:, ~(amax < np.finfo(float).max / 2 / len(wins))] = np.inf
+    return upper
+
+
+def _score_cells(cells: TimeCells, which: np.ndarray, wins, bounds, best, idx) -> None:
+    """Score the members of the cells ``which`` and update each frame's best, in place.
+
+    Members go in ascending grid index, in blocks of points whose
+    lag_table columns are built per block, each checked for finite
+    scores as SrpMap does. A peak replaces a frame's best if greater,
+    or equal at a lower index.
+    """
+    members = np.flatnonzero(which.take(cells.cell))
+    cols = np.arange(len(best))
+    step = max(1, _GATHER_BLOCK // len(best))
+    for i in range(0, len(members), step):
+        part = members[i: i + step]
+        scores = _gather(lag_table(cells.points[part], cells.array, cells.far_field, bounds), wins)
+        if not np.isfinite(scores).all():
+            raise ValueError("map scores must be finite")
+        j = scores.argmax(axis=0)
+        peak, at = scores[j, cols], part[j]
+        better = (peak > best) | ((peak == best) & (at < idx))
+        best[better], idx[better] = peak[better], at[better]
+
+
+def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
+    """Argmax and peak score of each frame's time map over a grid's cells, (F,) each.
 
     ``blocks`` are the frames' LagBlocks (rows in array.pairs() order,
     each covering the pairs' lag bounds); ``bounds`` the array's
-    lag_bounds. Equal to argmax_search(srp_time_map(...)) per frame,
-    bit for bit, with the full map never built: each block of points
-    is checked for finite scores, as SrpMap does, and a block's peak
-    replaces a frame's best only if strictly greater, so ties keep the
-    lowest index. The counter adds what srp_time_map would.
+    lag_bounds, as given to time_cells. Equal to
+    argmax_search(srp_time_map(...)) per frame, bit for bit: the
+    members of each frame's _SEED_CELLS best-bounded cells are scored,
+    then those of every other cell whose bound is not below some frame's
+    best (so ties and NaN are scored). A skipped point scores below
+    its frame's peak, so the peak and its lowest index are found. The
+    counter adds what srp_time_map would, G points and G * P kernel
+    ops per frame: the exhaustive map the search certifies.
     """
-    best = np.full(len(blocks), -np.inf)
-    idx = np.zeros(len(blocks), dtype=np.intp)
-    cols = np.arange(len(blocks))
-    for i, part in _gather(table, blocks, bounds):
-        if not np.isfinite(part).all():
-            raise ValueError("map scores must be finite")
-        j = part.argmax(axis=0)
-        peak = part[j, cols]
-        better = peak > best
-        best[better], idx[better] = peak[better], i + j[better]
+    G, F = len(cells.cell), len(blocks)
+    wins = _windows(blocks, bounds)
+    counter.points += G * F
+    counter.kernel_ops += G * len(bounds) * F
+    upper = _cell_bounds(cells, blocks, wins)
+    C = len(upper)
+    seeds = np.zeros(C, dtype=bool)
+    n = min(_SEED_CELLS, C)
+    seeds[np.argpartition(upper, C - n, axis=0)[C - n:]] = True
+    best, idx = np.full(F, -np.inf), np.zeros(F, dtype=np.intp)
+    _score_cells(cells, seeds, wins, bounds, best, idx)
+    _score_cells(cells, ~(upper < best).all(axis=1) & ~seeds, wins, bounds, best, idx)
     return idx, best
 
 
@@ -252,21 +438,18 @@ def srp_time_map(
     lags: LagBlock | dict[MicPair, LagVector],
     grid: CandidateGrid,
     array: MicArray,
-    table: np.ndarray | None = None,
     bounds: np.ndarray | None = None,
 ) -> SrpMap:
     """Time-domain SRP map over a grid (far-field for DOA grids).
 
     ``lags`` is a LagBlock or a dict of LagVectors (stacked into one
-    block on entry). ``table`` is the grid's lag_table and ``bounds``
-    the array's lag_bounds when the caller has prepared them;
-    otherwise they are built here. The full map of one frame: the
-    one-frame case of time_argmax's blocked gather.
+    block on entry); ``bounds`` the array's lag_bounds when the caller
+    has them. Builds the grid's lag_table and gathers every point's
+    score: the exhaustive map that time_argmax searches.
     """
-    if table is None:
-        table = lag_table(grid.points, array, far_field=grid.is_doa)
-    scores = _time_scores(table, lags, array, bounds)
-    return SrpMap(grid, scores, "time")
+    block, bounds = _lag_block(lags, array, bounds)
+    table = lag_table(grid.points, array, grid.is_doa, bounds)
+    return SrpMap(grid, _time_scores(table, block, array, bounds), "time")
 
 
 def _active_freqs(gccs: dict[MicPair, SpectralGcc], array: MicArray):
@@ -390,7 +573,7 @@ def make_time_scorer(lags, array: MicArray, far_field: bool = False):
     block, bounds = _lag_block(lags, array)
 
     def scorer(points: np.ndarray) -> np.ndarray:
-        return _time_scores(lag_table(points, array, far_field), block, array, bounds)
+        return _time_scores(lag_table(points, array, far_field, bounds), block, array, bounds)
 
     return scorer
 
@@ -495,23 +678,16 @@ def vsrp_map(
         windows = lag_windows(volume_grid, array, guard)
     k = block.max_lag
     P, n = block.values.shape
-    # prefix sums of [head, row] (sum, mean), or the row and a -inf pad
-    # that keeps a segment [lo, hi]'s end index hi + 1 in the row (max)
-    ext = np.empty((P, n + 1))
+    lo = np.maximum(windows[0] + k, 0)  # each window's first and last column in the block
+    hi = np.minimum(windows[1] + k, n - 1)
     if pooling == "max":
-        ext[:, :n], ext[:, n] = block.values, -np.inf
-    else:
+        pooled = _range_maxima(block.values, _range_query(lo, hi, n))
+    else:  # prefix sums of [head, row]: a window sums to ext[hi + 1] - ext[lo]
+        ext = np.empty((P, n + 1))
         ext[:, 0], ext[:, 1:] = block.head, block.values
         np.cumsum(ext, axis=1, out=ext)
-    flat = ext.ravel()
-    row0 = np.arange(P)[:, None] * (n + 1)  # flat index of each row's start
-    lo = row0 + np.maximum(windows[0] + k, 0)
-    hi = row0 + np.minimum(windows[1] + k, n - 1)
-    if pooling == "max":  # segment [lo, hi] is reduced at even slots
-        pooled = np.maximum.reduceat(flat, np.stack([lo, hi + 1], axis=2).ravel())[::2]
-        pooled = pooled.reshape(P, -1)
-    else:
-        pooled = flat[hi + 1] - flat[lo]
+        rows = np.arange(P)[:, None]
+        pooled = ext[rows, hi + 1] - ext[rows, lo]
         if pooling == "mean":
             pooled /= hi - lo + 1
     scores = np.zeros(len(volume_grid))

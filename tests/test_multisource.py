@@ -35,7 +35,7 @@ from xsrp.multisource import (
     localize_multi_batch,
 )
 from xsrp.search import SearchConfig, argmax_search
-from xsrp.srp_core import counter, lag_bounds, lag_table, srp_time_map, time_argmax
+from xsrp.srp_core import counter, lag_bounds, lag_table, srp_time_map, time_argmax, time_cells
 from xsrp.synth import SceneSpec, Source, add_noise, synthesize_free_field, white_noise
 
 FS = 16000.0
@@ -412,11 +412,11 @@ def test_batched_rounds_equal_the_per_frame_chain(case, n_sources, step):
 @given(case=_batch_cases(), step=st.integers(1, 40))
 def test_time_argmax_is_the_first_index_of_each_frames_map_maximum(case, step):
     array, grid, blocks = case
-    table = lag_table(grid.points, array, far_field=grid.is_doa)
     bounds = lag_bounds(array)
+    cells = time_cells(grid.points, array, grid.is_doa, bounds)
     with mock.patch.object(srp_core, "_GATHER_BLOCK", step):
-        idx, scores = time_argmax(table, blocks, bounds)
-        maps = [srp_time_map(b, grid, array, table=table, bounds=bounds).scores for b in blocks]
+        idx, scores = time_argmax(cells, blocks, bounds)
+        maps = [srp_time_map(b, grid, array, bounds=bounds).scores for b in blocks]
     assert np.array_equal(idx, [int(np.argmax(m)) for m in maps])
     assert np.array_equal(scores, [m.max() for m in maps])
 
@@ -425,14 +425,112 @@ def test_time_argmax_refuses_non_finite_scores():
     # like SrpMap: three pairs of 1e308 sum past the largest float
     array = MicArray([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], sample_rate=8000.0)
     grid = cartesian_grid(np.array([1.0, 1.0, 1.0]), 0.5)
-    table, bounds = lag_table(grid.points, array), lag_bounds(array)
+    cells, bounds = time_cells(grid.points, array), lag_bounds(array)
     lags = np.zeros((3, 2 * int(bounds.max()) + 1))
     lags[0] = 1e308
-    idx, scores = time_argmax(table, [LagBlock(lags, 8000.0)], bounds)
+    idx, scores = time_argmax(cells, [LagBlock(lags, 8000.0)], bounds)
     assert idx[0] == 0 and scores[0] == 1e308
     overflow = LagBlock(np.full_like(lags, 1e308), 8000.0)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="finite"):
-            time_argmax(table, [overflow], bounds)
+            time_argmax(cells, [overflow], bounds)
         with pytest.raises(ValueError, match="finite"):
             srp_time_map(overflow, grid, array)
+
+
+# ------------------------------------------------------ pruned time search
+
+
+@st.composite
+def _search_cases(draw):
+    """_batch_cases, with some Cartesian grids flattened onto one plane."""
+    array, grid, blocks = draw(_batch_cases())
+    if not grid.is_doa and draw(st.booleans()):
+        pts = grid.points.copy()
+        pts[:, 2] = pts[0, 2]
+        grid = CandidateGrid("cartesian2d", pts)
+    return array, grid, blocks
+
+
+def _pruning(cell_points: int, seed_cells: int):
+    """Cells and seeds small enough that even a small grid's search skips cells."""
+    return mock.patch.multiple(srp_core, _CELL_POINTS=cell_points, _SEED_CELLS=seed_cells)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=_search_cases(),
+    cell_points=st.sampled_from([1, 2, 4, 16, 64]),
+    seed_cells=st.integers(1, 4),
+    step=st.integers(1, 40) | st.just(srp_core._GATHER_BLOCK),
+)
+def test_time_argmax_equals_the_exhaustive_search(case, cell_points, seed_cells, step):
+    """Index, score and counts of each frame equal argmax_search over its
+    full map, bit for bit, whatever the cell, seed and gather block sizes."""
+    array, grid, blocks = case
+    bounds = lag_bounds(array)
+    counter.reset()
+    maps = [srp_time_map(b, grid, array) for b in blocks]
+    want_counts = counter.snapshot()
+    with _pruning(cell_points, seed_cells), mock.patch.object(srp_core, "_GATHER_BLOCK", step):
+        cells = time_cells(grid.points, array, grid.is_doa, bounds)
+        counter.reset()
+        idx, scores = time_argmax(cells, blocks, bounds)
+    assert counter.snapshot() == want_counts
+    for i, s, m in zip(idx, scores, maps, strict=True):
+        want = argmax_search(m)
+        assert i == int(np.argmax(m.scores)) and np.array_equal(grid.points[i], want.estimate)
+        assert s == want.score
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_search_cases(), cell_points=st.sampled_from([1, 4, 16, 64]))
+def test_no_member_scores_above_its_cells_bound(case, cell_points):
+    """Every member's lag_table offset lies in its cell's range, pair by
+    pair, and so no member's score exceeds its cell's bound."""
+    array, grid, blocks = case
+    bounds = lag_bounds(array)
+    with _pruning(cell_points, 1):
+        cells = time_cells(grid.points, array, grid.is_doa, bounds)
+    first, second, _, width = cells.query
+    level, lo = np.divmod(first, width)
+    hi = second - level * width + np.left_shift(1, level) - 1
+    table = lag_table(grid.points, array, grid.is_doa, bounds)
+    assert np.all(lo[:, cells.cell] <= table) and np.all(table <= hi[:, cells.cell])
+    upper = srp_core._cell_bounds(cells, blocks, srp_core._windows(blocks, bounds))
+    scores = np.stack([srp_time_map(b, grid, array).scores for b in blocks], axis=1)
+    assert np.all(scores <= upper[cells.cell])
+
+
+@pytest.mark.parametrize("fill, n_pairs", [(-np.inf, 1), (np.nan, 1), (1e308, 2)])
+def test_a_non_finite_score_that_only_a_losing_point_reaches_still_raises(fill, n_pairs):
+    """A peaked map, so that the search skips most cells. At its lowest
+    point that reads a lag of pair 0 no other point reads, n pairs'
+    lags become ``fill``: -inf, NaN, or 1e308 twice, whose sum overflows."""
+    array = MicArray(MIC_POSITIONS, sample_rate=FS)
+    grid = cartesian_grid(ROOM, 0.5)
+    bounds = lag_bounds(array)
+    rng = np.random.default_rng(5)
+    lags = 0.01 * rng.normal(size=(array.n_pairs, 2 * int(bounds.max()) + 1))
+    table = lag_table(grid.points, array, bounds=bounds)
+    lags[np.arange(array.n_pairs), bounds.max() - bounds + table[:, len(grid) // 2]] += 1.0
+    alone = np.flatnonzero(np.bincount(table[0])[table[0]] == 1)
+    loser = alone[np.argmin(srp_time_map(LagBlock(lags, FS), grid, array).scores[alone])]
+    for j in range(n_pairs):
+        lags[j, int(bounds.max() - bounds[j] + table[j, loser])] = fill
+    block = LagBlock(lags, FS)
+    with _pruning(4, 1), np.errstate(over="ignore"):
+        cells = time_cells(grid.points, array, bounds=bounds)
+        with pytest.raises(ValueError, match="finite"):
+            time_argmax(cells, [block], bounds)
+        with pytest.raises(ValueError, match="finite"):
+            srp_time_map(block, grid, array)
+
+
+def test_an_all_zero_frame_over_the_room_grid_peaks_at_the_first_point():
+    array = MicArray(MIC_POSITIONS, sample_rate=FS)
+    grid = cartesian_grid(ROOM, 0.1)
+    bounds = lag_bounds(array)
+    zero = LagBlock(np.zeros((array.n_pairs, 2 * int(bounds.max()) + 1)), FS)
+    idx, scores = time_argmax(time_cells(grid.points, array, bounds=bounds), [zero], bounds)
+    assert idx[0] == 0 and scores[0] == 0.0

@@ -562,6 +562,25 @@ def test_vsrp_map_matches_per_window_loop(scene, vg, guard, pooling):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frames=st.integers(0, 4), ties=st.booleans())
+def test_range_maxima_equal_direct_window_maxima(seed, frames, ties):
+    """The range-max tables behind max pooling and the time search's cell
+    bounds give np.max over each range, for 1-D rows or rows of frames."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 70, size=rng.integers(1, 6))
+    tail = (frames,) if frames else ()
+    rows = [rng.integers(-2, 3, size=(n, *tail)).astype(float) if ties else rng.normal(size=(n, *tail))
+            for n in lengths]
+    ranges = rng.integers(1, 12)
+    lo = np.stack([rng.integers(0, n, size=ranges) for n in lengths])
+    hi = np.stack([np.minimum(a + rng.integers(0, n, size=ranges), n - 1) for a, n in zip(lo, lengths)])
+    width = int(lengths.max()) + int(rng.integers(0, 4))
+    got = list(srp_core._range_maxima(rows, srp_core._range_query(lo, hi, width)))
+    for row, g, a, b in zip(rows, got, lo, hi, strict=True):
+        assert np.array_equal(g, np.stack([row[i: j + 1].max(axis=0) for i, j in zip(a, b)]))
+
+
 def _windows_by_volume(vg, array, guard):
     """Reference: each Volume's 8 corners (itertools order) through its own
     tof_matrix call, reduced pair by pair."""
