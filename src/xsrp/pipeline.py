@@ -15,11 +15,11 @@ Single-source configs terminate after one pass (the grid updater
 "none" empties the grid). The iterative searchers and the
 de-emphasis loop run their full procedure inside one pass, calling
 the same functions as their standalone counterparts, so pipeline
-results match standalone compositions bit for bit. Exhaustive
-time-domain passes over the prepared grid (every de-emphasis round,
-and the one pass of a single-source config with the grid updater
-"none") search a batch of frames together over the grid's cells; a
-one-frame run is a batch of one.
+results match standalone compositions bit for bit. Every exhaustive
+time-domain pass searches its grid's cells (srp_core.time_argmax);
+passes over the prepared grid (every de-emphasis round, and the one
+pass of a single-source config with the grid updater "none") search a
+batch of frames together; a one-frame run is a batch of one.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .multisource import EstimateSet, MultiConfig, localize_multi, localize_mult
 from .search import SearchConfig, argmax_search, refine_search, src_search
 from .srp_core import (
     SrpMap,
-    TimeCells,
     WsrpConfig,
     lag_bounds,
     lag_windows,
@@ -249,10 +248,10 @@ def _gcc_config(f: FeatureSpec, array: MicArray) -> GccConfig:
 
 
 #: frames per batch of Plan.stream. Streaming 16 frames of time3d_multi
-#: (90k points, 28 pairs, 2 pruned rounds a frame) took 12.7, 9.3, 7.7,
-#: 7.0 and 6.5 ms per frame at batches of 1, 2, 4, 8 and 16 frames, at
-#: tracemalloc peaks of 2.10, 2.34, 2.83, 3.92 and 6.92 MiB: a batch
-#: holds its frames' lag blocks and (P, 2 max D + 1, F) lag windows
+#: (90k points, 28 pairs, 2 pruned rounds a frame) took 12.0, 8.9, 7.4,
+#: 6.6 and 6.1 ms per frame at batches of 1, 2, 4, 8 and 16 frames, at
+#: tracemalloc peaks of 2.03, 2.21, 2.58, 3.52 and 6.13 MiB: a batch
+#: holds its frames' lag blocks and each pair's (2 D + 1, F) lag window
 BATCH_FRAMES = 8
 
 
@@ -273,8 +272,8 @@ class Plan:
     frames are searched together over the cells (localize_multi_batch).
     The last frame's features stay until the next run; map() maps them
     once more over the prepared grid (the CLI's export), building the
-    time map's lag table for that map alone, as the grid updaters'
-    passes over new regions do.
+    time map's lag table for that map alone. The grid updaters' passes
+    over new regions search cells built per pass.
     """
 
     def __init__(self, array: MicArray, room, cfg: PipelineConfig):
@@ -376,14 +375,16 @@ class Plan:
             ).astype(float)
         it = 0
         while grid is not None and it < cfg.max_loop_iters:
-            if isinstance(steering, TimeCells):  # the prepared grid: search its cells
+            if cfg.map.domain == "time":  # every pass searches its grid's cells
+                if steering is None:
+                    steering = time_cells(grid.points, array, grid.is_doa, self.bounds)
                 (j,), (score,) = time_argmax(steering, [feats], self.bounds)
                 best, score = grid.points[j].copy(), float(score)
             else:
                 res = argmax_search(self._build_map(grid, steering, feats))
                 best, score = res.estimate, res.score
             estimates.append((best, score))
-            # later passes grid a new region, so their steering is built per map
+            # later passes grid a new region, so their steering is built per pass
             grid, region, resolution = _update_grid(cfg, best, region, resolution, planar)
             steering = None
             it += 1

@@ -19,7 +19,9 @@ table. time_argmax finds a batch of frames' argmaxes without one: a
 grid's TimeCells group its points into boxes and hold each pair's lag
 range over each box, so a box's range maxima bound its members'
 scores, and only boxes whose bound can reach the best score found are
-scored, through their members' table columns. The frequency map is
+scored, through their members' table columns; a round in which most
+boxes can reach it (a flat map) gathers the grid's full table, built
+once and kept with the cells. The frequency map is
 Horner's rule over the uniform DFT bins, exact, steered by per-mic
 phasors (2 M complex exponentials per point). A module-level counter
 tracks candidate scorings and steering-kernel evaluations so
@@ -190,18 +192,19 @@ _GATHER_BLOCK = 65536
 def _windows(blocks: list[LagBlock], bounds: np.ndarray) -> list[np.ndarray]:
     """Each pair's lag window -D_j..D_j of every frame, (2 D_j + 1, F) per pair.
 
-    Contiguous views of one (P, 2 max D + 1, F) stack: take costs about
-    the same per index whether it fetches one float or a row of F, so a
-    batch of frames shares each pass over a lag table.
+    Take costs about the same per index whether it fetches one float or
+    a row of F, so a batch of frames shares each pass over a lag table.
     """
-    k = int(bounds.max())
-    lags = np.stack([b.values[:, b.max_lag - k: b.max_lag + k + 1] for b in blocks], axis=2)
-    return [row[k - d: k + d + 1] for row, d in zip(lags, bounds)]
+    return [
+        np.stack([b.values[j, b.max_lag - d: b.max_lag + d + 1] for b in blocks], axis=1)
+        for j, d in enumerate(bounds)
+    ]
 
 
-def _gather(table: np.ndarray, wins: list[np.ndarray]) -> np.ndarray:
-    """Scores (G, F) of a lag table's points: from 0.0, each pair's lag at its offset, in row order."""
-    scores = np.zeros((table.shape[1], wins[0].shape[1]))
+def _gather(table, wins: list[np.ndarray], n: int) -> np.ndarray:
+    """Scores (n, F) of n points of a lag table, given as its rows (any
+    iterable): from 0.0, each pair's lag at its offset, in row order."""
+    scores = np.zeros((n, wins[0].shape[1]))
     for win, row in zip(wins, table):
         scores += win.take(row, axis=0)
     return scores
@@ -214,7 +217,8 @@ def _time_scores(table: np.ndarray, lags, array: MicArray, bounds=None):
     G = table.shape[1]
     scores = np.empty(G)
     for i in range(0, G, _GATHER_BLOCK):
-        scores[i: i + _GATHER_BLOCK] = _gather(table[:, i: i + _GATHER_BLOCK], wins)[:, 0]
+        part = table[:, i: i + _GATHER_BLOCK]
+        scores[i: i + _GATHER_BLOCK] = _gather(part, wins, part.shape[1])[:, 0]
     counter.points += G
     counter.kernel_ops += G * len(bounds)
     return scores
@@ -226,11 +230,14 @@ def _range_query(lo: np.ndarray, hi: np.ndarray, width: int) -> tuple:
     A range of n entries is the union of the runs of 2^k entries, k =
     floor(log2 n), that start at lo and end at hi: entries lo and
     hi - 2^k + 1 of level k of a range-max table, flattened over levels
-    ``width`` entries long. Returns (first, second, each row's top level, width).
+    ``width`` entries long. Returns (first, second, each row's top level,
+    width), entries in the smallest unsigned dtype that holds them.
     """
     level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2 n), exact
     first = level * width + lo
-    return first, first + (hi - lo + 1 - np.left_shift(1, level)), level.max(axis=1), width
+    second = first + (hi - lo + 1 - np.left_shift(1, level))
+    dtype = np.min_scalar_type((int(level.max()) + 1) * width)
+    return first.astype(dtype), second.astype(dtype), level.max(axis=1), width
 
 
 def _range_maxima(rows, query: tuple):
@@ -265,17 +272,29 @@ _CELL_POINTS = 64
 #: 28,528, 10,752, 10,752 and 10,752 in a round: 8 seeds too low a bar
 _SEED_CELLS = 32
 
+#: share of a grid's points past which a round of time_argmax gathers
+#: every point from the grid's kept lag_table (TimeCells.table) instead
+#: of building the survivors' columns. On time3d_multi (90k points, 28
+#: pairs, 4 frames) the table took 23.6 ms to build and 11.8 ms to
+#: gather, and the columns of 10, 20, 30, 40, 50 and 100 % of the cells
+#: 3.5, 6.4, 9.6, 12.8, 15.3 and 27.7 ms to build and gather: at 40 %
+#: the columns cost what a pass over the kept table does
+_TABLE_SHARE = 0.4
 
-@dataclass(frozen=True)
+
+@dataclass
 class TimeCells:
     """A grid's points in boxes (time_cells): each point's box, (G,), and
-    the _range_query of each pair's range of lag_table offsets over each box."""
+    the _range_query of each pair's range of lag_table offsets over each
+    box; ``table`` is the grid's lag_table, built by the first round of
+    time_argmax whose survivors outgrow _TABLE_SHARE of the grid, then kept."""
 
     points: np.ndarray
     array: MicArray
     far_field: bool
     cell: np.ndarray
     query: tuple
+    table: np.ndarray | None = None
 
 
 def _cell_boxes(pts: np.ndarray):
@@ -373,24 +392,32 @@ def _cell_bounds(cells: TimeCells, blocks: list[LagBlock], wins: list[np.ndarray
     return upper
 
 
-def _score_cells(cells: TimeCells, which: np.ndarray, wins, bounds, best, idx) -> None:
-    """Score the members of the cells ``which`` and update each frame's best, in place.
+def _score_points(cells: TimeCells, members, wins, bounds, best, idx) -> None:
+    """Score the points ``members`` and update each frame's best, in place.
 
-    Members go in ascending grid index, in blocks of points whose
-    lag_table columns are built per block, each checked for finite
-    scores as SrpMap does. A peak replaces a frame's best if greater,
-    or equal at a lower index.
+    ``members`` are ascending grid indices, or None for every point;
+    their lag_table columns are built per block of points, or read from
+    the grid's table once it is kept. Scores are checked finite as
+    SrpMap does. A peak replaces a frame's best if greater, or equal at
+    a lower index.
     """
-    members = np.flatnonzero(which.take(cells.cell))
+    n = len(cells.cell) if members is None else len(members)
     cols = np.arange(len(best))
     step = max(1, _GATHER_BLOCK // len(best))
-    for i in range(0, len(members), step):
-        part = members[i: i + step]
-        scores = _gather(lag_table(cells.points[part], cells.array, cells.far_field, bounds), wins)
+    for i in range(0, n, step):
+        part = np.arange(i, min(i + step, n)) if members is None else members[i: i + step]
+        if cells.table is None:
+            table = lag_table(cells.points[part], cells.array, cells.far_field, bounds)
+        elif members is None:
+            table = cells.table[:, i: i + step]
+        else:  # row by row: no (P, step) copy
+            table = (row.take(part) for row in cells.table)
+        scores = _gather(table, wins, len(part))
         if not np.isfinite(scores).all():
             raise ValueError("map scores must be finite")
         j = scores.argmax(axis=0)
         peak, at = scores[j, cols], part[j]
+        del table, scores  # before the next block's are made
         better = (peak > best) | ((peak == best) & (at < idx))
         best[better], idx[better] = peak[better], at[better]
 
@@ -405,7 +432,9 @@ def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
     members of each frame's _SEED_CELLS best-bounded cells are scored,
     then those of every other cell whose bound is not below some frame's
     best (so ties and NaN are scored). A skipped point scores below
-    its frame's peak, so the peak and its lowest index are found. The
+    its frame's peak, so the peak and its lowest index are found. When
+    those cells hold over _TABLE_SHARE of the points (a flat map), every
+    point is gathered from the grid's table, built once and kept. The
     counter adds what srp_time_map would, G points and G * P kernel
     ops per frame: the exhaustive map the search certifies.
     """
@@ -419,8 +448,16 @@ def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
     n = min(_SEED_CELLS, C)
     seeds[np.argpartition(upper, C - n, axis=0)[C - n:]] = True
     best, idx = np.full(F, -np.inf), np.zeros(F, dtype=np.intp)
-    _score_cells(cells, seeds, wins, bounds, best, idx)
-    _score_cells(cells, ~(upper < best).all(axis=1) & ~seeds, wins, bounds, best, idx)
+    _score_points(cells, np.flatnonzero(seeds.take(cells.cell)), wins, bounds, best, idx)
+    rest = (~(upper < best).all(axis=1) & ~seeds).take(cells.cell)
+    del upper, seeds
+    if np.count_nonzero(rest) <= _TABLE_SHARE * G:
+        rest = np.flatnonzero(rest)
+    else:
+        rest = None
+        if cells.table is None:
+            cells.table = lag_table(cells.points, cells.array, cells.far_field, bounds)
+    _score_points(cells, rest, wins, bounds, best, idx)
     return idx, best
 
 
@@ -686,8 +723,8 @@ def vsrp_map(
         ext = np.empty((P, n + 1))
         ext[:, 0], ext[:, 1:] = block.head, block.values
         np.cumsum(ext, axis=1, out=ext)
-        rows = np.arange(P)[:, None]
-        pooled = ext[rows, hi + 1] - ext[rows, lo]
+        flat, row0 = ext.ravel(), np.arange(P)[:, None] * (n + 1)  # flat index of each row's start
+        pooled = flat[row0 + hi + 1] - flat[row0 + lo]
         if pooling == "mean":
             pooled /= hi - lo + 1
     scores = np.zeros(len(volume_grid))

@@ -452,9 +452,13 @@ def _search_cases(draw):
     return array, grid, blocks
 
 
-def _pruning(cell_points: int, seed_cells: int):
-    """Cells and seeds small enough that even a small grid's search skips cells."""
-    return mock.patch.multiple(srp_core, _CELL_POINTS=cell_points, _SEED_CELLS=seed_cells)
+def _pruning(cell_points: int, seed_cells: int, table_share: float = srp_core._TABLE_SHARE):
+    """Cells and seeds small enough that even a small grid's search skips
+    cells; a table share of 0 keeps the grid's table at the first round
+    with any survivor, 1 never."""
+    return mock.patch.multiple(
+        srp_core, _CELL_POINTS=cell_points, _SEED_CELLS=seed_cells, _TABLE_SHARE=table_share
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -462,25 +466,29 @@ def _pruning(cell_points: int, seed_cells: int):
     case=_search_cases(),
     cell_points=st.sampled_from([1, 2, 4, 16, 64]),
     seed_cells=st.integers(1, 4),
+    table_share=st.sampled_from([0.0, srp_core._TABLE_SHARE, 1.0]),
     step=st.integers(1, 40) | st.just(srp_core._GATHER_BLOCK),
 )
-def test_time_argmax_equals_the_exhaustive_search(case, cell_points, seed_cells, step):
+def test_time_argmax_equals_the_exhaustive_search(case, cell_points, seed_cells, table_share, step):
     """Index, score and counts of each frame equal argmax_search over its
-    full map, bit for bit, whatever the cell, seed and gather block sizes."""
+    full map, bit for bit, whatever the cell, seed, table share and
+    gather block sizes, in a first round and in one after it, which may
+    read the table the first kept."""
     array, grid, blocks = case
     bounds = lag_bounds(array)
     counter.reset()
     maps = [srp_time_map(b, grid, array) for b in blocks]
     want_counts = counter.snapshot()
-    with _pruning(cell_points, seed_cells), mock.patch.object(srp_core, "_GATHER_BLOCK", step):
+    with _pruning(cell_points, seed_cells, table_share), mock.patch.object(srp_core, "_GATHER_BLOCK", step):
         cells = time_cells(grid.points, array, grid.is_doa, bounds)
-        counter.reset()
-        idx, scores = time_argmax(cells, blocks, bounds)
-    assert counter.snapshot() == want_counts
-    for i, s, m in zip(idx, scores, maps, strict=True):
-        want = argmax_search(m)
-        assert i == int(np.argmax(m.scores)) and np.array_equal(grid.points[i], want.estimate)
-        assert s == want.score
+        for _ in range(2):
+            counter.reset()
+            idx, scores = time_argmax(cells, blocks, bounds)
+            assert counter.snapshot() == want_counts
+            for i, s, m in zip(idx, scores, maps, strict=True):
+                want = argmax_search(m)
+                assert i == int(np.argmax(m.scores)) and np.array_equal(grid.points[i], want.estimate)
+                assert s == want.score
 
 
 @settings(max_examples=60, deadline=None)
@@ -534,3 +542,23 @@ def test_an_all_zero_frame_over_the_room_grid_peaks_at_the_first_point():
     zero = LagBlock(np.zeros((array.n_pairs, 2 * int(bounds.max()) + 1)), FS)
     idx, scores = time_argmax(time_cells(grid.points, array, bounds=bounds), [zero], bounds)
     assert idx[0] == 0 and scores[0] == 0.0
+
+
+def test_a_flat_round_keeps_the_grid_table_for_later_rounds():
+    """A peaked round builds no table; an all-zero round, where every cell
+    survives, builds the grid's lag_table and keeps it; a peaked round
+    after it reads the kept table's columns. Each equals argmax_search."""
+    array = MicArray(MIC_POSITIONS, sample_rate=FS)
+    grid = cartesian_grid(ROOM, 0.2)
+    bounds = lag_bounds(array)
+    table = lag_table(grid.points, array, bounds=bounds)
+    lags = 0.01 * np.random.default_rng(7).normal(size=(array.n_pairs, 2 * int(bounds.max()) + 1))
+    lags[np.arange(array.n_pairs), bounds.max() - bounds + table[:, len(grid) // 3]] += 1.0
+    peaked, zero = LagBlock(lags, FS), LagBlock(np.zeros_like(lags), FS)
+    cells = time_cells(grid.points, array, bounds=bounds)
+    for block, kept in ((peaked, False), (zero, True), (peaked, True)):
+        want = argmax_search(srp_time_map(block, grid, array))
+        (idx,), (score,) = time_argmax(cells, [block], bounds)
+        assert (cells.table is not None) == kept
+        assert np.array_equal(grid.points[idx], want.estimate) and score == want.score
+    assert np.array_equal(cells.table, table)
