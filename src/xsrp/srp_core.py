@@ -20,8 +20,9 @@ grid's TimeCells group its points into boxes and hold each pair's lag
 range over each box, so a box's range maxima bound its members'
 scores, and only boxes whose bound can reach the best score found are
 scored, through their members' table columns; a round in which most
-boxes can reach it (a flat map) gathers the grid's full table, built
-once and kept with the cells. The frequency map is
+boxes can reach it (a flat map) gathers the grid's full table instead,
+built by such a round if nearly every box survives, or else by the
+second, and kept with the cells. The frequency map is
 Horner's rule over the uniform DFT bins, exact, steered by per-mic
 phasors (2 M complex exponentials per point). A module-level counter
 tracks candidate scorings and steering-kernel evaluations so
@@ -272,28 +273,57 @@ _CELL_POINTS = 64
 #: 28,528, 10,752, 10,752 and 10,752 in a round: 8 seeds too low a bar
 _SEED_CELLS = 32
 
-#: share of a grid's points past which a round of time_argmax gathers
-#: every point from the grid's kept lag_table (TimeCells.table) instead
-#: of building the survivors' columns. On time3d_multi (90k points, 28
-#: pairs, 4 frames) the table took 23.6 ms to build and 11.8 ms to
-#: gather, and the columns of 10, 20, 30, 40, 50 and 100 % of the cells
-#: 3.5, 6.4, 9.6, 12.8, 15.3 and 27.7 ms to build and gather: at 40 %
-#: the columns cost what a pass over the kept table does
+#: share of a grid's points past which a round of time_argmax is flat:
+#: once the grid's lag_table is kept (TimeCells.table), a flat round
+#: gathers every point from it instead of building the survivors'
+#: columns, and the second flat round on the cells builds it if no
+#: round has. On time3d_multi (90k points, 28 pairs, 4 frames) the
+#: table took 23.6 ms to build and 11.8 ms to gather, and the columns
+#: of 10, 20, 30, 40, 50 and 100 % of the cells 3.5, 6.4, 9.6, 12.8,
+#: 15.3 and 27.7 ms to build and gather (in blocks of 16,384 points):
+#: at 40 % the columns cost what a pass over the kept table does
 _TABLE_SHARE = 0.4
+
+#: share of a grid's points past which a single round builds the
+#: grid's lag_table, where columns would cost more than the table. On
+#: time3d_multi, 4 frames of normal lags, the columns of 40, 50, 60,
+#: 70, 80 and 100 % of the points in _COLUMN_BLOCKs took 13.0-19.4,
+#: 17.5-26.8, 19.9-29.8, 24.4-34.7, 26.1-38.6 and 34.1-45.3 ms against
+#: 24.3-29.6 ms to build and gather the table (medians of 12, two
+#: runs). Below it a lone flat round holds 5 MiB less: seeds 17 and 18,
+#: whose second rounds keep 41,210 and 45,634 points, took 69.5 and
+#: 82.8 ms a command and peaked at 5.66 and 5.61 MiB, against 74.2 and
+#: 89.1 ms and 11.29 and 11.18 MiB when a flat round built the table
+_BUILD_SHARE = 0.7
+
+#: grid points per block of lag_table columns built by time_argmax. A
+#: block's columns, TDOAs and times of flight hold about 420 bytes a
+#: point, so blocks past about 1,500 points raised time3d_multi's
+#: tracemalloc peak above its lag_block's, by as many bytes as a round
+#: had survivors: over seeds 0-11 the peak spread over 5.58-6.85 MiB
+#: at blocks of 16,384 points (the gather block at 4 frames), 5.58-6.45
+#: at 4,096, 5.53-5.86 at 2,048 and 5.53-5.75 at 1,024, where
+#: lag_block sets it. Building and gathering took 506, 436, 309 and
+#: 308 ns a point at 1,024, 2,048, 4,096 and 16,384 points (4 frames);
+#: a command 1-5 ms more at 1,024 than at 16,384 (seeds 0, 3, 4, 7, 11)
+_COLUMN_BLOCK = 1024
 
 
 @dataclass
 class TimeCells:
     """A grid's points in boxes (time_cells): each point's box, (G,), and
     the _range_query of each pair's range of lag_table offsets over each
-    box; ``table`` is the grid's lag_table, built by the first round of
-    time_argmax whose survivors outgrow _TABLE_SHARE of the grid, then kept."""
+    box; ``flat`` tells whether a round of time_argmax has been flat (its
+    survivors outgrew _TABLE_SHARE of the grid); ``table`` is the grid's
+    lag_table, built by a round whose survivors outgrow _BUILD_SHARE or
+    by the second flat round, then kept."""
 
     points: np.ndarray
     array: MicArray
     far_field: bool
     cell: np.ndarray
     query: tuple
+    flat: bool = False
     table: np.ndarray | None = None
 
 
@@ -396,14 +426,16 @@ def _score_points(cells: TimeCells, members, wins, bounds, best, idx) -> None:
     """Score the points ``members`` and update each frame's best, in place.
 
     ``members`` are ascending grid indices, or None for every point;
-    their lag_table columns are built per block of points, or read from
-    the grid's table once it is kept. Scores are checked finite as
+    their lag_table columns are built per _COLUMN_BLOCK points, or read
+    from the grid's table once it is kept. Scores are checked finite as
     SrpMap does. A peak replaces a frame's best if greater, or equal at
     a lower index.
     """
     n = len(cells.cell) if members is None else len(members)
     cols = np.arange(len(best))
     step = max(1, _GATHER_BLOCK // len(best))
+    if cells.table is None:
+        step = min(step, _COLUMN_BLOCK)
     for i in range(0, n, step):
         part = np.arange(i, min(i + step, n)) if members is None else members[i: i + step]
         if cells.table is None:
@@ -433,8 +465,10 @@ def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
     then those of every other cell whose bound is not below some frame's
     best (so ties and NaN are scored). A skipped point scores below
     its frame's peak, so the peak and its lowest index are found. When
-    those cells hold over _TABLE_SHARE of the points (a flat map), every
-    point is gathered from the grid's table, built once and kept. The
+    those cells hold over _TABLE_SHARE of the points (a flat map) and
+    the grid's table is kept, every point is gathered from it; a round
+    builds and keeps the table when they hold over _BUILD_SHARE, or
+    when it is the second flat round on these cells. The
     counter adds what srp_time_map would, G points and G * P kernel
     ops per frame: the exhaustive map the search certifies.
     """
@@ -451,12 +485,12 @@ def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
     _score_points(cells, np.flatnonzero(seeds.take(cells.cell)), wins, bounds, best, idx)
     rest = (~(upper < best).all(axis=1) & ~seeds).take(cells.cell)
     del upper, seeds
-    if np.count_nonzero(rest) <= _TABLE_SHARE * G:
-        rest = np.flatnonzero(rest)
-    else:
-        rest = None
-        if cells.table is None:
-            cells.table = lag_table(cells.points, cells.array, cells.far_field, bounds)
+    survivors = np.count_nonzero(rest)
+    flat = survivors > _TABLE_SHARE * G
+    if cells.table is None and (survivors > _BUILD_SHARE * G or flat and cells.flat):
+        cells.table = lag_table(cells.points, cells.array, cells.far_field, bounds)
+    cells.flat |= flat
+    rest = None if flat and cells.table is not None else np.flatnonzero(rest)
     _score_points(cells, rest, wins, bounds, best, idx)
     return idx, best
 

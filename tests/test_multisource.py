@@ -454,8 +454,8 @@ def _search_cases(draw):
 
 def _pruning(cell_points: int, seed_cells: int, table_share: float = srp_core._TABLE_SHARE):
     """Cells and seeds small enough that even a small grid's search skips
-    cells; a table share of 0 keeps the grid's table at the first round
-    with any survivor, 1 never."""
+    cells; a table share of 0 makes every round with a survivor flat, so
+    the second such round keeps the grid's table if none did, and 1 none."""
     return mock.patch.multiple(
         srp_core, _CELL_POINTS=cell_points, _SEED_CELLS=seed_cells, _TABLE_SHARE=table_share
     )
@@ -472,8 +472,8 @@ def _pruning(cell_points: int, seed_cells: int, table_share: float = srp_core._T
 def test_time_argmax_equals_the_exhaustive_search(case, cell_points, seed_cells, table_share, step):
     """Index, score and counts of each frame equal argmax_search over its
     full map, bit for bit, whatever the cell, seed, table share and
-    gather block sizes, in a first round and in one after it, which may
-    read the table the first kept."""
+    gather block sizes, in three rounds over the same cells, the second
+    of which may keep the table that the third reads."""
     array, grid, blocks = case
     bounds = lag_bounds(array)
     counter.reset()
@@ -481,7 +481,7 @@ def test_time_argmax_equals_the_exhaustive_search(case, cell_points, seed_cells,
     want_counts = counter.snapshot()
     with _pruning(cell_points, seed_cells, table_share), mock.patch.object(srp_core, "_GATHER_BLOCK", step):
         cells = time_cells(grid.points, array, grid.is_doa, bounds)
-        for _ in range(2):
+        for _ in range(3):
             counter.reset()
             idx, scores = time_argmax(cells, blocks, bounds)
             assert counter.snapshot() == want_counts
@@ -544,10 +544,14 @@ def test_an_all_zero_frame_over_the_room_grid_peaks_at_the_first_point():
     assert idx[0] == 0 and scores[0] == 0.0
 
 
-def test_a_flat_round_keeps_the_grid_table_for_later_rounds():
-    """A peaked round builds no table; an all-zero round, where every cell
-    survives, builds the grid's lag_table and keeps it; a peaked round
-    after it reads the kept table's columns. Each equals argmax_search."""
+@pytest.mark.parametrize("build_share", [srp_core._BUILD_SHARE, 1.0])
+def test_a_flat_round_keeps_the_grid_table_for_later_rounds(build_share):
+    """A peaked round builds no table. An all-zero round, where every cell
+    survives, builds the grid's lag_table and keeps it if that outgrows
+    _BUILD_SHARE of the grid; otherwise it builds its columns
+    _COLUMN_BLOCK points at a time, and the next all-zero round builds
+    the table. A peaked round after it reads the kept table's columns.
+    Each equals argmax_search."""
     array = MicArray(MIC_POSITIONS, sample_rate=FS)
     grid = cartesian_grid(ROOM, 0.2)
     bounds = lag_bounds(array)
@@ -555,10 +559,20 @@ def test_a_flat_round_keeps_the_grid_table_for_later_rounds():
     lags = 0.01 * np.random.default_rng(7).normal(size=(array.n_pairs, 2 * int(bounds.max()) + 1))
     lags[np.arange(array.n_pairs), bounds.max() - bounds + table[:, len(grid) // 3]] += 1.0
     peaked, zero = LagBlock(lags, FS), LagBlock(np.zeros_like(lags), FS)
+    rounds = [(peaked, False), (zero, build_share < 1), (zero, True), (peaked, True)]
     cells = time_cells(grid.points, array, bounds=bounds)
-    for block, kept in ((peaked, False), (zero, True), (peaked, True)):
+    assert len(grid) > srp_core._COLUMN_BLOCK
+    for block, kept in rounds:
         want = argmax_search(srp_time_map(block, grid, array))
-        (idx,), (score,) = time_argmax(cells, [block], bounds)
+        had = cells.table is not None
+        with mock.patch.object(srp_core, "_BUILD_SHARE", build_share), \
+                mock.patch.object(srp_core, "lag_table", wraps=srp_core.lag_table) as build:
+            (idx,), (score,) = time_argmax(cells, [block], bounds)
+        sizes = [len(c.args[0]) for c in build.call_args_list]
         assert (cells.table is not None) == kept
+        if kept and not had:  # after the seed cells' columns
+            assert sizes[-1] == len(grid)
+            sizes.pop()
+        assert max(sizes, default=0) <= srp_core._COLUMN_BLOCK
         assert np.array_equal(grid.points[idx], want.estimate) and score == want.score
     assert np.array_equal(cells.table, table)
