@@ -12,6 +12,7 @@ from .features import (
     GccConfig,
     LagBlock,
     LagVector,
+    SpectralBlock,
     SpectralGcc,
     analysis_band,
     compute_lag_vectors,

@@ -7,24 +7,20 @@ Every feature is a generalized cross-correlation (GCC, Knapp & Carter
 
 and all pairs come from one block. One rfft of the (M, L) frame block,
 zero-padded to 2L so lags cover -(L-1)..(L-1) without circular wrap,
-gives a (P, nb) block of weighted cross-spectra over the nb in-band
-f >= 0 bins (out of L+1), one row per pair in array.pairs() order; its
-irfft, zero-padded back to L+1 bins and run over groups of rows, gives
-every pair's lags, held as one LagBlock. beta = 1, gamma = 0 is
-GCC-PHAT; beta = 0, gamma = 0 over the full band leaves the raw
-cross-spectrum, whose inverse transform is the classical
-cross-correlation CC(tau) = sum_n x_l[n] x_m[n - tau], so CC is the
-GccConfig(beta=0, gamma=0) setting of the same block.
-
-lag_block (the lags straight from the block, optionally cropped to the
-window -reach..reach that time and volumetric maps read) and
-compute_spectral_gccs (the two-sided spectra that frequency-domain
-maps steer) are the two edges the maps read; compute_lag_vectors is a
-per-pair dict view of the uncropped lag block.
+gives a SpectralBlock: the (P, nb) weighted cross-spectra over the nb
+in-band f >= 0 bins (out of L+1), one row per pair in array.pairs()
+order, which frequency maps and the tracker steer (compute_spectral_gccs).
+Its irfft, zero-padded back to L+1 bins, gives every pair's lags as one
+LagBlock, optionally cropped to the window -reach..reach that time and
+volumetric maps read (lag_block; compute_lag_vectors is its per-pair
+dict view). beta = 1, gamma = 0 is GCC-PHAT; beta = 0, gamma = 0 over
+the full band leaves the raw cross-spectrum, whose inverse transform is
+the classical cross-correlation CC(tau) = sum_n x_l[n] x_m[n - tau].
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,10 +206,10 @@ class LagBlock:
 
 @dataclass
 class SpectralGcc:
-    """A weighted cross-spectrum over the two-sided DFT grid.
+    """One pair's weighted cross-spectrum over the two-sided DFT grid.
 
     ``in_band`` marks the bins that carry the feature; everything
-    outside is exactly zero.
+    outside is exactly zero. A SpectralBlock's per-pair item.
     """
 
     values: np.ndarray
@@ -233,6 +229,56 @@ class SpectralGcc:
         return len(self.values)
 
 
+@dataclass(eq=False)
+class SpectralBlock(Mapping):
+    """Every pair's weighted cross-spectrum over the in-band f >= 0 bins: one (P, nb) block.
+
+    Row j, pair ``pairs[j]``, holds bins ``band`` of the half spectrum of
+    an n-point DFT, n = len(in_band), the two-sided in-band mask; other
+    bins are 0, never formed. A read-only Mapping: a pair's two-sided
+    SpectralGcc is built only when read.
+    """
+
+    spectra: np.ndarray
+    band: slice
+    in_band: np.ndarray
+    sample_rate: float
+    pairs: list[MicPair]
+
+    def __post_init__(self):
+        self._rows = {p: j for j, p in enumerate(self.pairs)}
+
+    def __getitem__(self, pair: MicPair) -> SpectralGcc:
+        j = self._rows[pair]
+        return gccs_from_half(self.spectra[j: j + 1], self.in_band, self.sample_rate, [pair], self.band)[pair]
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    @classmethod
+    def stack(cls, gccs, pairs: list[MicPair]) -> "SpectralBlock":
+        """``gccs`` as a block in ``pairs`` order: as it is, or its SpectralGccs checked and stacked."""
+        if isinstance(gccs, cls) and gccs.pairs == pairs:
+            return gccs
+        missing = [p for p in pairs if p not in gccs]
+        if missing:
+            raise ValueError(f"spectral gccs missing for pairs {missing}")
+        first, *rest = items = [gccs[p] for p in pairs]
+        n, fs = first.n_fft, first.sample_rate
+        for g in rest:
+            same_grid = g.freqs is first.freqs or np.array_equal(g.freqs, first.freqs)
+            same_band = g.in_band is first.in_band or np.array_equal(g.in_band, first.in_band)
+            if not (same_grid and same_band and g.sample_rate == fs):
+                raise ValueError("all pairs must share one DFT grid, band and sample rate")
+        if np.max(np.abs(first.freqs - np.fft.fftfreq(n, d=1.0 / fs)), initial=0.0) > 1e-9 * fs / n:
+            raise ValueError("spectral gcc frequencies must lie on the DFT grid fftfreq(n, 1 / fs)")
+        band = _half_band(first.in_band)
+        return cls(np.stack([g.values[band] for g in items]), band, first.in_band, fs, list(pairs))
+
+
 def analysis_band(array: MicArray) -> tuple[float, float]:
     """Default analysis band [0, f_hi] for an array.
 
@@ -248,6 +294,12 @@ def _band_mask(freqs: np.ndarray, band: tuple[float, float] | None, sample_rate:
     lo, hi = band if band is not None else (0.0, sample_rate / 2.0)
     absf = np.abs(freqs)
     return (absf >= lo) & (absf <= hi)
+
+
+def _half_band(in_band: np.ndarray) -> slice:
+    """The slice of half-spectrum bins k = 0..n/2 from the first to the last in-band one."""
+    idx = np.flatnonzero(in_band[: len(in_band) // 2 + 1])
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
 
 
 def _gcc_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None):
@@ -267,9 +319,8 @@ def _gcc_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None):
         raise ValueError(f"frame block has {M} channels for {array.n_mics} microphones")
     n = 2 * L
     in_band = _band_mask(np.fft.fftfreq(n, d=1.0 / array.sample_rate), cfg.band, array.sample_rate)
-    # |f| grows along the half spectrum, so the band is one slice
-    idx = np.flatnonzero(in_band[: L + 1])
-    band = slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+    band = _half_band(in_band)  # |f| grows along the half spectrum, so the band is one slice
+    idx = np.arange(band.start, band.stop)
     spec = np.fft.rfft(frames, n)[:, band].copy()  # the full spectra are freed here
     conj = np.conj(spec)
     g = np.empty((array.n_pairs, len(idx)), dtype=complex)
@@ -331,16 +382,11 @@ def _negate_odd_bins(half: np.ndarray) -> None:
 
 
 def gccs_from_half(
-    half: np.ndarray,
-    in_band: np.ndarray,
-    sample_rate: float,
-    pairs: list[MicPair],
-    band: slice = slice(None),
+    half: np.ndarray, in_band: np.ndarray, sample_rate: float, pairs: list[MicPair], band: slice = slice(None)
 ) -> dict[MicPair, SpectralGcc]:
-    """Two-sided SpectralGccs of half spectra, sharing one freqs and in_band.
+    """Two-sided SpectralGccs, sharing one freqs and in_band, of half spectra ``half``.
 
-    ``half`` holds bins ``band`` of the f >= 0 bins k = 0..n/2 (all
-    n/2 + 1 of them by default); the bins outside it are 0.
+    These hold bins ``band`` (default all) of k = 0..n/2; the others are 0.
     """
     n = len(in_band)
     values = np.zeros((len(half), n), dtype=complex)
@@ -351,12 +397,7 @@ def gccs_from_half(
 
 
 def temporal_gcc(g: SpectralGcc) -> LagVector:
-    """Inverse-transform a spectral GCC to lags -(n/2 - 1)..(n/2 - 1).
-
-    Reads the f >= 0 half, which determines the conjugate-symmetric
-    spectrum of a real correlation; the wrap slot is dropped as in
-    lags_from_half.
-    """
+    """A spectral GCC's lags -(n/2 - 1)..(n/2 - 1) from its f >= 0 half, as lags_from_half."""
     n = g.n_fft
     if n % 2 != 0:
         raise ValueError("temporal_gcc expects an even DFT length")
@@ -365,14 +406,10 @@ def temporal_gcc(g: SpectralGcc) -> LagVector:
 
 def compute_spectral_gccs(
     frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None
-) -> dict[MicPair, SpectralGcc]:
-    """Two-sided weighted cross-spectra of every microphone pair of a frame block.
-
-    The values are written straight from _gcc_block's band block; the
-    bins outside the band are 0.
-    """
+) -> SpectralBlock:
+    """Weighted cross-spectra of every microphone pair of a frame block: _gcc_block's band block."""
     g, band, in_band = _gcc_block(frames, array, cfg)
-    return gccs_from_half(g, in_band, array.sample_rate, array.pairs(), band)
+    return SpectralBlock(g, band, in_band, array.sample_rate, array.pairs())
 
 
 #: pair rows per irfft in lag_block, and the rows of its two buffers.
@@ -385,27 +422,22 @@ def compute_spectral_gccs(
 _IRFFT_ROWS = 8
 
 
-def lag_block(
-    frames: np.ndarray,
-    array: MicArray,
-    cfg: GccConfig | None = None,
-    reach: int | None = None,
-    head: bool = True,
-) -> LagBlock:
-    """Temporal GCCs of every pair, straight from the band block by irfft, as one LagBlock.
+def lag_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None,
+              reach: int | None = None, head: bool = True) -> LagBlock:
+    """Temporal GCCs of every pair at lags -reach..reach (all if None; LagBlock.crop says what
+    head=False leaves out), straight from the band block by _band_lags, as one LagBlock."""
+    return _band_lags(*_gcc_block(frames, array, cfg), array.sample_rate, reach, head)
 
-    The block covers lags -reach..reach (all of -(L-1)..(L-1) when
-    reach is None); see LagBlock.crop, which also says what head=False
-    leaves out. Each group of _IRFFT_ROWS rows of _gcc_block's band
-    block is zero-padded into one (rows, L + 1) half-spectrum buffer,
-    transformed into one (rows, 2L) irfft buffer and cropped; both
-    buffers are allocated once per call. Every row is its own
-    transform, so the block equals one whole-block irfft and crop of
-    the zero-padded band block bit for bit.
+
+def _band_lags(g, band: slice, in_band, fs: float, reach: int | None = None, head: bool = True) -> LagBlock:
+    """The lags of band block rows ``g`` (bins ``band``, n = len(in_band)) by irfft, cropped as LagBlock.crop.
+
+    Groups of _IRFFT_ROWS rows are zero-padded into one (rows, n/2 + 1)
+    buffer and transformed into one (rows, n) buffer, both allocated
+    once per call: one whole-block irfft and crop, bit for bit.
     """
-    g, band, in_band = _gcc_block(frames, array, cfg)
-    fs, L, rows = array.sample_rate, len(in_band) // 2, min(_IRFFT_ROWS, len(g))
-    k = L - 1 if reach is None else min(reach, L - 1)
+    L = len(in_band) // 2
+    rows, k = min(_IRFFT_ROWS, len(g)), L - 1 if reach is None else min(reach, L - 1)
     values, heads = np.empty((len(g), 2 * k + 1)), np.empty(len(g))
     half, out = np.empty((rows, L + 1), dtype=complex), np.empty((rows, 2 * L))
     for r in range(0, len(g), rows):

@@ -7,9 +7,8 @@ every pair's correlation with an inverted Gaussian,
 
 and the map is rebuilt, letting the next-strongest source surface.
 All pairs are notched at once: one (P,) TDOA vector and one notch
-over the (P, 2K+1) lag block, in place on a LagBlock; frequency-domain
-features reach that block by one irfft and return by one rfft, band
-mask re-applied.
+over the (P, 2K+1) lag block, in place on a LagBlock; a SpectralBlock
+reaches that block by one irfft and returns by one rfft.
 No renormalization is applied, so successive peak scores are
 comparable and an auto stopping rule (score floor relative to the
 first peak) is possible. A batch of frames runs its rounds together
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LagBlock, LagVector, SpectralGcc, gccs_from_half, half_from_lags, lags_from_half
+from .features import LagBlock, LagVector, SpectralBlock, SpectralGcc, _band_lags, half_from_lags
 from .geometry import MicArray, far_field_tdoa_matrix, tdoa_matrix
 from .grids import CandidateGrid
 from .search import SearchConfig, argmax_search
@@ -106,10 +105,10 @@ def default_notch_sigma(array: MicArray) -> float:
 
 
 def _features_domain(features) -> str:
-    first = features if isinstance(features, LagBlock) else next(iter(features.values()))
+    first = features if isinstance(features, (LagBlock, SpectralBlock)) else next(iter(features.values()))
     if isinstance(first, (LagBlock, LagVector)):
         return "time"
-    if isinstance(first, SpectralGcc):
+    if isinstance(first, (SpectralBlock, SpectralGcc)):
         return "frequency"
     raise TypeError(f"unsupported feature type {type(first).__name__}")
 
@@ -117,31 +116,26 @@ def _features_domain(features) -> str:
 def deemphasize(features, tdoa_hat, sigma: float):
     """Notch every pair's feature around its estimated TDOA, all pairs at once.
 
-    ``features`` is a LagBlock, notched in place and returned, or a
-    dict mapping pairs to LagVectors or to SpectralGccs, returned as a
-    new dict. ``tdoa_hat`` holds one TDOA in seconds per row or entry,
-    in its order. Lag vectors are stacked into one (P, 2K+1) block
-    that one notch covers; spectral GCCs reach that block by one irfft
-    and return by one rfft with their band mask re-applied, so they
-    stay in band. Exact zero at a notch center; beyond 6 sigma the
-    relative change is below 1e-6, so remote peaks are untouched. A
-    block's head is left as it is: it sums lags beyond the block,
-    which the notch does not reach, and time maps never read it.
+    ``features`` is a LagBlock, notched in place and returned, a dict of
+    LagVectors, returned as a new dict, or a SpectralBlock (or a dict of
+    SpectralGccs, stacked into one), returned as a new block. ``tdoa_hat``
+    holds one TDOA in seconds per row or entry, in its order. One notch
+    covers the (P, 2K+1) lag block, which a SpectralBlock reaches by irfft
+    (as lag_block) and leaves by one rfft, its band sliced back out.
+    Exact zero at a notch center; beyond 6 sigma the relative change is
+    below 1e-6. A block's head, the sum of lags beyond it, is left as it is.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    domain = _features_domain(features)
-    block = features
-    if not isinstance(block, LagBlock):
+    spec = None
+    if _features_domain(features) == "frequency":
+        spec = SpectralBlock.stack(features, list(features))
+        block = _band_lags(spec.spectra, spec.band, spec.in_band, spec.sample_rate)
+    elif isinstance(features, LagBlock):
+        block = features
+    else:
         pairs = list(features)
-        first = features[pairs[0]]
-        fs = first.sample_rate
-        if domain == "frequency":
-            keep = first.in_band[: first.n_fft // 2 + 1]
-            lags = lags_from_half(np.stack([features[p].values[: len(keep)] for p in pairs]))
-        else:
-            lags = np.stack([features[p].values for p in pairs])
-        block = LagBlock(lags, fs)
+        block = LagBlock(np.stack([features[p].values for p in pairs]), features[pairs[0]].sample_rate)
     lags, fs = block.values, block.sample_rate
     tdoa_hat = np.asarray(tdoa_hat, dtype=float)
     if tdoa_hat.shape != (len(lags),):
@@ -160,11 +154,11 @@ def deemphasize(features, tdoa_hat, sigma: float):
         row[w] *= 1.0 - np.exp(-((taus[w] - t) ** 2) / (2.0 * sigma**2))
     if features is block:
         return block
-    if domain == "time":
+    if spec is None:
         return block.lag_vectors(pairs)
-    half = half_from_lags(lags)
-    half[:, ~keep] = 0.0
-    return gccs_from_half(half, first.in_band, fs, pairs)
+    spectra = half_from_lags(lags)[:, spec.band].copy()  # the half spectra are freed here
+    spectra[:, ~spec.in_band[spec.band]] = 0.0  # a hand-built band may have holes
+    return SpectralBlock(spectra, spec.band, spec.in_band, fs, spec.pairs)
 
 
 def localize_multi(
@@ -176,10 +170,9 @@ def localize_multi(
 ) -> EstimateSet:
     """Iterative multi-source localization over a grid, in one frame.
 
-    features is a LagBlock or maps each pair to a LagVector
-    (time-domain maps), or maps each pair to a SpectralGcc
-    (frequency-domain maps). The batch of one of localize_multi_batch,
-    which says what each round does.
+    features is a LagBlock or a dict of LagVectors (time-domain maps), or
+    a SpectralBlock or a dict of SpectralGccs (frequency-domain maps). The
+    batch of one of localize_multi_batch, which says what each round does.
     """
     return localize_multi_batch([features], grid, array, cfg, search)[0]
 
@@ -224,8 +217,8 @@ def localize_multi_batch(
             work.append(block)
         if cells is None:
             cells = time_cells(grid.points, array, grid.is_doa, bounds)
-    else:
-        work = [dict(sorted(f.items())) for f in batch]  # array.pairs() order, as the TDOAs
+    else:  # blocks in array.pairs() order, as the TDOAs
+        work = [SpectralBlock.stack(f, array.pairs()) for f in batch]
     tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
     sigma = cfg.notch_sigma if cfg.notch_sigma is not None else default_notch_sigma(array)
     cap = cfg.n_sources if cfg.n_sources is not None else _AUTO_CAP
@@ -263,7 +256,8 @@ def localize_multi_batch(
                     "extracting a third or later source: residual correlation noise "
                     "grows with each cancellation"
                 )
-            w = work[i].copy() if work[i] is batch[i] else work[i]  # the caller's block stays
+            # a lag block is notched in place: the caller's stays
+            w = work[i].copy() if time_domain and work[i] is batch[i] else work[i]
             work[i] = deemphasize(w, tdoas(point[None, :], array)[0], sigma)
             still.append(i)
         active = still

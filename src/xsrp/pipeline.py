@@ -292,7 +292,7 @@ class Plan:
             self.steering = lag_windows(self.grid, array, cfg.map.guard)
 
     def _features(self, frames):
-        """A LagBlock over +/-max D for time/volumetric maps, else spectral gccs."""
+        """A LagBlock over +/-max D for time/volumetric maps, else a SpectralBlock."""
         gcc = _gcc_config(self.cfg.features, self.array)
         if self.bounds is not None:
             m = self.cfg.map

@@ -10,28 +10,21 @@ steered at it, accumulated over microphone pairs:
 
 Cartesian grids use exact TDOAs, DOA grids the far-field form; the two
 are never mixed within one map. Time and volumetric maps read one
-LagBlock per frame, rows in array.pairs() order (a dict of LagVectors
-is stacked into one on entry). The time map reads each pair's lag
-window -D..D, D = round(max_tdoa * fs) + 1 (lag_bounds), through a
-table of offsets rint(tau * fs) + D, so a block cropped to +/-max D
-serves every map of the array. srp_time_map gathers a grid's full
-table. time_argmax finds a batch of frames' argmaxes without one: a
-grid's TimeCells group its points into boxes and hold each pair's lag
-range over each box, so a box's range maxima bound its members'
-scores, and only boxes whose bound can reach the best score found are
-scored, through their members' table columns; a round in which most
-boxes can reach it (a flat map) gathers the grid's full table instead,
-built by such a round if nearly every box survives, or else by the
-second, and kept with the cells. The frequency map is
-Horner's rule over the uniform DFT bins, exact, steered by per-mic
-phasors (2 M complex exponentials per point). A module-level counter
-tracks candidate scorings and steering-kernel evaluations so
-complexity claims can be checked: each frame's map adds G points and
-G * P kernel ops (time, volumetric) or G * P * |F| (frequency),
-whether it is built alone or scored in a batch; |F| is the in-band
-bin count, the complexity model's unit, not a count of multiplies.
-time_argmax adds the count of the exhaustive map it certifies, not of
-the points it scored.
+LagBlock per frame, frequency maps one SpectralBlock, rows in
+array.pairs() order (a dict of LagVectors or SpectralGccs is stacked
+into one on entry). The time map reads each pair's lag window -D..D,
+D = round(max_tdoa * fs) + 1 (lag_bounds), through a table of offsets
+rint(tau * fs) + D, so a block cropped to +/-max D serves every map of
+the array. srp_time_map gathers a grid's full table; time_argmax finds
+a batch of frames' argmaxes by scoring only the boxes of grid points
+(TimeCells) whose bound can reach the best score found. The frequency
+map is Horner's rule over the block's uniform DFT bins, exact, steered
+by per-mic phasors (2 M complex exponentials per point). A module-level
+counter tracks candidate scorings and steering-kernel evaluations so
+complexity claims can be checked: each frame's map, alone or in a batch,
+adds G points and G * P kernel ops (time, volumetric; for time_argmax,
+those of the map it certifies) or G * P * |F| (frequency), |F| the
+in-band bin count: the complexity model's unit, not a count of multiplies.
 """
 
 from __future__ import annotations
@@ -41,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LagBlock, LagVector, SpectralGcc
+from .features import LagBlock, LagVector, SpectralBlock
 from .geometry import (
     MicArray,
     MicPair,
@@ -523,25 +516,6 @@ def srp_time_map(
     return SrpMap(grid, _time_scores(table, block, array, bounds), "time")
 
 
-def _active_freqs(gccs: dict[MicPair, SpectralGcc], array: MicArray):
-    pairs = array.pairs()
-    missing = [p for p in pairs if p not in gccs]
-    if missing:
-        raise ValueError(f"spectral gccs missing for pairs {missing}")
-    first = gccs[pairs[0]]
-    for p in pairs[1:]:
-        g = gccs[p]
-        same_grid = g.freqs is first.freqs or np.array_equal(g.freqs, first.freqs)
-        same_band = g.in_band is first.in_band or np.array_equal(g.in_band, first.in_band)
-        if not (same_grid and same_band and g.sample_rate == first.sample_rate):
-            raise ValueError("all pairs must share one DFT grid, band and sample rate")
-    grid = np.fft.fftfreq(first.n_fft, d=1.0 / first.sample_rate)
-    if np.max(np.abs(first.freqs - grid), initial=0.0) > 1e-9 * first.sample_rate / first.n_fft:
-        raise ValueError("spectral gcc frequencies must lie on the DFT grid fftfreq(n, 1 / fs)")
-    mask = first.in_band
-    return pairs, first.freqs[mask], mask
-
-
 def _mic_delays(pts, array: MicArray, far_field: bool) -> np.ndarray:
     if far_field:
         # per-mic arrival offsets for a plane wave from bearing d;
@@ -551,12 +525,10 @@ def _mic_delays(pts, array: MicArray, far_field: bool) -> np.ndarray:
 
 
 def _half_spectrum(mask: np.ndarray) -> np.ndarray:
-    """Weights of the DFT bins k = 0..n/2 that fold a two-sided in-band mask.
+    """Weights of the DFT bins k = 0..n/2 that fold a two-sided in-band mask: 2, 1 at DC and Nyquist.
 
-    A negative-frequency bin of a conjugate-symmetric GCC contributes
-    the same real part as its positive twin, so summing bins 0..n/2
-    with weight 2 (1 at f = 0 and at the unpaired Nyquist bin, 0 out
-    of band) is exact, at half the kernel cost.
+    A negative-frequency bin of a conjugate-symmetric GCC contributes the
+    same real part as its positive twin, so the fold (0 out of band) is exact, at half the cost.
     """
     n = len(mask)
     k = np.arange(n // 2 + 1)
@@ -570,17 +542,16 @@ _HORNER_BLOCK = 32768
 
 def srp_freq_scores(
     points: np.ndarray,
-    gccs: dict[MicPair, SpectralGcc],
+    gccs: SpectralBlock | dict,
     array: MicArray,
     far_field: bool = False,
 ) -> np.ndarray:
-    """Frequency-domain SRP at arbitrary points.
+    """Frequency-domain SRP at arbitrary points, from a SpectralBlock's (P, nb) bins alone.
 
-    The sum runs over the two-sided in-band set. Conjugate-symmetric
-    bins are folded onto k = 0..n/2 (the Nyquist bin at +fs/2, where a
-    real correlation's term has the same real part), and those bins
-    are uniform, f_k = k fs/n, so each pair's sum is a polynomial in
-    z = e^{j 2 pi (fs/n) tau}: e^{j 2 pi f_lo tau} sum_k c_k z^(k - k_lo).
+    The two-sided in-band sum is folded onto the f >= 0 bins k = 0..n/2
+    (_half_spectrum), which are uniform, f_k = k fs/n, so each pair's
+    sum is a polynomial in z = e^{j 2 pi (fs/n) tau}: e^{j 2 pi f_lo tau}
+    sum_k c_k z^(k - k_lo), c_k the block's bins times the fold weights.
     Horner's rule evaluates it exactly with one complex multiply-add
     per bin, pair and point, and no phase tensor. As tau_lm = t_l - t_m,
     z and the band start's e^{j 2 pi f_lo tau} are products w_l conj(w_m)
@@ -588,27 +559,24 @@ def srp_freq_scores(
     laid out a mic's consecutive pair rows at a time (MicArray.pair_rows)
     in z's (P, g) buffer, with no gathered (P, g) temporaries. Scores
     match the direct two-sided sum to 2e-13 of the map's peak
-    (measured at n = 8192, band starts up to bin 4000). The counter still
-    adds G * P * |F| per call, |F| the two-sided in-band count; that
-    is the complexity model's unit, not a count of multiplies.
+    (measured at n = 8192, band starts up to bin 4000). The counter
+    adds G * P * |F|, |F| = in_band.sum().
     """
-    pairs, freqs_all, mask = _active_freqs(gccs, array)
+    block = SpectralBlock.stack(gccs, array.pairs())
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     scores = np.zeros(len(pts))
-    weights = _half_spectrum(mask)
-    bins = np.flatnonzero(weights)
-    if len(bins):
-        k_lo, k_hi = bins[0], bins[-1] + 1
-        coef = np.stack([gccs[p].values[k_lo:k_hi] for p in pairs], axis=1)
-        coef *= weights[k_lo:k_hi, None]  # (K, P): row k - k_lo is bin k
-        df = gccs[pairs[0]].sample_rate / len(mask)
+    P, k_lo = len(block.pairs), block.band.start
+    if block.spectra.shape[1]:  # the band runs from the first in-band bin to the last
+        coef = np.ascontiguousarray(block.spectra.T)
+        coef *= _half_spectrum(block.in_band)[block.band, None]  # (K, P): row k - k_lo is bin k
+        df = block.sample_rate / len(block.in_band)
         spans = array.pair_rows()
-        chunk = max(1, _HORNER_BLOCK // len(pairs))
+        chunk = max(1, _HORNER_BLOCK // P)
         for i in range(0, len(pts), chunk):
             t = _mic_delays(pts[i: i + chunk], array, far_field).T  # (M, g)
             w = np.exp((2j * math.pi * df) * t)
             wc = w.conj()
-            z = np.empty((len(pairs), t.shape[1]), dtype=complex)  # e^{j 2 pi df tau_lm}
+            z = np.empty((P, t.shape[1]), dtype=complex)  # e^{j 2 pi df tau_lm}
             for l, rows in spans:
                 np.multiply(w[l: l + 1], wc[l + 1:], out=z[rows])
             acc = np.repeat(coef[-1][:, None], z.shape[1], axis=1)
@@ -620,7 +588,8 @@ def srp_freq_scores(
             # acc *= w_l, then acc *= conj(w_m): each factor laid out in z
             # and applied as one (P, g) product, as numpy's rounding of a
             # one-element product depends on its shape
-            w = np.exp((2j * math.pi * df * k_lo) * t)
+            np.multiply(t, 2j * math.pi * df * k_lo, out=w)  # in place: no (M, g) temporaries
+            np.exp(w, out=w)
             np.conjugate(w, out=wc)
             for l, rows in spans:
                 z[rows] = w[l]
@@ -630,11 +599,11 @@ def srp_freq_scores(
             acc *= z
             scores[i: i + chunk] = acc.real.sum(axis=0)
     counter.points += len(pts)
-    counter.kernel_ops += len(pts) * len(pairs) * len(freqs_all)
+    counter.kernel_ops += len(pts) * P * int(np.count_nonzero(block.in_band))
     return scores
 
 
-def srp_freq_map(gccs: dict[MicPair, SpectralGcc], grid: CandidateGrid, array: MicArray) -> SrpMap:
+def srp_freq_map(gccs: SpectralBlock | dict, grid: CandidateGrid, array: MicArray) -> SrpMap:
     """Frequency-domain SRP map over a grid (far-field for DOA grids)."""
     return SrpMap(grid, srp_freq_scores(grid.points, gccs, array, far_field=grid.is_doa), "frequency")
 
@@ -650,10 +619,11 @@ def make_time_scorer(lags, array: MicArray, far_field: bool = False):
 
 
 def make_freq_scorer(gccs, array: MicArray, far_field: bool = False):
-    """points (N, 3) -> frequency-domain SRP scores (N,)."""
+    """points (N, 3) -> frequency-domain SRP scores (N,); a dict is stacked into a block once, here."""
+    block = SpectralBlock.stack(gccs, array.pairs())
 
     def scorer(points: np.ndarray) -> np.ndarray:
-        return srp_freq_scores(points, gccs, array, far_field=far_field)
+        return srp_freq_scores(points, block, array, far_field=far_field)
 
     return scorer
 
@@ -824,10 +794,12 @@ class PairwiseFreqScores:
 
 
 def pairwise_freq_scores(
-    gccs: dict[MicPair, SpectralGcc], grid: CandidateGrid, array: MicArray
+    gccs: SpectralBlock | dict, grid: CandidateGrid, array: MicArray
 ) -> PairwiseFreqScores:
     """The (P, G, F) steered-response tensor for weighted combination."""
-    pairs, freqs, mask = _active_freqs(gccs, array)
+    block = SpectralBlock.stack(gccs, array.pairs())
+    pairs, mask = block.pairs, block.in_band
+    freqs = np.fft.fftfreq(len(mask), d=1.0 / block.sample_rate)[mask]
     pts = grid.points
     # factored per mic, tau_lm = tau_l - tau_m: e^{+j 2 pi f tau_lm} per pair
     delays = _mic_delays(pts, array, grid.is_doa)
@@ -835,7 +807,7 @@ def pairwise_freq_scores(
     tensor = np.empty((len(pairs), len(pts), len(freqs)))
     for j, pair in enumerate(pairs):
         steer = phases[:, pair.l, :] * np.conj(phases[:, pair.m, :])
-        tensor[j] = (steer * gccs[pair].values[mask][None, :]).real
+        tensor[j] = (steer * block[pair].values[mask][None, :]).real
     counter.points += len(pts)
     counter.kernel_ops += len(pts) * len(pairs) * len(freqs)
     return PairwiseFreqScores(tensor, pairs, freqs, grid)

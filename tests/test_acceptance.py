@@ -399,7 +399,7 @@ def test_c8_weighted_reductions():
         tsig = white_noise(2048 + 512, seed=6600 + trial)
         tarr, tsignals = _render(room, tpos, [Source(tsrc, tsig)], 20.0, 6700 + trial)
         tframes = frame_stack(tsignals, FrameConfig(2048, 2048), 0)
-        tg = compute_spectral_gccs(tframes, tarr, GccConfig(band=(300.0, 1500.0)))
+        tg = dict(compute_spectral_gccs(tframes, tarr, GccConfig(band=(300.0, 1500.0))))
         # corrupt one pair: substitute the gcc of two unrelated noises
         junk = np.stack([white_noise(2048, seed=6800 + trial), white_noise(2048, seed=6900 + trial)])
         jg = compute_spectral_gccs(junk, MicArray(tpos[:2], sample_rate=FS),

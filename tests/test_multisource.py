@@ -16,6 +16,7 @@ from xsrp.features import (
     GccConfig,
     LagBlock,
     LagVector,
+    SpectralBlock,
     SpectralGcc,
     compute_lag_vectors,
     compute_spectral_gccs,
@@ -202,6 +203,90 @@ def test_spectral_notch_stays_in_band():
     assert np.all(notched.values[~g.in_band] == 0.0)
     assert np.any(notched.values[g.in_band] != g.values[g.in_band])
     np.testing.assert_array_equal(notched.in_band, g.in_band)
+
+
+def two_sided(block: SpectralBlock) -> dict:
+    """A block's features as a plain dict of two-sided SpectralGccs, laid out eagerly."""
+    return gccs_from_half(block.spectra, block.in_band, block.sample_rate, block.pairs, block.band)
+
+
+def dict_chain_notch(gccs, tdoa_hat, sigma):
+    """Frequency de-emphasis as a dict of two-sided SpectralGccs took it: every
+    pair's f >= 0 half by one irfft, the notch, one rfft, the band mask re-applied."""
+    pairs = list(gccs)
+    first = gccs[pairs[0]]
+    keep = first.in_band[: first.n_fft // 2 + 1]
+    lags = lags_from_half(np.stack([gccs[p].values[: len(keep)] for p in pairs]))
+    half = half_from_lags(full_block_notch(lags, np.asarray(tdoa_hat), sigma, first.sample_rate))
+    half[:, ~keep] = 0.0
+    return gccs_from_half(half, first.in_band, first.sample_rate, pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_mics=st.integers(2, 6),
+    log_len=st.integers(4, 9),
+    edges=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    sigma_samples=st.floats(0.3, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_notch_equals_the_two_sided_dict_chain_bitwise(n_mics, log_len, edges, sigma_samples, seed):
+    rng = np.random.default_rng(seed)
+    L, (u, v) = 2**log_len, sorted(edges)
+    array = MicArray(rng.uniform(0.0, 3.0, size=(n_mics, 3)), sample_rate=FS)
+    band = (u * FS / 2, max(v, u + 1e-3) * FS / 2)
+    block = compute_spectral_gccs(rng.normal(size=(n_mics, L)), array, GccConfig(band=band))
+    centers = rng.uniform(-(L - 1), L - 1, size=array.n_pairs) / FS
+    out = deemphasize(block, centers, sigma_samples / FS)
+    assert isinstance(out, SpectralBlock) and out is not block
+    assert out.spectra.shape == block.spectra.shape and out.spectra.base is None
+    want = dict_chain_notch(two_sided(block), centers, sigma_samples / FS)
+    for p, w in want.items():
+        assert out[p].values.tobytes() == w.values.tobytes()
+        assert out[p].in_band.tobytes() == w.in_band.tobytes()
+
+
+def _dict_chain_rounds(gccs, grid, array, cfg):
+    """Frequency-domain rounds of one frame on a two-sided dict: srp_freq_map ->
+    argmax_search -> the dict chain's notch."""
+    sigma = cfg.notch_sigma or default_notch_sigma(array)
+    cap, auto = cfg.n_sources or 10, cfg.n_sources is None
+    work, found = gccs, []
+    while True:
+        res = argmax_search(srp_core.srp_freq_map(work, grid, array))
+        if auto and not found and res.score <= 0:
+            warnings.warn("auto mode: first peak is non-positive; no sources found")
+            break
+        if auto and found and res.score < cfg.score_floor * found[0][1]:
+            break
+        found.append((res.estimate, res.score))
+        if len(found) == cap:
+            break
+        if len(found) == 2:
+            warnings.warn("extracting a third or later source")
+        work = dict_chain_notch(work, tdoa_matrix(res.estimate[None, :], array)[0], sigma)
+    return EstimateSet.from_pairs(found)
+
+
+@pytest.mark.parametrize("n_sources", [1, 2, 3, None])
+def test_frequency_rounds_on_a_block_equal_the_two_sided_dict_chain(n_sources):
+    array = wide_array()
+    sig_a, sig_b = white_noise(1024, seed=21), white_noise(1024, seed=22)
+    scene = SceneSpec(ROOM, [Source(SRC_A, sig_a), Source(SRC_B, 0.8 * sig_b)])
+    signals = add_noise(synthesize_free_field(scene, array), 20.0, seed=3)
+    block = compute_spectral_gccs(frame_stack(signals, FrameConfig(1024, 1024), 0), array,
+                                  GccConfig(band=(200.0, 4000.0)))
+    grid = cartesian_grid(ROOM, 0.5)
+    cfg = MultiConfig(n_sources=n_sources, score_floor=0.3)
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        want = _dict_chain_rounds(two_sided(block), grid, array, cfg)
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = localize_multi(block, grid, array, cfg)
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert got.scores.tobytes() == want.scores.tobytes()
+    assert _warning_counts(got_warnings) == _warning_counts(want_warnings)
 
 
 def test_single_source_path_is_bitwise_identical():

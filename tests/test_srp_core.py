@@ -19,13 +19,15 @@ from xsrp.features import (
     FrameConfig,
     GccConfig,
     LagVector,
+    SpectralBlock,
     SpectralGcc,
     compute_lag_vectors,
     compute_spectral_gccs,
     frame_stack,
+    gccs_from_half,
     lag_block,
 )
-from xsrp import srp_core
+from xsrp import features, srp_core
 from xsrp.geometry import (
     MicArray,
     MicPair,
@@ -264,6 +266,70 @@ def test_freq_scores_exact_at_large_band_starts(k_lo, k_hi, far_field):
     for j, g in enumerate(gccs.values()):
         ref += (np.exp(2j * math.pi * taus[:, j, None] * freqs[in_band]) @ g.values[in_band]).real
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@st.composite
+def _block_cases(draw):
+    """Frames of 2-8 mics, a band (empty, DC only, Nyquist only, partial or
+    full) and near- or far-field candidates."""
+    L = 2 ** draw(st.integers(3, 9))
+    df = FS / (2 * L)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    array = MicArray(rng.uniform(0.0, 3.0, size=(draw(st.integers(2, 8)), 3)), sample_rate=FS)
+    k = draw(st.integers(0, L - 1))
+    band = draw(st.sampled_from([
+        ((k + 0.25) * df, (k + 0.75) * df),  # between two bins: empty
+        (0.0, 0.5 * df),  # DC only
+        (FS / 2 - 0.5 * df, FS / 2),  # Nyquist only
+        (k * df, (k + draw(st.integers(0, L - k))) * df + 0.5 * df),  # partial
+        None,  # full
+    ]))
+    far_field = draw(st.booleans())
+    pts = rng.normal(size=(draw(st.integers(1, 50)), 3))
+    if far_field:
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    else:
+        pts = rng.uniform(-1.0, 4.0, size=pts.shape)
+    return array, rng.normal(size=(array.n_mics, L)), GccConfig(band=band), pts, far_field
+
+
+def two_sided_gccs(frames, array, cfg):
+    """The features as a plain dict of two-sided SpectralGccs, laid out eagerly from the band block."""
+    g, band, in_band = features._gcc_block(frames, array, cfg)
+    return gccs_from_half(g, in_band, array.sample_rate, array.pairs(), band)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_block_cases())
+def test_freq_scores_of_a_block_equal_those_of_its_two_sided_dict(case):
+    array, frames, cfg, pts, far_field = case
+    block = compute_spectral_gccs(frames, array, cfg)
+    assert isinstance(block, SpectralBlock)
+    counter.reset()
+    got = srp_freq_scores(pts, block, array, far_field=far_field)
+    got_counts = counter.snapshot()
+    counter.reset()
+    want = srp_freq_scores(pts, two_sided_gccs(frames, array, cfg), array, far_field=far_field)
+    assert np.array_equal(got, want)
+    assert got_counts == counter.snapshot()
+    assert got_counts[1] == len(pts) * array.n_pairs * int(block.in_band.sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_block_cases())
+def test_block_items_equal_the_eager_two_sided_gccs_bitwise(case):
+    array, frames, cfg, _, _ = case
+    block = compute_spectral_gccs(frames, array, cfg)
+    want = two_sided_gccs(frames, array, cfg)
+    assert list(block) == list(want) == array.pairs()
+    assert len(block) == array.n_pairs
+    for p, w in want.items():
+        g = block[p]
+        for a, b in ((g.values, w.values), (g.freqs, w.freqs), (g.in_band, w.in_band)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert g.sample_rate == w.sample_rate
+    with pytest.raises(TypeError):
+        block[MicPair(0, 1)] = want[MicPair(0, 1)]  # read-only
 
 
 def test_freq_scores_reject_spectra_off_the_dft_grid():

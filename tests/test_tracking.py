@@ -1,12 +1,14 @@
 """Tests for the particle filter and its Langevin motion prior."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from xsrp.features import FrameConfig, n_frames
+from xsrp import tracking
+from xsrp.features import FrameConfig, SpectralBlock, SpectralGcc, n_frames
 from xsrp.geometry import MicArray
 from xsrp.synth import SceneSpec, Source, add_noise, synthesize_free_field, white_noise
 from xsrp.tracking import (
@@ -264,3 +266,34 @@ def test_track_point_record_keys():
     rec = points[0].as_record()
     assert set(rec) == {"frame", "t_seconds", "x", "y", "z", "ess"}
     assert rec["frame"] == 0
+
+
+def test_a_tracker_frame_holds_only_the_band_block():
+    """The features each frame steers hold no spectrum wider than the nb in-band bins.
+
+    Deterministic stand-in for a memory bound: two-sided (P, 2L) values
+    would be 2L / nb times wider than the block the kernel reads.
+    """
+    signals, array = static_scene_signals(np.array([2.5, 2.0, 1.5]), seconds=0.2)
+    seen = []
+    make = tracking.make_freq_scorer
+
+    def spy(gccs, arr, *args, **kwargs):
+        seen.append(gccs)
+        scorer = make(gccs, arr, *args, **kwargs)
+        assert any(c.cell_contents is gccs for c in scorer.__closure__)  # steers the block itself
+        return scorer
+
+    with mock.patch.object(tracking, "make_freq_scorer", spy):
+        points = track(signals, array, ROOM, FrameConfig(1024, 1024),
+                       TrackerConfig(q=50, seed=0, band=(300.0, 3000.0)))
+    assert len(seen) == len(points) > 0
+    for feats in seen:
+        assert isinstance(feats, SpectralBlock)
+        nb = feats.band.stop - feats.band.start
+        assert 0 < nb < len(feats.in_band) // 4  # 300-3000 Hz of the 2L bins over -8000..8000 Hz
+        held = list(vars(feats).values())
+        assert not any(isinstance(v, SpectralGcc) for v in held)
+        for v in held:
+            if isinstance(v, np.ndarray) and v.dtype != bool:  # in_band: one byte a two-sided bin
+                assert v.shape == (array.n_pairs, nb)
