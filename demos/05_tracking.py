@@ -9,7 +9,7 @@ for contrast.
 
 import numpy as np
 
-from xsrp.features import FrameConfig, GccConfig, compute_lag_vectors, frame_stack
+from xsrp.features import FrameConfig, GccConfig, compute_lag_vectors, frame_blocks, frame_stack
 from xsrp.geometry import MicArray
 from xsrp.grids import cartesian_grid
 from xsrp.search import argmax_search
@@ -44,7 +44,7 @@ def main():
     frame_cfg = FrameConfig(4096, HOP)
     gcc_cfg = GccConfig(band=(300.0, 1200.0))
     points = track(
-        signals, array, room, frame_cfg,
+        frame_blocks(signals, frame_cfg), array, room, frame_cfg,
         TrackerConfig(q=2000, seed=44, alpha=1.0, beta=0.5, band=(300.0, 1200.0), kappa=16.0),
     )
 

@@ -17,7 +17,7 @@ from .features import (
     analysis_band,
     compute_lag_vectors,
     compute_spectral_gccs,
-    frame_signal,
+    frame_blocks,
     frame_stack,
     lag_block,
     temporal_gcc,

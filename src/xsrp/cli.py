@@ -29,9 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .features import FrameConfig, frame_stack, n_frames
+from .features import FrameConfig, n_frames
 from .geometry import SPEED_OF_SOUND, MicArray, tdoa
 from .io_utils import (
+    WavReader,
     export_map_csv,
     export_map_pgm,
     read_wav,
@@ -189,19 +190,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_scene(path, array: MicArray, frame_cfg: FrameConfig):
-    """The (M, T) signals of the scene WAV at path, and their number of whole frames."""
-    fs, signals = read_wav(path)
-    if fs != array.sample_rate:
-        raise OSError(f"{path}: sample rate {fs} != configured {array.sample_rate}")
-    if signals.shape[0] != array.n_mics:
-        raise OSError(
-            f"{path}: {signals.shape[0]} channels for {array.n_mics} microphones"
-        )
-    total = n_frames(signals.shape[1], frame_cfg)
+def _check_scene(wav: WavReader, path, array: MicArray, frame_cfg: FrameConfig) -> int:
+    """The number of whole frames of the scene WAV at path, once its header fits the array."""
+    if wav.sample_rate != array.sample_rate:
+        raise OSError(f"{path}: sample rate {wav.sample_rate} != configured {array.sample_rate}")
+    if wav.n_channels != array.n_mics:
+        raise OSError(f"{path}: {wav.n_channels} channels for {array.n_mics} microphones")
+    total = n_frames(wav.n_samples, frame_cfg)
     if total == 0:
         raise OSError(f"{path}: shorter than one frame ({frame_cfg.frame_len})")
-    return signals, total
+    return total
 
 
 def cmd_localize(args) -> int:
@@ -213,17 +211,12 @@ def cmd_localize(args) -> int:
         raise ConfigError("PGM export needs a planar cartesian2d grid")
     array = cfg.array.mic_array()
     plan = prepare(array, cfg.room, pipe)
-    signals, total = _read_scene(args.input, array, frame_cfg)
-    blocks = (frame_stack(signals, frame_cfg, i) for i in range(total))
     records = []
-    for i, est in enumerate(plan.stream(blocks)):  # frames taken lazily, in batches
-        records.append(
-            {
-                "frame": i,
-                "t_seconds": (i * frame_cfg.hop + frame_cfg.frame_len) / array.sample_rate,
-                "estimates": est.records(),
-            }
-        )
+    with WavReader(args.input) as wav:
+        total = _check_scene(wav, args.input, array, frame_cfg)
+        for i, est in enumerate(plan.stream(wav.frames(frame_cfg))):  # read hop by hop, run in batches
+            t_end = (i * frame_cfg.hop + frame_cfg.frame_len) / array.sample_rate
+            records.append({"frame": i, "t_seconds": t_end, "estimates": est.records()})
     write_jsonl(records, args.out)
     outputs = [args.out]
     if args.export_map:
@@ -245,8 +238,9 @@ def cmd_track(args) -> int:
     t0 = time.perf_counter()
     cfg = _load_config(args.config, TrackConfig)
     array = cfg.array.mic_array()
-    signals, _ = _read_scene(args.input, array, cfg.frame)
-    points = track(signals, array, cfg.room, cfg.frame, cfg.tracker)
+    with WavReader(args.input) as wav:
+        _check_scene(wav, args.input, array, cfg.frame)
+        points = track(wav.frames(cfg.frame), array, cfg.room, cfg.frame, cfg.tracker)
     write_jsonl([p.as_record() for p in points], args.out)
     _write_manifest(
         str(args.out) + ".manifest.json", "track", cfg, [args.config, args.input],

@@ -20,7 +20,7 @@ the classical cross-correlation CC(tau) = sum_n x_l[n] x_m[n - tau].
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +58,10 @@ class FrameConfig:
             return np.hanning(self.frame_len)
         return np.ones(self.frame_len)
 
+    def windowed(self, frame: np.ndarray) -> np.ndarray:
+        """An (M, L) frame of float64 samples times the window, as a new C-ordered block."""
+        return np.multiply(frame, self.window_values(), order="C")
+
 
 def n_frames(n_samples: int, cfg: FrameConfig) -> int:
     """Number of whole frames that fit in a signal of n_samples."""
@@ -66,28 +70,23 @@ def n_frames(n_samples: int, cfg: FrameConfig) -> int:
     return 1 + (n_samples - cfg.frame_len) // cfg.hop
 
 
-def frame_signal(x: np.ndarray, cfg: FrameConfig, frame_index: int) -> np.ndarray:
-    """Extract (and window) frame ``frame_index`` from a 1D signal.
+def frame_stack(signals: np.ndarray, cfg: FrameConfig, frame_index: int) -> np.ndarray:
+    """Frame ``frame_index`` of every channel of an (M, T) signal, windowed: (M, L).
 
     Frame i covers samples [i * hop, i * hop + L); successive frames
     advance by ``hop``.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1D signal, got shape {x.shape}")
-    start = frame_index * cfg.hop
-    stop = start + cfg.frame_len
-    if frame_index < 0 or stop > len(x):
-        raise ValueError(
-            f"frame {frame_index} out of range for signal of {len(x)} samples"
-        )
-    return x[start:stop] * cfg.window_values()
-
-
-def frame_stack(signals: np.ndarray, cfg: FrameConfig, frame_index: int) -> np.ndarray:
-    """Extract the same frame from every channel of an (M, T) signal."""
     signals = np.atleast_2d(np.asarray(signals, dtype=float))
-    return np.stack([frame_signal(ch, cfg, frame_index) for ch in signals])
+    start = frame_index * cfg.hop
+    if frame_index < 0 or start + cfg.frame_len > signals.shape[1]:
+        raise ValueError(f"frame {frame_index} out of range for signal of {signals.shape[1]} samples")
+    return cfg.windowed(signals[:, start:start + cfg.frame_len])
+
+
+def frame_blocks(signals: np.ndarray, cfg: FrameConfig) -> Iterator[np.ndarray]:
+    """Every whole frame of an (M, T) signal held in memory, as frame_stack blocks, made lazily."""
+    signals = np.atleast_2d(np.asarray(signals, dtype=float))
+    return (frame_stack(signals, cfg, i) for i in range(n_frames(signals.shape[1], cfg)))
 
 
 @dataclass(frozen=True)

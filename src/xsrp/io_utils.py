@@ -1,13 +1,20 @@
-"""File I/O helpers: WAV, CSV/PGM map export, JSON lines, hashing."""
+"""File I/O helpers: WAV, CSV/PGM map export, JSON lines, hashing.
+
+A WAV file is read whole (read_wav) or frame by frame (WavReader), which
+holds one frame whatever the length of the recording.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from collections.abc import Iterator
 
 import numpy as np
 
+from .features import FrameConfig, n_frames
 from .grids import CandidateGrid
 
 _PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
@@ -16,49 +23,91 @@ _GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 _DTYPES = {(_PCM, 16): "<i2", (_FLOAT, 32): "<f4", (_FLOAT, 64): "<f8"}
 
 
-def read_wav(path) -> tuple[float, np.ndarray]:
-    """Read a WAV file to (sample_rate, (M, T) float64 array).
+def _read_header(f, path) -> tuple[float, int, str, int]:
+    """(sample rate, channels, sample dtype, samples per channel) of the WAV
+    file open as f, which is left at its first sample.
 
-    Accepted: a little-endian RIFF/WAVE file whose ``fmt `` chunk (a
-    plain format tag or WAVE_FORMAT_EXTENSIBLE) says 16-bit PCM, scaled
-    by 1/32768 to [-1, 1), or 32/64-bit IEEE float, passed through.
-    Other chunks (``fact``, ``LIST``, ...) are skipped. Everything else
-    raises OSError: bytes that are not RIFF/WAVE (RIFX and RF64
-    included), no ``fmt `` chunk before ``data``, no ``data`` chunk, a
-    data chunk longer than the file, and any other encoding (8/24/32-bit
-    PCM, ...). FileNotFoundError propagates.
+    Accepted: a little-endian RIFF/WAVE file whose ``fmt `` chunk (a plain
+    format tag or WAVE_FORMAT_EXTENSIBLE) says 16-bit PCM, read scaled by
+    1/32768 to [-1, 1), or 32/64-bit IEEE float. Other chunks (``fact``,
+    ``LIST``, ...) are skipped. Everything else raises OSError, checked
+    before any sample is read: bytes that are not RIFF/WAVE (RIFX and RF64
+    included), no ``fmt `` chunk before ``data``, no ``data`` chunk, a data
+    chunk longer than the file, and any other encoding (8/24/32-bit PCM, ...).
     """
-    with open(path, "rb") as f:
-        head = f.read(12)
-        if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
-            raise OSError(f"{path}: not a RIFF/WAVE file")
-        fmt = None
-        while True:
-            chunk = f.read(8)
-            if len(chunk) < 8:
-                raise OSError(f"{path}: no data chunk")
-            cid, size = struct.unpack("<4sI", chunk)
-            if cid == b"data":
-                break
-            skip = size + (size & 1)  # chunks are padded to even sizes
-            if cid == b"fmt ":
-                fmt, skip = f.read(size), size & 1
-            f.seek(skip, 1)
-        if fmt is None or len(fmt) < 16:
-            raise OSError(f"{path}: no fmt chunk before the data chunk")
-        tag, channels, rate, _, align, bits = struct.unpack_from("<HHIIHH", fmt)
-        if tag == _EXTENSIBLE and len(fmt) >= 40 and fmt[26:40] == _GUID_TAIL:
-            tag = struct.unpack_from("<H", fmt, 24)[0]
-        dtype = _DTYPES.get((tag, bits))
-        if dtype is None or channels == 0 or align != channels * bits // 8:
-            raise OSError(f"{path}: unsupported WAV encoding (format tag {tag:#x}, {bits}-bit, "
-                          f"{channels} channels); expected 16-bit PCM or 32/64-bit float")
-        count = size // align * channels
-        data = np.fromfile(f, dtype=dtype, count=count)
-    if data.size < count:
+    head = f.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
+        raise OSError(f"{path}: not a RIFF/WAVE file")
+    fmt = None
+    while True:
+        chunk = f.read(8)
+        if len(chunk) < 8:
+            raise OSError(f"{path}: no data chunk")
+        cid, size = struct.unpack("<4sI", chunk)
+        if cid == b"data":
+            break
+        skip = size + (size & 1)  # chunks are padded to even sizes
+        if cid == b"fmt ":
+            fmt, skip = f.read(size), size & 1
+        f.seek(skip, 1)
+    if fmt is None or len(fmt) < 16:
+        raise OSError(f"{path}: no fmt chunk before the data chunk")
+    tag, channels, rate, _, align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _EXTENSIBLE and len(fmt) >= 40 and fmt[26:40] == _GUID_TAIL:
+        tag = struct.unpack_from("<H", fmt, 24)[0]
+    dtype = _DTYPES.get((tag, bits))
+    if dtype is None or channels == 0 or align != channels * bits // 8:
+        raise OSError(f"{path}: unsupported WAV encoding (format tag {tag:#x}, {bits}-bit, "
+                      f"{channels} channels); expected 16-bit PCM or 32/64-bit float")
+    n = size // align
+    if f.tell() + n * align > os.fstat(f.fileno()).st_size:
         raise OSError(f"{path}: data chunk of {size} bytes runs past the end of the file")
-    x = data.reshape(-1, channels)
-    return float(rate), (x / 32768.0 if tag == _PCM else x.astype(float)).T
+    return float(rate), channels, dtype, n
+
+
+def _to_float(raw: np.ndarray) -> np.ndarray:  # float64 samples, PCM scaled by 1/32768
+    return raw / 32768.0 if raw.dtype == np.int16 else raw.astype(float, copy=False)
+
+
+def read_wav(path) -> tuple[float, np.ndarray]:
+    """Read a whole WAV file to (sample_rate, (M, T) float64 array), as _read_header accepts it."""
+    with open(path, "rb") as f:
+        rate, channels, dtype, n = _read_header(f, path)
+        data = np.fromfile(f, dtype=dtype, count=n * channels)
+    return rate, _to_float(data.reshape(n, channels)).T  # a file cut short since its header fails here
+
+
+class WavReader:
+    """A WAV file open for reading frame by frame, as a context manager: its
+    header (``sample_rate``, ``n_channels``, ``n_samples`` per channel) is
+    parsed, or refused with read_wav's OSErrors, when the reader is made."""
+
+    def __init__(self, path):
+        self._file = open(path, "rb")
+        try:
+            self.sample_rate, self.n_channels, self._dtype, self.n_samples = _read_header(self._file, path)
+        except BaseException:
+            self._file.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def frames(self, cfg: FrameConfig) -> Iterator[np.ndarray]:
+        """Every whole frame as a windowed (M, L) float64 block, frame_stack(read_wav(path)[1], cfg, i)
+        bit for bit, from one raw (L, M) buffer in the file's sample type, shifted by hop a frame."""
+        L, hop = cfg.frame_len, cfg.hop
+        raw = np.empty((L, self.n_channels), self._dtype)
+        fresh = raw  # rows still to read: all of them for the first frame
+        for _ in range(n_frames(self.n_samples, cfg)):
+            if self._file.readinto(fresh) != fresh.nbytes:
+                raise OSError(f"{self._file.name}: data chunk runs past the end of the file")
+            yield cfg.windowed(_to_float(raw.T))
+            raw[:L - hop] = raw[hop:]
+            fresh = raw[L - hop:]
 
 
 def write_wav(path, sample_rate: float, signals: np.ndarray):

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FrameConfig, GccConfig, compute_spectral_gccs, frame_stack, n_frames
+from .features import FrameConfig, GccConfig, compute_spectral_gccs
 from .geometry import MicArray
 from .srp_core import make_freq_scorer
 
@@ -207,34 +208,31 @@ class TrackPoint:
         }
 
 
-def track(signals: np.ndarray, array: MicArray, room_dims, frame_cfg: FrameConfig,
+def track(blocks: Iterable[np.ndarray], array: MicArray, room_dims, frame_cfg: FrameConfig,
           cfg: TrackerConfig = TrackerConfig()) -> list[TrackPoint]:
-    """Track one source through an (M, T) recording.
-
-    Per frame: GCC-PHAT features, Langevin prediction, reweighting by
-    the frequency-domain SRP at the particle positions, systematic
-    resampling when ESS < resample_fraction * q, then the weighted
-    mean as the frame estimate. Deterministic for a given seed.
+    """Track one source through the windowed (M, L) frames 0, 1, ... of one
+    recording, taken one at a time from ``blocks`` (WavReader.frames or
+    features.frame_blocks). Per frame: GCC-PHAT features, Langevin prediction,
+    reweighting by the frequency-domain SRP at the particle positions,
+    systematic resampling when ESS < resample_fraction * q, then the
+    weighted mean as the frame estimate. Deterministic for a given seed.
     """
-    signals = np.atleast_2d(np.asarray(signals, dtype=float))
-    if signals.shape[0] != array.n_mics:
-        raise ValueError(
-            f"signal has {signals.shape[0]} channels for {array.n_mics} microphones"
-        )
     params = LangevinParams(cfg.alpha, cfg.beta, dt=frame_cfg.hop / array.sample_rate)
     gcc_cfg = GccConfig(beta=cfg.gcc_beta, gamma=cfg.gamma, band=cfg.band)
     state = init_state(room_dims, cfg.q, cfg.seed)
     points: list[TrackPoint] = []
-    total = n_frames(signals.shape[1], frame_cfg)
-    for i in range(total):
-        frames = frame_stack(signals, frame_cfg, i)
+    for frames in blocks:  # no enumerate: its reused result tuple would hold each frame into the kernel
+        if frames.shape[0] != array.n_mics:
+            raise ValueError(f"signal has {frames.shape[0]} channels for {array.n_mics} microphones")
         gccs = compute_spectral_gccs(frames, array, gcc_cfg)
+        del frames  # the samples go before the kernel runs, its features before the next frame
         scorer = make_freq_scorer(gccs, array)
         predict(state, params, room_dims)
         update_weights(state, scorer, cfg.kappa)
-        del gccs, scorer  # one frame's features at a time: free them before the next
+        del gccs, scorer
         if state.ess() < cfg.resample_fraction * cfg.q:
             resample(state)
+        i = len(points)
         t_end = (i * frame_cfg.hop + frame_cfg.frame_len) / array.sample_rate
         points.append(TrackPoint(i, t_end, estimate(state), state.ess()))
     return points

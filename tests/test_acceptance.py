@@ -17,6 +17,7 @@ from xsrp.features import (
     GccConfig,
     compute_lag_vectors,
     compute_spectral_gccs,
+    frame_blocks,
     frame_stack,
 )
 from xsrp.geometry import MicArray, MicPair, SphericalDirection, tdoa, tdoa_matrix
@@ -509,7 +510,7 @@ def test_c10_tracking():
     frame_cfg = FrameConfig(4096, hop)
     gcc_cfg = GccConfig(band=(300.0, 1200.0))
     points = track(
-        signals, array, room, frame_cfg,
+        frame_blocks(signals, frame_cfg), array, room, frame_cfg,
         TrackerConfig(q=4000, seed=73, alpha=1.0, beta=0.5, band=(300.0, 1200.0), kappa=16.0),
     )
     truth = np.array(

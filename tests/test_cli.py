@@ -6,7 +6,9 @@ entry in pyproject.toml names ``xsrp.cli.main``, and also runs the installed
 ``xsrp`` script when there is one.
 """
 
+import contextlib
 import csv
+import gc
 import hashlib
 import importlib
 import json
@@ -15,23 +17,37 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import xsrp
 from xsrp import __version__
 from xsrp import multisource
-from xsrp.cli import LocalizeConfig, main
-from xsrp.features import frame_stack
+from xsrp import tracking
+from xsrp.cli import LocalizeConfig, TrackConfig, main
+from xsrp.features import FrameConfig, frame_blocks, frame_stack, n_frames
 from xsrp.geometry import MicArray, MicPair, tdoa
 from xsrp.grids import CandidateGrid
-from xsrp.io_utils import export_map_csv, read_jsonl, read_wav, sha256_file, write_jsonl, write_wav
+from xsrp.io_utils import (
+    WavReader,
+    export_map_csv,
+    read_jsonl,
+    read_wav,
+    sha256_file,
+    write_jsonl,
+    write_wav,
+)
 from xsrp.pipeline import config_from_dict, prepare
 from xsrp.srp_core import SrpMap, counter
+from xsrp.synth import SceneSpec, Source, synthesize_free_field, white_noise
 
 FS = 16000.0
 ROOM = [4.0, 3.0, 2.0]
@@ -276,6 +292,61 @@ def test_track_jsonl(tmp_path):
         assert 1.0 <= rec["ess"] <= 150.0
 
 
+def test_track_writes_what_tracking_track_writes(tmp_path):
+    # the command reads its frames hop by hop from the file; the records
+    # equal those of track() over frame_stack blocks of the whole signal
+    sim = write_config(tmp_path / "scene.json", simulate_config(duration=0.4))
+    assert main(["simulate", "-c", sim, "-o", str(tmp_path / "scene")]) == 0
+    wav = tmp_path / "scene" / "scene.wav"
+    cfg = track_config()
+    cfg["frame"]["window"] = "hann"
+    path = write_config(tmp_path / "track.json", cfg)
+    with no_unclosed_file(wav):
+        assert main(["track", "-c", path, "-i", str(wav), "-o", str(tmp_path / "traj.jsonl")]) == 0
+
+    parsed = config_from_dict(cfg, TrackConfig, "config")
+    signals = read_wav(wav)[1]
+    points = tracking.track(frame_blocks(signals, parsed.frame), parsed.array.mic_array(), parsed.room,
+                            parsed.frame, parsed.tracker)
+    assert len(points) == n_frames(signals.shape[1], parsed.frame) > 1
+    write_jsonl([p.as_record() for p in points], tmp_path / "want.jsonl")
+    assert (tmp_path / "traj.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+def test_track_memory_does_not_grow_with_the_recording(tmp_path):
+    """An 8-frame and a 160-frame recording of one scene: the in-process
+    command's tracemalloc peaks differ by under 256 KiB, where holding the
+    152 extra frames' float64 samples would cost 4.75 MiB."""
+    array = MicArray(np.random.default_rng(19).uniform(0.3, np.array(ROOM) - 0.3, size=(8, 3)), FS)
+    n = 1024 + 159 * 512
+    scene = SceneSpec(np.array(ROOM), [Source(np.array(SRC), white_noise(n, seed=20))])
+    signals = synthesize_free_field(scene, array)[:, :n]
+    cfg = track_config()
+    cfg["array"]["positions"] = array.positions.tolist()
+    cfg["tracker"]["q"] = 50
+    path = write_config(tmp_path / "track.json", cfg)
+    frame_cfg = FrameConfig(1024, 512)
+    peaks = {}
+    for frames in (8, 8, 160):  # the first run warms caches that stay allocated
+        wav = tmp_path / f"scene{frames}.wav"
+        write_wav(wav, FS, signals[:, :1024 + (frames - 1) * 512])
+        tracemalloc.start()
+        try:
+            assert main(["track", "-c", path, "-i", str(wav), "-o", str(tmp_path / "o.jsonl")]) == 0
+            peaks[frames] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(read_jsonl(tmp_path / "o.jsonl")) == frames
+    assert abs(peaks[160] - peaks[8]) < 256 << 10, peaks
+
+    # after frame i the reader has asked the file for no sample past that frame's last
+    with WavReader(wav) as reader:
+        align = 8 * 4  # 8 channels of float32
+        for i, _ in enumerate(reader.frames(frame_cfg)):
+            assert reader._file.tell() <= 44 + (i * 512 + 1024) * align  # write_wav's header: 44 bytes
+        assert i == 159
+
+
 def test_a_wav_shorter_than_one_frame_is_an_io_error(tmp_path, capsys):
     wav = tmp_path / "short.wav"
     write_wav(wav, FS, np.zeros((len(MICS), 800)))
@@ -496,25 +567,102 @@ def test_read_wav_extensible_and_extra_chunks(tmp_path):
     np.testing.assert_array_equal(read_wav(path)[1], floats[None, :].astype(float))
 
 
-@pytest.mark.parametrize(
-    "raw, message",
-    [
-        (b"this is not a wave file", "not a RIFF/WAVE"),
-        (b"RIFX" + riff((b"data", b""))[4:], "not a RIFF/WAVE"),
-        (riff(fmt_chunk(1, 2, 24), (b"data", bytes(12))), "unsupported WAV encoding"),
-        (riff(fmt_chunk(1, 1, 8), (b"data", bytes(4))), "unsupported WAV encoding"),
-        (riff(fmt_chunk(1, 1, 32), (b"data", bytes(8))), "unsupported WAV encoding"),
-        (riff((b"data", bytes(8))), "no fmt chunk"),
-        (riff(fmt_chunk(1, 1, 16)), "no data chunk"),
-        (riff(fmt_chunk(1, 1, 16), (b"data", bytes(8)))[:-4], "past the end"),
-    ],
-    ids=["garbage", "rifx", "pcm24", "pcm8", "pcm32", "missing_fmt", "missing_data", "truncated"],
-)
+# a 16-bit, 4-channel header that fits the CLI configs, whose data chunk
+# claims 3,000 sample frames more than the file holds
+_TRUNCATED_SCENE = riff(fmt_chunk(1, 4, 16), (b"data", bytes(8 * 6000)))[:-8 * 3000]
+
+MALFORMED_WAVS = [
+    pytest.param(b"this is not a wave file", "not a RIFF/WAVE", id="garbage"),
+    pytest.param(b"RIFX" + riff((b"data", b""))[4:], "not a RIFF/WAVE", id="rifx"),
+    pytest.param(riff(fmt_chunk(1, 2, 24), (b"data", bytes(12))), "unsupported WAV encoding", id="pcm24"),
+    pytest.param(riff(fmt_chunk(1, 1, 8), (b"data", bytes(4))), "unsupported WAV encoding", id="pcm8"),
+    pytest.param(riff(fmt_chunk(1, 1, 32), (b"data", bytes(8))), "unsupported WAV encoding", id="pcm32"),
+    pytest.param(riff((b"data", bytes(8))), "no fmt chunk", id="missing_fmt"),
+    pytest.param(riff(fmt_chunk(1, 1, 16)), "no data chunk", id="missing_data"),
+    pytest.param(riff(fmt_chunk(1, 1, 16), (b"data", bytes(8)))[:-4], "past the end", id="truncated"),
+    pytest.param(_TRUNCATED_SCENE, "past the end", id="truncated_scene"),
+]
+
+
+@pytest.mark.parametrize("raw, message", MALFORMED_WAVS)
 def test_read_wav_rejects(tmp_path, raw, message):
     path = tmp_path / "bad.wav"
     path.write_bytes(raw)
     with pytest.raises(OSError, match=message):
         read_wav(path)
+
+
+@contextlib.contextmanager
+def no_unclosed_file(path):
+    """Fail if a file object open on path is left for the garbage collector to close."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not [m for m in leaks if str(path) in m], leaks
+
+
+@pytest.mark.parametrize("command", ["localize", "track"])
+@pytest.mark.parametrize("raw, message", MALFORMED_WAVS)
+def test_a_malformed_wav_fails_localize_and_track_as_read_wav_does(tmp_path, capsys, command, raw, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(raw)
+    with pytest.raises(OSError, match=message) as refused:
+        read_wav(path)
+    cfg = {"localize": localize_config, "track": track_config}[command]()
+    out = tmp_path / "o.jsonl"
+    with no_unclosed_file(path):
+        assert main([command, "-c", write_config(tmp_path / "c.json", cfg), "-i", str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"i/o error: {refused.value}\n"
+    assert not out.exists()
+
+
+_SAMPLE_TYPES = {"<f4": 3, "<f8": 3, "<i2": 1}  # numpy dtype -> WAV format tag
+
+
+@st.composite
+def wav_files(draw):
+    """(file bytes, (T, M) samples as stored) of a valid WAV in any accepted layout."""
+    dtype = draw(st.sampled_from(sorted(_SAMPLE_TYPES)))
+    channels, n = draw(st.integers(1, 4)), draw(st.integers(0, 80))
+    if dtype == "<i2":
+        values = st.integers(-32768, 32767)
+    else:
+        values = st.floats(-2.0, 2.0, width=32 if dtype == "<f4" else 64)
+    samples = np.array(draw(st.lists(values, min_size=n * channels, max_size=n * channels)),
+                       dtype=dtype).reshape(n, channels)
+    tag, bits = _SAMPLE_TYPES[dtype], 8 * np.dtype(dtype).itemsize
+    if draw(st.booleans()):  # WAVE_FORMAT_EXTENSIBLE, the format tag in its SubFormat GUID
+        guid = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        fmt = fmt_chunk(0xFFFE, channels, bits)[1] + struct.pack("<HHIH", 22, bits, 0, tag) + guid
+    else:
+        fmt = fmt_chunk(tag, channels, bits)[1]
+    extra = draw(st.lists(st.sampled_from([(b"fact", b"\x03\0\0\0"), (b"LIST", b"odd"), (b"LIST", b"")]),
+                          max_size=2))
+    data = samples.tobytes() + bytes(draw(st.integers(0, 1)))  # a stray byte: no whole sample frame
+    tail = [(b"LIST", b"after")] if draw(st.booleans()) else []
+    return riff((b"fmt ", fmt), *extra, (b"data", data), *tail), samples
+
+
+@settings(max_examples=80, deadline=None)
+@given(wav_files(), st.sampled_from([2, 4, 8]), st.data())
+def test_wav_reader_frames_equal_frame_stack_of_read_wav(wav, frame_len, data):
+    raw, samples = wav
+    cfg = FrameConfig(frame_len, data.draw(st.integers(1, frame_len)), data.draw(st.sampled_from(["rectangular", "hann"])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.wav"
+        path.write_bytes(raw)
+        signals = read_wav(path)[1]
+        assert np.array_equal(signals, samples.T / (32768.0 if samples.dtype == np.int16 else 1.0))
+        with WavReader(path) as reader:
+            assert (reader.n_channels, reader.n_samples) == signals.shape
+            blocks = list(reader.frames(cfg))
+    assert len(blocks) == n_frames(signals.shape[1], cfg)
+    for i, block in enumerate(blocks):
+        want = frame_stack(signals, cfg, i)
+        assert block.dtype == want.dtype and block.flags.c_contiguous
+        assert np.array_equal(block, want) and block.tobytes() == want.tobytes()  # bit for bit
 
 
 def test_cli_import_loads_no_scipy():

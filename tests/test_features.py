@@ -29,7 +29,6 @@ from xsrp.features import (
     analysis_band,
     compute_lag_vectors,
     compute_spectral_gccs,
-    frame_signal,
     frame_stack,
     half_from_lags,
     lag_block,
@@ -258,14 +257,14 @@ def test_framing_indices_and_window():
     cfg = FrameConfig(frame_len=16, hop=8)
     assert n_frames(100, cfg) == 11
     assert n_frames(15, cfg) == 0
-    np.testing.assert_array_equal(frame_signal(x, cfg, 0), x[:16])
-    np.testing.assert_array_equal(frame_signal(x, cfg, 3), x[24:40])
+    np.testing.assert_array_equal(frame_stack(x, cfg, 0)[0], x[:16])
+    np.testing.assert_array_equal(frame_stack(x, cfg, 3)[0], x[24:40])
     with pytest.raises(ValueError, match="out of range"):
-        frame_signal(x, cfg, 11)
+        frame_stack(x, cfg, 11)
     hann = FrameConfig(frame_len=16, hop=8, window="hann")
     w = hann.window_values()
     assert w[0] == 0.0 and w[-1] == 0.0 and w.max() <= 1.0
-    np.testing.assert_allclose(frame_signal(x, hann, 0), x[:16] * w)
+    np.testing.assert_allclose(frame_stack(x, hann, 0)[0], x[:16] * w)
 
 
 def test_frame_stack_shape():

@@ -8,7 +8,7 @@ import pytest
 from scipy.signal import lfilter
 
 from xsrp import tracking
-from xsrp.features import FrameConfig, SpectralBlock, SpectralGcc, n_frames
+from xsrp.features import FrameConfig, SpectralBlock, SpectralGcc, frame_blocks, n_frames
 from xsrp.geometry import MicArray
 from xsrp.synth import SceneSpec, Source, add_noise, synthesize_free_field, white_noise
 from xsrp.tracking import (
@@ -230,7 +230,7 @@ def test_track_converges_on_static_source():
     src = np.array([2.2, 1.9, 1.4])
     signals, array = static_scene_signals(src)
     cfg = FrameConfig(1024, 512)
-    points = track(signals, array, ROOM, cfg, TrackerConfig(q=400, seed=1, band=(300.0, 3000.0)))
+    points = track(frame_blocks(signals, cfg), array, ROOM, cfg, TrackerConfig(q=400, seed=1, band=(300.0, 3000.0)))
     assert len(points) == n_frames(signals.shape[1], cfg)
     assert [p.frame for p in points] == list(range(len(points)))
     assert points[3].t_seconds == pytest.approx((3 * 512 + 1024) / FS)
@@ -246,8 +246,8 @@ def test_track_is_deterministic():
     src = np.array([3.0, 2.0, 1.2])
     signals, array = static_scene_signals(src, seconds=0.4)
     cfg = FrameConfig(1024, 1024)
-    a = track(signals, array, ROOM, cfg, TrackerConfig(q=100, seed=5))
-    b = track(signals, array, ROOM, cfg, TrackerConfig(q=100, seed=5))
+    a = track(frame_blocks(signals, cfg), array, ROOM, cfg, TrackerConfig(q=100, seed=5))
+    b = track(frame_blocks(signals, cfg), array, ROOM, cfg, TrackerConfig(q=100, seed=5))
     for pa, pb in zip(a, b):
         np.testing.assert_array_equal(pa.position, pb.position)
         assert pa.ess == pb.ess
@@ -256,13 +256,15 @@ def test_track_is_deterministic():
 def test_track_rejects_channel_mismatch():
     signals, array = static_scene_signals(np.array([2.0, 2.0, 1.0]), seconds=0.2)
     with pytest.raises(ValueError, match="channels"):
-        track(signals[:2], array, ROOM, FrameConfig(1024, 1024))
+        cfg = FrameConfig(1024, 1024)
+        track(frame_blocks(signals[:2], cfg), array, ROOM, cfg)
 
 
 def test_track_point_record_keys():
     src = np.array([2.5, 2.0, 1.5])
     signals, array = static_scene_signals(src, seconds=0.2)
-    points = track(signals, array, ROOM, FrameConfig(1024, 1024), TrackerConfig(q=50, seed=0))
+    cfg = FrameConfig(1024, 1024)
+    points = track(frame_blocks(signals, cfg), array, ROOM, cfg, TrackerConfig(q=50, seed=0))
     rec = points[0].as_record()
     assert set(rec) == {"frame", "t_seconds", "x", "y", "z", "ess"}
     assert rec["frame"] == 0
@@ -285,7 +287,8 @@ def test_a_tracker_frame_holds_only_the_band_block():
         return scorer
 
     with mock.patch.object(tracking, "make_freq_scorer", spy):
-        points = track(signals, array, ROOM, FrameConfig(1024, 1024),
+        cfg = FrameConfig(1024, 1024)
+        points = track(frame_blocks(signals, cfg), array, ROOM, cfg,
                        TrackerConfig(q=50, seed=0, band=(300.0, 3000.0)))
     assert len(seen) == len(points) > 0
     for feats in seen:
