@@ -8,7 +8,7 @@ and its peak-to-average ratio.
 
 import numpy as np
 
-from xsrp.features import FrameConfig, GccConfig, compute_lag_vectors, frame_stack
+from xsrp.features import FrameConfig, GccConfig, frame_stack, lag_block
 from xsrp.geometry import MicArray, MicPair, tdoa
 from xsrp.synth import SceneSpec, Source, add_noise, synthesize_free_field, white_noise
 
@@ -30,14 +30,14 @@ def main():
     signals = add_noise(signals, 20.0, seed=2)
     frames = frame_stack(signals, FrameConfig(4096, 4096), 0)
 
-    pair = MicPair(0, 1)
-    phat = compute_lag_vectors(frames, array)[pair]
+    phat = lag_block(frames, array)
     # the plain cross-correlation is the unweighted setting of the same GCC
-    cc = compute_lag_vectors(frames, array, GccConfig(beta=0.0, gamma=0.0))[pair]
+    cc = lag_block(frames, array, GccConfig(beta=0.0, gamma=0.0))
 
-    for name, vec in [("gcc-phat", phat), ("cross-correlation", cc)]:
-        peak = int(vec.lags[np.argmax(vec.values)])
-        par = vec.values.max() / np.abs(vec.values).mean()
+    for name, block in [("gcc-phat", phat), ("cross-correlation", cc)]:
+        row = block.values[0]  # the one pair, (0, 1): lags -K..K
+        peak = int(np.argmax(row)) - block.max_lag
+        par = row.max() / np.abs(row).mean()
         print(f"{name:>17}: peak at lag {peak:+d} samples, peak-to-average {par:7.1f}")
 
     print("phat whitening trades amplitude information for a much narrower peak")

@@ -11,9 +11,9 @@ import numpy as np
 from xsrp.features import (
     FrameConfig,
     GccConfig,
-    compute_lag_vectors,
     compute_spectral_gccs,
     frame_stack,
+    lag_block,
 )
 from xsrp.geometry import MicArray
 from xsrp.grids import cartesian_grid
@@ -37,7 +37,7 @@ def main():
     frames = frame_stack(signals, FrameConfig(8192, 8192), 0)
     cfg = GccConfig(band=(100.0, 2000.0))
     gccs = compute_spectral_gccs(frames, array, cfg)
-    lags = compute_lag_vectors(frames, array, cfg)
+    lags = lag_block(frames, array, cfg)
 
     grid = cartesian_grid(room, 0.1)
     print(f"grid: {len(grid.points)} points at 0.1 m")

@@ -9,7 +9,7 @@ cheap pre-filter of the room.
 
 import numpy as np
 
-from xsrp.features import FrameConfig, GccConfig, compute_lag_vectors, frame_stack
+from xsrp.features import FrameConfig, GccConfig, frame_stack, lag_block
 from xsrp.geometry import MicArray
 from xsrp.grids import Volume, cartesian_grid, partition_room
 from xsrp.search import SearchConfig, argmax_search, refine_search, src_search
@@ -29,7 +29,7 @@ def main():
     signals = synthesize_free_field(SceneSpec(room, [Source(src, white_noise(4608, seed=22))]), array)
     signals = add_noise(signals, 20.0, seed=23)
     frames = frame_stack(signals, FrameConfig(4096, 4096), 0)
-    lags = compute_lag_vectors(frames, array, GccConfig(band=(100.0, 1000.0)))
+    lags = lag_block(frames, array, GccConfig(band=(100.0, 1000.0)))
     scorer = make_time_scorer(lags, array)
     region = Volume.from_bounds(np.zeros(3), room)
 

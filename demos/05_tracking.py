@@ -9,7 +9,7 @@ for contrast.
 
 import numpy as np
 
-from xsrp.features import FrameConfig, GccConfig, compute_lag_vectors, frame_blocks, frame_stack
+from xsrp.features import FrameConfig, GccConfig, frame_blocks, frame_stack, lag_block
 from xsrp.geometry import MicArray
 from xsrp.grids import cartesian_grid
 from xsrp.search import argmax_search
@@ -52,7 +52,7 @@ def main():
     print(" frame    t/s   track err   argmax err   ess")
     for k, p in enumerate(points):
         frames = frame_stack(signals, frame_cfg, p.frame)
-        lags = compute_lag_vectors(frames, array, gcc_cfg)
+        lags = lag_block(frames, array, gcc_cfg)
         ax = argmax_search(srp_time_map(lags, grid, array)).estimate
         e_t = np.linalg.norm(p.position - truth[k])
         e_a = np.linalg.norm(ax - truth[k])

@@ -11,11 +11,9 @@ from .features import (
     FrameConfig,
     GccConfig,
     LagBlock,
-    LagVector,
     SpectralBlock,
     SpectralGcc,
     analysis_band,
-    compute_lag_vectors,
     compute_spectral_gccs,
     frame_blocks,
     frame_stack,

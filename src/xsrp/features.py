@@ -12,10 +12,11 @@ in-band f >= 0 bins (out of L+1), one row per pair in array.pairs()
 order, which frequency maps and the tracker steer (compute_spectral_gccs).
 Its irfft, zero-padded back to L+1 bins, gives every pair's lags as one
 LagBlock, optionally cropped to the window -reach..reach that time and
-volumetric maps read (lag_block; compute_lag_vectors is its per-pair
-dict view). beta = 1, gamma = 0 is GCC-PHAT; beta = 0, gamma = 0 over
-the full band leaves the raw cross-spectrum, whose inverse transform is
-the classical cross-correlation CC(tau) = sum_n x_l[n] x_m[n - tau].
+volumetric maps read (lag_block). Maps, scorers and de-emphasis take
+only these two blocks. beta = 1, gamma = 0 is GCC-PHAT; beta = 0,
+gamma = 0 over the full band leaves the raw cross-spectrum, whose
+inverse transform is the classical cross-correlation
+CC(tau) = sum_n x_l[n] x_m[n - tau].
 """
 
 from __future__ import annotations
@@ -115,41 +116,6 @@ class GccConfig:
 
 
 @dataclass
-class LagVector:
-    """A correlation sampled at integer lags -K..K (K = L - 1).
-
-    ``values[i]`` corresponds to lag ``i - K``; lag spacing is one
-    sample, 1 / sample_rate seconds.
-    """
-
-    values: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or len(self.values) % 2 != 1:
-            raise ValueError("lag vector must be 1D with odd length (lags -K..K)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("lag values must be finite")
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-
-    @property
-    def max_lag(self) -> int:
-        return (len(self.values) - 1) // 2
-
-    @property
-    def lags(self) -> np.ndarray:
-        k = self.max_lag
-        return np.arange(-k, k + 1)
-
-    def at_lag(self, k: int) -> float:
-        if abs(k) > self.max_lag:
-            raise ValueError(f"lag {k} outside [-{self.max_lag}, {self.max_lag}]")
-        return float(self.values[k + self.max_lag])
-
-
-@dataclass
 class LagBlock:
     """Every pair's correlation at lags -k..k: one (P, 2k+1) block.
 
@@ -198,10 +164,6 @@ class LagBlock:
     def copy(self) -> "LagBlock":
         return LagBlock(self.values.copy(), self.sample_rate, self.head.copy())
 
-    def lag_vectors(self, pairs: list[MicPair]) -> dict[MicPair, LagVector]:
-        """The rows as LagVectors keyed by ``pairs``, in row order."""
-        return {p: LagVector(v, self.sample_rate) for p, v in zip(pairs, self.values)}
-
 
 @dataclass
 class SpectralGcc:
@@ -234,8 +196,9 @@ class SpectralBlock(Mapping):
 
     Row j, pair ``pairs[j]``, holds bins ``band`` of the half spectrum of
     an n-point DFT, n = len(in_band), the two-sided in-band mask; other
-    bins are 0, never formed. A read-only Mapping: a pair's two-sided
-    SpectralGcc is built only when read.
+    bins are 0, never formed. Also a read-only Mapping whose two-sided
+    SpectralGcc items are built only when read, for the readers of
+    per-pair items (pairwise_freq_scores, perfbench's probes).
     """
 
     spectra: np.ndarray
@@ -256,26 +219,6 @@ class SpectralBlock(Mapping):
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    @classmethod
-    def stack(cls, gccs, pairs: list[MicPair]) -> "SpectralBlock":
-        """``gccs`` as a block in ``pairs`` order: as it is, or its SpectralGccs checked and stacked."""
-        if isinstance(gccs, cls) and gccs.pairs == pairs:
-            return gccs
-        missing = [p for p in pairs if p not in gccs]
-        if missing:
-            raise ValueError(f"spectral gccs missing for pairs {missing}")
-        first, *rest = items = [gccs[p] for p in pairs]
-        n, fs = first.n_fft, first.sample_rate
-        for g in rest:
-            same_grid = g.freqs is first.freqs or np.array_equal(g.freqs, first.freqs)
-            same_band = g.in_band is first.in_band or np.array_equal(g.in_band, first.in_band)
-            if not (same_grid and same_band and g.sample_rate == fs):
-                raise ValueError("all pairs must share one DFT grid, band and sample rate")
-        if np.max(np.abs(first.freqs - np.fft.fftfreq(n, d=1.0 / fs)), initial=0.0) > 1e-9 * fs / n:
-            raise ValueError("spectral gcc frequencies must lie on the DFT grid fftfreq(n, 1 / fs)")
-        band = _half_band(first.in_band)
-        return cls(np.stack([g.values[band] for g in items]), band, first.in_band, fs, list(pairs))
 
 
 def analysis_band(array: MicArray) -> tuple[float, float]:
@@ -395,12 +338,16 @@ def gccs_from_half(
     return {p: SpectralGcc(v, freqs, sample_rate, in_band) for p, v in zip(pairs, values)}
 
 
-def temporal_gcc(g: SpectralGcc) -> LagVector:
-    """A spectral GCC's lags -(n/2 - 1)..(n/2 - 1) from its f >= 0 half, as lags_from_half."""
+def temporal_gcc(g: SpectralGcc) -> LagBlock:
+    """A spectral GCC's lags -(n/2 - 1)..(n/2 - 1) from its f >= 0 half, as lags_from_half: one row.
+
+    No code in the package calls it; it stays because perfbench's tracer
+    looks it up by name, until the trace stops timing it.
+    """
     n = g.n_fft
     if n % 2 != 0:
         raise ValueError("temporal_gcc expects an even DFT length")
-    return LagVector(lags_from_half(g.values[None, : n // 2 + 1].copy())[0], g.sample_rate)
+    return LagBlock(lags_from_half(g.values[None, : n // 2 + 1].copy()), g.sample_rate)
 
 
 def compute_spectral_gccs(
@@ -450,10 +397,3 @@ def _band_lags(g, band: slice, in_band, fs: float, reach: int | None = None, hea
         crop = LagBlock.crop(lags, fs, reach, head)
         values[r: r + len(part)], heads[r: r + len(part)] = crop.values, crop.head
     return LagBlock(values, fs, heads)
-
-
-def compute_lag_vectors(
-    frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None
-) -> dict[MicPair, LagVector]:
-    """Temporal GCCs of every pair by pair: a dict view of the uncropped lag_block."""
-    return lag_block(frames, array, cfg).lag_vectors(array.pairs())

@@ -8,7 +8,8 @@ every pair's correlation with an inverted Gaussian,
 and the map is rebuilt, letting the next-strongest source surface.
 All pairs are notched at once: one (P,) TDOA vector and one notch
 over the (P, 2K+1) lag block, in place on a LagBlock; a SpectralBlock
-reaches that block by one irfft and returns by one rfft.
+reaches that block by one irfft and returns by one rfft. The features
+are one of these two blocks, rows in array.pairs() order.
 No renormalization is applied, so successive peak scores are
 comparable and an auto stopping rule (score floor relative to the
 first peak) is possible. A batch of frames runs its rounds together
@@ -24,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LagBlock, LagVector, SpectralBlock, SpectralGcc, _band_lags, half_from_lags
+from .features import LagBlock, SpectralBlock, _band_lags, half_from_lags
 from .geometry import MicArray, far_field_tdoa_matrix, tdoa_matrix
 from .grids import CandidateGrid
 from .search import SearchConfig, argmax_search
-from .srp_core import TimeCells, _lag_block, srp_freq_map, time_argmax, time_cells
+from .srp_core import TimeCells, _lag_block, _spectral_block, srp_freq_map, time_argmax, time_cells
 
 _AUTO_CAP = 10  # hard cap on de-emphasis rounds in auto mode
 
@@ -104,38 +105,25 @@ def default_notch_sigma(array: MicArray) -> float:
     return 2.0 / array.sample_rate
 
 
-def _features_domain(features) -> str:
-    first = features if isinstance(features, (LagBlock, SpectralBlock)) else next(iter(features.values()))
-    if isinstance(first, (LagBlock, LagVector)):
-        return "time"
-    if isinstance(first, (SpectralBlock, SpectralGcc)):
-        return "frequency"
-    raise TypeError(f"unsupported feature type {type(first).__name__}")
-
-
-def deemphasize(features, tdoa_hat, sigma: float):
+def deemphasize(features: LagBlock | SpectralBlock, tdoa_hat, sigma: float):
     """Notch every pair's feature around its estimated TDOA, all pairs at once.
 
-    ``features`` is a LagBlock, notched in place and returned, a dict of
-    LagVectors, returned as a new dict, or a SpectralBlock (or a dict of
-    SpectralGccs, stacked into one), returned as a new block. ``tdoa_hat``
-    holds one TDOA in seconds per row or entry, in its order. One notch
-    covers the (P, 2K+1) lag block, which a SpectralBlock reaches by irfft
-    (as lag_block) and leaves by one rfft, its band sliced back out.
-    Exact zero at a notch center; beyond 6 sigma the relative change is
-    below 1e-6. A block's head, the sum of lags beyond it, is left as it is.
+    ``features`` is a LagBlock, notched in place and returned, or a
+    SpectralBlock, returned as a new block. ``tdoa_hat`` holds one TDOA
+    in seconds per row, in row order. One notch covers the (P, 2K+1) lag
+    block, which a SpectralBlock reaches by irfft (as lag_block) and
+    leaves by one rfft, its band sliced back out. Exact zero at a notch
+    center; beyond 6 sigma the relative change is below 1e-6. A block's
+    head, the sum of lags beyond it, is left as it is.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    spec = None
-    if _features_domain(features) == "frequency":
-        spec = SpectralBlock.stack(features, list(features))
-        block = _band_lags(spec.spectra, spec.band, spec.in_band, spec.sample_rate)
+    if isinstance(features, SpectralBlock):
+        block = _band_lags(features.spectra, features.band, features.in_band, features.sample_rate)
     elif isinstance(features, LagBlock):
         block = features
     else:
-        pairs = list(features)
-        block = LagBlock(np.stack([features[p].values for p in pairs]), features[pairs[0]].sample_rate)
+        raise TypeError(f"features must be a LagBlock or a SpectralBlock, got {type(features).__name__}")
     lags, fs = block.values, block.sample_rate
     tdoa_hat = np.asarray(tdoa_hat, dtype=float)
     if tdoa_hat.shape != (len(lags),):
@@ -154,15 +142,14 @@ def deemphasize(features, tdoa_hat, sigma: float):
         row[w] *= 1.0 - np.exp(-((taus[w] - t) ** 2) / (2.0 * sigma**2))
     if features is block:
         return block
-    if spec is None:
-        return block.lag_vectors(pairs)
-    spectra = half_from_lags(lags)[:, spec.band].copy()  # the half spectra are freed here
-    spectra[:, ~spec.in_band[spec.band]] = 0.0  # a hand-built band may have holes
-    return SpectralBlock(spectra, spec.band, spec.in_band, fs, spec.pairs)
+    band = features.band
+    spectra = half_from_lags(lags)[:, band].copy()  # the half spectra are freed here
+    spectra[:, ~features.in_band[band]] = 0.0  # a hand-built band may have holes
+    return SpectralBlock(spectra, band, features.in_band, fs, features.pairs)
 
 
 def localize_multi(
-    features: LagBlock | dict,
+    features: LagBlock | SpectralBlock,
     grid: CandidateGrid,
     array: MicArray,
     cfg: MultiConfig | None = None,
@@ -170,9 +157,9 @@ def localize_multi(
 ) -> EstimateSet:
     """Iterative multi-source localization over a grid, in one frame.
 
-    features is a LagBlock or a dict of LagVectors (time-domain maps), or
-    a SpectralBlock or a dict of SpectralGccs (frequency-domain maps). The
-    batch of one of localize_multi_batch, which says what each round does.
+    features is a LagBlock (time-domain maps) or a SpectralBlock
+    (frequency-domain maps), rows in array.pairs() order. The batch of
+    one of localize_multi_batch, which says what each round does.
     """
     return localize_multi_batch([features], grid, array, cfg, search)[0]
 
@@ -206,10 +193,14 @@ def localize_multi_batch(
     cfg = cfg or MultiConfig()
     if search is not None and search.mode != "exhaustive":
         raise ValueError("localize_multi supports only exhaustive search")
-    domains = {_features_domain(f) for f in batch}
-    if len(domains) > 1:
+    if not batch:
+        return []
+    odd = [f for f in batch if not isinstance(f, (LagBlock, SpectralBlock))]
+    if odd:
+        raise TypeError(f"features must be a LagBlock or a SpectralBlock, got {type(odd[0]).__name__}")
+    time_domain = isinstance(batch[0], LagBlock)
+    if any(isinstance(f, LagBlock) != time_domain for f in batch):
         raise ValueError("a batch mixes time and frequency features")
-    time_domain = domains == {"time"}
     if time_domain:  # blocks in array.pairs() order, as the TDOAs
         work = []
         for f in batch:
@@ -217,8 +208,8 @@ def localize_multi_batch(
             work.append(block)
         if cells is None:
             cells = time_cells(grid.points, array, grid.is_doa, bounds)
-    else:  # blocks in array.pairs() order, as the TDOAs
-        work = [SpectralBlock.stack(f, array.pairs()) for f in batch]
+    else:
+        work = [_spectral_block(f, array) for f in batch]
     tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
     sigma = cfg.notch_sigma if cfg.notch_sigma is not None else default_notch_sigma(array)
     cap = cfg.n_sources if cfg.n_sources is not None else _AUTO_CAP

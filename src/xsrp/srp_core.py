@@ -11,20 +11,20 @@ steered at it, accumulated over microphone pairs:
 Cartesian grids use exact TDOAs, DOA grids the far-field form; the two
 are never mixed within one map. Time and volumetric maps read one
 LagBlock per frame, frequency maps one SpectralBlock, rows in
-array.pairs() order (a dict of LagVectors or SpectralGccs is stacked
-into one on entry). The time map reads each pair's lag window -D..D,
-D = round(max_tdoa * fs) + 1 (lag_bounds), through a table of offsets
-rint(tau * fs) + D, so a block cropped to +/-max D serves every map of
-the array. srp_time_map gathers a grid's full table; time_argmax finds
-a batch of frames' argmaxes by scoring only the boxes of grid points
-(TimeCells) whose bound can reach the best score found. The frequency
-map is Horner's rule over the block's uniform DFT bins, exact, steered
-by per-mic phasors (2 M complex exponentials per point). A module-level
-counter tracks candidate scorings and steering-kernel evaluations so
-complexity claims can be checked: each frame's map, alone or in a batch,
-adds G points and G * P kernel ops (time, volumetric; for time_argmax,
-those of the map it certifies) or G * P * |F| (frequency), |F| the
-in-band bin count: the complexity model's unit, not a count of multiplies.
+array.pairs() order, and take no other form. The time map reads each
+pair's lag window -D..D, D = round(max_tdoa * fs) + 1 (lag_bounds),
+through a table of offsets rint(tau * fs) + D, so a block cropped to
++/-max D serves every map of the array. srp_time_map gathers a grid's
+full table; time_argmax finds a batch of frames' argmaxes by scoring
+only the boxes of grid points (TimeCells) whose bound can reach the
+best score found. The frequency map is Horner's rule over the block's
+uniform DFT bins, exact, steered by per-mic phasors (2 M complex
+exponentials per point). A module-level counter tracks candidate
+scorings and steering-kernel evaluations so complexity claims can be
+checked: each frame's map, alone or in a batch, adds G points and
+G * P kernel ops (time, volumetric; for time_argmax, those of the map
+it certifies) or G * P * |F| (frequency), |F| the in-band bin count:
+the complexity model's unit, not a count of multiplies.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LagBlock, LagVector, SpectralBlock
+from .features import LagBlock, SpectralBlock
 from .geometry import (
     MicArray,
     MicPair,
@@ -97,39 +97,32 @@ def lag_bounds(array: MicArray) -> np.ndarray:
     return np.array([round(max_tdoa(p, array) * array.sample_rate) + 1 for p in array.pairs()])
 
 
-def _lag_block(lags, array: MicArray, bounds: np.ndarray | None = None):
-    """(block, bounds): ``lags`` as one LagBlock that covers every pair's bound D.
-
-    A dict of LagVectors is stacked into one block, shorter rows
-    zero-padded (no map reads past its pair's D, and leading zeros
-    leave running sums as they are), and cropped to +/-max D.
-    """
+def _lag_block(lags: LagBlock, array: MicArray, bounds: np.ndarray | None = None):
+    """(lags, bounds): a LagBlock checked to hold a row per pair that covers its bound D."""
+    if not isinstance(lags, LagBlock):
+        raise TypeError(f"time features must be a LagBlock, got {type(lags).__name__}")
     if bounds is None:
         bounds = lag_bounds(array)
     pairs = array.pairs()
-    if isinstance(lags, LagBlock):
-        if len(lags.values) != len(pairs):
-            raise ValueError(f"lag block has {len(lags.values)} rows for {len(pairs)} pairs")
-        reach = np.full(len(pairs), lags.max_lag)
-    else:
-        missing = [p for p in pairs if p not in lags]
-        if missing:
-            raise ValueError(f"lag vectors missing for pairs {missing}")
-        reach = np.array([lags[p].max_lag for p in pairs])
-    short = np.flatnonzero(reach < bounds)
+    if len(lags.values) != len(pairs):
+        raise ValueError(f"lag block has {len(lags.values)} rows for {len(pairs)} pairs")
+    short = np.flatnonzero(lags.max_lag < bounds)
     if short.size:
         j = short[0]
         raise ValueError(
-            f"lag vector for pair ({pairs[j].l}, {pairs[j].m}) covers +/-{reach[j]} "
+            f"lag block for pair ({pairs[j].l}, {pairs[j].m}) covers +/-{lags.max_lag} "
             f"samples but the baseline needs {bounds[j]}; use longer frames"
         )
-    if isinstance(lags, LagBlock):
-        return lags, bounds
-    k = int(reach.max())
-    full = np.zeros((len(pairs), 2 * k + 1))
-    for row, p, kp in zip(full, pairs, reach):
-        row[k - kp: k + kp + 1] = lags[p].values
-    return LagBlock.crop(full, lags[pairs[0]].sample_rate, int(bounds.max())), bounds
+    return lags, bounds
+
+
+def _spectral_block(gccs: SpectralBlock, array: MicArray) -> SpectralBlock:
+    """``gccs``, checked to be a SpectralBlock with rows in array.pairs() order."""
+    if not isinstance(gccs, SpectralBlock):
+        raise TypeError(f"frequency features must be a SpectralBlock, got {type(gccs).__name__}")
+    if gccs.pairs != array.pairs():
+        raise ValueError("spectral block rows must be the array's pairs, in array.pairs() order")
+    return gccs
 
 
 #: points per block of a lag table build. The block's (M, chunk) times
@@ -490,7 +483,7 @@ def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
 
 def srp_time_scores(
     points: np.ndarray,
-    lags: LagBlock | dict[MicPair, LagVector],
+    lags: LagBlock,
     array: MicArray,
     far_field: bool = False,
 ) -> np.ndarray:
@@ -499,17 +492,16 @@ def srp_time_scores(
 
 
 def srp_time_map(
-    lags: LagBlock | dict[MicPair, LagVector],
+    lags: LagBlock,
     grid: CandidateGrid,
     array: MicArray,
     bounds: np.ndarray | None = None,
 ) -> SrpMap:
     """Time-domain SRP map over a grid (far-field for DOA grids).
 
-    ``lags`` is a LagBlock or a dict of LagVectors (stacked into one
-    block on entry); ``bounds`` the array's lag_bounds when the caller
-    has them. Builds the grid's lag_table and gathers every point's
-    score: the exhaustive map that time_argmax searches.
+    ``bounds`` is the array's lag_bounds when the caller has them.
+    Builds the grid's lag_table and gathers every point's score: the
+    exhaustive map that time_argmax searches.
     """
     block, bounds = _lag_block(lags, array, bounds)
     table = lag_table(grid.points, array, grid.is_doa, bounds)
@@ -542,7 +534,7 @@ _HORNER_BLOCK = 32768
 
 def srp_freq_scores(
     points: np.ndarray,
-    gccs: SpectralBlock | dict,
+    gccs: SpectralBlock,
     array: MicArray,
     far_field: bool = False,
 ) -> np.ndarray:
@@ -562,13 +554,14 @@ def srp_freq_scores(
     (measured at n = 8192, band starts up to bin 4000). The counter
     adds G * P * |F|, |F| = in_band.sum().
     """
-    block = SpectralBlock.stack(gccs, array.pairs())
+    block = _spectral_block(gccs, array)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     scores = np.zeros(len(pts))
     P, k_lo = len(block.pairs), block.band.start
     if block.spectra.shape[1]:  # the band runs from the first in-band bin to the last
-        coef = np.ascontiguousarray(block.spectra.T)
-        coef *= _half_spectrum(block.in_band)[block.band, None]  # (K, P): row k - k_lo is bin k
+        # (K, P), row k - k_lo is bin k: a new array, as a transpose of one
+        # pair or one bin is already contiguous and scaling it would scale the block
+        coef = np.multiply(block.spectra.T, _half_spectrum(block.in_band)[block.band, None], order="C")
         df = block.sample_rate / len(block.in_band)
         spans = array.pair_rows()
         chunk = max(1, _HORNER_BLOCK // P)
@@ -603,12 +596,12 @@ def srp_freq_scores(
     return scores
 
 
-def srp_freq_map(gccs: SpectralBlock | dict, grid: CandidateGrid, array: MicArray) -> SrpMap:
+def srp_freq_map(gccs: SpectralBlock, grid: CandidateGrid, array: MicArray) -> SrpMap:
     """Frequency-domain SRP map over a grid (far-field for DOA grids)."""
     return SrpMap(grid, srp_freq_scores(grid.points, gccs, array, far_field=grid.is_doa), "frequency")
 
 
-def make_time_scorer(lags, array: MicArray, far_field: bool = False):
+def make_time_scorer(lags: LagBlock, array: MicArray, far_field: bool = False):
     """points (N, 3) -> time-domain SRP scores (N,); feeds searches and tracking."""
     block, bounds = _lag_block(lags, array)
 
@@ -618,9 +611,9 @@ def make_time_scorer(lags, array: MicArray, far_field: bool = False):
     return scorer
 
 
-def make_freq_scorer(gccs, array: MicArray, far_field: bool = False):
-    """points (N, 3) -> frequency-domain SRP scores (N,); a dict is stacked into a block once, here."""
-    block = SpectralBlock.stack(gccs, array.pairs())
+def make_freq_scorer(gccs: SpectralBlock, array: MicArray, far_field: bool = False):
+    """points (N, 3) -> frequency-domain SRP scores (N,); the block is checked once, here."""
+    block = _spectral_block(gccs, array)
 
     def scorer(points: np.ndarray) -> np.ndarray:
         return srp_freq_scores(points, block, array, far_field=far_field)
@@ -690,7 +683,7 @@ _POOLS = ("sum", "mean", "max")
 
 
 def vsrp_map(
-    lags: LagBlock | dict[MicPair, LagVector],
+    lags: LagBlock,
     volume_grid: VolumeGrid,
     array: MicArray,
     pooling: str = "sum",
@@ -702,9 +695,8 @@ def vsrp_map(
 
     A degenerate (zero-extent) volume with guard 0 reproduces the
     point SRP score at its center. Pooling is sum, mean or max per
-    pair; pairs always combine by summation. ``lags`` is a LagBlock
-    or a dict of LagVectors (stacked into one block on entry);
-    ``windows`` is the grid's lag_windows and ``bounds`` the array's
+    pair; pairs always combine by summation. ``windows`` is the
+    grid's lag_windows and ``bounds`` the array's
     lag_bounds when the caller has prepared them. Sum and mean pool
     by prefix sums cumsum([head, row]), which equal the uncropped
     row's np.cumsum, so they can differ from a direct window sum in
@@ -794,10 +786,10 @@ class PairwiseFreqScores:
 
 
 def pairwise_freq_scores(
-    gccs: SpectralBlock | dict, grid: CandidateGrid, array: MicArray
+    gccs: SpectralBlock, grid: CandidateGrid, array: MicArray
 ) -> PairwiseFreqScores:
     """The (P, G, F) steered-response tensor for weighted combination."""
-    block = SpectralBlock.stack(gccs, array.pairs())
+    block = _spectral_block(gccs, array)
     pairs, mask = block.pairs, block.in_band
     freqs = np.fft.fftfreq(len(mask), d=1.0 / block.sample_rate)[mask]
     pts = grid.points

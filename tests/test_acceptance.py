@@ -15,10 +15,11 @@ from scipy.signal import lfilter
 from xsrp.features import (
     FrameConfig,
     GccConfig,
-    compute_lag_vectors,
+    SpectralBlock,
     compute_spectral_gccs,
     frame_blocks,
     frame_stack,
+    lag_block,
 )
 from xsrp.geometry import MicArray, MicPair, SphericalDirection, tdoa, tdoa_matrix
 from xsrp.grids import CandidateGrid, Volume, VolumeGrid, cartesian_grid, doa_grid
@@ -77,9 +78,9 @@ def test_c1_tdoa_recovery():
     array, signals = _render(room, positions, [Source(src, sig)], 20.0, noise_seed=102)
     frames = frame_stack(signals, FrameConfig(4096, 4096), 0)
 
-    lag = compute_lag_vectors(frames, array)[MicPair(0, 1)]
-    peak_lag = int(lag.lags[np.argmax(lag.values)])
-    cc = compute_lag_vectors(frames, array, GccConfig(beta=0.0, gamma=0.0))[MicPair(0, 1)]
+    lag = lag_block(frames, array)  # one row: pair (0, 1), lags -K..K
+    peak_lag = int(np.argmax(lag.values[0])) - lag.max_lag
+    cc = lag_block(frames, array, GccConfig(beta=0.0, gamma=0.0))
 
     def par(v):
         return float(v.values.max() / np.abs(v.values).mean())
@@ -150,7 +151,7 @@ def test_c3_free_field_localization():
         sig = noise(16000, seed=4000 + trial)
         array, signals = _render(room, positions, [Source(src, sig)], 20.0, 5000 + trial)
         frames = frame_stack(signals, FrameConfig(8192, 8192), 0)
-        lags = compute_lag_vectors(frames, array, cfg)
+        lags = lag_block(frames, array, cfg)
         est = argmax_search(srp_time_map(lags, grid, array)).estimate
         errors.append(float(np.linalg.norm(est - src)))
     med = float(np.median(errors))
@@ -195,7 +196,7 @@ def test_c4_time_frequency_consistency():
         array, signals = _render([14.0, 2.0, 2.0], positions, [Source(src, sig)], 20.0, 8000 + trial)
         frames = frame_stack(signals, FrameConfig(2048, 2048), 0)
         gccs = compute_spectral_gccs(frames, array)
-        lags = compute_lag_vectors(frames, array)
+        lags = lag_block(frames, array)
         i_time = int(np.argmax(srp_time_map(lags, grid, array).scores))
         i_freq = int(np.argmax(srp_freq_map(gccs, grid, array).scores))
         if i_time == i_freq:
@@ -238,7 +239,7 @@ def test_c5_volumetric_bounds():
     sig = white_noise(4096 + 512, seed=44)
     array, signals = _render([6.0, 5.0, 3.0], positions, [Source(src, sig)], 20.0, 45)
     frames = frame_stack(signals, FrameConfig(4096, 4096), 0)
-    lags = compute_lag_vectors(frames, array)
+    lags = lag_block(frames, array)
     centers = rng2.uniform(0.5, [5.5, 4.5, 2.5], size=(24, 3))
     vgrid = VolumeGrid([Volume(c, np.zeros(3)) for c in centers])
     pooled = vsrp_map(lags, vgrid, array, pooling="sum", guard=0.0).scores
@@ -271,7 +272,7 @@ def test_c6_src_efficiency():
         sig = white_noise(4096 + 512, seed=9100 + trial)
         array, signals = _render(room, positions, [Source(src, sig)], 20.0, 9200 + trial)
         frames = frame_stack(signals, FrameConfig(4096, 4096), 0)
-        lags = compute_lag_vectors(frames, array, cfg)
+        lags = lag_block(frames, array, cfg)
 
         counter.reset()
         exhaustive = argmax_search(srp_time_map(lags, grid, array)).estimate
@@ -314,7 +315,7 @@ def test_c7_complexity_law():
         array, signals = _render(room, positions, [Source(src, sig)], 20.0, 53)
         frames = frame_stack(signals, FrameConfig(1024, 1024), 0)
         gccs = compute_spectral_gccs(frames, array, GccConfig(band=band))
-        lags = compute_lag_vectors(frames, array, GccConfig(band=band))
+        lags = lag_block(frames, array, GccConfig(band=band))
         n_bins = int(next(iter(gccs.values())).in_band.sum())
         return array, gccs, lags, n_bins
 
@@ -400,12 +401,15 @@ def test_c8_weighted_reductions():
         tsig = white_noise(2048 + 512, seed=6600 + trial)
         tarr, tsignals = _render(room, tpos, [Source(tsrc, tsig)], 20.0, 6700 + trial)
         tframes = frame_stack(tsignals, FrameConfig(2048, 2048), 0)
-        tg = dict(compute_spectral_gccs(tframes, tarr, GccConfig(band=(300.0, 1500.0))))
-        # corrupt one pair: substitute the gcc of two unrelated noises
+        tg = compute_spectral_gccs(tframes, tarr, GccConfig(band=(300.0, 1500.0)))
+        # corrupt one pair: substitute the gcc of two unrelated noises in
+        # row (0, 1) of a copy of the block
         junk = np.stack([white_noise(2048, seed=6800 + trial), white_noise(2048, seed=6900 + trial)])
         jg = compute_spectral_gccs(junk, MicArray(tpos[:2], sample_rate=FS),
                                    GccConfig(band=(300.0, 1500.0)))
-        tg[MicPair(0, 1)] = jg[MicPair(0, 1)]
+        spectra = tg.spectra.copy()
+        spectra[tg.pairs.index(MicPair(0, 1))] = jg.spectra[0]
+        tg = SpectralBlock(spectra, tg.band, tg.in_band, tg.sample_rate, tg.pairs)
         tt = pairwise_freq_scores(tg, grid, tarr)
         for combi, bucket in (("sum", sum_err), ("product", prod_err)):
             est = argmax_search(wsrp_map(tt, WsrpConfig(pair_combinator=combi))).estimate
@@ -449,7 +453,7 @@ def test_c9_multi_source():
         ]
         array, signals = _render(room, positions, sources, 20.0, 13_000 + trial)
         frames = frame_stack(signals, FrameConfig(8192, 8192), 0)
-        lags = compute_lag_vectors(frames, array, cfg)
+        lags = lag_block(frames, array, cfg)
         est = localize_multi(lags, grid, array, MultiConfig(n_sources=2))
         if len(est) == 2:
             d_direct = max(
@@ -469,7 +473,7 @@ def test_c9_multi_source():
         room, positions, [Source(src, white_noise(8192 + 512, seed=14_001))], 20.0, 14_002
     )
     frames = frame_stack(signals, FrameConfig(8192, 8192), 0)
-    lags = compute_lag_vectors(frames, array, cfg)
+    lags = lag_block(frames, array, cfg)
     single = argmax_search(srp_time_map(lags, grid, array))
     multi = localize_multi(lags, grid, array, MultiConfig(n_sources=1))
     bitwise = np.array_equal(multi.positions[0], single.estimate) and multi.scores[0] == single.score
@@ -526,7 +530,7 @@ def test_c10_tracking():
     argmax_errs = []
     for i, p in enumerate(points):
         frames = frame_stack(signals, frame_cfg, p.frame)
-        lags = compute_lag_vectors(frames, array, gcc_cfg)
+        lags = lag_block(frames, array, gcc_cfg)
         est = argmax_search(srp_time_map(lags, grid, array)).estimate
         argmax_errs.append(float(np.sum((est - truth[i]) ** 2)))
     rmse_argmax = float(np.sqrt(np.mean(argmax_errs)))

@@ -6,8 +6,8 @@ block; everything spectral is checked against it, against closed-form
 properties (unit PHAT magnitude, conjugate symmetry, band support),
 against a per-pair two-sided reference of the GCC formula, or against
 exact round trips. Pair features are read through the two public
-edges, compute_spectral_gccs and compute_lag_vectors, on a 2-mic array
-unless a test needs more microphones.
+edges, compute_spectral_gccs and lag_block, on a 2-mic array unless a
+test needs more microphones.
 """
 
 import tracemalloc
@@ -24,10 +24,8 @@ from xsrp.features import (
     FrameConfig,
     GccConfig,
     LagBlock,
-    LagVector,
     SpectralGcc,
     analysis_band,
-    compute_lag_vectors,
     compute_spectral_gccs,
     frame_stack,
     half_from_lags,
@@ -50,8 +48,13 @@ def pair_gcc(xl, xm, fs, cfg=None) -> SpectralGcc:
     return compute_spectral_gccs(np.stack([xl, xm]), pair_array(fs), cfg)[PAIR]
 
 
-def pair_lags(xl, xm, fs=1.0, cfg=None) -> LagVector:
-    return compute_lag_vectors(np.stack([xl, xm]), pair_array(fs), cfg)[PAIR]
+def pair_lags(xl, xm, fs=1.0, cfg=None) -> LagBlock:
+    """The pair's lags -(L-1)..(L-1): the uncropped lag_block, one row."""
+    return lag_block(np.stack([xl, xm]), pair_array(fs), cfg)
+
+
+def peak_lag(block: LagBlock, row: int = 0) -> int:
+    return int(np.argmax(block.values[row])) - block.max_lag
 
 
 def direct_cc(xl, xm):
@@ -75,7 +78,7 @@ def test_cross_correlation_matches_direct_sum():
             xl = rng.normal(size=L)
             xm = rng.normal(size=L)
             cc = pair_lags(xl, xm, cfg=CC)
-            np.testing.assert_allclose(cc.values, direct_cc(xl, xm), atol=1e-9)
+            np.testing.assert_allclose(cc.values[0], direct_cc(xl, xm), atol=1e-9)
             assert cc.max_lag == L - 1
 
 
@@ -85,10 +88,8 @@ def test_cross_correlation_peak_at_integer_delay():
     for s in (1, 5, 20):
         # xl delayed by s relative to xm puts the peak at +s
         xl = np.concatenate([np.zeros(s), x[:-s]])
-        cc = pair_lags(xl, x, cfg=CC)
-        assert cc.lags[np.argmax(cc.values)] == s
-        cc_rev = pair_lags(x, xl, cfg=CC)
-        assert cc_rev.lags[np.argmax(cc_rev.values)] == -s
+        assert peak_lag(pair_lags(xl, x, cfg=CC)) == s
+        assert peak_lag(pair_lags(x, xl, cfg=CC)) == -s
 
 
 def test_cross_correlation_swap_reverses_lags():
@@ -97,13 +98,13 @@ def test_cross_correlation_swap_reverses_lags():
     xm = rng.normal(size=64)
     fwd = pair_lags(xl, xm, cfg=CC)
     rev = pair_lags(xm, xl, cfg=CC)
-    np.testing.assert_allclose(fwd.values, rev.values[::-1], atol=1e-10)
+    np.testing.assert_allclose(fwd.values[0], rev.values[0, ::-1], atol=1e-10)
 
 
 def test_cross_correlation_validates_inputs():
     for frames in (np.zeros((1, 8)), np.zeros((3, 8))):
         with pytest.raises(ValueError, match="channels"):
-            compute_lag_vectors(frames, pair_array(), CC)
+            lag_block(frames, pair_array(), CC)
 
 
 def test_spectrum_roundtrip_and_padding():
@@ -167,7 +168,7 @@ def test_beta_zero_gamma_zero_is_raw_cross_spectrum():
     )
     # and its inverse transform is the classical cross-correlation
     lag = temporal_gcc(g)
-    np.testing.assert_allclose(lag.values, direct_cc(xl, xm), atol=1e-8)
+    np.testing.assert_allclose(lag.values[0], direct_cc(xl, xm), atol=1e-8)
     np.testing.assert_allclose(pair_lags(xl, xm, fs, CC).values, lag.values, atol=1e-12)
 
 
@@ -177,8 +178,7 @@ def test_phat_peak_at_integer_delay():
     x = rng.normal(size=512)
     for s in (2, 9, 41):
         xl = np.concatenate([np.zeros(s), x[:-s]])
-        lag = pair_lags(xl, x, fs)
-        assert lag.lags[np.argmax(lag.values)] == s
+        assert peak_lag(pair_lags(xl, x, fs)) == s
 
 
 def test_half_from_lags_left_inverse():
@@ -276,18 +276,6 @@ def test_frame_stack_shape():
     np.testing.assert_array_equal(block[2], sig[2, 16:48])
 
 
-def test_lag_vector_accessors():
-    lv = LagVector(np.arange(7, dtype=float), 1000.0)
-    assert lv.max_lag == 3
-    np.testing.assert_array_equal(lv.lags, [-3, -2, -1, 0, 1, 2, 3])
-    assert lv.at_lag(-3) == 0.0
-    assert lv.at_lag(3) == 6.0
-    with pytest.raises(ValueError, match="lag"):
-        lv.at_lag(4)
-    with pytest.raises(ValueError, match="odd"):
-        LagVector(np.zeros(6), 1000.0)
-
-
 def test_gcc_config_validation():
     with pytest.raises(ValueError, match="beta"):
         GccConfig(beta=1.5)
@@ -302,17 +290,16 @@ def test_pairwise_helpers_cover_all_pairs():
     arr = MicArray(rng.uniform(0, 1, size=(4, 3)), sample_rate=8000.0)
     frames = rng.normal(size=(4, 64))
     gccs = compute_spectral_gccs(frames, arr)
-    lags = compute_lag_vectors(frames, arr)
-    ccs = compute_lag_vectors(frames, arr, CC)
-    assert set(gccs) == set(lags) == set(ccs) == set(arr.pairs())
-    for p, g in gccs.items():
-        np.testing.assert_allclose(
-            temporal_gcc(g).values, lags[p].values, atol=1e-12
-        )
+    lags = lag_block(frames, arr)
+    ccs = lag_block(frames, arr, CC)
+    assert list(gccs) == arr.pairs()
+    assert len(lags.values) == len(ccs.values) == arr.n_pairs
+    for g, row in zip(gccs.values(), lags.values):
+        np.testing.assert_allclose(temporal_gcc(g).values[0], row, atol=1e-12)
     with pytest.raises(ValueError, match="channels"):
         compute_spectral_gccs(frames[:3], arr)
     with pytest.raises(ValueError, match="channels"):
-        compute_lag_vectors(frames[:3], arr, CC)
+        lag_block(frames[:3], arr, CC)
 
 
 def reference_gccs(frames, fs, cfg):
@@ -377,10 +364,10 @@ def test_block_matches_per_pair_reference(n_mics, log_len, beta, gamma, band, de
     arr = MicArray(rng.uniform(0, 1, size=(n_mics, 3)), sample_rate=fs)
     want, freqs, mask = reference_gccs(frames, fs, cfg)
     gccs = compute_spectral_gccs(frames, arr, cfg)
-    lags = compute_lag_vectors(frames, arr, cfg)
-    assert list(gccs) == list(lags) == arr.pairs()
+    lags = lag_block(frames, arr, cfg)
+    assert list(gccs) == arr.pairs() and len(lags.values) == arr.n_pairs
     n = 2 * frames.shape[1]
-    for p, g in gccs.items():
+    for (p, g), got in zip(gccs.items(), lags.values):
         ref = want[p]
         np.testing.assert_array_equal(g.freqs, freqs)
         np.testing.assert_array_equal(g.in_band, mask)
@@ -388,7 +375,6 @@ def test_block_matches_per_pair_reference(n_mics, log_len, beta, gamma, band, de
         assert np.max(np.abs(g.values - ref)) <= 1e-12 * np.max(np.abs(ref))
         circ = np.fft.ifft(ref).real
         ref_lags = np.concatenate([circ[n // 2 + 1:], circ[: n // 2]])
-        got = lags[p].values
         assert np.max(np.abs(got - ref_lags)) <= 1e-12 * np.max(np.abs(ref_lags))
         if dead in (p.l, p.m):
             assert np.all(g.values == 0) and np.all(got == 0)

@@ -10,19 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xsrp import srp_core
+from xsrp import features, srp_core
 from xsrp.features import (
     FrameConfig,
     GccConfig,
     LagBlock,
-    LagVector,
     SpectralBlock,
-    SpectralGcc,
-    compute_lag_vectors,
     compute_spectral_gccs,
     frame_stack,
     gccs_from_half,
     half_from_lags,
+    lag_block,
     lags_from_half,
 )
 from xsrp.geometry import MicArray, MicPair, far_field_tdoa_matrix, tdoa, tdoa_matrix
@@ -64,56 +62,53 @@ def wide_array() -> MicArray:
 
 
 def bump_features(array, sources, max_lag=340, width_samples=0.8):
-    """Per-pair lag vectors with one Gaussian bump per source.
+    """A lag block, a row per pair, with one Gaussian bump per source.
 
     ``sources`` is a list of (position, amplitude). The bump width is
     in samples; max_lag must cover the largest TDOA of the geometry.
     """
     taus = np.arange(-max_lag, max_lag + 1) / array.sample_rate
     sig = width_samples / array.sample_rate
-    feats = {}
-    for pair in array.pairs():
-        v = np.zeros_like(taus)
+    rows = np.zeros((array.n_pairs, len(taus)))
+    for v, pair in zip(rows, array.pairs()):
         for pos, amp in sources:
             t = tdoa(pos, pair, array)
             v += amp * np.exp(-((taus - t) ** 2) / (2.0 * sig**2))
-        feats[pair] = LagVector(v, array.sample_rate)
-    return feats
+    return LagBlock(rows, array.sample_rate)
 
 
-def spectral_of(lag: LagVector) -> SpectralGcc:
-    """The two-sided spectrum of a lag vector, its wrap slot at lag n/2 zero."""
+def spectral_of(lag: LagBlock, pairs) -> SpectralBlock:
+    """The full-band spectra of a lag block's rows, their wrap slot at lag n/2 zero."""
     k = lag.max_lag
     n = 2 * (k + 1)
-    circ = np.zeros(n)
-    circ[: k + 1] = lag.values[k:]
-    circ[n - k:] = lag.values[:k]
-    return SpectralGcc(
-        np.fft.fft(circ), np.fft.fftfreq(n, d=1.0 / lag.sample_rate), lag.sample_rate,
-        np.ones(n, dtype=bool),
-    )
+    circ = np.zeros((len(lag.values), n))
+    circ[:, : k + 1] = lag.values[:, k:]
+    circ[:, n - k:] = lag.values[:, :k]
+    band = slice(0, n // 2 + 1)
+    return SpectralBlock(np.fft.fft(circ)[:, band], band, np.ones(n, dtype=bool), lag.sample_rate, pairs)
 
 
 def test_notch_is_exactly_zero_at_center():
-    lag = LagVector(np.ones(129), FS)
+    lag = LagBlock(np.ones((1, 129)), FS)
     t0 = 17 / FS  # on a lag sample, so the exponent is exactly zero
-    out = deemphasize({PAIR: lag}, [t0], default_notch_sigma(wide_array()))[PAIR]
-    assert out.at_lag(17) == 0.0
+    out = deemphasize(lag, [t0], default_notch_sigma(wide_array()))
+    assert out.values[0, 17 + out.max_lag] == 0.0
     assert out.sample_rate == FS
     # every pair at once, each zero at its own center
-    feats = {p: LagVector(np.ones(129), FS) for p in wide_array().pairs()}
-    centers = np.arange(len(feats)) - 4
+    n_pairs = wide_array().n_pairs
+    feats = LagBlock(np.ones((n_pairs, 129)), FS)
+    centers = np.arange(n_pairs) - 4
     out = deemphasize(feats, centers / FS, 2.0 / FS)
-    assert list(out) == list(feats)
-    for p, c in zip(feats, centers):
-        assert out[p].at_lag(int(c)) == 0.0
+    assert out.values.shape == (n_pairs, 129)
+    for row, c in zip(out.values, centers):
+        assert row[int(c) + out.max_lag] == 0.0
 
 
 def test_notch_locality_and_symmetry():
-    lag = LagVector(np.ones(257), FS)
+    lag = LagBlock(np.ones((1, 257)), FS)
     sigma = 2.0 / FS
-    out = deemphasize({PAIR: lag}, [0.0], sigma)[PAIR]
-    vals = out.values
+    out = deemphasize(lag, [0.0], sigma)
+    vals = out.values[0]
     k = out.max_lag
     # symmetric around the notch center
     np.testing.assert_allclose(vals, vals[::-1], atol=1e-15)
@@ -121,14 +116,14 @@ def test_notch_locality_and_symmetry():
     right = vals[k:]
     assert np.all(np.diff(right) >= -1e-15)
     # beyond six sigma the relative change is under 1e-6
-    far = np.abs(out.lags) > 12
+    far = np.abs(np.arange(-k, k + 1)) > 12
     assert np.all(np.abs(vals[far] - 1.0) < 1e-6)
     # and the floor is genuine: 1 - exp(-36/2)
     assert abs(vals[k + 12] - 1.0) == pytest.approx(math.exp(-18.0), rel=1e-9)
 
 
 def test_notch_validation():
-    feats = {PAIR: LagVector(np.ones(65), FS)}
+    feats = LagBlock(np.ones((1, 65)), FS)
     with pytest.raises(ValueError, match="sigma"):
         deemphasize(feats, [0.0], 0.0)
     with pytest.raises(ValueError, match="lag range"):
@@ -160,10 +155,9 @@ def test_windowed_notch_equals_full_block_formula(sigma_samples):
     edges = np.array([k, -k, k - 0.4, -k + 0.4, k - 3, -k + 2.5])
     centers = np.concatenate([edges, rng.uniform(-k, k, size=len(pairs) - len(edges))]) / FS
     lags = rng.normal(size=(len(pairs), 2 * k + 1))
-    feats = {p: LagVector(v, FS) for p, v in zip(pairs, lags)}
-    out = deemphasize(feats, centers, sigma)
+    out = deemphasize(LagBlock(lags.copy(), FS), centers, sigma)
     expect = full_block_notch(lags, centers, sigma, FS)
-    np.testing.assert_array_equal(np.stack([out[p].values for p in pairs]), expect)
+    np.testing.assert_array_equal(out.values, expect)
 
     gccs = compute_spectral_gccs(rng.normal(size=(8, 256)), array, GccConfig(band=(300.0, 5000.0)))
     first = gccs[pairs[0]]
@@ -184,11 +178,11 @@ def test_default_notch_sigma_is_two_samples():
 
 def test_spectral_notch_matches_lag_notch():
     rng = np.random.default_rng(3)
-    lag = LagVector(rng.normal(size=255), FS)
+    lag = LagBlock(rng.normal(size=(1, 255)), FS)
     t0 = -9 / FS
     sigma = 2.0 / FS
-    notched = deemphasize({PAIR: spectral_of(lag)}, [t0], sigma)[PAIR]
-    expect = spectral_of(deemphasize({PAIR: lag}, [t0], sigma)[PAIR])
+    notched = deemphasize(spectral_of(lag, [PAIR]), [t0], sigma)[PAIR]
+    expect = spectral_of(deemphasize(lag.copy(), [t0], sigma), [PAIR])[PAIR]
     np.testing.assert_allclose(notched.values, expect.values, atol=1e-12)
     assert notched.sample_rate == FS
 
@@ -208,6 +202,14 @@ def test_spectral_notch_stays_in_band():
 def two_sided(block: SpectralBlock) -> dict:
     """A block's features as a plain dict of two-sided SpectralGccs, laid out eagerly."""
     return gccs_from_half(block.spectra, block.in_band, block.sample_rate, block.pairs, block.band)
+
+
+def block_of(gccs: dict) -> SpectralBlock:
+    """Two-sided SpectralGccs, in pair order, as the block of their in-band f >= 0 bins."""
+    first = next(iter(gccs.values()))
+    band = features._half_band(first.in_band)
+    spectra = np.stack([g.values[band] for g in gccs.values()])
+    return SpectralBlock(spectra, band, first.in_band, first.sample_rate, list(gccs))
 
 
 def dict_chain_notch(gccs, tdoa_hat, sigma):
@@ -247,13 +249,13 @@ def test_block_notch_equals_the_two_sided_dict_chain_bitwise(n_mics, log_len, ed
 
 
 def _dict_chain_rounds(gccs, grid, array, cfg):
-    """Frequency-domain rounds of one frame on a two-sided dict: srp_freq_map ->
-    argmax_search -> the dict chain's notch."""
+    """Frequency-domain rounds of one frame on a two-sided dict: srp_freq_map
+    of its block -> argmax_search -> the dict chain's notch."""
     sigma = cfg.notch_sigma or default_notch_sigma(array)
     cap, auto = cfg.n_sources or 10, cfg.n_sources is None
     work, found = gccs, []
     while True:
-        res = argmax_search(srp_core.srp_freq_map(work, grid, array))
+        res = argmax_search(srp_core.srp_freq_map(block_of(work), grid, array))
         if auto and not found and res.score <= 0:
             warnings.warn("auto mode: first peak is non-positive; no sources found")
             break
@@ -295,7 +297,7 @@ def test_single_source_path_is_bitwise_identical():
     scene = SceneSpec(ROOM, [Source(SRC_A, sig)])
     signals = add_noise(synthesize_free_field(scene, array), 25.0, seed=2)
     frames = frame_stack(signals, FrameConfig(4096, 4096), 0)
-    feats = compute_lag_vectors(frames, array)
+    feats = lag_block(frames, array)
     grid = cartesian_grid(ROOM, 0.5)
 
     single = argmax_search(srp_time_map(feats, grid, array))
@@ -319,9 +321,7 @@ def test_two_bump_sources_recovered_in_score_order():
 
 def test_two_bump_sources_recovered_in_frequency_rounds():
     array = wide_array()
-    lags = bump_features(array, [(SRC_A, 1.0), (SRC_B, 0.8)])
-    # reversed insertion order: the rounds notch pairs by key, not by position
-    feats = {p: spectral_of(lags[p]) for p in reversed(array.pairs())}
+    feats = spectral_of(bump_features(array, [(SRC_A, 1.0), (SRC_B, 0.8)]), array.pairs())
     grid = cartesian_grid(ROOM, 0.5)
     est = localize_multi(feats, grid, array, MultiConfig(n_sources=2))
     assert len(est) == 2
@@ -340,7 +340,7 @@ def test_auto_mode_stops_after_single_source():
 
 def test_auto_mode_warns_on_nonpositive_first_peak():
     array = wide_array()
-    feats = {p: LagVector(np.zeros(681), FS) for p in array.pairs()}
+    feats = LagBlock(np.zeros((array.n_pairs, 681)), FS)
     grid = cartesian_grid(ROOM, 1.0)
     with pytest.warns(UserWarning, match="non-positive"):
         est = localize_multi(feats, grid, array, MultiConfig(n_sources=None))
@@ -371,6 +371,17 @@ def test_non_exhaustive_search_rejected():
     grid = cartesian_grid(ROOM, 1.0)
     with pytest.raises(ValueError, match="exhaustive"):
         localize_multi(feats, grid, array, search=SearchConfig(mode="src"))
+
+
+def test_a_batch_holds_one_feature_domain_and_may_be_empty():
+    array = wide_array()
+    grid = cartesian_grid(ROOM, 1.0)
+    lags = bump_features(array, [(SRC_A, 1.0)])
+    spectra = spectral_of(lags, array.pairs())
+    for batch in ([lags, spectra], [spectra, lags]):
+        with pytest.raises(ValueError, match="mixes time and frequency"):
+            localize_multi_batch(batch, grid, array)
+    assert localize_multi_batch([], grid, array) == []  # the end of a stream
 
 
 def test_multi_config_validation():

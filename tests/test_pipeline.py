@@ -18,9 +18,9 @@ from xsrp.features import (
     FrameConfig,
     GccConfig,
     LagBlock,
-    compute_lag_vectors,
     compute_spectral_gccs,
     frame_stack,
+    lag_block,
 )
 from xsrp.geometry import MicArray, MicPair
 from xsrp.grids import Volume, cartesian_grid, partition_room
@@ -89,7 +89,7 @@ def gccs_of(scene, beta=1.0, gamma=None):
 
 def lags_of(scene):
     array, frames = scene
-    return compute_lag_vectors(frames, array, GccConfig(band=BAND))
+    return lag_block(frames, array, GccConfig(band=BAND))
 
 
 # ---------------------------------------------------------------- validation
@@ -268,7 +268,7 @@ def test_cc_time_pipeline_matches_standalone(scene):
     )
     est = x_srp(frames, array, room=ROOM, cfg=cfg)
 
-    lags = compute_lag_vectors(frames, array, GccConfig(beta=0.0, gamma=0.0))
+    lags = lag_block(frames, array, GccConfig(beta=0.0, gamma=0.0))
     ref = argmax_search(srp_time_map(lags, cartesian_grid(ROOM, 0.5), array))
     assert np.array_equal(est.positions[0], ref.estimate)
     assert est.scores[0] == ref.score
@@ -459,7 +459,7 @@ def test_subdivide_update_refines_estimate(scene):
     # pass 1 is exactly the coarse exhaustive map, and refinement
     # can only add rows, so the coarse winner appears verbatim and
     # the overall best scores at least as high
-    lags = compute_lag_vectors(frames, array, GccConfig(band=low_band))
+    lags = lag_block(frames, array, GccConfig(band=low_band))
     coarse = argmax_search(srp_time_map(lags, cartesian_grid(ROOM, 0.4), array))
     assert any(
         np.array_equal(p, coarse.estimate) and s == coarse.score for p, s in est

@@ -18,10 +18,8 @@ from hypothesis import strategies as st
 from xsrp.features import (
     FrameConfig,
     GccConfig,
-    LagVector,
+    LagBlock,
     SpectralBlock,
-    SpectralGcc,
-    compute_lag_vectors,
     compute_spectral_gccs,
     frame_stack,
     gccs_from_half,
@@ -83,9 +81,15 @@ def scene():
     spec = SceneSpec(room_dims=ROOM, sources=[Source(SRC, sig)], snr_db=25.0, seed=5)
     signals = synthesize_free_field(spec, array)
     frames = frame_stack(signals, FrameConfig(frame_len=4096, hop=4096), 0)
-    lags = compute_lag_vectors(frames, array, GccConfig(band=(100.0, 4000.0)))
+    lags = lag_block(frames, array, GccConfig(band=(100.0, 4000.0)))
     gccs = compute_spectral_gccs(frames, array, GccConfig(band=(100.0, 4000.0)))
     return array, lags, gccs
+
+
+def hand_block(spectra, in_band, pairs, fs=FS) -> SpectralBlock:
+    """Two-sided (P, n) spectra as the SpectralBlock of their in-band f >= 0 bins."""
+    band = features._half_band(in_band)
+    return SpectralBlock(spectra[:, band], band, in_band, fs, pairs)
 
 
 def test_time_scores_identity(scene):
@@ -95,9 +99,9 @@ def test_time_scores_identity(scene):
     scores = srp_time_scores(pts, lags, array)
     for i in range(len(pts)):
         expected = 0.0
-        for p in array.pairs():
+        for j, p in enumerate(array.pairs()):
             k = int(np.rint(tdoa(pts[i], p, array) * FS))
-            expected += lags[p].at_lag(k)
+            expected += lags.values[j, k + lags.max_lag]
         assert abs(scores[i] - expected) < 1e-12
 
 
@@ -140,10 +144,10 @@ def test_freq_single_bin_closed_form():
     values[n - k0] = np.conj(values[k0])
     in_band = np.zeros(n, dtype=bool)
     in_band[k0] = in_band[n - k0] = True
-    g = SpectralGcc(values, freqs, fs, in_band)
+    g = hand_block(values[None, :], in_band, [MicPair(0, 1)], fs)
     xs = np.linspace(0.05, 0.45, 33)
     pts = np.column_stack([xs, np.zeros(33), np.zeros(33)])
-    scores = srp_freq_scores(pts, {MicPair(0, 1): g}, array)
+    scores = srp_freq_scores(pts, g, array)
     taus = (2.0 * xs - 0.5) / array.speed_of_sound
     np.testing.assert_allclose(scores, 2.0 * np.cos(2.0 * math.pi * f0 * (taus - t0)), atol=1e-9)
 
@@ -168,7 +172,7 @@ def _freq_cases(draw):
     in_band = (np.abs(freqs) >= band[0]) & (np.abs(freqs) <= band[1])
     spectra = np.fft.fft(rng.normal(size=(array.n_pairs, n)))
     spectra = np.where(in_band, spectra / np.maximum(np.abs(spectra), 1e-12), 0.0)
-    gccs = {p: SpectralGcc(v, freqs, FS, in_band) for p, v in zip(array.pairs(), spectra)}
+    gccs = hand_block(spectra, in_band, array.pairs())
     far_field = draw(st.booleans())
     pts = rng.normal(size=(draw(st.integers(20, 60)), 3))
     if far_field:
@@ -252,7 +256,7 @@ def test_freq_scores_exact_at_large_band_starts(k_lo, k_hi, far_field):
     in_band = (np.abs(freqs) >= (k_lo - 0.5) * df) & (np.abs(freqs) <= (k_hi + 0.5) * df)
     spectra = np.fft.fft(rng.normal(size=(array.n_pairs, n)))
     spectra = np.where(in_band, spectra / np.abs(spectra), 0.0)
-    gccs = {p: SpectralGcc(v, freqs, FS, in_band) for p, v in zip(array.pairs(), spectra)}
+    gccs = hand_block(spectra, in_band, array.pairs())
     if far_field:
         pts = rng.normal(size=(40, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -301,22 +305,6 @@ def two_sided_gccs(frames, array, cfg):
 
 @settings(max_examples=80, deadline=None)
 @given(case=_block_cases())
-def test_freq_scores_of_a_block_equal_those_of_its_two_sided_dict(case):
-    array, frames, cfg, pts, far_field = case
-    block = compute_spectral_gccs(frames, array, cfg)
-    assert isinstance(block, SpectralBlock)
-    counter.reset()
-    got = srp_freq_scores(pts, block, array, far_field=far_field)
-    got_counts = counter.snapshot()
-    counter.reset()
-    want = srp_freq_scores(pts, two_sided_gccs(frames, array, cfg), array, far_field=far_field)
-    assert np.array_equal(got, want)
-    assert got_counts == counter.snapshot()
-    assert got_counts[1] == len(pts) * array.n_pairs * int(block.in_band.sum())
-
-
-@settings(max_examples=80, deadline=None)
-@given(case=_block_cases())
 def test_block_items_equal_the_eager_two_sided_gccs_bitwise(case):
     array, frames, cfg, _, _ = case
     block = compute_spectral_gccs(frames, array, cfg)
@@ -330,19 +318,6 @@ def test_block_items_equal_the_eager_two_sided_gccs_bitwise(case):
         assert g.sample_rate == w.sample_rate
     with pytest.raises(TypeError):
         block[MicPair(0, 1)] = want[MicPair(0, 1)]  # read-only
-
-
-def test_freq_scores_reject_spectra_off_the_dft_grid():
-    n = 64
-    array = MicArray([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], sample_rate=FS)
-    on_grid = np.fft.fftfreq(n, d=1.0 / FS)
-    pts = np.array([[0.2, 0.1, 0.0]])
-    for freqs in (on_grid + 0.3 * FS / n, np.linspace(-FS / 2, FS / 2, n)):
-        g = SpectralGcc(np.ones(n), freqs, FS, np.ones(n, dtype=bool))
-        with pytest.raises(ValueError, match="DFT grid"):
-            srp_freq_scores(pts, {MicPair(0, 1): g}, array)
-        with pytest.raises(ValueError, match="DFT grid"):
-            pairwise_freq_scores({MicPair(0, 1): g}, CandidateGrid("cartesian3d", pts), array)
 
 
 def test_freq_far_field_matches_distant_exact(scene):
@@ -374,8 +349,8 @@ def test_translation_invariance(scene):
     np.testing.assert_allclose(
         srp_freq_scores(pts, g1, a1), srp_freq_scores(pts + shift, g2, a2), rtol=1e-9
     )
-    l1 = compute_lag_vectors(frames, a1, CC)
-    l2 = compute_lag_vectors(frames, a2, CC)
+    l1 = lag_block(frames, a1, CC)
+    l2 = lag_block(frames, a2, CC)
     np.testing.assert_allclose(
         srp_time_scores(pts, l1, a1), srp_time_scores(pts + shift, l2, a2), rtol=1e-9
     )
@@ -391,8 +366,8 @@ def test_channel_permutation_invariance():
     a1 = MicArray(positions, sample_rate=fs)
     a2 = MicArray(positions[perm], sample_rate=fs)
     pts = rng.uniform(0, 3, size=(10, 3))
-    s1 = srp_time_scores(pts, compute_lag_vectors(frames, a1, CC), a1)
-    s2 = srp_time_scores(pts, compute_lag_vectors(frames[perm], a2, CC), a2)
+    s1 = srp_time_scores(pts, lag_block(frames, a1, CC), a1)
+    s2 = srp_time_scores(pts, lag_block(frames[perm], a2, CC), a2)
     np.testing.assert_allclose(s1, s2, rtol=1e-9)
     f1 = srp_freq_scores(pts, compute_spectral_gccs(frames, a1), a1)
     f2 = srp_freq_scores(pts, compute_spectral_gccs(frames[perm], a2), a2)
@@ -405,7 +380,7 @@ def test_lag_coverage_precondition():
     rng = np.random.default_rng(5)
     # 3 m baseline needs ~140 lags; 64-sample frames cover only 63
     frames = rng.normal(size=(2, 64))
-    lags = compute_lag_vectors(frames, array, CC)
+    lags = lag_block(frames, array, CC)
     with pytest.raises(ValueError, match="longer frames"):
         srp_time_scores(np.array([[1.0, 1.0, 1.0]]), lags, array)
 
@@ -420,7 +395,7 @@ def _offset_reference(pts, array, far_field=False):
 
 @st.composite
 def _time_cases(draw):
-    """Lag vectors from each pair's shortest covering length up, and candidates.
+    """A lag block from the longest pair's covering length up, and candidates.
 
     Cartesian candidates lie in and out of a 3 m box and include the
     mics themselves (|tau| = max_tdoa); bearings include the baselines.
@@ -428,10 +403,8 @@ def _time_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fs = draw(st.floats(1000.0, 96000.0))
     array = MicArray(rng.uniform(0.0, 3.0, size=(draw(st.integers(2, 8)), 3)), sample_rate=fs)
-    lags = {}
-    for p in array.pairs():
-        k = round(max_tdoa(p, array) * fs) + 1 + draw(st.integers(0, 40))
-        lags[p] = LagVector(rng.normal(size=2 * k + 1), fs)
+    k = max(round(max_tdoa(p, array) * fs) + 1 for p in array.pairs()) + draw(st.integers(0, 40))
+    lags = LagBlock(rng.normal(size=(array.n_pairs, 2 * k + 1)), fs)
     far_field = draw(st.booleans())
     n = draw(st.integers(1, 60))
     if far_field:
@@ -447,13 +420,13 @@ def _time_cases(draw):
 @given(case=_time_cases())
 def test_time_scores_match_signed_lag_gather(case):
     # the offset table read through each pair's lag window against
-    # the definition: lag vector at rint(tau * fs) + K, summed over pairs
+    # the definition: a pair's row at rint(tau * fs) + K, summed over pairs
     array, lags, pts, far_field = case
     got = srp_time_scores(pts, lags, array, far_field=far_field)
     rint_lags, _ = _offset_reference(pts, array, far_field)
     ref = np.zeros(len(pts))
-    for row, lv in zip(rint_lags, lags.values()):
-        ref += lv.values[row + lv.max_lag]
+    for row, lv in zip(rint_lags, lags.values):
+        ref += lv[row + lags.max_lag]
     np.testing.assert_array_equal(got, ref)
 
 
@@ -566,7 +539,7 @@ def test_vsrp_pooling_arithmetic():
     pair = MicPair(0, 1)
     values = np.zeros(41)
     values[20 - 3: 20 + 4] = np.array([1.0, 2.0, 4.0, 8.0, 4.0, 2.0, 1.0])
-    lags = {pair: LagVector(values, fs)}
+    lags = LagBlock(values[None, :], fs)
     # a volume straddling the array midplane: tdoa range symmetric
     vol = Volume((1.715, 0.0, 0.0), (0.01, 0.0, 0.0))
     vg = VolumeGrid([vol])
@@ -588,12 +561,11 @@ def _vsrp_by_loop(lags, vg, array, pooling, guard):
     scores = []
     for vol in vg.volumes:
         total = 0.0
-        for pair in array.pairs():
-            lv = lags[pair]
+        for pair, lv in zip(array.pairs(), lags.values):
             b = tdoa_bounds(vol, pair, array, guard)
-            k0 = max(int(np.rint(b.tau_min * fs)) + lv.max_lag, 0)
-            k1 = min(int(np.rint(b.tau_max * fs)) + lv.max_lag, len(lv.values) - 1)
-            window = lv.values[k0: k1 + 1]
+            k0 = max(int(np.rint(b.tau_min * fs)) + lags.max_lag, 0)
+            k1 = min(int(np.rint(b.tau_max * fs)) + lags.max_lag, len(lv) - 1)
+            window = lv[k0: k1 + 1]
             total += float({"sum": np.sum, "mean": np.mean, "max": np.max}[pooling](window))
         scores.append(total)
     return np.array(scores)
@@ -684,11 +656,11 @@ def test_lag_windows_match_per_volume_vertices(vg, mics, fs, guard):
 
 
 def _per_pair_vsrp(lags, vg, array, pooling, guard):
-    """Volumetric scores pair by pair from whole lag vectors: whole-row
-    np.cumsum prefix sums, or a max over each window slice."""
+    """Volumetric scores pair by pair from an uncropped lag block's rows:
+    whole-row np.cumsum prefix sums, or a max over each window slice."""
     scores = np.zeros(len(vg))
-    for p, k0, k1 in zip(array.pairs(), *lag_windows(vg, array, guard)):
-        v, k = lags[p].values, lags[p].max_lag
+    k = lags.max_lag
+    for v, k0, k1 in zip(lags.values, *lag_windows(vg, array, guard)):
         a, b = np.maximum(k0 + k, 0), np.minimum(k1 + k, len(v) - 1)
         if pooling == "max":
             scores += np.array([v[i: j + 1].max() for i, j in zip(a, b)])
@@ -713,19 +685,20 @@ _BOX = np.array([1.5, 1.5, 1.5])
     seed=st.integers(0, 2**32 - 1),
 )
 def test_cropped_block_path_equals_per_pair_path(mics, fs, frame_len, gcc, guard, seed):
-    """Maps over the cropped LagBlock equal the per-pair lag-vector maps, bitwise."""
+    """Maps over the cropped LagBlock equal those over the uncropped one and the per-pair references, bitwise."""
     array = MicArray(np.array(mics), sample_rate=fs)
     frames = np.random.default_rng(seed).normal(size=(array.n_mics, frame_len))
     bounds = lag_bounds(array)
     d = int(bounds.max())
     block = lag_block(frames, array, gcc, reach=d)
-    lags = compute_lag_vectors(frames, array, gcc)
+    lags = lag_block(frames, array, gcc)
     assert block.values.shape == (array.n_pairs, 2 * d + 1)
 
     # cumsum([head, row]) continues the whole row's np.cumsum at the crop columns
     k = frame_len - 1
-    for p, row, head in zip(array.pairs(), block.values, block.head):
-        whole = np.cumsum(lags[p].values)[k - d: k + d + 1]
+    assert lags.max_lag == k
+    for whole_row, row, head in zip(lags.values, block.values, block.head):
+        whole = np.cumsum(whole_row)[k - d: k + d + 1]
         assert np.array_equal(np.cumsum(np.concatenate([[head], row]))[1:], whole)
 
     for grid in (cartesian_grid(_BOX, 0.5), doa_grid(math.pi / 4, math.pi / 4)):
@@ -733,8 +706,8 @@ def test_cropped_block_path_equals_per_pair_path(mics, fs, frame_len, gcc, guard
         assert np.array_equal(got, srp_time_map(lags, grid, array).scores)
         rint_lags, _ = _offset_reference(grid.points, array, grid.is_doa)
         ref = np.zeros(len(grid))
-        for row, p in zip(rint_lags, array.pairs()):
-            ref += lags[p].values[row + k]
+        for row, whole_row in zip(rint_lags, lags.values):
+            ref += whole_row[row + k]
         assert np.array_equal(got, ref)
 
     vg = partition_room(_BOX, (2, 2, 2))
@@ -749,9 +722,9 @@ def test_cropped_block_path_equals_per_pair_path(mics, fs, frame_len, gcc, guard
     ref = localize_multi(lags, grid, array, two)
     assert np.array_equal(est.positions, ref.positions)
     assert np.array_equal(est.scores, ref.scores)
-    # and round by round over whole lag vectors, notched as a dict
+    # and round by round over the uncropped block, notched as a copy
     first = argmax_search(srp_time_map(lags, grid, array))
-    notched = deemphasize(lags, tdoa_matrix(first.estimate[None, :], array)[0], 2.0 / fs)
+    notched = deemphasize(lags.copy(), tdoa_matrix(first.estimate[None, :], array)[0], 2.0 / fs)
     second = argmax_search(srp_time_map(notched, grid, array))
     want = sorted([first.score, second.score], reverse=True)
     assert np.array_equal(est.scores, want)
@@ -894,11 +867,11 @@ def test_map_validation(scene):
         SrpMap(grid, np.full(len(grid), np.nan), "time")
     with pytest.raises(ValueError, match="domain"):
         SrpMap(grid, np.zeros(len(grid)), "cepstral")
-    incomplete = {p: lags[p] for p in list(lags)[:-1]}
-    with pytest.raises(ValueError, match="missing"):
+    incomplete = LagBlock(lags.values[:-1], FS)
+    with pytest.raises(ValueError, match="rows for"):
         srp_time_map(incomplete, grid, array)
-    incomplete_g = {p: gccs[p] for p in list(gccs)[:-1]}
-    with pytest.raises(ValueError, match="missing"):
+    incomplete_g = SpectralBlock(gccs.spectra[:-1], gccs.band, gccs.in_band, FS, gccs.pairs[:-1])
+    with pytest.raises(ValueError, match="pairs"):
         srp_freq_map(incomplete_g, grid, array)
 
 
@@ -911,3 +884,68 @@ def test_scorers_match_maps(scene):
     np.testing.assert_array_equal(
         make_freq_scorer(gccs, array)(pts), srp_freq_scores(pts, gccs, array)
     )
+
+
+def test_maps_scorers_and_deemphasis_take_only_blocks(scene):
+    """A per-pair dict is refused with a TypeError that names the block type."""
+    array, lags, gccs = scene
+    grid = cartesian_grid(ROOM, 1.0)
+    pts = grid.points[:3]
+    lag_dict = {p: row for p, row in zip(array.pairs(), lags.values)}
+    gcc_dict = dict(gccs)
+    time_entries = [
+        lambda f: srp_time_map(f, grid, array),
+        lambda f: srp_time_scores(pts, f, array),
+        lambda f: make_time_scorer(f, array),
+        lambda f: vsrp_map(f, partition_room(ROOM, (2, 2, 1)), array),
+    ]
+    freq_entries = [
+        lambda f: srp_freq_scores(pts, f, array),
+        lambda f: srp_freq_map(f, grid, array),
+        lambda f: make_freq_scorer(f, array),
+        lambda f: pairwise_freq_scores(f, grid, array),
+    ]
+    for entry in time_entries:
+        with pytest.raises(TypeError, match="LagBlock"):
+            entry(lag_dict)
+    for entry in freq_entries:
+        with pytest.raises(TypeError, match="SpectralBlock"):
+            entry(gcc_dict)
+    for feats in (lag_dict, gcc_dict):
+        with pytest.raises(TypeError, match="LagBlock or a SpectralBlock"):
+            deemphasize(feats, np.zeros(array.n_pairs), 2.0 / FS)
+        with pytest.raises(TypeError, match="LagBlock or a SpectralBlock"):
+            localize_multi(feats, grid, array)
+
+
+def test_a_spectral_block_out_of_pair_order_is_refused(scene):
+    """Rows must follow array.pairs(); a reordered block is refused, not re-ordered."""
+    array, _, gccs = scene
+    grid = cartesian_grid(ROOM, 1.0)
+    flipped = SpectralBlock(gccs.spectra[::-1].copy(), gccs.band, gccs.in_band, FS, gccs.pairs[::-1])
+    for entry in (
+        lambda: srp_freq_scores(grid.points, flipped, array),
+        lambda: srp_freq_map(flipped, grid, array),
+        lambda: make_freq_scorer(flipped, array),
+        lambda: pairwise_freq_scores(flipped, grid, array),
+        lambda: localize_multi(flipped, grid, array),
+    ):
+        with pytest.raises(ValueError, match=r"array\.pairs\(\) order"):
+            entry()
+
+
+@pytest.mark.parametrize("n_mics, band", [(2, None), (4, (1000.0, 1000.0 + 0.5 * FS / 1024))])
+def test_frequency_scoring_leaves_the_block_unchanged(n_mics, band):
+    """One pair or one bin makes the kernel's transposed block contiguous
+    already; scoring must not scale the caller's block, so a scorer called
+    twice gives the same scores."""
+    rng = np.random.default_rng(8)
+    array = MicArray(rng.uniform(0.0, 1.0, size=(n_mics, 3)), sample_rate=FS)
+    block = compute_spectral_gccs(rng.normal(size=(n_mics, 512)), array, GccConfig(band=band))
+    assert 1 in block.spectra.shape
+    before = block.spectra.copy()
+    pts = rng.uniform(0.0, 2.0, size=(5, 3))
+    scorer = make_freq_scorer(block, array)
+    first = scorer(pts)
+    assert np.array_equal(scorer(pts), first)
+    assert np.array_equal(block.spectra, before)

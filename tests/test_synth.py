@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from xsrp.features import GccConfig, compute_lag_vectors
+from xsrp.features import GccConfig, lag_block
 from xsrp.geometry import MicArray
 from xsrp.synth import (
     FILTER_LEAD,
@@ -111,13 +111,12 @@ def test_free_field_correlation_peak_at_rounded_tdoa():
     sig = white_noise(8000, seed=4)
     scene = SceneSpec(room_dims=(4.0, 4.0, 4.0), sources=[Source(src, sig)])
     out = synthesize_free_field(scene, arr)
-    ccs = compute_lag_vectors(out, arr, GccConfig(beta=0.0, gamma=0.0))
-    for p in arr.pairs():
+    ccs = lag_block(out, arr, GccConfig(beta=0.0, gamma=0.0))
+    for p, cc in zip(arr.pairs(), ccs.values):
         from xsrp.geometry import tdoa
 
         expected = int(np.rint(tdoa(src, p, arr) * fs))
-        cc = ccs[p]
-        assert cc.lags[np.argmax(cc.values)] == expected
+        assert np.argmax(cc) - ccs.max_lag == expected
 
 
 def test_free_field_two_sources_superpose():
