@@ -40,7 +40,7 @@ def main():
     lags = lag_block(frames, array, cfg)
 
     grid = cartesian_grid(room, 0.1)
-    print(f"grid: {len(grid.points)} points at 0.1 m")
+    print(f"grid: {len(grid)} points at 0.1 m")
     for name, srp in [
         ("time domain", srp_time_map(lags, grid, array)),
         ("frequency domain", srp_freq_map(gccs, grid, array)),

@@ -97,15 +97,18 @@ class MicArray:
         self.sample_rate = float(sample_rate)
         self.speed_of_sound = float(speed_of_sound)
         self._pair_dist = dist
+        m = pos.shape[0]
+        self._pairs = tuple(MicPair(i, j) for i in range(m) for j in range(i + 1, m))
+        starts = np.cumsum([0] + [m - 1 - l for l in range(m - 1)])
+        self._pair_rows = tuple((l, slice(int(starts[l]), int(starts[l + 1]))) for l in range(m - 1))
 
     @property
     def n_mics(self) -> int:
         return self.positions.shape[0]
 
     def pairs(self) -> list[MicPair]:
-        """All M(M-1)/2 pairs (l, m) with l < m, lexicographic order."""
-        m = self.n_mics
-        return [MicPair(i, j) for i in range(m) for j in range(i + 1, m)]
+        """All M(M-1)/2 pairs (l, m) with l < m, lexicographic order: a new list of pairs built once."""
+        return list(self._pairs)
 
     @property
     def n_pairs(self) -> int:
@@ -118,11 +121,7 @@ class MicArray:
         A pair block is built a mic at a time from it, as
         ``op(x[l: l + 1], x[l + 1:], out=block[rows])``.
         """
-        m, spans, row = self.n_mics, [], 0
-        for l in range(m - 1):
-            spans.append((l, slice(row, row + m - 1 - l)))
-            row += m - 1 - l
-        return spans
+        return list(self._pair_rows)
 
     def min_spacing(self) -> float:
         masked = np.where(np.isinf(self._pair_dist), np.nan, self._pair_dist)

@@ -2,10 +2,14 @@
 
 Cartesian position grids place points at integer multiples of the
 resolution, g * R for g = 1..floor(D / R) per axis, so a 4 m x 3 m
-planar room at R = 1 m yields 12 points. DOA grids hold unit
-vectors. Volumes are axis-aligned boxes used by the volumetric map
-and by region-contraction searches; a VolumeGrid stores its boxes as
-(V, 3) arrays, so a room partition needs no per-cell objects.
+planar room at R = 1 m yields 12 points. They are lattices: a grid
+holds its three axis arrays, not its points, and builds a point from
+its unravelled index (CandidateGrid.take), so a 90,000-point room grid
+holds about 1 KiB instead of 2 MiB. DOA grids and sampled boundaries
+hold their points, unit vectors for DOA. Volumes are axis-aligned boxes
+used by the volumetric map and by region-contraction searches; a
+VolumeGrid stores its boxes as (V, 3) arrays, so a room partition
+needs no per-cell objects.
 
 Note the Cartesian rule leaves no point within R of the low walls;
 the half-diagonal coverage bound holds for sources in the covered
@@ -28,21 +32,31 @@ _GRID_KINDS = ("cartesian2d", "cartesian3d", "doa_azimuth", "doa_az_el")
 _CORNERS = np.array([[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)], dtype=bool)
 
 
-@dataclass
 class CandidateGrid:
     """A finite set of candidate locations (or unit directions).
 
     ``kind`` is one of cartesian2d, cartesian3d, doa_azimuth,
-    doa_az_el; DOA grids hold unit-norm rows.
+    doa_az_el; DOA grids hold unit-norm rows. A grid holds its (G, 3)
+    ``points``, or is a lattice: three ``axes`` arrays, whose product in
+    C order (x slowest) is the grid, and their lengths ``shape``. A
+    lattice holds no points: take(idx) is points[idx], bit for bit, and
+    ``points`` builds all G of them, for readers of a whole grid.
     """
 
-    kind: str
-    points: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in _GRID_KINDS:
-            raise ValueError(f"unknown grid kind {self.kind!r}")
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+    def __init__(self, kind: str, points=None, axes=None):
+        if kind not in _GRID_KINDS:
+            raise ValueError(f"unknown grid kind {kind!r}")
+        self.kind = kind
+        if axes is not None:
+            if self.is_doa or len(axes) != 3:
+                raise ValueError("a lattice grid is Cartesian, with three axes")
+            self.axes = tuple(np.asarray(a, dtype=float).reshape(-1) for a in axes)
+            self.shape = tuple(len(a) for a in self.axes)
+            if min(self.shape) == 0 or not all(np.isfinite(a).all() for a in self.axes):
+                raise ValueError("lattice axes must be non-empty and finite")
+            self._points = None
+            return
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] == 0 or pts.shape[1] != 3:
             raise ValueError(f"grid points must be a non-empty (G, 3) array, got {pts.shape}")
         if not np.all(np.isfinite(pts)):
@@ -51,14 +65,26 @@ class CandidateGrid:
             norms = np.linalg.norm(pts, axis=1)
             if np.any(np.abs(norms - 1.0) > _EPS):
                 raise ValueError("DOA grid points must be unit-norm within 1e-9")
-        self.points = pts
+        self.axes = self.shape = None
+        self._points = pts
 
     @property
     def is_doa(self) -> bool:
         return self.kind.startswith("doa")
 
+    @property
+    def points(self) -> np.ndarray:
+        """All G points, (G, 3); a lattice builds them on each read."""
+        return self._points if self.axes is None else self.take(np.arange(len(self)))
+
+    def take(self, idx) -> np.ndarray:
+        """A new array of points[idx]: (3,) for an index, (n, 3) for n indices."""
+        if self.axes is None:
+            return self._points.take(idx, axis=0)
+        return np.stack([a.take(i) for a, i in zip(self.axes, np.unravel_index(idx, self.shape))], axis=-1)
+
     def __len__(self) -> int:
-        return self.points.shape[0]
+        return len(self._points) if self.axes is None else math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -149,6 +175,10 @@ class VolumeGrid:
     def points(self) -> np.ndarray:
         """Volume centers, shape (V, 3); lets searches treat this like a grid."""
         return self.centers
+
+    def take(self, idx) -> np.ndarray:
+        """A new array of centers[idx], as CandidateGrid.take."""
+        return self.centers.take(idx, axis=0)
 
     @property
     def volumes(self) -> list[Volume]:
@@ -311,7 +341,7 @@ def partition_room(room_dims, counts=(2, 2, 2)) -> VolumeGrid:
 def grid_in_volume(
     volume: Volume, resolution, planar: bool = False, warn: bool = False
 ) -> CandidateGrid:
-    """Cartesian grid inside a box: lo + g * R per axis, g = 1..floor(D / R).
+    """Cartesian lattice inside a box: lo + g * R per axis, g = 1..floor(D / R).
 
     A short axis (and z when planar) gets the box's center; ``warn`` flags short axes.
     """
@@ -324,7 +354,4 @@ def grid_in_volume(
             warnings.warn(f"grid resolution {r} coarser than room extent {d}; using a single point")
         axes.append(lo + np.arange(1, count + 1) * r if count >= 1 else np.array([c]))
     axes += [np.array([c]) for c in volume.center[n_axes:]]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    kind = "cartesian2d" if planar else "cartesian3d"
-    return CandidateGrid(kind, pts)
+    return CandidateGrid("cartesian2d" if planar else "cartesian3d", axes=axes)

@@ -156,23 +156,22 @@ def export_map_pgm(srp_map, path) -> None:
     """Binary PGM (P5) raster of a planar Cartesian map.
 
     Rows run along y (top row = largest y), columns along x; scores
-    are min-max scaled to 0..255. Only cartesian2d grids have the
-    regular lattice structure this needs.
+    are min-max scaled to 0..255. The raster's nx x ny is the grid's
+    lattice shape, so only a planar lattice (a cartesian2d grid that
+    grid_in_volume built) can be written.
     """
     grid = srp_map.grid
     if not isinstance(grid, CandidateGrid) or grid.kind != "cartesian2d":
         raise ValueError("PGM export needs a planar cartesian2d grid")
-    pts = grid.points
-    xs = np.unique(pts[:, 0])
-    ys = np.unique(pts[:, 1])
-    if len(xs) * len(ys) != len(pts):
+    if grid.shape is None or grid.shape[2] != 1:
         raise ValueError("grid is not a full x-y lattice")
+    nx, ny, _ = grid.shape
     scores = np.asarray(srp_map.scores, dtype=float)
     lo, hi = scores.min(), scores.max()
     norm = (scores - lo) / (hi - lo) if hi > lo else np.zeros_like(scores)
     gray = np.round(norm * 255.0).astype(np.uint8)
-    # points were built x-major (x varies slowest), so reshape to (nx, ny)
-    img = gray.reshape(len(xs), len(ys)).T[::-1, :]
+    # lattice points run x-major (x varies slowest), so reshape to (nx, ny)
+    img = gray.reshape(nx, ny).T[::-1, :]
     with open(path, "wb") as f:
-        f.write(f"P5\n{len(xs)} {len(ys)}\n255\n".encode())
+        f.write(f"P5\n{nx} {ny}\n255\n".encode())
         f.write(img.tobytes())

@@ -207,7 +207,7 @@ def localize_multi_batch(
             block, bounds = _lag_block(f, array, bounds)
             work.append(block)
         if cells is None:
-            cells = time_cells(grid.points, array, grid.is_doa, bounds)
+            cells = time_cells(grid, array, bounds)
     else:
         work = [_spectral_block(f, array) for f in batch]
     tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
@@ -219,7 +219,7 @@ def localize_multi_batch(
     while active:
         if time_domain:
             idx, scores = time_argmax(cells, [work[i] for i in active], bounds)
-            peaks = [(grid.points[j].copy(), float(s)) for j, s in zip(idx, scores)]
+            peaks = [(grid.take(j), float(s)) for j, s in zip(idx, scores)]
         else:
             results = [argmax_search(srp_freq_map(work[i], grid, array)) for i in active]
             peaks = [(r.estimate, r.score) for r in results]

@@ -262,8 +262,12 @@ class Plan:
     (srp_core.time_cells), or the lag windows of a volumetric map, plus
     the lag bounds D of time scores and volumetric maps, whose frames'
     lags are then one LagBlock cropped to +/-max D (with its head only
-    for volumetric sum and mean pooling, which read it). Frequency and
-    weighted maps steer per frame, so only their grid is held.
+    for volumetric sum and mean pooling, which read it). A Cartesian
+    grid is a lattice that holds its axes, not its points, and a time
+    map's cells are its index boxes, so a 90,000-point time plan holds
+    about 0.2 MiB; an estimate reads one point (CandidateGrid.take).
+    Frequency and weighted maps steer per frame, so only their grid is
+    held, and they build its points per map.
     Iterative searches (refine/src) place their own points and need no
     grid. run() then does only the per-frame work of one frame block,
     and stream() that of a sequence of blocks, taken lazily in batches
@@ -272,7 +276,8 @@ class Plan:
     frames are searched together over the cells (localize_multi_batch).
     The last frame's features stay until the next run; map() maps them
     once more over the prepared grid (the CLI's export), building the
-    time map's lag table for that map alone. The grid updaters' passes
+    time map's lag table, and the export the grid's points, for that
+    map alone. The grid updaters' passes
     over new regions search cells built per pass.
     """
 
@@ -287,7 +292,7 @@ class Plan:
             return
         self.grid = build_grid(cfg.grid, room)
         if cfg.map.domain == "time":
-            self.steering = time_cells(self.grid.points, array, self.grid.is_doa, self.bounds)
+            self.steering = time_cells(self.grid, array, self.bounds)
         elif cfg.map.domain == "volumetric":
             self.steering = lag_windows(self.grid, array, cfg.map.guard)
 
@@ -377,9 +382,9 @@ class Plan:
         while grid is not None and it < cfg.max_loop_iters:
             if cfg.map.domain == "time":  # every pass searches its grid's cells
                 if steering is None:
-                    steering = time_cells(grid.points, array, grid.is_doa, self.bounds)
+                    steering = time_cells(grid, array, self.bounds)
                 (j,), (score,) = time_argmax(steering, [feats], self.bounds)
-                best, score = grid.points[j].copy(), float(score)
+                best, score = grid.take(j), float(score)
             else:
                 res = argmax_search(self._build_map(grid, steering, feats))
                 best, score = res.estimate, res.score

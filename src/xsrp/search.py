@@ -70,7 +70,7 @@ def argmax_search(srp_map: SrpMap) -> SearchResult:
     scores = srp_map.scores
     idx = int(np.argmax(scores))
     return SearchResult(
-        estimate=srp_map.points[idx].copy(),
+        estimate=srp_map.grid.take(idx),
         score=float(scores[idx]),
         evaluations=len(scores),
         iterations=1,

@@ -17,7 +17,8 @@ through a table of offsets rint(tau * fs) + D, so a block cropped to
 +/-max D serves every map of the array. srp_time_map gathers a grid's
 full table; time_argmax finds a batch of frames' argmaxes by scoring
 only the boxes of grid points (TimeCells) whose bound can reach the
-best score found. The frequency map is Horner's rule over the block's
+best score found, bounding the halves of a lattice's surviving boxes
+before it scores their points. The frequency map is Horner's rule over the block's
 uniform DFT bins, exact, steered by per-mic phasors (2 M complex
 exponentials per point). A module-level counter tracks candidate
 scorings and steering-kernel evaluations so complexity claims can be
@@ -134,27 +135,32 @@ _TABLE_CHUNK = 4096
 
 
 def lag_table(
-    points: np.ndarray, array: MicArray, far_field: bool = False, bounds: np.ndarray | None = None
+    points, array: MicArray, far_field: bool = False, bounds: np.ndarray | None = None
 ) -> np.ndarray:
     """Nearest-lag steering of every pair and point, offset into [0, 2 D], (P, G).
 
-    Entry [j, g] is rint(tau_j(u_g) * fs) + D_j (see lag_bounds;
-    ``bounds`` if the caller has them), so row j indexes the lag window
-    -D_j..D_j directly; the dtype is the smallest unsigned one holding
-    2 max D, uint16 for any room-sized array. Near-field blocks take
-    one mic-major tof_matrix pass and the pair rows by consecutive-row
-    subtraction, t[l] - t[l+1:] (see MicArray.pair_rows), then one
-    scale/rint/offset pass: tdoa_matrix's float operations, bit for
-    bit, so a point's column does not depend on the other points.
+    ``points`` are (G, 3), or a CandidateGrid, whose points are taken
+    _TABLE_CHUNK at a time. Entry [j, g] is rint(tau_j(u_g) * fs) + D_j
+    (see lag_bounds; ``bounds`` if the caller has them), so row j
+    indexes the lag window -D_j..D_j directly; the dtype is the smallest
+    unsigned one holding 2 max D, uint16 for any room-sized array.
+    Near-field blocks take one mic-major tof_matrix pass and the pair
+    rows by consecutive-row subtraction, t[l] - t[l+1:] (see
+    MicArray.pair_rows), then one scale/rint/offset pass: tdoa_matrix's
+    float operations, bit for bit, so a point's column does not depend
+    on the other points.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    fs = array.sample_rate
+    grid = isinstance(points, CandidateGrid)
+    if not grid:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+    G, fs = len(points), array.sample_rate
     if bounds is None:
         bounds = lag_bounds(array)
-    table = np.empty((len(bounds), len(pts)), dtype=np.min_scalar_type(2 * bounds.max()))
-    buf = np.empty((len(bounds), min(_TABLE_CHUNK, len(pts))))
-    for i in range(0, len(pts), _TABLE_CHUNK):
-        chunk = pts[i: i + _TABLE_CHUNK]
+    table = np.empty((len(bounds), G), dtype=np.min_scalar_type(2 * bounds.max()))
+    buf = np.empty((len(bounds), min(_TABLE_CHUNK, G)))
+    for i in range(0, G, _TABLE_CHUNK):
+        part = np.arange(i, min(i + _TABLE_CHUNK, G))
+        chunk = points.take(part) if grid else points[part]
         tau = buf[:, : len(chunk)]
         if far_field:
             tau[:] = far_field_tdoa_matrix(chunk, array).T
@@ -220,11 +226,17 @@ def _range_query(lo: np.ndarray, hi: np.ndarray, width: int) -> tuple:
     ``width`` entries long. Returns (first, second, each row's top level,
     width), entries in the smallest unsigned dtype that holds them.
     """
-    level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2 n), exact
-    first = level * width + lo
-    second = first + (hi - lo + 1 - np.left_shift(1, level))
-    dtype = np.min_scalar_type((int(level.max()) + 1) * width)
-    return first.astype(dtype), second.astype(dtype), level.max(axis=1), width
+    n = hi - lo
+    n += 1
+    level = np.frexp(n.astype(np.float32))[1]  # float32 holds any n < 2^24 exactly
+    level -= 1  # floor(log2 n), exact
+    tops = level.max(axis=1)
+    n -= np.left_shift(1, level)
+    level *= width
+    level += lo  # the first entry
+    n += level  # the second
+    dtype = np.min_scalar_type((int(tops.max()) + 1) * width)
+    return level.astype(dtype), n.astype(dtype), tops, width
 
 
 def _range_maxima(rows, query: tuple):
@@ -282,6 +294,24 @@ _TABLE_SHARE = 0.4
 #: 89.1 ms and 11.29 and 11.18 MiB when a flat round built the table
 _BUILD_SHARE = 0.7
 
+#: share of a lattice's points past which a round of time_argmax splits
+#: its surviving boxes in halves and bounds those (_split_boxes), as long
+#: as no table is kept and the survivors stay within _BUILD_SHARE. A
+#: half-box's bound costs about 1.2 us, its 8 points' columns about 3 us
+#: to build and gather, and each block of half-boxes about 1 ms more. On
+#: time3d_multi the split cut seed 18's second round from 46,432 points
+#: to 7,660 and its command by 13 ms (30 interleaved pairs), while
+#: splitting every round cost seeds 1 and 2 about 1-2 ms; shares of 2, 5
+#: and 10 % came within 1.6 ms of one another on seeds 0-2 and 17
+_SPLIT_SHARE = 0.05
+
+#: half-boxes per block of _split_boxes. A block's bounds hold about
+#: 1 KiB a half-box at 28 pairs; at 512 a block seeds 17 and 18 took 4-5
+#: ms a command more than at 1,024 (25 interleaved pairs each), where
+#: time3d_multi's tracemalloc peak read 2.57, 2.64 and 2.54 MiB on seeds
+#: 0, 17 and 18
+_SPLIT_BLOCK = 1024
+
 #: grid points per block of lag_table columns built by time_argmax. A
 #: block's columns, TDOAs and times of flight hold about 420 bytes a
 #: point, so blocks past about 1,500 points raised time3d_multi's
@@ -297,17 +327,20 @@ _COLUMN_BLOCK = 1024
 
 @dataclass
 class TimeCells:
-    """A grid's points in boxes (time_cells): each point's box, (G,), and
-    the _range_query of each pair's range of lag_table offsets over each
-    box; ``flat`` tells whether a round of time_argmax has been flat (its
-    survivors outgrew _TABLE_SHARE of the grid); ``table`` is the grid's
-    lag_table, built by a round whose survivors outgrow _BUILD_SHARE or
-    by the second flat round, then kept."""
+    """A grid's points in boxes (time_cells) and the _range_query of each
+    pair's range of lag_table offsets over each box. A lattice's boxes
+    are index boxes, given by each axis's box starts (``parts``); other
+    grids' by each point's box, (G,) (``cell``). ``size`` counts each
+    box's points. ``flat`` tells whether a round of time_argmax has been
+    flat (its survivors outgrew _TABLE_SHARE of the grid); ``table`` is
+    the grid's lag_table, built by a round whose survivors outgrow
+    _BUILD_SHARE or by the second flat round, then kept."""
 
-    points: np.ndarray
+    grid: CandidateGrid
     array: MicArray
-    far_field: bool
-    cell: np.ndarray
+    cell: np.ndarray | None
+    parts: tuple | None
+    size: np.ndarray
     query: tuple
     flat: bool = False
     table: np.ndarray | None = None
@@ -350,10 +383,45 @@ def _cell_boxes(pts: np.ndarray):
     return cell, lo, hi
 
 
-def time_cells(
-    points: np.ndarray, array: MicArray, far_field: bool = False, bounds: np.ndarray | None = None
-) -> TimeCells:
-    """The cells of time_argmax: boxes of about _CELL_POINTS grid points (_cell_boxes).
+def _lattice_boxes(axes, parts, boxes=None):
+    """Corners lo and hi, (3, C) each, and sizes (C,) of index boxes.
+
+    The boxes are the product, in C order, of each axis's intervals
+    [parts[a][i], parts[a][i + 1]) of indices; ``boxes`` picks some of
+    them by flat index. A corner is the min or max of an axis slice.
+    """
+    shape = tuple(len(p) for p in parts)
+    at = np.unravel_index(np.arange(math.prod(shape)) if boxes is None else boxes, shape)
+    lo, hi, size = np.empty((3, len(at[0]))), np.empty((3, len(at[0]))), 1
+    for a, p, i, a_lo, a_hi in zip(axes, parts, at, lo, hi):
+        a_lo[:] = np.minimum.reduceat(a, p).take(i)
+        a_hi[:] = np.maximum.reduceat(a, p).take(i)
+        size = size * np.diff(p, append=len(a)).take(i)
+    return lo, hi, size
+
+
+def _lattice_members(shape, parts, keep: np.ndarray, step: int):
+    """Yield the grid indices of the index boxes ``keep`` (C,) bool, ascending, in blocks.
+
+    The points of a box that share x and y indices are a run of
+    consecutive indices, and runs ordered by (x, y, z box) start in
+    ascending order. A block holds the runs of step // w of them, w the
+    longest z interval, so at most max(step, w) indices.
+    """
+    nx, ny, nz = shape
+    px, py, pz = parts
+    owner = [np.repeat(np.arange(len(p)), np.diff(p, append=n)) for p, n in ((px, nx), (py, ny))]
+    runs = np.flatnonzero(keep.reshape(len(px), len(py), len(pz))[owner[0]][:, owner[1]])
+    lens = np.diff(pz, append=nz)
+    offs = np.arange(lens.max())
+    per = max(1, step // len(offs))
+    for i in range(0, len(runs), per):
+        xy, b = np.divmod(runs[i: i + per], len(pz))
+        yield (xy[:, None] * nz + pz.take(b)[:, None] + offs)[offs < lens.take(b)[:, None]]
+
+
+def _box_query(lo: np.ndarray, hi: np.ndarray, array: MicArray, far_field: bool, bounds: np.ndarray):
+    """The _range_query of each pair's lag_table offsets over boxes [lo, hi], (3, C) each.
 
     Near field: a mic's distance over a box runs from its clamped
     position to the farthest corner, so a pair's TDOA lies in
@@ -363,15 +431,12 @@ def time_cells(
     clipped to +/-D: the extra lag on each side absorbs the float
     rounding of this bound and of lag_table.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if bounds is None:
-        bounds = lag_bounds(array)
-    cell, lo, hi = _cell_boxes(pts)
-    tau_lo = np.zeros((len(bounds), lo.shape[1]))
-    tau_hi = np.zeros_like(tau_lo)
+    fs, c = array.sample_rate, array.speed_of_sound
     if far_field:
+        tau_lo = np.zeros((len(bounds), lo.shape[1]))
+        tau_hi = np.zeros_like(tau_lo)
         base = np.stack([array.positions[p.m] - array.positions[p.l] for p in array.pairs()])
-        for b, a_lo, a_hi in zip(base.T[:, :, None] / array.speed_of_sound, lo, hi):
+        for b, a_lo, a_hi in zip(base.T[:, :, None] * (fs / c), lo, hi):
             tau_lo += np.minimum(b * a_lo, b * a_hi)
             tau_hi += np.maximum(b * a_lo, b * a_hi)
     else:
@@ -381,53 +446,88 @@ def time_cells(
             below, above = a_lo - v, v - a_hi  # > 0 where the mic lies outside the box
             near += np.maximum(np.maximum(below, above), 0.0) ** 2
             far += np.maximum(np.abs(below), np.abs(above)) ** 2
-        near, far = np.sqrt(near) / array.speed_of_sound, np.sqrt(far) / array.speed_of_sound
-        for l, rows in array.pair_rows():
-            tau_lo[rows] = near[l] - far[l + 1:]
-            tau_hi[rows] = far[l] - near[l + 1:]
-    fs, d = array.sample_rate, bounds[:, None]
-    k_lo = np.clip(np.floor(tau_lo * fs) - 1, -d, d).astype(np.intp) + d
-    k_hi = np.clip(np.ceil(tau_hi * fs) + 1, -d, d).astype(np.intp) + d
-    return TimeCells(pts, array, far_field, cell, _range_query(k_lo, k_hi, 2 * int(bounds.max()) + 1))
+        for t in (near, far):  # in samples
+            np.sqrt(t, out=t)
+            t *= fs / c
+    k_lo = np.empty((len(bounds), lo.shape[1]), dtype=np.int32)
+    k_hi = np.empty_like(k_lo)
+    for l, rows in array.pair_rows():  # a mic's pairs at a time: no (P, C) float temporaries
+        if far_field:
+            t_lo, t_hi = tau_lo[rows], tau_hi[rows]
+        else:
+            t_lo, t_hi = near[l] - far[l + 1:], far[l] - near[l + 1:]
+        d = bounds[rows, None]
+        k_lo[rows] = np.clip(np.floor(t_lo) - 1, -d, d) + d
+        k_hi[rows] = np.clip(np.ceil(t_hi) + 1, -d, d) + d
+    return _range_query(k_lo, k_hi, 2 * int(bounds.max()) + 1)
 
 
-def _cell_bounds(cells: TimeCells, blocks: list[LagBlock], wins: list[np.ndarray]) -> np.ndarray:
-    """Each cell's upper bound on its members' scores in every frame, (C, F).
+def time_cells(grid: CandidateGrid, array: MicArray, bounds: np.ndarray | None = None) -> TimeCells:
+    """The cells of time_argmax over a grid: boxes of about _CELL_POINTS points.
+
+    A lattice's boxes are index boxes of edge _CELL_POINTS^(1/k) indices
+    on its k axes longer than one point (4 x 4 x 4, or 8 x 8 when
+    planar), built from its axes alone: no point, sort or (G,) array is
+    made. Other grids (DOA, hand-built points) are boxed by _cell_boxes.
+    Each box's lag ranges come from its corners (_box_query); ``bounds``
+    are the array's lag_bounds.
+    """
+    if bounds is None:
+        bounds = lag_bounds(array)
+    if grid.axes is None:
+        cell, lo, hi = _cell_boxes(grid.points)
+        parts, size = None, np.bincount(cell)
+    else:
+        k = sum(n > 1 for n in grid.shape)
+        edge = max(1, round(_CELL_POINTS ** (1 / k))) if k else 1
+        cell, parts = None, tuple(np.arange(0, n, edge) for n in grid.shape)
+        lo, hi, size = _lattice_boxes(grid.axes, parts)
+    return TimeCells(grid, array, cell, parts, size, _box_query(lo, hi, array, grid.is_doa, bounds))
+
+
+def _cell_bounds(query: tuple, blocks: list[LagBlock], wins: list[np.ndarray]) -> np.ndarray:
+    """Each box's upper bound on its members' scores in every frame, (C, F), from its _range_query.
 
     The sum from 0.0, in pairs() order, of each pair's largest lag over
-    the cell's range: rounded addition is monotone, so it is at least
+    the box's range: rounded addition is monotone, so it is at least
     each member's float score. A frame that could sum to a non-finite
     score (a non-finite lag, or P max|lag| near the float maximum) gets
-    +inf, so all its cells are scored.
+    +inf, so all its boxes are scored.
     """
-    upper = np.zeros((cells.query[0].shape[1], len(blocks)))
-    for m in _range_maxima(wins, cells.query):
+    upper = np.zeros((query[0].shape[1], len(blocks)))
+    for m in _range_maxima(wins, query):
         upper += m
     amax = np.array([np.abs(b.values).max() for b in blocks])  # P * amax < max: finite sums
     upper[:, ~(amax < np.finfo(float).max / 2 / len(wins))] = np.inf
     return upper
 
 
-def _score_points(cells: TimeCells, members, wins, bounds, best, idx) -> None:
-    """Score the points ``members`` and update each frame's best, in place.
+def _score_points(cells: TimeCells, keep, wins, bounds, best, idx, parts=None) -> None:
+    """Score the points of the boxes ``keep`` and update each frame's best, in place.
 
-    ``members`` are ascending grid indices, or None for every point;
-    their lag_table columns are built per _COLUMN_BLOCK points, or read
-    from the grid's table once it is kept. Scores are checked finite as
-    SrpMap does. A peak replaces a frame's best if greater, or equal at
-    a lower index.
+    ``keep`` is a (C,) bool over the cells, or over the boxes of a
+    lattice's axis partitions ``parts`` if given, or None for every
+    point. Points go in ascending blocks; their lag_table columns are
+    built per _COLUMN_BLOCK points, or read from the grid's table once
+    it is kept. Scores are checked finite as SrpMap does. A peak
+    replaces a frame's best if greater, or equal at a lower index.
     """
-    n = len(cells.cell) if members is None else len(members)
-    cols = np.arange(len(best))
+    G, cols = len(cells.grid), np.arange(len(best))
     step = max(1, _GATHER_BLOCK // len(best))
     if cells.table is None:
         step = min(step, _COLUMN_BLOCK)
-    for i in range(0, n, step):
-        part = np.arange(i, min(i + step, n)) if members is None else members[i: i + step]
+    if keep is None:
+        chunks = (np.arange(i, min(i + step, G)) for i in range(0, G, step))
+    elif cells.parts is not None:
+        chunks = _lattice_members(cells.grid.shape, parts or cells.parts, keep, step)
+    else:
+        members = np.flatnonzero(keep.take(cells.cell))
+        chunks = (members[i: i + step] for i in range(0, len(members), step))
+    for part in chunks:
         if cells.table is None:
-            table = lag_table(cells.points[part], cells.array, cells.far_field, bounds)
-        elif members is None:
-            table = cells.table[:, i: i + step]
+            table = lag_table(cells.grid.take(part), cells.array, cells.grid.is_doa, bounds)
+        elif keep is None:
+            table = cells.table[:, part[0]: part[-1] + 1]
         else:  # row by row: no (P, step) copy
             table = (row.take(part) for row in cells.table)
         scores = _gather(table, wins, len(part))
@@ -449,36 +549,69 @@ def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
     argmax_search(srp_time_map(...)) per frame, bit for bit: the
     members of each frame's _SEED_CELLS best-bounded cells are scored,
     then those of every other cell whose bound is not below some frame's
-    best (so ties and NaN are scored). A skipped point scores below
-    its frame's peak, so the peak and its lowest index are found. When
-    those cells hold over _TABLE_SHARE of the points (a flat map) and
-    the grid's table is kept, every point is gathered from it; a round
-    builds and keeps the table when they hold over _BUILD_SHARE, or
-    when it is the second flat round on these cells. The
-    counter adds what srp_time_map would, G points and G * P kernel
-    ops per frame: the exhaustive map the search certifies.
+    best (so ties and NaN are scored). On a lattice with no kept table,
+    when those cells hold over _SPLIT_SHARE of the points (and at most
+    _BUILD_SHARE), they are halved and only the halves whose own bound
+    is not below some frame's best are scored (_split_boxes). A skipped
+    point scores below its frame's peak, so the peak and its lowest
+    index are found. When the points left hold over _TABLE_SHARE of the
+    grid (a flat map) and the grid's table is kept, every point is
+    gathered from it; a round builds and keeps the table when they hold
+    over _BUILD_SHARE, or when it is the second flat round on these
+    cells. The counter adds what srp_time_map would, G points and G * P
+    kernel ops per frame: the exhaustive map the search certifies.
     """
-    G, F = len(cells.cell), len(blocks)
+    G, F = len(cells.grid), len(blocks)
     wins = _windows(blocks, bounds)
     counter.points += G * F
     counter.kernel_ops += G * len(bounds) * F
-    upper = _cell_bounds(cells, blocks, wins)
+    upper = _cell_bounds(cells.query, blocks, wins)
     C = len(upper)
     seeds = np.zeros(C, dtype=bool)
     n = min(_SEED_CELLS, C)
     seeds[np.argpartition(upper, C - n, axis=0)[C - n:]] = True
     best, idx = np.full(F, -np.inf), np.zeros(F, dtype=np.intp)
-    _score_points(cells, np.flatnonzero(seeds.take(cells.cell)), wins, bounds, best, idx)
-    rest = (~(upper < best).all(axis=1) & ~seeds).take(cells.cell)
+    _score_points(cells, seeds, wins, bounds, best, idx)
+    rest = ~(upper < best).all(axis=1) & ~seeds
     del upper, seeds
-    survivors = np.count_nonzero(rest)
+    survivors, parts = int(cells.size[rest].sum()), None
+    lattice = cells.parts is not None and cells.table is None
+    if lattice and _SPLIT_SHARE * G < survivors <= _BUILD_SHARE * G:
+        rest, parts, survivors = _split_boxes(cells, rest, blocks, wins, bounds, best)
     flat = survivors > _TABLE_SHARE * G
     if cells.table is None and (survivors > _BUILD_SHARE * G or flat and cells.flat):
-        cells.table = lag_table(cells.points, cells.array, cells.far_field, bounds)
+        cells.table = lag_table(cells.grid, cells.array, cells.grid.is_doa, bounds)
     cells.flat |= flat
-    rest = None if flat and cells.table is not None else np.flatnonzero(rest)
-    _score_points(cells, rest, wins, bounds, best, idx)
+    _score_points(cells, None if flat and cells.table is not None else rest, wins, bounds, best, idx, parts)
     return idx, best
+
+
+def _split_boxes(cells: TimeCells, rest: np.ndarray, blocks, wins, bounds, best):
+    """The halves of a lattice's boxes ``rest`` (C,) bool whose bound is not below some frame's best.
+
+    Each box is halved along every axis on which it spans two or more
+    indices, 2 x 2 x 2 sub-boxes of a 4 x 4 x 4 box: the boxes of each
+    axis's halved partition. A sub-box is bounded as a box is
+    (_box_query, _cell_bounds), _SPLIT_BLOCK at a time. Returns the kept
+    sub-boxes, a bool over the halved partition's boxes, the partition
+    and the number of points they hold.
+    """
+    parts = []
+    for p, n in zip(cells.parts, cells.grid.shape):
+        lens = np.diff(p, append=n)
+        parts.append(np.union1d(p, (p + lens // 2)[lens > 1]))
+    x, y, z = (np.searchsorted(p, h, side="right") - 1 for p, h in zip(cells.parts, parts))
+    keep = rest.reshape([len(p) for p in cells.parts])[x][:, y][:, :, z].ravel()  # each half's box
+    halves, n = np.flatnonzero(keep), 0
+    for i in range(0, len(halves), _SPLIT_BLOCK):
+        part = halves[i: i + _SPLIT_BLOCK]
+        lo, hi, size = _lattice_boxes(cells.grid.axes, parts, part)
+        upper = _cell_bounds(_box_query(lo, hi, cells.array, cells.grid.is_doa, bounds), blocks, wins)
+        ok = ~(upper < best).all(axis=1)
+        del upper  # before the next block's bounds are made
+        keep[part] = ok
+        n += int(size[ok].sum())
+    return keep, tuple(parts), n
 
 
 def srp_time_scores(
@@ -504,7 +637,7 @@ def srp_time_map(
     exhaustive map that time_argmax searches.
     """
     block, bounds = _lag_block(lags, array, bounds)
-    table = lag_table(grid.points, array, grid.is_doa, bounds)
+    table = lag_table(grid, array, grid.is_doa, bounds)
     return SrpMap(grid, _time_scores(table, block, array, bounds), "time")
 
 

@@ -35,10 +35,11 @@ from xsrp import tracking
 from xsrp.cli import LocalizeConfig, TrackConfig, main
 from xsrp.features import FrameConfig, frame_blocks, frame_stack, n_frames
 from xsrp.geometry import MicArray, MicPair, tdoa
-from xsrp.grids import CandidateGrid
+from xsrp.grids import CandidateGrid, cartesian_grid
 from xsrp.io_utils import (
     WavReader,
     export_map_csv,
+    export_map_pgm,
     read_jsonl,
     read_wav,
     sha256_file,
@@ -355,6 +356,23 @@ def test_a_wav_shorter_than_one_frame_is_an_io_error(tmp_path, capsys):
         assert main([command, "-c", path, "-i", str(wav), "-o", str(tmp_path / "o.jsonl")]) == 2
         assert "i/o error: " in (err := capsys.readouterr().err) and "shorter than one frame" in err
     assert not (tmp_path / "o.jsonl").exists()
+
+
+def test_pgm_export_reads_the_raster_shape_from_the_planar_lattice(tmp_path):
+    """The raster is the lattice's nx x ny, top row the largest y; the
+    same points held as a hand-built grid are not a lattice and are
+    refused, as is any grid but a cartesian2d one."""
+    grid = cartesian_grid((4.0, 3.0), 1.0, planar=True)
+    scores = np.arange(len(grid), dtype=float)
+    export_map_pgm(SrpMap(grid, scores, "time"), tmp_path / "map.pgm")
+    img = parse_pgm(tmp_path / "map.pgm")
+    want = np.round(scores / scores.max() * 255).astype(np.uint8).reshape(4, 3).T[::-1]
+    assert np.array_equal(img, want)
+    held = CandidateGrid("cartesian2d", grid.points)
+    with pytest.raises(ValueError, match="grid is not a full x-y lattice"):
+        export_map_pgm(SrpMap(held, scores, "time"), tmp_path / "held.pgm")
+    with pytest.raises(ValueError, match="PGM export needs a planar cartesian2d grid"):
+        export_map_pgm(SrpMap(cartesian_grid((4.0, 3.0, 2.0), 1.0), np.zeros(24), "time"), tmp_path / "3d.pgm")
 
 
 def test_pgm_export_of_a_non_planar_grid_fails_before_any_output(tmp_path, scene_dir, capsys):

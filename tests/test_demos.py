@@ -2,8 +2,8 @@
 
 Demos 01, 03, 04 and 05 take a few seconds at most; demo 03 reads a
 volume partition's ``volumes`` list, which the grid builds on demand.
-Demo 02 is left out: it builds dense full-room maps and takes about
-12 s, and its map code is covered by the pipeline and acceptance tests.
+Demo 02, the one demo that writes a PGM map, builds two 90,000-point
+maps and took 5.5-7 s on a 2-core host.
 """
 
 import subprocess
@@ -18,7 +18,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.mark.parametrize(
-    "name", ["01_tdoa_and_gcc", "03_search_strategies", "04_two_sources", "05_tracking"]
+    "name",
+    ["01_tdoa_and_gcc", "02_srp_map_localization", "03_search_strategies", "04_two_sources", "05_tracking"],
 )
 def test_demo_runs(tmp_path, name):
     res = subprocess.run(

@@ -70,6 +70,21 @@ class TestMicArray:
             arr = MicArray(rng.normal(size=(m, 3)), sample_rate=48000.0)
             assert len(arr.pairs()) == m * (m - 1) // 2 == arr.n_pairs
 
+    def test_pairs_and_pair_rows_are_built_once_and_returned_as_new_lists(self):
+        """pairs() and pair_rows() equal the per-call construction, and a
+        caller that edits the list it got does not change the next."""
+        for m in (2, 3, 8):
+            arr = MicArray(np.random.default_rng(m).normal(size=(m, 3)), sample_rate=16000.0)
+            want = [MicPair(i, j) for i in range(m) for j in range(i + 1, m)]
+            rows, row = [], 0
+            for l in range(m - 1):
+                rows.append((l, slice(row, row + m - 1 - l)))
+                row += m - 1 - l
+            got = arr.pairs()
+            got.pop()
+            assert arr.pairs() == want and arr.pairs() is not arr.pairs()
+            assert arr.pair_rows() == rows
+
     def test_min_spacing(self):
         arr = MicArray([[0, 0, 0], [1, 0, 0], [5, 0, 0]], sample_rate=16000.0)
         assert arr.min_spacing() == 1.0

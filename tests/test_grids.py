@@ -381,3 +381,57 @@ def test_overlap_sweep_memory_is_bounded_when_boxes_share_an_x_range():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _meshgrid_points(volume: Volume, resolution, planar: bool) -> np.ndarray:
+    """grid_in_volume's points as it stacked them before grids were lattices."""
+    n_axes = 2 if planar else 3
+    res = np.broadcast_to(np.asarray(resolution, dtype=float), (n_axes,))
+    axes = []
+    for d, r, lo, c in zip(volume.edges, res, volume.lo, volume.center):
+        count = int(math.floor(d / r + _EPS))
+        axes.append(lo + np.arange(1, count + 1) * r if count >= 1 else np.array([c]))
+    axes += [np.array([c]) for c in volume.center[n_axes:]]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lo=st.tuples(*[st.floats(-5.0, 5.0, allow_nan=False)] * 3),
+    dims=st.tuples(*[st.floats(0.0, 4.0, allow_nan=False)] * 3),
+    resolution=st.floats(0.05, 1.5) | st.tuples(*[st.floats(0.05, 1.5)] * 3),
+    planar=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lattice_take_equals_the_meshgrid_points_bitwise(lo, dims, resolution, planar, seed):
+    """A lattice's take(idx), for any indices in any order, and its points
+    are the rows of the stacked meshgrid, bit for bit and in C order."""
+    if planar and isinstance(resolution, tuple):
+        resolution = resolution[:2]
+    volume = Volume.from_bounds(lo, np.add(lo, dims))
+    grid = grid_in_volume(volume, resolution, planar)
+    want = _meshgrid_points(volume, resolution, planar)
+    assert grid.axes is not None and len(grid) == len(want) == math.prod(grid.shape)
+    assert _same_bits(grid.points, want)
+    idx = np.random.default_rng(seed).integers(0, len(want), size=17)
+    assert _same_bits(grid.take(idx), want[idx])
+    assert _same_bits(grid.take(int(idx[0])), want[idx[0]])
+
+
+def test_a_lattice_holds_its_axes_not_its_points():
+    """A 90,000-point room lattice holds three axes; its points are built
+    on each read, and only where read."""
+    tracemalloc.start()
+    try:
+        grid = cartesian_grid((6.0, 5.0, 3.0), 0.1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (60, 50, 30) and len(grid) == 90_000
+    assert held < 16 * 2**10
+    assert grid.points is not grid.points and np.array_equal(grid.points, grid.points)
+    with pytest.raises(ValueError, match="Cartesian"):
+        CandidateGrid("doa_azimuth", axes=[[1.0], [0.0], [0.0]])
+    with pytest.raises(ValueError, match="non-empty and finite"):
+        CandidateGrid("cartesian3d", axes=[[1.0], [], [0.0]])

@@ -24,7 +24,7 @@ from xsrp.features import (
     lags_from_half,
 )
 from xsrp.geometry import MicArray, MicPair, far_field_tdoa_matrix, tdoa, tdoa_matrix
-from xsrp.grids import CandidateGrid, cartesian_grid
+from xsrp.grids import CandidateGrid, Volume, cartesian_grid, grid_in_volume
 from xsrp.multisource import (
     EstimateSet,
     MultiConfig,
@@ -509,7 +509,7 @@ def test_batched_rounds_equal_the_per_frame_chain(case, n_sources, step):
 def test_time_argmax_is_the_first_index_of_each_frames_map_maximum(case, step):
     array, grid, blocks = case
     bounds = lag_bounds(array)
-    cells = time_cells(grid.points, array, grid.is_doa, bounds)
+    cells = time_cells(grid, array, bounds)
     with mock.patch.object(srp_core, "_GATHER_BLOCK", step):
         idx, scores = time_argmax(cells, blocks, bounds)
         maps = [srp_time_map(b, grid, array, bounds=bounds).scores for b in blocks]
@@ -521,7 +521,7 @@ def test_time_argmax_refuses_non_finite_scores():
     # like SrpMap: three pairs of 1e308 sum past the largest float
     array = MicArray([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], sample_rate=8000.0)
     grid = cartesian_grid(np.array([1.0, 1.0, 1.0]), 0.5)
-    cells, bounds = time_cells(grid.points, array), lag_bounds(array)
+    cells, bounds = time_cells(grid, array), lag_bounds(array)
     lags = np.zeros((3, 2 * int(bounds.max()) + 1))
     lags[0] = 1e308
     idx, scores = time_argmax(cells, [LagBlock(lags, 8000.0)], bounds)
@@ -539,22 +539,51 @@ def test_time_argmax_refuses_non_finite_scores():
 
 @st.composite
 def _search_cases(draw):
-    """_batch_cases, with some Cartesian grids flattened onto one plane."""
+    """_batch_cases, with some Cartesian grids flattened onto one plane and
+    some replaced by lattices (grid_in_volume) of 1-9 points per axis,
+    planar or not, over the same span; in some cases every frame peaks
+    at the lags of one grid point."""
     array, grid, blocks = draw(_batch_cases())
-    if not grid.is_doa and draw(st.booleans()):
+    form = "points" if grid.is_doa else draw(st.sampled_from(["points", "plane", "lattice"]))
+    if form == "plane":
         pts = grid.points.copy()
         pts[:, 2] = pts[0, 2]
         grid = CandidateGrid("cartesian2d", pts)
+    elif form == "lattice":
+        lo = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        res = np.array(draw(st.tuples(*[st.floats(0.05, 0.5)] * 3)))
+        counts = np.array(draw(st.tuples(*[st.integers(1, 9)] * 3)))
+        planar = draw(st.booleans())
+        volume = Volume.from_bounds(lo, lo + (counts + 0.5) * res)
+        grid = grid_in_volume(volume, res[: 2 if planar else 3], planar)
+    if draw(st.booleans()):  # peak each frame at some point's lags, so that most cells can be skipped
+        bounds = lag_bounds(array)
+        for b in blocks:
+            at = lag_table(grid.take([draw(st.integers(0, len(grid) - 1))]), array, grid.is_doa, bounds)[:, 0]
+            b.values[np.arange(len(bounds)), b.max_lag - bounds + at] += 10.0
     return array, grid, blocks
 
 
-def _pruning(cell_points: int, seed_cells: int, table_share: float = srp_core._TABLE_SHARE):
+def _pruning(cell_points: int, seed_cells: int, table_share: float = srp_core._TABLE_SHARE, split_share=1.0):
     """Cells and seeds small enough that even a small grid's search skips
     cells; a table share of 0 makes every round with a survivor flat, so
-    the second such round keeps the grid's table if none did, and 1 none."""
+    the second such round keeps the grid's table if none did, and 1 none.
+    A split share of 0 bounds the halves of a lattice's surviving boxes
+    in every round that may split them, and 1 in none."""
     return mock.patch.multiple(
-        srp_core, _CELL_POINTS=cell_points, _SEED_CELLS=seed_cells, _TABLE_SHARE=table_share
+        srp_core, _CELL_POINTS=cell_points, _SEED_CELLS=seed_cells, _TABLE_SHARE=table_share,
+        _SPLIT_SHARE=split_share,
     )
+
+
+def _box_of_each_point(grid, cell, parts) -> np.ndarray:
+    """Each grid point's box: ``cell``, or on a lattice the box of its
+    index in each axis's partition ``parts``, flattened in C order."""
+    if parts is None:
+        return cell
+    at = np.unravel_index(np.arange(len(grid)), grid.shape)
+    boxes = [np.searchsorted(p, i, side="right") - 1 for p, i in zip(parts, at)]
+    return np.ravel_multi_index(boxes, [len(p) for p in parts])
 
 
 @settings(max_examples=80, deadline=None)
@@ -567,43 +596,57 @@ def _pruning(cell_points: int, seed_cells: int, table_share: float = srp_core._T
 )
 def test_time_argmax_equals_the_exhaustive_search(case, cell_points, seed_cells, table_share, step):
     """Index, score and counts of each frame equal argmax_search over its
-    full map, bit for bit, whatever the cell, seed, table share and
-    gather block sizes, in three rounds over the same cells, the second
-    of which may keep the table that the third reads."""
+    full map, bit for bit, whatever the cell, seed, table share, gather
+    and split block sizes, in three rounds over the same cells, the second
+    of which may keep the table that the third reads. A lattice's cells
+    are searched at both bound levels: its boxes alone, and their halves
+    wherever a round may split them."""
     array, grid, blocks = case
     bounds = lag_bounds(array)
     counter.reset()
     maps = [srp_time_map(b, grid, array) for b in blocks]
     want_counts = counter.snapshot()
-    with _pruning(cell_points, seed_cells, table_share), mock.patch.object(srp_core, "_GATHER_BLOCK", step):
-        cells = time_cells(grid.points, array, grid.is_doa, bounds)
-        for _ in range(3):
-            counter.reset()
-            idx, scores = time_argmax(cells, blocks, bounds)
-            assert counter.snapshot() == want_counts
-            for i, s, m in zip(idx, scores, maps, strict=True):
-                want = argmax_search(m)
-                assert i == int(np.argmax(m.scores)) and np.array_equal(grid.points[i], want.estimate)
-                assert s == want.score
+    for split_share in (1.0, 0.0) if grid.axes is not None else (1.0,):
+        with _pruning(cell_points, seed_cells, table_share, split_share), \
+                mock.patch.multiple(srp_core, _GATHER_BLOCK=step, _SPLIT_BLOCK=step):
+            cells = time_cells(grid, array, bounds)
+            for _ in range(3):
+                counter.reset()
+                idx, scores = time_argmax(cells, blocks, bounds)
+                assert counter.snapshot() == want_counts
+                for i, s, m in zip(idx, scores, maps, strict=True):
+                    want = argmax_search(m)
+                    assert i == int(np.argmax(m.scores)) and np.array_equal(grid.take(i), want.estimate)
+                    assert s == want.score
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_search_cases(), cell_points=st.sampled_from([1, 4, 16, 64]))
 def test_no_member_scores_above_its_cells_bound(case, cell_points):
     """Every member's lag_table offset lies in its cell's range, pair by
-    pair, and so no member's score exceeds its cell's bound."""
+    pair, and so no member's score exceeds its cell's bound; on a
+    lattice, at both bound levels: its boxes and their halves."""
     array, grid, blocks = case
     bounds = lag_bounds(array)
+    wins = srp_core._windows(blocks, bounds)
     with _pruning(cell_points, 1):
-        cells = time_cells(grid.points, array, grid.is_doa, bounds)
-    first, second, _, width = cells.query
-    level, lo = np.divmod(first, width)
-    hi = second - level * width + np.left_shift(1, level) - 1
-    table = lag_table(grid.points, array, grid.is_doa, bounds)
-    assert np.all(lo[:, cells.cell] <= table) and np.all(table <= hi[:, cells.cell])
-    upper = srp_core._cell_bounds(cells, blocks, srp_core._windows(blocks, bounds))
+        cells = time_cells(grid, array, bounds)
+    levels = [(cells.query, _box_of_each_point(grid, cells.cell, cells.parts))]
+    if cells.parts is not None:  # every half, kept against a best of -inf
+        everything, never = np.ones(len(cells.size), dtype=bool), np.full(len(blocks), -np.inf)
+        keep, halves, n = srp_core._split_boxes(cells, everything, blocks, wins, bounds, never)
+        assert keep.all() and n == len(grid)
+        lo, hi, _ = srp_core._lattice_boxes(grid.axes, halves)
+        query = srp_core._box_query(lo, hi, array, False, bounds)
+        levels.append((query, _box_of_each_point(grid, None, halves)))
+    table = lag_table(grid, array, grid.is_doa, bounds)
     scores = np.stack([srp_time_map(b, grid, array).scores for b in blocks], axis=1)
-    assert np.all(scores <= upper[cells.cell])
+    for query, cell in levels:
+        first, second, _, width = query
+        level, lo = np.divmod(first, width)
+        hi = second - level * width + np.left_shift(1, level) - 1
+        assert np.all(lo[:, cell] <= table) and np.all(table <= hi[:, cell])
+        assert np.all(scores <= srp_core._cell_bounds(query, blocks, wins)[cell])
 
 
 @pytest.mark.parametrize("fill, n_pairs", [(-np.inf, 1), (np.nan, 1), (1e308, 2)])
@@ -624,7 +667,7 @@ def test_a_non_finite_score_that_only_a_losing_point_reaches_still_raises(fill, 
         lags[j, int(bounds.max() - bounds[j] + table[j, loser])] = fill
     block = LagBlock(lags, FS)
     with _pruning(4, 1), np.errstate(over="ignore"):
-        cells = time_cells(grid.points, array, bounds=bounds)
+        cells = time_cells(grid, array, bounds=bounds)
         with pytest.raises(ValueError, match="finite"):
             time_argmax(cells, [block], bounds)
         with pytest.raises(ValueError, match="finite"):
@@ -636,8 +679,45 @@ def test_an_all_zero_frame_over_the_room_grid_peaks_at_the_first_point():
     grid = cartesian_grid(ROOM, 0.1)
     bounds = lag_bounds(array)
     zero = LagBlock(np.zeros((array.n_pairs, 2 * int(bounds.max()) + 1)), FS)
-    idx, scores = time_argmax(time_cells(grid.points, array, bounds=bounds), [zero], bounds)
+    idx, scores = time_argmax(time_cells(grid, array, bounds=bounds), [zero], bounds)
     assert idx[0] == 0 and scores[0] == 0.0
+
+
+@pytest.mark.parametrize("split_block", [1, 7, srp_core._SPLIT_BLOCK])
+def test_split_rounds_skip_halves_and_equal_the_exhaustive_search(split_block):
+    """Noisy frames, each peaked at one point, over a 0.2 m room lattice:
+    every round splits its surviving boxes, skips some of their halves,
+    and returns each frame's exhaustive argmax and score, with the
+    points the halves hold counted exactly."""
+    array = MicArray(MIC_POSITIONS, sample_rate=FS)
+    grid = cartesian_grid(ROOM, 0.2)
+    bounds = lag_bounds(array)
+    table = lag_table(grid, array, bounds=bounds)
+    rng = np.random.default_rng(11)
+    blocks = []
+    for at in rng.integers(0, len(grid), size=4):
+        lags = 0.3 * rng.normal(size=(array.n_pairs, 2 * int(bounds.max()) + 1))
+        lags[np.arange(array.n_pairs), bounds.max() - bounds + table[:, at]] += 2.0
+        blocks.append(LagBlock(lags, FS))
+    splits = []
+
+    def split(cells, rest, *args):
+        keep, parts, n = real_split(cells, rest, *args)
+        halves = np.bincount(_box_of_each_point(grid, None, parts), minlength=len(keep))
+        splits.append((int(cells.size[rest].sum()), n, int(halves[keep].sum())))
+        return keep, parts, n
+
+    real_split = srp_core._split_boxes
+    with _pruning(64, 2, split_share=0.0), \
+            mock.patch.multiple(srp_core, _SPLIT_BLOCK=split_block, _split_boxes=split):
+        cells = time_cells(grid, array, bounds)
+        for _ in range(2):
+            idx, scores = time_argmax(cells, blocks, bounds)
+            for i, s, b in zip(idx, scores, blocks, strict=True):
+                want = argmax_search(srp_time_map(b, grid, array))
+                assert np.array_equal(grid.take(i), want.estimate) and s == want.score
+    assert len(splits) == 2 and cells.table is None
+    assert all(0 < n < coarse and n == counted for coarse, n, counted in splits)
 
 
 @pytest.mark.parametrize("build_share", [srp_core._BUILD_SHARE, 1.0])
@@ -656,7 +736,7 @@ def test_a_flat_round_keeps_the_grid_table_for_later_rounds(build_share):
     lags[np.arange(array.n_pairs), bounds.max() - bounds + table[:, len(grid) // 3]] += 1.0
     peaked, zero = LagBlock(lags, FS), LagBlock(np.zeros_like(lags), FS)
     rounds = [(peaked, False), (zero, build_share < 1), (zero, True), (peaked, True)]
-    cells = time_cells(grid.points, array, bounds=bounds)
+    cells = time_cells(grid, array, bounds=bounds)
     assert len(grid) > srp_core._COLUMN_BLOCK
     for block, kept in rounds:
         want = argmax_search(srp_time_map(block, grid, array))

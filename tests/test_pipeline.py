@@ -8,6 +8,7 @@ rather than tolerances.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,6 +435,22 @@ def test_plan_holds_only_the_cropped_lag_block(scene, name):
     assert block.values.shape == (array.n_pairs, 2 * d + 1)
     assert block.values.base is None  # a copy: the irfft output is not kept alive
     assert block.head.shape == (array.n_pairs,)
+
+
+def test_a_90k_point_time_plan_holds_under_half_a_mib(scene):
+    """The prepared plan of a 90,000-point room lattice holds its cells'
+    lag ranges and the grid's axes, not its points (2.06 MiB) or a (G,)
+    box index."""
+    array, _ = scene
+    cfg = PipelineConfig(grid=GridSpec(resolution=0.1), map=MapSpec(domain="time"))
+    tracemalloc.start()
+    try:
+        plan = prepare(array, [6.0, 5.0, 3.0], cfg)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(plan.grid) == 90_000 and plan.steering.cell is None
+    assert held < 0.5 * 2**20
 
 
 # ------------------------------------------------------------ grid updates
