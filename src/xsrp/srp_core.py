@@ -18,9 +18,11 @@ through a table of offsets rint(tau * fs) + D, so a block cropped to
 full table; time_argmax finds a batch of frames' argmaxes by scoring
 only the boxes of grid points (TimeCells) whose bound can reach the
 best score found, bounding the halves of a lattice's surviving boxes
-before it scores their points. The frequency map is Horner's rule over the block's
-uniform DFT bins, exact, steered by per-mic phasors (2 M complex
-exponentials per point). A module-level counter tracks candidate
+before it scores their points. The frequency map evaluates each pair's
+polynomial in the block's uniform DFT bins exactly by baby-step
+giant-step: per block of points, one matrix product per pair and about
+2 sqrt(K) array passes for K bins, steered by per-mic phasors (2 M
+complex exponentials per point). A module-level counter tracks candidate
 scorings and steering-kernel evaluations so complexity claims can be
 checked: each frame's map, alone or in a batch, adds G points and
 G * P kernel ops (time, volumetric; for time_argmax, those of the map
@@ -258,11 +260,14 @@ def _range_maxima(rows, query: tuple):
         yield np.maximum(flat.take(a, axis=0), flat.take(b, axis=0))
 
 
-#: grid points per cell of time_cells. On time3d_multi (90k points, 28
-#: pairs, 4 frames, 2 rounds, seeds 0-3), cells of 16, 32, 64, 128 and
-#: 256 points took 10.2, 6.5, 6.5, 5.4 and 5.0 ms to build and 7.1, 7.7,
-#: 8.4, 12.4 and 16.1 ms to search per command (32 seed cells): smaller
-#: cells cost setup and bounds, larger ones more survivors
+#: grid points per cell of time_cells: index boxes of edge
+#: round(_CELL_POINTS^(1/k)) on a lattice, sorted cells otherwise. On the
+#: 90k-point time3d_multi lattice (8 mics), boxes of 27, 64, 125 and 216
+#: points (3,400, 1,560, 720 and 450 boxes) took 3.9, 1.9, 1.2 and 1.0
+#: ms to build. 64 was chosen for sorted cells, whose builds of 16-256
+#: points took 10.2-5.0 ms and searches 7.1, 7.7, 8.4, 12.4 and 16.1 ms
+#: a command (32 seed cells): larger cells leave more survivors. The
+#: search was not timed again for index boxes
 _CELL_POINTS = 64
 
 #: cells per frame whose members time_argmax scores first. On 16 rounds
@@ -660,9 +665,29 @@ def _half_spectrum(mask: np.ndarray) -> np.ndarray:
     return np.where((k == 0) | (2 * k == n), 1.0, 2.0) * mask[: n // 2 + 1]
 
 
-#: accumulator elements (pairs x points) per Horner block, 512 kB of
-#: complex128, so the per-step sweeps stay in cache
-_HORNER_BLOCK = 32768
+#: most points per block of srp_freq_scores, whose points are split into
+#: equal blocks of at most this many, so the tracker's 1,000 particles
+#: are one block: as one block a track-sized call (8 mics, K = 115) took
+#: 4.8 ms, as two of 500 points 6.2-6.4 ms, as much as the old Horner
+#: loop. A 90k-point map at K = 973 took 1.8, 1.0-1.2, 0.9 and 0.9 s in
+#: blocks of at most 512, 1024, 2048 and 4096 points (2-core host), but
+#: a 4,000-point call there peaked at 2.7 MiB in blocks of 1,000 points
+#: and 4.9 MiB in blocks of 2,000
+_HORNER_BLOCK = 1024
+
+
+def _freq_coefficients(block: SpectralBlock) -> np.ndarray:
+    """(P, A, B): each pair's fold-weighted bins k_lo + aB + b at [a, b], zero-padded to A * B.
+
+    K = block.spectra.shape[1] bins, B = ceil(sqrt(K)), A = ceil(K / B);
+    (P, 0, 1) for an empty band.
+    """
+    P, K = block.spectra.shape
+    B = math.isqrt(max(K - 1, 0)) + 1
+    A = -(-K // B)
+    coef = np.zeros((P, A * B), dtype=complex)
+    np.multiply(block.spectra, _half_spectrum(block.in_band)[block.band], out=coef[:, :K])
+    return coef.reshape(P, A, B)
 
 
 def srp_freq_scores(
@@ -670,6 +695,8 @@ def srp_freq_scores(
     gccs: SpectralBlock,
     array: MicArray,
     far_field: bool = False,
+    *,
+    coef: np.ndarray | None = None,
 ) -> np.ndarray:
     """Frequency-domain SRP at arbitrary points, from a SpectralBlock's (P, nb) bins alone.
 
@@ -677,55 +704,63 @@ def srp_freq_scores(
     (_half_spectrum), which are uniform, f_k = k fs/n, so each pair's
     sum is a polynomial in z = e^{j 2 pi (fs/n) tau}: e^{j 2 pi f_lo tau}
     sum_k c_k z^(k - k_lo), c_k the block's bins times the fold weights.
-    Horner's rule evaluates it exactly with one complex multiply-add
-    per bin, pair and point, and no phase tensor. As tau_lm = t_l - t_m,
-    z and the band start's e^{j 2 pi f_lo tau} are products w_l conj(w_m)
-    of per-mic phasors: 2 M complex exponentials per point, not 2 P,
-    laid out a mic's consecutive pair rows at a time (MicArray.pair_rows)
-    in z's (P, g) buffer, with no gathered (P, g) temporaries. Scores
-    match the direct two-sided sum to 2e-13 of the map's peak
-    (measured at n = 8192, band starts up to bin 4000). The counter
-    adds G * P * |F|, |F| = in_band.sum().
+    Its K coefficients, zero-padded to A x B (_freq_coefficients), are
+    evaluated exactly by baby-step giant-step (Paterson & Stockmeyer,
+    1973): per pair, the baby powers z^0..z^(B-1) of a block of points,
+    one matrix product Q = C_pair @ powers, and Horner's rule in
+    y = z^B over Q's A rows, about 2 sqrt(K) array passes in all. As
+    tau_lm = t_l - t_m, z and the band start's e^{j 2 pi f_lo tau} are
+    products w_l conj(w_m) of per-mic phasors: 2 M complex exponentials
+    per point, not 2 P. One pair's (B + A, g) working set is held at a
+    time, g <= _HORNER_BLOCK points. Scores match the direct two-sided
+    sum to 2e-13 of the map's peak (worst 1.7e-13, as Horner's rule
+    over all K bins, measured at n = 8192, 8 mics, near and far field,
+    bands from bin 0, 1000 or 3000 up to Nyquist). ``coef`` is
+    _freq_coefficients(gccs), passed by a caller that scores one block
+    many times (make_freq_scorer). The counter adds G * P * |F|,
+    |F| = in_band.sum().
     """
     block = _spectral_block(gccs, array)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    scores = np.zeros(len(pts))
-    P, k_lo = len(block.pairs), block.band.start
-    if block.spectra.shape[1]:  # the band runs from the first in-band bin to the last
-        # (K, P), row k - k_lo is bin k: a new array, as a transpose of one
-        # pair or one bin is already contiguous and scaling it would scale the block
-        coef = np.multiply(block.spectra.T, _half_spectrum(block.in_band)[block.band, None], order="C")
+    G = len(pts)
+    scores = np.zeros(G)
+    if coef is None:
+        coef = _freq_coefficients(block)
+    _, A, B = coef.shape
+    if A and G:
         df = block.sample_rate / len(block.in_band)
-        spans = array.pair_rows()
-        chunk = max(1, _HORNER_BLOCK // P)
-        for i in range(0, len(pts), chunk):
-            t = _mic_delays(pts[i: i + chunk], array, far_field).T  # (M, g)
-            w = np.exp((2j * math.pi * df) * t)
-            wc = w.conj()
-            z = np.empty((P, t.shape[1]), dtype=complex)  # e^{j 2 pi df tau_lm}
-            for l, rows in spans:
-                np.multiply(w[l: l + 1], wc[l + 1:], out=z[rows])
-            acc = np.repeat(coef[-1][:, None], z.shape[1], axis=1)
-            with np.errstate():  # restores the ufunc buffer size on exit
-                np.setbufsize(16)  # short rows: buffering doubles the broadcast add's cost
-                for c in coef[-2::-1]:
-                    acc *= z
-                    acc += c[:, None]
-            # acc *= w_l, then acc *= conj(w_m): each factor laid out in z
-            # and applied as one (P, g) product, as numpy's rounding of a
-            # one-element product depends on its shape
-            np.multiply(t, 2j * math.pi * df * k_lo, out=w)  # in place: no (M, g) temporaries
+        phase = 2j * math.pi * df
+        mics = [(p.l, p.m) for p in block.pairs]
+        n = -(-G // _HORNER_BLOCK)
+        edges = np.arange(n + 1) * G // n  # equal blocks: no short trailing one
+        for i, j in zip(edges[:-1], edges[1:]):
+            t = np.ascontiguousarray(_mic_delays(pts[i:j], array, far_field).T)  # (M, g)
+            w = np.multiply(t, phase)  # e^{j 2 pi df t}
             np.exp(w, out=w)
-            np.conjugate(w, out=wc)
-            for l, rows in spans:
-                z[rows] = w[l]
-            acc *= z
-            for l, rows in spans:
-                z[rows] = wc[l + 1:]
-            acc *= z
-            scores[i: i + chunk] = acc.real.sum(axis=0)
-    counter.points += len(pts)
-    counter.kernel_ops += len(pts) * P * int(np.count_nonzero(block.in_band))
+            w0 = np.multiply(t, phase * block.band.start)  # e^{j 2 pi f_lo t}
+            np.exp(w0, out=w0)
+            del t
+            g = j - i
+            powers, q = np.empty((B, g), dtype=complex), np.empty((A, g), dtype=complex)
+            z, y = np.empty(g, dtype=complex), np.empty(g, dtype=complex)
+            powers[0] = 1.0
+            acc = scores[i:j]
+            for c, (l, m) in zip(coef, mics):
+                np.conjugate(w[m], out=y)
+                np.multiply(w[l], y, out=z)  # z = e^{j 2 pi df tau_lm}
+                for b in range(1, B):
+                    np.multiply(powers[b - 1], z, out=powers[b])
+                np.multiply(powers[B - 1], z, out=y)  # y = z^B
+                np.matmul(c, powers, out=q)
+                for a in range(A - 2, -1, -1):
+                    np.multiply(q[a + 1], y, out=q[a + 1])
+                    np.add(q[a], q[a + 1], out=q[a])
+                np.multiply(q[0], w0[l], out=q[0])
+                np.conjugate(w0[m], out=y)
+                np.multiply(q[0], y, out=q[0])
+                acc += q[0].real
+    counter.points += G
+    counter.kernel_ops += G * len(block.pairs) * int(np.count_nonzero(block.in_band))
     return scores
 
 
@@ -745,11 +780,12 @@ def make_time_scorer(lags: LagBlock, array: MicArray, far_field: bool = False):
 
 
 def make_freq_scorer(gccs: SpectralBlock, array: MicArray, far_field: bool = False):
-    """points (N, 3) -> frequency-domain SRP scores (N,); the block is checked once, here."""
+    """points (N, 3) -> frequency-domain SRP scores (N,); the block is checked and its coefficients laid out once, here."""
     block = _spectral_block(gccs, array)
+    coef = _freq_coefficients(block)
 
     def scorer(points: np.ndarray) -> np.ndarray:
-        return srp_freq_scores(points, block, array, far_field=far_field)
+        return srp_freq_scores(points, block, array, far_field=far_field, coef=coef)
 
     return scorer
 

@@ -8,6 +8,7 @@ degenerate volumes must reproduce point scores exactly.
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -45,7 +46,7 @@ from xsrp.grids import (
     subdivide,
 )
 from xsrp.multisource import MultiConfig, deemphasize, localize_multi
-from xsrp.search import argmax_search
+from xsrp.search import SearchConfig, argmax_search, refine_search
 from xsrp.srp_core import (
     PairwiseFreqScores,
     SrpMap,
@@ -199,7 +200,7 @@ def test_freq_scores_match_direct_two_sided_sum(case, block):
 
 
 def gathered_phasor_scores(pts, gccs, array, far_field):
-    """srp_freq_scores as first written with per-mic phasors: every pair's phasors gathered into (P, g) copies."""
+    """srp_freq_scores by baby-step giant-step, every pair's phasors gathered into (P, g) copies first."""
     pairs = array.pairs()
     mask = gccs[pairs[0]].in_band
     weights = srp_core._half_spectrum(mask)
@@ -208,33 +209,45 @@ def gathered_phasor_scores(pts, gccs, array, far_field):
     if not len(bins):
         return scores
     k_lo, k_hi = bins[0], bins[-1] + 1
-    coef = np.stack([gccs[p].values[k_lo:k_hi] for p in pairs], axis=1)
-    coef *= weights[k_lo:k_hi, None]
+    K = k_hi - k_lo
+    B = next(b for b in itertools.count(1) if b * b >= K)
+    A = -(-K // B)
+    coef = np.zeros((len(pairs), A * B), dtype=complex)
+    for j, p in enumerate(pairs):
+        coef[j, :K] = gccs[p].values[k_lo:k_hi] * weights[k_lo:k_hi]
+    coef = coef.reshape(len(pairs), A, B)
     df = gccs[pairs[0]].sample_rate / len(mask)
     ls, ms = np.array([(p.l, p.m) for p in pairs]).T
-    chunk = max(1, srp_core._HORNER_BLOCK // len(pairs))
-    for i in range(0, len(pts), chunk):
-        t = srp_core._mic_delays(pts[i: i + chunk], array, far_field).T
+    n = -(-len(pts) // srp_core._HORNER_BLOCK)
+    edges = np.arange(n + 1) * len(pts) // n
+    for i, e in zip(edges[:-1], edges[1:]):
+        t = np.ascontiguousarray(srp_core._mic_delays(pts[i:e], array, far_field).T)
         w = np.exp((2j * math.pi * df) * t)
-        z = w[ls] * w.conj()[ms]
-        acc = np.repeat(coef[-1][:, None], z.shape[1], axis=1)
-        with np.errstate():
-            np.setbufsize(16)
-            for c in coef[-2::-1]:
-                acc *= z
-                acc += c[:, None]
-        w = np.exp((2j * math.pi * df * k_lo) * t)
-        acc *= w[ls]
-        acc *= w.conj()[ms]
-        scores[i: i + chunk] = acc.real.sum(axis=0)
+        w0 = np.exp((2j * math.pi * df * k_lo) * t)
+        zs = w[ls] * w.conj()[ms]
+        heads, tails = w0[ls], w0.conj()[ms]
+        for j in range(len(pairs)):
+            powers = np.empty((B, e - i), dtype=complex)
+            powers[0] = 1.0
+            for b in range(1, B):
+                powers[b] = powers[b - 1] * zs[j]
+            y = powers[B - 1] * zs[j]
+            q = coef[j] @ powers
+            acc = q[A - 1].copy()
+            for a in range(A - 2, -1, -1):  # in place, as a one-point product rounds by its layout
+                acc *= y
+                acc += q[a]
+            acc *= heads[j]
+            acc *= tails[j]
+            scores[i:e] += acc.real
     return scores
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=_freq_cases(), block=st.integers(1, 200) | st.just(srp_core._HORNER_BLOCK))
 def test_freq_scores_equal_the_gathered_phasor_kernel_bitwise(case, block):
-    # phasor products a mic's pair rows at a time, against (P, g)
-    # gathered copies; blocks this small leave one-point chunks
+    # per-pair phasor products into preallocated buffers, against (P, g)
+    # gathered copies; blocks this small leave one-point blocks
     array, gccs, pts, far_field = case
     with mock.patch.object(srp_core, "_HORNER_BLOCK", block):
         got = srp_freq_scores(pts, gccs, array, far_field=far_field)
@@ -264,12 +277,78 @@ def test_freq_scores_exact_at_large_band_starts(k_lo, k_hi, far_field):
         pts = rng.uniform(0.0, 1.0, size=(40, 3)) * [6.0, 5.0, 3.0]
     bufsize = np.getbufsize()
     got = srp_freq_scores(pts, gccs, array, far_field=far_field)
-    assert np.getbufsize() == bufsize  # the kernel's unbuffered Horner loop restores it
+    assert np.getbufsize() == bufsize  # the kernel leaves numpy's ufunc buffer size as it found it
     taus = (far_field_tdoa_matrix if far_field else tdoa_matrix)(pts, array)
     ref = np.zeros(len(pts))
     for j, g in enumerate(gccs.values()):
         ref += (np.exp(2j * math.pi * taus[:, j, None] * freqs[in_band]) @ g.values[in_band]).real
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _banded_case(K, start, n_mics, far_field):
+    """PHAT spectra on a 4096-point DFT over K folded bins: from DC, ending at Nyquist, or from bin 300."""
+    n = 4096
+    df, half = FS / n, n // 2
+    k_lo = {"dc": 0, "nyquist": half - K + 1, "mid": 300}[start]
+    rng = np.random.default_rng(K + 7 * n_mics)
+    array = MicArray(rng.uniform(0.0, 1.0, size=(n_mics, 3)) * [6.0, 5.0, 3.0], sample_rate=FS)
+    freqs = np.fft.fftfreq(n, d=1.0 / FS)
+    in_band = (np.abs(freqs) >= (k_lo - 0.5) * df) & (np.abs(freqs) <= (k_lo + K - 0.5) * df)
+    spectra = np.fft.fft(rng.normal(size=(array.n_pairs, n)))
+    spectra = np.where(in_band, spectra / np.abs(spectra), 0.0)
+    gccs = hand_block(spectra, in_band, array.pairs())
+    if far_field:
+        pts = rng.normal(size=(40, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    else:
+        pts = rng.uniform(0.0, 1.0, size=(40, 3)) * [6.0, 5.0, 3.0]
+    return array, gccs, pts, freqs[in_band], spectra[:, in_band]
+
+
+@pytest.mark.parametrize("far_field", [False, True], ids=["near", "far"])
+@pytest.mark.parametrize("n_mics", [2, 6])
+@pytest.mark.parametrize("start", ["dc", "nyquist", "mid"])
+@pytest.mark.parametrize("K", [1, 2, 3, 16, 17, 121, 122, 973])
+def test_freq_scores_match_the_direct_sum_at_edge_bin_counts(K, start, n_mics, far_field):
+    # K = B^2 and B^2 + 1 (B = 4, 11) fill the last block row or start a
+    # new one; bands start at DC or end at Nyquist, whose bins fold once
+    array, gccs, pts, f, values = _banded_case(K, start, n_mics, far_field)
+    assert gccs.spectra.shape[1] == K
+    got = srp_freq_scores(pts, gccs, array, far_field=far_field)
+    taus = (far_field_tdoa_matrix if far_field else tdoa_matrix)(pts, array)
+    ref = np.zeros(len(pts))
+    for j in range(array.n_pairs):
+        ref += (np.exp(2j * math.pi * taus[:, j, None] * f) @ values[j]).real
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("K", [0, 1, 115])
+def test_zero_points_score_to_an_empty_result_and_count_nothing(K):
+    array, gccs, _, _, _ = _banded_case(max(K, 1), "mid", 4, False)
+    if not K:
+        gccs = SpectralBlock(gccs.spectra[:, :0], slice(0, 0), np.zeros_like(gccs.in_band), FS, gccs.pairs)
+    counter.reset()
+    for scores in (srp_freq_scores(np.empty((0, 3)), gccs, array), make_freq_scorer(gccs, array)(np.empty((0, 3)))):
+        assert scores.shape == (0,) and scores.dtype == float
+    assert counter.snapshot() == (0, 0)
+
+
+def test_a_track_sized_frequency_call_holds_under_one_mib():
+    """8 mics, 1,000 points, 300-1200 Hz at L = 1024 (K = 115): one block,
+    one pair's powers and giant-step rows at a time."""
+    rng = np.random.default_rng(4)
+    array = MicArray(rng.uniform(0.0, 1.0, size=(8, 3)) * [6.0, 5.0, 3.0], sample_rate=FS)
+    block = compute_spectral_gccs(rng.normal(size=(8, 1024)), array, GccConfig(band=(300.0, 1200.0)))
+    assert block.spectra.shape == (28, 115)
+    pts = rng.uniform(0.0, 1.0, size=(1000, 3)) * [6.0, 5.0, 3.0]
+    srp_freq_scores(pts, block, array)
+    tracemalloc.start()
+    try:
+        srp_freq_scores(pts, block, array)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0 * 2**20
 
 
 @st.composite
@@ -886,6 +965,20 @@ def test_scorers_match_maps(scene):
     )
 
 
+def test_a_freq_scorer_lays_out_its_coefficients_once(scene):
+    """A search calls one scorer many times a frame; the padded (P, A, B)
+    coefficients are built when the scorer is made, not per call."""
+    array, _, gccs = scene
+    region = Volume([0.5, 0.5, 0.5], [4.5, 3.5, 2.5])
+    builds = mock.Mock(wraps=srp_core._freq_coefficients)
+    with mock.patch.object(srp_core, "_freq_coefficients", builds):
+        scorer = make_freq_scorer(gccs, array)
+        res = refine_search(scorer, region, SearchConfig(mode="refine", max_iters=4))
+    assert builds.call_count == 1 and res.iterations > 1
+    pts = np.random.default_rng(3).uniform(0.5, 2.5, size=(50, 3))
+    assert scorer(pts).tobytes() == srp_freq_scores(pts, gccs, array).tobytes()
+
+
 def test_maps_scorers_and_deemphasis_take_only_blocks(scene):
     """A per-pair dict is refused with a TypeError that names the block type."""
     array, lags, gccs = scene
@@ -936,9 +1029,8 @@ def test_a_spectral_block_out_of_pair_order_is_refused(scene):
 
 @pytest.mark.parametrize("n_mics, band", [(2, None), (4, (1000.0, 1000.0 + 0.5 * FS / 1024))])
 def test_frequency_scoring_leaves_the_block_unchanged(n_mics, band):
-    """One pair or one bin makes the kernel's transposed block contiguous
-    already; scoring must not scale the caller's block, so a scorer called
-    twice gives the same scores."""
+    """A block of one pair or one bin: laying out its coefficients must not
+    scale the caller's block, so a scorer called twice gives the same scores."""
     rng = np.random.default_rng(8)
     array = MicArray(rng.uniform(0.0, 1.0, size=(n_mics, 3)), sample_rate=FS)
     block = compute_spectral_gccs(rng.normal(size=(n_mics, 512)), array, GccConfig(band=band))
