@@ -665,15 +665,20 @@ def _half_spectrum(mask: np.ndarray) -> np.ndarray:
     return np.where((k == 0) | (2 * k == n), 1.0, 2.0) * mask[: n // 2 + 1]
 
 
-#: most points per block of srp_freq_scores, whose points are split into
-#: equal blocks of at most this many, so the tracker's 1,000 particles
-#: are one block: as one block a track-sized call (8 mics, K = 115) took
-#: 4.8 ms, as two of 500 points 6.2-6.4 ms, as much as the old Horner
-#: loop. A 90k-point map at K = 973 took 1.8, 1.0-1.2, 0.9 and 0.9 s in
-#: blocks of at most 512, 1024, 2048 and 4096 points (2-core host), but
-#: a 4,000-point call there peaked at 2.7 MiB in blocks of 1,000 points
-#: and 4.9 MiB in blocks of 2,000
-_HORNER_BLOCK = 1024
+#: most points per block of srp_freq_scores, and most pair-points per
+#: group of pairs in a block. The points are split into equal blocks of
+#: at most this many, so the tracker's 1,000 particles are one block and
+#: take one pair at a time. A block of g points splits each mic's pair
+#: rows into the fewest equal groups of at most _FREQ_BLOCK // g pairs,
+#: side by side in flat rows, so the 80-100 point calls of refine and
+#: source searches make a few numpy calls per group, not per pair (8
+#: mics, K = 115, 100 points: 0.6-0.9 ms, against 1.2-2.1 ms a pair at a
+#: time). The size trades map speed for peak memory, as a group's A + B
+#: rows grow with sqrt(K): at K = 973 a 90k-point map took 1.8, 1.0-1.2,
+#: 0.9 and 0.9 s in blocks of at most 512, 1024, 2048 and 4096 points
+#: (2-core host), and a 4,000-point call peaked at 2.7 MiB in blocks of
+#: 1,000 points and 4.9 MiB in blocks of 2,000
+_FREQ_BLOCK = 1024
 
 
 def _freq_coefficients(block: SpectralBlock) -> np.ndarray:
@@ -690,13 +695,19 @@ def _freq_coefficients(block: SpectralBlock) -> np.ndarray:
     return coef.reshape(P, A, B)
 
 
+def _equal_parts(n: int, most: int) -> list[int]:
+    """Edges of the fewest equal parts of range(n) with at most ``most`` each: no short trailing part."""
+    k = -(-n // most)
+    return [i * n // k for i in range(k + 1)]
+
+
 def srp_freq_scores(
     points: np.ndarray,
     gccs: SpectralBlock,
     array: MicArray,
     far_field: bool = False,
     *,
-    coef: np.ndarray | None = None,
+    _coef: np.ndarray | None = None,
 ) -> np.ndarray:
     """Frequency-domain SRP at arbitrary points, from a SpectralBlock's (P, nb) bins alone.
 
@@ -711,28 +722,27 @@ def srp_freq_scores(
     y = z^B over Q's A rows, about 2 sqrt(K) array passes in all. As
     tau_lm = t_l - t_m, z and the band start's e^{j 2 pi f_lo tau} are
     products w_l conj(w_m) of per-mic phasors: 2 M complex exponentials
-    per point, not 2 P. One pair's (B + A, g) working set is held at a
-    time, g <= _HORNER_BLOCK points. Scores match the direct two-sided
-    sum to 2e-13 of the map's peak (worst 1.7e-13, as Horner's rule
-    over all K bins, measured at n = 8192, 8 mics, near and far field,
-    bands from bin 0, 1000 or 3000 up to Nyquist). ``coef`` is
-    _freq_coefficients(gccs), passed by a caller that scores one block
-    many times (make_freq_scorer). The counter adds G * P * |F|,
-    |F| = in_band.sum().
+    per point, not 2 P. A block's pairs are taken in groups of one
+    mic's consecutive pair rows (_FREQ_BLOCK), side by side in flat
+    rows, with one stacked product per group, one BLAS call per pair.
+    Scores match the direct two-sided sum to 2e-13 of the map's peak
+    (worst 1.9e-13, as Horner's rule over all K bins, measured at
+    n = 8192, 8 mics, 40, 100 and 1,000 points, near and far field,
+    bands from bin 0, 1000 or 3000 up to Nyquist). ``_coef`` must be
+    _freq_coefficients of this same block, laid out once by a caller
+    that scores it many times (make_freq_scorer). The counter adds
+    G * P * |F|, |F| = in_band.sum().
     """
     block = _spectral_block(gccs, array)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     G = len(pts)
     scores = np.zeros(G)
-    if coef is None:
-        coef = _freq_coefficients(block)
+    coef = _freq_coefficients(block) if _coef is None else _coef
     _, A, B = coef.shape
     if A and G:
         df = block.sample_rate / len(block.in_band)
         phase = 2j * math.pi * df
-        mics = [(p.l, p.m) for p in block.pairs]
-        n = -(-G // _HORNER_BLOCK)
-        edges = np.arange(n + 1) * G // n  # equal blocks: no short trailing one
+        edges = _equal_parts(G, _FREQ_BLOCK)
         for i, j in zip(edges[:-1], edges[1:]):
             t = np.ascontiguousarray(_mic_delays(pts[i:j], array, far_field).T)  # (M, g)
             w = np.multiply(t, phase)  # e^{j 2 pi df t}
@@ -740,25 +750,39 @@ def srp_freq_scores(
             w0 = np.multiply(t, phase * block.band.start)  # e^{j 2 pi f_lo t}
             np.exp(w0, out=w0)
             del t
-            g = j - i
-            powers, q = np.empty((B, g), dtype=complex), np.empty((A, g), dtype=complex)
-            z, y = np.empty(g, dtype=complex), np.empty(g, dtype=complex)
-            powers[0] = 1.0
-            acc = scores[i:j]
-            for c, (l, m) in zip(coef, mics):
-                np.conjugate(w[m], out=y)
-                np.multiply(w[l], y, out=z)  # z = e^{j 2 pi df tau_lm}
-                for b in range(1, B):
-                    np.multiply(powers[b - 1], z, out=powers[b])
-                np.multiply(powers[B - 1], z, out=y)  # y = z^B
-                np.matmul(c, powers, out=q)
-                for a in range(A - 2, -1, -1):
-                    np.multiply(q[a + 1], y, out=q[a + 1])
-                    np.add(q[a], q[a + 1], out=q[a])
-                np.multiply(q[0], w0[l], out=q[0])
-                np.conjugate(w0[m], out=y)
-                np.multiply(q[0], y, out=q[0])
-                acc += q[0].real
+            g, acc = j - i, scores[i:j]
+            most = max(1, _FREQ_BLOCK // g)  # pairs per group
+            # rows of B powers, A giant steps, z and y for a group's
+            # pairs, each pair's g points in turn
+            bufs = np.empty((B + A + 2, min(most, array.n_mics - 1) * g), dtype=complex)
+            bufs[0] = 1.0  # z^0
+            for l, rows in array.pair_rows():  # pairs (l, l+1..M-1), block rows ``rows``
+                parts = _equal_parts(rows.stop - rows.start, most)
+                for a0, a1 in zip(parts[:-1], parts[1:]):
+                    n, ms = a1 - a0, slice(l + 1 + a0, l + 1 + a1)
+                    powers, q, z, y = bufs[:B, : n * g], bufs[B: B + A, : n * g], bufs[-2, : n * g], bufs[-1, : n * g]
+                    zn, qn = z.reshape(n, g), q[0].reshape(n, g)  # a row per pair
+                    # z = e^{j 2 pi df tau_lm} = conj(w_m) w_l, in place: numpy
+                    # rounds a one-point block's broadcast product as a flat one only in place
+                    np.conjugate(w[ms], out=zn)
+                    np.multiply(zn, w[l], out=zn)
+                    for b in range(1, B):
+                        np.multiply(powers[b - 1], z, out=powers[b])
+                    np.multiply(powers[B - 1], z, out=y)  # y = z^B
+                    # one BLAS product per pair: its (A, B) coefficients by its (B, g) powers
+                    np.matmul(
+                        coef[rows][a0:a1],
+                        powers.reshape(B, n, g).transpose(1, 0, 2),
+                        out=q.reshape(A, n, g).transpose(1, 0, 2),
+                    )
+                    for a in range(A - 2, -1, -1):
+                        np.multiply(q[a + 1], y, out=q[a + 1])
+                        np.add(q[a], q[a + 1], out=q[a])
+                    np.multiply(qn, w0[l], out=qn)
+                    np.conjugate(w0[ms], out=zn)
+                    np.multiply(q[0], z, out=q[0])
+                    for r in qn.real:
+                        acc += r
     counter.points += G
     counter.kernel_ops += G * len(block.pairs) * int(np.count_nonzero(block.in_band))
     return scores
@@ -785,7 +809,7 @@ def make_freq_scorer(gccs: SpectralBlock, array: MicArray, far_field: bool = Fal
     coef = _freq_coefficients(block)
 
     def scorer(points: np.ndarray) -> np.ndarray:
-        return srp_freq_scores(points, block, array, far_field=far_field, coef=coef)
+        return srp_freq_scores(points, block, array, far_field=far_field, _coef=coef)
 
     return scorer
 

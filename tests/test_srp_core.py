@@ -184,12 +184,12 @@ def _freq_cases(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=_freq_cases(), block=st.integers(1, 200) | st.just(srp_core._HORNER_BLOCK))
+@given(case=_freq_cases(), block=st.integers(1, 200) | st.just(srp_core._FREQ_BLOCK))
 def test_freq_scores_match_direct_two_sided_sum(case, block):
     # Horner over the folded DFT bins, in blocks of any size, against
     # the definition: every two-sided in-band bin steered directly
     array, gccs, pts, far_field = case
-    with mock.patch.object(srp_core, "_HORNER_BLOCK", block):
+    with mock.patch.object(srp_core, "_FREQ_BLOCK", block):
         got = srp_freq_scores(pts, gccs, array, far_field=far_field)
     taus = (far_field_tdoa_matrix if far_field else tdoa_matrix)(pts, array)
     ref = np.zeros(len(pts))
@@ -200,7 +200,7 @@ def test_freq_scores_match_direct_two_sided_sum(case, block):
 
 
 def gathered_phasor_scores(pts, gccs, array, far_field):
-    """srp_freq_scores by baby-step giant-step, every pair's phasors gathered into (P, g) copies first."""
+    """srp_freq_scores by baby-step giant-step in groups of pairs, every pair's phasors gathered into (P, g) copies first."""
     pairs = array.pairs()
     mask = gccs[pairs[0]].in_band
     weights = srp_core._half_spectrum(mask)
@@ -218,38 +218,51 @@ def gathered_phasor_scores(pts, gccs, array, far_field):
     coef = coef.reshape(len(pairs), A, B)
     df = gccs[pairs[0]].sample_rate / len(mask)
     ls, ms = np.array([(p.l, p.m) for p in pairs]).T
-    n = -(-len(pts) // srp_core._HORNER_BLOCK)
+    n = -(-len(pts) // srp_core._FREQ_BLOCK)
     edges = np.arange(n + 1) * len(pts) // n
     for i, e in zip(edges[:-1], edges[1:]):
+        g = e - i
         t = np.ascontiguousarray(srp_core._mic_delays(pts[i:e], array, far_field).T)
         w = np.exp((2j * math.pi * df) * t)
         w0 = np.exp((2j * math.pi * df * k_lo) * t)
-        zs = w[ls] * w.conj()[ms]
+        zs, tails_of_z = w[ls], w.conj()[ms]
         heads, tails = w0[ls], w0.conj()[ms]
-        for j in range(len(pairs)):
-            powers = np.empty((B, e - i), dtype=complex)
+        most = max(1, srp_core._FREQ_BLOCK // g)
+        groups = []  # equal groups of each mic's pair rows, at most ``most`` pairs each
+        for l, rows in array.pair_rows():
+            k = -(-(rows.stop - rows.start) // most)
+            parts = rows.start + np.arange(k + 1) * (rows.stop - rows.start) // k
+            groups += zip(parts[:-1], parts[1:])
+        for a0, a1 in groups:
+            # a group's pairs side by side in flat rows, in place as one
+            # point's product rounds by its layout
+            z = tails_of_z[a0:a1].ravel()
+            z *= zs[a0:a1].ravel()
+            powers = np.empty((B, len(z)), dtype=complex)
             powers[0] = 1.0
             for b in range(1, B):
-                powers[b] = powers[b - 1] * zs[j]
-            y = powers[B - 1] * zs[j]
-            q = coef[j] @ powers
+                powers[b] = powers[b - 1] * z
+            y = powers[B - 1] * z
+            q = (coef[a0:a1] @ powers.reshape(B, a1 - a0, g).transpose(1, 0, 2)).transpose(1, 0, 2).reshape(A, -1)
             acc = q[A - 1].copy()
-            for a in range(A - 2, -1, -1):  # in place, as a one-point product rounds by its layout
+            for a in range(A - 2, -1, -1):
                 acc *= y
                 acc += q[a]
-            acc *= heads[j]
-            acc *= tails[j]
-            scores[i:e] += acc.real
+            acc *= heads[a0:a1].ravel()
+            acc *= tails[a0:a1].ravel()
+            for r in acc.real.reshape(a1 - a0, g):
+                scores[i:e] += r
     return scores
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=_freq_cases(), block=st.integers(1, 200) | st.just(srp_core._HORNER_BLOCK))
+@given(case=_freq_cases(), block=st.integers(1, 200) | st.just(srp_core._FREQ_BLOCK))
 def test_freq_scores_equal_the_gathered_phasor_kernel_bitwise(case, block):
-    # per-pair phasor products into preallocated buffers, against (P, g)
-    # gathered copies; blocks this small leave one-point blocks
+    # grouped phasor products into preallocated flat rows, against (P, g)
+    # gathered copies; small blocks leave one-point blocks, one-pair
+    # groups or every pair in one group
     array, gccs, pts, far_field = case
-    with mock.patch.object(srp_core, "_HORNER_BLOCK", block):
+    with mock.patch.object(srp_core, "_FREQ_BLOCK", block):
         got = srp_freq_scores(pts, gccs, array, far_field=far_field)
         want = gathered_phasor_scores(pts, gccs, array, far_field)
     assert got.tobytes() == want.tobytes()
@@ -331,6 +344,24 @@ def test_zero_points_score_to_an_empty_result_and_count_nothing(K):
     for scores in (srp_freq_scores(np.empty((0, 3)), gccs, array), make_freq_scorer(gccs, array)(np.empty((0, 3)))):
         assert scores.shape == (0,) and scores.dtype == float
     assert counter.snapshot() == (0, 0)
+
+
+@pytest.mark.parametrize("G, products", [(80, [7, 6, 5, 4, 3, 2, 1]), (100, [7, 6, 5, 4, 3, 2, 1]), (360, [1, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 1, 2, 2, 1]), (1000, [1] * 28)])
+def test_small_calls_take_their_pairs_in_groups(G, products):
+    """A block of g points splits each mic's pair rows (7, 6, .., 1 at 8
+    mics) into the fewest equal groups of at most 1024 // g pairs, one
+    stacked product each, so a search's 80-100 point call makes seven;
+    1,000 points take one pair at a time. Scores equal those of one-point
+    blocks, one pair a group, to 1e-12."""
+    # at 360 points, at most 2 a group: 7 rows as 1, 2, 2, 2; 6 as 2, 2, 2; 5 as 1, 2, 2; ...
+    array, gccs, _, _, _ = _banded_case(115, "mid", 8, False)
+    pts = np.random.default_rng(G).uniform(0.0, 1.0, size=(G, 3)) * [6.0, 5.0, 3.0]
+    matmul = mock.Mock(wraps=np.matmul)
+    with mock.patch.object(np, "matmul", matmul):
+        got = srp_freq_scores(pts, gccs, array)
+    assert [c.args[0].shape[0] for c in matmul.call_args_list] == products
+    with mock.patch.object(srp_core, "_FREQ_BLOCK", 1):
+        assert np.max(np.abs(got - srp_freq_scores(pts, gccs, array))) <= 1e-12 * np.max(np.abs(got))
 
 
 def test_a_track_sized_frequency_call_holds_under_one_mib():
