@@ -198,7 +198,7 @@ class SpectralBlock(Mapping):
     an n-point DFT, n = len(in_band), the two-sided in-band mask; other
     bins are 0, never formed. Also a read-only Mapping whose two-sided
     SpectralGcc items are built only when read, for the readers of
-    per-pair items (pairwise_freq_scores, perfbench's probes).
+    per-pair items (perfbench's probes).
     """
 
     spectra: np.ndarray

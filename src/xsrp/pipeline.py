@@ -147,7 +147,7 @@ class PipelineConfig:
 
 
 #: most points an exhaustive map may steer (a Cartesian or DOA grid's points,
-#: or 8 vertices per volume): at most 24 MB of points, 240 MB of 16-mic lag table
+#: or 8 vertices per volume): at most 24 MB of points, as grid.points builds them
 MAX_STEERED_POINTS = 1_000_000
 
 
@@ -275,10 +275,11 @@ class Plan:
     grid, a batch's features are built one frame at a time, then its
     frames are searched together over the cells (localize_multi_batch).
     The last frame's features stay until the next run; map() maps them
-    once more over the prepared grid (the CLI's export), building the
-    time map's lag table, and the export the grid's points, for that
-    map alone. The grid updaters' passes
-    over new regions search cells built per pass.
+    once more over the prepared grid (the CLI's export), a time map's
+    lag table columns a block at a time as every time score builds them
+    (srp_core._time_scores), and the export builds the grid's points for
+    that map alone. No table of a whole grid is built or kept. The grid
+    updaters' passes over new regions search cells built per pass.
     """
 
     def __init__(self, array: MicArray, room, cfg: PipelineConfig):

@@ -14,11 +14,13 @@ LagBlock per frame, frequency maps one SpectralBlock, rows in
 array.pairs() order, and take no other form. The time map reads each
 pair's lag window -D..D, D = round(max_tdoa * fs) + 1 (lag_bounds),
 through a table of offsets rint(tau * fs) + D, so a block cropped to
-+/-max D serves every map of the array. srp_time_map gathers a grid's
-full table; time_argmax finds a batch of frames' argmaxes by scoring
-only the boxes of grid points (TimeCells) whose bound can reach the
-best score found, bounding the halves of a lattice's surviving boxes
-before it scores their points. The frequency map evaluates each pair's
++/-max D serves every map of the array. Every time score builds its
+points' table columns a block at a time and gathers them
+(_time_scores): srp_time_map and the scorers over all their points,
+time_argmax, which finds a batch of frames' argmaxes, over only the
+boxes of grid points (TimeCells) whose bound can reach the best score
+found, bounding the halves of a lattice's surviving boxes before it
+scores their points. The frequency map evaluates each pair's
 polynomial in the block's uniform DFT bins exactly by baby-step
 giant-step: per block of points, one matrix product per pair and about
 2 sqrt(K) array passes for K bins, steered by per-mic phasors (2 M
@@ -128,60 +130,35 @@ def _spectral_block(gccs: SpectralBlock, array: MicArray) -> SpectralBlock:
     return gccs
 
 
-#: points per block of a lag table build. The block's (M, chunk) times
-#: of flight and (P, chunk) TDOAs came to a 1.66 MiB tracemalloc
-#: transient at 8 mics, below the 1.82 MiB of one frame's lag_block
-#: (L = 4096, 100-2000 Hz, +/-267 lags), so the build does not raise a
-#: run's peak
-_TABLE_CHUNK = 4096
-
-
 def lag_table(
-    points, array: MicArray, far_field: bool = False, bounds: np.ndarray | None = None
+    points: np.ndarray, array: MicArray, far_field: bool = False, bounds: np.ndarray | None = None
 ) -> np.ndarray:
-    """Nearest-lag steering of every pair and point, offset into [0, 2 D], (P, G).
+    """Nearest-lag steering of every pair and point, offset into [0, 2 D], (P, n).
 
-    ``points`` are (G, 3), or a CandidateGrid, whose points are taken
-    _TABLE_CHUNK at a time. Entry [j, g] is rint(tau_j(u_g) * fs) + D_j
+    ``points`` are (n, 3). Entry [j, g] is rint(tau_j(u_g) * fs) + D_j
     (see lag_bounds; ``bounds`` if the caller has them), so row j
     indexes the lag window -D_j..D_j directly; the dtype is the smallest
     unsigned one holding 2 max D, uint16 for any room-sized array.
-    Near-field blocks take one mic-major tof_matrix pass and the pair
+    Near-field points take one mic-major tof_matrix pass and the pair
     rows by consecutive-row subtraction, t[l] - t[l+1:] (see
     MicArray.pair_rows), then one scale/rint/offset pass: tdoa_matrix's
     float operations, bit for bit, so a point's column does not depend
     on the other points.
     """
-    grid = isinstance(points, CandidateGrid)
-    if not grid:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-    G, fs = len(points), array.sample_rate
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     if bounds is None:
         bounds = lag_bounds(array)
-    table = np.empty((len(bounds), G), dtype=np.min_scalar_type(2 * bounds.max()))
-    buf = np.empty((len(bounds), min(_TABLE_CHUNK, G)))
-    for i in range(0, G, _TABLE_CHUNK):
-        part = np.arange(i, min(i + _TABLE_CHUNK, G))
-        chunk = points.take(part) if grid else points[part]
-        tau = buf[:, : len(chunk)]
-        if far_field:
-            tau[:] = far_field_tdoa_matrix(chunk, array).T
-        else:
-            t = tof_matrix(chunk, array).T  # (M, chunk), C-contiguous
-            for l, rows in array.pair_rows():
-                np.subtract(t[l], t[l + 1:], out=tau[rows])
-        tau *= fs
-        np.add(np.rint(tau, out=tau), bounds[:, None], out=table[:, i: i + _TABLE_CHUNK],
-               casting="unsafe")
+    if far_field:
+        tau = far_field_tdoa_matrix(points, array).T
+    else:
+        t = tof_matrix(points, array).T  # (M, n), C-contiguous
+        tau = np.empty((len(bounds), len(points)))
+        for l, rows in array.pair_rows():
+            np.subtract(t[l], t[l + 1:], out=tau[rows])
+    tau *= array.sample_rate
+    table = np.empty(tau.shape, dtype=np.min_scalar_type(2 * bounds.max()))
+    np.add(np.rint(tau, out=tau), bounds[:, None], out=table, casting="unsafe")
     return table
-
-
-#: gathered elements (points x frames) per block of a time-map pass: a
-#: 512 KiB float64 running sum. On a 90k-point, 28-pair table, a 4-frame
-#: pass took 4.12, 3.17, 3.14, 3.01, 4.00 and 6.41 ms per frame at blocks
-#: of 8,192 to 262,144 elements (doubling), and a one-frame map 6.50 ms
-#: at 65,536; smaller blocks pay per-call overhead, larger ones miss cache
-_GATHER_BLOCK = 65536
 
 
 def _windows(blocks: list[LagBlock], bounds: np.ndarray) -> list[np.ndarray]:
@@ -196,26 +173,33 @@ def _windows(blocks: list[LagBlock], bounds: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _gather(table, wins: list[np.ndarray], n: int) -> np.ndarray:
-    """Scores (n, F) of n points of a lag table, given as its rows (any
-    iterable): from 0.0, each pair's lag at its offset, in row order."""
+#: points per block of lag_table columns in _time_scores, through which
+#: every time score goes. A block's columns, TDOAs and times of flight
+#: hold about 420 bytes a point, so larger blocks raise a run's peak by
+#: as many bytes as a round has survivors: over time3d_multi seeds 0-11
+#: the tracemalloc peak spread over 2.42-2.60 MiB at blocks of 1,024
+#: points, 2.43-2.69 at 2,048 and 2.49-3.28 at 4,096 and 16,384, and a
+#: command took 34.7, 33.3, 34.1 and 32.4 ms (median over the seeds of
+#: 3 interleaved commands each). A one-frame map of 90,000 points at 8
+#: mics took 31-49 ms and peaked at 1.30 MiB
+_COLUMN_BLOCK = 1024
+
+
+def _time_scores(points, wins: list[np.ndarray], array: MicArray, far_field: bool, bounds: np.ndarray):
+    """Scores (n, F) of n points, a CandidateGrid or (n, 3), in F frames' lag windows (_windows).
+
+    Their lag_table columns are built _COLUMN_BLOCK points at a time and
+    gathered: from 0.0, each pair's lag at its offset, in pairs() order,
+    so a point's score does not depend on the other points.
+    """
+    grid, n = isinstance(points, CandidateGrid), len(points)
     scores = np.zeros((n, wins[0].shape[1]))
-    for win, row in zip(wins, table):
-        scores += win.take(row, axis=0)
-    return scores
-
-
-def _time_scores(table: np.ndarray, lags, array: MicArray, bounds=None):
-    """One frame's scores over a lag table, gathered in blocks of points."""
-    block, bounds = _lag_block(lags, array, bounds)
-    wins = _windows([block], bounds)
-    G = table.shape[1]
-    scores = np.empty(G)
-    for i in range(0, G, _GATHER_BLOCK):
-        part = table[:, i: i + _GATHER_BLOCK]
-        scores[i: i + _GATHER_BLOCK] = _gather(part, wins, part.shape[1])[:, 0]
-    counter.points += G
-    counter.kernel_ops += G * len(bounds)
+    for i in range(0, n, _COLUMN_BLOCK):
+        j = min(i + _COLUMN_BLOCK, n)
+        table = lag_table(points.take(np.arange(i, j)) if grid else points[i:j], array, far_field, bounds)
+        acc = scores[i:j]
+        for win, row in zip(wins, table):
+            acc += win.take(row, axis=0)
     return scores
 
 
@@ -276,32 +260,8 @@ _CELL_POINTS = 64
 #: 28,528, 10,752, 10,752 and 10,752 in a round: 8 seeds too low a bar
 _SEED_CELLS = 32
 
-#: share of a grid's points past which a round of time_argmax is flat:
-#: once the grid's lag_table is kept (TimeCells.table), a flat round
-#: gathers every point from it instead of building the survivors'
-#: columns, and the second flat round on the cells builds it if no
-#: round has. On time3d_multi (90k points, 28 pairs, 4 frames) the
-#: table took 23.6 ms to build and 11.8 ms to gather, and the columns
-#: of 10, 20, 30, 40, 50 and 100 % of the cells 3.5, 6.4, 9.6, 12.8,
-#: 15.3 and 27.7 ms to build and gather (in blocks of 16,384 points):
-#: at 40 % the columns cost what a pass over the kept table does
-_TABLE_SHARE = 0.4
-
-#: share of a grid's points past which a single round builds the
-#: grid's lag_table, where columns would cost more than the table. On
-#: time3d_multi, 4 frames of normal lags, the columns of 40, 50, 60,
-#: 70, 80 and 100 % of the points in _COLUMN_BLOCKs took 13.0-19.4,
-#: 17.5-26.8, 19.9-29.8, 24.4-34.7, 26.1-38.6 and 34.1-45.3 ms against
-#: 24.3-29.6 ms to build and gather the table (medians of 12, two
-#: runs). Below it a lone flat round holds 5 MiB less: seeds 17 and 18,
-#: whose second rounds keep 41,210 and 45,634 points, took 69.5 and
-#: 82.8 ms a command and peaked at 5.66 and 5.61 MiB, against 74.2 and
-#: 89.1 ms and 11.29 and 11.18 MiB when a flat round built the table
-_BUILD_SHARE = 0.7
-
 #: share of a lattice's points past which a round of time_argmax splits
-#: its surviving boxes in halves and bounds those (_split_boxes), as long
-#: as no table is kept and the survivors stay within _BUILD_SHARE. A
+#: its surviving boxes in halves and bounds those (_split_boxes). A
 #: half-box's bound costs about 1.2 us, its 8 points' columns about 3 us
 #: to build and gather, and each block of half-boxes about 1 ms more. On
 #: time3d_multi the split cut seed 18's second round from 46,432 points
@@ -317,18 +277,6 @@ _SPLIT_SHARE = 0.05
 #: 0, 17 and 18
 _SPLIT_BLOCK = 1024
 
-#: grid points per block of lag_table columns built by time_argmax. A
-#: block's columns, TDOAs and times of flight hold about 420 bytes a
-#: point, so blocks past about 1,500 points raised time3d_multi's
-#: tracemalloc peak above its lag_block's, by as many bytes as a round
-#: had survivors: over seeds 0-11 the peak spread over 5.58-6.85 MiB
-#: at blocks of 16,384 points (the gather block at 4 frames), 5.58-6.45
-#: at 4,096, 5.53-5.86 at 2,048 and 5.53-5.75 at 1,024, where
-#: lag_block sets it. Building and gathering took 506, 436, 309 and
-#: 308 ns a point at 1,024, 2,048, 4,096 and 16,384 points (4 frames);
-#: a command 1-5 ms more at 1,024 than at 16,384 (seeds 0, 3, 4, 7, 11)
-_COLUMN_BLOCK = 1024
-
 
 @dataclass
 class TimeCells:
@@ -336,10 +284,7 @@ class TimeCells:
     pair's range of lag_table offsets over each box. A lattice's boxes
     are index boxes, given by each axis's box starts (``parts``); other
     grids' by each point's box, (G,) (``cell``). ``size`` counts each
-    box's points. ``flat`` tells whether a round of time_argmax has been
-    flat (its survivors outgrew _TABLE_SHARE of the grid); ``table`` is
-    the grid's lag_table, built by a round whose survivors outgrow
-    _BUILD_SHARE or by the second flat round, then kept."""
+    box's points."""
 
     grid: CandidateGrid
     array: MicArray
@@ -347,8 +292,6 @@ class TimeCells:
     parts: tuple | None
     size: np.ndarray
     query: tuple
-    flat: bool = False
-    table: np.ndarray | None = None
 
 
 def _cell_boxes(pts: np.ndarray):
@@ -511,36 +454,24 @@ def _score_points(cells: TimeCells, keep, wins, bounds, best, idx, parts=None) -
     """Score the points of the boxes ``keep`` and update each frame's best, in place.
 
     ``keep`` is a (C,) bool over the cells, or over the boxes of a
-    lattice's axis partitions ``parts`` if given, or None for every
-    point. Points go in ascending blocks; their lag_table columns are
-    built per _COLUMN_BLOCK points, or read from the grid's table once
-    it is kept. Scores are checked finite as SrpMap does. A peak
-    replaces a frame's best if greater, or equal at a lower index.
+    lattice's axis partitions ``parts`` if given. Points go in ascending
+    blocks of about _COLUMN_BLOCK (_time_scores). Scores are checked
+    finite as SrpMap does. A peak replaces a frame's best if greater, or
+    equal at a lower index.
     """
-    G, cols = len(cells.grid), np.arange(len(best))
-    step = max(1, _GATHER_BLOCK // len(best))
-    if cells.table is None:
-        step = min(step, _COLUMN_BLOCK)
-    if keep is None:
-        chunks = (np.arange(i, min(i + step, G)) for i in range(0, G, step))
-    elif cells.parts is not None:
-        chunks = _lattice_members(cells.grid.shape, parts or cells.parts, keep, step)
+    cols = np.arange(len(best))
+    if cells.parts is not None:
+        chunks = _lattice_members(cells.grid.shape, parts or cells.parts, keep, _COLUMN_BLOCK)
     else:
         members = np.flatnonzero(keep.take(cells.cell))
-        chunks = (members[i: i + step] for i in range(0, len(members), step))
+        chunks = (members[i: i + _COLUMN_BLOCK] for i in range(0, len(members), _COLUMN_BLOCK))
     for part in chunks:
-        if cells.table is None:
-            table = lag_table(cells.grid.take(part), cells.array, cells.grid.is_doa, bounds)
-        elif keep is None:
-            table = cells.table[:, part[0]: part[-1] + 1]
-        else:  # row by row: no (P, step) copy
-            table = (row.take(part) for row in cells.table)
-        scores = _gather(table, wins, len(part))
+        scores = _time_scores(cells.grid.take(part), wins, cells.array, cells.grid.is_doa, bounds)
         if not np.isfinite(scores).all():
             raise ValueError("map scores must be finite")
         j = scores.argmax(axis=0)
         peak, at = scores[j, cols], part[j]
-        del table, scores  # before the next block's are made
+        del scores  # before the next block's are made
         better = (peak > best) | ((peak == best) & (at < idx))
         best[better], idx[better] = peak[better], at[better]
 
@@ -554,17 +485,13 @@ def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
     argmax_search(srp_time_map(...)) per frame, bit for bit: the
     members of each frame's _SEED_CELLS best-bounded cells are scored,
     then those of every other cell whose bound is not below some frame's
-    best (so ties and NaN are scored). On a lattice with no kept table,
-    when those cells hold over _SPLIT_SHARE of the points (and at most
-    _BUILD_SHARE), they are halved and only the halves whose own bound
-    is not below some frame's best are scored (_split_boxes). A skipped
-    point scores below its frame's peak, so the peak and its lowest
-    index are found. When the points left hold over _TABLE_SHARE of the
-    grid (a flat map) and the grid's table is kept, every point is
-    gathered from it; a round builds and keeps the table when they hold
-    over _BUILD_SHARE, or when it is the second flat round on these
-    cells. The counter adds what srp_time_map would, G points and G * P
-    kernel ops per frame: the exhaustive map the search certifies.
+    best (so ties and NaN are scored). On a lattice, when those cells
+    hold over _SPLIT_SHARE of the points, they are halved and only the
+    halves whose own bound is not below some frame's best are scored
+    (_split_boxes). A skipped point scores below its frame's peak, so
+    the peak and its lowest index are found. The counter adds what
+    srp_time_map would, G points and G * P kernel ops per frame: the
+    exhaustive map the search certifies.
     """
     G, F = len(cells.grid), len(blocks)
     wins = _windows(blocks, bounds)
@@ -579,15 +506,10 @@ def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
     _score_points(cells, seeds, wins, bounds, best, idx)
     rest = ~(upper < best).all(axis=1) & ~seeds
     del upper, seeds
-    survivors, parts = int(cells.size[rest].sum()), None
-    lattice = cells.parts is not None and cells.table is None
-    if lattice and _SPLIT_SHARE * G < survivors <= _BUILD_SHARE * G:
-        rest, parts, survivors = _split_boxes(cells, rest, blocks, wins, bounds, best)
-    flat = survivors > _TABLE_SHARE * G
-    if cells.table is None and (survivors > _BUILD_SHARE * G or flat and cells.flat):
-        cells.table = lag_table(cells.grid, cells.array, cells.grid.is_doa, bounds)
-    cells.flat |= flat
-    _score_points(cells, None if flat and cells.table is not None else rest, wins, bounds, best, idx, parts)
+    parts = None
+    if cells.parts is not None and cells.size[rest].sum() > _SPLIT_SHARE * G:
+        rest, parts = _split_boxes(cells, rest, blocks, wins, bounds, best)
+    _score_points(cells, rest, wins, bounds, best, idx, parts)
     return idx, best
 
 
@@ -598,8 +520,8 @@ def _split_boxes(cells: TimeCells, rest: np.ndarray, blocks, wins, bounds, best)
     indices, 2 x 2 x 2 sub-boxes of a 4 x 4 x 4 box: the boxes of each
     axis's halved partition. A sub-box is bounded as a box is
     (_box_query, _cell_bounds), _SPLIT_BLOCK at a time. Returns the kept
-    sub-boxes, a bool over the halved partition's boxes, the partition
-    and the number of points they hold.
+    sub-boxes, a bool over the halved partition's boxes, and the
+    partition.
     """
     parts = []
     for p, n in zip(cells.parts, cells.grid.shape):
@@ -607,16 +529,14 @@ def _split_boxes(cells: TimeCells, rest: np.ndarray, blocks, wins, bounds, best)
         parts.append(np.union1d(p, (p + lens // 2)[lens > 1]))
     x, y, z = (np.searchsorted(p, h, side="right") - 1 for p, h in zip(cells.parts, parts))
     keep = rest.reshape([len(p) for p in cells.parts])[x][:, y][:, :, z].ravel()  # each half's box
-    halves, n = np.flatnonzero(keep), 0
+    halves = np.flatnonzero(keep)
     for i in range(0, len(halves), _SPLIT_BLOCK):
         part = halves[i: i + _SPLIT_BLOCK]
-        lo, hi, size = _lattice_boxes(cells.grid.axes, parts, part)
+        lo, hi, _ = _lattice_boxes(cells.grid.axes, parts, part)
         upper = _cell_bounds(_box_query(lo, hi, cells.array, cells.grid.is_doa, bounds), blocks, wins)
-        ok = ~(upper < best).all(axis=1)
+        keep[part] = ~(upper < best).all(axis=1)
         del upper  # before the next block's bounds are made
-        keep[part] = ok
-        n += int(size[ok].sum())
-    return keep, tuple(parts), n
+    return keep, tuple(parts)
 
 
 def srp_time_scores(
@@ -626,7 +546,7 @@ def srp_time_scores(
     far_field: bool = False,
 ) -> np.ndarray:
     """Time-domain SRP at arbitrary points: nearest-lag projection."""
-    return _time_scores(lag_table(points, array, far_field), lags, array)
+    return make_time_scorer(lags, array, far_field)(points)
 
 
 def srp_time_map(
@@ -638,12 +558,14 @@ def srp_time_map(
     """Time-domain SRP map over a grid (far-field for DOA grids).
 
     ``bounds`` is the array's lag_bounds when the caller has them.
-    Builds the grid's lag_table and gathers every point's score: the
-    exhaustive map that time_argmax searches.
+    Scores every point, _COLUMN_BLOCK lag_table columns at a time
+    (_time_scores): the exhaustive map that time_argmax searches.
     """
     block, bounds = _lag_block(lags, array, bounds)
-    table = lag_table(grid, array, grid.is_doa, bounds)
-    return SrpMap(grid, _time_scores(table, block, array, bounds), "time")
+    scores = _time_scores(grid, _windows([block], bounds), array, grid.is_doa, bounds)
+    counter.points += len(grid)
+    counter.kernel_ops += len(grid) * len(bounds)
+    return SrpMap(grid, scores[:, 0], "time")
 
 
 def _mic_delays(pts, array: MicArray, far_field: bool) -> np.ndarray:
@@ -794,11 +716,16 @@ def srp_freq_map(gccs: SpectralBlock, grid: CandidateGrid, array: MicArray) -> S
 
 
 def make_time_scorer(lags: LagBlock, array: MicArray, far_field: bool = False):
-    """points (N, 3) -> time-domain SRP scores (N,); feeds searches and tracking."""
+    """points (N, 3) -> time-domain SRP scores (N,); feeds searches and tracking. The block is checked and its lag windows cut once, here."""
     block, bounds = _lag_block(lags, array)
+    wins = _windows([block], bounds)
 
     def scorer(points: np.ndarray) -> np.ndarray:
-        return _time_scores(lag_table(points, array, far_field, bounds), block, array, bounds)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        scores = _time_scores(pts, wins, array, far_field, bounds)[:, 0]
+        counter.points += len(pts)
+        counter.kernel_ops += len(pts) * len(bounds)
+        return scores
 
     return scorer
 
@@ -984,7 +911,11 @@ def pairwise_freq_scores(
     """The (P, G, F) steered-response tensor for weighted combination."""
     block = _spectral_block(gccs, array)
     pairs, mask = block.pairs, block.in_band
-    freqs = np.fft.fftfreq(len(mask), d=1.0 / block.sample_rate)[mask]
+    n, bins = len(mask), np.flatnonzero(mask)
+    freqs = np.fft.fftfreq(n, d=1.0 / block.sample_rate)[mask]
+    # each two-sided bin's half-spectrum twin, conjugated past n/2
+    rows = block.spectra[:, np.where(bins <= n // 2, bins, n - bins) - block.band.start]
+    np.conjugate(rows, out=rows, where=bins > n // 2)
     pts = grid.points
     # factored per mic, tau_lm = tau_l - tau_m: e^{+j 2 pi f tau_lm} per pair
     delays = _mic_delays(pts, array, grid.is_doa)
@@ -992,7 +923,7 @@ def pairwise_freq_scores(
     tensor = np.empty((len(pairs), len(pts), len(freqs)))
     for j, pair in enumerate(pairs):
         steer = phases[:, pair.l, :] * np.conj(phases[:, pair.m, :])
-        tensor[j] = (steer * block[pair].values[mask][None, :]).real
+        tensor[j] = (steer * rows[j][None, :]).real
     counter.points += len(pts)
     counter.kernel_ops += len(pts) * len(pairs) * len(freqs)
     return PairwiseFreqScores(tensor, pairs, freqs, grid)

@@ -477,7 +477,7 @@ def _warning_counts(caught):
 @given(
     case=_batch_cases(),
     n_sources=st.sampled_from([1, 2, 3, None]),
-    step=st.integers(1, 40) | st.just(srp_core._GATHER_BLOCK),
+    step=st.integers(1, 40) | st.just(srp_core._COLUMN_BLOCK),
 )
 def test_batched_rounds_equal_the_per_frame_chain(case, n_sources, step):
     """Every frame of a batch gets the per-frame chain's estimates, scores,
@@ -491,7 +491,7 @@ def test_batched_rounds_equal_the_per_frame_chain(case, n_sources, step):
         want_counts = counter.snapshot()
     originals = [b.copy() for b in blocks]
     with warnings.catch_warnings(record=True) as got_warnings, \
-            mock.patch.object(srp_core, "_GATHER_BLOCK", step):
+            mock.patch.object(srp_core, "_COLUMN_BLOCK", step):
         warnings.simplefilter("always")
         counter.reset()
         got = localize_multi_batch(blocks, grid, array, cfg)
@@ -510,7 +510,7 @@ def test_time_argmax_is_the_first_index_of_each_frames_map_maximum(case, step):
     array, grid, blocks = case
     bounds = lag_bounds(array)
     cells = time_cells(grid, array, bounds)
-    with mock.patch.object(srp_core, "_GATHER_BLOCK", step):
+    with mock.patch.object(srp_core, "_COLUMN_BLOCK", step):
         idx, scores = time_argmax(cells, blocks, bounds)
         maps = [srp_time_map(b, grid, array, bounds=bounds).scores for b in blocks]
     assert np.array_equal(idx, [int(np.argmax(m)) for m in maps])
@@ -564,15 +564,12 @@ def _search_cases(draw):
     return array, grid, blocks
 
 
-def _pruning(cell_points: int, seed_cells: int, table_share: float = srp_core._TABLE_SHARE, split_share=1.0):
+def _pruning(cell_points: int, seed_cells: int, split_share=1.0):
     """Cells and seeds small enough that even a small grid's search skips
-    cells; a table share of 0 makes every round with a survivor flat, so
-    the second such round keeps the grid's table if none did, and 1 none.
-    A split share of 0 bounds the halves of a lattice's surviving boxes
-    in every round that may split them, and 1 in none."""
+    cells. A split share of 0 bounds the halves of a lattice's surviving
+    boxes in every round, and 1 in none."""
     return mock.patch.multiple(
-        srp_core, _CELL_POINTS=cell_points, _SEED_CELLS=seed_cells, _TABLE_SHARE=table_share,
-        _SPLIT_SHARE=split_share,
+        srp_core, _CELL_POINTS=cell_points, _SEED_CELLS=seed_cells, _SPLIT_SHARE=split_share
     )
 
 
@@ -591,24 +588,22 @@ def _box_of_each_point(grid, cell, parts) -> np.ndarray:
     case=_search_cases(),
     cell_points=st.sampled_from([1, 2, 4, 16, 64]),
     seed_cells=st.integers(1, 4),
-    table_share=st.sampled_from([0.0, srp_core._TABLE_SHARE, 1.0]),
-    step=st.integers(1, 40) | st.just(srp_core._GATHER_BLOCK),
+    step=st.integers(1, 40) | st.just(srp_core._COLUMN_BLOCK),
 )
-def test_time_argmax_equals_the_exhaustive_search(case, cell_points, seed_cells, table_share, step):
+def test_time_argmax_equals_the_exhaustive_search(case, cell_points, seed_cells, step):
     """Index, score and counts of each frame equal argmax_search over its
-    full map, bit for bit, whatever the cell, seed, table share, gather
-    and split block sizes, in three rounds over the same cells, the second
-    of which may keep the table that the third reads. A lattice's cells
+    full map, bit for bit, whatever the cell, seed, column and split
+    block sizes, in three rounds over the same cells. A lattice's cells
     are searched at both bound levels: its boxes alone, and their halves
-    wherever a round may split them."""
+    in every round."""
     array, grid, blocks = case
     bounds = lag_bounds(array)
     counter.reset()
     maps = [srp_time_map(b, grid, array) for b in blocks]
     want_counts = counter.snapshot()
     for split_share in (1.0, 0.0) if grid.axes is not None else (1.0,):
-        with _pruning(cell_points, seed_cells, table_share, split_share), \
-                mock.patch.multiple(srp_core, _GATHER_BLOCK=step, _SPLIT_BLOCK=step):
+        with _pruning(cell_points, seed_cells, split_share), \
+                mock.patch.multiple(srp_core, _COLUMN_BLOCK=step, _SPLIT_BLOCK=step):
             cells = time_cells(grid, array, bounds)
             for _ in range(3):
                 counter.reset()
@@ -634,12 +629,12 @@ def test_no_member_scores_above_its_cells_bound(case, cell_points):
     levels = [(cells.query, _box_of_each_point(grid, cells.cell, cells.parts))]
     if cells.parts is not None:  # every half, kept against a best of -inf
         everything, never = np.ones(len(cells.size), dtype=bool), np.full(len(blocks), -np.inf)
-        keep, halves, n = srp_core._split_boxes(cells, everything, blocks, wins, bounds, never)
-        assert keep.all() and n == len(grid)
-        lo, hi, _ = srp_core._lattice_boxes(grid.axes, halves)
+        keep, halves = srp_core._split_boxes(cells, everything, blocks, wins, bounds, never)
+        lo, hi, size = srp_core._lattice_boxes(grid.axes, halves)
+        assert keep.all() and size.sum() == len(grid)
         query = srp_core._box_query(lo, hi, array, False, bounds)
         levels.append((query, _box_of_each_point(grid, None, halves)))
-    table = lag_table(grid, array, grid.is_doa, bounds)
+    table = lag_table(grid.points, array, grid.is_doa, bounds)
     scores = np.stack([srp_time_map(b, grid, array).scores for b in blocks], axis=1)
     for query, cell in levels:
         first, second, _, width = query
@@ -687,12 +682,11 @@ def test_an_all_zero_frame_over_the_room_grid_peaks_at_the_first_point():
 def test_split_rounds_skip_halves_and_equal_the_exhaustive_search(split_block):
     """Noisy frames, each peaked at one point, over a 0.2 m room lattice:
     every round splits its surviving boxes, skips some of their halves,
-    and returns each frame's exhaustive argmax and score, with the
-    points the halves hold counted exactly."""
+    and returns each frame's exhaustive argmax and score."""
     array = MicArray(MIC_POSITIONS, sample_rate=FS)
     grid = cartesian_grid(ROOM, 0.2)
     bounds = lag_bounds(array)
-    table = lag_table(grid, array, bounds=bounds)
+    table = lag_table(grid.points, array, bounds=bounds)
     rng = np.random.default_rng(11)
     blocks = []
     for at in rng.integers(0, len(grid), size=4):
@@ -702,10 +696,10 @@ def test_split_rounds_skip_halves_and_equal_the_exhaustive_search(split_block):
     splits = []
 
     def split(cells, rest, *args):
-        keep, parts, n = real_split(cells, rest, *args)
+        keep, parts = real_split(cells, rest, *args)
         halves = np.bincount(_box_of_each_point(grid, None, parts), minlength=len(keep))
-        splits.append((int(cells.size[rest].sum()), n, int(halves[keep].sum())))
-        return keep, parts, n
+        splits.append((int(cells.size[rest].sum()), int(halves[keep].sum())))
+        return keep, parts
 
     real_split = srp_core._split_boxes
     with _pruning(64, 2, split_share=0.0), \
@@ -716,39 +710,57 @@ def test_split_rounds_skip_halves_and_equal_the_exhaustive_search(split_block):
             for i, s, b in zip(idx, scores, blocks, strict=True):
                 want = argmax_search(srp_time_map(b, grid, array))
                 assert np.array_equal(grid.take(i), want.estimate) and s == want.score
-    assert len(splits) == 2 and cells.table is None
-    assert all(0 < n < coarse and n == counted for coarse, n, counted in splits)
+    assert len(splits) == 2
+    assert all(0 < kept < coarse for coarse, kept in splits)
 
 
-@pytest.mark.parametrize("build_share", [srp_core._BUILD_SHARE, 1.0])
-def test_a_flat_round_keeps_the_grid_table_for_later_rounds(build_share):
-    """A peaked round builds no table. An all-zero round, where every cell
-    survives, builds the grid's lag_table and keeps it if that outgrows
-    _BUILD_SHARE of the grid; otherwise it builds its columns
-    _COLUMN_BLOCK points at a time, and the next all-zero round builds
-    the table. A peaked round after it reads the kept table's columns.
-    Each equals argmax_search."""
+def _column_sizes(call):
+    """The value of ``call()`` and the point count of each lag_table call it made."""
+    with mock.patch.object(srp_core, "lag_table", wraps=srp_core.lag_table) as build:
+        value = call()
+    return value, [len(c.args[0]) for c in build.call_args_list]
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+def test_every_round_builds_its_columns_a_block_at_a_time(lattice):
+    """Peaked, all-zero, all-zero and peaked rounds over the same cells of
+    a 0.2 m room grid, a lattice or its points: an all-zero round keeps
+    every cell, yet no round builds more than _COLUMN_BLOCK points' lag
+    table columns at once, and each equals argmax_search over its map."""
     array = MicArray(MIC_POSITIONS, sample_rate=FS)
     grid = cartesian_grid(ROOM, 0.2)
+    if not lattice:
+        grid = CandidateGrid("cartesian3d", grid.points)
     bounds = lag_bounds(array)
     table = lag_table(grid.points, array, bounds=bounds)
     lags = 0.01 * np.random.default_rng(7).normal(size=(array.n_pairs, 2 * int(bounds.max()) + 1))
     lags[np.arange(array.n_pairs), bounds.max() - bounds + table[:, len(grid) // 3]] += 1.0
     peaked, zero = LagBlock(lags, FS), LagBlock(np.zeros_like(lags), FS)
-    rounds = [(peaked, False), (zero, build_share < 1), (zero, True), (peaked, True)]
     cells = time_cells(grid, array, bounds=bounds)
     assert len(grid) > srp_core._COLUMN_BLOCK
-    for block, kept in rounds:
+    for block in (peaked, zero, zero, peaked):
         want = argmax_search(srp_time_map(block, grid, array))
-        had = cells.table is not None
-        with mock.patch.object(srp_core, "_BUILD_SHARE", build_share), \
-                mock.patch.object(srp_core, "lag_table", wraps=srp_core.lag_table) as build:
-            (idx,), (score,) = time_argmax(cells, [block], bounds)
-        sizes = [len(c.args[0]) for c in build.call_args_list]
-        assert (cells.table is not None) == kept
-        if kept and not had:  # after the seed cells' columns
-            assert sizes[-1] == len(grid)
-            sizes.pop()
-        assert max(sizes, default=0) <= srp_core._COLUMN_BLOCK
-        assert np.array_equal(grid.points[idx], want.estimate) and score == want.score
-    assert np.array_equal(cells.table, table)
+        ((idx,), (score,)), sizes = _column_sizes(lambda: time_argmax(cells, [block], bounds))
+        assert 0 < max(sizes) <= srp_core._COLUMN_BLOCK
+        assert np.array_equal(grid.take(idx), want.estimate) and score == want.score
+
+
+def test_maps_and_scorers_build_their_columns_a_block_at_a_time():
+    """srp_time_map and srp_time_scores over more than _COLUMN_BLOCK
+    points build at most that many points' columns at once, and score
+    every point as the grid's whole lag table does."""
+    array = MicArray(MIC_POSITIONS, sample_rate=FS)
+    grid = cartesian_grid(ROOM, 0.2)
+    bounds = lag_bounds(array)
+    lags = np.random.default_rng(3).normal(size=(array.n_pairs, 2 * int(bounds.max()) + 1))
+    table = lag_table(grid.points, array, bounds=bounds)
+    want = np.zeros(len(grid))
+    for j, row in enumerate(table):
+        want += lags[j, bounds.max() - bounds[j] + row]
+    block = LagBlock(lags, FS)
+    m, sizes = _column_sizes(lambda: srp_time_map(block, grid, array))
+    assert np.array_equal(m.scores, want) and sum(sizes) == len(grid)
+    assert max(sizes) == srp_core._COLUMN_BLOCK
+    scores, sizes = _column_sizes(lambda: srp_core.srp_time_scores(grid.points, block, array))
+    assert np.array_equal(scores, want) and sum(sizes) == len(grid)
+    assert max(sizes) == srp_core._COLUMN_BLOCK

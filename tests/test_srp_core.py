@@ -876,6 +876,32 @@ def test_wsrp_sum_sum_equals_plain_freq_map(scene):
         np.testing.assert_allclose(w.scores, plain.scores, rtol=1e-9, atol=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([16, 30, 64]),
+    band=st.tuples(st.floats(0.0, FS / 2), st.floats(0.0, FS / 2)).map(sorted),
+    far=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairwise_tensor_equals_one_built_from_the_mapping_view(n, band, far, seed):
+    """The tensor reads each two-sided in-band bin from the block's half
+    spectrum (conjugated past n/2), bit for bit the SpectralGcc values
+    that the block's Mapping view builds for each pair."""
+    rng = np.random.default_rng(seed)
+    array = MicArray(rng.uniform(0.0, 1.0, size=(4, 3)), sample_rate=FS)
+    in_band = features._band_mask(np.fft.fftfreq(n, d=1.0 / FS), tuple(band), FS)
+    spectra = rng.normal(size=(array.n_pairs, n)) + 1j * rng.normal(size=(array.n_pairs, n))
+    block = hand_block(spectra, in_band, array.pairs())
+    grid = doa_grid(math.pi / 4, math.pi / 4) if far else CandidateGrid("cartesian3d", rng.uniform(-1, 2, (7, 3)))
+    got = pairwise_freq_scores(block, grid, array)
+    freqs = np.fft.fftfreq(n, d=1.0 / FS)[in_band]
+    phases = np.exp((2j * math.pi) * srp_core._mic_delays(grid.points, array, far)[:, :, None] * freqs)
+    for j, pair in enumerate(array.pairs()):
+        steer = phases[:, pair.l, :] * np.conj(phases[:, pair.m, :])
+        want = (steer * block[pair].values[in_band][None, :]).real
+        assert np.array_equal(got.tensor[j], want)
+
+
 def test_wsrp_pair_weight_inf_excludes_pair(scene):
     array, _, gccs = scene
     grid = cartesian_grid(ROOM, 1.0)
