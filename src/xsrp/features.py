@@ -120,49 +120,34 @@ class LagBlock:
     """Every pair's correlation at lags -k..k: one (P, 2k+1) block.
 
     Row j is pair j of array.pairs(); ``values[j, i]`` is lag i - k.
-    ``head`` holds each row's running sum of the lags cropped off the
-    left (0 if none), so cumsum([head, row]) continues the uncropped
-    row's np.cumsum bit for bit. Only volumetric sum and mean pooling
-    read it; a block cropped with head=False holds NaN there, which
-    that pooling refuses.
+    It holds these lags only: a map reads the same window -D..D of any
+    block that covers it, cropped or not.
     """
 
     values: np.ndarray
     sample_rate: float
-    head: np.ndarray | None = None
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[1] % 2 != 1:
             raise ValueError("lag block must be 2D with an odd row length (lags -k..k)")
-        if self.head is None:
-            self.head = np.zeros(len(self.values))
 
     @property
     def max_lag(self) -> int:
         return (self.values.shape[1] - 1) // 2
 
     @classmethod
-    def crop(
-        cls, lags: np.ndarray, sample_rate: float, reach: int | None = None, head: bool = True
-    ) -> "LagBlock":
+    def crop(cls, lags: np.ndarray, sample_rate: float, reach: int | None = None) -> "LagBlock":
         """The (P, 2K+1) ``lags`` over -reach..reach (all if reach is None or >= K).
 
-        A crop is a copy, so ``lags`` can be freed; the lags cropped off
-        the left go into head by np.cumsum, in place in ``lags``, unless
-        head is False (head is then NaN).
+        A cropped block is a copy, so ``lags`` can be freed; ``lags`` itself
+        is never written.
         """
         k = (lags.shape[1] - 1) // 2
         s = 0 if reach is None else max(k - reach, 0)
-        if not s:
-            return cls(lags, sample_rate)
-        if not head:
-            return cls(lags[:, s:-s].copy(), sample_rate, np.full(len(lags), np.nan))
-        left = lags[:, :s]
-        np.cumsum(left, axis=1, out=left)
-        return cls(lags[:, s:-s].copy(), sample_rate, left[:, -1].copy())
+        return cls(lags[:, s:-s].copy() if s else lags, sample_rate)
 
     def copy(self) -> "LagBlock":
-        return LagBlock(self.values.copy(), self.sample_rate, self.head.copy())
+        return LagBlock(self.values.copy(), self.sample_rate)
 
 
 @dataclass
@@ -369,13 +354,13 @@ _IRFFT_ROWS = 8
 
 
 def lag_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None,
-              reach: int | None = None, head: bool = True) -> LagBlock:
-    """Temporal GCCs of every pair at lags -reach..reach (all if None; LagBlock.crop says what
-    head=False leaves out), straight from the band block by _band_lags, as one LagBlock."""
-    return _band_lags(*_gcc_block(frames, array, cfg), array.sample_rate, reach, head)
+              reach: int | None = None) -> LagBlock:
+    """Temporal GCCs of every pair at lags -reach..reach (all if None), straight from
+    the band block by _band_lags, as one LagBlock."""
+    return _band_lags(*_gcc_block(frames, array, cfg), array.sample_rate, reach)
 
 
-def _band_lags(g, band: slice, in_band, fs: float, reach: int | None = None, head: bool = True) -> LagBlock:
+def _band_lags(g, band: slice, in_band, fs: float, reach: int | None = None) -> LagBlock:
     """The lags of band block rows ``g`` (bins ``band``, n = len(in_band)) by irfft, cropped as LagBlock.crop.
 
     Groups of _IRFFT_ROWS rows are zero-padded into one (rows, n/2 + 1)
@@ -384,7 +369,7 @@ def _band_lags(g, band: slice, in_band, fs: float, reach: int | None = None, hea
     """
     L = len(in_band) // 2
     rows, k = min(_IRFFT_ROWS, len(g)), L - 1 if reach is None else min(reach, L - 1)
-    values, heads = np.empty((len(g), 2 * k + 1)), np.empty(len(g))
+    values = np.empty((len(g), 2 * k + 1))
     half, out = np.empty((rows, L + 1), dtype=complex), np.empty((rows, 2 * L))
     for r in range(0, len(g), rows):
         part = g[r: r + rows]
@@ -394,6 +379,5 @@ def _band_lags(g, band: slice, in_band, fs: float, reach: int | None = None, hea
         lags = lags_from_half(h, out[: len(part)])
         if not np.all(np.isfinite(lags)):
             raise ValueError("lag values must be finite")
-        crop = LagBlock.crop(lags, fs, reach, head)
-        values[r: r + len(part)], heads[r: r + len(part)] = crop.values, crop.head
-    return LagBlock(values, fs, heads)
+        values[r: r + len(part)] = LagBlock.crop(lags, fs, reach).values
+    return LagBlock(values, fs)

@@ -114,10 +114,6 @@ class Volume:
     def edges(self) -> np.ndarray:
         return 2.0 * self.half_extents
 
-    def vertices(self) -> np.ndarray:
-        """The 8 corners, shape (8, 3)."""
-        return np.where(_CORNERS, self.hi, self.lo)
-
     def contains(self, points, atol: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.all((pts >= self.lo - atol) & (pts <= self.hi + atol), axis=1)
@@ -242,8 +238,25 @@ def cartesian_grid(room_dims, resolution, planar: bool = False) -> CandidateGrid
     return grid_in_volume(Volume.from_bounds(np.zeros(3), box), resolution, planar, warn=True)
 
 
+def _doa_layout(azimuth_res: float, elevation_res: float | None = None) -> tuple[float, float, float]:
+    """doa_grid's layout at these resolutions, counted without building it: (n_az, rings, poles).
+
+    The grid holds n_az azimuths on each of ``rings`` elevation rings (an
+    azimuth-only grid is one ring) and one point at each of ``poles``
+    poles: n_az * rings + poles points. The counts are floats, inf where
+    a subnormal resolution overflows them.
+    """
+    with np.errstate(over="ignore"):
+        n_az = float(np.floor(2 * math.pi / azimuth_res + _EPS))
+        if elevation_res is None:
+            return n_az, 1.0, 0.0
+        n_el = float(np.floor(math.pi / elevation_res + _EPS))
+    top = -math.pi / 2 + n_el * elevation_res  # the last ring: below, at or past (left out) the north pole
+    return n_az, n_el - (top >= math.pi / 2 - _EPS), 1.0 + (abs(top - math.pi / 2) <= _EPS)
+
+
 def doa_grid(azimuth_res: float, elevation_res: float | None = None) -> CandidateGrid:
-    """Grid of unit directions.
+    """Grid of unit directions, laid out as _doa_layout counts them.
 
     Azimuth-only grids hold in-plane vectors (cos phi, sin phi, 0)
     at phi = R, 2R, .., 2pi. With an elevation resolution, a full
@@ -251,23 +264,19 @@ def doa_grid(azimuth_res: float, elevation_res: float | None = None) -> Candidat
     """
     if not (0 < azimuth_res <= 2 * math.pi):
         raise ValueError(f"azimuth_res must lie in (0, 2pi], got {azimuth_res}")
-    n_az = int(math.floor(2 * math.pi / azimuth_res + _EPS))
+    if elevation_res is not None and not (0 < elevation_res <= math.pi):
+        raise ValueError(f"elevation_res must lie in (0, pi], got {elevation_res}")
+    n_az, rings, poles = (int(n) for n in _doa_layout(azimuth_res, elevation_res))
     phis = np.arange(1, n_az + 1) * azimuth_res
     if elevation_res is None:
         pts = np.column_stack([np.cos(phis), np.sin(phis), np.zeros(n_az)])
         return CandidateGrid("doa_azimuth", pts)
-    if not (0 < elevation_res <= math.pi):
-        raise ValueError(f"elevation_res must lie in (0, pi], got {elevation_res}")
-    n_el = int(math.floor(math.pi / elevation_res + _EPS))
-    thetas = -math.pi / 2 + np.arange(0, n_el + 1) * elevation_res
-    thetas = thetas[thetas <= math.pi / 2 + _EPS]
-    rows = []
-    for th in thetas:
-        if abs(abs(th) - math.pi / 2) <= _EPS:
-            rows.append(np.array([[0.0, 0.0, math.copysign(1.0, th)]]))
-            continue
+    rows = [np.array([[0.0, 0.0, -1.0]])]  # the south pole, then the rings upwards
+    for th in -math.pi / 2 + np.arange(1, rings + 1) * elevation_res:
         ce, se = math.cos(th), math.sin(th)
         rows.append(np.column_stack([ce * np.cos(phis), ce * np.sin(phis), np.full(n_az, se)]))
+    if poles == 2:
+        rows.append(np.array([[0.0, 0.0, 1.0]]))
     pts = np.vstack(rows)
     norms = np.linalg.norm(pts, axis=1, keepdims=True)
     pts = pts / norms

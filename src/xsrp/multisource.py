@@ -113,8 +113,8 @@ def deemphasize(features: LagBlock | SpectralBlock, tdoa_hat, sigma: float):
     in seconds per row, in row order. One notch covers the (P, 2K+1) lag
     block, which a SpectralBlock reaches by irfft (as lag_block) and
     leaves by one rfft, its band sliced back out. Exact zero at a notch
-    center; beyond 6 sigma the relative change is below 1e-6. A block's
-    head, the sum of lags beyond it, is left as it is.
+    center; beyond 6 sigma the relative change is below 1e-6. A cropped
+    block is notched over the lags it holds.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")

@@ -37,6 +37,7 @@ from .features import GccConfig, analysis_band, compute_spectral_gccs, lag_block
 from .geometry import MicArray, MicPair
 from .grids import (
     _EPS,
+    _doa_layout,
     Volume,
     cartesian_grid,
     doa_grid,
@@ -155,13 +156,12 @@ def _steered_points(g: GridSpec, room) -> float:
     """Points a map over g would steer, from the spec alone (0 if malformed)."""
     if g.kind == "volumes":
         return 8.0 * np.prod(g.counts or (2, 2, 2), dtype=float)  # no int64 wrap-around
-    if g.kind.startswith("doa"):  # as doa_grid: n_az azimuths on each of n_el + 1 rings
-        res = np.array([g.azimuth_res, g.elevation_res if g.kind == "doa_az_el" else np.inf])
-        if not np.all(res > 0):
+    if g.kind.startswith("doa"):
+        el = g.elevation_res if g.kind == "doa_az_el" else None
+        if not (g.azimuth_res > 0 and (el is None or el > 0)):
             return 0.0  # build_grid diagnoses it
-        with np.errstate(over="ignore"):  # a subnormal resolution counts inf points
-            n_az, n_el = np.floor(np.array([2 * np.pi, np.pi]) / res + _EPS)
-        return float(n_az * (n_el + 1.0))
+        n_az, rings, poles = _doa_layout(g.azimuth_res, el)
+        return n_az * rings + poles
     dims = np.asarray(room, dtype=float).reshape(-1)[: 2 if g.kind == "cartesian2d" else 3]
     res = np.asarray(g.resolution, dtype=float)
     if res.size not in (1, len(dims)) or np.any(res <= 0):
@@ -261,8 +261,8 @@ class Plan:
     Holds the candidate grid and its steering: the cells of a time map
     (srp_core.time_cells), or the lag windows of a volumetric map, plus
     the lag bounds D of time scores and volumetric maps, whose frames'
-    lags are then one LagBlock cropped to +/-max D (with its head only
-    for volumetric sum and mean pooling, which read it). A Cartesian
+    lags are then one LagBlock cropped to +/-max D, and the features'
+    GccConfig, built once, so a bad band or beta is refused here. A Cartesian
     grid is a lattice that holds its axes, not its points, and a time
     map's cells are its index boxes, so a 90,000-point time plan holds
     about 0.2 MiB; an estimate reads one point (CandidateGrid.take).
@@ -287,6 +287,10 @@ class Plan:
         if diags:
             raise ConfigError("; ".join(diags))
         self.array, self.room, self.cfg = array, room, cfg
+        try:
+            self.gcc = _gcc_config(cfg.features, array)
+        except ValueError as e:
+            raise ConfigError(f"features: {e}") from e
         self.grid = self.steering = self.features = None
         self.bounds = lag_bounds(array) if cfg.map.domain in ("time", "volumetric") else None
         if cfg.search.mode != "exhaustive":
@@ -299,12 +303,9 @@ class Plan:
 
     def _features(self, frames):
         """A LagBlock over +/-max D for time/volumetric maps, else a SpectralBlock."""
-        gcc = _gcc_config(self.cfg.features, self.array)
         if self.bounds is not None:
-            m = self.cfg.map
-            head = m.domain == "volumetric" and m.pooling != "max"
-            return lag_block(frames, self.array, gcc, reach=int(self.bounds.max()), head=head)
-        return compute_spectral_gccs(frames, self.array, gcc)
+            return lag_block(frames, self.array, self.gcc, reach=int(self.bounds.max()))
+        return compute_spectral_gccs(frames, self.array, self.gcc)
 
     def map(self) -> SrpMap:
         """One map of the configured domain, over the prepared grid, of the last run's features."""

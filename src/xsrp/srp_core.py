@@ -817,27 +817,27 @@ def vsrp_map(
     point SRP score at its center. Pooling is sum, mean or max per
     pair; pairs always combine by summation. ``windows`` is the
     grid's lag_windows and ``bounds`` the array's
-    lag_bounds when the caller has prepared them. Sum and mean pool
-    by prefix sums cumsum([head, row]), which equal the uncropped
-    row's np.cumsum, so they can differ from a direct window sum in
-    the last place; max is exact.
+    lag_bounds when the caller has prepared them. Every pair is read
+    over lags -D..D, D = max(bounds), as time maps read it, so a block
+    cropped to +/-D and an uncropped one give the same bits. Sum and
+    mean pool by prefix sums from lag -D, so they can differ from a
+    direct window sum in the last place; max is exact.
     """
     if pooling not in _POOLS:
         raise ValueError(f"pooling must be one of {_POOLS}, got {pooling!r}")
-    block, _ = _lag_block(lags, array, bounds)
-    if pooling != "max" and np.isnan(block.head).any():
-        raise ValueError(f"{pooling} pooling reads the lag block's head; build the block with head=True")
+    block, bounds = _lag_block(lags, array, bounds)
     if windows is None:
         windows = lag_windows(volume_grid, array, guard)
-    k = block.max_lag
-    P, n = block.values.shape
-    lo = np.maximum(windows[0] + k, 0)  # each window's first and last column in the block
-    hi = np.minimum(windows[1] + k, n - 1)
+    d, k = int(bounds.max()), block.max_lag
+    vals = block.values[:, k - d: k + d + 1]
+    P, n = vals.shape
+    lo = np.maximum(windows[0] + d, 0)  # each window's first and last column in vals
+    hi = np.minimum(windows[1] + d, n - 1)
     if pooling == "max":
-        pooled = _range_maxima(block.values, _range_query(lo, hi, n))
-    else:  # prefix sums of [head, row]: a window sums to ext[hi + 1] - ext[lo]
+        pooled = _range_maxima(vals, _range_query(lo, hi, n))
+    else:  # prefix sums from lag -D: a window sums to ext[hi + 1] - ext[lo]
         ext = np.empty((P, n + 1))
-        ext[:, 0], ext[:, 1:] = block.head, block.values
+        ext[:, 0], ext[:, 1:] = 0.0, vals
         np.cumsum(ext, axis=1, out=ext)
         flat, row0 = ext.ravel(), np.arange(P)[:, None] * (n + 1)  # flat index of each row's start
         pooled = flat[row0 + hi + 1] - flat[row0 + lo]

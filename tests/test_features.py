@@ -385,12 +385,11 @@ def test_block_matches_per_pair_reference(n_mics, log_len, beta, gamma, band, de
     n_mics=st.integers(2, 8),
     log_len=st.integers(1, 10),
     reach=st.none() | st.integers(0, 1100),
-    head=st.booleans(),
     rows=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_row_grouped_lag_block_equals_one_whole_block_irfft(n_mics, log_len, reach, head, rows, seed):
-    """Row groups of any size give the whole-block irfft plus LagBlock.crop, head included."""
+def test_row_grouped_lag_block_equals_one_whole_block_irfft(n_mics, log_len, reach, rows, seed):
+    """Row groups of any size give the whole-block irfft plus LagBlock.crop."""
     rng = np.random.default_rng(seed)
     array = MicArray(rng.uniform(0.0, 3.0, size=(n_mics, 3)), sample_rate=16000.0)
     frames = rng.normal(size=(n_mics, 2**log_len))
@@ -400,13 +399,19 @@ def test_row_grouped_lag_block_equals_one_whole_block_irfft(n_mics, log_len, rea
     half[:, band] = g
     want = LagBlock.crop(lags_from_half(half), 16000.0, reach)
     with mock.patch.object(features, "_IRFFT_ROWS", rows):
-        got = lag_block(frames, array, cfg, reach=reach, head=head)
+        got = lag_block(frames, array, cfg, reach=reach)
     assert np.array_equal(got.values, want.values)
-    cropped = reach is not None and reach < 2**log_len - 1
-    if head or not cropped:
-        assert np.array_equal(got.head, want.head)
-    else:  # not computed
-        assert np.all(np.isnan(got.head))
+
+
+@pytest.mark.parametrize("reach", [None, 0, 3, 6, 7, 20])
+def test_crop_leaves_its_input_unchanged(reach):
+    """A crop copies lags -reach..reach out of the (P, 15) lags and writes nothing into them."""
+    lags = np.random.default_rng(5).normal(size=(3, 15))
+    before = lags.copy()
+    block = LagBlock.crop(lags, 16000.0, reach)
+    assert same_bits(lags, before)
+    k = 7 if reach is None else min(reach, 7)
+    assert same_bits(block.values, before[:, 7 - k: 8 + k])
 
 
 def full_block_reference(frames, array, cfg):
@@ -464,11 +469,10 @@ def same_bits(a, b) -> bool:
     edges=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     defect=st.sampled_from([None, "nan", "dead"]),
     reach=st.none() | st.integers(0, 1100),
-    head=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_band_block_features_equal_the_full_block_bitwise(
-    band_kind, n_mics, log_len, beta, gamma, edges, defect, reach, head, seed
+    band_kind, n_mics, log_len, beta, gamma, edges, defect, reach, seed
 ):
     """lag_block and compute_spectral_gccs from the band block equal the full-block formula bit for bit."""
     fs, L = 16000.0, 2**log_len
@@ -508,10 +512,9 @@ def test_band_block_features_equal_the_full_block_bitwise(
     # lags by one whole-block irfft, odd bins negated as lags_from_half did
     half = block.copy()
     half[:, 1::2] *= -1.0
-    want = LagBlock.crop(np.fft.irfft(half)[:, 1:], fs, reach, head)
-    got = lag_block(frames, array, cfg, reach=reach, head=head)
+    want = LagBlock.crop(np.fft.irfft(half)[:, 1:], fs, reach)
+    got = lag_block(frames, array, cfg, reach=reach)
     assert same_bits(got.values, want.values)
-    assert same_bits(got.head, want.head)
 
 
 def test_lag_block_transient_is_below_the_full_spectrum_block():

@@ -2,15 +2,17 @@
 
 A public name is a module-level function or class, or a method, of
 ``src/xsrp/*.py`` whose name does not start with an underscore. It has
-a caller when the name appears as a whole word on some line of the
-package (``__init__.py`` aside, which only re-exports), ``demos/`` or
-``perfbench/`` other than a ``def``/``class`` line that defines it.
-Names that only the tests call are deleted, or kept in ALLOWED with
-the reason they stay.
+a caller when, in the package (``__init__.py`` aside, which only
+re-exports), ``demos/`` or ``perfbench/``, the name appears as a Python
+NAME token outside the def/class that defines it, or as a string literal
+equal to the name (perfbench's tracer looks layer functions up by name).
+Words in comments and docstrings do not count. Names that only the tests
+call are deleted, or kept in ALLOWED with the reason they stay.
 """
 
 import ast
-import re
+import io
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,13 +29,13 @@ ALLOWED = {
 }
 
 
-def public_names() -> dict[str, list[tuple[Path, int]]]:
-    """Public name -> the (file, line) of each def/class that defines it."""
-    names: dict[str, list[tuple[Path, int]]] = {}
+def public_names() -> dict[str, list[tuple[Path, range]]]:
+    """Public name -> the (file, lines) of each def/class that defines it."""
+    names: dict[str, list[tuple[Path, range]]] = {}
 
     def add(node, path):
         if not node.name.startswith("_"):
-            names.setdefault(node.name, []).append((path, node.lineno))
+            names.setdefault(node.name, []).append((path, range(node.lineno, node.end_lineno + 1)))
 
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for path in sorted(SRC.glob("*.py")):
@@ -47,24 +49,29 @@ def public_names() -> dict[str, list[tuple[Path, int]]]:
     return names
 
 
-def caller_lines() -> list[tuple[Path, int, str]]:
+def uses() -> dict[str, list[tuple[Path, int]]]:
+    """Each NAME token and each string literal's value -> the (file, line) of every use."""
     files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    return [
-        (path, i, line)
-        for path in files
-        for i, line in enumerate(path.read_text().splitlines(), start=1)
-    ]
+    found: dict[str, list[tuple[Path, int]]] = {}
+    for path in files:
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if tok.type == tokenize.NAME:
+                found.setdefault(tok.string, []).append((path, tok.start[0]))
+            elif tok.type == tokenize.STRING and not tok.string.lstrip("rRbB").startswith(("f", "F")):
+                value = ast.literal_eval(tok.string)
+                if isinstance(value, str):
+                    found.setdefault(value, []).append((path, tok.start[0]))
+    return found
 
 
 def test_every_public_name_has_a_caller():
-    names, lines = public_names(), caller_lines()
+    names, found = public_names(), uses()
     assert set(ALLOWED) <= set(names), f"allowed names that no longer exist: {set(ALLOWED) - set(names)}"
     dead = []
     for name, defs in names.items():
         if name in ALLOWED:
             continue
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if not any(word.search(line) and (path, i) not in defs for path, i, line in lines):
-            dead.append(f"{name} ({defs[0][0].name}:{defs[0][1]})")
+        if not any(all(p != path or i not in lines for p, lines in defs) for path, i in found.get(name, ())):
+            dead.append(f"{name} ({defs[0][0].name}:{defs[0][1].start})")
     assert not dead, f"public names with no caller outside the tests: {', '.join(dead)}"

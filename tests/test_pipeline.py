@@ -24,7 +24,7 @@ from xsrp.features import (
     lag_block,
 )
 from xsrp.geometry import MicArray, MicPair
-from xsrp.grids import Volume, cartesian_grid, partition_room
+from xsrp.grids import Volume, cartesian_grid, doa_grid, partition_room
 from xsrp.multisource import MultiConfig, localize_multi
 from xsrp.pipeline import (
     MAX_STEERED_POINTS,
@@ -33,6 +33,7 @@ from xsrp.pipeline import (
     GridSpec,
     MapSpec,
     PipelineConfig,
+    _steered_points,
     build_grid,
     config_from_dict,
     config_to_dict,
@@ -156,7 +157,7 @@ def test_validate_bounds_the_grid_before_building_it():
 
 
 def test_validate_bounds_doa_grids_before_building_them():
-    # n_az azimuths on each of n_el + 1 elevation rings, counted from the spec
+    # n_az azimuths on each ring between the poles and one point per pole, counted from the spec
     huge = PipelineConfig(grid=GridSpec(kind="doa_azimuth", azimuth_res=1e-9))
     assert validate_config(huge) == [
         "grid 'doa_azimuth' would steer 6.283e+09 points, over the cap of 1,000,000"
@@ -164,12 +165,33 @@ def test_validate_bounds_doa_grids_before_building_them():
     with pytest.raises(ConfigError, match="would steer"):
         prepare(MicArray([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], sample_rate=FS), cfg=huge)
     ring = GridSpec(kind="doa_az_el", azimuth_res=2 * math.pi / 1000, elevation_res=math.pi / 999)
-    assert validate_config(PipelineConfig(grid=ring)) == []  # 1000 x 1000, at the cap
-    over = dataclasses.replace(ring, elevation_res=math.pi / 1000)
+    assert _steered_points(ring, None) == 1000 * 998 + 2
+    assert validate_config(PipelineConfig(grid=ring)) == []
+    at = dataclasses.replace(ring, elevation_res=math.pi / 1000)
+    assert _steered_points(at, None) == 999_002
+    assert validate_config(PipelineConfig(grid=at)) == []
+    over = dataclasses.replace(ring, elevation_res=math.pi / 1001)
+    assert _steered_points(over, None) == 1_000_002
     (diag,) = validate_config(PipelineConfig(grid=over))
-    assert "1.001e+06 points" in diag
+    assert diag == "grid 'doa_az_el' would steer 1e+06 points, over the cap of 1,000,000"
     tiny = GridSpec(kind="doa_az_el", azimuth_res=1e-5, elevation_res=5e-324)
     assert "inf points" in validate_config(PipelineConfig(grid=tiny))[0]
+
+
+@pytest.mark.parametrize("features", [FeatureSpec(band=(2000.0, 100.0)), FeatureSpec(beta=2.0)])
+@pytest.mark.parametrize("search", ["exhaustive", "refine"])
+def test_prepare_refuses_bad_feature_settings(features, search):
+    """The features' GccConfig is built once, by prepare, not at the first frame."""
+    cfg = PipelineConfig(features=features, map=MapSpec(domain="time"), search=SearchConfig(mode=search))
+    with pytest.raises(ConfigError, match="features: (band|beta)"):
+        prepare(MicArray([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], sample_rate=FS), ROOM, cfg)
+
+
+@pytest.mark.parametrize("el", [None, math.pi / 180, math.pi / 36, 0.1, 1.0, math.pi / 2 * (1 + 4e-10), math.pi])
+@pytest.mark.parametrize("az", [2 * math.pi / 1000, math.pi / 36, 1.0, 2 * math.pi])
+def test_counted_doa_points_equal_the_built_grid(az, el):
+    g = GridSpec(kind="doa_azimuth" if el is None else "doa_az_el", azimuth_res=az, elevation_res=el)
+    assert _steered_points(g, None) == len(doa_grid(az, el))
 
 
 def test_validate_iterative_search_restrictions():
@@ -434,7 +456,6 @@ def test_plan_holds_only_the_cropped_lag_block(scene, name):
     assert isinstance(block, LagBlock)
     assert block.values.shape == (array.n_pairs, 2 * d + 1)
     assert block.values.base is None  # a copy: the irfft output is not kept alive
-    assert block.head.shape == (array.n_pairs,)
 
 
 def test_a_90k_point_time_plan_holds_under_half_a_mib(scene):

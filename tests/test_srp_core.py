@@ -766,16 +766,18 @@ def test_lag_windows_match_per_volume_vertices(vg, mics, fs, guard):
 
 
 def _per_pair_vsrp(lags, vg, array, pooling, guard):
-    """Volumetric scores pair by pair from an uncropped lag block's rows:
-    whole-row np.cumsum prefix sums, or a max over each window slice."""
+    """Volumetric scores pair by pair from an uncropped lag block's rows, read
+    over lags -D..D, D = max(lag_bounds): np.cumsum prefix sums from lag -D,
+    or a max over each window slice."""
     scores = np.zeros(len(vg))
-    k = lags.max_lag
+    k, d = lags.max_lag, int(lag_bounds(array).max())
     for v, k0, k1 in zip(lags.values, *lag_windows(vg, array, guard)):
-        a, b = np.maximum(k0 + k, 0), np.minimum(k1 + k, len(v) - 1)
+        w = v[k - d: k + d + 1]
+        a, b = np.maximum(k0 + d, 0), np.minimum(k1 + d, len(w) - 1)
         if pooling == "max":
-            scores += np.array([v[i: j + 1].max() for i, j in zip(a, b)])
+            scores += np.array([w[i: j + 1].max() for i, j in zip(a, b)])
             continue
-        csum = np.concatenate([[0.0], np.cumsum(v)])
+        csum = np.concatenate([[0.0], np.cumsum(w)])
         pooled = csum[b + 1] - csum[a]
         scores += pooled / (b - a + 1) if pooling == "mean" else pooled
     return scores
@@ -803,13 +805,8 @@ def test_cropped_block_path_equals_per_pair_path(mics, fs, frame_len, gcc, guard
     block = lag_block(frames, array, gcc, reach=d)
     lags = lag_block(frames, array, gcc)
     assert block.values.shape == (array.n_pairs, 2 * d + 1)
-
-    # cumsum([head, row]) continues the whole row's np.cumsum at the crop columns
     k = frame_len - 1
     assert lags.max_lag == k
-    for whole_row, row, head in zip(lags.values, block.values, block.head):
-        whole = np.cumsum(whole_row)[k - d: k + d + 1]
-        assert np.array_equal(np.cumsum(np.concatenate([[head], row]))[1:], whole)
 
     for grid in (cartesian_grid(_BOX, 0.5), doa_grid(math.pi / 4, math.pi / 4)):
         got = srp_time_map(block, grid, array, bounds=bounds).scores
@@ -821,10 +818,13 @@ def test_cropped_block_path_equals_per_pair_path(mics, fs, frame_len, gcc, guard
         assert np.array_equal(got, ref)
 
     vg = partition_room(_BOX, (2, 2, 2))
+    wider = [lag_block(frames, array, gcc, reach=r) for r in (d + 1, d + 7, 2 * d, k - 1)]
     for pooling in ("sum", "mean", "max"):
         got = vsrp_map(block, vg, array, pooling=pooling, guard=guard).scores
         assert np.array_equal(got, vsrp_map(lags, vg, array, pooling=pooling, guard=guard).scores)
         assert np.array_equal(got, _per_pair_vsrp(lags, vg, array, pooling, guard))
+        for other in wider:  # any reach >= D gives the same bits
+            assert np.array_equal(got, vsrp_map(other, vg, array, pooling=pooling, guard=guard).scores)
 
     grid = cartesian_grid(_BOX, 0.5)
     two = MultiConfig(n_sources=2)
@@ -839,22 +839,6 @@ def test_cropped_block_path_equals_per_pair_path(mics, fs, frame_len, gcc, guard
     want = sorted([first.score, second.score], reverse=True)
     assert np.array_equal(est.scores, want)
     assert np.array_equal(block.values, lag_block(frames, array, gcc, reach=d).values)  # not notched
-
-
-def test_a_block_without_head_serves_max_pooling_only():
-    rng = np.random.default_rng(3)
-    array = MicArray(rng.uniform(0.0, 1.5, size=(4, 3)), sample_rate=16000.0)
-    frames = rng.normal(size=(4, 512))
-    d = int(lag_bounds(array).max())
-    bare = lag_block(frames, array, reach=d, head=False)
-    full = lag_block(frames, array, reach=d)
-    assert np.array_equal(bare.values, full.values)
-    vg = partition_room(_BOX, (2, 2, 2))
-    assert np.array_equal(vsrp_map(bare, vg, array, pooling="max").scores,
-                          vsrp_map(full, vg, array, pooling="max").scores)
-    for pooling in ("sum", "mean"):
-        with pytest.raises(ValueError, match="head=True"):
-            vsrp_map(bare, vg, array, pooling=pooling)
 
 
 def test_vsrp_source_volume_wins(scene):
