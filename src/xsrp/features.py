@@ -1,22 +1,25 @@
-"""Framing and the pair-feature block.
+"""Framing and the pair-feature blocks.
 
 Every feature is a generalized cross-correlation (GCC, Knapp & Carter
 1976) with beta-weighted phase transform,
 
     gcc[f] = X_l[f] X_m*[f] / (|X_l[f] X_m*[f]|^beta + gamma),
 
-and all pairs come from one block. One rfft of the (M, L) frame block,
-zero-padded to 2L so lags cover -(L-1)..(L-1) without circular wrap,
-gives a SpectralBlock: the (P, nb) weighted cross-spectra over the nb
-in-band f >= 0 bins (out of L+1), one row per pair in array.pairs()
-order, which frequency maps and the tracker steer (compute_spectral_gccs).
-Its irfft, zero-padded back to L+1 bins, gives every pair's lags as one
-LagBlock, optionally cropped to the window -reach..reach that time and
-volumetric maps read (lag_block). Maps, scorers and de-emphasis take
-only these two blocks. beta = 1, gamma = 0 is GCC-PHAT; beta = 0,
-gamma = 0 over the full band leaves the raw cross-spectrum, whose
-inverse transform is the classical cross-correlation
-CC(tau) = sum_n x_l[n] x_m[n - tau].
+formed by one weighting (_weighted_cross_spectra) from one rfft of the
+(M, L) frame block, zero-padded to 2L so lags cover -(L-1)..(L-1)
+without circular wrap, and kept over the nb in-band f >= 0 bins (out
+of L+1). compute_spectral_gccs weights every pair at once into a
+SpectralBlock: the (P, nb) weighted cross-spectra, one row per pair in
+array.pairs() order, which frequency maps and the tracker steer.
+lag_block weights a few pair rows at a time straight into the
+zero-padded input of one irfft and crops their lags to the window
+-reach..reach that time and volumetric maps read, so neither a (P, nb)
+block nor every pair's full lags exist at once; its LagBlock equals the
+irfft of the SpectralBlock's rows, bit for bit. Maps, scorers and
+de-emphasis take only these two blocks. beta = 1, gamma = 0 is
+GCC-PHAT; beta = 0, gamma = 0 over the full band leaves the raw
+cross-spectrum, whose inverse transform is the classical
+cross-correlation CC(tau) = sum_n x_l[n] x_m[n - tau].
 """
 
 from __future__ import annotations
@@ -229,48 +232,81 @@ def _half_band(in_band: np.ndarray) -> slice:
     return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
 
 
-def _gcc_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None):
-    """Weighted cross-spectra of every pair over the in-band f >= 0 bins.
+def _mic_spectra(frames: np.ndarray, array: MicArray, cfg: GccConfig):
+    """Each mic's 2L-point rfft over the in-band f >= 0 bins, (M, nb).
 
-    Returns the (P, nb) band block, the slice of half-spectrum bins
-    k = 0..L it holds, and the two-sided in-band mask (length 2L); the
-    bins outside the slice are exactly 0 and are never formed. Per pair,
-    gamma = None floors the denominator at GAMMA_RELATIVE_FLOOR times
-    the mean |cross-power| over the two-sided in-band bins; a bin whose
-    denominator is not > 0 is 0.
+    Returns it, the slice of half-spectrum bins k = 0..L it holds, and
+    the two-sided in-band mask (length 2L); |f| grows along the half
+    spectrum, so the band is one slice. The full spectra are freed here.
     """
-    cfg = cfg or GccConfig()
     frames = np.atleast_2d(np.asarray(frames, dtype=float))
     M, L = frames.shape
     if M != array.n_mics:
         raise ValueError(f"frame block has {M} channels for {array.n_mics} microphones")
-    n = 2 * L
-    in_band = _band_mask(np.fft.fftfreq(n, d=1.0 / array.sample_rate), cfg.band, array.sample_rate)
-    band = _half_band(in_band)  # |f| grows along the half spectrum, so the band is one slice
+    in_band = _band_mask(np.fft.fftfreq(2 * L, d=1.0 / array.sample_rate), cfg.band, array.sample_rate)
+    band = _half_band(in_band)
+    return np.fft.rfft(frames, 2 * L)[:, band].copy(), band, in_band
+
+
+def _floor_weights(band: slice, L: int) -> np.ndarray:
+    """Two-sided bins per half bin of ``band``: 2 for 0 < k < L, 1 for DC and Nyquist."""
     idx = np.arange(band.start, band.stop)
-    spec = np.fft.rfft(frames, n)[:, band].copy()  # the full spectra are freed here
-    conj = np.conj(spec)
-    g = np.empty((array.n_pairs, len(idx)), dtype=complex)
+    return np.where((idx > 0) & (idx < L), 2.0, 1.0)
+
+
+def _pair_segments(array: MicArray, r0: int, r1: int) -> list[tuple[int, slice, slice]]:
+    """(l, mics m, rows of out) of mic l's pairs (l, m) among pair rows [r0, r1)."""
+    segments = []
     for l, rows in array.pair_rows():
+        a, b = max(rows.start, r0), min(rows.stop, r1)
+        if a < b:
+            segments.append((l, slice(l + 1 + a - rows.start, l + 1 + b - rows.start), slice(a - r0, b - r0)))
+    return segments
+
+
+def _weighted_cross_spectra(spec, conj, segments, out: np.ndarray, cfg: GccConfig, w: np.ndarray) -> None:
+    """The GCC weighting, into ``out`` (rows, nb): the one formula of both blocks.
+
+    Cross-power spec[l] conj(spec[m]) of each pair of ``segments``
+    (_pair_segments), a mic's rows at a time; gamma = None floors each
+    row's denominator at GAMMA_RELATIVE_FLOOR times its mean |cross-power|
+    over the two-sided in-band bins (``w``, _floor_weights), a dot product
+    per row, so a row's bits do not depend on the other rows; a bin whose
+    denominator is not > 0 is 0.
+    """
+    for l, ms, rows in segments:
         # a 2-D row: numpy rounds a 1-D row times a one-element block differently
-        np.multiply(spec[l: l + 1], conj[l + 1:], out=g[rows])
-    del spec, conj
-    denom = np.abs(g)
+        np.multiply(spec[l: l + 1], conj[ms], out=out[rows])
+    denom = np.abs(out)
     if cfg.gamma is not None:
         gamma = cfg.gamma
-    elif idx.size:
-        # bins 0 < k < L stand for two two-sided bins, DC and Nyquist for one
-        w = np.where((idx > 0) & (idx < L), 2.0, 1.0)
-        gamma = (GAMMA_RELATIVE_FLOOR * (denom @ w) / w.sum())[:, None]
+    elif len(w):
+        gamma = (GAMMA_RELATIVE_FLOOR * np.vecdot(denom, w) / w.sum())[:, None]
     else:
         gamma = 0.0
     np.power(denom, cfg.beta, out=denom)
     denom += gamma
     ok = denom > 0  # also False where a NaN sample made the cross-power NaN
+    every = ok.all()  # then unmasked: a masked division takes twice as long
     # part by part: numpy's complex division overflows on a subnormal divisor
-    for part in (g.real, g.imag):
-        np.divide(part, denom, out=part, where=ok)
-    g[~ok] = 0.0
+    for part in (out.real, out.imag):
+        np.divide(part, denom, out=part, where=True if every else ok)
+    if not every:
+        out[~ok] = 0.0
+
+
+def _gcc_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None):
+    """Weighted cross-spectra of every pair over the in-band f >= 0 bins.
+
+    Returns the (P, nb) band block, the slice of half-spectrum bins
+    k = 0..L it holds, and the two-sided in-band mask (length 2L); the
+    bins outside the slice are exactly 0 and are never formed.
+    """
+    cfg = cfg or GccConfig()
+    spec, band, in_band = _mic_spectra(frames, array, cfg)
+    g = np.empty((array.n_pairs, spec.shape[1]), dtype=complex)
+    segments = _pair_segments(array, 0, array.n_pairs)
+    _weighted_cross_spectra(spec, np.conj(spec), segments, g, cfg, _floor_weights(band, len(in_band) // 2))
     return g, band, in_band
 
 
@@ -298,14 +334,14 @@ def half_from_lags(lags: np.ndarray) -> np.ndarray:
     return half
 
 
-def _negate_odd_bins(half: np.ndarray) -> None:
-    """half[:, 1::2] *= -1.0 in place, a row at a time.
+def _negate_odd_bins(half: np.ndarray, odd: slice = slice(1, None, 2)) -> None:
+    """half[:, odd] *= -1.0 in place (the odd bins), a row at a time.
 
     numpy buffers the 2-D strided product through two 8192-element
     copies (256 KiB of complex); a 1-D strided row needs none.
     """
     for row in half:
-        row[1::2] *= -1.0
+        row[odd] *= -1.0
 
 
 def gccs_from_half(
@@ -343,41 +379,71 @@ def compute_spectral_gccs(
     return SpectralBlock(g, band, in_band, array.sample_rate, array.pairs())
 
 
-#: pair rows per irfft in lag_block, and the rows of its two buffers.
-#: Each group is cropped as soon as it is transformed, so only this many
-#: rows of the (P, 2L - 1) lags exist at once. At 8 mics, L = 4096 and
-#: 100-2000 Hz, cropped to +/-267 lags, one call's tracemalloc peak was
-#: 0.78, 1.31, 1.82 and 4.29 MiB for groups of 1, 4, 8 and all 28 rows
-#: (3.13 MiB for 8 rows when the weighting formed all L + 1 bins); 4
-#: and 8 rows were the fastest, 1 row 25 % slower
-_IRFFT_ROWS = 8
+#: lag samples per irfft of lag_block: a group of pair rows fills at
+#: most this many of the (P, 2L) lags, max(1, _IRFFT_SAMPLES // 2L)
+#: rows, and the P rows go in the fewest equal groups (_equal_parts).
+#: A group's weighted cross-spectra are formed in its irfft input and
+#: its lags cropped as soon as they are transformed, so the two buffers
+#: hold 16 and 8 bytes a sample whatever L. At 8 mics and 100-2000 Hz,
+#: one call's tracemalloc peak and time (median of 300 calls, 4 MiB of
+#: other memory written between calls, 2-core host) were, for groups of
+#: 1, 2, 4, 8 and 16 rows: at L = 4096, +/-267 lags, 0.63, 0.67, 0.99,
+#: 1.58 and 2.61 MiB, 4.0, 2.9, 2.8, 4.7 and 4.7 ms; at L = 2048, +/-240
+#: lags, 0.31, 0.38, 0.54, 0.84 and 1.40 MiB, 2.7, 2.2, 2.0, 1.7 and 1.4
+#: ms. Over whole alternating commands, 4 rows at L = 4096 and 8 at 2048
+#: kept time3d_multi and volumetric within 1 % of one weighting of the
+#: whole (P, nb) block, while 4 rows at 2048 cost volumetric 4 %
+_IRFFT_SAMPLES = 32768
+
+
+def _equal_parts(n: int, most: int) -> list[int]:
+    """Edges of the fewest equal parts of range(n) with at most ``most`` each: no short trailing part."""
+    k = -(-n // most)
+    return [i * n // k for i in range(k + 1)]
 
 
 def lag_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None,
               reach: int | None = None) -> LagBlock:
-    """Temporal GCCs of every pair at lags -reach..reach (all if None), straight from
-    the band block by _band_lags, as one LagBlock."""
-    return _band_lags(*_gcc_block(frames, array, cfg), array.sample_rate, reach)
+    """Temporal GCCs of every pair at lags -reach..reach (all if None), as one LagBlock.
 
-
-def _band_lags(g, band: slice, in_band, fs: float, reach: int | None = None) -> LagBlock:
-    """The lags of band block rows ``g`` (bins ``band``, n = len(in_band)) by irfft, cropped as LagBlock.crop.
-
-    Groups of _IRFFT_ROWS rows are zero-padded into one (rows, n/2 + 1)
-    buffer and transformed into one (rows, n) buffer, both allocated
-    once per call: one whole-block irfft and crop, bit for bit.
+    The frames are transformed once (_mic_spectra); each group of pair
+    rows' weighted cross-spectra go straight into their irfft input
+    (_band_lags), so no (P, nb) block is built.
     """
-    L = len(in_band) // 2
-    rows, k = min(_IRFFT_ROWS, len(g)), L - 1 if reach is None else min(reach, L - 1)
-    values = np.empty((len(g), 2 * k + 1))
-    half, out = np.empty((rows, L + 1), dtype=complex), np.empty((rows, 2 * L))
-    for r in range(0, len(g), rows):
-        part = g[r: r + rows]
-        h = half[: len(part)]
-        h[:] = 0.0
-        h[:, band] = part
-        lags = lags_from_half(h, out[: len(part)])
-        if not np.all(np.isfinite(lags)):
-            raise ValueError("lag values must be finite")
-        values[r: r + len(part)] = LagBlock.crop(lags, fs, reach).values
+    cfg = cfg or GccConfig()
+    spec, band, in_band = _mic_spectra(frames, array, cfg)
+    conj, w = np.conj(spec), _floor_weights(band, len(in_band) // 2)
+
+    def fill(out, r0, r1):
+        _weighted_cross_spectra(spec, conj, _pair_segments(array, r0, r1), out, cfg, w)
+
+    return _band_lags(fill, array.n_pairs, band, len(in_band) // 2, array.sample_rate, reach)
+
+
+def _band_lags(fill, n_rows: int, band: slice, L: int, fs: float, reach: int | None = None) -> LagBlock:
+    """The lags of ``n_rows`` band rows by irfft, cropped as LagBlock.crop.
+
+    ``fill(out, r0, r1)`` writes rows [r0, r1) of the half spectra's
+    bins ``band`` (of k = 0..L) into ``out``. Each group of rows
+    (_IRFFT_SAMPLES) is written into one zero-padded (rows, L + 1) buffer,
+    its odd bins negated as lags_from_half does, transformed into one
+    (rows, 2L) buffer and cropped; both buffers are allocated once per
+    call, and the bins outside ``band`` are written once: one
+    whole-block irfft and crop, bit for bit.
+    """
+    k = L - 1 if reach is None else min(reach, L - 1)
+    rows = min(max(1, _IRFFT_SAMPLES // (2 * L)), n_rows)
+    values = np.empty((n_rows, 2 * k + 1))
+    half, out = np.zeros((rows, L + 1), dtype=complex), np.empty((rows, 2 * L))
+    _negate_odd_bins(half)  # the padding as lags_from_half leaves it
+    odd = slice(band.start | 1, band.stop, 2)
+    edges = _equal_parts(n_rows, rows)
+    for r0, r1 in zip(edges[:-1], edges[1:]):
+        h = half[: r1 - r0]
+        fill(h[:, band], r0, r1)
+        _negate_odd_bins(h, odd)
+        lags = np.fft.irfft(h, out=out[: r1 - r0])[:, 1:]
+        values[r0:r1] = LagBlock.crop(lags, fs, reach).values
+    if not np.isfinite(values).all():
+        raise ValueError("lag values must be finite")
     return LagBlock(values, fs)

@@ -14,7 +14,8 @@ No renormalization is applied, so successive peak scores are
 comparable and an auto stopping rule (score floor relative to the
 first peak) is possible. A batch of frames runs its rounds together
 (localize_multi_batch): each time-domain round searches every frame
-still extracting in one pruned pass over the grid's cells.
+still extracting in one pruned pass over the grid's cells, reading
+the lag windows cut once for the batch and notched in place there.
 """
 
 from __future__ import annotations
@@ -29,7 +30,18 @@ from .features import LagBlock, SpectralBlock, _band_lags, half_from_lags
 from .geometry import MicArray, far_field_tdoa_matrix, tdoa_matrix
 from .grids import CandidateGrid
 from .search import SearchConfig, argmax_search
-from .srp_core import TimeCells, _lag_block, _spectral_block, srp_freq_map, time_argmax, time_cells
+from .srp_core import (
+    TimeCells,
+    _lag_block,
+    _pair_windows,
+    _spectral_block,
+    _window_amax,
+    _window_argmax,
+    _window_lags,
+    _windows,
+    srp_freq_map,
+    time_cells,
+)
 
 _AUTO_CAP = 10  # hard cap on de-emphasis rounds in auto mode
 
@@ -114,12 +126,15 @@ def deemphasize(features: LagBlock | SpectralBlock, tdoa_hat, sigma: float):
     block, which a SpectralBlock reaches by irfft (as lag_block) and
     leaves by one rfft, its band sliced back out. Exact zero at a notch
     center; beyond 6 sigma the relative change is below 1e-6. A cropped
-    block is notched over the lags it holds.
+    block is notched over the lags it holds. localize_multi_batch
+    applies the same notch (_notch) to its time rounds' lag windows.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     if isinstance(features, SpectralBlock):
-        block = _band_lags(features.spectra, features.band, features.in_band, features.sample_rate)
+        spectra, L = features.spectra, len(features.in_band) // 2
+        block = _band_lags(lambda out, r0, r1: np.copyto(out, spectra[r0:r1]), len(spectra), features.band, L,
+                           features.sample_rate)
     elif isinstance(features, LagBlock):
         block = features
     else:
@@ -139,13 +154,18 @@ def deemphasize(features: LagBlock | SpectralBlock, tdoa_hat, sigma: float):
     for row, t in zip(lags, tdoa_hat):
         c = round(t * fs) + k
         w = slice(max(c - half_width, 0), c + half_width + 1)
-        row[w] *= 1.0 - np.exp(-((taus[w] - t) ** 2) / (2.0 * sigma**2))
+        row[w] *= _notch(taus[w], t, sigma)
     if features is block:
         return block
     band = features.band
     spectra = half_from_lags(lags)[:, band].copy()  # the half spectra are freed here
     spectra[:, ~features.in_band[band]] = 0.0  # a hand-built band may have holes
     return SpectralBlock(spectra, band, features.in_band, fs, features.pairs)
+
+
+def _notch(taus: np.ndarray, tdoa, sigma: float) -> np.ndarray:
+    """The notch factor 1 - exp(-(tau - tau_hat)^2 / (2 sigma^2)) at lags ``taus`` (s)."""
+    return 1.0 - np.exp(-((taus - tdoa) ** 2) / (2.0 * sigma**2))
 
 
 def localize_multi(
@@ -181,11 +201,17 @@ def localize_multi_batch(
     from every pair; each frame keeps its own notch, stop rules and
     warnings, so its estimates equal those of a batch of one. With
     n_sources = 1 the first round is exactly the single-source
-    pipeline. Time-domain rounds search all active frames in one pass
-    over the grid's cells (time_argmax), notch one lag block per frame
-    (a copy of a caller's), and share the cells and the array's lag
-    bounds: ``cells`` (time_cells) and ``bounds`` if prepared, else
-    built here.
+    pipeline. Time-domain rounds share the cells and the array's lag
+    bounds, ``cells`` (time_cells) and ``bounds`` if prepared, else
+    built here, and each pair's lag windows -D_j..D_j of every frame,
+    cut once per batch into one (S, F) array (srp_core._windows): a
+    round searches all active frames in one pass over the cells
+    (srp_core._window_argmax), and an accepted frame's column is notched
+    in place, deemphasize's notch over lags -D_j..D_j, the only lags a
+    time map reads. No LagBlock is copied and the caller's are never
+    written. The bound on each frame's |lag| that the search's
+    finiteness guard reads is taken from the windows once: a notch only
+    shrinks |lag|.
 
     Only exhaustive search is meaningful here (the de-emphasis loop
     is defined on the full-grid argmax); other modes are rejected.
@@ -202,12 +228,15 @@ def localize_multi_batch(
     if any(isinstance(f, LagBlock) != time_domain for f in batch):
         raise ValueError("a batch mixes time and frequency features")
     if time_domain:  # blocks in array.pairs() order, as the TDOAs
-        work = []
         for f in batch:
-            block, bounds = _lag_block(f, array, bounds)
-            work.append(block)
+            bounds = _lag_block(f, array, bounds)[1]
         if cells is None:
             cells = time_cells(grid, array, bounds)
+        # the batch's lag windows, notched in place round after round
+        values, wins = _windows(batch, bounds)
+        amax = _window_amax(values)  # notches only shrink |lag|, so it bounds every round
+        sizes = 2 * bounds + 1
+        taus = _window_lags(bounds) / array.sample_rate
     else:
         work = [_spectral_block(f, array) for f in batch]
     tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
@@ -217,14 +246,14 @@ def localize_multi_batch(
     found: list[list[tuple[np.ndarray, float]]] = [[] for _ in batch]
     active = list(range(len(batch)))
     while active:
-        if time_domain:
-            idx, scores = time_argmax(cells, [work[i] for i in active], bounds)
+        if time_domain:  # column c of the windows is frame active[c]
+            idx, scores = _window_argmax(cells, wins, amax, bounds)
             peaks = [(grid.take(j), float(s)) for j, s in zip(idx, scores)]
         else:
             results = [argmax_search(srp_freq_map(work[i], grid, array)) for i in active]
             peaks = [(r.estimate, r.score) for r in results]
-        still = []
-        for i, (point, score) in zip(active, peaks):
+        still, cols = [], []
+        for c, (i, (point, score)) in enumerate(zip(active, peaks)):
             estimates = found[i]
             if not estimates:
                 if auto and score <= 0:
@@ -247,9 +276,16 @@ def localize_multi_batch(
                     "extracting a third or later source: residual correlation noise "
                     "grows with each cancellation"
                 )
-            # a lag block is notched in place: the caller's stays
-            w = work[i].copy() if time_domain and work[i] is batch[i] else work[i]
-            work[i] = deemphasize(w, tdoas(point[None, :], array)[0], sigma)
+            tdoa = tdoas(point[None, :], array)[0]
+            if time_domain:  # deemphasize's notch over lags -D_j..D_j of each pair
+                col = values[:, c]
+                col *= _notch(taus, np.repeat(tdoa, sizes), sigma)
+            else:
+                work[i] = deemphasize(work[i], tdoa, sigma)
             still.append(i)
+            cols.append(c)
+        if time_domain and still and len(still) < len(active):  # drop the stopped frames' columns
+            values, amax = values[:, cols], amax[cols]
+            wins = _pair_windows(values, bounds)
         active = still
     return [EstimateSet.from_pairs(estimates) for estimates in found]

@@ -179,6 +179,10 @@ def validate_config(cfg: PipelineConfig, room=None) -> list[str]:
             "classical cc features carry no usable spectral phase weighting; "
             "frequency/weighted maps need gcc_phat"
         )
+    if f.kind == "cc":  # the raw cross-spectrum over the full band (_gcc_config)
+        ignored = [x.name for x in fields(FeatureSpec) if x.name != "kind" and getattr(f, x.name) != x.default]
+        if ignored:
+            diags.append(f"cc features are the raw cross-spectrum over the full band; they ignore {', '.join(ignored)}")
     if doa and m.domain == "volumetric":
         diags.append("volumetric maps need position volumes, not DOA grids")
     if m.domain == "volumetric" and g.kind != "volumes":
@@ -247,11 +251,13 @@ def _gcc_config(f: FeatureSpec, array: MicArray) -> GccConfig:
     return GccConfig(beta=f.beta, gamma=f.gamma, band=band)
 
 
-#: frames per batch of Plan.stream. Streaming 16 frames of time3d_multi
-#: (90k points, 28 pairs, 2 pruned rounds a frame) took 12.0, 8.9, 7.4,
-#: 6.6 and 6.1 ms per frame at batches of 1, 2, 4, 8 and 16 frames, at
-#: tracemalloc peaks of 2.03, 2.21, 2.58, 3.52 and 6.13 MiB: a batch
-#: holds its frames' lag blocks and each pair's (2 D + 1, F) lag window
+#: frames per batch of Plan.stream. Streaming 16 frames at time3d_multi's
+#: size (90k points, 28 pairs, 2 pruned rounds a frame, framed lazily)
+#: took 9.3, 6.1, 5.1, 4.7 and 4.2 ms per frame (fastest of 15 streams,
+#: 2-core host) at batches of 1, 2, 4, 8 and 16 frames, at tracemalloc
+#: peaks of 1.28, 1.42, 1.89, 2.95 and 5.55 MiB: a batch holds its
+#: frames' lag blocks and one (S, F) array of their lag windows,
+#: S = sum(2 D_j + 1), notched in place round after round
 BATCH_FRAMES = 8
 
 

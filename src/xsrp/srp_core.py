@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LagBlock, SpectralBlock
+from .features import LagBlock, SpectralBlock, _equal_parts
 from .geometry import (
     MicArray,
     MicPair,
@@ -161,16 +161,29 @@ def lag_table(
     return table
 
 
-def _windows(blocks: list[LagBlock], bounds: np.ndarray) -> list[np.ndarray]:
-    """Each pair's lag window -D_j..D_j of every frame, (2 D_j + 1, F) per pair.
+def _windows(blocks: list[LagBlock], bounds: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each pair's lag window -D_j..D_j of every frame: one (S, F) array, S = sum(2 D_j + 1),
+    pair after pair, and its (2 D_j + 1, F) row views, one per pair (_pair_windows).
 
     Take costs about the same per index whether it fetches one float or
     a row of F, so a batch of frames shares each pass over a lag table.
     """
-    return [
-        np.stack([b.values[j, b.max_lag - d: b.max_lag + d + 1] for b in blocks], axis=1)
-        for j, d in enumerate(bounds)
-    ]
+    lags = _window_lags(bounds)
+    rows = np.repeat(np.arange(len(bounds)), 2 * bounds + 1)
+    values = np.empty((len(lags), len(blocks)))
+    for f, b in enumerate(blocks):
+        values[:, f] = b.values[rows, lags + b.max_lag]
+    return values, _pair_windows(values, bounds)
+
+
+def _window_lags(bounds: np.ndarray) -> np.ndarray:
+    """The lag of each row of _windows' (S, F) array, (S,): -D_j..D_j, pair after pair."""
+    return np.concatenate([np.arange(-d, d + 1) for d in bounds])
+
+
+def _pair_windows(values: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
+    """The (2 D_j + 1, F) row views of each pair's window in an (S, F) array of _windows."""
+    return np.split(values, np.cumsum(2 * bounds[:-1] + 1))
 
 
 #: points per block of lag_table columns in _time_scores, through which
@@ -433,21 +446,26 @@ def time_cells(grid: CandidateGrid, array: MicArray, bounds: np.ndarray | None =
     return TimeCells(grid, array, cell, parts, size, _box_query(lo, hi, array, grid.is_doa, bounds))
 
 
-def _cell_bounds(query: tuple, blocks: list[LagBlock], wins: list[np.ndarray]) -> np.ndarray:
+def _cell_bounds(query: tuple, wins: list[np.ndarray], amax: np.ndarray) -> np.ndarray:
     """Each box's upper bound on its members' scores in every frame, (C, F), from its _range_query.
 
     The sum from 0.0, in pairs() order, of each pair's largest lag over
     the box's range: rounded addition is monotone, so it is at least
-    each member's float score. A frame that could sum to a non-finite
-    score (a non-finite lag, or P max|lag| near the float maximum) gets
-    +inf, so all its boxes are scored.
+    each member's float score. ``amax`` (F,) bounds each frame's |lag|
+    over its windows (_window_amax); a frame that could sum to a
+    non-finite score (a non-finite lag, or P amax near the float
+    maximum) gets +inf, so all its boxes are scored.
     """
-    upper = np.zeros((query[0].shape[1], len(blocks)))
+    upper = np.zeros((query[0].shape[1], len(amax)))
     for m in _range_maxima(wins, query):
         upper += m
-    amax = np.array([np.abs(b.values).max() for b in blocks])  # P * amax < max: finite sums
-    upper[:, ~(amax < np.finfo(float).max / 2 / len(wins))] = np.inf
+    upper[:, ~(amax < np.finfo(float).max / 2 / len(wins))] = np.inf  # P * amax < max: finite sums
     return upper
+
+
+def _window_amax(values: np.ndarray) -> np.ndarray:
+    """Each frame's max |lag| over an (S, F) array of _windows (NaN if it holds one), (F,)."""
+    return np.maximum(values.max(axis=0), -values.min(axis=0))
 
 
 def _score_points(cells: TimeCells, keep, wins, bounds, best, idx, parts=None) -> None:
@@ -481,7 +499,18 @@ def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
 
     ``blocks`` are the frames' LagBlocks (rows in array.pairs() order,
     each covering the pairs' lag bounds); ``bounds`` the array's
-    lag_bounds, as given to time_cells. Equal to
+    lag_bounds, as given to time_cells. Cuts their lag windows and
+    searches them (_window_argmax).
+    """
+    values, wins = _windows(blocks, bounds)
+    return _window_argmax(cells, wins, _window_amax(values), bounds)
+
+
+def _window_argmax(cells: TimeCells, wins: list[np.ndarray], amax: np.ndarray, bounds: np.ndarray):
+    """Argmax and peak score of each frame's time map over a grid's cells, (F,) each, from its lag windows.
+
+    ``wins`` and ``amax`` are _windows' per-pair views and a bound on
+    each frame's |lag| over them (_window_amax). Equal to
     argmax_search(srp_time_map(...)) per frame, bit for bit: the
     members of each frame's _SEED_CELLS best-bounded cells are scored,
     then those of every other cell whose bound is not below some frame's
@@ -493,11 +522,10 @@ def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
     srp_time_map would, G points and G * P kernel ops per frame: the
     exhaustive map the search certifies.
     """
-    G, F = len(cells.grid), len(blocks)
-    wins = _windows(blocks, bounds)
+    G, F = len(cells.grid), len(amax)
     counter.points += G * F
     counter.kernel_ops += G * len(bounds) * F
-    upper = _cell_bounds(cells.query, blocks, wins)
+    upper = _cell_bounds(cells.query, wins, amax)
     C = len(upper)
     seeds = np.zeros(C, dtype=bool)
     n = min(_SEED_CELLS, C)
@@ -508,12 +536,12 @@ def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
     del upper, seeds
     parts = None
     if cells.parts is not None and cells.size[rest].sum() > _SPLIT_SHARE * G:
-        rest, parts = _split_boxes(cells, rest, blocks, wins, bounds, best)
+        rest, parts = _split_boxes(cells, rest, wins, amax, bounds, best)
     _score_points(cells, rest, wins, bounds, best, idx, parts)
     return idx, best
 
 
-def _split_boxes(cells: TimeCells, rest: np.ndarray, blocks, wins, bounds, best):
+def _split_boxes(cells: TimeCells, rest: np.ndarray, wins, amax, bounds, best):
     """The halves of a lattice's boxes ``rest`` (C,) bool whose bound is not below some frame's best.
 
     Each box is halved along every axis on which it spans two or more
@@ -533,7 +561,7 @@ def _split_boxes(cells: TimeCells, rest: np.ndarray, blocks, wins, bounds, best)
     for i in range(0, len(halves), _SPLIT_BLOCK):
         part = halves[i: i + _SPLIT_BLOCK]
         lo, hi, _ = _lattice_boxes(cells.grid.axes, parts, part)
-        upper = _cell_bounds(_box_query(lo, hi, cells.array, cells.grid.is_doa, bounds), blocks, wins)
+        upper = _cell_bounds(_box_query(lo, hi, cells.array, cells.grid.is_doa, bounds), wins, amax)
         keep[part] = ~(upper < best).all(axis=1)
         del upper  # before the next block's bounds are made
     return keep, tuple(parts)
@@ -562,7 +590,7 @@ def srp_time_map(
     (_time_scores): the exhaustive map that time_argmax searches.
     """
     block, bounds = _lag_block(lags, array, bounds)
-    scores = _time_scores(grid, _windows([block], bounds), array, grid.is_doa, bounds)
+    scores = _time_scores(grid, _windows([block], bounds)[1], array, grid.is_doa, bounds)
     counter.points += len(grid)
     counter.kernel_ops += len(grid) * len(bounds)
     return SrpMap(grid, scores[:, 0], "time")
@@ -615,12 +643,6 @@ def _freq_coefficients(block: SpectralBlock) -> np.ndarray:
     coef = np.zeros((P, A * B), dtype=complex)
     np.multiply(block.spectra, _half_spectrum(block.in_band)[block.band], out=coef[:, :K])
     return coef.reshape(P, A, B)
-
-
-def _equal_parts(n: int, most: int) -> list[int]:
-    """Edges of the fewest equal parts of range(n) with at most ``most`` each: no short trailing part."""
-    k = -(-n // most)
-    return [i * n // k for i in range(k + 1)]
 
 
 def srp_freq_scores(
@@ -718,7 +740,7 @@ def srp_freq_map(gccs: SpectralBlock, grid: CandidateGrid, array: MicArray) -> S
 def make_time_scorer(lags: LagBlock, array: MicArray, far_field: bool = False):
     """points (N, 3) -> time-domain SRP scores (N,); feeds searches and tracking. The block is checked and its lag windows cut once, here."""
     block, bounds = _lag_block(lags, array)
-    wins = _windows([block], bounds)
+    wins = _windows([block], bounds)[1]
 
     def scorer(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

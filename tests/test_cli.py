@@ -246,9 +246,9 @@ def test_localize_in_batches_writes_what_one_frame_runs_write(tmp_path, monkeypa
     cfg["pipeline"]["multi"] = {"n_sources": 2}
     path = write_config(tmp_path / "loc.json", cfg)
     batches = []
-    time_argmax = multisource.time_argmax
-    monkeypatch.setattr(multisource, "time_argmax",
-                        lambda table, blocks, bounds: batches.append(len(blocks)) or time_argmax(table, blocks, bounds))
+    search = multisource._window_argmax  # one call a round, over the batch's active frames
+    monkeypatch.setattr(multisource, "_window_argmax",
+                        lambda cells, wins, amax, *rest: batches.append(len(amax)) or search(cells, wins, amax, *rest))
     argv = ["localize", "-c", path, "-i", str(wav), "-o", str(tmp_path / "est.jsonl")]
     assert main(argv + ["--export-map", str(tmp_path / "map.csv")]) == 0
     assert batches == [8, 8, 3, 3]

@@ -380,27 +380,75 @@ def test_block_matches_per_pair_reference(n_mics, log_len, beta, gamma, band, de
             assert np.all(g.values == 0) and np.all(got == 0)
 
 
+def whole_band_block(frames, array, cfg):
+    """The (P, nb) weighted band block of every pair at once, by the GCC formula.
+
+    Returns it, its slice of half-spectrum bins k = 0..L, and L.
+    """
+    M, L = frames.shape
+    fs = array.sample_rate
+    freqs = np.fft.fftfreq(2 * L, d=1.0 / fs)
+    lo, hi = cfg.band if cfg.band is not None else (0.0, fs / 2.0)
+    idx = np.flatnonzero((np.abs(freqs[: L + 1]) >= lo) & (np.abs(freqs[: L + 1]) <= hi))
+    band = slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+    spec = np.fft.rfft(frames, 2 * L)[:, band]
+    conj = np.conj(spec)
+    g = np.empty((array.n_pairs, len(idx)), dtype=complex)
+    row = 0
+    for l in range(M - 1):
+        np.multiply(spec[l: l + 1], conj[l + 1:], out=g[row: row + M - 1 - l])
+        row += M - 1 - l
+    denom = np.abs(g)
+    if cfg.gamma is not None:
+        gamma = cfg.gamma
+    elif idx.size:  # a dot product per row
+        w = np.where((idx > 0) & (idx < L), 2.0, 1.0)
+        gamma = (GAMMA_RELATIVE_FLOOR * np.vecdot(denom, w) / w.sum())[:, None]
+    else:
+        gamma = 0.0
+    np.power(denom, cfg.beta, out=denom)
+    denom += gamma
+    ok = denom > 0
+    for part in (g.real, g.imag):
+        np.divide(part, denom, out=part, where=ok)
+    g[~ok] = 0.0
+    return g, band, L
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n_mics=st.integers(2, 8),
     log_len=st.integers(1, 10),
     reach=st.none() | st.integers(0, 1100),
     rows=st.integers(1, 30),
+    beta=st.sampled_from([0.0, 0.5, 1.0]),
+    gamma=st.sampled_from([None, 0.0, 1e-3]),
+    band=st.sampled_from([(100.0, 5000.0), (0.0, 5000.0), (100.0, 8000.0), (0.0, 8000.0)]),
+    scale=st.sampled_from([1.0, 1e4]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_row_grouped_lag_block_equals_one_whole_block_irfft(n_mics, log_len, reach, rows, seed):
-    """Row groups of any size give the whole-block irfft plus LagBlock.crop."""
+# cases where a matrix-vector product over a group's rows gives other floor bits
+@example(n_mics=8, log_len=9, reach=None, rows=4, beta=0.0, gamma=None, band=(0.0, 8000.0), scale=1e4, seed=1979643162)
+@example(n_mics=6, log_len=8, reach=300, rows=2, beta=0.0, gamma=None, band=(0.0, 8000.0), scale=1e4, seed=3609109948)
+@example(n_mics=6, log_len=10, reach=None, rows=22, beta=0.0, gamma=None, band=(0.0, 8000.0), scale=1e4,
+         seed=2163061375)
+def test_row_grouped_lag_block_equals_one_whole_block_irfft(
+    n_mics, log_len, reach, rows, beta, gamma, band, scale, seed
+):
+    """Row groups of any size give the whole band block's one irfft plus LagBlock.crop, bit for bit,
+    with bands inside the spectrum and touching DC, Nyquist or both. At beta = 0 and samples
+    of 1e4 the gamma = None floor is near the denominator's 1, so its every bit shows."""
     rng = np.random.default_rng(seed)
     array = MicArray(rng.uniform(0.0, 3.0, size=(n_mics, 3)), sample_rate=16000.0)
-    frames = rng.normal(size=(n_mics, 2**log_len))
-    cfg = GccConfig(band=(100.0, 5000.0))
-    g, band, _ = features._gcc_block(frames, array, cfg)
-    half = np.zeros((len(g), 2**log_len + 1), dtype=complex)  # the band block, zero-padded
-    half[:, band] = g
+    frames = scale * rng.normal(size=(n_mics, 2**log_len))
+    cfg = GccConfig(beta=beta, gamma=gamma, band=band)
+    g, bins, L = whole_band_block(frames, array, cfg)
+    half = np.zeros((len(g), L + 1), dtype=complex)  # the band block, zero-padded
+    half[:, bins] = g
     want = LagBlock.crop(lags_from_half(half), 16000.0, reach)
-    with mock.patch.object(features, "_IRFFT_ROWS", rows):
+    with mock.patch.object(features, "_IRFFT_SAMPLES", rows * 2 * L):  # groups of at most ``rows`` rows
         got = lag_block(frames, array, cfg, reach=reach)
-    assert np.array_equal(got.values, want.values)
+    assert same_bits(got.values, want.values)
 
 
 @pytest.mark.parametrize("reach", [None, 0, 3, 6, 7, 20])
@@ -439,7 +487,7 @@ def full_block_reference(frames, array, cfg):
         gamma = cfg.gamma
     elif idx.size:
         w = np.where((idx > 0) & (idx < L), 2.0, 1.0)
-        gamma = (GAMMA_RELATIVE_FLOOR * (denom @ w) / w.sum())[:, None]
+        gamma = (GAMMA_RELATIVE_FLOOR * np.vecdot(denom, w) / w.sum())[:, None]  # a dot product per row
     else:
         gamma = 0.0
     np.power(denom, cfg.beta, out=denom)

@@ -504,6 +504,38 @@ def test_batched_rounds_equal_the_per_frame_chain(case, n_sources, step):
         assert np.array_equal(b.values, o.values)
 
 
+def test_batched_time_rounds_copy_no_block_and_cut_the_windows_once():
+    """Four frames in auto mode, one all zero, which stops after its first
+    round while the others go on: no LagBlock is copied, the lag windows
+    are cut once for the batch, and each frame's estimates equal those of
+    its batch of one."""
+    from xsrp import multisource
+
+    array = MicArray(MIC_POSITIONS, sample_rate=FS)
+    grid = cartesian_grid(ROOM, 0.5)
+    bounds = lag_bounds(array)
+    table = lag_table(grid.points, array, bounds=bounds)
+    rng = np.random.default_rng(21)
+    blocks = []
+    for at in rng.integers(0, len(grid), size=(3, 3)):
+        lags = 0.05 * rng.normal(size=(array.n_pairs, 2 * int(bounds.max()) + 1))
+        for j, peak in zip(at, (3.0, 2.0, 1.5)):  # three sources above the 0.4 score floor
+            lags[np.arange(array.n_pairs), bounds.max() - bounds + table[:, j]] += peak
+        blocks.append(LagBlock(lags, FS))
+    blocks.insert(2, LagBlock(np.zeros_like(blocks[0].values), FS))
+    cfg = MultiConfig(n_sources=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = [localize_multi(b, grid, array, cfg) for b in blocks]
+        with mock.patch.object(LagBlock, "copy", autospec=True, side_effect=LagBlock.copy) as copy, \
+                mock.patch.object(multisource, "_windows", wraps=multisource._windows) as cut:
+            got = localize_multi_batch(blocks, grid, array, cfg)
+    assert copy.call_count == 0 and cut.call_count == 1
+    assert [len(e) for e in got] == [len(e) for e in want] and len(got[2]) == 0 and len(got[0]) >= 3
+    for g, w in zip(got, want):
+        assert np.array_equal(g.positions, w.positions) and np.array_equal(g.scores, w.scores)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=_batch_cases(), step=st.integers(1, 40))
 def test_time_argmax_is_the_first_index_of_each_frames_map_maximum(case, step):
@@ -623,13 +655,14 @@ def test_no_member_scores_above_its_cells_bound(case, cell_points):
     lattice, at both bound levels: its boxes and their halves."""
     array, grid, blocks = case
     bounds = lag_bounds(array)
-    wins = srp_core._windows(blocks, bounds)
+    values, wins = srp_core._windows(blocks, bounds)
+    amax = srp_core._window_amax(values)
     with _pruning(cell_points, 1):
         cells = time_cells(grid, array, bounds)
     levels = [(cells.query, _box_of_each_point(grid, cells.cell, cells.parts))]
     if cells.parts is not None:  # every half, kept against a best of -inf
         everything, never = np.ones(len(cells.size), dtype=bool), np.full(len(blocks), -np.inf)
-        keep, halves = srp_core._split_boxes(cells, everything, blocks, wins, bounds, never)
+        keep, halves = srp_core._split_boxes(cells, everything, wins, amax, bounds, never)
         lo, hi, size = srp_core._lattice_boxes(grid.axes, halves)
         assert keep.all() and size.sum() == len(grid)
         query = srp_core._box_query(lo, hi, array, False, bounds)
@@ -641,7 +674,7 @@ def test_no_member_scores_above_its_cells_bound(case, cell_points):
         level, lo = np.divmod(first, width)
         hi = second - level * width + np.left_shift(1, level) - 1
         assert np.all(lo[:, cell] <= table) and np.all(table <= hi[:, cell])
-        assert np.all(scores <= srp_core._cell_bounds(query, blocks, wins)[cell])
+        assert np.all(scores <= srp_core._cell_bounds(query, wins, amax)[cell])
 
 
 @pytest.mark.parametrize("fill, n_pairs", [(-np.inf, 1), (np.nan, 1), (1e308, 2)])
