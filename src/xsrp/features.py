@@ -11,7 +11,7 @@ without circular wrap, and kept over the nb in-band f >= 0 bins (out
 of L+1). compute_spectral_gccs weights every pair at once into a
 SpectralBlock: the (P, nb) weighted cross-spectra, one row per pair in
 array.pairs() order, which frequency maps and the tracker steer.
-lag_block weights a few pair rows at a time straight into the
+lag_block weights a few pair rows at a time, copies them into the
 zero-padded input of one irfft and crops their lags to the window
 -reach..reach that time and volumetric maps read, so neither a (P, nb)
 block nor every pair's full lags exist at once; its LagBlock equals the
@@ -149,9 +149,6 @@ class LagBlock:
         s = 0 if reach is None else max(k - reach, 0)
         return cls(lags[:, s:-s].copy() if s else lags, sample_rate)
 
-    def copy(self) -> "LagBlock":
-        return LagBlock(self.values.copy(), self.sample_rate)
-
 
 @dataclass
 class SpectralGcc:
@@ -237,7 +234,9 @@ def _mic_spectra(frames: np.ndarray, array: MicArray, cfg: GccConfig):
 
     Returns it, the slice of half-spectrum bins k = 0..L it holds, and
     the two-sided in-band mask (length 2L); |f| grows along the half
-    spectrum, so the band is one slice. The full spectra are freed here.
+    spectrum, so the band is one slice. The mics go in groups of as many
+    rows as lag_block's (_IRFFT_SAMPLES) through one buffer, with the bits
+    of one rfft of all: no (M, L + 1) spectra.
     """
     frames = np.atleast_2d(np.asarray(frames, dtype=float))
     M, L = frames.shape
@@ -245,7 +244,11 @@ def _mic_spectra(frames: np.ndarray, array: MicArray, cfg: GccConfig):
         raise ValueError(f"frame block has {M} channels for {array.n_mics} microphones")
     in_band = _band_mask(np.fft.fftfreq(2 * L, d=1.0 / array.sample_rate), cfg.band, array.sample_rate)
     band = _half_band(in_band)
-    return np.fft.rfft(frames, 2 * L)[:, band].copy(), band, in_band
+    rows, spec = min(max(1, _IRFFT_SAMPLES // (2 * L)), M), np.empty((M, band.stop - band.start), dtype=complex)
+    edges, full = _equal_parts(M, rows), np.empty((rows, L + 1), dtype=complex)
+    for i, j in zip(edges[:-1], edges[1:]):
+        spec[i:j] = np.fft.rfft(frames[i:j], 2 * L, out=full[: j - i])[:, band]
+    return spec, band, in_band
 
 
 def _floor_weights(band: slice, L: int) -> np.ndarray:
@@ -264,33 +267,36 @@ def _pair_segments(array: MicArray, r0: int, r1: int) -> list[tuple[int, slice, 
     return segments
 
 
-def _weighted_cross_spectra(spec, conj, segments, out: np.ndarray, cfg: GccConfig, w: np.ndarray) -> None:
-    """The GCC weighting, into ``out`` (rows, nb): the one formula of both blocks.
+def _weighted_cross_spectra(spec, segments, out: np.ndarray, cfg: GccConfig, w: np.ndarray) -> None:
+    """The GCC weighting, into ``out`` (rows, nb), C-contiguous: the one formula of both blocks.
 
     Cross-power spec[l] conj(spec[m]) of each pair of ``segments``
-    (_pair_segments), a mic's rows at a time; gamma = None floors each
-    row's denominator at GAMMA_RELATIVE_FLOOR times its mean |cross-power|
-    over the two-sided in-band bins (``w``, _floor_weights), a dot product
-    per row, so a row's bits do not depend on the other rows; a bin whose
-    denominator is not > 0 is 0.
+    (_pair_segments), in that operand order, a mic's rows at a time;
+    gamma = None floors each row's denominator at GAMMA_RELATIVE_FLOOR
+    times its mean |cross-power| over the two-sided in-band bins (``w``,
+    _floor_weights), a dot product per row, so a row's bits do not
+    depend on the other rows; a bin whose denominator is not > 0 is 0.
+    On contiguous rows numpy's broadcasts buffer no more than the rows
+    themselves; on a group's strided view of the irfft input they took
+    60-180 KiB a call.
     """
+    conj = np.empty((max(ms.stop - ms.start for _, ms, _ in segments), out.shape[1]), dtype=complex)
     for l, ms, rows in segments:
         # a 2-D row: numpy rounds a 1-D row times a one-element block differently
-        np.multiply(spec[l: l + 1], conj[ms], out=out[rows])
+        np.multiply(spec[l: l + 1], np.conjugate(spec[ms], out=conj[: ms.stop - ms.start]), out=out[rows])
     denom = np.abs(out)
-    if cfg.gamma is not None:
-        gamma = cfg.gamma
-    elif len(w):
+    if cfg.gamma is None and len(w):
         gamma = (GAMMA_RELATIVE_FLOOR * np.vecdot(denom, w) / w.sum())[:, None]
     else:
-        gamma = 0.0
-    np.power(denom, cfg.beta, out=denom)
+        gamma = cfg.gamma or 0.0
+    if cfg.beta != 1.0:  # x ** 1 is x
+        np.power(denom, cfg.beta, out=denom)
     denom += gamma
-    ok = denom > 0  # also False where a NaN sample made the cross-power NaN
-    every = ok.all()  # then unmasked: a masked division takes twice as long
+    every = denom.min(initial=np.inf) > 0  # False where a NaN sample made the cross-power NaN
+    ok = True if every else denom > 0  # unmasked, a division takes half as long
     # part by part: numpy's complex division overflows on a subnormal divisor
     for part in (out.real, out.imag):
-        np.divide(part, denom, out=part, where=True if every else ok)
+        np.divide(part, denom, out=part, where=ok)
     if not every:
         out[~ok] = 0.0
 
@@ -306,7 +312,7 @@ def _gcc_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None):
     spec, band, in_band = _mic_spectra(frames, array, cfg)
     g = np.empty((array.n_pairs, spec.shape[1]), dtype=complex)
     segments = _pair_segments(array, 0, array.n_pairs)
-    _weighted_cross_spectra(spec, np.conj(spec), segments, g, cfg, _floor_weights(band, len(in_band) // 2))
+    _weighted_cross_spectra(spec, segments, g, cfg, _floor_weights(band, len(in_band) // 2))
     return g, band, in_band
 
 
@@ -380,20 +386,15 @@ def compute_spectral_gccs(
 
 
 #: lag samples per irfft of lag_block: a group of pair rows fills at
-#: most this many of the (P, 2L) lags, max(1, _IRFFT_SAMPLES // 2L)
-#: rows, and the P rows go in the fewest equal groups (_equal_parts).
-#: A group's weighted cross-spectra are formed in its irfft input and
-#: its lags cropped as soon as they are transformed, so the two buffers
-#: hold 16 and 8 bytes a sample whatever L. At 8 mics and 100-2000 Hz,
-#: one call's tracemalloc peak and time (median of 300 calls, 4 MiB of
-#: other memory written between calls, 2-core host) were, for groups of
-#: 1, 2, 4, 8 and 16 rows: at L = 4096, +/-267 lags, 0.63, 0.67, 0.99,
-#: 1.58 and 2.61 MiB, 4.0, 2.9, 2.8, 4.7 and 4.7 ms; at L = 2048, +/-240
-#: lags, 0.31, 0.38, 0.54, 0.84 and 1.40 MiB, 2.7, 2.2, 2.0, 1.7 and 1.4
-#: ms. Over whole alternating commands, 4 rows at L = 4096 and 8 at 2048
-#: kept time3d_multi and volumetric within 1 % of one weighting of the
-#: whole (P, nb) block, while 4 rows at 2048 cost volumetric 4 %
-_IRFFT_SAMPLES = 32768
+#: most this many of the (P, 2L) lags, max(1, _IRFFT_SAMPLES // 2L) rows;
+#: the P rows, and the mics' rfft, go in the fewest equal groups
+#: (_equal_parts). At 8 mics and 100-2000 Hz, one call's tracemalloc
+#: peak and time (median of 300 calls, 4 MiB of other memory written
+#: between calls, 2-core host) for groups of 1, 2, 4, 8 and 16 rows: at
+#: L = 4096, 0.41, 0.59, 0.93, 1.58 and 2.76 MiB, 3.7, 2.9, 3.0, 4.5 and
+#: 3.9 ms; at L = 2048, 0.27, 0.35, 0.52, 0.85 and 1.46 MiB, 2.4, 1.8,
+#: 1.5, 1.5 and 1.4 ms; volumetric's commands took as long at 4 rows as at 8
+_IRFFT_SAMPLES = 16384
 
 
 def _equal_parts(n: int, most: int) -> list[int]:
@@ -412,10 +413,10 @@ def lag_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None,
     """
     cfg = cfg or GccConfig()
     spec, band, in_band = _mic_spectra(frames, array, cfg)
-    conj, w = np.conj(spec), _floor_weights(band, len(in_band) // 2)
+    w = _floor_weights(band, len(in_band) // 2)
 
     def fill(out, r0, r1):
-        _weighted_cross_spectra(spec, conj, _pair_segments(array, r0, r1), out, cfg, w)
+        _weighted_cross_spectra(spec, _pair_segments(array, r0, r1), out, cfg, w)
 
     return _band_lags(fill, array.n_pairs, band, len(in_band) // 2, array.sample_rate, reach)
 
@@ -424,23 +425,25 @@ def _band_lags(fill, n_rows: int, band: slice, L: int, fs: float, reach: int | N
     """The lags of ``n_rows`` band rows by irfft, cropped as LagBlock.crop.
 
     ``fill(out, r0, r1)`` writes rows [r0, r1) of the half spectra's
-    bins ``band`` (of k = 0..L) into ``out``. Each group of rows
-    (_IRFFT_SAMPLES) is written into one zero-padded (rows, L + 1) buffer,
-    its odd bins negated as lags_from_half does, transformed into one
-    (rows, 2L) buffer and cropped; both buffers are allocated once per
-    call, and the bins outside ``band`` are written once: one
-    whole-block irfft and crop, bit for bit.
+    bins ``band`` (of k = 0..L) into ``out``, a C-contiguous buffer.
+    Each group of rows (_IRFFT_SAMPLES) is copied into one zero-padded
+    (rows, L + 1) buffer, its odd bins negated as lags_from_half does,
+    transformed into one (rows, 2L) buffer and cropped; the buffers are
+    allocated once per call, and the bins outside ``band`` are written
+    once: one whole-block irfft and crop, bit for bit.
     """
     k = L - 1 if reach is None else min(reach, L - 1)
     rows = min(max(1, _IRFFT_SAMPLES // (2 * L)), n_rows)
     values = np.empty((n_rows, 2 * k + 1))
     half, out = np.zeros((rows, L + 1), dtype=complex), np.empty((rows, 2 * L))
+    bins = np.empty((rows, band.stop - band.start), dtype=complex)
     _negate_odd_bins(half)  # the padding as lags_from_half leaves it
     odd = slice(band.start | 1, band.stop, 2)
     edges = _equal_parts(n_rows, rows)
     for r0, r1 in zip(edges[:-1], edges[1:]):
         h = half[: r1 - r0]
-        fill(h[:, band], r0, r1)
+        fill(bins[: r1 - r0], r0, r1)
+        h[:, band] = bins[: r1 - r0]
         _negate_odd_bins(h, odd)
         lags = np.fft.irfft(h, out=out[: r1 - r0])[:, 1:]
         values[r0:r1] = LagBlock.crop(lags, fs, reach).values

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,9 @@ from .srp_core import (
     _spectral_block,
     _window_amax,
     _window_argmax,
+    _window_column,
     _window_lags,
-    _windows,
+    lag_bounds,
     srp_freq_map,
     time_cells,
 )
@@ -185,7 +187,7 @@ def localize_multi(
 
 
 def localize_multi_batch(
-    batch: list,
+    batch: Iterable,
     grid: CandidateGrid,
     array: MicArray,
     cfg: MultiConfig | None = None,
@@ -195,20 +197,21 @@ def localize_multi_batch(
 ) -> list[EstimateSet]:
     """Iterative multi-source localization of each frame of a batch over a grid.
 
-    ``batch`` holds each frame's features, all of one domain (see
-    localize_multi). Each round maps every still-active frame, takes
-    its argmax, appends the estimate, and notches its theoretical TDOA
-    from every pair; each frame keeps its own notch, stop rules and
-    warnings, so its estimates equal those of a batch of one. With
-    n_sources = 1 the first round is exactly the single-source
+    ``batch`` is an iterable of each frame's features, all of one domain
+    (see localize_multi), read once. Each round maps every still-active
+    frame, takes its argmax, appends the estimate, and notches its
+    theoretical TDOA from every pair; each frame keeps its own notch,
+    stop rules and warnings, so its estimates equal those of a batch of
+    one. With n_sources = 1 the first round is exactly the single-source
     pipeline. Time-domain rounds share the cells and the array's lag
     bounds, ``cells`` (time_cells) and ``bounds`` if prepared, else
     built here, and each pair's lag windows -D_j..D_j of every frame,
-    cut once per batch into one (S, F) array (srp_core._windows): a
-    round searches all active frames in one pass over the cells
-    (srp_core._window_argmax), and an accepted frame's column is notched
-    in place, deemphasize's notch over lags -D_j..D_j, the only lags a
-    time map reads. No LagBlock is copied and the caller's are never
+    cut from each LagBlock as it is read, which is then let go, so a
+    generator's blocks go one by one, into one (S, F) array (as
+    srp_core._windows). A round searches all active frames in one pass
+    over the cells (srp_core._window_argmax), and an accepted frame's
+    column is notched in place, deemphasize's notch over lags -D_j..D_j,
+    the only lags a time map reads; the caller's blocks are never
     written. The bound on each frame's |lag| that the search's
     finiteness guard reads is taken from the windows once: a notch only
     shrinks |lag|.
@@ -219,32 +222,36 @@ def localize_multi_batch(
     cfg = cfg or MultiConfig()
     if search is not None and search.mode != "exhaustive":
         raise ValueError("localize_multi supports only exhaustive search")
-    if not batch:
+    bounds = lag_bounds(array) if bounds is None else bounds
+    domains = []  # each frame's: True for time
+
+    def read(f):  # blocks in array.pairs() order, as the TDOAs
+        if not isinstance(f, (LagBlock, SpectralBlock)):
+            raise TypeError(f"features must be a LagBlock or a SpectralBlock, got {type(f).__name__}")
+        domains.append(isinstance(f, LagBlock))
+        if domains[-1] != domains[0]:
+            raise ValueError("a batch mixes time and frequency features")
+        return _window_column(_lag_block(f, array, bounds)[0], bounds) if domains[0] else _spectral_block(f, array)
+
+    work = list(map(read, batch))  # map keeps no frame's features once read
+    if not work:
         return []
-    odd = [f for f in batch if not isinstance(f, (LagBlock, SpectralBlock))]
-    if odd:
-        raise TypeError(f"features must be a LagBlock or a SpectralBlock, got {type(odd[0]).__name__}")
-    time_domain = isinstance(batch[0], LagBlock)
-    if any(isinstance(f, LagBlock) != time_domain for f in batch):
-        raise ValueError("a batch mixes time and frequency features")
-    if time_domain:  # blocks in array.pairs() order, as the TDOAs
-        for f in batch:
-            bounds = _lag_block(f, array, bounds)[1]
+    time_domain = domains[0]
+    if time_domain:
+        # the batch's lag windows, notched in place round after round
+        values, work = np.stack(work, axis=1), None
+        wins = _pair_windows(values, bounds)
         if cells is None:
             cells = time_cells(grid, array, bounds)
-        # the batch's lag windows, notched in place round after round
-        values, wins = _windows(batch, bounds)
         amax = _window_amax(values)  # notches only shrink |lag|, so it bounds every round
         sizes = 2 * bounds + 1
         taus = _window_lags(bounds) / array.sample_rate
-    else:
-        work = [_spectral_block(f, array) for f in batch]
     tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
     sigma = cfg.notch_sigma if cfg.notch_sigma is not None else default_notch_sigma(array)
     cap = cfg.n_sources if cfg.n_sources is not None else _AUTO_CAP
     auto = cfg.n_sources is None
-    found: list[list[tuple[np.ndarray, float]]] = [[] for _ in batch]
-    active = list(range(len(batch)))
+    found: list[list[tuple[np.ndarray, float]]] = [[] for _ in domains]
+    active = list(range(len(domains)))
     while active:
         if time_domain:  # column c of the windows is frame active[c]
             idx, scores = _window_argmax(cells, wins, amax, bounds)

@@ -253,11 +253,11 @@ def _gcc_config(f: FeatureSpec, array: MicArray) -> GccConfig:
 
 #: frames per batch of Plan.stream. Streaming 16 frames at time3d_multi's
 #: size (90k points, 28 pairs, 2 pruned rounds a frame, framed lazily)
-#: took 9.3, 6.1, 5.1, 4.7 and 4.2 ms per frame (fastest of 15 streams,
+#: took 5.1, 4.5, 3.8, 3.6 and 3.5 ms per frame (fastest of 15 streams,
 #: 2-core host) at batches of 1, 2, 4, 8 and 16 frames, at tracemalloc
-#: peaks of 1.28, 1.42, 1.89, 2.95 and 5.55 MiB: a batch holds its
-#: frames' lag blocks and one (S, F) array of their lag windows,
-#: S = sum(2 D_j + 1), notched in place round after round
+#: peaks of 0.88, 0.98, 1.20, 1.71 and 3.16 MiB: a batch holds one (S, F)
+#: array of its frames' lag windows, S = sum(2 D_j + 1), notched in
+#: place round after round, and the search's (C, F) cell bounds
 BATCH_FRAMES = 8
 
 
@@ -278,8 +278,9 @@ class Plan:
     grid. run() then does only the per-frame work of one frame block,
     and stream() that of a sequence of blocks, taken lazily in batches
     of BATCH_FRAMES: when every pass is exhaustive over the prepared
-    grid, a batch's features are built one frame at a time, then its
-    frames are searched together over the cells (localize_multi_batch).
+    grid, a batch's blocks are built one frame at a time, each one's lag
+    windows cut before the next is built (localize_multi_batch), and its
+    frames are searched together; no block but the last outlives its cut.
     The last frame's features stay until the next run; map() maps them
     once more over the prepared grid (the CLI's export), a time map's
     lag table columns a block at a time as every time score builds them
@@ -349,13 +350,16 @@ class Plan:
         if cfg.map.domain != "time" or cfg.search.mode != "exhaustive" or cfg.grid_update != "none":
             return [self._run_one(frames) for frames in blocks]
         # every pass is exhaustive over the prepared grid: search the batch together
-        feats = []
-        for frames in blocks:
-            self.features = None  # the last batch's features go before these are built
-            self.features = f = self._features(frames)
-            feats.append(f)
+
+        def feats():  # each frame's block goes once its windows are cut; the last stays for map()
+            for frames in blocks:
+                self.features = None  # before the next block is built
+                self.features = self._features(frames)
+                del frames  # before the next frame is read
+                yield self.features
+
         return localize_multi_batch(
-            feats, self.grid, self.array, cfg.multi or MultiConfig(), cells=self.steering, bounds=self.bounds
+            feats(), self.grid, self.array, cfg.multi or MultiConfig(), cells=self.steering, bounds=self.bounds
         )
 
     def _run_one(self, frames: np.ndarray) -> EstimateSet:

@@ -18,18 +18,18 @@ through a table of offsets rint(tau * fs) + D, so a block cropped to
 points' table columns a block at a time and gathers them
 (_time_scores): srp_time_map and the scorers over all their points,
 time_argmax, which finds a batch of frames' argmaxes, over only the
-boxes of grid points (TimeCells) whose bound can reach the best score
-found, bounding the halves of a lattice's surviving boxes before it
-scores their points. The frequency map evaluates each pair's
-polynomial in the block's uniform DFT bins exactly by baby-step
-giant-step: per block of points, one matrix product per pair and about
-2 sqrt(K) array passes for K bins, steered by per-mic phasors (2 M
-complex exponentials per point). A module-level counter tracks candidate
-scorings and steering-kernel evaluations so complexity claims can be
-checked: each frame's map, alone or in a batch, adds G points and
-G * P kernel ops (time, volumetric; for time_argmax, those of the map
-it certifies) or G * P * |F| (frequency), |F| the in-band bin count:
-the complexity model's unit, not a count of multiplies.
+boxes of grid points (TimeCells) whose bound, from each pair's TDOA
+interval over the box, can reach the best score found. The frequency
+map evaluates each pair's polynomial in the block's uniform DFT bins
+exactly by baby-step giant-step: per block of points, one matrix
+product per pair and about 2 sqrt(K) array passes for K bins, steered
+by per-mic phasors (2 M complex exponentials per point). A module-level
+counter tracks candidate scorings and steering-kernel evaluations so
+complexity claims can be checked: each frame's map, alone or in a
+batch, adds G points and G * P kernel ops (time, volumetric; for
+time_argmax, those of the map it certifies) or G * P * |F| (frequency),
+|F| the in-band bin count: the complexity model's unit, not a count of
+multiplies.
 """
 
 from __future__ import annotations
@@ -168,12 +168,14 @@ def _windows(blocks: list[LagBlock], bounds: np.ndarray) -> tuple[np.ndarray, li
     Take costs about the same per index whether it fetches one float or
     a row of F, so a batch of frames shares each pass over a lag table.
     """
-    lags = _window_lags(bounds)
-    rows = np.repeat(np.arange(len(bounds)), 2 * bounds + 1)
-    values = np.empty((len(lags), len(blocks)))
-    for f, b in enumerate(blocks):
-        values[:, f] = b.values[rows, lags + b.max_lag]
+    values = np.stack([_window_column(b, bounds) for b in blocks], axis=1)
     return values, _pair_windows(values, bounds)
+
+
+def _window_column(block: LagBlock, bounds: np.ndarray) -> np.ndarray:
+    """A block's column of _windows' (S, F) array: its lags -D_j..D_j of each pair, pair after pair."""
+    d, k = int(bounds.max()), block.max_lag
+    return block.values[:, k - d: k + d + 1][np.abs(np.arange(-d, d + 1)) <= bounds[:, None]]
 
 
 def _window_lags(bounds: np.ndarray) -> np.ndarray:
@@ -216,26 +218,34 @@ def _time_scores(points, wins: list[np.ndarray], array: MicArray, far_field: boo
     return scores
 
 
-def _range_query(lo: np.ndarray, hi: np.ndarray, width: int) -> tuple:
-    """Where _range_maxima reads the maximum over each range [lo, hi] of (P, C).
+def _range_query(ranges, shape: tuple, width: int) -> tuple:
+    """Where _range_maxima reads the maximum over each range [lo, hi] of a (P, C) array of ranges.
 
-    A range of n entries is the union of the runs of 2^k entries, k =
-    floor(log2 n), that start at lo and end at hi: entries lo and
-    hi - 2^k + 1 of level k of a range-max table, flattened over levels
-    ``width`` entries long. Returns (first, second, each row's top level,
-    width), entries in the smallest unsigned dtype that holds them.
+    ``ranges`` yields (rows, lo, hi), (n, C) each: some rows' ranges of at
+    most ``width`` entries. A range of n entries is the union of the runs
+    of 2^k entries, k = floor(log2 n), that start at lo and end at hi:
+    entries lo and hi - 2^k + 1 of level k of a range-max table,
+    flattened over levels ``width`` entries long. Returns (first, second,
+    each row's top level, width), in the smallest unsigned dtype for any.
     """
-    n = hi - lo
-    n += 1
-    level = np.frexp(n.astype(np.float32))[1]  # float32 holds any n < 2^24 exactly
-    level -= 1  # floor(log2 n), exact
-    tops = level.max(axis=1)
-    n -= np.left_shift(1, level)
-    level *= width
-    level += lo  # the first entry
-    n += level  # the second
-    dtype = np.min_scalar_type((int(tops.max()) + 1) * width)
-    return level.astype(dtype), n.astype(dtype), tops, width
+    dtype = np.min_scalar_type(width.bit_length() * width)
+    first, second = np.empty(shape, dtype), np.empty(shape, dtype)
+    tops = np.zeros(shape[0], dtype=int)
+    for rows, lo, hi in ranges:
+        n = hi - lo
+        n += 1
+        k = np.frexp(n)[1]  # exact: n < 2^53
+        k -= 1  # floor(log2 n)
+        tops[rows] = k.max(axis=1, initial=0)
+        np.left_shift(1, k, out=n, casting="unsafe")
+        k *= width
+        np.add(k, lo, out=first[rows], casting="unsafe")
+        np.subtract(k, n, out=n)
+        n += hi
+        n += 1
+        second[rows] = n
+        del n, k  # before the next rows' ranges are made
+    return first, second, tops, width
 
 
 def _range_maxima(rows, query: tuple):
@@ -259,36 +269,17 @@ def _range_maxima(rows, query: tuple):
 
 #: grid points per cell of time_cells: index boxes of edge
 #: round(_CELL_POINTS^(1/k)) on a lattice, sorted cells otherwise. On the
-#: 90k-point time3d_multi lattice (8 mics), boxes of 27, 64, 125 and 216
-#: points (3,400, 1,560, 720 and 450 boxes) took 3.9, 1.9, 1.2 and 1.0
-#: ms to build. 64 was chosen for sorted cells, whose builds of 16-256
-#: points took 10.2-5.0 ms and searches 7.1, 7.7, 8.4, 12.4 and 16.1 ms
-#: a command (32 seed cells): larger cells leave more survivors. The
-#: search was not timed again for index boxes
+#: 90k-point time3d_multi lattice, boxes of 27, 64, 125 and 216 points
+#: took 4.7, 1.8, 1.0 and 0.8 ms to build; over seeds 0-29 the first
+#: three scored 32,139, 84,256 and 171,375 points at 24.5, 21.4 and 21.0
+#: ms a command (medians of 4 interleaved passes, 8 seed cells)
 _CELL_POINTS = 64
 
-#: cells per frame whose members time_argmax scores first. On 16 rounds
-#: of time3d_multi (seeds 0-7, 64-point cells), 8, 16, 32 and 64 seed
-#: cells scored 120,076, 61,000, 63,956 and 82,872 points, at most
-#: 28,528, 10,752, 10,752 and 10,752 in a round: 8 seeds too low a bar
-_SEED_CELLS = 32
-
-#: share of a lattice's points past which a round of time_argmax splits
-#: its surviving boxes in halves and bounds those (_split_boxes). A
-#: half-box's bound costs about 1.2 us, its 8 points' columns about 3 us
-#: to build and gather, and each block of half-boxes about 1 ms more. On
-#: time3d_multi the split cut seed 18's second round from 46,432 points
-#: to 7,660 and its command by 13 ms (30 interleaved pairs), while
-#: splitting every round cost seeds 1 and 2 about 1-2 ms; shares of 2, 5
-#: and 10 % came within 1.6 ms of one another on seeds 0-2 and 17
-_SPLIT_SHARE = 0.05
-
-#: half-boxes per block of _split_boxes. A block's bounds hold about
-#: 1 KiB a half-box at 28 pairs; at 512 a block seeds 17 and 18 took 4-5
-#: ms a command more than at 1,024 (25 interleaved pairs each), where
-#: time3d_multi's tracemalloc peak read 2.57, 2.64 and 2.54 MiB on seeds
-#: 0, 17 and 18
-_SPLIT_BLOCK = 1024
+#: cells per frame whose members time_argmax scores first. Over
+#: time3d_multi seeds 0-29, 1, 2, 4, 8, 16 and 32 seed cells scored
+#: 181,056, 97,056, 81,280, 84,256, 100,544 and 164,288 points at 22.0,
+#: 21.4, 21.1, 20.9, 21.0 and 21.9 ms a command (as above)
+_SEED_CELLS = 8
 
 
 @dataclass
@@ -296,14 +287,12 @@ class TimeCells:
     """A grid's points in boxes (time_cells) and the _range_query of each
     pair's range of lag_table offsets over each box. A lattice's boxes
     are index boxes, given by each axis's box starts (``parts``); other
-    grids' by each point's box, (G,) (``cell``). ``size`` counts each
-    box's points."""
+    grids' by each point's box, (G,) (``cell``)."""
 
     grid: CandidateGrid
     array: MicArray
     cell: np.ndarray | None
     parts: tuple | None
-    size: np.ndarray
     query: tuple
 
 
@@ -344,21 +333,16 @@ def _cell_boxes(pts: np.ndarray):
     return cell, lo, hi
 
 
-def _lattice_boxes(axes, parts, boxes=None):
-    """Corners lo and hi, (3, C) each, and sizes (C,) of index boxes.
-
-    The boxes are the product, in C order, of each axis's intervals
-    [parts[a][i], parts[a][i + 1]) of indices; ``boxes`` picks some of
-    them by flat index. A corner is the min or max of an axis slice.
-    """
+def _lattice_boxes(axes, parts):
+    """Corners lo and hi, (3, C) each, of index boxes: the product, in C order, of each axis's
+    intervals [parts[a][i], parts[a][i + 1]) of indices. A corner is the min or max of an axis slice."""
     shape = tuple(len(p) for p in parts)
-    at = np.unravel_index(np.arange(math.prod(shape)) if boxes is None else boxes, shape)
-    lo, hi, size = np.empty((3, len(at[0]))), np.empty((3, len(at[0]))), 1
+    at = np.unravel_index(np.arange(math.prod(shape)), shape)
+    lo, hi = np.empty((3, len(at[0]))), np.empty((3, len(at[0])))
     for a, p, i, a_lo, a_hi in zip(axes, parts, at, lo, hi):
         a_lo[:] = np.minimum.reduceat(a, p).take(i)
         a_hi[:] = np.maximum.reduceat(a, p).take(i)
-        size = size * np.diff(p, append=len(a)).take(i)
-    return lo, hi, size
+    return lo, hi
 
 
 def _lattice_members(shape, parts, keep: np.ndarray, step: int):
@@ -381,46 +365,81 @@ def _lattice_members(shape, parts, keep: np.ndarray, step: int):
         yield (xy[:, None] * nz + pz.take(b)[:, None] + offs)[offs < lens.take(b)[:, None]]
 
 
+def _box_tdoas(lo: np.ndarray, hi: np.ndarray, array: MicArray, far_field: bool):
+    """Yield (rows, tau_min, tau_max): each pair's TDOA interval over boxes [lo, hi], (3, C) each,
+    in samples, (n, C) for mic l's pairs, rows ``rows`` of pairs(), in buffers the next mic's overwrite.
+
+    Near field: a mic at o = c0 - v from the box centre, r = |o|, is at
+    |u - v| in [r + o.e / r, that + |e|^2 / (2 r)] from u = c0 + e (a
+    convex function's tangent plane; sqrt(r^2 + x) <= r + x / (2 r)). So
+    with |e_a| <= h_a, tau_lm lies in r_l - r_m -/+ sum_a |w_la - w_ma|,
+    w_a = o_a h_a / r, widened by q = |h|^2 / (2 r) of m below and of l
+    above, and in [near_l - far_m, far_l - near_m] (the clamped point,
+    the farthest corner), which holds where a mic is in or by the box (q
+    = inf at r = 0). Far field: tau_lm = u . (v_m - v_l) / c is linear:
+    r = -c0 . v and w_a = -v_a h_a bound it exactly, q = 0, no enclosure.
+    """
+    fs_c, pos, C = array.sample_rate / array.speed_of_sound, array.positions, lo.shape[1]
+    near, far, r, q = dist = np.zeros((4, len(pos), C))
+    w, (t, u) = np.empty((3, len(pos), C)), np.empty((2, len(pos), C))
+    centre, half = (lo + hi) / 2, (hi - lo) / 2
+    for v, c0, h, w_a in zip(pos.T[:, :, None], centre, half, w):
+        if far_field:
+            r -= np.multiply(c0, v, out=t)
+            np.multiply(v, -h, out=w_a)
+            continue
+        r += np.square(np.subtract(c0, v, out=w_a), out=t)
+        far += np.square(np.add(np.abs(w_a, out=t), h, out=u), out=u)
+        t -= h
+        near += np.square(np.maximum(t, 0.0, out=t), out=t)
+        w_a *= h
+    del t, u  # before the pairs' buffers are made
+    if far_field:
+        near[:], far[:] = -np.inf, np.inf
+    else:
+        np.sqrt(dist[:3], out=dist[:3])
+        np.divide(w, r, out=w, where=r > 0)  # o = 0 where r = 0
+        np.divide((half**2).sum(axis=0) / 2, r, out=q, where=r > 0)
+        q[r == 0] = np.inf
+    dist *= fs_c  # in samples
+    w *= fs_c
+    out = np.empty((2, len(pos) - 1, C))
+    for l, rows in array.pair_rows():
+        m = slice(l + 1, None)
+        t_lo, t_hi = out[:, : rows.stop - rows.start]
+        np.subtract(r[l], r[m], out=t_hi)
+        np.subtract(t_hi, q[m], out=t_lo)
+        t_hi += q[l]
+        spread, tmp = np.zeros((2,) + t_hi.shape)
+        for w_a in w:
+            spread += np.abs(np.subtract(w_a[l], w_a[m], out=tmp), out=tmp)
+        t_hi += spread
+        t_lo -= spread
+        np.minimum(t_hi, np.subtract(far[l], near[m], out=spread), out=t_hi)
+        np.maximum(t_lo, np.subtract(near[l], far[m], out=spread), out=t_lo)
+        del spread, tmp  # while the caller reads this mic's pairs
+        yield rows, t_lo, t_hi
+
+
 def _box_query(lo: np.ndarray, hi: np.ndarray, array: MicArray, far_field: bool, bounds: np.ndarray):
     """The _range_query of each pair's lag_table offsets over boxes [lo, hi], (3, C) each.
 
-    Near field: a mic's distance over a box runs from its clamped
-    position to the farthest corner, so a pair's TDOA lies in
-    [(near_l - far_m) / c, (far_l - near_m) / c]. Far field: u . (v_m -
-    v_l) / c is linear in u, so its extremes lie at corners, axis by
-    axis. The lags are [floor(tau_min fs) - 1, ceil(tau_max fs) + 1],
-    clipped to +/-D: the extra lag on each side absorbs the float
-    rounding of this bound and of lag_table.
+    The lags of each pair's TDOA interval (_box_tdoas), [floor(tau_min
+    fs) - 1, ceil(tau_max fs) + 1], clipped to +/-D: the extra lag on
+    each side absorbs the float rounding of the interval and of
+    lag_table. Built a mic's pairs at a time: no (P, C) temporaries.
     """
-    fs, c = array.sample_rate, array.speed_of_sound
-    if far_field:
-        tau_lo = np.zeros((len(bounds), lo.shape[1]))
-        tau_hi = np.zeros_like(tau_lo)
-        base = np.stack([array.positions[p.m] - array.positions[p.l] for p in array.pairs()])
-        for b, a_lo, a_hi in zip(base.T[:, :, None] * (fs / c), lo, hi):
-            tau_lo += np.minimum(b * a_lo, b * a_hi)
-            tau_hi += np.maximum(b * a_lo, b * a_hi)
-    else:
-        near = np.zeros((array.n_mics, lo.shape[1]))
-        far = np.zeros_like(near)
-        for v, a_lo, a_hi in zip(array.positions.T[:, :, None], lo, hi):
-            below, above = a_lo - v, v - a_hi  # > 0 where the mic lies outside the box
-            near += np.maximum(np.maximum(below, above), 0.0) ** 2
-            far += np.maximum(np.abs(below), np.abs(above)) ** 2
-        for t in (near, far):  # in samples
-            np.sqrt(t, out=t)
-            t *= fs / c
-    k_lo = np.empty((len(bounds), lo.shape[1]), dtype=np.int32)
-    k_hi = np.empty_like(k_lo)
-    for l, rows in array.pair_rows():  # a mic's pairs at a time: no (P, C) float temporaries
-        if far_field:
-            t_lo, t_hi = tau_lo[rows], tau_hi[rows]
-        else:
-            t_lo, t_hi = near[l] - far[l + 1:], far[l] - near[l + 1:]
-        d = bounds[rows, None]
-        k_lo[rows] = np.clip(np.floor(t_lo) - 1, -d, d) + d
-        k_hi[rows] = np.clip(np.ceil(t_hi) + 1, -d, d) + d
-    return _range_query(k_lo, k_hi, 2 * int(bounds.max()) + 1)
+
+    def ranges():
+        for rows, t_lo, t_hi in _box_tdoas(lo, hi, array, far_field):
+            d = bounds[rows, None]
+            for t, rnd, step in ((t_lo, np.floor, -1), (t_hi, np.ceil, 1)):
+                rnd(t, out=t)
+                t += d + step
+                np.clip(t, 0, 2 * d, out=t)
+            yield rows, t_lo, t_hi
+
+    return _range_query(ranges(), (len(bounds), lo.shape[1]), 2 * int(bounds.max()) + 1)
 
 
 def time_cells(grid: CandidateGrid, array: MicArray, bounds: np.ndarray | None = None) -> TimeCells:
@@ -430,20 +449,19 @@ def time_cells(grid: CandidateGrid, array: MicArray, bounds: np.ndarray | None =
     on its k axes longer than one point (4 x 4 x 4, or 8 x 8 when
     planar), built from its axes alone: no point, sort or (G,) array is
     made. Other grids (DOA, hand-built points) are boxed by _cell_boxes.
-    Each box's lag ranges come from its corners (_box_query); ``bounds``
-    are the array's lag_bounds.
+    Each box's lag ranges come from each pair's TDOA interval over it
+    (_box_query); ``bounds`` are the array's lag_bounds.
     """
     if bounds is None:
         bounds = lag_bounds(array)
     if grid.axes is None:
-        cell, lo, hi = _cell_boxes(grid.points)
-        parts, size = None, np.bincount(cell)
+        (cell, lo, hi), parts = _cell_boxes(grid.points), None
     else:
         k = sum(n > 1 for n in grid.shape)
         edge = max(1, round(_CELL_POINTS ** (1 / k))) if k else 1
         cell, parts = None, tuple(np.arange(0, n, edge) for n in grid.shape)
-        lo, hi, size = _lattice_boxes(grid.axes, parts)
-    return TimeCells(grid, array, cell, parts, size, _box_query(lo, hi, array, grid.is_doa, bounds))
+        lo, hi = _lattice_boxes(grid.axes, parts)
+    return TimeCells(grid, array, cell, parts, _box_query(lo, hi, array, grid.is_doa, bounds))
 
 
 def _cell_bounds(query: tuple, wins: list[np.ndarray], amax: np.ndarray) -> np.ndarray:
@@ -468,18 +486,16 @@ def _window_amax(values: np.ndarray) -> np.ndarray:
     return np.maximum(values.max(axis=0), -values.min(axis=0))
 
 
-def _score_points(cells: TimeCells, keep, wins, bounds, best, idx, parts=None) -> None:
-    """Score the points of the boxes ``keep`` and update each frame's best, in place.
+def _score_points(cells: TimeCells, keep, wins, bounds, best, idx) -> None:
+    """Score the points of the cells ``keep`` (C,) bool and update each frame's best, in place.
 
-    ``keep`` is a (C,) bool over the cells, or over the boxes of a
-    lattice's axis partitions ``parts`` if given. Points go in ascending
-    blocks of about _COLUMN_BLOCK (_time_scores). Scores are checked
-    finite as SrpMap does. A peak replaces a frame's best if greater, or
-    equal at a lower index.
+    Points go in ascending blocks of about _COLUMN_BLOCK (_time_scores).
+    Scores are checked finite as SrpMap does. A peak replaces a frame's
+    best if greater, or equal at a lower index.
     """
     cols = np.arange(len(best))
     if cells.parts is not None:
-        chunks = _lattice_members(cells.grid.shape, parts or cells.parts, keep, _COLUMN_BLOCK)
+        chunks = _lattice_members(cells.grid.shape, cells.parts, keep, _COLUMN_BLOCK)
     else:
         members = np.flatnonzero(keep.take(cells.cell))
         chunks = (members[i: i + _COLUMN_BLOCK] for i in range(0, len(members), _COLUMN_BLOCK))
@@ -509,18 +525,15 @@ def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
 def _window_argmax(cells: TimeCells, wins: list[np.ndarray], amax: np.ndarray, bounds: np.ndarray):
     """Argmax and peak score of each frame's time map over a grid's cells, (F,) each, from its lag windows.
 
-    ``wins`` and ``amax`` are _windows' per-pair views and a bound on
-    each frame's |lag| over them (_window_amax). Equal to
-    argmax_search(srp_time_map(...)) per frame, bit for bit: the
-    members of each frame's _SEED_CELLS best-bounded cells are scored,
-    then those of every other cell whose bound is not below some frame's
-    best (so ties and NaN are scored). On a lattice, when those cells
-    hold over _SPLIT_SHARE of the points, they are halved and only the
-    halves whose own bound is not below some frame's best are scored
-    (_split_boxes). A skipped point scores below its frame's peak, so
-    the peak and its lowest index are found. The counter adds what
-    srp_time_map would, G points and G * P kernel ops per frame: the
-    exhaustive map the search certifies.
+    ``wins`` and ``amax`` are the per-pair views of _windows' (S, F)
+    array and a bound on each frame's |lag| over it (_window_amax).
+    Equal to argmax_search(srp_time_map(...)) per frame, bit for bit:
+    the members of each frame's _SEED_CELLS best-bounded cells are
+    scored, then those of every other cell whose bound is not below some
+    frame's best (so ties and NaN are scored). A skipped point scores
+    below its frame's peak, so the peak and its lowest index are found.
+    The counter adds what srp_time_map would, G points and G * P kernel
+    ops per frame: the exhaustive map the search certifies.
     """
     G, F = len(cells.grid), len(amax)
     counter.points += G * F
@@ -534,37 +547,8 @@ def _window_argmax(cells: TimeCells, wins: list[np.ndarray], amax: np.ndarray, b
     _score_points(cells, seeds, wins, bounds, best, idx)
     rest = ~(upper < best).all(axis=1) & ~seeds
     del upper, seeds
-    parts = None
-    if cells.parts is not None and cells.size[rest].sum() > _SPLIT_SHARE * G:
-        rest, parts = _split_boxes(cells, rest, wins, amax, bounds, best)
-    _score_points(cells, rest, wins, bounds, best, idx, parts)
+    _score_points(cells, rest, wins, bounds, best, idx)
     return idx, best
-
-
-def _split_boxes(cells: TimeCells, rest: np.ndarray, wins, amax, bounds, best):
-    """The halves of a lattice's boxes ``rest`` (C,) bool whose bound is not below some frame's best.
-
-    Each box is halved along every axis on which it spans two or more
-    indices, 2 x 2 x 2 sub-boxes of a 4 x 4 x 4 box: the boxes of each
-    axis's halved partition. A sub-box is bounded as a box is
-    (_box_query, _cell_bounds), _SPLIT_BLOCK at a time. Returns the kept
-    sub-boxes, a bool over the halved partition's boxes, and the
-    partition.
-    """
-    parts = []
-    for p, n in zip(cells.parts, cells.grid.shape):
-        lens = np.diff(p, append=n)
-        parts.append(np.union1d(p, (p + lens // 2)[lens > 1]))
-    x, y, z = (np.searchsorted(p, h, side="right") - 1 for p, h in zip(cells.parts, parts))
-    keep = rest.reshape([len(p) for p in cells.parts])[x][:, y][:, :, z].ravel()  # each half's box
-    halves = np.flatnonzero(keep)
-    for i in range(0, len(halves), _SPLIT_BLOCK):
-        part = halves[i: i + _SPLIT_BLOCK]
-        lo, hi, _ = _lattice_boxes(cells.grid.axes, parts, part)
-        upper = _cell_bounds(_box_query(lo, hi, cells.array, cells.grid.is_doa, bounds), wins, amax)
-        keep[part] = ~(upper < best).all(axis=1)
-        del upper  # before the next block's bounds are made
-    return keep, tuple(parts)
 
 
 def srp_time_scores(
@@ -856,7 +840,7 @@ def vsrp_map(
     lo = np.maximum(windows[0] + d, 0)  # each window's first and last column in vals
     hi = np.minimum(windows[1] + d, n - 1)
     if pooling == "max":
-        pooled = _range_maxima(vals, _range_query(lo, hi, n))
+        pooled = _range_maxima(vals, _range_query([(slice(None), lo, hi)], lo.shape, n))
     else:  # prefix sums from lag -D: a window sums to ext[hi + 1] - ext[lo]
         ext = np.empty((P, n + 1))
         ext[:, 0], ext[:, 1:] = 0.0, vals

@@ -3,6 +3,7 @@
 import collections
 import math
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -182,7 +183,7 @@ def test_spectral_notch_matches_lag_notch():
     t0 = -9 / FS
     sigma = 2.0 / FS
     notched = deemphasize(spectral_of(lag, [PAIR]), [t0], sigma)[PAIR]
-    expect = spectral_of(deemphasize(lag.copy(), [t0], sigma), [PAIR])[PAIR]
+    expect = spectral_of(deemphasize(LagBlock(lag.values.copy(), FS), [t0], sigma), [PAIR])[PAIR]
     np.testing.assert_allclose(notched.values, expect.values, atol=1e-12)
     assert notched.sample_rate == FS
 
@@ -452,7 +453,7 @@ def _per_frame_chain(block, grid, array, cfg):
     tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
     sigma = cfg.notch_sigma or default_notch_sigma(array)
     cap, auto = cfg.n_sources or 10, cfg.n_sources is None
-    work, found = block.copy(), []
+    work, found = LagBlock(block.values.copy(), block.sample_rate), []
     while True:
         res = argmax_search(srp_time_map(work, grid, array))
         if auto and not found and res.score <= 0:
@@ -489,7 +490,7 @@ def test_batched_rounds_equal_the_per_frame_chain(case, n_sources, step):
         counter.reset()
         want = [_per_frame_chain(b, grid, array, cfg) for b in blocks]
         want_counts = counter.snapshot()
-    originals = [b.copy() for b in blocks]
+    originals = [b.values.copy() for b in blocks]
     with warnings.catch_warnings(record=True) as got_warnings, \
             mock.patch.object(srp_core, "_COLUMN_BLOCK", step):
         warnings.simplefilter("always")
@@ -501,14 +502,15 @@ def test_batched_rounds_equal_the_per_frame_chain(case, n_sources, step):
         assert np.array_equal(g.scores, w.scores)
     assert _warning_counts(got_warnings) == _warning_counts(want_warnings)
     for b, o in zip(blocks, originals):  # the caller's blocks are not notched
-        assert np.array_equal(b.values, o.values)
+        assert np.array_equal(b.values, o)
 
 
 def test_batched_time_rounds_copy_no_block_and_cut_the_windows_once():
     """Four frames in auto mode, one all zero, which stops after its first
-    round while the others go on: no LagBlock is copied, the lag windows
-    are cut once for the batch, and each frame's estimates equal those of
-    its batch of one."""
+    round while the others go on, handed over by a generator: each block
+    is let go once its lag windows are cut, before the next one is made,
+    each frame's windows are cut once, not per round, and each frame's
+    estimates equal those of its batch of one."""
     from xsrp import multisource
 
     array = MicArray(MIC_POSITIONS, sample_rate=FS)
@@ -516,21 +518,36 @@ def test_batched_time_rounds_copy_no_block_and_cut_the_windows_once():
     bounds = lag_bounds(array)
     table = lag_table(grid.points, array, bounds=bounds)
     rng = np.random.default_rng(21)
-    blocks = []
+    frames = []
     for at in rng.integers(0, len(grid), size=(3, 3)):
         lags = 0.05 * rng.normal(size=(array.n_pairs, 2 * int(bounds.max()) + 1))
         for j, peak in zip(at, (3.0, 2.0, 1.5)):  # three sources above the 0.4 score floor
             lags[np.arange(array.n_pairs), bounds.max() - bounds + table[:, j]] += peak
-        blocks.append(LagBlock(lags, FS))
-    blocks.insert(2, LagBlock(np.zeros_like(blocks[0].values), FS))
+        frames.append(lags)
+    frames.insert(2, np.zeros_like(frames[0]))
+    alive = []
+
+    def blocks():  # a new block per frame, as Plan makes them
+        for lags in frames:
+            assert not any(ref() for ref in alive), "a block outlived its window cut"
+            block = LagBlock(lags.copy(), FS)
+            alive.append(weakref.ref(block))
+            yield block
+            del block
+
     cfg = MultiConfig(n_sources=None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        want = [localize_multi(b, grid, array, cfg) for b in blocks]
-        with mock.patch.object(LagBlock, "copy", autospec=True, side_effect=LagBlock.copy) as copy, \
-                mock.patch.object(multisource, "_windows", wraps=multisource._windows) as cut:
-            got = localize_multi_batch(blocks, grid, array, cfg)
-    assert copy.call_count == 0 and cut.call_count == 1
+        want = [localize_multi(LagBlock(lags, FS), grid, array, cfg) for lags in frames]
+        cuts, real = [], multisource._window_column  # a count: a mock would keep each block it is given
+
+        def cut(block, bounds):
+            cuts.append(1)
+            return real(block, bounds)
+
+        with mock.patch.object(multisource, "_window_column", cut):
+            got = localize_multi_batch(blocks(), grid, array, cfg)
+    assert len(alive) == 4 and not any(ref() for ref in alive) and len(cuts) == 4
     assert [len(e) for e in got] == [len(e) for e in want] and len(got[2]) == 0 and len(got[0]) >= 3
     for g, w in zip(got, want):
         assert np.array_equal(g.positions, w.positions) and np.array_equal(g.scores, w.scores)
@@ -596,13 +613,9 @@ def _search_cases(draw):
     return array, grid, blocks
 
 
-def _pruning(cell_points: int, seed_cells: int, split_share=1.0):
-    """Cells and seeds small enough that even a small grid's search skips
-    cells. A split share of 0 bounds the halves of a lattice's surviving
-    boxes in every round, and 1 in none."""
-    return mock.patch.multiple(
-        srp_core, _CELL_POINTS=cell_points, _SEED_CELLS=seed_cells, _SPLIT_SHARE=split_share
-    )
+def _pruning(cell_points: int, seed_cells: int):
+    """Cells and seeds small enough that even a small grid's search skips cells."""
+    return mock.patch.multiple(srp_core, _CELL_POINTS=cell_points, _SEED_CELLS=seed_cells)
 
 
 def _box_of_each_point(grid, cell, parts) -> np.ndarray:
@@ -624,57 +637,44 @@ def _box_of_each_point(grid, cell, parts) -> np.ndarray:
 )
 def test_time_argmax_equals_the_exhaustive_search(case, cell_points, seed_cells, step):
     """Index, score and counts of each frame equal argmax_search over its
-    full map, bit for bit, whatever the cell, seed, column and split
-    block sizes, in three rounds over the same cells. A lattice's cells
-    are searched at both bound levels: its boxes alone, and their halves
-    in every round."""
+    full map, bit for bit, whatever the cell, seed and column block
+    sizes, in three rounds over the same cells."""
     array, grid, blocks = case
     bounds = lag_bounds(array)
     counter.reset()
     maps = [srp_time_map(b, grid, array) for b in blocks]
     want_counts = counter.snapshot()
-    for split_share in (1.0, 0.0) if grid.axes is not None else (1.0,):
-        with _pruning(cell_points, seed_cells, split_share), \
-                mock.patch.multiple(srp_core, _COLUMN_BLOCK=step, _SPLIT_BLOCK=step):
-            cells = time_cells(grid, array, bounds)
-            for _ in range(3):
-                counter.reset()
-                idx, scores = time_argmax(cells, blocks, bounds)
-                assert counter.snapshot() == want_counts
-                for i, s, m in zip(idx, scores, maps, strict=True):
-                    want = argmax_search(m)
-                    assert i == int(np.argmax(m.scores)) and np.array_equal(grid.take(i), want.estimate)
-                    assert s == want.score
+    with _pruning(cell_points, seed_cells), mock.patch.object(srp_core, "_COLUMN_BLOCK", step):
+        cells = time_cells(grid, array, bounds)
+        for _ in range(3):
+            counter.reset()
+            idx, scores = time_argmax(cells, blocks, bounds)
+            assert counter.snapshot() == want_counts
+            for i, s, m in zip(idx, scores, maps, strict=True):
+                want = argmax_search(m)
+                assert i == int(np.argmax(m.scores)) and np.array_equal(grid.take(i), want.estimate)
+                assert s == want.score
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_search_cases(), cell_points=st.sampled_from([1, 4, 16, 64]))
 def test_no_member_scores_above_its_cells_bound(case, cell_points):
     """Every member's lag_table offset lies in its cell's range, pair by
-    pair, and so no member's score exceeds its cell's bound; on a
-    lattice, at both bound levels: its boxes and their halves."""
+    pair, and so no member's score exceeds its cell's bound."""
     array, grid, blocks = case
     bounds = lag_bounds(array)
     values, wins = srp_core._windows(blocks, bounds)
     amax = srp_core._window_amax(values)
     with _pruning(cell_points, 1):
         cells = time_cells(grid, array, bounds)
-    levels = [(cells.query, _box_of_each_point(grid, cells.cell, cells.parts))]
-    if cells.parts is not None:  # every half, kept against a best of -inf
-        everything, never = np.ones(len(cells.size), dtype=bool), np.full(len(blocks), -np.inf)
-        keep, halves = srp_core._split_boxes(cells, everything, wins, amax, bounds, never)
-        lo, hi, size = srp_core._lattice_boxes(grid.axes, halves)
-        assert keep.all() and size.sum() == len(grid)
-        query = srp_core._box_query(lo, hi, array, False, bounds)
-        levels.append((query, _box_of_each_point(grid, None, halves)))
+    cell = _box_of_each_point(grid, cells.cell, cells.parts)
     table = lag_table(grid.points, array, grid.is_doa, bounds)
     scores = np.stack([srp_time_map(b, grid, array).scores for b in blocks], axis=1)
-    for query, cell in levels:
-        first, second, _, width = query
-        level, lo = np.divmod(first, width)
-        hi = second - level * width + np.left_shift(1, level) - 1
-        assert np.all(lo[:, cell] <= table) and np.all(table <= hi[:, cell])
-        assert np.all(scores <= srp_core._cell_bounds(query, wins, amax)[cell])
+    first, second, _, width = cells.query
+    level, lo = np.divmod(first, width)
+    hi = second - level * width + np.left_shift(1, level) - 1
+    assert np.all(lo[:, cell] <= table) and np.all(table <= hi[:, cell])
+    assert np.all(scores <= srp_core._cell_bounds(cells.query, wins, amax)[cell])
 
 
 @pytest.mark.parametrize("fill, n_pairs", [(-np.inf, 1), (np.nan, 1), (1e308, 2)])
@@ -709,42 +709,6 @@ def test_an_all_zero_frame_over_the_room_grid_peaks_at_the_first_point():
     zero = LagBlock(np.zeros((array.n_pairs, 2 * int(bounds.max()) + 1)), FS)
     idx, scores = time_argmax(time_cells(grid, array, bounds=bounds), [zero], bounds)
     assert idx[0] == 0 and scores[0] == 0.0
-
-
-@pytest.mark.parametrize("split_block", [1, 7, srp_core._SPLIT_BLOCK])
-def test_split_rounds_skip_halves_and_equal_the_exhaustive_search(split_block):
-    """Noisy frames, each peaked at one point, over a 0.2 m room lattice:
-    every round splits its surviving boxes, skips some of their halves,
-    and returns each frame's exhaustive argmax and score."""
-    array = MicArray(MIC_POSITIONS, sample_rate=FS)
-    grid = cartesian_grid(ROOM, 0.2)
-    bounds = lag_bounds(array)
-    table = lag_table(grid.points, array, bounds=bounds)
-    rng = np.random.default_rng(11)
-    blocks = []
-    for at in rng.integers(0, len(grid), size=4):
-        lags = 0.3 * rng.normal(size=(array.n_pairs, 2 * int(bounds.max()) + 1))
-        lags[np.arange(array.n_pairs), bounds.max() - bounds + table[:, at]] += 2.0
-        blocks.append(LagBlock(lags, FS))
-    splits = []
-
-    def split(cells, rest, *args):
-        keep, parts = real_split(cells, rest, *args)
-        halves = np.bincount(_box_of_each_point(grid, None, parts), minlength=len(keep))
-        splits.append((int(cells.size[rest].sum()), int(halves[keep].sum())))
-        return keep, parts
-
-    real_split = srp_core._split_boxes
-    with _pruning(64, 2, split_share=0.0), \
-            mock.patch.multiple(srp_core, _SPLIT_BLOCK=split_block, _split_boxes=split):
-        cells = time_cells(grid, array, bounds)
-        for _ in range(2):
-            idx, scores = time_argmax(cells, blocks, bounds)
-            for i, s, b in zip(idx, scores, blocks, strict=True):
-                want = argmax_search(srp_time_map(b, grid, array))
-                assert np.array_equal(grid.take(i), want.estimate) and s == want.score
-    assert len(splits) == 2
-    assert all(0 < kept < coarse for coarse, kept in splits)
 
 
 def _column_sizes(call):

@@ -9,11 +9,12 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from xsrp import features
+from xsrp import features, pipeline
 from xsrp.cli import ArraySpec, LocalizeConfig, SimulateConfig, SimulateSpec, SourceSpec, TrackConfig
 from xsrp.features import (
     FrameConfig,
@@ -518,6 +519,68 @@ def test_a_4_frame_two_source_stream_over_90k_points_peaks_under_2_1_mib():
         tracemalloc.stop()
     assert [len(e) for e in estimates] == [2, 2, 2, 2]
     assert peak < 2.1 * 2**20
+
+
+def _two_source_stream(n_frames: int):
+    """The stream of the test above over ``n_frames`` frames: its estimate sets and tracemalloc peak."""
+    room = np.array([6.0, 5.0, 3.0])
+    mics = np.array([[0.3, 0.3, 0.3], [5.7, 0.4, 0.5], [0.4, 4.6, 2.7], [5.6, 4.5, 0.4],
+                     [3.0, 0.3, 2.7], [0.3, 2.5, 1.5], [5.7, 2.6, 2.6], [3.1, 4.7, 0.3]])
+    array = MicArray(mics, sample_rate=FS)
+    sources = [Source(np.array([2.0, 2.0, 1.5]), white_noise(n_frames * 4096, seed=41)),
+               Source(np.array([4.5, 3.5, 1.2]), white_noise(n_frames * 4096, seed=42))]
+    signals = add_noise(synthesize_free_field(SceneSpec(room, sources), array), 20.0, seed=43)
+    frames = FrameConfig(4096, 4096)
+    cfg = PipelineConfig(grid=GridSpec(resolution=0.1), features=FeatureSpec(band=(100.0, 2000.0)),
+                         map=MapSpec(domain="time"), multi=MultiConfig(n_sources=2))
+    plan = prepare(array, room, cfg)
+    list(plan.stream(frame_blocks(signals, frames)))  # warm-up: numpy's lazy set-up is not the stream's
+    tracemalloc.start()
+    try:
+        estimates = list(plan.stream(frame_blocks(signals, frames)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return estimates, peak
+
+
+def test_a_4_frame_two_source_stream_over_90k_points_peaks_under_1_3_mib():
+    """As above: each frame's lag block goes once its lag windows are
+    cut, and the mics' spectra are transformed and weighted a group of
+    rows at a time, so the stream peaks at 1.19 MiB; holding every
+    frame's block until the search ended, it peaked at 1.88."""
+    estimates, peak = _two_source_stream(4)
+    assert [len(e) for e in estimates] == [2, 2, 2, 2]
+    assert peak < 1.3 * 2**20
+
+
+def test_a_16_frame_two_source_stream_over_90k_points_peaks_under_2_3_mib():
+    """Two batches of BATCH_FRAMES = 8: a batch holds its frames' lag
+    window columns, not their blocks, so the stream peaks at 1.71 MiB;
+    holding every frame's block of a batch, it peaked at 2.95."""
+    estimates, peak = _two_source_stream(16)
+    assert [len(e) for e in estimates] == [2] * 16
+    assert peak < 2.3 * 2**20
+
+
+def test_a_streamed_batch_holds_only_its_last_lag_block(scene, monkeypatch):
+    """A batch of three frames: each frame's lag block is gone before the
+    next one is built, and after the stream only the last one is held,
+    as the plan's features for map()."""
+    array, frames = scene
+    plan = prepare(array, ROOM, _PLAN_CONFIGS["time_multi"])
+    made, real = [], pipeline.lag_block
+
+    def tracked(*args, **kwargs):
+        assert not any(ref() for ref in made), "a lag block outlived its window cut"
+        block = real(*args, **kwargs)
+        made.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(pipeline, "lag_block", tracked)
+    estimates = list(plan.stream([frames, frames, frames]))
+    assert [len(e) for e in estimates] == [2, 2, 2] and len(made) == 3
+    assert [ref() is not None for ref in made] == [False, False, True] and made[-1]() is plan.features
 
 
 # ------------------------------------------------------------ grid updates

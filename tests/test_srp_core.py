@@ -634,6 +634,65 @@ def test_tdoa_bounds_contain_interior_points():
         assert np.all(taus >= b.tau_min) and np.all(taus <= b.tau_max)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    far_field=st.booleans(),
+    placement=st.sampled_from(["inside", "face", "corner", "far"]),
+    flat=st.sampled_from([None, 0, 1, 2]),
+)
+def test_every_point_of_a_box_lies_in_its_time_cells_intervals(seed, far_field, placement, flat):
+    """Random boxes, one of them flat along an axis or not, and mic 0
+    inside a box, on a face, at a corner or 5-20 m away: every corner,
+    face centre and random point of a box has each pair's TDOA inside
+    the box's interval (srp_core._box_tdoas), and every grid point in a
+    box its lag_table offset inside the box's lag range (_box_query). In
+    the far field the boxes bound clusters of unit directions, the
+    points lag_table steers; the TDOA, linear in u, is checked over the
+    whole box."""
+    rng = np.random.default_rng(seed)
+    if far_field:
+        dirs = [rng.normal(size=3) + rng.uniform(0.0, 0.5) * rng.normal(size=(50, 3)) for _ in range(4)]
+        members = [d / np.linalg.norm(d, axis=1, keepdims=True) for d in dirs]
+        lo, hi = np.stack([m.min(axis=0) for m in members], axis=1), np.stack([m.max(axis=0) for m in members], axis=1)
+    else:
+        lo = rng.uniform(-2.0, 2.0, size=(3, 4))
+        hi = lo + rng.uniform(0.0, 1.0, size=(3, 4))
+        if flat is not None:
+            hi[flat, 0] = lo[flat, 0]
+    pos = rng.uniform(-3.0, 3.0, size=(int(rng.integers(2, 7)), 3))
+    if placement == "far":
+        v = rng.normal(size=3)
+        pos[0] = (lo[:, 0] + hi[:, 0]) / 2 + rng.uniform(5.0, 20.0) * v / np.linalg.norm(v)
+    else:
+        pos[0] = rng.uniform(lo[:, 0], hi[:, 0])
+        if placement != "inside":  # one face, or three at a corner
+            for a in [int(rng.integers(3))] if placement == "face" else range(3):
+                pos[0, a] = (lo if rng.random() < 0.5 else hi)[a, 0]
+    array = MicArray(pos, sample_rate=16000.0)
+    bounds = lag_bounds(array)
+    base = np.stack([pos[p.m] - pos[p.l] for p in array.pairs()])
+    intervals = [(rows, t_lo.copy(), t_hi.copy()) for rows, t_lo, t_hi in srp_core._box_tdoas(lo, hi, array, far_field)]
+    first, second, _, width = srp_core._box_query(lo, hi, array, far_field, bounds)
+    level, k_lo = np.divmod(first, width)
+    k_hi = second - level * width + np.left_shift(1, level) - 1
+    corners = np.array(list(itertools.product((0, 1), repeat=3)), dtype=bool)
+    for c in range(lo.shape[1]):
+        a, b = lo[:, c], hi[:, c]
+        faces = np.concatenate([np.where(np.eye(3, dtype=bool) & side, b if side else a, (a + b) / 2)
+                                for side in (False, True)])
+        pts = np.vstack([np.where(corners, b, a), faces, rng.uniform(a, b, size=(200, 3))])
+        steered = members[c] if far_field else pts
+        if far_field:
+            tau = base @ pts.T / array.speed_of_sound * array.sample_rate
+        else:
+            tau = tdoa_matrix(pts, array).T * array.sample_rate
+        for rows, t_lo, t_hi in intervals:
+            assert np.all(t_lo[:, c, None] - 1e-9 <= tau[rows]) and np.all(tau[rows] <= t_hi[:, c, None] + 1e-9)
+        table = srp_core.lag_table(steered, array, far_field, bounds)
+        assert np.all(k_lo[:, c, None] <= table) and np.all(table <= k_hi[:, c, None])
+
+
 def test_vsrp_degenerate_volumes_reproduce_point_scores(scene):
     array, lags, _ = scene
     centers = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 1.5], [3.0, 1.5, 2.0]])
@@ -714,7 +773,8 @@ def test_vsrp_map_matches_per_window_loop(scene, vg, guard, pooling):
 @given(seed=st.integers(0, 2**32 - 1), frames=st.integers(0, 4), ties=st.booleans())
 def test_range_maxima_equal_direct_window_maxima(seed, frames, ties):
     """The range-max tables behind max pooling and the time search's cell
-    bounds give np.max over each range, for 1-D rows or rows of frames."""
+    bounds give np.max over each range, for 1-D rows or rows of frames,
+    with the ranges' rows given in one block or two."""
     rng = np.random.default_rng(seed)
     lengths = rng.integers(1, 70, size=rng.integers(1, 6))
     tail = (frames,) if frames else ()
@@ -724,7 +784,9 @@ def test_range_maxima_equal_direct_window_maxima(seed, frames, ties):
     lo = np.stack([rng.integers(0, n, size=ranges) for n in lengths])
     hi = np.stack([np.minimum(a + rng.integers(0, n, size=ranges), n - 1) for a, n in zip(lo, lengths)])
     width = int(lengths.max()) + int(rng.integers(0, 4))
-    got = list(srp_core._range_maxima(rows, srp_core._range_query(lo, hi, width)))
+    cut = int(rng.integers(0, len(lengths)))
+    blocks = [(r, lo[r], hi[r]) for r in (slice(0, cut), slice(cut, None)) if r.start != r.stop]
+    got = list(srp_core._range_maxima(rows, srp_core._range_query(blocks, lo.shape, width)))
     for row, g, a, b in zip(rows, got, lo, hi, strict=True):
         assert np.array_equal(g, np.stack([row[i: j + 1].max(axis=0) for i, j in zip(a, b)]))
 
@@ -834,7 +896,7 @@ def test_cropped_block_path_equals_per_pair_path(mics, fs, frame_len, gcc, guard
     assert np.array_equal(est.scores, ref.scores)
     # and round by round over the uncropped block, notched as a copy
     first = argmax_search(srp_time_map(lags, grid, array))
-    notched = deemphasize(lags.copy(), tdoa_matrix(first.estimate[None, :], array)[0], 2.0 / fs)
+    notched = deemphasize(LagBlock(lags.values.copy(), fs), tdoa_matrix(first.estimate[None, :], array)[0], 2.0 / fs)
     second = argmax_search(srp_time_map(notched, grid, array))
     want = sorted([first.score, second.score], reverse=True)
     assert np.array_equal(est.scores, want)
