@@ -5,19 +5,21 @@ Every feature is a generalized cross-correlation (GCC, Knapp & Carter
 
     gcc[f] = X_l[f] X_m*[f] / (|X_l[f] X_m*[f]|^beta + gamma),
 
-formed by one weighting (_weighted_cross_spectra) from one rfft of the
-(M, L) frame block, zero-padded to 2L so lags cover -(L-1)..(L-1)
-without circular wrap, and kept over the nb in-band f >= 0 bins (out
-of L+1). compute_spectral_gccs weights every pair at once into a
+formed by one weighting (_weighted_cross_spectra) from the mic spectra
+(_mic_spectra): one rfft of the (M, L) frame block, zero-padded to 2L
+so lags cover -(L-1)..(L-1) without circular wrap, kept over the nb
+in-band f >= 0 bins (out of L+1). Both blocks are made from the
+spectra alone, so a frame can go once they are made (pipeline.Plan).
+compute_spectral_gccs (_gccs_of) weights every pair at once into a
 SpectralBlock: the (P, nb) weighted cross-spectra, one row per pair in
 array.pairs() order, which frequency maps and the tracker steer.
-lag_block weights a few pair rows at a time, copies them into the
-zero-padded input of one irfft and crops their lags to the window
--reach..reach that time and volumetric maps read, so neither a (P, nb)
-block nor every pair's full lags exist at once; its LagBlock equals the
-irfft of the SpectralBlock's rows, bit for bit. Maps, scorers and
-de-emphasis take only these two blocks. beta = 1, gamma = 0 is
-GCC-PHAT; beta = 0, gamma = 0 over the full band leaves the raw
+lag_block (_lags_of) weights a few pair rows at a time, copies them
+into the zero-padded input of one irfft and crops their lags to the
+window -reach..reach that time and volumetric maps read, so neither a
+(P, nb) block nor every pair's full lags exist at once; its LagBlock
+equals the irfft of the SpectralBlock's rows, bit for bit. Maps,
+scorers and de-emphasis take only these two blocks. beta = 1, gamma =
+0 is GCC-PHAT; beta = 0, gamma = 0 over the full band leaves the raw
 cross-spectrum, whose inverse transform is the classical
 cross-correlation CC(tau) = sum_n x_l[n] x_m[n - tau].
 """
@@ -62,10 +64,6 @@ class FrameConfig:
             return np.hanning(self.frame_len)
         return np.ones(self.frame_len)
 
-    def windowed(self, frame: np.ndarray) -> np.ndarray:
-        """An (M, L) frame of float64 samples times the window, as a new C-ordered block."""
-        return np.multiply(frame, self.window_values(), order="C")
-
 
 def n_frames(n_samples: int, cfg: FrameConfig) -> int:
     """Number of whole frames that fit in a signal of n_samples."""
@@ -84,7 +82,7 @@ def frame_stack(signals: np.ndarray, cfg: FrameConfig, frame_index: int) -> np.n
     start = frame_index * cfg.hop
     if frame_index < 0 or start + cfg.frame_len > signals.shape[1]:
         raise ValueError(f"frame {frame_index} out of range for signal of {signals.shape[1]} samples")
-    return cfg.windowed(signals[:, start:start + cfg.frame_len])
+    return np.multiply(signals[:, start:start + cfg.frame_len], cfg.window_values(), order="C")  # a new block
 
 
 def frame_blocks(signals: np.ndarray, cfg: FrameConfig) -> Iterator[np.ndarray]:
@@ -301,21 +299,6 @@ def _weighted_cross_spectra(spec, segments, out: np.ndarray, cfg: GccConfig, w: 
         out[~ok] = 0.0
 
 
-def _gcc_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None):
-    """Weighted cross-spectra of every pair over the in-band f >= 0 bins.
-
-    Returns the (P, nb) band block, the slice of half-spectrum bins
-    k = 0..L it holds, and the two-sided in-band mask (length 2L); the
-    bins outside the slice are exactly 0 and are never formed.
-    """
-    cfg = cfg or GccConfig()
-    spec, band, in_band = _mic_spectra(frames, array, cfg)
-    g = np.empty((array.n_pairs, spec.shape[1]), dtype=complex)
-    segments = _pair_segments(array, 0, array.n_pairs)
-    _weighted_cross_spectra(spec, segments, g, cfg, _floor_weights(band, len(in_band) // 2))
-    return g, band, in_band
-
-
 def lags_from_half(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Correlations at lags -(n/2 - 1)..(n/2 - 1) of (P, n/2 + 1) half spectra, (P, n - 1).
 
@@ -380,8 +363,20 @@ def temporal_gcc(g: SpectralGcc) -> LagBlock:
 def compute_spectral_gccs(
     frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None
 ) -> SpectralBlock:
-    """Weighted cross-spectra of every microphone pair of a frame block: _gcc_block's band block."""
-    g, band, in_band = _gcc_block(frames, array, cfg)
+    """Weighted cross-spectra of every microphone pair of a frame block (_gccs_of its _mic_spectra)."""
+    cfg = cfg or GccConfig()
+    return _gccs_of(_mic_spectra(frames, array, cfg), array, cfg)
+
+
+def _gccs_of(spectra, array: MicArray, cfg: GccConfig) -> SpectralBlock:
+    """The SpectralBlock of mic spectra (_mic_spectra): every pair weighted at once into (P, nb).
+
+    The bins outside its band slice are exactly 0 and are never formed.
+    """
+    spec, band, in_band = spectra
+    g = np.empty((array.n_pairs, spec.shape[1]), dtype=complex)
+    segments = _pair_segments(array, 0, array.n_pairs)
+    _weighted_cross_spectra(spec, segments, g, cfg, _floor_weights(band, len(in_band) // 2))
     return SpectralBlock(g, band, in_band, array.sample_rate, array.pairs())
 
 
@@ -405,14 +400,18 @@ def _equal_parts(n: int, most: int) -> list[int]:
 
 def lag_block(frames: np.ndarray, array: MicArray, cfg: GccConfig | None = None,
               reach: int | None = None) -> LagBlock:
-    """Temporal GCCs of every pair at lags -reach..reach (all if None), as one LagBlock.
-
-    The frames are transformed once (_mic_spectra); each group of pair
-    rows' weighted cross-spectra go straight into their irfft input
-    (_band_lags), so no (P, nb) block is built.
-    """
+    """Temporal GCCs of every pair at lags -reach..reach (all if None), as one LagBlock (_lags_of)."""
     cfg = cfg or GccConfig()
-    spec, band, in_band = _mic_spectra(frames, array, cfg)
+    return _lags_of(_mic_spectra(frames, array, cfg), array, cfg, reach)
+
+
+def _lags_of(spectra, array: MicArray, cfg: GccConfig, reach: int | None = None) -> LagBlock:
+    """The LagBlock of mic spectra (_mic_spectra) at lags -reach..reach (all if None).
+
+    Each group of pair rows' weighted cross-spectra go straight into
+    their irfft input (_band_lags), so no (P, nb) block is built.
+    """
+    spec, band, in_band = spectra
     w = _floor_weights(band, len(in_band) // 2)
 
     def fill(out, r0, r1):

@@ -114,10 +114,6 @@ class Volume:
     def edges(self) -> np.ndarray:
         return 2.0 * self.half_extents
 
-    def contains(self, points, atol: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.lo - atol) & (pts <= self.hi + atol), axis=1)
-
     def measure(self) -> float:
         return float(np.prod(self.edges))
 

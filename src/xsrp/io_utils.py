@@ -65,16 +65,30 @@ def _read_header(f, path) -> tuple[float, int, str, int]:
     return float(rate), channels, dtype, n
 
 
-def _to_float(raw: np.ndarray) -> np.ndarray:  # float64 samples, PCM scaled by 1/32768
-    return raw / 32768.0 if raw.dtype == np.int16 else raw.astype(float, copy=False)
-
-
 def read_wav(path) -> tuple[float, np.ndarray]:
     """Read a whole WAV file to (sample_rate, (M, T) float64 array), as _read_header accepts it."""
     with open(path, "rb") as f:
         rate, channels, dtype, n = _read_header(f, path)
         data = np.fromfile(f, dtype=dtype, count=n * channels)
-    return rate, _to_float(data.reshape(n, channels)).T  # a file cut short since its header fails here
+    data = data.reshape(n, channels)  # a file cut short since its header fails here
+    return rate, (data / 32768.0 if data.dtype == np.int16 else data.astype(float, copy=False)).T
+
+
+def _windowed(raw: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """(L, M) raw samples times cfg's window, one multiply each, as a new (M, L) float64 block.
+
+    For PCM the window is scaled by 1/32768, a power of two, so the bits
+    are those of scaling the samples first. A mic at a time: no float64
+    copy of the samples is made, and numpy buffers a mic's cast (L
+    floats), not a block's (128 KiB).
+    """
+    window = cfg.window_values()  # made per frame, as frame_stack does: a stream holds none
+    if raw.dtype == np.int16:
+        window /= 32768.0
+    frame = np.empty(raw.shape[::-1])
+    for row, mic in zip(frame, raw.T):
+        np.multiply(mic, window, out=row)
+    return frame
 
 
 class WavReader:
@@ -98,14 +112,17 @@ class WavReader:
 
     def frames(self, cfg: FrameConfig) -> Iterator[np.ndarray]:
         """Every whole frame as a windowed (M, L) float64 block, frame_stack(read_wav(path)[1], cfg, i)
-        bit for bit, from one raw (L, M) buffer in the file's sample type, shifted by hop a frame."""
+        bit for bit, from one raw (L, M) buffer in the file's sample type, shifted by hop a frame.
+
+        Each frame is one multiply of the raw samples by the window (_windowed).
+        """
         L, hop = cfg.frame_len, cfg.hop
         raw = np.empty((L, self.n_channels), self._dtype)
         fresh = raw  # rows still to read: all of them for the first frame
         for _ in range(n_frames(self.n_samples, cfg)):
             if self._file.readinto(fresh) != fresh.nbytes:
                 raise OSError(f"{self._file.name}: data chunk runs past the end of the file")
-            yield cfg.windowed(_to_float(raw.T))
+            yield _windowed(raw, cfg)  # no local holds it while the caller reads it
             raw[:L - hop] = raw[hop:]
             fresh = raw[L - hop:]
 
@@ -128,11 +145,6 @@ def write_jsonl(records, path) -> None:
     with open(path, "w") as f:
         for rec in records:
             f.write(json.dumps(rec) + "\n")
-
-
-def read_jsonl(path) -> list[dict]:
-    with open(path) as f:
-        return [json.loads(line) for line in f if line.strip()]
 
 
 def sha256_file(path) -> str:

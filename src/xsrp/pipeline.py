@@ -33,7 +33,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .features import GccConfig, analysis_band, compute_spectral_gccs, lag_block
+from .features import GccConfig, _gccs_of, _lags_of, _mic_spectra, analysis_band
 from .geometry import MicArray, MicPair
 from .grids import (
     _EPS,
@@ -253,11 +253,12 @@ def _gcc_config(f: FeatureSpec, array: MicArray) -> GccConfig:
 
 #: frames per batch of Plan.stream. Streaming 16 frames at time3d_multi's
 #: size (90k points, 28 pairs, 2 pruned rounds a frame, framed lazily)
-#: took 5.1, 4.5, 3.8, 3.6 and 3.5 ms per frame (fastest of 15 streams,
-#: 2-core host) at batches of 1, 2, 4, 8 and 16 frames, at tracemalloc
-#: peaks of 0.88, 0.98, 1.20, 1.71 and 3.16 MiB: a batch holds one (S, F)
-#: array of its frames' lag windows, S = sum(2 D_j + 1), notched in
-#: place round after round, and the search's (C, F) cell bounds
+#: took 4.5, 4.0, 3.4, 3.2 and 3.1 ms of thread CPU per frame (fastest
+#: of 15 streams, 2-core host) at batches of 1, 2, 4, 8 and 16 frames,
+#: at tracemalloc peaks of 0.68, 0.98, 1.20, 1.71 and 3.16 MiB: a batch
+#: holds one (S, F) array of its frames' lag windows, S = sum(2 D_j + 1),
+#: notched in place round after round, and the search's (C, F) cell
+#: bounds; a frame's samples and its lag block are gone by then
 BATCH_FRAMES = 8
 
 
@@ -277,10 +278,14 @@ class Plan:
     Iterative searches (refine/src) place their own points and need no
     grid. run() then does only the per-frame work of one frame block,
     and stream() that of a sequence of blocks, taken lazily in batches
-    of BATCH_FRAMES: when every pass is exhaustive over the prepared
-    grid, a batch's blocks are built one frame at a time, each one's lag
-    windows cut before the next is built (localize_multi_batch), and its
-    frames are searched together; no block but the last outlives its cut.
+    of BATCH_FRAMES. Each frame block is turned into its mic spectra
+    (features._mic_spectra) as it is read and let go, so its samples
+    are gone before its pairs are weighted and transformed; the features
+    step takes the spectra. When every pass is exhaustive over the
+    prepared grid, a batch's lag blocks are built one frame at a time,
+    each one's lag windows cut before the next is built
+    (localize_multi_batch), and its frames are searched together; no
+    block but the last outlives its cut.
     The last frame's features stay until the next run; map() maps them
     once more over the prepared grid (the CLI's export), a time map's
     lag table columns a block at a time as every time score builds them
@@ -308,11 +313,22 @@ class Plan:
         elif cfg.map.domain == "volumetric":
             self.steering = lag_windows(self.grid, array, cfg.map.guard)
 
-    def _features(self, frames):
-        """A LagBlock over +/-max D for time/volumetric maps, else a SpectralBlock."""
-        if self.bounds is not None:
-            return lag_block(frames, self.array, self.gcc, reach=int(self.bounds.max()))
-        return compute_spectral_gccs(frames, self.array, self.gcc)
+    def _features(self, blocks: Iterable[np.ndarray]) -> Iterator:
+        """Each frame block's features, lazily, each held as the plan's features until the next.
+
+        A LagBlock over +/-max D for time/volumetric maps, else a
+        SpectralBlock, made from the block's mic spectra: a block goes
+        once they are made, before its pairs are weighted and transformed.
+        """
+        array, gcc = self.array, self.gcc
+        for spectra in map(lambda frames: _mic_spectra(frames, array, gcc), blocks):
+            self.features = None
+            if self.bounds is not None:
+                self.features = _lags_of(spectra, array, gcc, reach=int(self.bounds.max()))
+            else:
+                self.features = _gccs_of(spectra, array, gcc)
+            del spectra  # before the next block is read
+            yield self.features
 
     def map(self) -> SrpMap:
         """One map of the configured domain, over the prepared grid, of the last run's features."""
@@ -346,26 +362,17 @@ class Plan:
             yield from estimates
 
     def _run_batch(self, blocks: Iterable[np.ndarray]) -> list[EstimateSet]:
-        cfg = self.cfg
+        cfg, feats = self.cfg, self._features(blocks)
         if cfg.map.domain != "time" or cfg.search.mode != "exhaustive" or cfg.grid_update != "none":
-            return [self._run_one(frames) for frames in blocks]
-        # every pass is exhaustive over the prepared grid: search the batch together
-
-        def feats():  # each frame's block goes once its windows are cut; the last stays for map()
-            for frames in blocks:
-                self.features = None  # before the next block is built
-                self.features = self._features(frames)
-                del frames  # before the next frame is read
-                yield self.features
-
+            return list(map(self._run_one, feats))  # map holds no frame's features past its run
+        # every pass is exhaustive over the prepared grid: search the batch together;
+        # each frame's block goes once its windows are cut, the last stays for map()
         return localize_multi_batch(
-            feats(), self.grid, self.array, cfg.multi or MultiConfig(), cells=self.steering, bounds=self.bounds
+            feats, self.grid, self.array, cfg.multi or MultiConfig(), cells=self.steering, bounds=self.bounds
         )
 
-    def _run_one(self, frames: np.ndarray) -> EstimateSet:
+    def _run_one(self, feats) -> EstimateSet:
         cfg, array = self.cfg, self.array
-        self.features = None  # the last frame's features go before these are built
-        self.features = feats = self._features(frames)
         planar = cfg.grid.kind == "cartesian2d"
 
         if cfg.multi is not None:

@@ -192,11 +192,12 @@ def _pair_windows(values: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
 #: every time score goes. A block's columns, TDOAs and times of flight
 #: hold about 420 bytes a point, so larger blocks raise a run's peak by
 #: as many bytes as a round has survivors: over time3d_multi seeds 0-11
-#: the tracemalloc peak spread over 2.42-2.60 MiB at blocks of 1,024
-#: points, 2.43-2.69 at 2,048 and 2.49-3.28 at 4,096 and 16,384, and a
-#: command took 34.7, 33.3, 34.1 and 32.4 ms (median over the seeds of
-#: 3 interleaved commands each). A one-frame map of 90,000 points at 8
-#: mics took 31-49 ms and peaked at 1.30 MiB
+#: the tracemalloc peak of a command spread over 1.08-1.15 MiB at blocks
+#: of 512 points, 1.08-1.20 at 1,024 and 1.08-1.33 at 2,048, 4,096 and
+#: 16,384, and a command took 19.1, 18.6, 18.7, 18.7 and 18.8 ms of
+#: thread CPU (median over the seeds of 3 interleaved commands each). A
+#: one-frame map of 90,000 points at 8 mics took 24-41 ms and peaked at
+#: 1.32 MiB
 _COLUMN_BLOCK = 1024
 
 
@@ -221,30 +222,31 @@ def _time_scores(points, wins: list[np.ndarray], array: MicArray, far_field: boo
 def _range_query(ranges, shape: tuple, width: int) -> tuple:
     """Where _range_maxima reads the maximum over each range [lo, hi] of a (P, C) array of ranges.
 
-    ``ranges`` yields (rows, lo, hi), (n, C) each: some rows' ranges of at
-    most ``width`` entries. A range of n entries is the union of the runs
-    of 2^k entries, k = floor(log2 n), that start at lo and end at hi:
-    entries lo and hi - 2^k + 1 of level k of a range-max table,
-    flattened over levels ``width`` entries long. Returns (first, second,
-    each row's top level, width), in the smallest unsigned dtype for any.
+    ``ranges`` yields (rows, cols, lo, hi), lo and hi (n, c) each: the
+    ranges, of at most ``width`` entries, of a block of rows and columns.
+    A range of n entries is the union of the runs of 2^k entries, k =
+    floor(log2 n), that start at lo and end at hi: entries lo and hi -
+    2^k + 1 of level k of a range-max table, flattened over levels
+    ``width`` entries long. Returns (first, second, each row's top level
+    over its blocks, width), in the smallest unsigned dtype for any.
     """
     dtype = np.min_scalar_type(width.bit_length() * width)
     first, second = np.empty(shape, dtype), np.empty(shape, dtype)
     tops = np.zeros(shape[0], dtype=int)
-    for rows, lo, hi in ranges:
+    for rows, cols, lo, hi in ranges:
         n = hi - lo
         n += 1
         k = np.frexp(n)[1]  # exact: n < 2^53
         k -= 1  # floor(log2 n)
-        tops[rows] = k.max(axis=1, initial=0)
+        np.maximum(tops[rows], k.max(axis=1, initial=0), out=tops[rows])
         np.left_shift(1, k, out=n, casting="unsafe")
         k *= width
-        np.add(k, lo, out=first[rows], casting="unsafe")
+        np.add(k, lo, out=first[rows, cols], casting="unsafe")
         np.subtract(k, n, out=n)
         n += hi
         n += 1
-        second[rows] = n
-        del n, k  # before the next rows' ranges are made
+        second[rows, cols] = n
+        del n, k  # before the next block's ranges are made
     return first, second, tops, width
 
 
@@ -421,23 +423,40 @@ def _box_tdoas(lo: np.ndarray, hi: np.ndarray, array: MicArray, far_field: bool)
         yield rows, t_lo, t_hi
 
 
+#: boxes per block of _box_query, whose per-mic interval terms
+#: (_box_tdoas) hold about 9 M floats a box. time_cells on time3d_multi's
+#: 8 mics over the 0.1 m lattice of its room (1,560 boxes) took 4.2,
+#: 2.9, 2.0 and 1.6 ms of thread CPU (medians of 40 interleaved calls,
+#: 2-core host) at blocks of 256, 512, 1,024 (two of 780) and 2,048 or
+#: more boxes, at tracemalloc peaks of 0.43, 0.58, 0.91 and 1.40 MiB;
+#: over the 0.05 m lattice (720,000 points, 11,250 boxes) 35, 24, 17, 15
+#: and 13 ms at 256, 512, 1,024, 2,048 and 4,096 boxes, at 1.94, 2.16,
+#: 2.59, 3.27 and 4.76 MiB (one block: 13 ms, 9.75 MiB). A block costs
+#: about 0.4 ms of numpy calls, whatever its size
+_BOX_BLOCK = 1024
+
+
 def _box_query(lo: np.ndarray, hi: np.ndarray, array: MicArray, far_field: bool, bounds: np.ndarray):
     """The _range_query of each pair's lag_table offsets over boxes [lo, hi], (3, C) each.
 
     The lags of each pair's TDOA interval (_box_tdoas), [floor(tau_min
     fs) - 1, ceil(tau_max fs) + 1], clipped to +/-D: the extra lag on
     each side absorbs the float rounding of the interval and of
-    lag_table. Built a mic's pairs at a time: no (P, C) temporaries.
+    lag_table. Built in the fewest equal blocks of at most _BOX_BLOCK
+    boxes, a mic's pairs at a time: no (P, C) temporaries, and per-mic
+    terms of one block of boxes only.
     """
 
     def ranges():
-        for rows, t_lo, t_hi in _box_tdoas(lo, hi, array, far_field):
-            d = bounds[rows, None]
-            for t, rnd, step in ((t_lo, np.floor, -1), (t_hi, np.ceil, 1)):
-                rnd(t, out=t)
-                t += d + step
-                np.clip(t, 0, 2 * d, out=t)
-            yield rows, t_lo, t_hi
+        edges = _equal_parts(lo.shape[1], _BOX_BLOCK)
+        for cols in map(slice, edges[:-1], edges[1:]):
+            for rows, t_lo, t_hi in _box_tdoas(lo[:, cols], hi[:, cols], array, far_field):
+                d = bounds[rows, None]
+                for t, rnd, step in ((t_lo, np.floor, -1), (t_hi, np.ceil, 1)):
+                    rnd(t, out=t)
+                    t += d + step
+                    np.clip(t, 0, 2 * d, out=t)
+                yield rows, cols, t_lo, t_hi
 
     return _range_query(ranges(), (len(bounds), lo.shape[1]), 2 * int(bounds.max()) + 1)
 
@@ -449,8 +468,9 @@ def time_cells(grid: CandidateGrid, array: MicArray, bounds: np.ndarray | None =
     on its k axes longer than one point (4 x 4 x 4, or 8 x 8 when
     planar), built from its axes alone: no point, sort or (G,) array is
     made. Other grids (DOA, hand-built points) are boxed by _cell_boxes.
-    Each box's lag ranges come from each pair's TDOA interval over it
-    (_box_query); ``bounds`` are the array's lag_bounds.
+    Each box's lag ranges come from each pair's TDOA interval over it,
+    built in blocks of boxes (_box_query); ``bounds`` are the array's
+    lag_bounds.
     """
     if bounds is None:
         bounds = lag_bounds(array)
@@ -840,7 +860,7 @@ def vsrp_map(
     lo = np.maximum(windows[0] + d, 0)  # each window's first and last column in vals
     hi = np.minimum(windows[1] + d, n - 1)
     if pooling == "max":
-        pooled = _range_maxima(vals, _range_query([(slice(None), lo, hi)], lo.shape, n))
+        pooled = _range_maxima(vals, _range_query([(slice(None), slice(None), lo, hi)], lo.shape, n))
     else:  # prefix sums from lag -D: a window sums to ext[hi + 1] - ext[lo]
         ext = np.empty((P, n + 1))
         ext[:, 0], ext[:, 1:] = 0.0, vals

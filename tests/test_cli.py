@@ -40,7 +40,6 @@ from xsrp.io_utils import (
     WavReader,
     export_map_csv,
     export_map_pgm,
-    read_jsonl,
     read_wav,
     sha256_file,
     write_jsonl,
@@ -59,6 +58,12 @@ MICS = [
     [3.5, 2.5, 1.5],
 ]
 SRC = [2.0, 1.5, 1.0]
+
+
+def read_jsonl(path) -> list[dict]:
+    """The records of a JSON-lines file, such as the CLI's output."""
+    with open(path) as f:
+        return [json.loads(line) for line in f if line.strip()]
 
 
 def write_config(path, payload):
@@ -681,6 +686,31 @@ def test_wav_reader_frames_equal_frame_stack_of_read_wav(wav, frame_len, data):
         want = frame_stack(signals, cfg, i)
         assert block.dtype == want.dtype and block.flags.c_contiguous
         assert np.array_equal(block, want) and block.tobytes() == want.tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("window", ["rectangular", "hann"])
+@pytest.mark.parametrize("dtype", [np.int16, np.float32, np.float64])
+def test_wav_reader_frames_are_one_multiply_of_the_raw_samples(tmp_path, dtype, window):
+    """Frames of 1,024 at hop 384 from a 6-channel file: one multiply of
+    the raw samples by the window (scaled by 1/32768 for PCM) gives
+    frame_stack of read_wav's array bit for bit, the extreme PCM values
+    and float samples over 40 orders of magnitude included."""
+    rng = np.random.default_rng(11)
+    if dtype is np.int16:
+        data = rng.integers(-32768, 32768, size=(5000, 6)).astype(dtype)
+        data[:2] = [[-32768] * 6, [32767] * 6]
+    else:
+        data = (rng.normal(size=(5000, 6)) * 10.0 ** rng.uniform(-20, 20, size=(5000, 6))).astype(dtype)
+    wavfile.write(tmp_path / "s.wav", 16000, data)
+    cfg = FrameConfig(1024, 384, window)
+    signals = read_wav(tmp_path / "s.wav")[1]
+    with WavReader(tmp_path / "s.wav") as reader:
+        blocks = list(reader.frames(cfg))
+    assert len(blocks) == n_frames(5000, cfg) == 11
+    for i, block in enumerate(blocks):
+        want = frame_stack(signals, cfg, i)
+        assert block.dtype == want.dtype and block.flags.c_contiguous
+        assert block.tobytes() == want.tobytes()
 
 
 def test_cli_import_loads_no_scipy():

@@ -30,8 +30,6 @@ ALLOWED = {
     "to_unit": "SphericalDirection's conversion that C2 reads",
     "stationary_velocity_var": "the Langevin prior's stationary variance that C10 checks",
     "tdoa_far_field": "the scalar oracle that far_field_tdoa_matrix is tested against",
-    "contains": "test helper: point-in-box checks on a Volume",
-    "read_jsonl": "test helper: reads back the CLI's JSON lines",
     "snapshot": "kept for the per-run stats object that replaces the global counter",
     "take": "CandidateGrid.take and VolumeGrid.take: the searches' grid.take(idx), as ndarray.take",
 }

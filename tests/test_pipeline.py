@@ -27,6 +27,7 @@ from xsrp.features import (
 )
 from xsrp.geometry import MicArray, MicPair
 from xsrp.grids import Volume, cartesian_grid, doa_grid, partition_room
+from xsrp.io_utils import WavReader, write_wav
 from xsrp.multisource import MultiConfig, localize_multi
 from xsrp.pipeline import (
     MAX_STEERED_POINTS,
@@ -53,6 +54,7 @@ from xsrp.srp_core import (
     pairwise_freq_scores,
     srp_freq_map,
     srp_time_map,
+    time_cells,
     vsrp_map,
     wsrp_map,
 )
@@ -476,72 +478,73 @@ def test_plan_holds_only_the_cropped_lag_block(scene, name):
     assert block.values.base is None  # a copy: the irfft output is not kept alive
 
 
+def _traced(run):
+    """run() once to warm up, so numpy's lazy set-up is not what a guard
+    measures, then once more under tracemalloc: (its result, the bytes
+    traced while the result is held, the peak), tracing stopped however
+    run ends."""
+    run()
+    tracemalloc.start()
+    try:
+        return run(), *tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_90k_point_time_plan_holds_under_half_a_mib(scene):
     """The prepared plan of a 90,000-point room lattice holds its cells'
     lag ranges and the grid's axes, not its points (2.06 MiB) or a (G,)
     box index."""
     array, _ = scene
     cfg = PipelineConfig(grid=GridSpec(resolution=0.1), map=MapSpec(domain="time"))
-    tracemalloc.start()
-    try:
-        plan = prepare(array, [6.0, 5.0, 3.0], cfg)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    plan, held, _ = _traced(lambda: prepare(array, [6.0, 5.0, 3.0], cfg))
     assert len(plan.grid) == 90_000 and plan.steering.cell is None
     assert held < 0.5 * 2**20
 
 
-def test_a_4_frame_two_source_stream_over_90k_points_peaks_under_2_1_mib():
-    """time3d_multi's size: 8 mics, frames of 4,096 at 16 kHz, 100-2000 Hz,
-    a 0.1 m lattice of the 6 x 5 x 3 m room (90,000 points) and two
-    de-emphasis rounds, four frames framed lazily and streamed as one
-    batch. No (P, nb) cross-spectral block, no copy of a frame's lag block
-    and no per-round restack of the lag windows is made, so the stream
-    peaks under 2.1 MiB; with all three it peaked at 2.36 MiB."""
-    room = np.array([6.0, 5.0, 3.0])
-    mics = np.array([[0.3, 0.3, 0.3], [5.7, 0.4, 0.5], [0.4, 4.6, 2.7], [5.6, 4.5, 0.4],
-                     [3.0, 0.3, 2.7], [0.3, 2.5, 1.5], [5.7, 2.6, 2.6], [3.1, 4.7, 0.3]])
-    array = MicArray(mics, sample_rate=FS)
-    sources = [Source(np.array([2.0, 2.0, 1.5]), white_noise(4 * 4096, seed=41)),
-               Source(np.array([4.5, 3.5, 1.2]), white_noise(4 * 4096, seed=42))]
-    signals = add_noise(synthesize_free_field(SceneSpec(room, sources), array), 20.0, seed=43)
-    frames = FrameConfig(4096, 4096)
-    cfg = PipelineConfig(grid=GridSpec(resolution=0.1), features=FeatureSpec(band=(100.0, 2000.0)),
-                         map=MapSpec(domain="time"), multi=MultiConfig(n_sources=2))
-    plan = prepare(array, room, cfg)
-    list(plan.stream(frame_blocks(signals, frames)))  # warm-up: numpy's lazy set-up is not the stream's
-    tracemalloc.start()
-    try:
-        estimates = list(plan.stream(frame_blocks(signals, frames)))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert [len(e) for e in estimates] == [2, 2, 2, 2]
-    assert peak < 2.1 * 2**20
+_ROOM_6x5x3 = np.array([6.0, 5.0, 3.0])
+#: time3d_multi's 8 distributed mics in the 6 x 5 x 3 m room
+_MICS_8 = np.array([[0.3, 0.3, 0.3], [5.7, 0.4, 0.5], [0.4, 4.6, 2.7], [5.6, 4.5, 0.4],
+                    [3.0, 0.3, 2.7], [0.3, 2.5, 1.5], [5.7, 2.6, 2.6], [3.1, 4.7, 0.3]])
+
+
+def test_time_cells_of_a_720k_point_lattice_peak_under_3_mib():
+    """A 0.05 m lattice of the 6 x 5 x 3 m room: 720,000 points in
+    11,250 boxes. time_cells bounds the boxes in blocks of at most
+    srp_core._BOX_BLOCK, whose per-mic interval terms are all it holds
+    besides the (P, C) ranges, so it peaks at about 2.6 MiB; all boxes
+    at once, it peaked at 9.75 MiB."""
+    array = MicArray(_MICS_8, sample_rate=FS)
+    grid, bounds = cartesian_grid(_ROOM_6x5x3, 0.05), lag_bounds(array)
+    cells, _, peak = _traced(lambda: time_cells(grid, array, bounds))
+    assert len(grid) == 720_000 and cells.query[0].shape == (array.n_pairs, 11_250)
+    assert peak < 3 * 2**20
 
 
 def _two_source_stream(n_frames: int):
-    """The stream of the test above over ``n_frames`` frames: its estimate sets and tracemalloc peak."""
-    room = np.array([6.0, 5.0, 3.0])
-    mics = np.array([[0.3, 0.3, 0.3], [5.7, 0.4, 0.5], [0.4, 4.6, 2.7], [5.6, 4.5, 0.4],
-                     [3.0, 0.3, 2.7], [0.3, 2.5, 1.5], [5.7, 2.6, 2.6], [3.1, 4.7, 0.3]])
-    array = MicArray(mics, sample_rate=FS)
+    """time3d_multi's size: 8 mics, frames of 4,096 at 16 kHz, 100-2000
+    Hz, a 0.1 m lattice of the 6 x 5 x 3 m room (90,000 points) and two
+    de-emphasis rounds, ``n_frames`` frames framed lazily and streamed:
+    its estimate sets and tracemalloc peak."""
+    array = MicArray(_MICS_8, sample_rate=FS)
     sources = [Source(np.array([2.0, 2.0, 1.5]), white_noise(n_frames * 4096, seed=41)),
                Source(np.array([4.5, 3.5, 1.2]), white_noise(n_frames * 4096, seed=42))]
-    signals = add_noise(synthesize_free_field(SceneSpec(room, sources), array), 20.0, seed=43)
-    frames = FrameConfig(4096, 4096)
+    signals = add_noise(synthesize_free_field(SceneSpec(_ROOM_6x5x3, sources), array), 20.0, seed=43)
     cfg = PipelineConfig(grid=GridSpec(resolution=0.1), features=FeatureSpec(band=(100.0, 2000.0)),
                          map=MapSpec(domain="time"), multi=MultiConfig(n_sources=2))
-    plan = prepare(array, room, cfg)
-    list(plan.stream(frame_blocks(signals, frames)))  # warm-up: numpy's lazy set-up is not the stream's
-    tracemalloc.start()
-    try:
-        estimates = list(plan.stream(frame_blocks(signals, frames)))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    plan = prepare(array, _ROOM_6x5x3, cfg)
+    estimates, _, peak = _traced(lambda: list(plan.stream(frame_blocks(signals, FrameConfig(4096, 4096)))))
     return estimates, peak
+
+
+def test_a_4_frame_two_source_stream_over_90k_points_peaks_under_2_1_mib():
+    """Four frames streamed as one batch. No (P, nb) cross-spectral
+    block, no copy of a frame's lag block and no per-round restack of
+    the lag windows is made, so the stream peaks under 2.1 MiB; with all
+    three it peaked at 2.36 MiB."""
+    estimates, peak = _two_source_stream(4)
+    assert [len(e) for e in estimates] == [2, 2, 2, 2]
+    assert peak < 2.1 * 2**20
 
 
 def test_a_4_frame_two_source_stream_over_90k_points_peaks_under_1_3_mib():
@@ -563,13 +566,54 @@ def test_a_16_frame_two_source_stream_over_90k_points_peaks_under_2_3_mib():
     assert peak < 2.3 * 2**20
 
 
+def test_a_2_frame_volumetric_stream_peaks_under_0_62_mib():
+    """volumetric's size: 8 mics, frames of 2,048, 100-2000 Hz and 8 x 8 x
+    4 volumes of the 6 x 5 x 3 m room, two frames streamed. Each frame
+    goes once its mic spectra are made, and the last frame's features
+    before the next frame's are made, so the stream peaks at 0.57 MiB;
+    holding each frame through its lags, and the last frame's features
+    while the next were made, it peaked at 0.69 MiB."""
+    array = MicArray(_MICS_8, sample_rate=FS)
+    source = Source(np.array([2.0, 2.0, 1.5]), white_noise(2 * 2048, seed=44))
+    signals = add_noise(synthesize_free_field(SceneSpec(_ROOM_6x5x3, [source]), array), 20.0, seed=45)
+    cfg = PipelineConfig(grid=GridSpec(kind="volumes", counts=(8, 8, 4)),
+                         features=FeatureSpec(band=(100.0, 2000.0)), map=MapSpec(domain="volumetric"))
+    plan = prepare(array, _ROOM_6x5x3, cfg)
+    estimates, _, peak = _traced(lambda: list(plan.stream(frame_blocks(signals, FrameConfig(2048, 2048)))))
+    assert [len(e) for e in estimates] == [1, 1]
+    assert peak < 0.62 * 2**20
+
+
+@pytest.mark.parametrize("name", ["time_multi", "volumetric"])
+def test_each_streamed_frame_is_gone_before_its_lags_are_transformed(scene, name, tmp_path, monkeypatch):
+    """Frames read from a WAV file: when a frame's lags are transformed
+    (features._band_lags), no streamed frame is held, the one whose
+    spectra they come from included."""
+    array, frames = scene
+    path = tmp_path / "scene.wav"
+    write_wav(path, FS, np.tile(frames, 3))
+    plan = prepare(array, ROOM, _PLAN_CONFIGS[name])
+    read, transformed, real = [], [], features._band_lags
+
+    def tracked(*args, **kwargs):
+        transformed.append(len(read))
+        assert not any(ref() is not None for ref in read), "a frame outlived its spectra"
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(features, "_band_lags", tracked)
+    with WavReader(path) as reader:
+        blocks = map(lambda f: read.append(weakref.ref(f)) or f, reader.frames(FrameConfig(4096)))
+        estimates = list(plan.stream(blocks))
+    assert len(estimates) == 3 and transformed == [1, 2, 3]
+
+
 def test_a_streamed_batch_holds_only_its_last_lag_block(scene, monkeypatch):
     """A batch of three frames: each frame's lag block is gone before the
     next one is built, and after the stream only the last one is held,
     as the plan's features for map()."""
     array, frames = scene
     plan = prepare(array, ROOM, _PLAN_CONFIGS["time_multi"])
-    made, real = [], pipeline.lag_block
+    made, real = [], pipeline._lags_of
 
     def tracked(*args, **kwargs):
         assert not any(ref() for ref in made), "a lag block outlived its window cut"
@@ -577,7 +621,7 @@ def test_a_streamed_batch_holds_only_its_last_lag_block(scene, monkeypatch):
         made.append(weakref.ref(block))
         return block
 
-    monkeypatch.setattr(pipeline, "lag_block", tracked)
+    monkeypatch.setattr(pipeline, "_lags_of", tracked)
     estimates = list(plan.stream([frames, frames, frames]))
     assert [len(e) for e in estimates] == [2, 2, 2] and len(made) == 3
     assert [ref() is not None for ref in made] == [False, False, True] and made[-1]() is plan.features

@@ -409,8 +409,8 @@ def _block_cases(draw):
 
 def two_sided_gccs(frames, array, cfg):
     """The features as a plain dict of two-sided SpectralGccs, laid out eagerly from the band block."""
-    g, band, in_band = features._gcc_block(frames, array, cfg)
-    return gccs_from_half(g, in_band, array.sample_rate, array.pairs(), band)
+    block = compute_spectral_gccs(frames, array, cfg)
+    return gccs_from_half(block.spectra, block.in_band, array.sample_rate, array.pairs(), block.band)
 
 
 @settings(max_examples=80, deadline=None)
@@ -693,6 +693,22 @@ def test_every_point_of_a_box_lies_in_its_time_cells_intervals(seed, far_field, 
         assert np.all(k_lo[:, c, None] <= table) and np.all(table <= k_hi[:, c, None])
 
 
+@pytest.mark.parametrize("grid", [cartesian_grid(ROOM, 0.2), doa_grid(math.radians(4.0), math.radians(8.0))],
+                         ids=["lattice", "doa"])
+def test_time_cells_built_in_blocks_of_boxes_equal_one_block(scene, grid, monkeypatch):
+    """time_cells bounds its boxes in blocks of at most _BOX_BLOCK: in
+    blocks of 7 boxes or in one, every range and top level is the same."""
+    array, _, _ = scene
+    bounds = lag_bounds(array)
+    monkeypatch.setattr(srp_core, "_BOX_BLOCK", 10**9)
+    one = srp_core.time_cells(grid, array, bounds).query
+    monkeypatch.setattr(srp_core, "_BOX_BLOCK", 7)
+    blocks = srp_core.time_cells(grid, array, bounds).query
+    assert one[0].shape[1] > 7 * 3
+    for a, b in zip(one, blocks, strict=True):
+        assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+
+
 def test_vsrp_degenerate_volumes_reproduce_point_scores(scene):
     array, lags, _ = scene
     centers = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 1.5], [3.0, 1.5, 2.0]])
@@ -774,7 +790,8 @@ def test_vsrp_map_matches_per_window_loop(scene, vg, guard, pooling):
 def test_range_maxima_equal_direct_window_maxima(seed, frames, ties):
     """The range-max tables behind max pooling and the time search's cell
     bounds give np.max over each range, for 1-D rows or rows of frames,
-    with the ranges' rows given in one block or two."""
+    with the ranges given in one block or in blocks of rows and of
+    columns, as time_cells gives them."""
     rng = np.random.default_rng(seed)
     lengths = rng.integers(1, 70, size=rng.integers(1, 6))
     tail = (frames,) if frames else ()
@@ -784,8 +801,9 @@ def test_range_maxima_equal_direct_window_maxima(seed, frames, ties):
     lo = np.stack([rng.integers(0, n, size=ranges) for n in lengths])
     hi = np.stack([np.minimum(a + rng.integers(0, n, size=ranges), n - 1) for a, n in zip(lo, lengths)])
     width = int(lengths.max()) + int(rng.integers(0, 4))
-    cut = int(rng.integers(0, len(lengths)))
-    blocks = [(r, lo[r], hi[r]) for r in (slice(0, cut), slice(cut, None)) if r.start != r.stop]
+    cut, split = int(rng.integers(0, len(lengths))), int(rng.integers(0, ranges))
+    blocks = [(r, c, lo[r, c], hi[r, c]) for r in (slice(0, cut), slice(cut, len(lengths)))
+              for c in (slice(0, split), slice(split, ranges)) if r.start != r.stop and c.start != c.stop]
     got = list(srp_core._range_maxima(rows, srp_core._range_query(blocks, lo.shape, width)))
     for row, g, a, b in zip(rows, got, lo, hi, strict=True):
         assert np.array_equal(g, np.stack([row[i: j + 1].max(axis=0) for i, j in zip(a, b)]))
@@ -909,7 +927,7 @@ def test_vsrp_source_volume_wins(scene):
     m = vsrp_map(lags, vg, array, pooling="max")
     assert m.domain == "volumetric"
     winner = vg.volumes[int(np.argmax(m.scores))]
-    assert winner.contains(SRC[None, :])[0]
+    assert np.all((winner.lo <= SRC) & (SRC <= winner.hi))
 
 
 def test_wsrp_sum_sum_equals_plain_freq_map(scene):
