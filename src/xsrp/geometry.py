@@ -74,6 +74,11 @@ class MicArray:
         Sampling rate in Hz, > 0.
     speed_of_sound : float
         Propagation speed in m/s, > 0. Defaults to 343.
+
+    ``lag_bounds`` holds each pair's lag bound D = round(max_tdoa * fs)
+    + 1 >= |rint(tau * fs)|, a read-only int (P,) array in pairs()
+    order, computed once here: every time and volumetric map reads lags
+    -D..D of each pair.
     """
 
     def __init__(self, positions, sample_rate: float, speed_of_sound: float = SPEED_OF_SOUND):
@@ -101,6 +106,8 @@ class MicArray:
         self._pairs = tuple(MicPair(i, j) for i in range(m) for j in range(i + 1, m))
         starts = np.cumsum([0] + [m - 1 - l for l in range(m - 1)])
         self._pair_rows = tuple((l, slice(int(starts[l]), int(starts[l + 1]))) for l in range(m - 1))
+        self.lag_bounds = np.array([round(max_tdoa(p, self) * self.sample_rate) + 1 for p in self._pairs])
+        self.lag_bounds.flags.writeable = False
 
     @property
     def n_mics(self) -> int:

@@ -30,20 +30,8 @@ import numpy as np
 from .features import LagBlock, SpectralBlock, _band_lags, half_from_lags
 from .geometry import MicArray, far_field_tdoa_matrix, tdoa_matrix
 from .grids import CandidateGrid
-from .search import SearchConfig, argmax_search
-from .srp_core import (
-    TimeCells,
-    _lag_block,
-    _pair_windows,
-    _spectral_block,
-    _window_amax,
-    _window_argmax,
-    _window_column,
-    _window_lags,
-    lag_bounds,
-    srp_freq_map,
-    time_cells,
-)
+from .search import argmax_search
+from .srp_core import TimeCells, _spectral_block, _window_argmax, _window_column, _window_lags, srp_freq_map, time_cells
 
 _AUTO_CAP = 10  # hard cap on de-emphasis rounds in auto mode
 
@@ -175,7 +163,6 @@ def localize_multi(
     grid: CandidateGrid,
     array: MicArray,
     cfg: MultiConfig | None = None,
-    search: SearchConfig | None = None,
 ) -> EstimateSet:
     """Iterative multi-source localization over a grid, in one frame.
 
@@ -183,7 +170,7 @@ def localize_multi(
     (frequency-domain maps), rows in array.pairs() order. The batch of
     one of localize_multi_batch, which says what each round does.
     """
-    return localize_multi_batch([features], grid, array, cfg, search)[0]
+    return localize_multi_batch([features], grid, array, cfg)[0]
 
 
 def localize_multi_batch(
@@ -191,9 +178,7 @@ def localize_multi_batch(
     grid: CandidateGrid,
     array: MicArray,
     cfg: MultiConfig | None = None,
-    search: SearchConfig | None = None,
     cells: TimeCells | None = None,
-    bounds: np.ndarray | None = None,
 ) -> list[EstimateSet]:
     """Iterative multi-source localization of each frame of a batch over a grid.
 
@@ -203,26 +188,20 @@ def localize_multi_batch(
     theoretical TDOA from every pair; each frame keeps its own notch,
     stop rules and warnings, so its estimates equal those of a batch of
     one. With n_sources = 1 the first round is exactly the single-source
-    pipeline. Time-domain rounds share the cells and the array's lag
-    bounds, ``cells`` (time_cells) and ``bounds`` if prepared, else
-    built here, and each pair's lag windows -D_j..D_j of every frame,
-    cut from each LagBlock as it is read, which is then let go, so a
-    generator's blocks go one by one, into one (S, F) array (as
-    srp_core._windows). A round searches all active frames in one pass
-    over the cells (srp_core._window_argmax), and an accepted frame's
-    column is notched in place, deemphasize's notch over lags -D_j..D_j,
-    the only lags a time map reads; the caller's blocks are never
-    written. The bound on each frame's |lag| that the search's
-    finiteness guard reads is taken from the windows once: a notch only
-    shrinks |lag|.
-
-    Only exhaustive search is meaningful here (the de-emphasis loop
-    is defined on the full-grid argmax); other modes are rejected.
+    pipeline. The search is exhaustive: the de-emphasis loop is defined
+    on the full-grid argmax. Time-domain rounds share the grid's cells,
+    ``cells`` (time_cells) if prepared, else built here, and each pair's
+    lag windows -D_j..D_j of every frame (D = array.lag_bounds), cut from
+    each LagBlock as it is read, which is then let go, so a generator's
+    blocks go one by one, into one (S, F) array (as srp_core._windows),
+    the only state a round keeps. A round searches all active frames in
+    one pass over the cells (srp_core._window_argmax, which builds its
+    own views of the array), an accepted frame's column is notched in
+    place, deemphasize's notch over lags -D_j..D_j, the only lags a time
+    map reads, and a stopped frame's column is dropped; the caller's
+    blocks are never written.
     """
     cfg = cfg or MultiConfig()
-    if search is not None and search.mode != "exhaustive":
-        raise ValueError("localize_multi supports only exhaustive search")
-    bounds = lag_bounds(array) if bounds is None else bounds
     domains = []  # each frame's: True for time
 
     def read(f):  # blocks in array.pairs() order, as the TDOAs
@@ -231,7 +210,7 @@ def localize_multi_batch(
         domains.append(isinstance(f, LagBlock))
         if domains[-1] != domains[0]:
             raise ValueError("a batch mixes time and frequency features")
-        return _window_column(_lag_block(f, array, bounds)[0], bounds) if domains[0] else _spectral_block(f, array)
+        return _window_column(f, array) if domains[0] else _spectral_block(f, array)
 
     work = list(map(read, batch))  # map keeps no frame's features once read
     if not work:
@@ -240,12 +219,10 @@ def localize_multi_batch(
     if time_domain:
         # the batch's lag windows, notched in place round after round
         values, work = np.stack(work, axis=1), None
-        wins = _pair_windows(values, bounds)
         if cells is None:
-            cells = time_cells(grid, array, bounds)
-        amax = _window_amax(values)  # notches only shrink |lag|, so it bounds every round
-        sizes = 2 * bounds + 1
-        taus = _window_lags(bounds) / array.sample_rate
+            cells = time_cells(grid, array)
+        sizes = 2 * array.lag_bounds + 1
+        taus = _window_lags(array) / array.sample_rate
     tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
     sigma = cfg.notch_sigma if cfg.notch_sigma is not None else default_notch_sigma(array)
     cap = cfg.n_sources if cfg.n_sources is not None else _AUTO_CAP
@@ -254,7 +231,7 @@ def localize_multi_batch(
     active = list(range(len(domains)))
     while active:
         if time_domain:  # column c of the windows is frame active[c]
-            idx, scores = _window_argmax(cells, wins, amax, bounds)
+            idx, scores = _window_argmax(cells, values)
             peaks = [(grid.take(j), float(s)) for j, s in zip(idx, scores)]
         else:
             results = [argmax_search(srp_freq_map(work[i], grid, array)) for i in active]
@@ -292,7 +269,6 @@ def localize_multi_batch(
             still.append(i)
             cols.append(c)
         if time_domain and still and len(still) < len(active):  # drop the stopped frames' columns
-            values, amax = values[:, cols], amax[cols]
-            wins = _pair_windows(values, bounds)
+            values = values[:, cols]
         active = still
     return [EstimateSet.from_pairs(estimates) for estimates in found]

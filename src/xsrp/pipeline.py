@@ -3,7 +3,7 @@
 A PipelineConfig picks one option per stage: grid builder, feature
 extractor, map builder, searcher, optional feature updater
 (de-emphasis) and grid updater. prepare() does the frame-invariant
-work once (grid, its cells or lag windows, lag bounds) and Plan.run runs
+work once (grid, its cells or lag windows) and Plan.run runs
 the generic loop on a frame block, or Plan.stream on a sequence of
 them, keeping the last frame's features for Plan.map:
 
@@ -50,7 +50,6 @@ from .search import SearchConfig, argmax_search, refine_search, src_search
 from .srp_core import (
     SrpMap,
     WsrpConfig,
-    lag_bounds,
     lag_windows,
     make_freq_scorer,
     make_time_scorer,
@@ -266,10 +265,10 @@ class Plan:
     """Frame-invariant work of one validated (array, room, config), done once.
 
     Holds the candidate grid and its steering: the cells of a time map
-    (srp_core.time_cells), or the lag windows of a volumetric map, plus
-    the lag bounds D of time scores and volumetric maps, whose frames'
-    lags are then one LagBlock cropped to +/-max D, and the features'
-    GccConfig, built once, so a bad band or beta is refused here. A Cartesian
+    (srp_core.time_cells), or the lag windows of a volumetric map, and
+    the features' GccConfig, built once, so a bad band or beta is
+    refused here. A time or volumetric map's frames' lags are one
+    LagBlock cropped to +/-max D, D the array's lag_bounds. A Cartesian
     grid is a lattice that holds its axes, not its points, and a time
     map's cells are its index boxes, so a 90,000-point time plan holds
     about 0.2 MiB; an estimate reads one point (CandidateGrid.take).
@@ -279,8 +278,9 @@ class Plan:
     grid. run() then does only the per-frame work of one frame block,
     and stream() that of a sequence of blocks, taken lazily in batches
     of BATCH_FRAMES. Each frame block is turned into its mic spectra
-    (features._mic_spectra) as it is read and let go, so its samples
-    are gone before its pairs are weighted and transformed; the features
+    (features._mic_spectra) as it is read and let go, so its samples are
+    gone before its pairs are weighted and transformed, and the previous
+    frame's features are gone before its spectra are made; the features
     step takes the spectra. When every pass is exhaustive over the
     prepared grid, a batch's lag blocks are built one frame at a time,
     each one's lag windows cut before the next is built
@@ -304,27 +304,30 @@ class Plan:
         except ValueError as e:
             raise ConfigError(f"features: {e}") from e
         self.grid = self.steering = self.features = None
-        self.bounds = lag_bounds(array) if cfg.map.domain in ("time", "volumetric") else None
         if cfg.search.mode != "exhaustive":
             return
         self.grid = build_grid(cfg.grid, room)
         if cfg.map.domain == "time":
-            self.steering = time_cells(self.grid, array, self.bounds)
+            self.steering = time_cells(self.grid, array)
         elif cfg.map.domain == "volumetric":
             self.steering = lag_windows(self.grid, array, cfg.map.guard)
 
     def _features(self, blocks: Iterable[np.ndarray]) -> Iterator:
-        """Each frame block's features, lazily, each held as the plan's features until the next.
+        """Each frame block's features, lazily, each held as the plan's features until the next block is read.
 
         A LagBlock over +/-max D for time/volumetric maps, else a
-        SpectralBlock, made from the block's mic spectra: a block goes
-        once they are made, before its pairs are weighted and transformed.
+        SpectralBlock, made from the block's mic spectra: the previous
+        frame's features go before they are made, and a block once they
+        are, before its pairs are weighted and transformed.
         """
         array, gcc = self.array, self.gcc
-        for spectra in map(lambda frames: _mic_spectra(frames, array, gcc), blocks):
-            self.features = None
-            if self.bounds is not None:
-                self.features = _lags_of(spectra, array, gcc, reach=int(self.bounds.max()))
+        lags = self.cfg.map.domain in ("time", "volumetric")
+        for frames in blocks:
+            self.features = None  # before this frame's rfft; the last frame's stay for map()
+            spectra = _mic_spectra(frames, array, gcc)
+            del frames  # before its pairs are weighted and transformed
+            if lags:
+                self.features = _lags_of(spectra, array, gcc, reach=int(array.lag_bounds.max()))
             else:
                 self.features = _gccs_of(spectra, array, gcc)
             del spectra  # before the next block is read
@@ -338,15 +341,13 @@ class Plan:
         return self._build_map(grid, self.steering, self.features)
 
     def _build_map(self, grid, steering, feats) -> SrpMap:
-        m, array, bounds = self.cfg.map, self.array, self.bounds
+        m, array = self.cfg.map, self.array
         if m.domain == "time":
-            return srp_time_map(feats, grid, array, bounds=bounds)
+            return srp_time_map(feats, grid, array)
         if m.domain == "frequency":
             return srp_freq_map(feats, grid, array)
         if m.domain == "volumetric":
-            return vsrp_map(
-                feats, grid, array, pooling=m.pooling, guard=m.guard, windows=steering, bounds=bounds
-            )
+            return vsrp_map(feats, grid, array, pooling=m.pooling, guard=m.guard, windows=steering)
         return wsrp_map(pairwise_freq_scores(feats, grid, array), m.wsrp)
 
     def run(self, frames: np.ndarray) -> EstimateSet:
@@ -367,16 +368,14 @@ class Plan:
             return list(map(self._run_one, feats))  # map holds no frame's features past its run
         # every pass is exhaustive over the prepared grid: search the batch together;
         # each frame's block goes once its windows are cut, the last stays for map()
-        return localize_multi_batch(
-            feats, self.grid, self.array, cfg.multi or MultiConfig(), cells=self.steering, bounds=self.bounds
-        )
+        return localize_multi_batch(feats, self.grid, self.array, cfg.multi or MultiConfig(), cells=self.steering)
 
     def _run_one(self, feats) -> EstimateSet:
         cfg, array = self.cfg, self.array
         planar = cfg.grid.kind == "cartesian2d"
 
         if cfg.multi is not None:
-            return localize_multi(feats, self.grid, array, cfg.multi, cfg.search)
+            return localize_multi(feats, self.grid, array, cfg.multi)
 
         if cfg.search.mode in ("refine", "src"):
             region = _room_volume(self.room, planar)
@@ -401,8 +400,8 @@ class Plan:
         while grid is not None and it < cfg.max_loop_iters:
             if cfg.map.domain == "time":  # every pass searches its grid's cells
                 if steering is None:
-                    steering = time_cells(grid, array, self.bounds)
-                (j,), (score,) = time_argmax(steering, [feats], self.bounds)
+                    steering = time_cells(grid, array)
+                (j,), (score,) = time_argmax(steering, [feats])
                 best, score = grid.take(j), float(score)
             else:
                 res = argmax_search(self._build_map(grid, steering, feats))

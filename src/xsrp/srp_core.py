@@ -12,24 +12,23 @@ Cartesian grids use exact TDOAs, DOA grids the far-field form; the two
 are never mixed within one map. Time and volumetric maps read one
 LagBlock per frame, frequency maps one SpectralBlock, rows in
 array.pairs() order, and take no other form. The time map reads each
-pair's lag window -D..D, D = round(max_tdoa * fs) + 1 (lag_bounds),
-through a table of offsets rint(tau * fs) + D, so a block cropped to
-+/-max D serves every map of the array. Every time score builds its
-points' table columns a block at a time and gathers them
-(_time_scores): srp_time_map and the scorers over all their points,
-time_argmax, which finds a batch of frames' argmaxes, over only the
-boxes of grid points (TimeCells) whose bound, from each pair's TDOA
-interval over the box, can reach the best score found. The frequency
-map evaluates each pair's polynomial in the block's uniform DFT bins
-exactly by baby-step giant-step: per block of points, one matrix
-product per pair and about 2 sqrt(K) array passes for K bins, steered
-by per-mic phasors (2 M complex exponentials per point). A module-level
-counter tracks candidate scorings and steering-kernel evaluations so
-complexity claims can be checked: each frame's map, alone or in a
-batch, adds G points and G * P kernel ops (time, volumetric; for
-time_argmax, those of the map it certifies) or G * P * |F| (frequency),
-|F| the in-band bin count: the complexity model's unit, not a count of
-multiplies.
+pair's lag window -D..D, D = round(max_tdoa * fs) + 1, the array's own
+bound (MicArray.lag_bounds), through a table of offsets rint(tau * fs)
++ D, so a block cropped to +/-max D serves every map of the array. Every
+time score builds its points' table columns a block at a time and
+gathers them (_time_scores): srp_time_map and the scorers over all their
+points, time_argmax, which finds a batch of frames' argmaxes, over only
+the boxes of grid points (TimeCells) whose bound, from each pair's TDOA
+interval over the box, can reach the best score found. The frequency map
+evaluates each pair's polynomial in the block's uniform DFT bins exactly
+by baby-step giant-step: per block of points, one matrix product per
+pair and about 2 sqrt(K) array passes for K bins, steered by per-mic
+phasors (2 M complex exponentials per point). A module-level counter
+tracks candidate scorings and steering-kernel evaluations so complexity
+claims can be checked: each frame's map, alone or in a batch, adds G
+points and G * P kernel ops (time, volumetric; for time_argmax, those of
+the map it certifies) or G * P * |F| (frequency), |F| the in-band bin
+count: the complexity model's unit, not a count of multiplies.
 """
 
 from __future__ import annotations
@@ -97,18 +96,11 @@ class SrpMap:
         return len(self.grid)
 
 
-def lag_bounds(array: MicArray) -> np.ndarray:
-    """Each pair's D = round(max_tdoa * fs) + 1 >= |rint(tau * fs)|, (P,) in pairs() order."""
-    return np.array([round(max_tdoa(p, array) * array.sample_rate) + 1 for p in array.pairs()])
-
-
-def _lag_block(lags: LagBlock, array: MicArray, bounds: np.ndarray | None = None):
-    """(lags, bounds): a LagBlock checked to hold a row per pair that covers its bound D."""
+def _lag_block(lags: LagBlock, array: MicArray) -> LagBlock:
+    """``lags``, checked to be a LagBlock with a row per pair that covers its bound D (MicArray.lag_bounds)."""
     if not isinstance(lags, LagBlock):
         raise TypeError(f"time features must be a LagBlock, got {type(lags).__name__}")
-    if bounds is None:
-        bounds = lag_bounds(array)
-    pairs = array.pairs()
+    pairs, bounds = array.pairs(), array.lag_bounds
     if len(lags.values) != len(pairs):
         raise ValueError(f"lag block has {len(lags.values)} rows for {len(pairs)} pairs")
     short = np.flatnonzero(lags.max_lag < bounds)
@@ -118,7 +110,7 @@ def _lag_block(lags: LagBlock, array: MicArray, bounds: np.ndarray | None = None
             f"lag block for pair ({pairs[j].l}, {pairs[j].m}) covers +/-{lags.max_lag} "
             f"samples but the baseline needs {bounds[j]}; use longer frames"
         )
-    return lags, bounds
+    return lags
 
 
 def _spectral_block(gccs: SpectralBlock, array: MicArray) -> SpectralBlock:
@@ -130,13 +122,11 @@ def _spectral_block(gccs: SpectralBlock, array: MicArray) -> SpectralBlock:
     return gccs
 
 
-def lag_table(
-    points: np.ndarray, array: MicArray, far_field: bool = False, bounds: np.ndarray | None = None
-) -> np.ndarray:
+def lag_table(points: np.ndarray, array: MicArray, far_field: bool = False) -> np.ndarray:
     """Nearest-lag steering of every pair and point, offset into [0, 2 D], (P, n).
 
     ``points`` are (n, 3). Entry [j, g] is rint(tau_j(u_g) * fs) + D_j
-    (see lag_bounds; ``bounds`` if the caller has them), so row j
+    (D = array.lag_bounds), so row j
     indexes the lag window -D_j..D_j directly; the dtype is the smallest
     unsigned one holding 2 max D, uint16 for any room-sized array.
     Near-field points take one mic-major tof_matrix pass and the pair
@@ -145,9 +135,7 @@ def lag_table(
     float operations, bit for bit, so a point's column does not depend
     on the other points.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if bounds is None:
-        bounds = lag_bounds(array)
+    points, bounds = np.atleast_2d(np.asarray(points, dtype=float)), array.lag_bounds
     if far_field:
         tau = far_field_tdoa_matrix(points, array).T
     else:
@@ -161,31 +149,32 @@ def lag_table(
     return table
 
 
-def _windows(blocks: list[LagBlock], bounds: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _windows(blocks: list[LagBlock], array: MicArray) -> np.ndarray:
     """Each pair's lag window -D_j..D_j of every frame: one (S, F) array, S = sum(2 D_j + 1),
-    pair after pair, and its (2 D_j + 1, F) row views, one per pair (_pair_windows).
+    pair after pair, whose (2 D_j + 1, F) row views (_pair_windows) the time scores read.
 
     Take costs about the same per index whether it fetches one float or
     a row of F, so a batch of frames shares each pass over a lag table.
     """
-    values = np.stack([_window_column(b, bounds) for b in blocks], axis=1)
-    return values, _pair_windows(values, bounds)
+    return np.stack([_window_column(b, array) for b in blocks], axis=1)
 
 
-def _window_column(block: LagBlock, bounds: np.ndarray) -> np.ndarray:
-    """A block's column of _windows' (S, F) array: its lags -D_j..D_j of each pair, pair after pair."""
-    d, k = int(bounds.max()), block.max_lag
+def _window_column(block: LagBlock, array: MicArray) -> np.ndarray:
+    """A block's column of _windows' (S, F) array, the block checked (_lag_block): its lags -D_j..D_j
+    of each pair, pair after pair."""
+    bounds, k = array.lag_bounds, _lag_block(block, array).max_lag
+    d = int(bounds.max())
     return block.values[:, k - d: k + d + 1][np.abs(np.arange(-d, d + 1)) <= bounds[:, None]]
 
 
-def _window_lags(bounds: np.ndarray) -> np.ndarray:
+def _window_lags(array: MicArray) -> np.ndarray:
     """The lag of each row of _windows' (S, F) array, (S,): -D_j..D_j, pair after pair."""
-    return np.concatenate([np.arange(-d, d + 1) for d in bounds])
+    return np.concatenate([np.arange(-d, d + 1) for d in array.lag_bounds])
 
 
-def _pair_windows(values: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
+def _pair_windows(values: np.ndarray, array: MicArray) -> list[np.ndarray]:
     """The (2 D_j + 1, F) row views of each pair's window in an (S, F) array of _windows."""
-    return np.split(values, np.cumsum(2 * bounds[:-1] + 1))
+    return np.split(values, np.cumsum(2 * array.lag_bounds[:-1] + 1))
 
 
 #: points per block of lag_table columns in _time_scores, through which
@@ -201,7 +190,7 @@ def _pair_windows(values: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
 _COLUMN_BLOCK = 1024
 
 
-def _time_scores(points, wins: list[np.ndarray], array: MicArray, far_field: bool, bounds: np.ndarray):
+def _time_scores(points, wins: list[np.ndarray], array: MicArray, far_field: bool):
     """Scores (n, F) of n points, a CandidateGrid or (n, 3), in F frames' lag windows (_windows).
 
     Their lag_table columns are built _COLUMN_BLOCK points at a time and
@@ -212,7 +201,7 @@ def _time_scores(points, wins: list[np.ndarray], array: MicArray, far_field: boo
     scores = np.zeros((n, wins[0].shape[1]))
     for i in range(0, n, _COLUMN_BLOCK):
         j = min(i + _COLUMN_BLOCK, n)
-        table = lag_table(points.take(np.arange(i, j)) if grid else points[i:j], array, far_field, bounds)
+        table = lag_table(points.take(np.arange(i, j)) if grid else points[i:j], array, far_field)
         acc = scores[i:j]
         for win, row in zip(wins, table):
             acc += win.take(row, axis=0)
@@ -436,7 +425,7 @@ def _box_tdoas(lo: np.ndarray, hi: np.ndarray, array: MicArray, far_field: bool)
 _BOX_BLOCK = 1024
 
 
-def _box_query(lo: np.ndarray, hi: np.ndarray, array: MicArray, far_field: bool, bounds: np.ndarray):
+def _box_query(lo: np.ndarray, hi: np.ndarray, array: MicArray, far_field: bool):
     """The _range_query of each pair's lag_table offsets over boxes [lo, hi], (3, C) each.
 
     The lags of each pair's TDOA interval (_box_tdoas), [floor(tau_min
@@ -446,6 +435,7 @@ def _box_query(lo: np.ndarray, hi: np.ndarray, array: MicArray, far_field: bool,
     boxes, a mic's pairs at a time: no (P, C) temporaries, and per-mic
     terms of one block of boxes only.
     """
+    bounds = array.lag_bounds
 
     def ranges():
         edges = _equal_parts(lo.shape[1], _BOX_BLOCK)
@@ -461,7 +451,7 @@ def _box_query(lo: np.ndarray, hi: np.ndarray, array: MicArray, far_field: bool,
     return _range_query(ranges(), (len(bounds), lo.shape[1]), 2 * int(bounds.max()) + 1)
 
 
-def time_cells(grid: CandidateGrid, array: MicArray, bounds: np.ndarray | None = None) -> TimeCells:
+def time_cells(grid: CandidateGrid, array: MicArray) -> TimeCells:
     """The cells of time_argmax over a grid: boxes of about _CELL_POINTS points.
 
     A lattice's boxes are index boxes of edge _CELL_POINTS^(1/k) indices
@@ -469,11 +459,9 @@ def time_cells(grid: CandidateGrid, array: MicArray, bounds: np.ndarray | None =
     planar), built from its axes alone: no point, sort or (G,) array is
     made. Other grids (DOA, hand-built points) are boxed by _cell_boxes.
     Each box's lag ranges come from each pair's TDOA interval over it,
-    built in blocks of boxes (_box_query); ``bounds`` are the array's
+    built in blocks of boxes (_box_query) and clipped to the array's
     lag_bounds.
     """
-    if bounds is None:
-        bounds = lag_bounds(array)
     if grid.axes is None:
         (cell, lo, hi), parts = _cell_boxes(grid.points), None
     else:
@@ -481,7 +469,7 @@ def time_cells(grid: CandidateGrid, array: MicArray, bounds: np.ndarray | None =
         edge = max(1, round(_CELL_POINTS ** (1 / k))) if k else 1
         cell, parts = None, tuple(np.arange(0, n, edge) for n in grid.shape)
         lo, hi = _lattice_boxes(grid.axes, parts)
-    return TimeCells(grid, array, cell, parts, _box_query(lo, hi, array, grid.is_doa, bounds))
+    return TimeCells(grid, array, cell, parts, _box_query(lo, hi, array, grid.is_doa))
 
 
 def _cell_bounds(query: tuple, wins: list[np.ndarray], amax: np.ndarray) -> np.ndarray:
@@ -502,11 +490,16 @@ def _cell_bounds(query: tuple, wins: list[np.ndarray], amax: np.ndarray) -> np.n
 
 
 def _window_amax(values: np.ndarray) -> np.ndarray:
-    """Each frame's max |lag| over an (S, F) array of _windows (NaN if it holds one), (F,)."""
-    return np.maximum(values.max(axis=0), -values.min(axis=0))
+    """Each frame's max |lag| over an (S, F) array of _windows (NaN if it holds one), (F,).
+
+    A column at a time: at S = 8,532 and F = 4 (time3d_multi, 2-core
+    host) that took 70 us, and one max and min over axis 0 460 us.
+    """
+    cols = values.T
+    return np.maximum([c.max() for c in cols], [-c.min() for c in cols])
 
 
-def _score_points(cells: TimeCells, keep, wins, bounds, best, idx) -> None:
+def _score_points(cells: TimeCells, keep, wins, best, idx) -> None:
     """Score the points of the cells ``keep`` (C,) bool and update each frame's best, in place.
 
     Points go in ascending blocks of about _COLUMN_BLOCK (_time_scores).
@@ -520,7 +513,7 @@ def _score_points(cells: TimeCells, keep, wins, bounds, best, idx) -> None:
         members = np.flatnonzero(keep.take(cells.cell))
         chunks = (members[i: i + _COLUMN_BLOCK] for i in range(0, len(members), _COLUMN_BLOCK))
     for part in chunks:
-        scores = _time_scores(cells.grid.take(part), wins, cells.array, cells.grid.is_doa, bounds)
+        scores = _time_scores(cells.grid.take(part), wins, cells.array, cells.grid.is_doa)
         if not np.isfinite(scores).all():
             raise ValueError("map scores must be finite")
         j = scores.argmax(axis=0)
@@ -530,44 +523,45 @@ def _score_points(cells: TimeCells, keep, wins, bounds, best, idx) -> None:
         best[better], idx[better] = peak[better], at[better]
 
 
-def time_argmax(cells: TimeCells, blocks: list[LagBlock], bounds: np.ndarray):
+def time_argmax(cells: TimeCells, blocks: list[LagBlock]):
     """Argmax and peak score of each frame's time map over a grid's cells, (F,) each.
 
-    ``blocks`` are the frames' LagBlocks (rows in array.pairs() order,
-    each covering the pairs' lag bounds); ``bounds`` the array's
-    lag_bounds, as given to time_cells. Cuts their lag windows and
-    searches them (_window_argmax).
+    ``blocks`` are the frames' LagBlocks, each checked to hold a row per
+    pair of the cells' array that covers its lag_bounds. Cuts their lag
+    windows and searches them (_window_argmax).
     """
-    values, wins = _windows(blocks, bounds)
-    return _window_argmax(cells, wins, _window_amax(values), bounds)
+    return _window_argmax(cells, _windows(blocks, cells.array))
 
 
-def _window_argmax(cells: TimeCells, wins: list[np.ndarray], amax: np.ndarray, bounds: np.ndarray):
+def _window_argmax(cells: TimeCells, values: np.ndarray):
     """Argmax and peak score of each frame's time map over a grid's cells, (F,) each, from its lag windows.
 
-    ``wins`` and ``amax`` are the per-pair views of _windows' (S, F)
-    array and a bound on each frame's |lag| over it (_window_amax).
-    Equal to argmax_search(srp_time_map(...)) per frame, bit for bit:
-    the members of each frame's _SEED_CELLS best-bounded cells are
-    scored, then those of every other cell whose bound is not below some
-    frame's best (so ties and NaN are scored). A skipped point scores
-    below its frame's peak, so the peak and its lowest index are found.
-    The counter adds what srp_time_map would, G points and G * P kernel
-    ops per frame: the exhaustive map the search certifies.
+    ``values`` is the batch's (S, F) array of _windows; its per-pair
+    views (_pair_windows) and the bound on each frame's |lag| over it
+    (_window_amax) are built on each call, so a caller that notches
+    columns in place or drops them holds the array alone. Equal to
+    argmax_search(srp_time_map(...)) per frame, bit for bit: the members
+    of each frame's _SEED_CELLS best-bounded cells are scored, then
+    those of every other cell whose bound is not below some frame's best
+    (so ties and NaN are scored). A skipped point scores below its
+    frame's peak, so the peak and its lowest index are found. The
+    counter adds what srp_time_map would, G points and G * P kernel ops
+    per frame: the exhaustive map the search certifies.
     """
-    G, F = len(cells.grid), len(amax)
+    wins = _pair_windows(values, cells.array)
+    G, F = len(cells.grid), values.shape[1]
     counter.points += G * F
-    counter.kernel_ops += G * len(bounds) * F
-    upper = _cell_bounds(cells.query, wins, amax)
+    counter.kernel_ops += G * len(wins) * F
+    upper = _cell_bounds(cells.query, wins, _window_amax(values))
     C = len(upper)
     seeds = np.zeros(C, dtype=bool)
     n = min(_SEED_CELLS, C)
     seeds[np.argpartition(upper, C - n, axis=0)[C - n:]] = True
     best, idx = np.full(F, -np.inf), np.zeros(F, dtype=np.intp)
-    _score_points(cells, seeds, wins, bounds, best, idx)
+    _score_points(cells, seeds, wins, best, idx)
     rest = ~(upper < best).all(axis=1) & ~seeds
     del upper, seeds
-    _score_points(cells, rest, wins, bounds, best, idx)
+    _score_points(cells, rest, wins, best, idx)
     return idx, best
 
 
@@ -581,22 +575,16 @@ def srp_time_scores(
     return make_time_scorer(lags, array, far_field)(points)
 
 
-def srp_time_map(
-    lags: LagBlock,
-    grid: CandidateGrid,
-    array: MicArray,
-    bounds: np.ndarray | None = None,
-) -> SrpMap:
+def srp_time_map(lags: LagBlock, grid: CandidateGrid, array: MicArray) -> SrpMap:
     """Time-domain SRP map over a grid (far-field for DOA grids).
 
-    ``bounds`` is the array's lag_bounds when the caller has them.
-    Scores every point, _COLUMN_BLOCK lag_table columns at a time
+    Reads each pair's lags -D..D of the block (D = array.lag_bounds) and
+    scores every point, _COLUMN_BLOCK lag_table columns at a time
     (_time_scores): the exhaustive map that time_argmax searches.
     """
-    block, bounds = _lag_block(lags, array, bounds)
-    scores = _time_scores(grid, _windows([block], bounds)[1], array, grid.is_doa, bounds)
+    scores = _time_scores(grid, _pair_windows(_windows([lags], array), array), array, grid.is_doa)
     counter.points += len(grid)
-    counter.kernel_ops += len(grid) * len(bounds)
+    counter.kernel_ops += len(grid) * array.n_pairs
     return SrpMap(grid, scores[:, 0], "time")
 
 
@@ -743,14 +731,13 @@ def srp_freq_map(gccs: SpectralBlock, grid: CandidateGrid, array: MicArray) -> S
 
 def make_time_scorer(lags: LagBlock, array: MicArray, far_field: bool = False):
     """points (N, 3) -> time-domain SRP scores (N,); feeds searches and tracking. The block is checked and its lag windows cut once, here."""
-    block, bounds = _lag_block(lags, array)
-    wins = _windows([block], bounds)[1]
+    wins = _pair_windows(_windows([lags], array), array)
 
     def scorer(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        scores = _time_scores(pts, wins, array, far_field, bounds)[:, 0]
+        scores = _time_scores(pts, wins, array, far_field)[:, 0]
         counter.points += len(pts)
-        counter.kernel_ops += len(pts) * len(bounds)
+        counter.kernel_ops += len(pts) * len(wins)
         return scores
 
     return scorer
@@ -835,26 +822,24 @@ def vsrp_map(
     pooling: str = "sum",
     guard: float = 1.0,
     windows: tuple[np.ndarray, np.ndarray] | None = None,
-    bounds: np.ndarray | None = None,
 ) -> SrpMap:
     """Volumetric SRP: pool each pair's lags over the volume's TDOA bounds.
 
-    A degenerate (zero-extent) volume with guard 0 reproduces the
-    point SRP score at its center. Pooling is sum, mean or max per
-    pair; pairs always combine by summation. ``windows`` is the
-    grid's lag_windows and ``bounds`` the array's
-    lag_bounds when the caller has prepared them. Every pair is read
-    over lags -D..D, D = max(bounds), as time maps read it, so a block
+    A degenerate (zero-extent) volume with guard 0 reproduces the point
+    SRP score at its center. Pooling is sum, mean or max per pair; pairs
+    always combine by summation. ``windows`` is the grid's lag_windows
+    when the caller has prepared them. Every pair is read over lags
+    -D..D, D = max(array.lag_bounds), as time maps read it, so a block
     cropped to +/-D and an uncropped one give the same bits. Sum and
     mean pool by prefix sums from lag -D, so they can differ from a
     direct window sum in the last place; max is exact.
     """
     if pooling not in _POOLS:
         raise ValueError(f"pooling must be one of {_POOLS}, got {pooling!r}")
-    block, bounds = _lag_block(lags, array, bounds)
+    block = _lag_block(lags, array)
     if windows is None:
         windows = lag_windows(volume_grid, array, guard)
-    d, k = int(bounds.max()), block.max_lag
+    d, k = int(array.lag_bounds.max()), block.max_lag
     vals = block.values[:, k - d: k + d + 1]
     P, n = vals.shape
     lo = np.maximum(windows[0] + d, 0)  # each window's first and last column in vals

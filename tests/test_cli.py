@@ -253,7 +253,7 @@ def test_localize_in_batches_writes_what_one_frame_runs_write(tmp_path, monkeypa
     batches = []
     search = multisource._window_argmax  # one call a round, over the batch's active frames
     monkeypatch.setattr(multisource, "_window_argmax",
-                        lambda cells, wins, amax, *rest: batches.append(len(amax)) or search(cells, wins, amax, *rest))
+                        lambda cells, values: batches.append(values.shape[1]) or search(cells, values))
     argv = ["localize", "-c", path, "-i", str(wav), "-o", str(tmp_path / "est.jsonl")]
     assert main(argv + ["--export-map", str(tmp_path / "map.csv")]) == 0
     assert batches == [8, 8, 3, 3]

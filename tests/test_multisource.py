@@ -34,8 +34,8 @@ from xsrp.multisource import (
     localize_multi,
     localize_multi_batch,
 )
-from xsrp.search import SearchConfig, argmax_search
-from xsrp.srp_core import counter, lag_bounds, lag_table, srp_time_map, time_argmax, time_cells
+from xsrp.search import argmax_search
+from xsrp.srp_core import counter, lag_table, srp_time_map, time_argmax, time_cells
 from xsrp.synth import SceneSpec, Source, add_noise, synthesize_free_field, white_noise
 
 FS = 16000.0
@@ -366,14 +366,6 @@ def test_third_source_extraction_warns():
         localize_multi(feats, grid, array, MultiConfig(n_sources=3))
 
 
-def test_non_exhaustive_search_rejected():
-    array = wide_array()
-    feats = bump_features(array, [(SRC_A, 1.0)])
-    grid = cartesian_grid(ROOM, 1.0)
-    with pytest.raises(ValueError, match="exhaustive"):
-        localize_multi(feats, grid, array, search=SearchConfig(mode="src"))
-
-
 def test_a_batch_holds_one_feature_domain_and_may_be_empty():
     array = wide_array()
     grid = cartesian_grid(ROOM, 1.0)
@@ -429,7 +421,7 @@ def _batch_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fs = draw(st.sampled_from([8000.0, 16000.0]))
     array = MicArray(rng.uniform(0.0, 2.0, size=(draw(st.integers(2, 8)), 3)), sample_rate=fs)
-    k = int(lag_bounds(array).max()) + draw(st.integers(0, 20))
+    k = int(array.lag_bounds.max()) + draw(st.integers(0, 20))
     blocks = []
     for kind in draw(st.lists(st.sampled_from(["normal", "integer", "zero"]), min_size=1, max_size=9)):
         shape = (array.n_pairs, 2 * k + 1)
@@ -515,8 +507,8 @@ def test_batched_time_rounds_copy_no_block_and_cut_the_windows_once():
 
     array = MicArray(MIC_POSITIONS, sample_rate=FS)
     grid = cartesian_grid(ROOM, 0.5)
-    bounds = lag_bounds(array)
-    table = lag_table(grid.points, array, bounds=bounds)
+    bounds = array.lag_bounds
+    table = lag_table(grid.points, array)
     rng = np.random.default_rng(21)
     frames = []
     for at in rng.integers(0, len(grid), size=(3, 3)):
@@ -541,9 +533,9 @@ def test_batched_time_rounds_copy_no_block_and_cut_the_windows_once():
         want = [localize_multi(LagBlock(lags, FS), grid, array, cfg) for lags in frames]
         cuts, real = [], multisource._window_column  # a count: a mock would keep each block it is given
 
-        def cut(block, bounds):
+        def cut(block, array):
             cuts.append(1)
-            return real(block, bounds)
+            return real(block, array)
 
         with mock.patch.object(multisource, "_window_column", cut):
             got = localize_multi_batch(blocks(), grid, array, cfg)
@@ -557,11 +549,10 @@ def test_batched_time_rounds_copy_no_block_and_cut_the_windows_once():
 @given(case=_batch_cases(), step=st.integers(1, 40))
 def test_time_argmax_is_the_first_index_of_each_frames_map_maximum(case, step):
     array, grid, blocks = case
-    bounds = lag_bounds(array)
-    cells = time_cells(grid, array, bounds)
+    cells = time_cells(grid, array)
     with mock.patch.object(srp_core, "_COLUMN_BLOCK", step):
-        idx, scores = time_argmax(cells, blocks, bounds)
-        maps = [srp_time_map(b, grid, array, bounds=bounds).scores for b in blocks]
+        idx, scores = time_argmax(cells, blocks)
+        maps = [srp_time_map(b, grid, array).scores for b in blocks]
     assert np.array_equal(idx, [int(np.argmax(m)) for m in maps])
     assert np.array_equal(scores, [m.max() for m in maps])
 
@@ -570,15 +561,15 @@ def test_time_argmax_refuses_non_finite_scores():
     # like SrpMap: three pairs of 1e308 sum past the largest float
     array = MicArray([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], sample_rate=8000.0)
     grid = cartesian_grid(np.array([1.0, 1.0, 1.0]), 0.5)
-    cells, bounds = time_cells(grid, array), lag_bounds(array)
+    cells, bounds = time_cells(grid, array), array.lag_bounds
     lags = np.zeros((3, 2 * int(bounds.max()) + 1))
     lags[0] = 1e308
-    idx, scores = time_argmax(cells, [LagBlock(lags, 8000.0)], bounds)
+    idx, scores = time_argmax(cells, [LagBlock(lags, 8000.0)])
     assert idx[0] == 0 and scores[0] == 1e308
     overflow = LagBlock(np.full_like(lags, 1e308), 8000.0)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="finite"):
-            time_argmax(cells, [overflow], bounds)
+            time_argmax(cells, [overflow])
         with pytest.raises(ValueError, match="finite"):
             srp_time_map(overflow, grid, array)
 
@@ -606,9 +597,9 @@ def _search_cases(draw):
         volume = Volume.from_bounds(lo, lo + (counts + 0.5) * res)
         grid = grid_in_volume(volume, res[: 2 if planar else 3], planar)
     if draw(st.booleans()):  # peak each frame at some point's lags, so that most cells can be skipped
-        bounds = lag_bounds(array)
+        bounds = array.lag_bounds
         for b in blocks:
-            at = lag_table(grid.take([draw(st.integers(0, len(grid) - 1))]), array, grid.is_doa, bounds)[:, 0]
+            at = lag_table(grid.take([draw(st.integers(0, len(grid) - 1))]), array, grid.is_doa)[:, 0]
             b.values[np.arange(len(bounds)), b.max_lag - bounds + at] += 10.0
     return array, grid, blocks
 
@@ -640,15 +631,14 @@ def test_time_argmax_equals_the_exhaustive_search(case, cell_points, seed_cells,
     full map, bit for bit, whatever the cell, seed and column block
     sizes, in three rounds over the same cells."""
     array, grid, blocks = case
-    bounds = lag_bounds(array)
     counter.reset()
     maps = [srp_time_map(b, grid, array) for b in blocks]
     want_counts = counter.snapshot()
     with _pruning(cell_points, seed_cells), mock.patch.object(srp_core, "_COLUMN_BLOCK", step):
-        cells = time_cells(grid, array, bounds)
+        cells = time_cells(grid, array)
         for _ in range(3):
             counter.reset()
-            idx, scores = time_argmax(cells, blocks, bounds)
+            idx, scores = time_argmax(cells, blocks)
             assert counter.snapshot() == want_counts
             for i, s, m in zip(idx, scores, maps, strict=True):
                 want = argmax_search(m)
@@ -662,19 +652,29 @@ def test_no_member_scores_above_its_cells_bound(case, cell_points):
     """Every member's lag_table offset lies in its cell's range, pair by
     pair, and so no member's score exceeds its cell's bound."""
     array, grid, blocks = case
-    bounds = lag_bounds(array)
-    values, wins = srp_core._windows(blocks, bounds)
-    amax = srp_core._window_amax(values)
+    values = srp_core._windows(blocks, array)
+    wins, amax = srp_core._pair_windows(values, array), srp_core._window_amax(values)
     with _pruning(cell_points, 1):
-        cells = time_cells(grid, array, bounds)
+        cells = time_cells(grid, array)
     cell = _box_of_each_point(grid, cells.cell, cells.parts)
-    table = lag_table(grid.points, array, grid.is_doa, bounds)
+    table = lag_table(grid.points, array, grid.is_doa)
     scores = np.stack([srp_time_map(b, grid, array).scores for b in blocks], axis=1)
     first, second, _, width = cells.query
     level, lo = np.divmod(first, width)
     hi = second - level * width + np.left_shift(1, level) - 1
     assert np.all(lo[:, cell] <= table) and np.all(table <= hi[:, cell])
     assert np.all(scores <= srp_core._cell_bounds(cells.query, wins, amax)[cell])
+
+
+@pytest.mark.parametrize("special", [None, np.nan, np.inf, -np.inf])
+def test_window_amax_equals_one_max_and_min_over_the_windows(special):
+    """Each frame's |lag| bound, taken a column at a time, equals the max
+    of max and -min over axis 0, NaN included."""
+    values = np.random.default_rng(4).normal(size=(301, 5))
+    if special is not None:
+        values[17, 2] = special
+    want = np.maximum(values.max(axis=0), -values.min(axis=0))
+    np.testing.assert_array_equal(srp_core._window_amax(values), want)
 
 
 @pytest.mark.parametrize("fill, n_pairs", [(-np.inf, 1), (np.nan, 1), (1e308, 2)])
@@ -684,10 +684,10 @@ def test_a_non_finite_score_that_only_a_losing_point_reaches_still_raises(fill, 
     lags become ``fill``: -inf, NaN, or 1e308 twice, whose sum overflows."""
     array = MicArray(MIC_POSITIONS, sample_rate=FS)
     grid = cartesian_grid(ROOM, 0.5)
-    bounds = lag_bounds(array)
+    bounds = array.lag_bounds
     rng = np.random.default_rng(5)
     lags = 0.01 * rng.normal(size=(array.n_pairs, 2 * int(bounds.max()) + 1))
-    table = lag_table(grid.points, array, bounds=bounds)
+    table = lag_table(grid.points, array)
     lags[np.arange(array.n_pairs), bounds.max() - bounds + table[:, len(grid) // 2]] += 1.0
     alone = np.flatnonzero(np.bincount(table[0])[table[0]] == 1)
     loser = alone[np.argmin(srp_time_map(LagBlock(lags, FS), grid, array).scores[alone])]
@@ -695,9 +695,9 @@ def test_a_non_finite_score_that_only_a_losing_point_reaches_still_raises(fill, 
         lags[j, int(bounds.max() - bounds[j] + table[j, loser])] = fill
     block = LagBlock(lags, FS)
     with _pruning(4, 1), np.errstate(over="ignore"):
-        cells = time_cells(grid, array, bounds=bounds)
+        cells = time_cells(grid, array)
         with pytest.raises(ValueError, match="finite"):
-            time_argmax(cells, [block], bounds)
+            time_argmax(cells, [block])
         with pytest.raises(ValueError, match="finite"):
             srp_time_map(block, grid, array)
 
@@ -705,9 +705,9 @@ def test_a_non_finite_score_that_only_a_losing_point_reaches_still_raises(fill, 
 def test_an_all_zero_frame_over_the_room_grid_peaks_at_the_first_point():
     array = MicArray(MIC_POSITIONS, sample_rate=FS)
     grid = cartesian_grid(ROOM, 0.1)
-    bounds = lag_bounds(array)
+    bounds = array.lag_bounds
     zero = LagBlock(np.zeros((array.n_pairs, 2 * int(bounds.max()) + 1)), FS)
-    idx, scores = time_argmax(time_cells(grid, array, bounds=bounds), [zero], bounds)
+    idx, scores = time_argmax(time_cells(grid, array), [zero])
     assert idx[0] == 0 and scores[0] == 0.0
 
 
@@ -728,16 +728,16 @@ def test_every_round_builds_its_columns_a_block_at_a_time(lattice):
     grid = cartesian_grid(ROOM, 0.2)
     if not lattice:
         grid = CandidateGrid("cartesian3d", grid.points)
-    bounds = lag_bounds(array)
-    table = lag_table(grid.points, array, bounds=bounds)
+    bounds = array.lag_bounds
+    table = lag_table(grid.points, array)
     lags = 0.01 * np.random.default_rng(7).normal(size=(array.n_pairs, 2 * int(bounds.max()) + 1))
     lags[np.arange(array.n_pairs), bounds.max() - bounds + table[:, len(grid) // 3]] += 1.0
     peaked, zero = LagBlock(lags, FS), LagBlock(np.zeros_like(lags), FS)
-    cells = time_cells(grid, array, bounds=bounds)
+    cells = time_cells(grid, array)
     assert len(grid) > srp_core._COLUMN_BLOCK
     for block in (peaked, zero, zero, peaked):
         want = argmax_search(srp_time_map(block, grid, array))
-        ((idx,), (score,)), sizes = _column_sizes(lambda: time_argmax(cells, [block], bounds))
+        ((idx,), (score,)), sizes = _column_sizes(lambda: time_argmax(cells, [block]))
         assert 0 < max(sizes) <= srp_core._COLUMN_BLOCK
         assert np.array_equal(grid.take(idx), want.estimate) and score == want.score
 
@@ -748,9 +748,9 @@ def test_maps_and_scorers_build_their_columns_a_block_at_a_time():
     every point as the grid's whole lag table does."""
     array = MicArray(MIC_POSITIONS, sample_rate=FS)
     grid = cartesian_grid(ROOM, 0.2)
-    bounds = lag_bounds(array)
+    bounds = array.lag_bounds
     lags = np.random.default_rng(3).normal(size=(array.n_pairs, 2 * int(bounds.max()) + 1))
-    table = lag_table(grid.points, array, bounds=bounds)
+    table = lag_table(grid.points, array)
     want = np.zeros(len(grid))
     for j, row in enumerate(table):
         want += lags[j, bounds.max() - bounds[j] + row]

@@ -1,13 +1,15 @@
-"""No-caller guard: every public name in src/xsrp has a caller outside the tests.
+"""No-caller guard: every public and private name in src/xsrp has a caller outside the tests.
 
 A public name is a module-level function or class, or a method, of
-``src/xsrp/*.py`` whose name does not start with an underscore. It has
-a caller when, in the package (``__init__.py`` aside, which only
+``src/xsrp/*.py`` whose name does not start with an underscore; a
+private one, one whose name starts with a single underscore (dunder
+methods are called by Python). A name has a caller when, in the package (``__init__.py`` aside, which only
 re-exports), ``demos/`` or ``perfbench/``, the name appears as a Python
 NAME token outside the def/class that defines it, or as a string literal
 equal to the name (perfbench's tracer looks layer functions up by name).
 Words in comments and docstrings do not count. Names that only the tests
-call are deleted, or kept in ALLOWED with the reason they stay.
+call are deleted, or, if public, kept in ALLOWED with the reason they
+stay; a private name has no such way out.
 
 A name that is also a public attribute of np.ndarray or of a builtin
 type (``copy``, ``take``, ``index``) cannot be told from those by its
@@ -41,12 +43,12 @@ def shadowed() -> set[str]:
     return {a for t in types for a in dir(t) if not a.startswith("_")}
 
 
-def public_names() -> dict[str, list[tuple[Path, range]]]:
-    """Public name -> the (file, lines) of each def/class that defines it."""
+def defined_names(private: bool) -> dict[str, list[tuple[Path, range]]]:
+    """Public (or private) name -> the (file, lines) of each def/class that defines it."""
     names: dict[str, list[tuple[Path, range]]] = {}
 
     def add(node, path):
-        if not node.name.startswith("_"):
+        if node.name.startswith("_") == private and not node.name.startswith("__"):
             names.setdefault(node.name, []).append((path, range(node.lineno, node.end_lineno + 1)))
 
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -77,18 +79,27 @@ def uses() -> dict[str, list[tuple[Path, int]]]:
     return found
 
 
-def test_every_public_name_has_a_caller():
-    names, found = public_names(), uses()
-    assert set(ALLOWED) <= set(names), f"allowed names that no longer exist: {set(ALLOWED) - set(names)}"
-    dead, common = [], shadowed()
-    for name, defs in names.items():
-        if name in ALLOWED:
-            continue
+def callerless(names, found, common=frozenset()) -> list[str]:
+    """The names, as "name (file:line)", that are in ``common`` or used nowhere outside their own defs."""
+    return [
+        f"{name} ({defs[0][0].name}:{defs[0][1].start})"
+        for name, defs in names.items()
         if name in common or not any(
             all(p != path or i not in lines for p, lines in defs) for path, i in found.get(name, ())
-        ):
-            dead.append(f"{name} ({defs[0][0].name}:{defs[0][1].start})")
+        )
+    ]
+
+
+def test_every_public_name_has_a_caller():
+    names = defined_names(private=False)
+    assert set(ALLOWED) <= set(names), f"allowed names that no longer exist: {set(ALLOWED) - set(names)}"
+    dead = callerless({k: v for k, v in names.items() if k not in ALLOWED}, uses(), shadowed())
     assert not dead, (
         f"public names with no caller outside the tests, or named like an ndarray or builtin attribute "
         f"and not in ALLOWED: {', '.join(dead)}"
     )
+
+
+def test_every_private_name_has_a_caller():
+    dead = callerless(defined_names(private=True), uses())
+    assert not dead, f"private names with no caller outside the tests: {', '.join(dead)}"

@@ -48,7 +48,6 @@ from xsrp.search import SearchConfig, argmax_search, refine_search, src_search
 from xsrp.srp_core import (
     WsrpConfig,
     counter,
-    lag_bounds,
     make_freq_scorer,
     make_time_scorer,
     pairwise_freq_scores,
@@ -472,7 +471,7 @@ def test_plan_holds_only_the_cropped_lag_block(scene, name):
     plan = prepare(array, ROOM, _PLAN_CONFIGS[name])
     plan.run(frames)
     block = plan.features
-    d = int(lag_bounds(array).max())
+    d = int(array.lag_bounds.max())
     assert isinstance(block, LagBlock)
     assert block.values.shape == (array.n_pairs, 2 * d + 1)
     assert block.values.base is None  # a copy: the irfft output is not kept alive
@@ -515,8 +514,8 @@ def test_time_cells_of_a_720k_point_lattice_peak_under_3_mib():
     besides the (P, C) ranges, so it peaks at about 2.6 MiB; all boxes
     at once, it peaked at 9.75 MiB."""
     array = MicArray(_MICS_8, sample_rate=FS)
-    grid, bounds = cartesian_grid(_ROOM_6x5x3, 0.05), lag_bounds(array)
-    cells, _, peak = _traced(lambda: time_cells(grid, array, bounds))
+    grid = cartesian_grid(_ROOM_6x5x3, 0.05)
+    cells, _, peak = _traced(lambda: time_cells(grid, array))
     assert len(grid) == 720_000 and cells.query[0].shape == (array.n_pairs, 11_250)
     assert peak < 3 * 2**20
 
@@ -625,6 +624,35 @@ def test_a_streamed_batch_holds_only_its_last_lag_block(scene, monkeypatch):
     estimates = list(plan.stream([frames, frames, frames]))
     assert [len(e) for e in estimates] == [2, 2, 2] and len(made) == 3
     assert [ref() is not None for ref in made] == [False, False, True] and made[-1]() is plan.features
+
+
+@pytest.mark.parametrize("name", list(_PLAN_CONFIGS))
+def test_a_frames_features_are_gone_before_the_next_frames_spectra_are_made(scene, name, monkeypatch):
+    """A stream of three frames: when a frame's mic spectra are made
+    (features._mic_spectra), the previous frame's features, held for
+    map() until then, are gone; after the stream the last one's stay."""
+    array, frames = scene
+    plan = prepare(array, ROOM, _PLAN_CONFIGS[name])
+    made, spectra = [], []
+
+    def tracked(real):
+        def build(*args, **kwargs):
+            feats = real(*args, **kwargs)
+            made.append(weakref.ref(feats))
+            return feats
+        return build
+
+    def mic_spectra(*args):
+        spectra.append(len(made))
+        assert not any(ref() for ref in made), "a frame's features outlived the next frame's read"
+        return real_spectra(*args)
+
+    real_spectra = pipeline._mic_spectra
+    monkeypatch.setattr(pipeline, "_mic_spectra", mic_spectra)
+    monkeypatch.setattr(pipeline, "_lags_of", tracked(pipeline._lags_of))
+    monkeypatch.setattr(pipeline, "_gccs_of", tracked(pipeline._gccs_of))
+    assert len(list(plan.stream([frames, frames, frames]))) == 3
+    assert spectra == [0, 1, 2] and made[-1]() is plan.features is not None
 
 
 # ------------------------------------------------------------ grid updates

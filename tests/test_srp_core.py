@@ -52,7 +52,6 @@ from xsrp.srp_core import (
     SrpMap,
     WsrpConfig,
     counter,
-    lag_bounds,
     lag_windows,
     make_freq_scorer,
     make_time_scorer,
@@ -540,6 +539,25 @@ def test_time_scores_match_signed_lag_gather(case):
     np.testing.assert_array_equal(got, ref)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_mics=st.integers(2, 9),
+    span=st.floats(0.01, 50.0),
+    fs=st.floats(1000.0, 192000.0),
+    c=st.floats(100.0, 2000.0),
+)
+def test_an_arrays_lag_bounds_are_each_pairs_rounded_max_tdoa_plus_one(seed, n_mics, span, fs, c):
+    """MicArray.lag_bounds is round(max_tdoa * fs) + 1 of each pair, in
+    pairs() order, as ints, and cannot be written."""
+    pos = np.random.default_rng(seed).uniform(0.0, span, size=(n_mics, 3))
+    array = MicArray(pos, sample_rate=fs, speed_of_sound=c)
+    _, want = _offset_reference(pos, array)
+    assert array.lag_bounds.dtype.kind == "i" and np.array_equal(array.lag_bounds, want)
+    with pytest.raises(ValueError, match="read-only"):
+        array.lag_bounds[0] = 0
+
+
 def test_lag_table_is_offset_rint_of_tdoas(scene):
     array, _, _ = scene
     for pts, far_field in ((cartesian_grid(ROOM, 0.1).points, False),
@@ -670,10 +688,9 @@ def test_every_point_of_a_box_lies_in_its_time_cells_intervals(seed, far_field, 
             for a in [int(rng.integers(3))] if placement == "face" else range(3):
                 pos[0, a] = (lo if rng.random() < 0.5 else hi)[a, 0]
     array = MicArray(pos, sample_rate=16000.0)
-    bounds = lag_bounds(array)
     base = np.stack([pos[p.m] - pos[p.l] for p in array.pairs()])
     intervals = [(rows, t_lo.copy(), t_hi.copy()) for rows, t_lo, t_hi in srp_core._box_tdoas(lo, hi, array, far_field)]
-    first, second, _, width = srp_core._box_query(lo, hi, array, far_field, bounds)
+    first, second, _, width = srp_core._box_query(lo, hi, array, far_field)
     level, k_lo = np.divmod(first, width)
     k_hi = second - level * width + np.left_shift(1, level) - 1
     corners = np.array(list(itertools.product((0, 1), repeat=3)), dtype=bool)
@@ -689,7 +706,7 @@ def test_every_point_of_a_box_lies_in_its_time_cells_intervals(seed, far_field, 
             tau = tdoa_matrix(pts, array).T * array.sample_rate
         for rows, t_lo, t_hi in intervals:
             assert np.all(t_lo[:, c, None] - 1e-9 <= tau[rows]) and np.all(tau[rows] <= t_hi[:, c, None] + 1e-9)
-        table = srp_core.lag_table(steered, array, far_field, bounds)
+        table = srp_core.lag_table(steered, array, far_field)
         assert np.all(k_lo[:, c, None] <= table) and np.all(table <= k_hi[:, c, None])
 
 
@@ -699,11 +716,10 @@ def test_time_cells_built_in_blocks_of_boxes_equal_one_block(scene, grid, monkey
     """time_cells bounds its boxes in blocks of at most _BOX_BLOCK: in
     blocks of 7 boxes or in one, every range and top level is the same."""
     array, _, _ = scene
-    bounds = lag_bounds(array)
     monkeypatch.setattr(srp_core, "_BOX_BLOCK", 10**9)
-    one = srp_core.time_cells(grid, array, bounds).query
+    one = srp_core.time_cells(grid, array).query
     monkeypatch.setattr(srp_core, "_BOX_BLOCK", 7)
-    blocks = srp_core.time_cells(grid, array, bounds).query
+    blocks = srp_core.time_cells(grid, array).query
     assert one[0].shape[1] > 7 * 3
     for a, b in zip(one, blocks, strict=True):
         assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
@@ -847,10 +863,10 @@ def test_lag_windows_match_per_volume_vertices(vg, mics, fs, guard):
 
 def _per_pair_vsrp(lags, vg, array, pooling, guard):
     """Volumetric scores pair by pair from an uncropped lag block's rows, read
-    over lags -D..D, D = max(lag_bounds): np.cumsum prefix sums from lag -D,
+    over lags -D..D, D = max(array.lag_bounds): np.cumsum prefix sums from lag -D,
     or a max over each window slice."""
     scores = np.zeros(len(vg))
-    k, d = lags.max_lag, int(lag_bounds(array).max())
+    k, d = lags.max_lag, int(array.lag_bounds.max())
     for v, k0, k1 in zip(lags.values, *lag_windows(vg, array, guard)):
         w = v[k - d: k + d + 1]
         a, b = np.maximum(k0 + d, 0), np.minimum(k1 + d, len(w) - 1)
@@ -880,7 +896,7 @@ def test_cropped_block_path_equals_per_pair_path(mics, fs, frame_len, gcc, guard
     """Maps over the cropped LagBlock equal those over the uncropped one and the per-pair references, bitwise."""
     array = MicArray(np.array(mics), sample_rate=fs)
     frames = np.random.default_rng(seed).normal(size=(array.n_mics, frame_len))
-    bounds = lag_bounds(array)
+    bounds = array.lag_bounds
     d = int(bounds.max())
     block = lag_block(frames, array, gcc, reach=d)
     lags = lag_block(frames, array, gcc)
@@ -889,7 +905,7 @@ def test_cropped_block_path_equals_per_pair_path(mics, fs, frame_len, gcc, guard
     assert lags.max_lag == k
 
     for grid in (cartesian_grid(_BOX, 0.5), doa_grid(math.pi / 4, math.pi / 4)):
-        got = srp_time_map(block, grid, array, bounds=bounds).scores
+        got = srp_time_map(block, grid, array).scores
         assert np.array_equal(got, srp_time_map(lags, grid, array).scores)
         rint_lags, _ = _offset_reference(grid.points, array, grid.is_doa)
         ref = np.zeros(len(grid))
