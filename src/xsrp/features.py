@@ -136,17 +136,6 @@ class LagBlock:
     def max_lag(self) -> int:
         return (self.values.shape[1] - 1) // 2
 
-    @classmethod
-    def crop(cls, lags: np.ndarray, sample_rate: float, reach: int | None = None) -> "LagBlock":
-        """The (P, 2K+1) ``lags`` over -reach..reach (all if reach is None or >= K).
-
-        A cropped block is a copy, so ``lags`` can be freed; ``lags`` itself
-        is never written.
-        """
-        k = (lags.shape[1] - 1) // 2
-        s = 0 if reach is None else max(k - reach, 0)
-        return cls(lags[:, s:-s].copy() if s else lags, sample_rate)
-
 
 @dataclass
 class SpectralGcc:
@@ -250,7 +239,11 @@ def _mic_spectra(frames: np.ndarray, array: MicArray, cfg: GccConfig):
 
 
 def _floor_weights(band: slice, L: int) -> np.ndarray:
-    """Two-sided bins per half bin of ``band``: 2 for 0 < k < L, 1 for DC and Nyquist."""
+    """Two-sided bins per half bin of ``band``: 2 for 0 < k < L, 1 for DC and Nyquist.
+
+    The weights of the GCC floor's in-band mean and of the frequency
+    kernel's fold onto the half spectrum (srp_core._freq_coefficients).
+    """
     idx = np.arange(band.start, band.stop)
     return np.where((idx > 0) & (idx < L), 2.0, 1.0)
 
@@ -421,15 +414,17 @@ def _lags_of(spectra, array: MicArray, cfg: GccConfig, reach: int | None = None)
 
 
 def _band_lags(fill, n_rows: int, band: slice, L: int, fs: float, reach: int | None = None) -> LagBlock:
-    """The lags of ``n_rows`` band rows by irfft, cropped as LagBlock.crop.
+    """The lags -k..k of ``n_rows`` band rows by irfft, k = min(reach, L - 1) (L - 1 if reach is None).
 
     ``fill(out, r0, r1)`` writes rows [r0, r1) of the half spectra's
     bins ``band`` (of k = 0..L) into ``out``, a C-contiguous buffer.
     Each group of rows (_IRFFT_SAMPLES) is copied into one zero-padded
     (rows, L + 1) buffer, its odd bins negated as lags_from_half does,
-    transformed into one (rows, 2L) buffer and cropped; the buffers are
-    allocated once per call, and the bins outside ``band`` are written
-    once: one whole-block irfft and crop, bit for bit.
+    transformed into one (rows, 2L) buffer, and its lags -k..k copied
+    out; the buffers are allocated once per call, and the bins outside
+    ``band`` are written once: one whole-block irfft, bit for bit. A
+    value that is not finite (a NaN or inf sample) is a
+    FloatingPointError, a fault of the data, not of the config.
     """
     k = L - 1 if reach is None else min(reach, L - 1)
     rows = min(max(1, _IRFFT_SAMPLES // (2 * L)), n_rows)
@@ -444,8 +439,7 @@ def _band_lags(fill, n_rows: int, band: slice, L: int, fs: float, reach: int | N
         fill(bins[: r1 - r0], r0, r1)
         h[:, band] = bins[: r1 - r0]
         _negate_odd_bins(h, odd)
-        lags = np.fft.irfft(h, out=out[: r1 - r0])[:, 1:]
-        values[r0:r1] = LagBlock.crop(lags, fs, reach).values
+        values[r0:r1] = np.fft.irfft(h, out=out[: r1 - r0])[:, L - k: L + k + 1]
     if not np.isfinite(values).all():
-        raise ValueError("lag values must be finite")
+        raise FloatingPointError("lag values must be finite")
     return LagBlock(values, fs)

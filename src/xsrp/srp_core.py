@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LagBlock, SpectralBlock, _equal_parts
+from .features import LagBlock, SpectralBlock, _equal_parts, _floor_weights
 from .geometry import (
     MicArray,
     MicPair,
@@ -596,17 +596,6 @@ def _mic_delays(pts, array: MicArray, far_field: bool) -> np.ndarray:
     return tof_matrix(pts, array)
 
 
-def _half_spectrum(mask: np.ndarray) -> np.ndarray:
-    """Weights of the DFT bins k = 0..n/2 that fold a two-sided in-band mask: 2, 1 at DC and Nyquist.
-
-    A negative-frequency bin of a conjugate-symmetric GCC contributes the
-    same real part as its positive twin, so the fold (0 out of band) is exact, at half the cost.
-    """
-    n = len(mask)
-    k = np.arange(n // 2 + 1)
-    return np.where((k == 0) | (2 * k == n), 1.0, 2.0) * mask[: n // 2 + 1]
-
-
 #: most points per block of srp_freq_scores, and most pair-points per
 #: group of pairs in a block. The points are split into equal blocks of
 #: at most this many, so the tracker's 1,000 particles are one block and
@@ -626,14 +615,18 @@ _FREQ_BLOCK = 1024
 def _freq_coefficients(block: SpectralBlock) -> np.ndarray:
     """(P, A, B): each pair's fold-weighted bins k_lo + aB + b at [a, b], zero-padded to A * B.
 
-    K = block.spectra.shape[1] bins, B = ceil(sqrt(K)), A = ceil(K / B);
+    A negative-frequency bin of a conjugate-symmetric GCC adds the same
+    real part as its positive twin, so the fold weights are the two-sided
+    bins per half bin (features._floor_weights), 0 out of band. K =
+    block.spectra.shape[1] bins, B = ceil(sqrt(K)), A = ceil(K / B);
     (P, 0, 1) for an empty band.
     """
     P, K = block.spectra.shape
     B = math.isqrt(max(K - 1, 0)) + 1
     A = -(-K // B)
     coef = np.zeros((P, A * B), dtype=complex)
-    np.multiply(block.spectra, _half_spectrum(block.in_band)[block.band], out=coef[:, :K])
+    fold = _floor_weights(block.band, len(block.in_band) // 2) * block.in_band[block.band]
+    np.multiply(block.spectra, fold, out=coef[:, :K])
     return coef.reshape(P, A, B)
 
 
@@ -648,7 +641,7 @@ def srp_freq_scores(
     """Frequency-domain SRP at arbitrary points, from a SpectralBlock's (P, nb) bins alone.
 
     The two-sided in-band sum is folded onto the f >= 0 bins k = 0..n/2
-    (_half_spectrum), which are uniform, f_k = k fs/n, so each pair's
+    (_freq_coefficients), which are uniform, f_k = k fs/n, so each pair's
     sum is a polynomial in z = e^{j 2 pi (fs/n) tau}: e^{j 2 pi f_lo tau}
     sum_k c_k z^(k - k_lo), c_k the block's bins times the fold weights.
     Its K coefficients, zero-padded to A x B (_freq_coefficients), are

@@ -363,6 +363,21 @@ def test_a_wav_shorter_than_one_frame_is_an_io_error(tmp_path, capsys):
     assert not (tmp_path / "o.jsonl").exists()
 
 
+def test_a_nan_sample_under_cc_features_is_a_numerical_error(tmp_path, scene_dir, capsys):
+    """The classical cross-correlation carries a NaN sample into every lag of its pairs:
+    a fault of the data, exit 3, not of the config."""
+    _, signals = read_wav(scene_dir / "scene.wav")
+    signals[1, 100] = np.nan
+    wav = tmp_path / "nan.wav"
+    write_wav(wav, FS, signals)
+    cfg = localize_config()
+    cfg["pipeline"]["features"] = {"kind": "cc"}
+    path = write_config(tmp_path / "loc.json", cfg)
+    assert main(["localize", "-c", path, "-i", str(wav), "-o", str(tmp_path / "o.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "finite" in err
+
+
 def test_pgm_export_reads_the_raster_shape_from_the_planar_lattice(tmp_path):
     """The raster is the lattice's nx x ny, top row the largest y; the
     same points held as a hand-built grid are not a lattice and are

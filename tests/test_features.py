@@ -435,7 +435,7 @@ def whole_band_block(frames, array, cfg):
 def test_row_grouped_lag_block_equals_one_whole_block_irfft(
     n_mics, log_len, reach, rows, beta, gamma, band, scale, seed
 ):
-    """Row groups of any size give the whole band block's one irfft plus LagBlock.crop, bit for bit,
+    """Row groups of any size give the whole band block's one irfft cropped to lags -reach..reach, bit for bit,
     with bands inside the spectrum and touching DC, Nyquist or both. At beta = 0 and samples
     of 1e4 the gamma = None floor is near the denominator's 1, so its every bit shows."""
     rng = np.random.default_rng(seed)
@@ -445,21 +445,10 @@ def test_row_grouped_lag_block_equals_one_whole_block_irfft(
     g, bins, L = whole_band_block(frames, array, cfg)
     half = np.zeros((len(g), L + 1), dtype=complex)  # the band block, zero-padded
     half[:, bins] = g
-    want = LagBlock.crop(lags_from_half(half), 16000.0, reach)
+    want = crop(lags_from_half(half), reach)
     with mock.patch.object(features, "_IRFFT_SAMPLES", rows * 2 * L):  # groups of at most ``rows`` rows
         got = lag_block(frames, array, cfg, reach=reach)
-    assert same_bits(got.values, want.values)
-
-
-@pytest.mark.parametrize("reach", [None, 0, 3, 6, 7, 20])
-def test_crop_leaves_its_input_unchanged(reach):
-    """A crop copies lags -reach..reach out of the (P, 15) lags and writes nothing into them."""
-    lags = np.random.default_rng(5).normal(size=(3, 15))
-    before = lags.copy()
-    block = LagBlock.crop(lags, 16000.0, reach)
-    assert same_bits(lags, before)
-    k = 7 if reach is None else min(reach, 7)
-    assert same_bits(block.values, before[:, 7 - k: 8 + k])
+    assert same_bits(got.values, want)
 
 
 def full_block_reference(frames, array, cfg):
@@ -499,6 +488,13 @@ def full_block_reference(frames, array, cfg):
     block[:, : band.start] = 0.0
     block[:, band.stop:] = 0.0
     return block, in_band
+
+
+def crop(lags, reach):
+    """The (P, 2L - 1) ``lags`` -(L-1)..(L-1) over -reach..reach (all if reach is None or >= L - 1)."""
+    K = (lags.shape[1] - 1) // 2
+    k = K if reach is None else min(reach, K)
+    return lags[:, K - k: K + k + 1]
 
 
 def same_bits(a, b) -> bool:
@@ -560,9 +556,9 @@ def test_band_block_features_equal_the_full_block_bitwise(
     # lags by one whole-block irfft, odd bins negated as lags_from_half did
     half = block.copy()
     half[:, 1::2] *= -1.0
-    want = LagBlock.crop(np.fft.irfft(half)[:, 1:], fs, reach)
+    want = crop(np.fft.irfft(half)[:, 1:], reach)
     got = lag_block(frames, array, cfg, reach=reach)
-    assert same_bits(got.values, want.values)
+    assert same_bits(got.values, want)
 
 
 def test_lag_block_transient_is_below_the_full_spectrum_block():

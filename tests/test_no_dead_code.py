@@ -3,13 +3,14 @@
 A public name is a module-level function or class, or a method, of
 ``src/xsrp/*.py`` whose name does not start with an underscore; a
 private one, one whose name starts with a single underscore (dunder
-methods are called by Python). A name has a caller when, in the package (``__init__.py`` aside, which only
-re-exports), ``demos/`` or ``perfbench/``, the name appears as a Python
-NAME token outside the def/class that defines it, or as a string literal
+methods are called by Python). A name has a caller when, in the package,
+``demos/`` or ``perfbench/``, the name appears as a Python NAME token
+outside the def/class that defines it, or as a string literal
 equal to the name (perfbench's tracer looks layer functions up by name).
 Words in comments and docstrings do not count. Names that only the tests
 call are deleted, or, if public, kept in ALLOWED with the reason they
-stay; a private name has no such way out.
+stay; a private name has no such way out. The package root imports
+nothing, so each name is reached from its own module only.
 
 A name that is also a public attribute of np.ndarray or of a builtin
 type (``copy``, ``take``, ``index``) cannot be told from those by its
@@ -65,8 +66,7 @@ def defined_names(private: bool) -> dict[str, list[tuple[Path, range]]]:
 
 def uses() -> dict[str, list[tuple[Path, int]]]:
     """Each NAME token and each string literal's value -> the (file, line) of every use."""
-    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    files = [p for d in (SRC, ROOT / "demos", ROOT / "perfbench") for p in sorted(d.glob("*.py"))]
     found: dict[str, list[tuple[Path, int]]] = {}
     for path in files:
         for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
@@ -103,3 +103,10 @@ def test_every_public_name_has_a_caller():
 def test_every_private_name_has_a_caller():
     dead = callerless(defined_names(private=True), uses())
     assert not dead, f"private names with no caller outside the tests: {', '.join(dead)}"
+
+
+def test_package_root_imports_nothing():
+    """``xsrp/__init__.py`` holds its docstring and ``__version__``: no name is re-exported from the root."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imports = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not imports, f"import statements in xsrp/__init__.py at lines {imports}"

@@ -202,7 +202,9 @@ def gathered_phasor_scores(pts, gccs, array, far_field):
     """srp_freq_scores by baby-step giant-step in groups of pairs, every pair's phasors gathered into (P, g) copies first."""
     pairs = array.pairs()
     mask = gccs[pairs[0]].in_band
-    weights = srp_core._half_spectrum(mask)
+    n = len(mask)
+    k = np.arange(n // 2 + 1)  # the fold's weights: 2, 1 at DC and Nyquist, 0 out of band
+    weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0) * mask[: n // 2 + 1]
     bins = np.flatnonzero(weights)
     scores = np.zeros(len(pts))
     if not len(bins):
