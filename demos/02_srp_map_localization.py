@@ -54,7 +54,7 @@ def main():
     flat = cartesian_grid(room, 0.1, planar=True)
     slice_pts = flat.points.copy()
     slice_pts[:, 2] = src[2]
-    smap = SrpMap(flat, srp_time_scores(slice_pts, lags, array), "time")
+    smap = SrpMap(flat, srp_time_scores(slice_pts, lags, array))
     export_map_csv(smap, "srp_map.csv")
     export_map_pgm(smap, "srp_map.pgm")
     print("wrote srp_map.csv and srp_map.pgm (bright pixel = power peak)")

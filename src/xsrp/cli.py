@@ -139,6 +139,8 @@ def _source_signal(spec, n_samples: int, fs: float, base_dir: Path, seed: int):
     if spec == "pink":
         return pink_noise(n_samples, seed)
     if isinstance(spec, dict) and set(spec) == {"wav"}:
+        if not isinstance(spec["wav"], str):
+            raise ConfigError(f"source wav must be a path string, got {spec['wav']!r}")
         wav_fs, x = read_wav(base_dir / spec["wav"])
         if wav_fs != fs:
             raise ConfigError(f"source wav rate {wav_fs} != array rate {fs}")

@@ -179,11 +179,10 @@ class SpectralBlock(Mapping):
     sample_rate: float
     pairs: list[MicPair]
 
-    def __post_init__(self):
-        self._rows = {p: j for j, p in enumerate(self.pairs)}
-
     def __getitem__(self, pair: MicPair) -> SpectralGcc:
-        j = self._rows[pair]
+        if pair not in self.pairs:
+            raise KeyError(pair)
+        j = self.pairs.index(pair)
         return gccs_from_half(self.spectra[j: j + 1], self.in_band, self.sample_rate, [pair], self.band)[pair]
 
     def __iter__(self):
@@ -292,19 +291,19 @@ def _weighted_cross_spectra(spec, segments, out: np.ndarray, cfg: GccConfig, w: 
         out[~ok] = 0.0
 
 
-def lags_from_half(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def lags_from_half(half: np.ndarray) -> np.ndarray:
     """Correlations at lags -(n/2 - 1)..(n/2 - 1) of (P, n/2 + 1) half spectra, (P, n - 1).
 
-    One irfft for all rows, into ``out`` (P, n) when given; the result
-    is a view of it. Negating the odd bins (in place, in ``half``)
-    delays every correlation by n/2 samples, so lag k lands in column
-    k + n/2 and column 0 holds the wrap slot at lag +/- n/2, which is
-    dropped. For a raw cross-spectrum of 2L-padded frames that slot is
-    identically zero; for reweighted spectra (PHAT, band-limited) it is
-    generally small but nonzero.
+    One irfft for all rows; the result is a view of its (P, n) output.
+    Negating the odd bins (in place, in ``half``) delays every
+    correlation by n/2 samples, so lag k lands in column k + n/2 and
+    column 0 holds the wrap slot at lag +/- n/2, which is dropped. For a
+    raw cross-spectrum of 2L-padded frames that slot is identically
+    zero; for reweighted spectra (PHAT, band-limited) it is generally
+    small but nonzero.
     """
     _negate_odd_bins(half)
-    return np.fft.irfft(half, out=out)[:, 1:]
+    return np.fft.irfft(half)[:, 1:]
 
 
 def half_from_lags(lags: np.ndarray) -> np.ndarray:

@@ -78,7 +78,8 @@ class MicArray:
     ``lag_bounds`` holds each pair's lag bound D = round(max_tdoa * fs)
     + 1 >= |rint(tau * fs)|, a read-only int (P,) array in pairs()
     order, computed once here: every time and volumetric map reads lags
-    -D..D of each pair.
+    -D..D of each pair. The smallest mic spacing (min_spacing) is kept
+    from the check that the mics are distinct.
     """
 
     def __init__(self, positions, sample_rate: float, speed_of_sound: float = SPEED_OF_SOUND):
@@ -101,7 +102,7 @@ class MicArray:
         self.positions = pos
         self.sample_rate = float(sample_rate)
         self.speed_of_sound = float(speed_of_sound)
-        self._pair_dist = dist
+        self._min_spacing = float(dist.min())
         m = pos.shape[0]
         self._pairs = tuple(MicPair(i, j) for i in range(m) for j in range(i + 1, m))
         starts = np.cumsum([0] + [m - 1 - l for l in range(m - 1)])
@@ -131,8 +132,8 @@ class MicArray:
         return list(self._pair_rows)
 
     def min_spacing(self) -> float:
-        masked = np.where(np.isinf(self._pair_dist), np.nan, self._pair_dist)
-        return float(np.nanmin(masked))
+        """The smallest distance between two of the mics."""
+        return self._min_spacing
 
 
 def tof(u, v, speed_of_sound: float = SPEED_OF_SOUND) -> float:
@@ -189,10 +190,16 @@ def tof_matrix(points: np.ndarray, array: MicArray) -> np.ndarray:
 
 
 def tdoa_matrix(points: np.ndarray, array: MicArray) -> np.ndarray:
-    """Exact TDOAs for each of N points over all pairs, shape (N, P)."""
-    t = tof_matrix(points, array)
-    cols = [t[:, p.l] - t[:, p.m] for p in array.pairs()]
-    return np.stack(cols, axis=1)
+    """Exact TDOAs for each of N points over all pairs, shape (N, P).
+
+    The transpose of a pair-major (P, N) array, as tof_matrix's: mic l's
+    pair rows are one subtraction t_l - t_{l+1..M-1} (MicArray.pair_rows).
+    """
+    t = tof_matrix(points, array).T  # (M, N), C-contiguous
+    tau = np.empty((array.n_pairs, t.shape[1]))
+    for l, rows in array.pair_rows():
+        np.subtract(t[l], t[l + 1:], out=tau[rows])
+    return tau.T
 
 
 def far_field_tdoa_matrix(directions: np.ndarray, array: MicArray) -> np.ndarray:

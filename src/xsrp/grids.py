@@ -216,13 +216,8 @@ def _resolution3(resolution, n_axes: int) -> np.ndarray:
     return r
 
 
-def cartesian_grid(room_dims, resolution, planar: bool = False) -> CandidateGrid:
-    """Regular Cartesian grid over a room box.
-
-    Points sit at g * R per axis for g = 1..floor(D / R). A
-    resolution coarser than the room still yields one point per
-    axis (with a warning) so searches always have a candidate.
-    """
+def _room_box(room_dims, planar: bool = False) -> Volume:
+    """The box [0, D] of a room's first three dimensions, each > 0 (planar: two, at z = 0)."""
     dims = np.asarray(room_dims, dtype=float).reshape(-1)
     n_axes = 2 if planar else 3
     if len(dims) < n_axes:
@@ -231,7 +226,17 @@ def cartesian_grid(room_dims, resolution, planar: bool = False) -> CandidateGrid
     box[:n_axes] = dims[:n_axes]
     if np.any(box[:n_axes] <= 0):
         raise ValueError(f"room dimensions must be positive, got {box[:n_axes]}")
-    return grid_in_volume(Volume.from_bounds(np.zeros(3), box), resolution, planar, warn=True)
+    return Volume.from_bounds(np.zeros(3), box)
+
+
+def cartesian_grid(room_dims, resolution, planar: bool = False) -> CandidateGrid:
+    """Regular Cartesian grid over a room box (_room_box).
+
+    Points sit at g * R per axis for g = 1..floor(D / R). A
+    resolution coarser than the room still yields one point per
+    axis (with a warning) so searches always have a candidate.
+    """
+    return grid_in_volume(_room_box(room_dims, planar), resolution, planar, warn=True)
 
 
 def _doa_layout(azimuth_res: float, elevation_res: float | None = None) -> tuple[float, float, float]:

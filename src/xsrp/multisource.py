@@ -12,10 +12,12 @@ reaches that block by one irfft and returns by one rfft. The features
 are one of these two blocks, rows in array.pairs() order.
 No renormalization is applied, so successive peak scores are
 comparable and an auto stopping rule (score floor relative to the
-first peak) is possible. A batch of frames runs its rounds together
-(localize_multi_batch): each time-domain round searches every frame
-still extracting in one pruned pass over the grid's cells, reading
-the lag windows cut once for the batch and notched in place there.
+first peak) is possible. The stop rules are one function (_extend),
+called by both loops: localize_multi runs a SpectralBlock's rounds,
+and localize_multi_batch a batch of LagBlocks' rounds together, each
+round searching every frame still extracting in one pruned pass over
+the grid's cells, reading the lag windows cut once for the batch and
+notched in place there. A LagBlock's single frame is a batch of one.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .features import LagBlock, SpectralBlock, _band_lags, half_from_lags
 from .geometry import MicArray, far_field_tdoa_matrix, tdoa_matrix
 from .grids import CandidateGrid
 from .search import argmax_search
-from .srp_core import TimeCells, _spectral_block, _window_argmax, _window_column, _window_lags, srp_freq_map, time_cells
+from .srp_core import TimeCells, _window_argmax, _window_column, _window_lags, srp_freq_map, time_cells
 
 _AUTO_CAP = 10  # hard cap on de-emphasis rounds in auto mode
 
@@ -158,6 +160,37 @@ def _notch(taus: np.ndarray, tdoa, sigma: float) -> np.ndarray:
     return 1.0 - np.exp(-((taus - tdoa) ** 2) / (2.0 * sigma**2))
 
 
+def _extend(found: list, point: np.ndarray, score: float, cfg: MultiConfig) -> bool:
+    """The stop rules of a frame's next peak, which is appended to ``found`` if accepted.
+
+    True if extraction goes on: the caller notches the peak's TDOAs
+    (_tdoa_hat) and maps again.
+    """
+    auto = cfg.n_sources is None
+    if not found:
+        if auto and score <= 0:
+            warnings.warn("auto mode: first peak is non-positive; no sources found")
+            return False
+    elif auto and score < cfg.score_floor * found[0][1]:
+        return False
+    if cfg.min_source_distance > 0 and found:
+        dists = np.linalg.norm(np.array([p for p, _ in found]) - point, axis=1)
+        if dists.min() < cfg.min_source_distance:
+            warnings.warn("new peak closer than min_source_distance to an accepted source; stopping")
+            return False
+    found.append((point, score))
+    if len(found) >= (cfg.n_sources or _AUTO_CAP):
+        return False
+    if len(found) == 2:
+        warnings.warn("extracting a third or later source: residual correlation noise grows with each cancellation")
+    return True
+
+
+def _tdoa_hat(point: np.ndarray, grid: CandidateGrid, array: MicArray) -> np.ndarray:
+    """The (P,) TDOAs of an accepted peak, far-field on a DOA grid."""
+    return (far_field_tdoa_matrix if grid.is_doa else tdoa_matrix)(point[None, :], array)[0]
+
+
 def localize_multi(
     features: LagBlock | SpectralBlock,
     grid: CandidateGrid,
@@ -166,32 +199,45 @@ def localize_multi(
 ) -> EstimateSet:
     """Iterative multi-source localization over a grid, in one frame.
 
-    features is a LagBlock (time-domain maps) or a SpectralBlock
-    (frequency-domain maps), rows in array.pairs() order. The batch of
-    one of localize_multi_batch, which says what each round does.
+    features is a LagBlock (time-domain maps), localized as a batch of
+    one (localize_multi_batch), or a SpectralBlock (frequency-domain
+    maps), rows in array.pairs() order. A SpectralBlock's round maps it
+    over the whole grid (srp_freq_map), takes the argmax, applies the
+    stop rules (_extend) and notches the estimate's TDOAs from every
+    pair (deemphasize). With n_sources = 1 the first round is exactly
+    the single-source pipeline.
     """
-    return localize_multi_batch([features], grid, array, cfg)[0]
+    if not isinstance(features, SpectralBlock):
+        return localize_multi_batch([features], grid, array, cfg)[0]
+    cfg, found = cfg or MultiConfig(), []
+    sigma = cfg.notch_sigma or default_notch_sigma(array)
+    while True:
+        res = argmax_search(srp_freq_map(features, grid, array))
+        if not _extend(found, res.estimate, res.score, cfg):
+            return EstimateSet.from_pairs(found)
+        features = deemphasize(features, _tdoa_hat(res.estimate, grid, array), sigma)
 
 
 def localize_multi_batch(
-    batch: Iterable,
+    batch: Iterable[LagBlock],
     grid: CandidateGrid,
     array: MicArray,
     cfg: MultiConfig | None = None,
     cells: TimeCells | None = None,
 ) -> list[EstimateSet]:
-    """Iterative multi-source localization of each frame of a batch over a grid.
+    """Iterative time-domain multi-source localization of each frame of a batch over a grid.
 
-    ``batch`` is an iterable of each frame's features, all of one domain
-    (see localize_multi), read once. Each round maps every still-active
-    frame, takes its argmax, appends the estimate, and notches its
-    theoretical TDOA from every pair; each frame keeps its own notch,
+    ``batch`` is an iterable of each frame's LagBlock, rows in
+    array.pairs() order, read once; anything else is a TypeError. Each
+    round searches every still-active frame's time map, takes its
+    argmax, applies the stop rules (_extend) and notches the estimate's
+    theoretical TDOAs from every pair; each frame keeps its own notch,
     stop rules and warnings, so its estimates equal those of a batch of
     one. With n_sources = 1 the first round is exactly the single-source
     pipeline. The search is exhaustive: the de-emphasis loop is defined
-    on the full-grid argmax. Time-domain rounds share the grid's cells,
-    ``cells`` (time_cells) if prepared, else built here, and each pair's
-    lag windows -D_j..D_j of every frame (D = array.lag_bounds), cut from
+    on the full-grid argmax. Rounds share the grid's cells, ``cells``
+    (time_cells) if prepared, else built here, and each pair's lag
+    windows -D_j..D_j of every frame (D = array.lag_bounds), cut from
     each LagBlock as it is read, which is then let go, so a generator's
     blocks go one by one, into one (S, F) array (as srp_core._windows),
     the only state a round keeps. A round searches all active frames in
@@ -202,73 +248,28 @@ def localize_multi_batch(
     blocks are never written.
     """
     cfg = cfg or MultiConfig()
-    domains = []  # each frame's: True for time
-
-    def read(f):  # blocks in array.pairs() order, as the TDOAs
-        if not isinstance(f, (LagBlock, SpectralBlock)):
-            raise TypeError(f"features must be a LagBlock or a SpectralBlock, got {type(f).__name__}")
-        domains.append(isinstance(f, LagBlock))
-        if domains[-1] != domains[0]:
-            raise ValueError("a batch mixes time and frequency features")
-        return _window_column(f, array) if domains[0] else _spectral_block(f, array)
-
-    work = list(map(read, batch))  # map keeps no frame's features once read
+    work = list(map(lambda block: _window_column(block, array), batch))  # map keeps no block once cut
     if not work:
         return []
-    time_domain = domains[0]
-    if time_domain:
-        # the batch's lag windows, notched in place round after round
-        values, work = np.stack(work, axis=1), None
-        if cells is None:
-            cells = time_cells(grid, array)
-        sizes = 2 * array.lag_bounds + 1
-        taus = _window_lags(array) / array.sample_rate
-    tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
-    sigma = cfg.notch_sigma if cfg.notch_sigma is not None else default_notch_sigma(array)
-    cap = cfg.n_sources if cfg.n_sources is not None else _AUTO_CAP
-    auto = cfg.n_sources is None
-    found: list[list[tuple[np.ndarray, float]]] = [[] for _ in domains]
-    active = list(range(len(domains)))
-    while active:
-        if time_domain:  # column c of the windows is frame active[c]
-            idx, scores = _window_argmax(cells, values)
-            peaks = [(grid.take(j), float(s)) for j, s in zip(idx, scores)]
-        else:
-            results = [argmax_search(srp_freq_map(work[i], grid, array)) for i in active]
-            peaks = [(r.estimate, r.score) for r in results]
+    values, work = np.stack(work, axis=1), None  # the batch's lag windows, notched in place round after round
+    if cells is None:
+        cells = time_cells(grid, array)
+    sizes = 2 * array.lag_bounds + 1
+    taus = _window_lags(array) / array.sample_rate
+    sigma = cfg.notch_sigma or default_notch_sigma(array)
+    found: list[list[tuple[np.ndarray, float]]] = [[] for _ in range(values.shape[1])]
+    active = list(range(len(found)))
+    while active:  # column c of the windows is frame active[c]
+        idx, scores = _window_argmax(cells, values)
         still, cols = [], []
-        for c, (i, (point, score)) in enumerate(zip(active, peaks)):
-            estimates = found[i]
-            if not estimates:
-                if auto and score <= 0:
-                    warnings.warn("auto mode: first peak is non-positive; no sources found")
-                    continue
-            elif auto and score < cfg.score_floor * estimates[0][1]:
-                continue
-            if cfg.min_source_distance > 0 and estimates:
-                dists = np.linalg.norm(np.array([p for p, _ in estimates]) - point, axis=1)
-                if dists.min() < cfg.min_source_distance:
-                    warnings.warn(
-                        "new peak closer than min_source_distance to an accepted source; stopping"
-                    )
-                    continue
-            estimates.append((point, score))
-            if len(estimates) >= cap:
-                continue
-            if len(estimates) == 2:
-                warnings.warn(
-                    "extracting a third or later source: residual correlation noise "
-                    "grows with each cancellation"
-                )
-            tdoa = tdoas(point[None, :], array)[0]
-            if time_domain:  # deemphasize's notch over lags -D_j..D_j of each pair
-                col = values[:, c]
-                col *= _notch(taus, np.repeat(tdoa, sizes), sigma)
-            else:
-                work[i] = deemphasize(work[i], tdoa, sigma)
-            still.append(i)
-            cols.append(c)
-        if time_domain and still and len(still) < len(active):  # drop the stopped frames' columns
+        for c, (i, j, score) in enumerate(zip(active, idx, scores)):
+            point = grid.take(j)
+            if _extend(found[i], point, float(score), cfg):
+                col = values[:, c]  # deemphasize's notch over lags -D_j..D_j of each pair
+                col *= _notch(taus, np.repeat(_tdoa_hat(point, grid, array), sizes), sigma)
+                still.append(i)
+                cols.append(c)
+        if still and len(still) < len(active):  # drop the stopped frames' columns
             values = values[:, cols]
         active = still
     return [EstimateSet.from_pairs(estimates) for estimates in found]

@@ -38,6 +38,8 @@ from .geometry import MicArray, MicPair
 from .grids import (
     _EPS,
     _doa_layout,
+    _resolution3,
+    _room_box,
     Volume,
     cartesian_grid,
     doa_grid,
@@ -147,7 +149,8 @@ class PipelineConfig:
 
 
 #: most points an exhaustive map may steer (a Cartesian or DOA grid's points,
-#: or 8 vertices per volume): at most 24 MB of points, as grid.points builds them
+#: or 8 vertices per volume), a round of an iterative search, or a tracker's
+#: particles: at most 24 MB of points, as grid.points builds them
 MAX_STEERED_POINTS = 1_000_000
 
 
@@ -217,17 +220,13 @@ def validate_config(cfg: PipelineConfig, room=None) -> list[str]:
             diags.append("grid updaters contract cartesian grids only")
         if s.mode != "exhaustive":
             diags.append("grid updaters pair with exhaustive search; refine/src update internally")
-    n = 0.0 if diags or s.mode != "exhaustive" else _steered_points(g, room)
+    if s.mode == "exhaustive":
+        what, n = f"grid {g.kind!r}", 0.0 if diags else _steered_points(g, room)
+    else:  # a src round's sampled points, a refine round's children: up to 8 of each of top_k cells
+        what, n = f"a {s.mode} round", s.points_per_iter if s.mode == "src" else 8 * s.top_k
     if n > MAX_STEERED_POINTS:
-        diags.append(f"grid {g.kind!r} would steer {n:.4g} points, over the cap of {MAX_STEERED_POINTS:,}")
+        diags.append(f"{what} would steer {n:.4g} points, over the cap of {MAX_STEERED_POINTS:,}")
     return diags
-
-
-def _room_volume(room, planar: bool) -> Volume:
-    dims = np.asarray(room, dtype=float).reshape(-1)
-    if planar:
-        return Volume.from_bounds(np.zeros(3), [dims[0], dims[1], 0.0])
-    return Volume.from_bounds(np.zeros(3), dims[:3])
 
 
 def build_grid(spec: GridSpec, room=None):
@@ -274,8 +273,11 @@ class Plan:
     about 0.2 MiB; an estimate reads one point (CandidateGrid.take).
     Frequency and weighted maps steer per frame, so only their grid is
     held, and they build its points per map.
-    Iterative searches (refine/src) place their own points and need no
-    grid. run() then does only the per-frame work of one frame block,
+    Iterative searches (refine/src) place their own points in the room
+    box (grids._room_box) and need no grid; the grid updaters contract
+    the same box, one pass after another, until _update_grid gives no
+    grid or max_loop_iters passes have run. run() then does only the
+    per-frame work of one frame block,
     and stream() that of a sequence of blocks, taken lazily in batches
     of BATCH_FRAMES. Each frame block is turned into its mic spectra
     (features._mic_spectra) as it is read and let go, so its samples are
@@ -284,8 +286,10 @@ class Plan:
     step takes the spectra. When every pass is exhaustive over the
     prepared grid, a batch's lag blocks are built one frame at a time,
     each one's lag windows cut before the next is built
-    (localize_multi_batch), and its frames are searched together; no
-    block but the last outlives its cut.
+    (localize_multi_batch, whose rounds are a de-emphasis config's, or
+    the one pass of any other), and its frames are searched together;
+    no block but the last outlives its cut. A frequency de-emphasis
+    config runs each frame's rounds in localize_multi.
     The last frame's features stay until the next run; map() maps them
     once more over the prepared grid (the CLI's export), a time map's
     lag table columns a block at a time as every time score builds them
@@ -372,32 +376,21 @@ class Plan:
 
     def _run_one(self, feats) -> EstimateSet:
         cfg, array = self.cfg, self.array
-        planar = cfg.grid.kind == "cartesian2d"
-
         if cfg.multi is not None:
             return localize_multi(feats, self.grid, array, cfg.multi)
-
+        planar = cfg.grid.kind == "cartesian2d"
+        # the room box that an iterative search or a grid updater contracts
+        contracts = cfg.search.mode != "exhaustive" or cfg.grid_update != "none"
+        region = _room_box(self.room, planar) if contracts else None
         if cfg.search.mode in ("refine", "src"):
-            region = _room_volume(self.room, planar)
-            if cfg.map.domain == "time":
-                scorer = make_time_scorer(feats, array)
-            else:
-                scorer = make_freq_scorer(feats, array)
-            runner = src_search if cfg.search.mode == "src" else refine_search
-            res = runner(scorer, region, cfg.search)
+            scorer = (make_time_scorer if cfg.map.domain == "time" else make_freq_scorer)(feats, array)
+            res = (src_search if cfg.search.mode == "src" else refine_search)(scorer, region, cfg.search)
             return EstimateSet(res.estimate[None, :], [res.score])
 
         estimates: list[tuple[np.ndarray, float]] = []
         grid, steering = self.grid, self.steering
-        region = _room_volume(self.room, planar) if self.room is not None else None
-        resolution = None
-        if cfg.grid.kind.startswith("cartesian"):
-            n_axes = 2 if planar else 3
-            resolution = np.broadcast_to(
-                np.asarray(cfg.grid.resolution, dtype=float), (n_axes,)
-            ).astype(float)
-        it = 0
-        while grid is not None and it < cfg.max_loop_iters:
+        resolution = _resolution3(cfg.grid.resolution, 2 if planar else 3) if contracts else None
+        for _ in range(cfg.max_loop_iters):
             if cfg.map.domain == "time":  # every pass searches its grid's cells
                 if steering is None:
                     steering = time_cells(grid, array)
@@ -407,10 +400,10 @@ class Plan:
                 res = argmax_search(self._build_map(grid, steering, feats))
                 best, score = res.estimate, res.score
             estimates.append((best, score))
-            # later passes grid a new region, so their steering is built per pass
             grid, region, resolution = _update_grid(cfg, best, region, resolution, planar)
-            steering = None
-            it += 1
+            if grid is None:
+                break
+            steering = None  # later passes grid a new region, so their steering is built per pass
         return EstimateSet.from_pairs(estimates)
 
 

@@ -9,12 +9,15 @@ steered at it, accumulated over microphone pairs:
   weighted          configurable per-frequency / per-pair combination
 
 Cartesian grids use exact TDOAs, DOA grids the far-field form; the two
-are never mixed within one map. Time and volumetric maps read one
-LagBlock per frame, frequency maps one SpectralBlock, rows in
-array.pairs() order, and take no other form. The time map reads each
-pair's lag window -D..D, D = round(max_tdoa * fs) + 1, the array's own
-bound (MicArray.lag_bounds), through a table of offsets rint(tau * fs)
-+ D, so a block cropped to +/-max D serves every map of the array. Every
+are never mixed within one map, which chooses by grid.is_doa, and the
+scorers (make_time_scorer, make_freq_scorer) steer positions only.
+Time and volumetric maps read one LagBlock per frame, frequency maps
+one SpectralBlock, rows in array.pairs() order, and take no other
+form. The time map reads each pair's lag window -D..D, D =
+round(max_tdoa * fs) + 1, the array's own bound (MicArray.lag_bounds),
+through a table of offsets rint(tau * fs) + D (lag_table, from
+geometry's tdoa_matrix), so a block cropped to +/-max D serves every
+map of the array. Every
 time score builds its points' table columns a block at a time and
 gathers them (_time_scores): srp_time_map and the scorers over all their
 points, time_argmax, which finds a batch of frames' argmaxes, over only
@@ -39,13 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import LagBlock, SpectralBlock, _equal_parts, _floor_weights
-from .geometry import (
-    MicArray,
-    MicPair,
-    far_field_tdoa_matrix,
-    max_tdoa,
-    tof_matrix,
-)
+from .geometry import MicArray, MicPair, far_field_tdoa_matrix, max_tdoa, tdoa_matrix, tof_matrix
 from .grids import _CORNERS, CandidateGrid, Volume, VolumeGrid
 
 
@@ -60,9 +57,6 @@ class EvalCounter:
         self.points = 0
         self.kernel_ops = 0
 
-    def snapshot(self) -> tuple[int, int]:
-        return (self.points, self.kernel_ops)
-
 
 #: global counter; reset() it around a measurement. Updated once per
 #: map build, or once per pass of a batch of frames by the frames' maps.
@@ -71,11 +65,10 @@ counter = EvalCounter()
 
 @dataclass
 class SrpMap:
-    """Scores over a candidate grid and the domain that produced them."""
+    """Finite scores over a candidate grid or volume grid, one per candidate, in grid order."""
 
     grid: CandidateGrid | VolumeGrid
     scores: np.ndarray
-    domain: str
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=float)
@@ -85,8 +78,6 @@ class SrpMap:
             )
         if not np.all(np.isfinite(self.scores)):
             raise ValueError("map scores must be finite")
-        if self.domain not in ("time", "frequency", "volumetric"):
-            raise ValueError(f"unknown map domain {self.domain!r}")
 
     @property
     def points(self) -> np.ndarray:
@@ -129,20 +120,13 @@ def lag_table(points: np.ndarray, array: MicArray, far_field: bool = False) -> n
     (D = array.lag_bounds), so row j
     indexes the lag window -D_j..D_j directly; the dtype is the smallest
     unsigned one holding 2 max D, uint16 for any room-sized array.
-    Near-field points take one mic-major tof_matrix pass and the pair
-    rows by consecutive-row subtraction, t[l] - t[l+1:] (see
-    MicArray.pair_rows), then one scale/rint/offset pass: tdoa_matrix's
-    float operations, bit for bit, so a point's column does not depend
-    on the other points.
+    The TDOAs are tdoa_matrix's (far_field_tdoa_matrix's for DOA
+    points), read pair-major through its transpose, then one
+    scale/rint/offset pass, so a point's column does not depend on the
+    other points.
     """
-    points, bounds = np.atleast_2d(np.asarray(points, dtype=float)), array.lag_bounds
-    if far_field:
-        tau = far_field_tdoa_matrix(points, array).T
-    else:
-        t = tof_matrix(points, array).T  # (M, n), C-contiguous
-        tau = np.empty((len(bounds), len(points)))
-        for l, rows in array.pair_rows():
-            np.subtract(t[l], t[l + 1:], out=tau[rows])
+    bounds = array.lag_bounds
+    tau = (far_field_tdoa_matrix if far_field else tdoa_matrix)(points, array).T
     tau *= array.sample_rate
     table = np.empty(tau.shape, dtype=np.min_scalar_type(2 * bounds.max()))
     np.add(np.rint(tau, out=tau), bounds[:, None], out=table, casting="unsafe")
@@ -565,14 +549,9 @@ def _window_argmax(cells: TimeCells, values: np.ndarray):
     return idx, best
 
 
-def srp_time_scores(
-    points: np.ndarray,
-    lags: LagBlock,
-    array: MicArray,
-    far_field: bool = False,
-) -> np.ndarray:
-    """Time-domain SRP at arbitrary points: nearest-lag projection."""
-    return make_time_scorer(lags, array, far_field)(points)
+def srp_time_scores(points: np.ndarray, lags: LagBlock, array: MicArray) -> np.ndarray:
+    """Time-domain SRP at arbitrary positions (n, 3): nearest-lag projection."""
+    return make_time_scorer(lags, array)(points)
 
 
 def srp_time_map(lags: LagBlock, grid: CandidateGrid, array: MicArray) -> SrpMap:
@@ -585,7 +564,7 @@ def srp_time_map(lags: LagBlock, grid: CandidateGrid, array: MicArray) -> SrpMap
     scores = _time_scores(grid, _pair_windows(_windows([lags], array), array), array, grid.is_doa)
     counter.points += len(grid)
     counter.kernel_ops += len(grid) * array.n_pairs
-    return SrpMap(grid, scores[:, 0], "time")
+    return SrpMap(grid, scores[:, 0])
 
 
 def _mic_delays(pts, array: MicArray, far_field: bool) -> np.ndarray:
@@ -719,16 +698,19 @@ def srp_freq_scores(
 
 def srp_freq_map(gccs: SpectralBlock, grid: CandidateGrid, array: MicArray) -> SrpMap:
     """Frequency-domain SRP map over a grid (far-field for DOA grids)."""
-    return SrpMap(grid, srp_freq_scores(grid.points, gccs, array, far_field=grid.is_doa), "frequency")
+    return SrpMap(grid, srp_freq_scores(grid.points, gccs, array, far_field=grid.is_doa))
 
 
-def make_time_scorer(lags: LagBlock, array: MicArray, far_field: bool = False):
-    """points (N, 3) -> time-domain SRP scores (N,); feeds searches and tracking. The block is checked and its lag windows cut once, here."""
+def make_time_scorer(lags: LagBlock, array: MicArray):
+    """positions (N, 3) -> time-domain SRP scores (N,); feeds searches and tracking.
+
+    The block is checked and its lag windows cut once, here.
+    """
     wins = _pair_windows(_windows([lags], array), array)
 
     def scorer(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        scores = _time_scores(pts, wins, array, far_field)[:, 0]
+        scores = _time_scores(pts, wins, array, False)[:, 0]
         counter.points += len(pts)
         counter.kernel_ops += len(pts) * len(wins)
         return scores
@@ -736,13 +718,16 @@ def make_time_scorer(lags: LagBlock, array: MicArray, far_field: bool = False):
     return scorer
 
 
-def make_freq_scorer(gccs: SpectralBlock, array: MicArray, far_field: bool = False):
-    """points (N, 3) -> frequency-domain SRP scores (N,); the block is checked and its coefficients laid out once, here."""
+def make_freq_scorer(gccs: SpectralBlock, array: MicArray):
+    """positions (N, 3) -> frequency-domain SRP scores (N,).
+
+    The block is checked and its coefficients laid out once, here.
+    """
     block = _spectral_block(gccs, array)
     coef = _freq_coefficients(block)
 
     def scorer(points: np.ndarray) -> np.ndarray:
-        return srp_freq_scores(points, block, array, far_field=far_field, _coef=coef)
+        return srp_freq_scores(points, block, array, _coef=coef)
 
     return scorer
 
@@ -852,7 +837,7 @@ def vsrp_map(
         scores += row
     counter.points += len(volume_grid)
     counter.kernel_ops += len(volume_grid) * P
-    return SrpMap(volume_grid, scores, "volumetric")
+    return SrpMap(volume_grid, scores)
 
 
 @dataclass
@@ -986,4 +971,4 @@ def wsrp_map(pfs: PairwiseFreqScores, cfg: WsrpConfig | None = None) -> SrpMap:
             scores = norm[0]
             for r in norm[1:]:
                 scores = _hamacher(scores, r)
-    return SrpMap(pfs.grid, scores, "frequency")
+    return SrpMap(pfs.grid, scores)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .features import FrameConfig, GccConfig, compute_spectral_gccs
 from .geometry import MicArray
+from .pipeline import MAX_STEERED_POINTS
 from .srp_core import make_freq_scorer
 
 
@@ -79,6 +80,8 @@ class TrackerConfig:
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"need q >= 1 particles, got {self.q}")
+        if self.q > MAX_STEERED_POINTS:
+            raise ValueError(f"q = {self.q} particles is over the cap of {MAX_STEERED_POINTS:,} steered points")
         if not self.kappa > 0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
         if not 0 < self.resample_fraction <= 1:
@@ -163,16 +166,14 @@ def update_weights(state: TrackerState, scorer, kappa: float = 1.0) -> TrackerSt
     return state
 
 
-def resample(state: TrackerState, seed: int | None = None) -> TrackerState:
-    """Systematic resampling; copy counts stay within 1 of Q * weight.
+def resample(state: TrackerState) -> TrackerState:
+    """Systematic resampling with the state's own RNG; copy counts stay within 1 of Q * weight.
 
-    Uses the state's own RNG unless a seed is given. Weights reset
-    to uniform.
+    Weights reset to uniform.
     """
-    rng = np.random.default_rng(seed) if seed is not None else state.rng
     q = state.q
     w = state.weights / state.weights.sum()
-    u = (rng.random() + np.arange(q)) / q
+    u = (state.rng.random() + np.arange(q)) / q
     edges = np.cumsum(w)
     edges[-1] = 1.0
     idx = np.searchsorted(edges, u)

@@ -331,10 +331,10 @@ def test_c7_complexity_law():
         pts = rng.uniform(0.3, room - 0.3, size=(g_size, 3))
         counter.reset()
         srp_freq_scores(pts, gccs, array)
-        exact &= counter.snapshot() == (g_size, g_size * pairs * n_bins)
+        exact &= (counter.points, counter.kernel_ops) == (g_size, g_size * pairs * n_bins)
         counter.reset()
         srp_time_scores(pts, lags, array)
-        exact &= counter.snapshot() == (g_size, g_size * pairs)
+        exact &= (counter.points, counter.kernel_ops) == (g_size, g_size * pairs)
 
     # wall clock for doubling G stays near 2x
     array, gccs, _, _ = setup(6, (0.0, 4000.0))

@@ -384,15 +384,15 @@ def test_pgm_export_reads_the_raster_shape_from_the_planar_lattice(tmp_path):
     refused, as is any grid but a cartesian2d one."""
     grid = cartesian_grid((4.0, 3.0), 1.0, planar=True)
     scores = np.arange(len(grid), dtype=float)
-    export_map_pgm(SrpMap(grid, scores, "time"), tmp_path / "map.pgm")
+    export_map_pgm(SrpMap(grid, scores), tmp_path / "map.pgm")
     img = parse_pgm(tmp_path / "map.pgm")
     want = np.round(scores / scores.max() * 255).astype(np.uint8).reshape(4, 3).T[::-1]
     assert np.array_equal(img, want)
     held = CandidateGrid("cartesian2d", grid.points)
     with pytest.raises(ValueError, match="grid is not a full x-y lattice"):
-        export_map_pgm(SrpMap(held, scores, "time"), tmp_path / "held.pgm")
+        export_map_pgm(SrpMap(held, scores), tmp_path / "held.pgm")
     with pytest.raises(ValueError, match="PGM export needs a planar cartesian2d grid"):
-        export_map_pgm(SrpMap(cartesian_grid((4.0, 3.0, 2.0), 1.0), np.zeros(24), "time"), tmp_path / "3d.pgm")
+        export_map_pgm(SrpMap(cartesian_grid((4.0, 3.0, 2.0), 1.0), np.zeros(24)), tmp_path / "3d.pgm")
 
 
 def test_pgm_export_of_a_non_planar_grid_fails_before_any_output(tmp_path, scene_dir, capsys):
@@ -464,7 +464,7 @@ def test_top_level_keys_come_from_the_command_config(tmp_path, capsys, command, 
 def test_csv_export_bytes(tmp_path):
     points = [[0.1, -0.0, 1e-20], [1.0 / 3.0, 2.5, 1e300], [7.0, -8.25, 123456789.0]]
     grid = CandidateGrid("cartesian3d", points)
-    export_map_csv(SrpMap(grid, [1e-20, -1.5e-7, -0.0], "time"), tmp_path / "m.csv")
+    export_map_csv(SrpMap(grid, [1e-20, -1.5e-7, -0.0]), tmp_path / "m.csv")
     assert (tmp_path / "m.csv").read_text() == (
         "x,y,z,score\n"
         "0.1,-0,1e-20,1e-20\n"
@@ -840,6 +840,14 @@ def _null_source_seed():
     return "simulate", cfg
 
 
+def _source_wav(path):
+    def make():
+        cfg = simulate_config()
+        cfg["simulate"]["sources"][0]["signal"] = {"wav": path}
+        return "simulate", cfg
+    return make
+
+
 def _non_integer_rate(make_config, command):
     def make():
         cfg = make_config()
@@ -890,7 +898,8 @@ def _volumes(counts):
      _localize_with(("array", "positions"), [[True, 0.0, 1.0], [0.0, 1.0, 1.0]]),
      _localize_with(("pipeline", "grid", "azimuth_res"), 1e-9, grid={"kind": "doa_azimuth"}),
      _tracker_with("q", 0), _tracker_with("kappa", 0.0), _tracker_with("resample_fraction", -3.0),
-     _tracker_with("resample_fraction", 1.5)],
+     _tracker_with("resample_fraction", 1.5),
+     _source_wav(5), _source_wav(None), _source_wav(["a.wav"])],
     ids=["frame_without_frame_len", "source_without_position", "null_max_iters",
          "null_frame_len", "number_tracker_band", "null_duration", "sources_not_a_list",
          "null_source_seed", "non_integer_rate_simulate", "non_integer_rate_localize",
@@ -898,7 +907,8 @@ def _volumes(counts):
          "fractional_max_loop_iters", "fractional_frame_len", "fractional_hop",
          "boolean_sample_rate", "volume_partition_too_large", "cartesian_grid_too_large",
          "boolean_in_positions", "doa_grid_too_large", "zero_particles", "zero_kappa",
-         "negative_resample_fraction", "resample_fraction_above_one"],
+         "negative_resample_fraction", "resample_fraction_above_one",
+         "number_source_wav", "null_source_wav", "list_source_wav"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, make):
     command, cfg = make()

@@ -15,6 +15,10 @@ nothing, so each name is reached from its own module only.
 A name that is also a public attribute of np.ndarray or of a builtin
 type (``copy``, ``take``, ``index``) cannot be told from those by its
 tokens, so it passes only with an ALLOWED entry that says who calls it.
+
+Knobs get the same guard: an optional parameter of a public
+module-level function is passed by some call outside the tests, or
+UNPASSED says why it stays.
 """
 
 import ast
@@ -33,8 +37,16 @@ ALLOWED = {
     "to_unit": "SphericalDirection's conversion that C2 reads",
     "stationary_velocity_var": "the Langevin prior's stationary variance that C10 checks",
     "tdoa_far_field": "the scalar oracle that far_field_tdoa_matrix is tested against",
-    "snapshot": "kept for the per-run stats object that replaces the global counter",
     "take": "CandidateGrid.take and VolumeGrid.take: the searches' grid.take(idx), as ndarray.take",
+}
+
+
+#: (function, parameter) -> why an optional parameter that no call outside the tests passes stays
+UNPASSED = {
+    ("lag_block", "reach"): "the public form of the pipeline's cropped block (_lags_of's reach)",
+    ("tdoa_bounds", "guard"): "tdoa_bounds stays for perfbench's tracer, volume_tdoa_bounds' one-box view, guard and all",
+    ("x_srp", "room"): "x_srp is the README's one-call pipeline, which DOA grids run without a room",
+    ("x_srp", "cfg"): "x_srp is the README's one-call pipeline, whose default config is PipelineConfig()",
 }
 
 
@@ -110,3 +122,49 @@ def test_package_root_imports_nothing():
     tree = ast.parse((SRC / "__init__.py").read_text())
     imports = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not imports, f"import statements in xsrp/__init__.py at lines {imports}"
+
+
+def optional_params() -> dict[str, list[tuple[str, int | None]]]:
+    """Each public module-level function's optional parameters, (name, position or None if keyword-only)."""
+    params: dict[str, list[tuple[str, int | None]]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                params[node.name] = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+                params[node.name] += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return params
+
+
+def called_names(func) -> list[str]:
+    """The function names a call's callee may be: a name, an attribute, or either branch of a conditional."""
+    if isinstance(func, ast.Name):
+        return [func.id]
+    if isinstance(func, ast.Attribute):
+        return [func.attr]
+    if isinstance(func, ast.IfExp):
+        return called_names(func.body) + called_names(func.orelse)
+    return []
+
+
+def test_every_optional_parameter_is_passed_by_some_caller():
+    """An optional parameter of a public module-level function is passed, by keyword or position, by
+    some call in the package, ``demos/`` or ``perfbench/`` (a ``*args`` or ``**kwargs`` call passes
+    them all), or it is in UNPASSED with the reason it stays."""
+    params = optional_params()
+    assert set(UNPASSED) <= {(f, p) for f, ps in params.items() for p, _ in ps}, "UNPASSED names a missing parameter"
+    passed: set[tuple[str, str]] = set()
+    files = [p for d in (SRC, ROOT / "demos", ROOT / "perfbench") for p in sorted(d.glob("*.py"))]
+    for path in files:
+        for call in (n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)):
+            n_pos = len(call.args)
+            every = any(isinstance(x, ast.Starred) for x in call.args) or any(k.arg is None for k in call.keywords)
+            words = {k.arg for k in call.keywords}
+            for name in called_names(call.func):
+                for p, i in params.get(name, ()):
+                    if every or p in words or i is not None and i < n_pos:
+                        passed.add((name, p))
+    unpassed = [f"{f}({p})" for f, ps in params.items() for p, _ in ps if (f, p) not in passed | set(UNPASSED)]
+    assert not unpassed, f"optional parameters that no call outside the tests passes: {', '.join(unpassed)}"

@@ -158,6 +158,21 @@ def test_validate_bounds_the_grid_before_building_it():
     refine = PipelineConfig(grid=GridSpec(resolution=0.03), search=SearchConfig(mode="refine"))
     assert validate_config(refine, room=ROOM) == []
 
+    # but a round is capped: src samples points_per_iter points, refine scores up to 8 children of each of top_k cells
+    def search_diags(**search):
+        return validate_config(PipelineConfig(search=SearchConfig(**search)), room=ROOM)
+
+    assert search_diags(mode="src", points_per_iter=MAX_STEERED_POINTS) == []
+    assert search_diags(mode="refine", top_k=MAX_STEERED_POINTS // 8) == []
+    assert len(search_diags(mode="src", points_per_iter=MAX_STEERED_POINTS + 1)) == 1
+    assert len(search_diags(mode="refine", top_k=MAX_STEERED_POINTS // 8 + 1)) == 1
+    assert search_diags(mode="src", points_per_iter=1_500_000) == [
+        "a src round would steer 1.5e+06 points, over the cap of 1,000,000"
+    ]
+    assert search_diags(mode="refine", top_k=10**14) == [
+        "a refine round would steer 8e+14 points, over the cap of 1,000,000"
+    ]
+
 
 def test_validate_bounds_doa_grids_before_building_them():
     # n_az azimuths on each ring between the poles and one point per pole, counted from the spec
@@ -424,10 +439,10 @@ def test_prepared_plan_reused_across_frames_matches_x_srp(scene, name):
         frames = frame_stack(signals, FrameConfig(2048, 2048), i)
         counter.reset()
         got = plan.run(frames)
-        got_counts = counter.snapshot()
+        got_counts = (counter.points, counter.kernel_ops)
         counter.reset()
         want = x_srp(frames, array, room=ROOM, cfg=cfg)
-        assert counter.snapshot() == got_counts
+        assert (counter.points, counter.kernel_ops) == got_counts
         assert np.array_equal(got.positions, want.positions)
         assert np.array_equal(got.scores, want.scores)
 
@@ -456,7 +471,7 @@ def test_plan_map_reuses_the_last_run_block(scene, name, monkeypatch):
     got = plan.map()
     assert calls == []  # no GCCs recomputed
     grid = plan.grid
-    assert counter.snapshot() == (len(grid), len(grid) * array.n_pairs)  # one build
+    assert (counter.points, counter.kernel_ops) == (len(grid), len(grid) * array.n_pairs)  # one build
     # the first-round map of the frame: de-emphasis notched a copy of the block
     if cfg.map.domain == "time":
         want = srp_time_map(lags_of(scene), grid, array)

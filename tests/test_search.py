@@ -34,7 +34,7 @@ def test_argmax_search_picks_max_and_ties_lowest_index():
     grid = CandidateGrid(
         "cartesian3d", np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
     )
-    m = SrpMap(grid, np.array([1.0, 5.0, 5.0, 2.0]), "time")
+    m = SrpMap(grid, np.array([1.0, 5.0, 5.0, 2.0]))
     r = argmax_search(m)
     np.testing.assert_array_equal(r.estimate, [1.0, 0.0, 0.0])
     assert r.score == 5.0
@@ -45,7 +45,7 @@ def test_argmax_search_picks_max_and_ties_lowest_index():
 
 def test_exhaustive_on_bump_matches_grid_argmax():
     grid = cartesian_grid((5.0, 4.0, 3.0), 0.5)
-    m = SrpMap(grid, bump(grid.points), "time")
+    m = SrpMap(grid, bump(grid.points))
     r = argmax_search(m)
     expected = grid.points[np.argmax(bump(grid.points))]
     np.testing.assert_array_equal(r.estimate, expected)
