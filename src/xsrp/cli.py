@@ -7,9 +7,11 @@ into its dataclass (SimulateConfig, LocalizeConfig, TrackConfig),
 whose sections are dataclasses too: ArraySpec, FrameConfig,
 SimulateSpec with SourceSpec, PipelineConfig and TrackerConfig. Each
 key is a field, typed by its annotation and defaulted there; unknown
-keys and omitted required ones are rejected. Every run writes a
-manifest (the resolved config, input hashes, package version, timing)
-sufficient to reproduce it.
+keys and omitted required ones are rejected. Every command runs in
+one shell (_run): it times the run, loads the config, does the
+command's own work (_simulate, _localize, _track), writes the manifest
+(the resolved config, input hashes, package version, timing)
+sufficient to reproduce it, and prints the command's summary line.
 
 Exit codes: 0 success, 1 usage or config error, 2 I/O error,
 3 numerical failure.
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .features import FrameConfig, n_frames
+from .features import FrameConfig, _band_mask, _half_band, n_frames
 from .geometry import SPEED_OF_SOUND, MicArray, tdoa
 from .io_utils import (
     WavReader,
@@ -107,16 +109,6 @@ class TrackConfig:
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
 
 
-def _load_config(path, cls):
-    """The JSON config file at path, parsed into the command dataclass cls."""
-    try:
-        with open(path) as f:
-            d = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"invalid JSON in {path}: {e}") from e
-    return config_from_dict(d, cls, "config")
-
-
 def _write_manifest(path, command: str, config, inputs: list, outputs: list,
                     wall_seconds: float) -> None:
     manifest = {
@@ -150,9 +142,7 @@ def _source_signal(spec, n_samples: int, fs: float, base_dir: Path, seed: int):
     raise ConfigError(f"source signal must be 'white', 'pink' or {{'wav': path}}, got {spec!r}")
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load_config(args.config, SimulateConfig)
+def _simulate(args, cfg: SimulateConfig):
     array, sim, room = cfg.array.mic_array(), cfg.simulate, cfg.room
     n = int(round(sim.duration_s * array.sample_rate))
     base_dir = Path(args.config).resolve().parent
@@ -184,16 +174,14 @@ def cmd_simulate(args) -> int:
     truth_path = out_dir / "ground_truth.json"
     with open(truth_path, "w") as f:
         json.dump(truth, f, indent=2)
-    _write_manifest(
-        out_dir / "manifest.json", "simulate", cfg, [args.config],
-        [wav_path, truth_path], time.perf_counter() - t0,
-    )
-    print(f"wrote {wav_path} ({signals.shape[0]} ch, {signals.shape[1]} samples)")
-    return 0
+    summary = f"wrote {wav_path} ({signals.shape[0]} ch, {signals.shape[1]} samples)"
+    return out_dir / "manifest.json", [args.config], [wav_path, truth_path], summary
 
 
-def _check_scene(wav: WavReader, path, array: MicArray, frame_cfg: FrameConfig) -> int:
-    """The number of whole frames of the scene WAV at path, once its header fits the array."""
+def _check_scene(wav: WavReader, path, array: MicArray, frame_cfg: FrameConfig,
+                 band: tuple[float, float] | None) -> int:
+    """The number of whole frames of the scene WAV at path, once its header fits the array
+    and the feature band holds a bin of the frames' 2L-point DFT (as features._mic_spectra counts them)."""
     if wav.sample_rate != array.sample_rate:
         raise OSError(f"{path}: sample rate {wav.sample_rate} != configured {array.sample_rate}")
     if wav.n_channels != array.n_mics:
@@ -201,12 +189,14 @@ def _check_scene(wav: WavReader, path, array: MicArray, frame_cfg: FrameConfig) 
     total = n_frames(wav.n_samples, frame_cfg)
     if total == 0:
         raise OSError(f"{path}: shorter than one frame ({frame_cfg.frame_len})")
+    n = 2 * frame_cfg.frame_len
+    bins = _half_band(_band_mask(np.fft.fftfreq(n, d=1.0 / array.sample_rate), band, array.sample_rate))
+    if bins.stop == bins.start:
+        raise ConfigError(f"band {band} Hz holds no bin of the {n}-point DFT at {array.sample_rate:g} Hz")
     return total
 
 
-def cmd_localize(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load_config(args.config, LocalizeConfig)
+def _localize(args, cfg: LocalizeConfig):
     pipe, frame_cfg = cfg.pipeline, cfg.frame
     pgm = str(args.export_map).endswith(".pgm")  # False without --export-map
     if pgm and pipe.grid.kind != "cartesian2d":
@@ -215,7 +205,7 @@ def cmd_localize(args) -> int:
     plan = prepare(array, cfg.room, pipe)
     records = []
     with WavReader(args.input) as wav:
-        total = _check_scene(wav, args.input, array, frame_cfg)
+        total = _check_scene(wav, args.input, array, frame_cfg, plan.gcc.band)
         for i, est in enumerate(plan.stream(wav.frames(frame_cfg))):  # read hop by hop, run in batches
             t_end = (i * frame_cfg.hop + frame_cfg.frame_len) / array.sample_rate
             records.append({"frame": i, "t_seconds": t_end, "estimates": est.records()})
@@ -228,27 +218,38 @@ def cmd_localize(args) -> int:
         else:
             export_map_csv(srp, args.export_map)
         outputs.append(args.export_map)
-    _write_manifest(
-        str(args.out) + ".manifest.json", "localize", cfg, [args.config, args.input],
-        outputs, time.perf_counter() - t0,
-    )
-    print(f"wrote {args.out} ({total} frames)")
-    return 0
+    summary = f"wrote {args.out} ({total} frames)"
+    return str(args.out) + ".manifest.json", [args.config, args.input], outputs, summary
 
 
-def cmd_track(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _load_config(args.config, TrackConfig)
+def _track(args, cfg: TrackConfig):
     array = cfg.array.mic_array()
     with WavReader(args.input) as wav:
-        _check_scene(wav, args.input, array, cfg.frame)
+        _check_scene(wav, args.input, array, cfg.frame, cfg.tracker.band)
         points = track(wav.frames(cfg.frame), array, cfg.room, cfg.frame, cfg.tracker)
     write_jsonl([p.as_record() for p in points], args.out)
-    _write_manifest(
-        str(args.out) + ".manifest.json", "track", cfg, [args.config, args.input],
-        [args.out], time.perf_counter() - t0,
-    )
-    print(f"wrote {args.out} ({len(points)} frames)")
+    summary = f"wrote {args.out} ({len(points)} frames)"
+    return str(args.out) + ".manifest.json", [args.config, args.input], [args.out], summary
+
+
+def _run(args) -> int:
+    """The shell of every command: load its config, do its work, write its manifest, print its summary.
+
+    The JSON config file is parsed into the command's dataclass
+    (``args.config_cls``); ``args.work(args, cfg)`` returns (manifest
+    path, inputs, outputs, summary line). The manifest's wall time
+    covers the config load too.
+    """
+    t0 = time.perf_counter()
+    try:
+        with open(args.config) as f:
+            d = json.load(f)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"invalid JSON in {args.config}: {e}") from e
+    cfg = config_from_dict(d, args.config_cls, "config")
+    manifest, inputs, outputs, summary = args.work(args, cfg)
+    _write_manifest(manifest, args.command, cfg, inputs, outputs, time.perf_counter() - t0)
+    print(summary)
     return 0
 
 
@@ -262,20 +263,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize a scene WAV plus ground truth")
     p.add_argument("-c", "--config", required=True, help="JSON scene config")
     p.add_argument("-o", "--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(config_cls=SimulateConfig, work=_simulate)
 
     p = sub.add_parser("localize", help="per-frame localization from a WAV")
     p.add_argument("-c", "--config", required=True, help="JSON pipeline config")
     p.add_argument("-i", "--input", required=True, help="M-channel scene WAV")
     p.add_argument("-o", "--out", required=True, help="output JSON-lines file")
     p.add_argument("--export-map", default=None, help="also export the last frame's map (.csv or .pgm)")
-    p.set_defaults(func=cmd_localize)
+    p.set_defaults(config_cls=LocalizeConfig, work=_localize)
 
     p = sub.add_parser("track", help="particle-filter tracking from a WAV")
     p.add_argument("-c", "--config", required=True, help="JSON tracker config")
     p.add_argument("-i", "--input", required=True, help="M-channel scene WAV")
     p.add_argument("-o", "--out", required=True, help="output JSON-lines trajectory")
-    p.set_defaults(func=cmd_track)
+    p.set_defaults(config_cls=TrackConfig, work=_track)
     return parser
 
 
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors; exit code 1 is ours for usage/config
         return 0 if e.code in (0, None) else 1
     try:
-        return args.func(args)
+        return _run(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

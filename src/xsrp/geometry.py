@@ -2,8 +2,11 @@
 
 All positions are Cartesian, in meters, with the room corner at the
 origin. Times are seconds. The functions here are pure and take a
-point as any array-like of shape (3,); the batch helpers take (N, 3)
-arrays and are what the map builders use internally.
+point as any array-like of shape (3,); the batch helpers (tof_matrix,
+tdoa_matrix) take (N, 3) arrays and are what the map builders use
+internally. They are where near or far field is chosen: with
+``far_field`` the points are unit bearings of plane waves; maps and
+de-emphasis pass grid.is_doa as that flag.
 """
 
 from __future__ import annotations
@@ -171,16 +174,23 @@ def max_tdoa(pair: MicPair, array: MicArray) -> float:
     return float(np.linalg.norm(baseline) / array.speed_of_sound)
 
 
-def tof_matrix(points: np.ndarray, array: MicArray) -> np.ndarray:
-    """Times of flight from each of N points to each mic, shape (N, M).
+def tof_matrix(points: np.ndarray, array: MicArray, far_field: bool = False) -> np.ndarray:
+    """Delays from each of N points to each mic, shape (N, M): times of flight, or plane-wave offsets.
 
-    The transpose of a mic-major (M, N) array, so ``tof_matrix(...).T``
-    is C-contiguous, built one mic row at a time from (N,) coordinate
-    columns. The sum dx*dx + dy*dy + dz*dz runs in
+    Near field: the transpose of a mic-major (M, N) array, so
+    ``tof_matrix(...).T`` is C-contiguous, built one mic row at a time
+    from (N,) coordinate columns. The sum dx*dx + dy*dy + dz*dz runs in
     ``np.linalg.norm(..., axis=1)``'s order, so the distances equal that
-    formula's bit for bit.
+    formula's bit for bit. Far field: the points are unit bearings d
+    (unit-norm within 1e-9), and the delays are the plane-wave arrival
+    offsets -(d . v_m) / c, whose pair differences are the far-field TDOAs.
     """
-    x, y, z = np.atleast_2d(np.asarray(points, dtype=float)).T.copy()
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if far_field:
+        if np.any(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > _UNIT_TOL):
+            raise ValueError("all directions must be unit-norm within 1e-9")
+        return -(pts @ array.positions.T) / array.speed_of_sound
+    x, y, z = pts.T.copy()
     t = np.empty((array.n_mics, len(x)))
     for row, (vx, vy, vz) in zip(t, array.positions):
         dx, dy, dz = x - vx, y - vy, z - vz
@@ -189,26 +199,15 @@ def tof_matrix(points: np.ndarray, array: MicArray) -> np.ndarray:
     return t.T
 
 
-def tdoa_matrix(points: np.ndarray, array: MicArray) -> np.ndarray:
-    """Exact TDOAs for each of N points over all pairs, shape (N, P).
+def tdoa_matrix(points: np.ndarray, array: MicArray, far_field: bool = False) -> np.ndarray:
+    """TDOAs for each of N points over all pairs, shape (N, P): exact, or far-field for unit bearings.
 
-    The transpose of a pair-major (P, N) array, as tof_matrix's: mic l's
-    pair rows are one subtraction t_l - t_{l+1..M-1} (MicArray.pair_rows).
+    The pair differences t_l - t_m of tof_matrix's delays, laid out as
+    the transpose of a pair-major (P, N) array: mic l's pair rows are
+    one subtraction t_l - t_{l+1..M-1} (MicArray.pair_rows).
     """
-    t = tof_matrix(points, array).T  # (M, N), C-contiguous
+    t = tof_matrix(points, array, far_field).T  # (M, N)
     tau = np.empty((array.n_pairs, t.shape[1]))
     for l, rows in array.pair_rows():
         np.subtract(t[l], t[l + 1:], out=tau[rows])
     return tau.T
-
-
-def far_field_tdoa_matrix(directions: np.ndarray, array: MicArray) -> np.ndarray:
-    """Far-field TDOAs for N unit directions over all pairs, shape (N, P)."""
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-        raise ValueError("all directions must be unit-norm within 1e-9")
-    baselines = np.stack(
-        [array.positions[p.m] - array.positions[p.l] for p in array.pairs()]
-    )  # (P, 3)
-    return dirs @ baselines.T / array.speed_of_sound

@@ -339,11 +339,8 @@ def intersect_volumes(a: Volume, b: Volume) -> Volume:
 
 
 def partition_room(room_dims, counts=(2, 2, 2)) -> VolumeGrid:
-    """Tile a room box into counts[0] x counts[1] x counts[2] volumes."""
-    dims = np.asarray(room_dims, dtype=float).reshape(3)
-    if np.any(dims <= 0):
-        raise ValueError(f"room dimensions must be positive, got {dims}")
-    region = Volume.from_bounds(np.zeros(3), dims)
+    """Tile a room box (_room_box) into counts[0] x counts[1] x counts[2] volumes."""
+    region = _room_box(room_dims)
     centers, child_half = _cells(region, counts)
     return VolumeGrid.from_arrays(centers, np.broadcast_to(child_half, centers.shape), region)
 

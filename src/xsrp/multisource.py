@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import LagBlock, SpectralBlock, _band_lags, half_from_lags
-from .geometry import MicArray, far_field_tdoa_matrix, tdoa_matrix
+from .geometry import MicArray, tdoa_matrix
 from .grids import CandidateGrid
 from .search import argmax_search
 from .srp_core import TimeCells, _window_argmax, _window_column, _window_lags, srp_freq_map, time_cells
@@ -188,7 +188,7 @@ def _extend(found: list, point: np.ndarray, score: float, cfg: MultiConfig) -> b
 
 def _tdoa_hat(point: np.ndarray, grid: CandidateGrid, array: MicArray) -> np.ndarray:
     """The (P,) TDOAs of an accepted peak, far-field on a DOA grid."""
-    return (far_field_tdoa_matrix if grid.is_doa else tdoa_matrix)(point[None, :], array)[0]
+    return tdoa_matrix(point[None, :], array, grid.is_doa)[0]
 
 
 def localize_multi(

@@ -518,9 +518,13 @@ def _value(tp, v, section: str, key: str):
     if tp in (float, np.ndarray) and _has_bool(v):
         raise ConfigError(f"{key!r} in {section!r} must be a number, got {v!r}")
     try:
-        return np.asarray(v, dtype=float) if tp is np.ndarray else tp(v)
+        value = np.asarray(v, dtype=float) if tp is np.ndarray else tp(v)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{key!r} in {section!r}: not a number: {v!r}") from e
+    # JSON's NaN and "nan" are refused; inf stays (a pair weight of inf excludes the pair)
+    if tp in (float, np.ndarray) and np.isnan(value).any():
+        raise ConfigError(f"{key!r} in {section!r}: not a number: {v!r}")
+    return value
 
 
 def _has_bool(v) -> bool:  # at any nesting depth of a JSON value

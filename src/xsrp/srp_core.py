@@ -9,7 +9,8 @@ steered at it, accumulated over microphone pairs:
   weighted          configurable per-frequency / per-pair combination
 
 Cartesian grids use exact TDOAs, DOA grids the far-field form; the two
-are never mixed within one map, which chooses by grid.is_doa, and the
+are never mixed within one map, which passes grid.is_doa to geometry's
+tof_matrix or tdoa_matrix (the one place that chooses), and the
 scorers (make_time_scorer, make_freq_scorer) steer positions only.
 Time and volumetric maps read one LagBlock per frame, frequency maps
 one SpectralBlock, rows in array.pairs() order, and take no other
@@ -26,12 +27,13 @@ interval over the box, can reach the best score found. The frequency map
 evaluates each pair's polynomial in the block's uniform DFT bins exactly
 by baby-step giant-step: per block of points, one matrix product per
 pair and about 2 sqrt(K) array passes for K bins, steered by per-mic
-phasors (2 M complex exponentials per point). A module-level counter
-tracks candidate scorings and steering-kernel evaluations so complexity
-claims can be checked: each frame's map, alone or in a batch, adds G
-points and G * P kernel ops (time, volumetric; for time_argmax, those of
-the map it certifies) or G * P * |F| (frequency), |F| the in-band bin
-count: the complexity model's unit, not a count of multiplies.
+phasors (2 M complex exponentials per point). A module-level counter,
+written by _count alone, tracks candidate scorings and steering-kernel
+evaluations so complexity claims can be checked: each frame's map,
+alone or in a batch, adds G points and G * P kernel ops (time,
+volumetric; for time_argmax, those of the map it certifies) or
+G * P * |F| (frequency), |F| the in-band bin count: the complexity
+model's unit, not a count of multiplies.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import LagBlock, SpectralBlock, _equal_parts, _floor_weights
-from .geometry import MicArray, MicPair, far_field_tdoa_matrix, max_tdoa, tdoa_matrix, tof_matrix
+from .geometry import MicArray, MicPair, max_tdoa, tdoa_matrix, tof_matrix
 from .grids import _CORNERS, CandidateGrid, Volume, VolumeGrid
 
 
@@ -59,8 +61,15 @@ class EvalCounter:
 
 
 #: global counter; reset() it around a measurement. Updated once per
-#: map build, or once per pass of a batch of frames by the frames' maps.
+#: map build, or once per pass of a batch of frames by the frames' maps,
+#: through _count alone.
 counter = EvalCounter()
+
+
+def _count(points: int, kernel_ops: int) -> None:
+    """Add candidate scorings and steering-kernel evaluations to the counter: its one writer."""
+    counter.points += points
+    counter.kernel_ops += kernel_ops
 
 
 @dataclass
@@ -120,13 +129,13 @@ def lag_table(points: np.ndarray, array: MicArray, far_field: bool = False) -> n
     (D = array.lag_bounds), so row j
     indexes the lag window -D_j..D_j directly; the dtype is the smallest
     unsigned one holding 2 max D, uint16 for any room-sized array.
-    The TDOAs are tdoa_matrix's (far_field_tdoa_matrix's for DOA
-    points), read pair-major through its transpose, then one
+    The TDOAs are tdoa_matrix's (far-field for DOA points, as
+    ``far_field``), read pair-major through its transpose, then one
     scale/rint/offset pass, so a point's column does not depend on the
     other points.
     """
     bounds = array.lag_bounds
-    tau = (far_field_tdoa_matrix if far_field else tdoa_matrix)(points, array).T
+    tau = tdoa_matrix(points, array, far_field).T
     tau *= array.sample_rate
     table = np.empty(tau.shape, dtype=np.min_scalar_type(2 * bounds.max()))
     np.add(np.rint(tau, out=tau), bounds[:, None], out=table, casting="unsafe")
@@ -534,8 +543,7 @@ def _window_argmax(cells: TimeCells, values: np.ndarray):
     """
     wins = _pair_windows(values, cells.array)
     G, F = len(cells.grid), values.shape[1]
-    counter.points += G * F
-    counter.kernel_ops += G * len(wins) * F
+    _count(G * F, G * len(wins) * F)
     upper = _cell_bounds(cells.query, wins, _window_amax(values))
     C = len(upper)
     seeds = np.zeros(C, dtype=bool)
@@ -562,17 +570,8 @@ def srp_time_map(lags: LagBlock, grid: CandidateGrid, array: MicArray) -> SrpMap
     (_time_scores): the exhaustive map that time_argmax searches.
     """
     scores = _time_scores(grid, _pair_windows(_windows([lags], array), array), array, grid.is_doa)
-    counter.points += len(grid)
-    counter.kernel_ops += len(grid) * array.n_pairs
+    _count(len(grid), len(grid) * array.n_pairs)
     return SrpMap(grid, scores[:, 0])
-
-
-def _mic_delays(pts, array: MicArray, far_field: bool) -> np.ndarray:
-    if far_field:
-        # per-mic arrival offsets for a plane wave from bearing d;
-        # differences give the far-field pair TDOAs
-        return -(pts @ array.positions.T) / array.speed_of_sound  # (g, M)
-    return tof_matrix(pts, array)
 
 
 #: most points per block of srp_freq_scores, and most pair-points per
@@ -652,7 +651,7 @@ def srp_freq_scores(
         phase = 2j * math.pi * df
         edges = _equal_parts(G, _FREQ_BLOCK)
         for i, j in zip(edges[:-1], edges[1:]):
-            t = np.ascontiguousarray(_mic_delays(pts[i:j], array, far_field).T)  # (M, g)
+            t = np.ascontiguousarray(tof_matrix(pts[i:j], array, far_field).T)  # (M, g)
             w = np.multiply(t, phase)  # e^{j 2 pi df t}
             np.exp(w, out=w)
             w0 = np.multiply(t, phase * block.band.start)  # e^{j 2 pi f_lo t}
@@ -691,8 +690,7 @@ def srp_freq_scores(
                     np.multiply(q[0], z, out=q[0])
                     for r in qn.real:
                         acc += r
-    counter.points += G
-    counter.kernel_ops += G * len(block.pairs) * int(np.count_nonzero(block.in_band))
+    _count(G, G * len(block.pairs) * int(np.count_nonzero(block.in_band)))
     return scores
 
 
@@ -711,8 +709,7 @@ def make_time_scorer(lags: LagBlock, array: MicArray):
     def scorer(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         scores = _time_scores(pts, wins, array, False)[:, 0]
-        counter.points += len(pts)
-        counter.kernel_ops += len(pts) * len(wins)
+        _count(len(pts), len(pts) * len(wins))
         return scores
 
     return scorer
@@ -835,8 +832,7 @@ def vsrp_map(
     scores = np.zeros(len(volume_grid))
     for row in pooled:  # pairs combine in pairs() order
         scores += row
-    counter.points += len(volume_grid)
-    counter.kernel_ops += len(volume_grid) * P
+    _count(len(volume_grid), len(volume_grid) * P)
     return SrpMap(volume_grid, scores)
 
 
@@ -907,14 +903,13 @@ def pairwise_freq_scores(
     np.conjugate(rows, out=rows, where=bins > n // 2)
     pts = grid.points
     # factored per mic, tau_lm = tau_l - tau_m: e^{+j 2 pi f tau_lm} per pair
-    delays = _mic_delays(pts, array, grid.is_doa)
+    delays = tof_matrix(pts, array, grid.is_doa)
     phases = np.exp((2j * math.pi) * delays[:, :, None] * freqs[None, None, :])  # (G, M, F)
     tensor = np.empty((len(pairs), len(pts), len(freqs)))
     for j, pair in enumerate(pairs):
         steer = phases[:, pair.l, :] * np.conj(phases[:, pair.m, :])
         tensor[j] = (steer * rows[j][None, :]).real
-    counter.points += len(pts)
-    counter.kernel_ops += len(pts) * len(pairs) * len(freqs)
+    _count(len(pts), len(pts) * len(pairs) * len(freqs))
     return PairwiseFreqScores(tensor, pairs, freqs, grid)
 
 

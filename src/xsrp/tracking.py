@@ -150,14 +150,21 @@ def predict(state: TrackerState, params: LangevinParams, room_dims) -> TrackerSt
 def update_weights(state: TrackerState, scorer, kappa: float = 1.0) -> TrackerState:
     """Reweight particles by max(score, 0)^kappa, normalized.
 
-    If every score is non-positive the weights reset to uniform and
-    a warning is raised (the frame carries no usable evidence).
+    Where those powers sum to inf or underflow to 0, they are taken
+    relative to the best score, (s / max s)^kappa: the same weights in
+    exact arithmetic, finite whenever some score is positive. If every
+    score is non-positive the weights reset to uniform and a warning is
+    raised (the frame carries no usable evidence).
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
-    scores = np.asarray(scorer(state.positions), dtype=float)
-    w = np.clip(scores, 0.0, None) ** kappa
+    s = np.clip(np.asarray(scorer(state.positions), dtype=float), 0.0, None)
+    with np.errstate(over="ignore"):
+        w = s**kappa
     total = w.sum()
+    if not 0 < total < math.inf and s.max() > 0:
+        w = (s / s.max()) ** kappa
+        total = w.sum()
     if not total > 0:
         warnings.warn("all particle scores non-positive; resetting to uniform weights")
         state.weights = np.full(state.q, 1.0 / state.q)
@@ -223,8 +230,6 @@ def track(blocks: Iterable[np.ndarray], array: MicArray, room_dims, frame_cfg: F
     state = init_state(room_dims, cfg.q, cfg.seed)
     points: list[TrackPoint] = []
     for frames in blocks:  # no enumerate: its reused result tuple would hold each frame into the kernel
-        if frames.shape[0] != array.n_mics:
-            raise ValueError(f"signal has {frames.shape[0]} channels for {array.n_mics} microphones")
         gccs = compute_spectral_gccs(frames, array, gcc_cfg)
         del frames  # the samples go before the kernel runs, its features before the next frame
         scorer = make_freq_scorer(gccs, array)

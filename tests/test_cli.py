@@ -363,6 +363,62 @@ def test_a_wav_shorter_than_one_frame_is_an_io_error(tmp_path, capsys):
     assert not (tmp_path / "o.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["localize", "track"])
+def test_a_band_with_no_dft_bin_is_a_config_error(tmp_path, scene_dir, capsys, command):
+    """9-12 kHz lies above the 8 kHz Nyquist limit of a 16 kHz scene: no bin of the
+    frames' DFT is in band, so there is no evidence to localize or track from."""
+    cfg = localize_config() if command == "localize" else track_config()
+    (cfg["pipeline"]["features"] if command == "localize" else cfg["tracker"])["band"] = [9000.0, 12000.0]
+    path = write_config(tmp_path / f"{command}.json", cfg)
+    out = tmp_path / "o.jsonl"
+    assert main([command, "-c", path, "-i", str(scene_dir / "scene.wav"), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "no bin" in err
+    assert not out.exists()
+
+
+def _bearing(az_deg, el_deg):
+    az, el = np.radians(az_deg), np.radians(el_deg)
+    return np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
+
+
+#: a compact 6-mic array (radius 0.12 m, z +/-0.05 m) at the centre of a 20 x 20 x 10 m room
+DOA_CENTRE = np.array([10.0, 10.0, 5.0])
+DOA_MICS = [[10.0 + 0.12 * np.cos(k * np.pi / 3), 10.0 + 0.12 * np.sin(k * np.pi / 3), 5.0 + (0.05 if k % 2 else -0.05)]
+            for k in range(6)]
+
+
+@pytest.mark.parametrize("domain", ["time", "frequency"])
+@pytest.mark.parametrize("n_sources, steps", [(1, 3), (2, 4)])
+def test_doa_localize_finds_each_bearing(tmp_path, domain, n_sources, steps):
+    """Far-field steering end to end: sources 6 m from a compact array, between the
+    nodes of a 2-degree azimuth-elevation grid. Each true bearing is matched by an
+    estimate of every frame within ``steps`` grid steps (over seeds 0-5 the worst
+    errors were 3.9 and 0.7 degrees with one source, 4.8 and 1.8 with two, time and
+    frequency maps)."""
+    bearings = [_bearing(37.3, 21.7), _bearing(203.1, -8.9)][:n_sources]
+    sim = {"array": {"positions": DOA_MICS, "sample_rate": FS}, "room": [20.0, 20.0, 10.0],
+           "simulate": {"duration_s": 0.6, "snr_db": 20.0, "seed": 0,
+                        "sources": [{"position": list(DOA_CENTRE + 6.0 * b)} for b in bearings]}}
+    assert main(["simulate", "-c", write_config(tmp_path / "sim.json", sim), "-o", str(tmp_path / "scene")]) == 0
+    step = np.radians(2.0)
+    loc = {"array": {"positions": DOA_MICS, "sample_rate": FS}, "frame": {"frame_len": 4096, "hop": 4096},
+           "pipeline": {"grid": {"kind": "doa_az_el", "azimuth_res": step, "elevation_res": step},
+                        "features": {"band": [200.0, 4000.0]}, "map": {"domain": domain}}}
+    if n_sources > 1:
+        loc["pipeline"]["multi"] = {"n_sources": n_sources}
+    out = tmp_path / "doa.jsonl"
+    argv = ["localize", "-c", write_config(tmp_path / "loc.json", loc), "-i", str(tmp_path / "scene" / "scene.wav")]
+    assert main(argv + ["-o", str(out)]) == 0
+    records = read_jsonl(out)
+    assert len(records) == 2
+    for rec in records:
+        ests = np.array([[e["x"], e["y"], e["z"]] for e in rec["estimates"]])
+        np.testing.assert_allclose(np.linalg.norm(ests, axis=1), 1.0, atol=1e-9)
+        for b in bearings:
+            assert np.degrees(np.arccos(np.clip(ests @ b, -1.0, 1.0))).min() <= 2.0 * steps
+
+
 def test_a_nan_sample_under_cc_features_is_a_numerical_error(tmp_path, scene_dir, capsys):
     """The classical cross-correlation carries a NaN sample into every lag of its pairs:
     a fault of the data, exit 3, not of the config."""
@@ -878,6 +934,14 @@ def _localize_with(path, value, **pipeline):
     return make
 
 
+def _track_room(room):
+    def make():
+        cfg = track_config()
+        cfg["room"] = room
+        return "track", cfg
+    return make
+
+
 def _volumes(counts):
     return _localize_with(("pipeline", "grid", "counts"), counts,
                           grid={"kind": "volumes"}, map={"domain": "volumetric"})
@@ -899,7 +963,10 @@ def _volumes(counts):
      _localize_with(("pipeline", "grid", "azimuth_res"), 1e-9, grid={"kind": "doa_azimuth"}),
      _tracker_with("q", 0), _tracker_with("kappa", 0.0), _tracker_with("resample_fraction", -3.0),
      _tracker_with("resample_fraction", 1.5),
-     _source_wav(5), _source_wav(None), _source_wav(["a.wav"])],
+     _source_wav(5), _source_wav(None), _source_wav(["a.wav"]),
+     _localize_with(("pipeline", "features", "gamma"), "nan"), _tracker_with("beta", float("nan")),
+     _localize_with(("pipeline", "multi", "min_source_distance"), "nan", multi={"n_sources": 2}),
+     _track_room(["nan", 5, 3])],
     ids=["frame_without_frame_len", "source_without_position", "null_max_iters",
          "null_frame_len", "number_tracker_band", "null_duration", "sources_not_a_list",
          "null_source_seed", "non_integer_rate_simulate", "non_integer_rate_localize",
@@ -908,7 +975,8 @@ def _volumes(counts):
          "boolean_sample_rate", "volume_partition_too_large", "cartesian_grid_too_large",
          "boolean_in_positions", "doa_grid_too_large", "zero_particles", "zero_kappa",
          "negative_resample_fraction", "resample_fraction_above_one",
-         "number_source_wav", "null_source_wav", "list_source_wav"],
+         "number_source_wav", "null_source_wav", "list_source_wav",
+         "nan_gamma", "nan_tracker_beta", "nan_min_source_distance", "nan_track_room"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, make):
     command, cfg = make()

@@ -16,7 +16,6 @@ from xsrp.geometry import (
     MicArray,
     MicPair,
     SphericalDirection,
-    far_field_tdoa_matrix,
     max_tdoa,
     tdoa,
     tdoa_far_field,
@@ -211,7 +210,7 @@ def test_far_field_requires_unit_norm():
     with pytest.raises(ValueError, match="unit-norm"):
         tdoa_far_field((2.0, 0.0, 0.0), MicPair(0, 1), arr)
     with pytest.raises(ValueError, match="unit-norm"):
-        far_field_tdoa_matrix(np.array([[0.5, 0.5, 0.5]]), arr)
+        tdoa_matrix(np.array([[0.5, 0.5, 0.5]]), arr, far_field=True)
 
 
 def test_far_field_limit_of_exact_tdoa():
@@ -245,7 +244,7 @@ def test_batch_matches_scalar():
     td = tdoa_matrix(pts, arr)
     dirs = rng.normal(size=(50, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    fd = far_field_tdoa_matrix(dirs, arr)
+    fd = tdoa_matrix(dirs, arr, far_field=True)
     for i in range(50):
         for m in range(arr.n_mics):
             assert abs(tm[i, m] - tof(pts[i], arr.positions[m])) < 1e-15

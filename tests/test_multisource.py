@@ -24,7 +24,7 @@ from xsrp.features import (
     lag_block,
     lags_from_half,
 )
-from xsrp.geometry import MicArray, MicPair, far_field_tdoa_matrix, tdoa, tdoa_matrix
+from xsrp.geometry import MicArray, MicPair, tdoa, tdoa_matrix
 from xsrp.grids import CandidateGrid, Volume, cartesian_grid, grid_in_volume
 from xsrp.multisource import (
     EstimateSet,
@@ -449,7 +449,6 @@ def _batch_cases(draw):
 
 def _per_frame_chain(block, grid, array, cfg):
     """The standalone rounds of one frame: srp_time_map -> argmax_search -> deemphasize."""
-    tdoas = far_field_tdoa_matrix if grid.is_doa else tdoa_matrix
     sigma = cfg.notch_sigma or default_notch_sigma(array)
     cap, auto = cfg.n_sources or 10, cfg.n_sources is None
     work, found = LagBlock(block.values.copy(), block.sample_rate), []
@@ -465,7 +464,7 @@ def _per_frame_chain(block, grid, array, cfg):
             break
         if len(found) == 2:
             warnings.warn("extracting a third or later source")
-        work = deemphasize(work, tdoas(res.estimate[None, :], array)[0], sigma)
+        work = deemphasize(work, tdoa_matrix(res.estimate[None, :], array, grid.is_doa)[0], sigma)
     return EstimateSet.from_pairs(found)
 
 

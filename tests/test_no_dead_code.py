@@ -36,7 +36,7 @@ ALLOWED = {
     "SphericalDirection": "the direction type of acceptance criterion C2",
     "to_unit": "SphericalDirection's conversion that C2 reads",
     "stationary_velocity_var": "the Langevin prior's stationary variance that C10 checks",
-    "tdoa_far_field": "the scalar oracle that far_field_tdoa_matrix is tested against",
+    "tdoa_far_field": "the scalar oracle that tdoa_matrix(far_field=True) is tested against",
     "take": "CandidateGrid.take and VolumeGrid.take: the searches' grid.take(idx), as ndarray.take",
 }
 
@@ -168,3 +168,35 @@ def test_every_optional_parameter_is_passed_by_some_caller():
                         passed.add((name, p))
     unpassed = [f"{f}({p})" for f, ps in params.items() for p, _ in ps if (f, p) not in passed | set(UNPASSED)]
     assert not unpassed, f"optional parameters that no call outside the tests passes: {', '.join(unpassed)}"
+
+
+def counter_writers() -> list[tuple[str, str]]:
+    """(function, "file:line") of each assignment in src/xsrp to ``counter.points`` or
+    ``counter.kernel_ops``; the function is dotted from its module, "srp_core" at module level."""
+    writers = []
+
+    def visit(node, path, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, f"{where}.{child.name}")
+                continue
+            targets = getattr(child, "targets", None) or ([child.target] if isinstance(child, (ast.AugAssign, ast.AnnAssign)) else [])
+            for t in (a for target in targets for a in ast.walk(target)):
+                if (isinstance(t, ast.Attribute) and t.attr in ("points", "kernel_ops")
+                        and isinstance(t.value, ast.Name) and t.value.id == "counter"):
+                    writers.append((where, f"{path.name}:{child.lineno}"))
+            visit(child, path, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, path.stem)
+    return writers
+
+
+def test_only_count_writes_the_work_counter():
+    """srp_core._count is the one function that adds to the work counter: every map, scorer and
+    search counts through it, so what the counter holds is decided in one place."""
+    writers = counter_writers()
+    assert {w for w, _ in writers} == {"srp_core._count"}, (
+        f"counter.points or counter.kernel_ops written outside srp_core._count: "
+        f"{', '.join(f'{w} ({at})' for w, at in writers if w != 'srp_core._count')}"
+    )

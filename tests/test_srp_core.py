@@ -30,7 +30,6 @@ from xsrp import features, srp_core
 from xsrp.geometry import (
     MicArray,
     MicPair,
-    far_field_tdoa_matrix,
     max_tdoa,
     tdoa,
     tdoa_matrix,
@@ -189,7 +188,7 @@ def test_freq_scores_match_direct_two_sided_sum(case, block):
     array, gccs, pts, far_field = case
     with mock.patch.object(srp_core, "_FREQ_BLOCK", block):
         got = srp_freq_scores(pts, gccs, array, far_field=far_field)
-    taus = (far_field_tdoa_matrix if far_field else tdoa_matrix)(pts, array)
+    taus = tdoa_matrix(pts, array, far_field)
     ref = np.zeros(len(pts))
     for j, g in enumerate(gccs.values()):
         f = g.freqs[g.in_band]
@@ -222,7 +221,7 @@ def gathered_phasor_scores(pts, gccs, array, far_field):
     edges = np.arange(n + 1) * len(pts) // n
     for i, e in zip(edges[:-1], edges[1:]):
         g = e - i
-        t = np.ascontiguousarray(srp_core._mic_delays(pts[i:e], array, far_field).T)
+        t = np.ascontiguousarray(tof_matrix(pts[i:e], array, far_field).T)
         w = np.exp((2j * math.pi * df) * t)
         w0 = np.exp((2j * math.pi * df * k_lo) * t)
         zs, tails_of_z = w[ls], w.conj()[ms]
@@ -291,7 +290,7 @@ def test_freq_scores_exact_at_large_band_starts(k_lo, k_hi, far_field):
     bufsize = np.getbufsize()
     got = srp_freq_scores(pts, gccs, array, far_field=far_field)
     assert np.getbufsize() == bufsize  # the kernel leaves numpy's ufunc buffer size as it found it
-    taus = (far_field_tdoa_matrix if far_field else tdoa_matrix)(pts, array)
+    taus = tdoa_matrix(pts, array, far_field)
     ref = np.zeros(len(pts))
     for j, g in enumerate(gccs.values()):
         ref += (np.exp(2j * math.pi * taus[:, j, None] * freqs[in_band]) @ g.values[in_band]).real
@@ -328,7 +327,7 @@ def test_freq_scores_match_the_direct_sum_at_edge_bin_counts(K, start, n_mics, f
     array, gccs, pts, f, values = _banded_case(K, start, n_mics, far_field)
     assert gccs.spectra.shape[1] == K
     got = srp_freq_scores(pts, gccs, array, far_field=far_field)
-    taus = (far_field_tdoa_matrix if far_field else tdoa_matrix)(pts, array)
+    taus = tdoa_matrix(pts, array, far_field)
     ref = np.zeros(len(pts))
     for j in range(array.n_pairs):
         ref += (np.exp(2j * math.pi * taus[:, j, None] * f) @ values[j]).real
@@ -497,7 +496,7 @@ def test_lag_coverage_precondition():
 
 def _offset_reference(pts, array, far_field=False):
     """rint(tau * fs) of every pair and point, (P, G), and each pair's lag bound D."""
-    taus = (far_field_tdoa_matrix if far_field else tdoa_matrix)(pts, array)
+    taus = tdoa_matrix(pts, array, far_field)
     fs = array.sample_rate
     bounds = np.array([round(max_tdoa(p, array) * fs) + 1 for p in array.pairs()])
     return np.rint(taus * fs).T.astype(np.int64), bounds
@@ -979,7 +978,7 @@ def test_pairwise_tensor_equals_one_built_from_the_mapping_view(n, band, far, se
     grid = doa_grid(math.pi / 4, math.pi / 4) if far else CandidateGrid("cartesian3d", rng.uniform(-1, 2, (7, 3)))
     got = pairwise_freq_scores(block, grid, array)
     freqs = np.fft.fftfreq(n, d=1.0 / FS)[in_band]
-    phases = np.exp((2j * math.pi) * srp_core._mic_delays(grid.points, array, far)[:, :, None] * freqs)
+    phases = np.exp((2j * math.pi) * tof_matrix(grid.points, array, far)[:, :, None] * freqs)
     for j, pair in enumerate(array.pairs()):
         steer = phases[:, pair.l, :] * np.conj(phases[:, pair.m, :])
         want = (steer * block[pair].values[in_band][None, :]).real

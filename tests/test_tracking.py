@@ -1,6 +1,7 @@
 """Tests for the particle filter and its Langevin motion prior."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -123,6 +124,24 @@ class TestWeights:
         with pytest.warns(UserWarning, match="non-positive"):
             update_weights(state, lambda pts: np.full(4, -3.0))
         np.testing.assert_allclose(state.weights, np.full(4, 0.25))
+
+    def test_scores_whose_powers_overflow_keep_finite_weights(self):
+        # 2e3^120 overflows to inf, and inf / inf would make every weight NaN
+        state = self.make_state()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            update_weights(state, lambda pts: np.array([1e3, 2e3, 1e3, 1e3]), kappa=120.0)
+        rel = 0.5**120
+        np.testing.assert_allclose(state.weights, np.array([rel, 1.0, rel, rel]) / (1.0 + 3.0 * rel), rtol=1e-12)
+
+    def test_positive_scores_whose_powers_underflow_are_not_reset(self):
+        # 2e-3^200 underflows to 0, which must not read as "all scores non-positive"
+        state = self.make_state()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            update_weights(state, lambda pts: np.array([1e-3, 2e-3, 1e-3, 1e-3]), kappa=200.0)
+        rel = 0.5**200
+        np.testing.assert_allclose(state.weights, np.array([rel, 1.0, rel, rel]) / (1.0 + 3.0 * rel), rtol=1e-12)
 
     def test_kappa_validation(self):
         with pytest.raises(ValueError, match="kappa"):
