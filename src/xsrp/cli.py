@@ -109,6 +109,16 @@ class TrackConfig:
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
 
 
+def _load_config(path, cls):
+    """The JSON config file at path, parsed into the command dataclass cls (the parsed JSON is not kept)."""
+    try:
+        with open(path) as f:
+            d = json.load(f)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"invalid JSON in {path}: {e}") from e
+    return config_from_dict(d, cls, "config")
+
+
 def _write_manifest(path, command: str, config, inputs: list, outputs: list,
                     wall_seconds: float) -> None:
     manifest = {
@@ -233,20 +243,10 @@ def _track(args, cfg: TrackConfig):
 
 
 def _run(args) -> int:
-    """The shell of every command: load its config, do its work, write its manifest, print its summary.
-
-    The JSON config file is parsed into the command's dataclass
-    (``args.config_cls``); ``args.work(args, cfg)`` returns (manifest
-    path, inputs, outputs, summary line). The manifest's wall time
-    covers the config load too.
-    """
+    """The shell of every command: load its config, do its work (``args.work(args, cfg)``, which returns
+    the manifest path, inputs, outputs and summary line), write its manifest and print its summary."""
     t0 = time.perf_counter()
-    try:
-        with open(args.config) as f:
-            d = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"invalid JSON in {args.config}: {e}") from e
-    cfg = config_from_dict(d, args.config_cls, "config")
+    cfg = _load_config(args.config, args.config_cls)
     manifest, inputs, outputs, summary = args.work(args, cfg)
     _write_manifest(manifest, args.command, cfg, inputs, outputs, time.perf_counter() - t0)
     print(summary)

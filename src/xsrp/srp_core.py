@@ -61,8 +61,7 @@ class EvalCounter:
 
 
 #: global counter; reset() it around a measurement. Updated once per
-#: map build, or once per pass of a batch of frames by the frames' maps,
-#: through _count alone.
+#: map build, or once per pass of a batch of frames by the frames' maps.
 counter = EvalCounter()
 
 
