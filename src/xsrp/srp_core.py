@@ -27,7 +27,7 @@ interval over the box, can reach the best score found. The frequency map
 evaluates each pair's polynomial in the block's uniform DFT bins exactly
 by baby-step giant-step: per block of points, one matrix product per
 pair and about 2 sqrt(K) array passes for K bins, steered by per-mic
-phasors (2 M complex exponentials per point). A module-level counter,
+phasors (M complex exponentials per point). A module-level counter,
 written by _count alone, tracks candidate scorings and steering-kernel
 evaluations so complexity claims can be checked: each frame's map,
 alone or in a batch, adds G points and G * P kernel ops (time,
@@ -626,13 +626,13 @@ def srp_freq_scores(
     1973): per pair, the baby powers z^0..z^(B-1) of a block of points,
     one matrix product Q = C_pair @ powers, and Horner's rule in
     y = z^B over Q's A rows, about 2 sqrt(K) array passes in all. As
-    tau_lm = t_l - t_m, z and the band start's e^{j 2 pi f_lo tau} are
-    products w_l conj(w_m) of per-mic phasors: 2 M complex exponentials
-    per point, not 2 P. A block's pairs are taken in groups of one
-    mic's consecutive pair rows (_FREQ_BLOCK), side by side in flat
-    rows, with one stacked product per group, one BLAS call per pair.
-    Scores match the direct two-sided sum to 2e-13 of the map's peak
-    (worst 1.9e-13, as Horner's rule over all K bins, measured at
+    tau_lm = t_l - t_m, z is the product w_l conj(w_m) of per-mic
+    phasors (M complex exponentials per point, not P); the band start
+    e^{j 2 pi f_lo tau} = z^k_lo is z^r y^e0, (e0, r) = divmod(k_lo, B).
+    A block's pairs are taken in groups of one mic's consecutive pair
+    rows (_FREQ_BLOCK), side by side in flat rows, with one stacked
+    product per group, one BLAS call per pair. Scores match the direct
+    two-sided sum to 3.4e-13 of the map's peak (worst from bin 3000, at
     n = 8192, 8 mics, 40, 100 and 1,000 points, near and far field,
     bands from bin 0, 1000 or 3000 up to Nyquist). ``_coef`` must be
     _freq_coefficients of this same block, laid out once by a caller
@@ -648,33 +648,30 @@ def srp_freq_scores(
     if A and G:
         df = block.sample_rate / len(block.in_band)
         phase = 2j * math.pi * df
+        e0, r = divmod(block.band.start, B)  # z^k_lo = z^r y^e0
         edges = _equal_parts(G, _FREQ_BLOCK)
         for i, j in zip(edges[:-1], edges[1:]):
-            t = np.ascontiguousarray(tof_matrix(pts[i:j], array, far_field).T)  # (M, g)
-            w = np.multiply(t, phase)  # e^{j 2 pi df t}
-            np.exp(w, out=w)
-            w0 = np.multiply(t, phase * block.band.start)  # e^{j 2 pi f_lo t}
-            np.exp(w0, out=w0)
-            del t
+            w = np.multiply(np.ascontiguousarray(tof_matrix(pts[i:j], array, far_field).T), phase)  # (M, g)
+            np.exp(w, out=w)  # e^{j 2 pi df t}
             g, acc = j - i, scores[i:j]
             most = max(1, _FREQ_BLOCK // g)  # pairs per group
-            # rows of B powers, A giant steps, z and y for a group's
-            # pairs, each pair's g points in turn
-            bufs = np.empty((B + A + 2, min(most, array.n_mics - 1) * g), dtype=complex)
-            bufs[0] = 1.0  # z^0
+            # rows of B powers, A giant steps and z (then y) for a
+            # group's pairs, each pair's g points in turn
+            bufs = np.empty((B + A + 1, min(most, array.n_mics - 1) * g), dtype=complex)
             for l, rows in array.pair_rows():  # pairs (l, l+1..M-1), block rows ``rows``
                 parts = _equal_parts(rows.stop - rows.start, most)
                 for a0, a1 in zip(parts[:-1], parts[1:]):
                     n, ms = a1 - a0, slice(l + 1 + a0, l + 1 + a1)
-                    powers, q, z, y = bufs[:B, : n * g], bufs[B: B + A, : n * g], bufs[-2, : n * g], bufs[-1, : n * g]
+                    powers, q, z = bufs[:B, : n * g], bufs[B: B + A, : n * g], bufs[-1, : n * g]
                     zn, qn = z.reshape(n, g), q[0].reshape(n, g)  # a row per pair
                     # z = e^{j 2 pi df tau_lm} = conj(w_m) w_l, in place: numpy
                     # rounds a one-point block's broadcast product as a flat one only in place
                     np.conjugate(w[ms], out=zn)
                     np.multiply(zn, w[l], out=zn)
+                    powers[0] = 1.0  # z^0, reset: the band start overwrites it when r = 0
                     for b in range(1, B):
                         np.multiply(powers[b - 1], z, out=powers[b])
-                    np.multiply(powers[B - 1], z, out=y)  # y = z^B
+                    y = np.multiply(powers[B - 1], z, out=z)  # y = z^B, over the spent z
                     # one BLAS product per pair: its (A, B) coefficients by its (B, g) powers
                     np.matmul(
                         coef[rows][a0:a1],
@@ -684,11 +681,14 @@ def srp_freq_scores(
                     for a in range(A - 2, -1, -1):
                         np.multiply(q[a + 1], y, out=q[a + 1])
                         np.add(q[a], q[a + 1], out=q[a])
-                    np.multiply(qn, w0[l], out=qn)
-                    np.conjugate(w0[ms], out=zn)
-                    np.multiply(q[0], z, out=q[0])
-                    for r in qn.real:
-                        acc += r
+                    # the band start e^{j 2 pi f_lo tau} = z^r y^e0 into powers[r], e0's bits lowest first
+                    for bit in bin(e0)[:1:-1]:
+                        if bit == "1":
+                            np.multiply(powers[r], y, out=powers[r])
+                        np.multiply(y, y, out=y)  # the spent y squared in place
+                    np.multiply(q[0], powers[r], out=q[0])
+                    for row in qn.real:
+                        acc += row
     _count(G, G * len(block.pairs) * int(np.count_nonzero(block.in_band)))
     return scores
 

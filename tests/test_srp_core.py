@@ -197,7 +197,10 @@ def test_freq_scores_match_direct_two_sided_sum(case, block):
 
 
 def gathered_phasor_scores(pts, gccs, array, far_field):
-    """srp_freq_scores by baby-step giant-step in groups of pairs, every pair's phasors gathered into (P, g) copies first."""
+    """srp_freq_scores by baby-step giant-step in groups of pairs, every pair's phasors gathered into (P, g) copies first.
+
+    The band start z^k_lo is z^r y^e0, (e0, r) = divmod(k_lo, B), from
+    the group's own powers and y = z^B raised by binary powering."""
     pairs = array.pairs()
     mask = gccs[pairs[0]].in_band
     n = len(mask)
@@ -211,6 +214,7 @@ def gathered_phasor_scores(pts, gccs, array, far_field):
     K = k_hi - k_lo
     B = next(b for b in itertools.count(1) if b * b >= K)
     A = -(-K // B)
+    e0, r = divmod(k_lo, B)
     coef = np.zeros((len(pairs), A * B), dtype=complex)
     for j, p in enumerate(pairs):
         coef[j, :K] = gccs[p].values[k_lo:k_hi] * weights[k_lo:k_hi]
@@ -223,9 +227,7 @@ def gathered_phasor_scores(pts, gccs, array, far_field):
         g = e - i
         t = np.ascontiguousarray(tof_matrix(pts[i:e], array, far_field).T)
         w = np.exp((2j * math.pi * df) * t)
-        w0 = np.exp((2j * math.pi * df * k_lo) * t)
         zs, tails_of_z = w[ls], w.conj()[ms]
-        heads, tails = w0[ls], w0.conj()[ms]
         most = max(1, srp_core._FREQ_BLOCK // g)
         groups = []  # equal groups of each mic's pair rows, at most ``most`` pairs each
         for l, rows in array.pair_rows():
@@ -241,16 +243,21 @@ def gathered_phasor_scores(pts, gccs, array, far_field):
             powers[0] = 1.0
             for b in range(1, B):
                 powers[b] = powers[b - 1] * z
-            y = powers[B - 1] * z
+            y = powers[B - 1].copy()
+            y *= z  # in place, as a one-point product rounds by its layout
             q = (coef[a0:a1] @ powers.reshape(B, a1 - a0, g).transpose(1, 0, 2)).transpose(1, 0, 2).reshape(A, -1)
             acc = q[A - 1].copy()
             for a in range(A - 2, -1, -1):
                 acc *= y
                 acc += q[a]
-            acc *= heads[a0:a1].ravel()
-            acc *= tails[a0:a1].ravel()
-            for r in acc.real.reshape(a1 - a0, g):
-                scores[i:e] += r
+            head, square = powers[r].copy(), y.copy()
+            for bit in reversed(format(e0, "b")):
+                if bit == "1":
+                    head *= square
+                square *= square
+            acc *= head
+            for row in acc.real.reshape(a1 - a0, g):
+                scores[i:e] += row
     return scores
 
 
@@ -273,7 +280,9 @@ def test_freq_scores_exact_at_large_band_starts(k_lo, k_hi, far_field):
     # per-mic phasors steer the band start e^{j 2 pi f_lo tau} from
     # absolute delays, whose phase grows with k_lo; the hypothesis
     # cases above never pass bin 255. Bands end at Nyquist (4096) or
-    # short of it. Measured worst error: 1.0e-13 of the peak
+    # short of it. The band start z^k_lo comes from the powers, z^r
+    # (z^B)^e0, so the (3000, 3300) band (B = 18) squares y up to
+    # y^128 for e0 = 166. Measured worst error: 2.1e-13 of the peak
     n, df = 8192, FS / 8192
     rng = np.random.default_rng(k_lo + k_hi)
     array = MicArray(rng.uniform(0.0, 1.0, size=(8, 3)) * [6.0, 5.0, 3.0], sample_rate=FS)
@@ -363,9 +372,11 @@ def test_small_calls_take_their_pairs_in_groups(G, products):
         assert np.max(np.abs(got - srp_freq_scores(pts, gccs, array))) <= 1e-12 * np.max(np.abs(got))
 
 
-def test_a_track_sized_frequency_call_holds_under_one_mib():
+def test_a_track_sized_frequency_call_holds_under_0_55_mib():
     """8 mics, 1,000 points, 300-1200 Hz at L = 1024 (K = 115): one block,
-    one pair's powers and giant-step rows at a time."""
+    one pair's powers, giant-step rows and z at a time, one per-mic phasor
+    table and the call's own coefficients: 0.54 MiB, where a second
+    phasor table for the band start and a separate y row took 0.67."""
     rng = np.random.default_rng(4)
     array = MicArray(rng.uniform(0.0, 1.0, size=(8, 3)) * [6.0, 5.0, 3.0], sample_rate=FS)
     block = compute_spectral_gccs(rng.normal(size=(8, 1024)), array, GccConfig(band=(300.0, 1200.0)))
@@ -378,7 +389,19 @@ def test_a_track_sized_frequency_call_holds_under_one_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.0 * 2**20
+    assert peak < 0.55 * 2**20
+
+
+@pytest.mark.parametrize("block, blocks", [(1024, 1), (100, 10), (7, 143)])
+def test_freq_scores_take_one_exponential_per_block_of_points(block, blocks):
+    # the per-mic phasors e^{j 2 pi df t}; the band start comes from the
+    # pair's own powers, not from a second table of exponentials
+    array, gccs, _, _, _ = _banded_case(115, "mid", 8, False)
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(1000, 3)) * [6.0, 5.0, 3.0]
+    exp = mock.Mock(wraps=np.exp)
+    with mock.patch.object(srp_core, "_FREQ_BLOCK", block), mock.patch.object(np, "exp", exp):
+        srp_freq_scores(pts, gccs, array)
+    assert exp.call_count == blocks
 
 
 @st.composite
